@@ -11,9 +11,8 @@ from scipy import ndimage
 
 FREE = 0
 STATIC = 1
-MOVABLE_MARK = 2
 
-_CELL_CHARS = {FREE: ".", STATIC: "#", MOVABLE_MARK: "o"}
+_CELL_CHARS = {FREE: ".", STATIC: "#"}
 _CHAR_CELLS = {v: k for k, v in _CELL_CHARS.items()}
 
 
@@ -126,14 +125,15 @@ class OccupancyGrid:
             raise ValueError("malformed map header") from exc
         if len(lines) - 1 != height:
             raise ValueError(f"expected {height} rows, got {len(lines) - 1}")
-        cells = np.zeros((height, width), np.uint8)
         for iy, line in enumerate(lines[1:]):
             if len(line) != width:
                 raise ValueError(f"row {iy} has {len(line)} cells, expected {width}")
-            for ix, ch in enumerate(line):
-                if ch not in _CHAR_CELLS:
-                    raise ValueError(f"unknown cell character {ch!r}")
-                cells[iy, ix] = _CHAR_CELLS[ch]
+            if not _CHAR_CELLS.keys() >= set(line):
+                bad = next(ch for ch in line if ch not in _CHAR_CELLS)
+                raise ValueError(f"unknown cell character {bad!r}")
+        chars = np.frombuffer("".join(lines[1:]).encode("ascii"), np.uint8)
+        cells = np.where(chars == ord(_CELL_CHARS[STATIC]), STATIC, FREE)
+        cells = cells.astype(np.uint8).reshape(height, width)
         return OccupancyGrid(resolution, cells)
 
     @staticmethod
@@ -198,25 +198,45 @@ def mark_explored(grid: OccupancyGrid, x: float, y: float, heading: float,
     iy0, ix0 = grid.cell_index(x, y)
     grid.explored[iy0, ix0] = True
     h, w = grid.cells.shape
-    for ang in angles:
-        xs = x + steps * math.cos(ang)
-        ys = y + steps * math.sin(ang)
-        ixs = (xs / res).astype(int)
-        iys = (ys / res).astype(int)
-        inside = (ixs >= 0) & (ixs < w) & (iys >= 0) & (iys < h)
-        for ix, iy, ok in zip(ixs, iys, inside):
-            if not ok:
-                break
-            grid.explored[iy, ix] = True
-            if grid.cells[iy, ix] == STATIC:
-                break
+    # One row per ray. The per-ray cos and sin come from math, and each
+    # sample point is x + step * cos as in a ray-by-ray walk, so the cell
+    # indices (truncated toward zero) are exactly those of that walk.
+    cos = np.array([math.cos(a) for a in angles.tolist()])[:, None]
+    sin = np.array([math.sin(a) for a in angles.tolist()])[:, None]
+    ixs = ((x + steps * cos) / res).astype(int)
+    iys = ((y + steps * sin) / res).astype(int)
+    inside = (ixs >= 0) & (ixs < w) & (iys >= 0) & (iys < h)
+    static = np.zeros_like(inside)
+    static[inside] = grid.cells[iys[inside], ixs[inside]] == STATIC
+    # A ray sees its cells up to the first one off the map (exclusive) or
+    # the first static one (inclusive), whichever comes first.
+    n = steps.size
+    first_out = np.where(inside.all(axis=1), n, np.argmin(inside, axis=1))
+    past_static = np.where(static.any(axis=1), np.argmax(static, axis=1) + 1, n)
+    seen = np.arange(n) < np.minimum(first_out, past_static)[:, None]
+    grid.explored[iys[seen], ixs[seen]] = True
+
+
+_INFLATION_CACHE: dict[tuple, np.ndarray] = {}
+_INFLATION_CACHE_SIZE = 8
 
 
 def inflated_blocked_mask(grid: OccupancyGrid, radius: float) -> np.ndarray:
     """Boolean mask of cells whose center is within radius of any static cell
-    (or the map border). Used as the planning substrate."""
-    static = grid.cells == STATIC
-    # Pad with a static border so the map edge inflates inward.
-    padded = np.pad(static, 1, constant_values=True)
-    dist = ndimage.distance_transform_edt(~padded) * grid.resolution
-    return dist[1:-1, 1:-1] <= radius
+    (or the map border). Used as the planning substrate.
+
+    Masks are cached on the cells' contents, so a changed grid never reads a
+    stale one; every call returns a fresh copy the caller may write to.
+    """
+    cells = grid.cells
+    key = (cells.tobytes(), cells.shape, grid.resolution, radius)
+    mask = _INFLATION_CACHE.get(key)
+    if mask is None:
+        # Pad with a static border so the map edge inflates inward.
+        padded = np.pad(cells == STATIC, 1, constant_values=True)
+        dist = ndimage.distance_transform_edt(~padded) * grid.resolution
+        mask = dist[1:-1, 1:-1] <= radius
+        if len(_INFLATION_CACHE) >= _INFLATION_CACHE_SIZE:
+            del _INFLATION_CACHE[next(iter(_INFLATION_CACHE))]
+        _INFLATION_CACHE[key] = mask
+    return mask.copy()

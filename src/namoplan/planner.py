@@ -99,11 +99,6 @@ _MOVES = [
 ]
 
 
-def _octile(ax: int, ay: int, bx: int, by: int) -> float:
-    dx, dy = abs(ax - bx), abs(ay - by)
-    return (dx + dy) + (math.sqrt(2) - 2.0) * min(dx, dy)
-
-
 def blocked_mask(grid: OccupancyGrid, robot_radius: float,
                  ellipses: tuple[Ellipse, ...] = ()) -> np.ndarray:
     """Planning obstacle mask: statics inflated by the robot radius, plus
@@ -185,72 +180,66 @@ def _astar_on_mask(grid: OccupancyGrid, mask: np.ndarray,
     if (sy, sx) == (gy, gx):
         raise ValueError("start equals goal")
 
-    g = np.full((h, w), np.inf)
-    turns = np.full((h, w), np.inf)  # tie-break: cumulative turn count
-    parent = np.full((h, w), -1, dtype=np.int32)
-    parent_dir = np.full((h, w), -1, dtype=np.int8)
-    g[sy, sx] = 0.0
-    turns[sy, sx] = 0.0
+    # Search flat lists over the mask padded by one blocked cell, so every
+    # neighbour index exists and blocked cells start out closed. Costs, the
+    # octile heuristic and the heap order (f, turns, push counter) are
+    # computed exactly as in a per-cell search over (x, y), and _MOVES keeps
+    # its order, so ties break the same way and the path is bit-identical.
+    pw = w + 2
+    closed = bytearray(np.pad(mask, 1, constant_values=True).tobytes())
+    n = len(closed)
+    adx = [abs(x - 1 - gx) for x in range(pw)]
+    ady = [abs(y - 1 - gy) for y in range(h + 2)]
+    diag = math.sqrt(2) - 2.0
+    moves = [(mi, dy * pw + dx, cost, dx, dy)
+             for mi, (dx, dy, cost) in enumerate(_MOVES)]
+    src = (sy + 1) * pw + sx + 1
+    dst = (gy + 1) * pw + gx + 1
+    g = [math.inf] * n
+    turns = [math.inf] * n  # tie-break: cumulative turn count
+    parent = [-1] * n
+    parent_dir = [-1] * n
+    g[src] = 0.0
+    turns[src] = 0.0
     counter = 0
-    heap = [(_octile(sx, sy, gx, gy), 0.0, counter, sx, sy)]
-    closed = np.zeros((h, w), dtype=bool)
+    ax, ay = adx[sx + 1], ady[sy + 1]
+    heap = [((ax + ay) + diag * min(ax, ay), 0.0, counter, src)]
+    push, pop = heapq.heappush, heapq.heappop
     while heap:
-        _, _, _, cx, cy = heapq.heappop(heap)
-        if closed[cy, cx]:
+        cur = pop(heap)[3]
+        if closed[cur]:
             continue
-        closed[cy, cx] = True
-        if (cy, cx) == (gy, gx):
+        closed[cur] = 1
+        if cur == dst:
             break
-        base_g = g[cy, cx]
-        base_t = turns[cy, cx]
-        pdir = parent_dir[cy, cx]
-        for mi, (dx, dy, cost) in enumerate(_MOVES):
-            nx, ny = cx + dx, cy + dy
-            if not (0 <= nx < w and 0 <= ny < h) or mask[ny, nx] or closed[ny, nx]:
+        cy, cx = divmod(cur, pw)
+        base_g = g[cur]
+        base_t = turns[cur]
+        pdir = parent_dir[cur]
+        for mi, off, cost, dx, dy in moves:
+            nb = cur + off
+            if closed[nb]:
                 continue
             ng = base_g + cost
-            nt = base_t + (0.0 if pdir in (-1, mi) else 1.0)
-            if ng < g[ny, nx] - 1e-12 or (ng < g[ny, nx] + 1e-12 and nt < turns[ny, nx]):
-                g[ny, nx] = ng
-                turns[ny, nx] = nt
-                parent[ny, nx] = cy * w + cx
-                parent_dir[ny, nx] = mi
+            nt = base_t if pdir == -1 or pdir == mi else base_t + 1.0
+            old = g[nb]
+            if ng < old - 1e-12 or (ng < old + 1e-12 and nt < turns[nb]):
+                g[nb] = ng
+                turns[nb] = nt
+                parent[nb] = cur
+                parent_dir[nb] = mi
                 counter += 1
-                heapq.heappush(heap, (ng + _octile(nx, ny, gx, gy), nt, counter, nx, ny))
-    if not closed[gy, gx]:
+                ax, ay = adx[cx + dx], ady[cy + dy]
+                push(heap, (ng + ((ax + ay) + diag * (ax if ax < ay else ay)),
+                            nt, counter, nb))
+    if not closed[dst]:
         return None
 
-    cells = []
-    cur = gy * w + gx
+    path = []
+    cur = dst
     while cur != -1:
-        cells.append(divmod(cur, w))
-        cur = int(parent[cells[-1][0], cells[-1][1]])
-    cells.reverse()
-    positions = np.array([[(ix + 0.5) * res, (iy + 0.5) * res] for iy, ix in cells])
+        path.append(cur)
+        cur = parent[cur]
+    iy, ix = np.divmod(np.array(path[::-1]), pw)
+    positions = np.column_stack(((ix - 1 + 0.5) * res, (iy - 1 + 0.5) * res))
     return Trajectory(positions)
-
-
-def dijkstra_cost(grid: OccupancyGrid, mask: np.ndarray,
-                  start: GridPosition, goal: GridPosition) -> float:
-    """Plain Dijkstra path cost in cell units; oracle for A* optimality tests."""
-    res = grid.resolution
-    sy, sx = grid.cell_index(start.x, start.y)
-    gy, gx = grid.cell_index(goal.x, goal.y)
-    h, w = mask.shape
-    dist = np.full((h, w), np.inf)
-    dist[sy, sx] = 0.0
-    heap = [(0.0, sx, sy)]
-    while heap:
-        d, cx, cy = heapq.heappop(heap)
-        if d > dist[cy, cx]:
-            continue
-        if (cy, cx) == (gy, gx):
-            return d
-        for dx, dy, cost in _MOVES:
-            nx, ny = cx + dx, cy + dy
-            if 0 <= nx < w and 0 <= ny < h and not mask[ny, nx]:
-                nd = d + cost
-                if nd < dist[ny, nx]:
-                    dist[ny, nx] = nd
-                    heapq.heappush(heap, (nd, nx, ny))
-    return math.inf

@@ -7,7 +7,6 @@ blockage pick a strategy (remove or bypass) from the configured policy.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -45,6 +44,13 @@ class RobotConfig:
     v_rot: float = 1.0
     sensor_range: float = 5.0
     sensor_fov: float = math.pi / 2.0
+
+    def __post_init__(self):
+        for name in ("radius", "v_lin", "v_rot", "sensor_range"):
+            if not getattr(self, name) > 0:
+                raise ScenarioError(f"robot.{name} must be positive")
+        if not 0.0 < self.sensor_fov <= 2.0 * math.pi:
+            raise ScenarioError("robot.sensor_fov must be in (0, 2*pi]")
 
 
 @dataclass
@@ -115,6 +121,8 @@ class ScenarioConfig:
             raise ScenarioError("confidence must be in (0, 1)")
         if not 0.0 <= self.estimated_sr <= 1.0:
             raise ScenarioError("estimated_sr out of [0, 1]")
+        if not self.sense_interval > 0:
+            raise ScenarioError("sense_interval must be positive")
 
     def load_grid(self) -> OccupancyGrid:
         grid = OccupancyGrid.load(self.map_path)
@@ -275,7 +283,7 @@ _MODEL_CACHE: dict[tuple, byp.GlrModel] = {}
 
 def bypass_model_for(grid: OccupancyGrid, robot: RobotConfig,
                      cfg: BypassModelConfig) -> byp.GlrModel:
-    key = (hashlib.sha256(grid.to_text().encode()).hexdigest(),
+    key = (grid.cells.tobytes(), grid.cells.shape, grid.resolution,
            robot.radius, robot.v_lin, robot.v_rot,
            cfg.dataset_seed, cfg.n_rows, cfg.noise_sigma)
     if key not in _MODEL_CACHE:
@@ -335,13 +343,13 @@ class _WorldMO:
 
 class _Episode:
     def __init__(self, config: ScenarioConfig, policy: Policy, seed: int,
-                 model: byp.GlrModel):
+                 model: byp.GlrModel, grid: OccupancyGrid):
         self.cfg = config
         self.policy = policy
         self.seed = seed
         self.model = model
         self.rng = np.random.default_rng(seed)
-        self.grid = config.load_grid()
+        self.grid = grid
         self.mos = {o.label: _WorldMO(o, o.position[0], o.position[1])
                     for o in config.obstacles}
         self.beliefs: dict[str, PoseBelief] = {}
@@ -745,5 +753,5 @@ def run_episode(config: ScenarioConfig, policy: Policy | str,
     grid = config.load_grid()
     if model is None:
         model = bypass_model_for(grid, config.robot, config.bypass_model)
-    episode = _Episode(config, policy, seed, model)
+    episode = _Episode(config, policy, seed, model, grid)
     return episode.run()

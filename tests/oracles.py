@@ -1,0 +1,178 @@
+"""Reference implementations the fast paths in `namoplan` are pinned against.
+
+These are the straightforward per-cell versions: numpy arrays indexed one
+scalar at a time from Python. They are slow and kept only so tests can
+require the optimized code to give exactly the same answers.
+"""
+
+from __future__ import annotations
+
+import heapq
+import math
+
+import numpy as np
+from scipy import ndimage
+
+from namoplan.gridmap import STATIC, GridPosition, OccupancyGrid
+from namoplan.planner import (_MOVES, EndpointBlocked, PlanRequest, Trajectory,
+                              _carve_escape)
+
+
+def _octile(ax: int, ay: int, bx: int, by: int) -> float:
+    dx, dy = abs(ax - bx), abs(ay - by)
+    return (dx + dy) + (math.sqrt(2) - 2.0) * min(dx, dy)
+
+
+def inflated_blocked_mask(grid: OccupancyGrid, radius: float) -> np.ndarray:
+    """Uncached static inflation: cells within radius of a static cell or
+    the map border."""
+    padded = np.pad(grid.cells == STATIC, 1, constant_values=True)
+    dist = ndimage.distance_transform_edt(~padded) * grid.resolution
+    return dist[1:-1, 1:-1] <= radius
+
+
+def blocked_mask(grid: OccupancyGrid, robot_radius: float,
+                 ellipses=()) -> np.ndarray:
+    """Static inflation plus ellipses rasterized one cell at a time."""
+    mask = inflated_blocked_mask(grid, robot_radius)
+    res = grid.resolution
+    h, w = mask.shape
+    for e in ellipses:
+        ei = e.inflate(robot_radius)
+        reach = max(ei.a, ei.b)
+        ix0 = max(0, int((ei.cx - reach) / res) - 1)
+        ix1 = min(w, int((ei.cx + reach) / res) + 2)
+        iy0 = max(0, int((ei.cy - reach) / res) - 1)
+        iy1 = min(h, int((ei.cy + reach) / res) + 2)
+        for iy in range(iy0, iy1):
+            cy = (iy + 0.5) * res
+            for ix in range(ix0, ix1):
+                if not mask[iy, ix] and ei.contains((ix + 0.5) * res, cy):
+                    mask[iy, ix] = True
+    return mask
+
+
+def plan_path(grid: OccupancyGrid, request: PlanRequest,
+              robot_radius: float) -> Trajectory | None:
+    """`planner.plan_path` built from the reference mask and A*."""
+    mask = blocked_mask(grid, robot_radius, tuple(request.temporary_obstacles))
+    if request.temporary_obstacles:
+        sy, sx = grid.cell_index(request.start.x, request.start.y)
+        h, w = mask.shape
+        if 0 <= sy < h and 0 <= sx < w and mask[sy, sx]:
+            static = inflated_blocked_mask(grid, robot_radius)
+            if not static[sy, sx]:
+                _carve_escape(mask, static, sy, sx)
+    return astar_on_mask(grid, mask, request.start, request.goal)
+
+
+def astar_on_mask(grid: OccupancyGrid, mask: np.ndarray,
+                  start: GridPosition, goal: GridPosition) -> Trajectory | None:
+    """8-connected A* over numpy arrays, with the turn-count tie-break."""
+    res = grid.resolution
+    sy, sx = grid.cell_index(start.x, start.y)
+    gy, gx = grid.cell_index(goal.x, goal.y)
+    h, w = mask.shape
+    for (iy, ix) in ((sy, sx), (gy, gx)):
+        if not (0 <= iy < h and 0 <= ix < w):
+            raise EndpointBlocked("endpoint outside map")
+        if mask[iy, ix]:
+            raise EndpointBlocked("endpoint blocked")
+    if (sy, sx) == (gy, gx):
+        raise ValueError("start equals goal")
+
+    g = np.full((h, w), np.inf)
+    turns = np.full((h, w), np.inf)
+    parent = np.full((h, w), -1, dtype=np.int32)
+    parent_dir = np.full((h, w), -1, dtype=np.int8)
+    g[sy, sx] = 0.0
+    turns[sy, sx] = 0.0
+    counter = 0
+    heap = [(_octile(sx, sy, gx, gy), 0.0, counter, sx, sy)]
+    closed = np.zeros((h, w), dtype=bool)
+    while heap:
+        _, _, _, cx, cy = heapq.heappop(heap)
+        if closed[cy, cx]:
+            continue
+        closed[cy, cx] = True
+        if (cy, cx) == (gy, gx):
+            break
+        base_g = g[cy, cx]
+        base_t = turns[cy, cx]
+        pdir = parent_dir[cy, cx]
+        for mi, (dx, dy, cost) in enumerate(_MOVES):
+            nx, ny = cx + dx, cy + dy
+            if not (0 <= nx < w and 0 <= ny < h) or mask[ny, nx] or closed[ny, nx]:
+                continue
+            ng = base_g + cost
+            nt = base_t + (0.0 if pdir in (-1, mi) else 1.0)
+            if ng < g[ny, nx] - 1e-12 or (ng < g[ny, nx] + 1e-12 and nt < turns[ny, nx]):
+                g[ny, nx] = ng
+                turns[ny, nx] = nt
+                parent[ny, nx] = cy * w + cx
+                parent_dir[ny, nx] = mi
+                counter += 1
+                heapq.heappush(heap, (ng + _octile(nx, ny, gx, gy), nt, counter, nx, ny))
+    if not closed[gy, gx]:
+        return None
+
+    cells = []
+    cur = gy * w + gx
+    while cur != -1:
+        cells.append(divmod(cur, w))
+        cur = int(parent[cells[-1][0], cells[-1][1]])
+    cells.reverse()
+    positions = np.array([[(ix + 0.5) * res, (iy + 0.5) * res] for iy, ix in cells])
+    return Trajectory(positions)
+
+
+def dijkstra_cost(grid: OccupancyGrid, mask: np.ndarray,
+                  start: GridPosition, goal: GridPosition) -> float:
+    """Plain Dijkstra path cost in cell units; oracle for A* optimality."""
+    sy, sx = grid.cell_index(start.x, start.y)
+    gy, gx = grid.cell_index(goal.x, goal.y)
+    h, w = mask.shape
+    dist = np.full((h, w), np.inf)
+    dist[sy, sx] = 0.0
+    heap = [(0.0, sx, sy)]
+    while heap:
+        d, cx, cy = heapq.heappop(heap)
+        if d > dist[cy, cx]:
+            continue
+        if (cy, cx) == (gy, gx):
+            return d
+        for dx, dy, cost in _MOVES:
+            nx, ny = cx + dx, cy + dy
+            if 0 <= nx < w and 0 <= ny < h and not mask[ny, nx]:
+                nd = d + cost
+                if nd < dist[ny, nx]:
+                    dist[ny, nx] = nd
+                    heapq.heappush(heap, (nd, nx, ny))
+    return math.inf
+
+
+def mark_explored(grid: OccupancyGrid, x: float, y: float, heading: float,
+                  sensor_range: float = 5.0, fov: float = math.pi / 2.0) -> None:
+    """Per-ray visibility walk: mark cells until the first static hit or the
+    first step off the map."""
+    if not grid.in_bounds(x, y):
+        raise ValueError("robot pose outside map")
+    res = grid.resolution
+    n_rays = max(8, int(math.ceil(fov * sensor_range / (0.5 * res))))
+    angles = heading + np.linspace(-fov / 2.0, fov / 2.0, n_rays)
+    steps = np.arange(0.0, sensor_range + res, 0.5 * res)
+    iy0, ix0 = grid.cell_index(x, y)
+    grid.explored[iy0, ix0] = True
+    h, w = grid.cells.shape
+    for ang in angles:
+        xs = x + steps * math.cos(ang)
+        ys = y + steps * math.sin(ang)
+        ixs = (xs / res).astype(int)
+        iys = (ys / res).astype(int)
+        inside = (ixs >= 0) & (ixs < w) & (iys >= 0) & (iys < h)
+        for ix, iy, ok in zip(ixs, iys, inside):
+            if not ok:
+                break
+            grid.explored[iy, ix] = True
+            if grid.cells[iy, ix] == STATIC:
+                break

@@ -2,9 +2,11 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from namoplan import scenario_path
 from namoplan.bypass import GlrModel
@@ -68,6 +70,42 @@ def test_run_malformed_config_exit_two(tmp_path, capsys):
     bad.write_text("goal: [1, 1\n  map: x")
     assert main(["run", "--config", str(bad)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def _variant(tiny_yaml, tmp_path, edit) -> str:
+    """Write a copy of the tiny config, changed by `edit(raw)`."""
+    raw = yaml.safe_load(Path(tiny_yaml).read_text())
+    raw["map"] = str(Path(tiny_yaml).parent / raw["map"])
+    edit(raw)
+    path = tmp_path / "variant.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    return str(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("v_lin", 0.0), ("v_rot", 0.0), ("radius", -0.3), ("sensor_range", 0.0),
+    ("sensor_fov", 0.0), ("sensor_fov", 6.3),
+])
+def test_run_bad_robot_value_exit_two(tiny_yaml, tmp_path, capsys, key, value):
+    bad = _variant(tiny_yaml, tmp_path, lambda raw: raw["robot"].update({key: value}))
+    assert main(["run", "--config", bad]) == 2
+    assert f"robot.{key}" in capsys.readouterr().err
+
+
+def test_run_zero_sense_interval_exit_two(tiny_yaml, tmp_path, capsys):
+    bad = _variant(tiny_yaml, tmp_path, lambda raw: raw.update(sense_interval=0))
+    assert main(["run", "--config", bad]) == 2
+    assert "sense_interval" in capsys.readouterr().err
+
+
+def test_run_map_with_unknown_cell_exit_two(tiny_yaml, tmp_path, capsys):
+    text = OccupancyGrid.empty(60, 40, 0.1).to_text().splitlines()
+    text[5] = "o" + text[5][1:]
+    (tmp_path / "marked.map").write_text("\n".join(text) + "\n")
+    bad = _variant(tiny_yaml, tmp_path,
+                   lambda raw: raw.update(map=str(tmp_path / "marked.map")))
+    assert main(["run", "--config", bad]) == 2
+    assert "unknown cell character 'o'" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_one(capsys):

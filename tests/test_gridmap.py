@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from conftest import grid_from_ascii
 from namoplan.gridmap import (FREE, STATIC, GridPosition, OccupancyGrid,
                               QueryInsideObstacle, free_area,
@@ -50,6 +51,7 @@ def test_text_header():
     "4 2 0.1\n....\n",  # missing row
     "4 2 0.1\n....\n...\n",  # short row
     "4 2 0.1\n....\n..q.\n",  # unknown char
+    "4 2 0.1\n....\n..o.\n",  # 'o' is not a cell character
 ])
 def test_malformed_maps_rejected(bad):
     with pytest.raises(ValueError):
@@ -171,6 +173,27 @@ def test_mark_explored_monotone():
     assert counts == sorted(counts)
 
 
+def test_mark_explored_matches_per_ray_walk():
+    rng = np.random.default_rng(21)
+    for trial in range(40):
+        g = OccupancyGrid.empty(50, 40, 0.1)
+        g.cells[rng.random((40, 50)) < rng.uniform(0.0, 0.15)] = STATIC
+        if trial % 4 == 0:
+            # Hug the border and look outward: rays leave the map, some at
+            # small negative coordinates that int() truncates to cell 0.
+            x = rng.choice([rng.uniform(0.0, 0.2), rng.uniform(4.8, 5.0)])
+            y = rng.choice([rng.uniform(0.0, 0.2), rng.uniform(3.8, 4.0)])
+        else:
+            x, y = rng.uniform(0.0, 5.0), rng.uniform(0.0, 4.0)
+        heading = rng.uniform(-math.pi, math.pi)
+        fov = 2 * math.pi if trial % 3 == 0 else rng.uniform(0.1, 2 * math.pi)
+        sensor_range = rng.uniform(0.3, 3.0)
+        want, got = g.copy(), g.copy()
+        oracles.mark_explored(want, x, y, heading, sensor_range, fov)
+        mark_explored(got, x, y, heading, sensor_range, fov)
+        assert np.array_equal(got.explored, want.explored), trial
+
+
 def test_mark_explored_outside_map_rejected():
     g = OccupancyGrid.empty(10, 10, 0.1)
     with pytest.raises(ValueError):
@@ -195,3 +218,20 @@ def test_inflated_mask_border_inflates_inward():
     assert mask[iy, ix]
     iy, ix = g.cell_index(2.5, 2.5)
     assert not mask[iy, ix]
+
+
+def test_inflated_mask_follows_cell_writes():
+    g = OccupancyGrid.empty(30, 30, 0.1)
+    iy, ix = g.cell_index(1.5, 1.5)
+    assert not inflated_blocked_mask(g, 0.2)[iy, ix]
+    g.cells[iy, ix + 1] = STATIC
+    assert inflated_blocked_mask(g, 0.2)[iy, ix]
+    assert np.array_equal(inflated_blocked_mask(g, 0.2),
+                          oracles.inflated_blocked_mask(g, 0.2))
+
+
+def test_inflated_mask_is_a_fresh_copy():
+    g = OccupancyGrid.empty(30, 30, 0.1)
+    first = inflated_blocked_mask(g, 0.2)
+    first[:] = True
+    assert not inflated_blocked_mask(g, 0.2)[15, 15]

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from conftest import grid_from_ascii
 from namoplan.gridmap import STATIC, GridPosition, OccupancyGrid
 from namoplan.planner import (Ellipse, EndpointBlocked, PlanRequest, Trajectory,
-                              blocked_mask, dijkstra_cost, plan_path,
-                              smooth_headings)
+                              blocked_mask, plan_path, smooth_headings)
+from oracles import dijkstra_cost
 
 # -- trajectory basics --------------------------------------------------
 
@@ -185,3 +186,89 @@ def test_start_inside_static_inflation_still_blocked():
         plan_path(g, PlanRequest(GridPosition(3.0, 0.15), GridPosition(5.5, 3.0),
                                  (e,)),
                   robot_radius=0.3)
+
+
+# -- pinned to the per-cell reference search ------------------------------
+
+
+def _assert_same_plan(g, req, radius):
+    """plan_path returns exactly the reference planner's waypoints, or raises
+    EndpointBlocked exactly when it does."""
+    try:
+        want = oracles.plan_path(g, req, radius)
+    except EndpointBlocked:
+        with pytest.raises(EndpointBlocked):
+            plan_path(g, req, radius)
+        return "blocked"
+    got = plan_path(g, req, radius)
+    if want is None:
+        assert got is None
+        return "none"
+    assert got is not None and np.array_equal(got.positions, want.positions)
+    return "path"
+
+
+def _random_requests(g, rng, n, ellipses=()):
+    cells = [(iy, ix) for iy in range(g.height_cells) for ix in range(g.width_cells)]
+    for _ in range(n):
+        a, b = rng.choice(len(cells), size=2, replace=False)
+        yield PlanRequest(GridPosition(*g.cell_center(*cells[a])),
+                          GridPosition(*g.cell_center(*cells[b])), ellipses)
+
+
+@pytest.mark.parametrize("density", [0.1, 0.2])
+def test_plan_matches_reference_on_random_maps(density):
+    rng = np.random.default_rng(11)
+    seen = set()
+    for _ in range(12):
+        g = OccupancyGrid.empty(36, 28, 0.1)
+        g.cells[rng.random((28, 36)) < density] = STATIC
+        for req in _random_requests(g, rng, 6):
+            seen.add(_assert_same_plan(g, req, 0.1))
+    assert seen == {"blocked", "none", "path"}
+
+
+def test_plan_matches_reference_on_open_grid_ties():
+    # Many equal-cost routes: only the turn-count tie-break and the heap
+    # order pick one, so any drift in either shows up here.
+    rng = np.random.default_rng(12)
+    g = OccupancyGrid.empty(50, 40, 0.1)
+    for req in _random_requests(g, rng, 40):
+        _assert_same_plan(g, req, 0.15)
+
+
+def test_plan_matches_reference_with_ellipses():
+    rng = np.random.default_rng(13)
+    g = OccupancyGrid.empty(60, 50, 0.1)
+    g.cells[rng.random((50, 60)) < 0.05] = STATIC
+    for _ in range(8):
+        ellipses = tuple(Ellipse(rng.uniform(0.5, 5.5), rng.uniform(0.5, 4.5),
+                                 rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8),
+                                 rng.uniform(-math.pi, math.pi))
+                         for _ in range(3))
+        for req in _random_requests(g, rng, 5, ellipses):
+            _assert_same_plan(g, req, 0.1)
+
+
+def test_plan_matches_reference_from_inside_ellipse():
+    rng = np.random.default_rng(14)
+    g = OccupancyGrid.empty(60, 60, 0.1)
+    g.cells[20:40, 45] = STATIC
+    for _ in range(20):
+        e = Ellipse(rng.uniform(2.0, 4.0), rng.uniform(2.0, 4.0),
+                    rng.uniform(0.5, 1.2), rng.uniform(0.5, 1.2),
+                    rng.uniform(-math.pi, math.pi))
+        start = GridPosition(e.cx + rng.uniform(-0.3, 0.3),
+                             e.cy + rng.uniform(-0.3, 0.3))
+        req = PlanRequest(start, GridPosition(5.55, 5.55), (e,))
+        assert _assert_same_plan(g, req, 0.2) == "path"
+
+
+def test_plan_matches_reference_when_unreachable_or_blocked():
+    g = OccupancyGrid.empty(40, 30, 0.1)
+    g.cells[15, :] = STATIC
+    below, above = GridPosition(2.0, 0.8), GridPosition(2.0, 2.5)
+    assert _assert_same_plan(g, PlanRequest(below, above), 0.1) == "none"
+    wall = GridPosition(2.0, 1.55)
+    assert _assert_same_plan(g, PlanRequest(below, wall), 0.1) == "blocked"
+    assert _assert_same_plan(g, PlanRequest(wall, below), 0.1) == "blocked"

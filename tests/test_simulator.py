@@ -8,9 +8,10 @@ import pytest
 from namoplan import scenario_path
 from namoplan.gridmap import STATIC, OccupancyGrid
 from namoplan.planner import Trajectory
-from namoplan.simulator import (POLICIES, ObstacleSpec, RobotConfig,
-                                ScenarioConfig, ScenarioError, TrialRecord,
-                                _Episode, get_policy, motion_time, run_episode)
+from namoplan.simulator import (POLICIES, BypassModelConfig, ObstacleSpec,
+                                RobotConfig, ScenarioConfig, ScenarioError,
+                                TrialRecord, _Episode, bypass_model_for,
+                                get_policy, motion_time, run_episode)
 
 # -- helpers ------------------------------------------------------------
 
@@ -81,6 +82,16 @@ def test_obstacle_must_sit_in_free_cell(tmp_path):
         cfg.load_grid()
 
 
+def test_bypass_model_cache_keys_on_cells():
+    open_grid = OccupancyGrid.empty(60, 40, 0.1)
+    walled = OccupancyGrid.empty(60, 40, 0.1)
+    walled.cells[:30, 30] = STATIC
+    robot, fit = RobotConfig(), BypassModelConfig(n_rows=200)
+    model = bypass_model_for(open_grid, robot, fit)
+    assert bypass_model_for(open_grid.copy(), robot, fit) is model
+    assert bypass_model_for(walled, robot, fit) is not model
+
+
 def test_unknown_policy_rejected():
     with pytest.raises(ValueError):
         get_policy("does-not-exist")
@@ -116,7 +127,8 @@ def test_sense_occluded_obstacle_not_seen(tmp_path):
     cells[:, 20] = STATIC  # wall at x in [2.0, 2.1)
     cfg = _config(tmp_path, obstacles=[("X", (2.6, 2.0))])
     cfg.map_path = _write_map(tmp_path, cells)
-    ep = _Episode(cfg, get_policy("priority-removal"), seed=0, model=None)
+    ep = _Episode(cfg, get_policy("priority-removal"), seed=0, model=None,
+                  grid=cfg.load_grid())
     ep.sense()
     assert "X" not in ep.beliefs
 
@@ -125,14 +137,16 @@ def test_sense_noiseless_is_exact(tmp_path):
     cfg = _config(tmp_path, obstacles=[("X", (2.0, 2.0))])
     cfg.noise.meas_cov_diag = (0.0, 0.0)
     cfg.noise.robot_cov_diag = (0.0, 0.0, 0.0)
-    ep = _Episode(cfg, get_policy("priority-removal"), seed=0, model=None)
+    ep = _Episode(cfg, get_policy("priority-removal"), seed=0, model=None,
+                  grid=cfg.load_grid())
     ep.sense()
     assert ep.beliefs["X"].mean == pytest.approx([2.0, 2.0], abs=1e-9)
 
 
 def test_sense_out_of_fov_not_seen(tmp_path):
     cfg = _config(tmp_path, obstacles=[("X", (0.7, 3.5))])  # behind/above
-    ep = _Episode(cfg, get_policy("priority-removal"), seed=0, model=None)
+    ep = _Episode(cfg, get_policy("priority-removal"), seed=0, model=None,
+                  grid=cfg.load_grid())
     ep.sense()  # robot faces +x with a 90 degree fov
     assert "X" not in ep.beliefs
 
@@ -140,7 +154,8 @@ def test_sense_out_of_fov_not_seen(tmp_path):
 def test_sense_noise_matches_configured_covariance(tmp_path):
     cfg = _config(tmp_path, obstacles=[("X", (2.5, 2.4))])
     var_d, var_phi = cfg.noise.meas_cov_diag
-    ep = _Episode(cfg, get_policy("priority-removal"), seed=0, model=None)
+    ep = _Episode(cfg, get_policy("priority-removal"), seed=0, model=None,
+                  grid=cfg.load_grid())
     rx, ry = cfg.robot.start
     samples = []
     for _ in range(10_000):
