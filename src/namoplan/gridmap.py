@@ -151,12 +151,21 @@ class OccupancyGrid:
 def raycast_distance(grid: OccupancyGrid, x: float, y: float, angle: float,
                      max_range: float | None = None) -> float:
     """Distance from (x, y) to the first static cell or map border along angle."""
-    step = grid.resolution * 0.5
-    limit = max_range if max_range is not None else grid.width_m + grid.height_m
+    res = grid.resolution
+    step = res * 0.5
+    width_m, height_m = grid.width_m, grid.height_m
+    limit = max_range if max_range is not None else width_m + height_m
     dx, dy = math.cos(angle), math.sin(angle)
+    # `state_at` inlined: a half-cell walk reading cells through a
+    # memoryview, with the same arithmetic, so every distance is unchanged.
+    cells = memoryview(grid.cells)
     d = step
     while d <= limit:
-        if grid.state_at(x + d * dx, y + d * dy) == STATIC:
+        px = x + d * dx
+        py = y + d * dy
+        if not (0.0 <= px < width_m and 0.0 <= py < height_m):
+            return d
+        if cells[int(py / res), int(px / res)] == STATIC:
             return d
         d += step
     return limit

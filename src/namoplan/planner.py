@@ -122,10 +122,10 @@ def blocked_mask(grid: OccupancyGrid, robot_radius: float,
     return mask
 
 
-def plan_path(grid: OccupancyGrid, request: PlanRequest,
-              robot_radius: float) -> Trajectory | None:
-    """8-connected A* over the inflated grid. Returns None when the goal is
-    unreachable (callers translate that to an infinite cost).
+def planning_mask(grid: OccupancyGrid, request: PlanRequest,
+                  robot_radius: float) -> np.ndarray:
+    """The mask A* searches for `request`: `blocked_mask` with an escape
+    carved for a start inside a temporary ellipse.
 
     A start inside a temporary ellipse (but clear of static inflation) is
     escapable: the robot is standing in the conservative region around an
@@ -139,6 +139,20 @@ def plan_path(grid: OccupancyGrid, request: PlanRequest,
             static = inflated_blocked_mask(grid, robot_radius)
             if not static[sy, sx]:
                 _carve_escape(mask, static, sy, sx)
+    return mask
+
+
+def plan_path(grid: OccupancyGrid, request: PlanRequest, robot_radius: float,
+              mask: np.ndarray | None = None) -> Trajectory | None:
+    """8-connected A* over the inflated grid. Returns None when the goal is
+    unreachable (callers translate that to an infinite cost).
+
+    `mask`, when given, must be `planning_mask(grid, request, robot_radius)`;
+    callers that built it already pass it in to skip rebuilding it. The
+    path depends only on that mask and the start and goal cells.
+    """
+    if mask is None:
+        mask = planning_mask(grid, request, robot_radius)
     return _astar_on_mask(grid, mask, request.start, request.goal)
 
 

@@ -7,9 +7,10 @@ blockage pick a strategy (remove or bypass) from the configured policy.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from .intervals import CostInterval
 from .observation import (MovableObstacle, PoseBelief, RangeBearingMeasurement,
                           RobotPoseBelief, confidence_ellipse, fuse, path_blocked,
                           project_measurement, wrap_angle)
-from .planner import EndpointBlocked, PlanRequest, Trajectory, plan_path
+from .planner import EndpointBlocked, PlanRequest, Trajectory, plan_path, planning_mask
 
 
 class ScenarioError(ValueError):
@@ -123,6 +124,8 @@ class ScenarioConfig:
             raise ScenarioError("estimated_sr out of [0, 1]")
         if not self.sense_interval > 0:
             raise ScenarioError("sense_interval must be positive")
+        if not self.blockage_samples >= 1000:
+            raise ScenarioError("blockage_samples must be >= 1000")
 
     def load_grid(self) -> OccupancyGrid:
         grid = OccupancyGrid.load(self.map_path)
@@ -139,45 +142,46 @@ class ScenarioConfig:
             raw = yaml.safe_load(path.read_text())
         except yaml.YAMLError as exc:
             raise ScenarioError(f"malformed config: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ScenarioError("config must be a mapping")
+        raw = dict(_known_keys(raw, _TOP_LEVEL_KEYS, "config"))
         try:
-            robot = RobotConfig(**{
-                **raw.get("robot", {}),
-                "start": tuple(raw.get("robot", {}).get("start", (1.0, 1.0))),
-            })
-            obstacles = [
-                ObstacleSpec(o["label"], tuple(o["position"]), o["radius"], o["true_sr"])
-                for o in raw.get("obstacles", [])
-            ]
-            map_path = str((path.parent / raw["map"]).resolve())
-            cfg = ScenarioConfig(
-                scenario_id=raw.get("scenario_id", path.stem),
-                map_path=map_path,
-                robot=robot,
-                goal=tuple(raw["goal"]),
-                obstacles=obstacles,
-                population=PopulationConfig(**raw.get("population", {})),
-                removal=RemovalConfig(**raw.get("removal", {})),
-                noise=NoiseConfig(
-                    robot_cov_diag=tuple(raw.get("noise", {}).get("robot_cov_diag",
-                                                                  (0.01, 0.01, 0.004))),
-                    meas_cov_diag=tuple(raw.get("noise", {}).get("meas_cov_diag",
-                                                                 (0.01, 0.001))),
-                ),
-                bypass_model=BypassModelConfig(**raw.get("bypass_model", {})),
-                estimated_sr=raw.get("estimated_sr", 0.9),
-                sr_shared=raw.get("sr_shared", True),
-                calibration_trials=raw.get("calibration_trials", 10),
-                confidence=raw.get("confidence", 0.95),
-                timeout=raw.get("timeout", 300.0),
-                seed=raw.get("seed", 0),
-                blockage_samples=raw.get("blockage_samples", 10_000),
-                sense_interval=raw.get("sense_interval", 1.0),
-            )
+            for key, cls in _SECTIONS.items():
+                raw[key] = _build(cls, raw.get(key, {}), key)
+            raw["obstacles"] = [_build(ObstacleSpec, o, "obstacle entry")
+                                for o in raw.get("obstacles", [])]
+            raw["map_path"] = str((path.parent / raw.pop("map")).resolve())
+            raw.setdefault("scenario_id", path.stem)
+            return ScenarioConfig(**_tuples(raw))
         except (KeyError, TypeError) as exc:
             raise ScenarioError(f"bad config field: {exc}") from exc
-        return cfg
+
+
+# Config keys whose YAML lists become tuples.
+_TUPLE_KEYS = {"start", "position", "goal", "robot_cov_diag", "meas_cov_diag"}
+_SECTIONS = {"robot": RobotConfig, "population": PopulationConfig,
+             "removal": RemovalConfig, "noise": NoiseConfig,
+             "bypass_model": BypassModelConfig}
+# The YAML names the map file `map`; the config holds its resolved path.
+_TOP_LEVEL_KEYS = {f.name for f in fields(ScenarioConfig)} - {"map_path"} | {"map"}
+
+
+def _known_keys(raw, known: set[str], where: str) -> dict:
+    """`raw` if it is a mapping whose keys are all in `known`."""
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{where} must be a mapping")
+    unknown = sorted(str(k) for k in raw if k not in known)
+    if unknown:
+        raise ScenarioError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    return raw
+
+
+def _tuples(raw: dict) -> dict:
+    return {k: tuple(v) if k in _TUPLE_KEYS else v for k, v in raw.items()}
+
+
+def _build(cls, raw, where: str):
+    """Dataclass `cls` from a YAML mapping; the dataclass holds the defaults."""
+    known = {f.name for f in fields(cls)}
+    return cls(**_tuples(_known_keys(raw, known, where)))
 
 
 # ----------------------------------------------------------------------
@@ -333,6 +337,14 @@ class TrialRecord:
 # episode
 
 
+def _digest(*arrays: np.ndarray) -> bytes:
+    """Short digest of array contents, small enough to keep as a dict key."""
+    h = hashlib.blake2b(digest_size=16)
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.digest()
+
+
 @dataclass
 class _WorldMO:
     spec: ObstacleSpec
@@ -368,6 +380,15 @@ class _Episode:
             raise ScenarioError("robot start not in a free cell")
         if not self.grid.is_free(*config.goal):
             raise ScenarioError("goal not in a free cell")
+        self._last_blocked_traj: Trajectory | None = None
+        self._last_t_mo = 0.0
+        self._pending_traj: Trajectory | None = None
+        # Memos of this episode's pure computations (see plan_to and
+        # blockage_interval). The grid's cells, the robot radius, the
+        # population and the seed are fixed for the episode, so a key need
+        # only name what varies.
+        self._plans: dict[tuple, Trajectory | None] = {}
+        self._blockage: dict[tuple[bytes, bytes], float] = {}
 
     # -- success-rate beliefs ------------------------------------------
 
@@ -432,17 +453,28 @@ class _Episode:
 
     def plan_to(self, x: float, y: float, exclude: str | None = None,
                 with_ellipses: bool = True) -> Trajectory | None:
+        """Plan from the robot to (x, y); None when there is no path.
+
+        A* depends only on the planning mask and the start and goal cells,
+        so its answer is memoized on those for the rest of the episode.
+        """
         self.diag["n_replans"] += 1
         ellipses = self.ellipses(exclude) if with_ellipses else ()
-        start = GridPosition(self.x, self.y)
-        goal = GridPosition(x, y)
-        if self.grid.cell_index(start.x, start.y) == self.grid.cell_index(x, y):
+        start_cell = self.grid.cell_index(self.x, self.y)
+        goal_cell = self.grid.cell_index(x, y)
+        if start_cell == goal_cell:
             return None
-        try:
-            return plan_path(self.grid, PlanRequest(start, goal, ellipses),
-                             self.cfg.robot.radius)
-        except EndpointBlocked:
-            return None
+        request = PlanRequest(GridPosition(self.x, self.y), GridPosition(x, y),
+                              ellipses)
+        mask = planning_mask(self.grid, request, self.cfg.robot.radius)
+        key = (_digest(mask), start_cell, goal_cell)
+        if key not in self._plans:
+            try:
+                self._plans[key] = plan_path(self.grid, request,
+                                             self.cfg.robot.radius, mask=mask)
+            except EndpointBlocked:
+                self._plans[key] = None
+        return self._plans[key]
 
     def nav_interval(self, traj: Trajectory | None) -> CostInterval:
         if traj is None:
@@ -454,9 +486,15 @@ class _Episode:
                           proxy_removal: CostInterval) -> CostInterval:
         if traj is None or not self.policy.use_blockage_uncertainty:
             return CostInterval(0.0, 0.0)
-        p = blk.trajectory_blockage(self.pop, traj, self.grid,
-                                    self.cfg.robot.radius,
-                                    self.cfg.blockage_samples, seed=self.seed)
+        # Of what the score reads, only the waypoints and the explored mask
+        # can change within an episode.
+        key = (_digest(traj.positions, traj.headings), _digest(self.grid.explored))
+        p = self._blockage.get(key)
+        if p is None:
+            p = blk.trajectory_blockage(self.pop, traj, self.grid,
+                                        self.cfg.robot.radius,
+                                        self.cfg.blockage_samples, seed=self.seed)
+            self._blockage[key] = p
         return blk.blockage_cost(p, proxy_removal)
 
     # -- movement ------------------------------------------------------
@@ -598,9 +636,6 @@ class _Episode:
 
     # -- decision epoch ------------------------------------------------
 
-    _last_blocked_traj: Trajectory = None  # type: ignore[assignment]
-    _last_t_mo: float = 0.0
-
     def decision_epoch(self, blocker: str, blocked_traj: Trajectory) -> str:
         """Returns the chosen action: "bypass", "remove" or "none"."""
         self.diag["n_decisions"] += 1
@@ -660,8 +695,6 @@ class _Episode:
         if choice == "bypass":
             self._pending_traj = detour
         return choice
-
-    _pending_traj: Trajectory | None = None
 
     # -- main loop -----------------------------------------------------
 

@@ -176,3 +176,17 @@ def mark_explored(grid: OccupancyGrid, x: float, y: float, heading: float,
             grid.explored[iy, ix] = True
             if grid.cells[iy, ix] == STATIC:
                 break
+
+
+def raycast_distance(grid: OccupancyGrid, x: float, y: float, angle: float,
+                     max_range: float | None = None) -> float:
+    """Half-cell walk through `state_at`; oracle for `gridmap.raycast_distance`."""
+    step = grid.resolution * 0.5
+    limit = max_range if max_range is not None else grid.width_m + grid.height_m
+    dx, dy = math.cos(angle), math.sin(angle)
+    d = step
+    while d <= limit:
+        if grid.state_at(x + d * dx, y + d * dy) == STATIC:
+            return d
+        d += step
+    return limit

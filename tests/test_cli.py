@@ -98,6 +98,25 @@ def test_run_zero_sense_interval_exit_two(tiny_yaml, tmp_path, capsys):
     assert "sense_interval" in capsys.readouterr().err
 
 
+def _no_episode(*args, **kwargs):
+    raise AssertionError("an episode started")
+
+
+def test_run_misspelt_key_exit_two(tiny_yaml, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("namoplan.cli.run_episode", _no_episode)
+    bad = _variant(tiny_yaml, tmp_path, lambda raw: raw.update(timout=5))
+    assert main(["run", "--config", bad]) == 2
+    assert "unknown key(s) in config: timout" in capsys.readouterr().err
+
+
+def test_run_too_few_blockage_samples_exit_two(tiny_yaml, tmp_path, capsys,
+                                               monkeypatch):
+    monkeypatch.setattr("namoplan.cli.run_episode", _no_episode)
+    bad = _variant(tiny_yaml, tmp_path, lambda raw: raw.update(blockage_samples=500))
+    assert main(["run", "--config", bad]) == 2
+    assert "blockage_samples" in capsys.readouterr().err
+
+
 def test_run_map_with_unknown_cell_exit_two(tiny_yaml, tmp_path, capsys):
     text = OccupancyGrid.empty(60, 40, 0.1).to_text().splitlines()
     text[5] = "o" + text[5][1:]

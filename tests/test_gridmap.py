@@ -80,6 +80,33 @@ def test_raycast_respects_max_range():
     assert raycast_distance(g, 5.0, 5.0, 1.0, max_range=2.0) == pytest.approx(2.0)
 
 
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except IndexError:
+        return IndexError
+
+
+def test_raycast_matches_state_at_walk():
+    rng = np.random.default_rng(5)
+    angles = [k * math.pi / 4 for k in range(-4, 5)]
+    for trial in range(60):
+        g = OccupancyGrid.empty(50, 40, 0.1)
+        g.cells[rng.random((40, 50)) < rng.uniform(0.0, 0.2)] = STATIC
+        if trial % 3 == 0:
+            # Origins on and just outside the border, where the first
+            # samples may leave the map or land on its last row or column.
+            x = rng.choice([0.0, rng.uniform(-0.1, 0.2), rng.uniform(4.8, 5.1), 5.0])
+            y = rng.choice([0.0, rng.uniform(-0.1, 0.2), rng.uniform(3.8, 4.1), 4.0])
+        else:
+            x, y = rng.uniform(0.0, 5.0), rng.uniform(0.0, 4.0)
+        for angle in angles + list(rng.uniform(-math.pi, math.pi, 12)):
+            for max_range in (None, float(rng.uniform(0.0, 6.0)), 0.04):
+                args = (g, x, y, angle, max_range)
+                assert _outcome(raycast_distance, *args) == \
+                    _outcome(oracles.raycast_distance, *args), args[1:]
+
+
 def test_corridor_width_two_meters(corridor_grid):
     w = raycast_width(corridor_grid, GridPosition(5.0, 2.0), 0.0)
     assert w == pytest.approx(2.0, abs=corridor_grid.resolution)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 
 from namoplan import scenario_path
 from namoplan.gridmap import STATIC, OccupancyGrid
@@ -62,6 +63,56 @@ def test_missing_required_field_rejected(tmp_path):
     bad.write_text("map: nowhere.map\n")
     with pytest.raises(ScenarioError):
         ScenarioConfig.from_yaml(bad)
+
+
+def _yaml_variant(tmp_path, edit):
+    raw = yaml.safe_load(scenario_path("warehouse_abc.yaml").read_text())
+    raw["map"] = str(scenario_path(raw["map"]))
+    edit(raw)
+    path = tmp_path / "variant.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    return path
+
+
+@pytest.mark.parametrize("section", [
+    None, "robot", "population", "removal", "noise", "bypass_model", "obstacle",
+])
+def test_unknown_key_rejected(tmp_path, section):
+    def edit(raw):
+        if section is None:
+            raw["timout"] = 5
+        elif section == "obstacle":
+            raw["obstacles"][1]["true_rs"] = 0.5
+        else:
+            raw.setdefault(section, {})["bogus"] = 1
+    where = {None: "config", "obstacle": "obstacle entry"}.get(section, section)
+    with pytest.raises(ScenarioError, match=f"unknown key\\(s\\) in {where}"):
+        ScenarioConfig.from_yaml(_yaml_variant(tmp_path, edit))
+
+
+@pytest.mark.parametrize("value", [None, 3, [1, 2]])
+def test_section_must_be_a_mapping(tmp_path, value):
+    path = _yaml_variant(tmp_path, lambda raw: raw.update(removal=value))
+    with pytest.raises(ScenarioError):
+        ScenarioConfig.from_yaml(path)
+
+
+def test_defaults_come_from_the_dataclasses(tmp_path):
+    path = tmp_path / "minimal.yaml"
+    path.write_text(f"map: {scenario_path('room.map')}\ngoal: [8.0, 3.0]\n")
+    cfg = ScenarioConfig.from_yaml(path)
+    want = ScenarioConfig("minimal", cfg.map_path, RobotConfig(), (8.0, 3.0), [])
+    assert cfg == want
+
+
+def test_every_bundled_config_loads():
+    for path in sorted(scenario_path("room.yaml").parent.glob("*.yaml")):
+        assert ScenarioConfig.from_yaml(path).scenario_id == path.stem
+
+
+def test_too_few_blockage_samples_rejected(tmp_path):
+    with pytest.raises(ScenarioError, match="blockage_samples"):
+        _config(tmp_path, blockage_samples=999)
 
 
 def test_invariants_validated(tmp_path):
@@ -276,3 +327,106 @@ def test_trial_record_json_round_trip(room_config):
     record = run_episode(room_config, "uncertainty", seed=1)
     clone = TrialRecord.from_json_line(record.to_json_line())
     assert clone.to_json_line() == record.to_json_line()
+
+
+# -- per-episode memos --------------------------------------------------
+
+
+def _unreliable_config(tmp_path, estimated_sr, true_sr) -> ScenarioConfig:
+    """warehouse_abc with the given success rates, written out as YAML."""
+    def edit(raw):
+        raw["scenario_id"] = f"warehouse_abc-est{estimated_sr}-true{true_sr}"
+        raw["estimated_sr"] = estimated_sr
+        for obstacle in raw["obstacles"]:
+            obstacle["true_sr"] = true_sr
+    return ScenarioConfig.from_yaml(_yaml_variant(tmp_path, edit))
+
+
+# sha256 of the record of a looping episode: loads keep failing and the
+# robot decides again and again from the same pose until the timeout.
+LOOPING_RECORD_SHA256 = (
+    "fd5f0d2ec42f4e3e94b1aa2f251e1b177cfc44933528b0a3c6c15d2d9ecddf98")
+
+
+def test_looping_episode_record_pinned(tmp_path, monkeypatch):
+    import hashlib
+
+    import namoplan.simulator as sim
+
+    calls = []
+    real = sim.plan_path
+    monkeypatch.setattr(sim, "plan_path",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    cfg = _unreliable_config(tmp_path, 0.9, 0.2)
+    record = run_episode(cfg, "uncertainty-no-action", seed=1)
+    assert record.outcome == "timeout"
+    digest = hashlib.sha256(record.to_json_line().encode()).hexdigest()
+    assert digest == LOOPING_RECORD_SHA256
+    # n_replans counts plan_to calls; repeated queries are answered from
+    # the memo without searching again.
+    assert 0 < len(calls) < record.diagnostics["n_replans"]
+
+
+def _memo_episode(tmp_path, policy="uncertainty"):
+    cfg = _unreliable_config(tmp_path, 0.9, 0.9)
+    return _Episode(cfg, get_policy(policy), seed=0, model=None,
+                    grid=cfg.load_grid())
+
+
+def test_blockage_memo_follows_explored_growth(tmp_path, monkeypatch):
+    from namoplan import blockage as blk
+    from namoplan.intervals import CostInterval
+
+    ep = _memo_episode(tmp_path)
+    traj = ep.plan_to(*ep.cfg.goal)
+    proxy = CostInterval(10.0, 20.0)
+
+    def fresh():
+        p = blk.trajectory_blockage(ep.pop, traj, ep.grid, ep.cfg.robot.radius,
+                                    ep.cfg.blockage_samples, seed=ep.seed)
+        return blk.blockage_cost(p, proxy)
+
+    first = ep.blockage_interval(traj, proxy)
+    assert first == fresh() and first.hi > 0.0
+    calls = []
+    real = blk.trajectory_blockage
+    monkeypatch.setattr(blk, "trajectory_blockage",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    assert ep.blockage_interval(traj, proxy) == first
+    assert calls == []
+    # Explore the first half of the route: fewer waypoints carry risk.
+    for x, y in traj.positions[: len(traj) // 2]:
+        iy, ix = ep.grid.cell_index(x, y)
+        ep.grid.explored[iy, ix] = True
+    second = ep.blockage_interval(traj, proxy)
+    assert len(calls) == 1
+    assert second == fresh() and second != first
+
+
+def test_plan_memo_keeps_masks_apart(tmp_path):
+    from namoplan.gridmap import GridPosition
+    from namoplan.observation import PoseBelief
+    from namoplan.planner import PlanRequest, plan_path
+
+    ep = _memo_episode(tmp_path)
+    goal = ep.cfg.goal
+    r = ep.cfg.robot.radius
+
+    def fresh(ellipses):
+        return plan_path(ep.grid, PlanRequest(GridPosition(ep.x, ep.y),
+                                              GridPosition(*goal), ellipses), r)
+
+    plans = []
+    for b in ((6.0, 9.0), (10.5, 16.9)):
+        # Believed on the straight route, obstacle B forces a detour; moved
+        # off it, its ellipse rasterizes elsewhere for the same start and goal.
+        ep.beliefs["B"] = PoseBelief(np.array(b), np.eye(2) * 0.01)
+        plans.append((ep.plan_to(*goal), fresh(ep.ellipses())))
+    plans.append((ep.plan_to(*goal, with_ellipses=False), fresh(())))
+    plans.append((ep.plan_to(*goal, exclude="B"), fresh(())))
+    assert len(ep._plans) == 3
+    for got, want in plans:
+        assert np.array_equal(got.positions, want.positions)
+    assert not np.array_equal(plans[0][0].positions, plans[1][0].positions)
+    # Without ellipses the mask equals the one with B excluded: one entry.
+    assert plans[3][0] is plans[2][0]
