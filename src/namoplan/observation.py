@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from .planner import Ellipse, Trajectory
 
@@ -123,7 +123,9 @@ def confidence_ellipse(belief: PoseBelief, mo_radius: float,
     """Belief region at the given confidence, grown by the obstacle radius."""
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
-    quantile = chi2.ppf(confidence, df=2)
+    # chi2.ppf(confidence, df=2), the way scipy.stats computes it, without
+    # the slow scipy.stats import.
+    quantile = 2.0 * gammaincinv(1.0, confidence)
     vals, vecs = np.linalg.eigh(belief.cov)
     vals = np.maximum(vals, 0.0)
     # eigh returns ascending order; major axis last.

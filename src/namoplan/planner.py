@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,18 +144,56 @@ def planning_mask(grid: OccupancyGrid, request: PlanRequest,
     return mask
 
 
-def plan_path(grid: OccupancyGrid, request: PlanRequest, robot_radius: float,
-              mask: np.ndarray | None = None) -> Trajectory | None:
+# Finished searches shared by every caller (episode plans, stock-search
+# carry plans, bypass-model training paths), least recently used first. The
+# key holds everything A* reads: the planning mask's contents and shape, the
+# resolution, and the start and goal cells. Paired seeds make the policies
+# of a benchmark grid repeat each other's searches, so most hits come from
+# other episodes.
+_PLAN_CACHE: OrderedDict[tuple, Trajectory | None] = OrderedDict()
+_PLAN_CACHE_SIZE = 128
+
+
+def plan_path(grid: OccupancyGrid, request: PlanRequest,
+              robot_radius: float) -> Trajectory | None:
     """8-connected A* over the inflated grid. Returns None when the goal is
     unreachable (callers translate that to an infinite cost).
 
-    `mask`, when given, must be `planning_mask(grid, request, robot_radius)`;
-    callers that built it already pass it in to skip rebuilding it. The
-    path depends only on that mask and the start and goal cells.
+    The path depends only on `planning_mask(grid, request, robot_radius)`
+    and the start and goal cells, so it is cached on them; a returned
+    trajectory's arrays are read-only because later calls hand out the same
+    object.
     """
-    if mask is None:
-        mask = planning_mask(grid, request, robot_radius)
-    return _astar_on_mask(grid, mask, request.start, request.goal)
+    mask = planning_mask(grid, request, robot_radius)
+    start, goal = _endpoint_cells(grid, mask, request.start, request.goal)
+    key = (hashlib.blake2b(mask.tobytes(), digest_size=16).digest(),
+           mask.shape, grid.resolution, start, goal)
+    if key in _PLAN_CACHE:
+        _PLAN_CACHE.move_to_end(key)
+        return _PLAN_CACHE[key]
+    traj = _astar_on_mask(grid, mask, start, goal)
+    if traj is not None:
+        traj.positions.flags.writeable = False
+        traj.headings.flags.writeable = False
+    _PLAN_CACHE[key] = traj
+    if len(_PLAN_CACHE) > _PLAN_CACHE_SIZE:
+        _PLAN_CACHE.popitem(last=False)
+    return traj
+
+
+def _endpoint_cells(grid: OccupancyGrid, mask: np.ndarray, start: GridPosition,
+                    goal: GridPosition) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The start and goal cells, checked to be distinct free cells of `mask`."""
+    cells = grid.cell_index(start.x, start.y), grid.cell_index(goal.x, goal.y)
+    h, w = mask.shape
+    for (iy, ix) in cells:
+        if not (0 <= iy < h and 0 <= ix < w):
+            raise EndpointBlocked("endpoint outside map")
+        if mask[iy, ix]:
+            raise EndpointBlocked("endpoint blocked")
+    if cells[0] == cells[1]:
+        raise ValueError("start equals goal")
+    return cells
 
 
 def _carve_escape(mask: np.ndarray, static: np.ndarray, sy: int, sx: int) -> None:
@@ -181,18 +221,12 @@ def _carve_escape(mask: np.ndarray, static: np.ndarray, sy: int, sx: int) -> Non
 
 
 def _astar_on_mask(grid: OccupancyGrid, mask: np.ndarray,
-                   start: GridPosition, goal: GridPosition) -> Trajectory | None:
+                   start: tuple[int, int], goal: tuple[int, int]) -> Trajectory | None:
+    """A* from cell `start` to cell `goal`, both (iy, ix) free in `mask`."""
     res = grid.resolution
-    sy, sx = grid.cell_index(start.x, start.y)
-    gy, gx = grid.cell_index(goal.x, goal.y)
+    sy, sx = start
+    gy, gx = goal
     h, w = mask.shape
-    for (iy, ix) in ((sy, sx), (gy, gx)):
-        if not (0 <= iy < h and 0 <= ix < w):
-            raise EndpointBlocked("endpoint outside map")
-        if mask[iy, ix]:
-            raise EndpointBlocked("endpoint blocked")
-    if (sy, sx) == (gy, gx):
-        raise ValueError("start equals goal")
 
     # Search flat lists over the mask padded by one blocked cell, so every
     # neighbour index exists and blocked cells start out closed. Costs, the

@@ -14,7 +14,7 @@ from scipy.special import betainc
 from .gridmap import FREE, GridPosition, OccupancyGrid
 from .intervals import CostInterval
 from .observation import MovableObstacle
-from .planner import PlanRequest, Trajectory, plan_path
+from .planner import PlanRequest, Trajectory, blocked_mask, plan_path
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,33 @@ class RemovalEstimate:
     carry_length: float
 
 
+def _stock_candidates(grid: OccupancyGrid, mx: float, my: float,
+                      mo_radius: float,
+                      search_radius: float) -> list[tuple[float, int, int]]:
+    """(distance, iy, ix) of the free cells that keep an obstacle of
+    `mo_radius` clear of static obstacles, between 2 cells and
+    `search_radius` from (mx, my), nearest first."""
+    res = grid.resolution
+    r_cells = int(math.ceil(search_radius / res))
+    ciy, cix = grid.cell_index(mx, my)
+    iy0, ix0 = max(0, ciy - r_cells), max(0, cix - r_cells)
+    iy1 = min(grid.height_cells, ciy + r_cells + 1)
+    ix1 = min(grid.width_cells, cix + r_cells + 1)
+    if iy0 >= iy1 or ix0 >= ix1:
+        return []
+    ok = ((grid.cells[iy0:iy1, ix0:ix1] == FREE)
+          & ~blocked_mask(grid, mo_radius)[iy0:iy1, ix0:ix1])
+    iys, ixs = np.nonzero(ok)
+    candidates = []
+    for iy, ix in zip((iys + iy0).tolist(), (ixs + ix0).tolist()):
+        x, y = grid.cell_center(iy, ix)
+        dist = math.hypot(x - mx, y - my)
+        if 2.0 * res <= dist <= search_radius:
+            candidates.append((dist, iy, ix))
+    candidates.sort()
+    return candidates
+
+
 def estimate_removal_time(
     grid: OccupancyGrid,
     mo: MovableObstacle,
@@ -141,31 +168,10 @@ def estimate_removal_time(
     its own radius and clear of the blocked path by obstacle + robot radius,
     and must be reachable from the obstacle position. Returns None when no
     such cell exists within the search radius (removal infeasible)."""
-    res = grid.resolution
     mx, my = mo.belief.mean
     clearance_path = mo.radius + robot_radius
     path_pts = blocked_path.positions
-
-    candidates: list[tuple[float, int, int]] = []
-    r_cells = int(math.ceil(search_radius / res))
-    ciy, cix = grid.cell_index(mx, my)
-    for iy in range(max(0, ciy - r_cells), min(grid.height_cells, ciy + r_cells + 1)):
-        for ix in range(max(0, cix - r_cells), min(grid.width_cells, cix + r_cells + 1)):
-            if grid.cells[iy, ix] != FREE:
-                continue
-            x, y = grid.cell_center(iy, ix)
-            dist = math.hypot(x - mx, y - my)
-            if dist > search_radius or dist < 2.0 * res:
-                continue
-            candidates.append((dist, iy, ix))
-    candidates.sort()
-
-    from .planner import blocked_mask  # local import avoids cycle at module load
-
-    static_clear = ~blocked_mask(grid, mo.radius)
-    for dist, iy, ix in candidates:
-        if not static_clear[iy, ix]:
-            continue
+    for _, iy, ix in _stock_candidates(grid, mx, my, mo.radius, search_radius):
         x, y = grid.cell_center(iy, ix)
         d_path = np.min(np.linalg.norm(path_pts - np.array([x, y]), axis=1))
         if d_path < clearance_path:

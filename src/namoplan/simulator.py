@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -25,11 +26,23 @@ from .intervals import CostInterval
 from .observation import (MovableObstacle, PoseBelief, RangeBearingMeasurement,
                           RobotPoseBelief, confidence_ellipse, fuse, path_blocked,
                           project_measurement, wrap_angle)
-from .planner import EndpointBlocked, PlanRequest, Trajectory, plan_path, planning_mask
+from .planner import EndpointBlocked, PlanRequest, Trajectory, plan_path
 
 
 class ScenarioError(ValueError):
     """Invalid scenario configuration."""
+
+
+def _numbers(value, n: int, name: str, nonnegative: bool = False) -> tuple:
+    """`value` as a tuple of `n` finite numbers; ScenarioError naming `name`
+    otherwise (YAML gives a string such as `ab` where a list was meant)."""
+    items = tuple(value) if isinstance(value, (list, tuple)) else ()
+    if len(items) != n or not all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and math.isfinite(v) and (v >= 0 or not nonnegative) for v in items):
+        kind = "non-negative numbers" if nonnegative else "numbers"
+        raise ScenarioError(f"{name} must be a list of {n} {kind}")
+    return items
 
 
 # ----------------------------------------------------------------------
@@ -47,6 +60,7 @@ class RobotConfig:
     sensor_fov: float = math.pi / 2.0
 
     def __post_init__(self):
+        self.start = _numbers(self.start, 2, "robot.start")
         for name in ("radius", "v_lin", "v_rot", "sensor_range"):
             if not getattr(self, name) > 0:
                 raise ScenarioError(f"robot.{name} must be positive")
@@ -62,6 +76,8 @@ class ObstacleSpec:
     true_sr: float
 
     def __post_init__(self):
+        self.position = _numbers(self.position, 2,
+                                 f"position of obstacle {self.label}")
         if not 0.0 <= self.true_sr <= 1.0:
             raise ScenarioError(f"true_sr of {self.label} out of [0, 1]")
 
@@ -86,6 +102,12 @@ class RemovalConfig:
 class NoiseConfig:
     robot_cov_diag: tuple[float, float, float] = (0.01, 0.01, 0.004)
     meas_cov_diag: tuple[float, float] = (0.01, 0.001)
+
+    def __post_init__(self):
+        self.robot_cov_diag = _numbers(self.robot_cov_diag, 3,
+                                       "noise.robot_cov_diag", nonnegative=True)
+        self.meas_cov_diag = _numbers(self.meas_cov_diag, 2,
+                                      "noise.meas_cov_diag", nonnegative=True)
 
 
 @dataclass
@@ -116,6 +138,7 @@ class ScenarioConfig:
     sense_interval: float = 1.0
 
     def __post_init__(self):
+        self.goal = _numbers(self.goal, 2, "goal")
         if self.timeout <= 0:
             raise ScenarioError("timeout must be positive")
         if not 0.0 < self.confidence < 1.0:
@@ -150,13 +173,11 @@ class ScenarioConfig:
                                 for o in raw.get("obstacles", [])]
             raw["map_path"] = str((path.parent / raw.pop("map")).resolve())
             raw.setdefault("scenario_id", path.stem)
-            return ScenarioConfig(**_tuples(raw))
+            return ScenarioConfig(**raw)
         except (KeyError, TypeError) as exc:
             raise ScenarioError(f"bad config field: {exc}") from exc
 
 
-# Config keys whose YAML lists become tuples.
-_TUPLE_KEYS = {"start", "position", "goal", "robot_cov_diag", "meas_cov_diag"}
 _SECTIONS = {"robot": RobotConfig, "population": PopulationConfig,
              "removal": RemovalConfig, "noise": NoiseConfig,
              "bypass_model": BypassModelConfig}
@@ -174,14 +195,10 @@ def _known_keys(raw, known: set[str], where: str) -> dict:
     return raw
 
 
-def _tuples(raw: dict) -> dict:
-    return {k: tuple(v) if k in _TUPLE_KEYS else v for k, v in raw.items()}
-
-
 def _build(cls, raw, where: str):
     """Dataclass `cls` from a YAML mapping; the dataclass holds the defaults."""
     known = {f.name for f in fields(cls)}
-    return cls(**_tuples(_known_keys(raw, known, where)))
+    return cls(**_known_keys(raw, known, where))
 
 
 # ----------------------------------------------------------------------
@@ -383,11 +400,9 @@ class _Episode:
         self._last_blocked_traj: Trajectory | None = None
         self._last_t_mo = 0.0
         self._pending_traj: Trajectory | None = None
-        # Memos of this episode's pure computations (see plan_to and
-        # blockage_interval). The grid's cells, the robot radius, the
-        # population and the seed are fixed for the episode, so a key need
-        # only name what varies.
-        self._plans: dict[tuple, Trajectory | None] = {}
+        # Memo of blockage_interval's probability. The grid's cells, the
+        # robot radius, the population and the seed are fixed for the
+        # episode, so a key need only name what varies.
         self._blockage: dict[tuple[bytes, bytes], float] = {}
 
     # -- success-rate beliefs ------------------------------------------
@@ -453,28 +468,17 @@ class _Episode:
 
     def plan_to(self, x: float, y: float, exclude: str | None = None,
                 with_ellipses: bool = True) -> Trajectory | None:
-        """Plan from the robot to (x, y); None when there is no path.
-
-        A* depends only on the planning mask and the start and goal cells,
-        so its answer is memoized on those for the rest of the episode.
-        """
+        """Plan from the robot to (x, y); None when there is no path."""
         self.diag["n_replans"] += 1
-        ellipses = self.ellipses(exclude) if with_ellipses else ()
-        start_cell = self.grid.cell_index(self.x, self.y)
-        goal_cell = self.grid.cell_index(x, y)
-        if start_cell == goal_cell:
+        if self.grid.cell_index(self.x, self.y) == self.grid.cell_index(x, y):
             return None
+        ellipses = self.ellipses(exclude) if with_ellipses else ()
         request = PlanRequest(GridPosition(self.x, self.y), GridPosition(x, y),
                               ellipses)
-        mask = planning_mask(self.grid, request, self.cfg.robot.radius)
-        key = (_digest(mask), start_cell, goal_cell)
-        if key not in self._plans:
-            try:
-                self._plans[key] = plan_path(self.grid, request,
-                                             self.cfg.robot.radius, mask=mask)
-            except EndpointBlocked:
-                self._plans[key] = None
-        return self._plans[key]
+        try:
+            return plan_path(self.grid, request, self.cfg.robot.radius)
+        except EndpointBlocked:
+            return None
 
     def nav_interval(self, traj: Trajectory | None) -> CostInterval:
         if traj is None:

@@ -13,9 +13,10 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from namoplan.gridmap import STATIC, GridPosition, OccupancyGrid
+from namoplan.gridmap import FREE, STATIC, GridPosition, OccupancyGrid
 from namoplan.planner import (_MOVES, EndpointBlocked, PlanRequest, Trajectory,
                               _carve_escape)
+from namoplan.removal import RemovalEstimate
 
 
 def _octile(ax: int, ay: int, bx: int, by: int) -> float:
@@ -190,3 +191,54 @@ def raycast_distance(grid: OccupancyGrid, x: float, y: float, angle: float,
             return d
         d += step
     return limit
+
+
+def stock_candidates(grid: OccupancyGrid, mx: float, my: float,
+                     mo_radius: float,
+                     search_radius: float) -> list[tuple[float, int, int]]:
+    """Per-cell scan of the box around (mx, my) for stock cells, nearest
+    first; oracle for `removal._stock_candidates`."""
+    res = grid.resolution
+    candidates: list[tuple[float, int, int]] = []
+    r_cells = int(math.ceil(search_radius / res))
+    ciy, cix = grid.cell_index(mx, my)
+    for iy in range(max(0, ciy - r_cells), min(grid.height_cells, ciy + r_cells + 1)):
+        for ix in range(max(0, cix - r_cells), min(grid.width_cells, cix + r_cells + 1)):
+            if grid.cells[iy, ix] != FREE:
+                continue
+            x, y = grid.cell_center(iy, ix)
+            dist = math.hypot(x - mx, y - my)
+            if dist > search_radius or dist < 2.0 * res:
+                continue
+            candidates.append((dist, iy, ix))
+    candidates.sort()
+    static_clear = ~inflated_blocked_mask(grid, mo_radius)
+    return [c for c in candidates if static_clear[c[1], c[2]]]
+
+
+def estimate_removal_time(grid, mo, robot_xy, blocked_path, robot_radius,
+                          v_lin=0.5, v_rot=1.0, load_overhead=5.0,
+                          unload_overhead=5.0, search_radius=3.0):
+    """`removal.estimate_removal_time` over the per-cell candidate scan and
+    the reference planner."""
+    mx, my = mo.belief.mean
+    path_pts = blocked_path.positions
+    for _, iy, ix in stock_candidates(grid, mx, my, mo.radius, search_radius):
+        x, y = grid.cell_center(iy, ix)
+        d_path = np.min(np.linalg.norm(path_pts - np.array([x, y]), axis=1))
+        if d_path < mo.radius + robot_radius:
+            continue
+        try:
+            carry = plan_path(
+                grid, PlanRequest(GridPosition(mx, my), GridPosition(x, y)),
+                robot_radius)
+        except ValueError:
+            continue
+        if carry is None:
+            continue
+        approach_len = float(np.linalg.norm(np.asarray(robot_xy) - np.array([mx, my])))
+        carry_len = carry.total_length
+        travel = (approach_len + 2.0 * carry_len) / v_lin
+        t_mo = travel + math.pi / v_rot + load_overhead + unload_overhead
+        return RemovalEstimate(t_mo, GridPosition(x, y), approach_len, carry_len)
+    return None

@@ -117,6 +117,24 @@ def test_run_too_few_blockage_samples_exit_two(tiny_yaml, tmp_path, capsys,
     assert "blockage_samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, key", [
+    (lambda raw: raw.update(goal="ab"), "goal"),
+    (lambda raw: raw["robot"].update(start=[0.7]), "robot.start"),
+    (lambda raw: raw["obstacles"][0].update(position=["3.0", 2.0]),
+     "position of obstacle X"),
+    (lambda raw: raw.update(noise={"robot_cov_diag": "0.01"}),
+     "noise.robot_cov_diag"),
+    (lambda raw: raw.update(noise={"meas_cov_diag": [0.01, 0.001, 0.0]}),
+     "noise.meas_cov_diag"),
+])
+def test_run_bad_tuple_field_exit_two(tiny_yaml, tmp_path, capsys, monkeypatch,
+                                      edit, key):
+    monkeypatch.setattr("namoplan.cli.run_episode", _no_episode)
+    bad = _variant(tiny_yaml, tmp_path, edit)
+    assert main(["run", "--config", bad]) == 2
+    assert f"{key} must be a list of" in capsys.readouterr().err
+
+
 def test_run_map_with_unknown_cell_exit_two(tiny_yaml, tmp_path, capsys):
     text = OccupancyGrid.empty(60, 40, 0.1).to_text().splitlines()
     text[5] = "o" + text[5][1:]

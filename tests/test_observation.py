@@ -200,6 +200,38 @@ def test_ellipse_area_monotone_in_confidence():
     assert areas == sorted(areas)
 
 
+def test_ellipse_axes_use_the_chi2_quantile():
+    from scipy.stats import chi2
+
+    rng = np.random.default_rng(41)
+    for confidence in (0.5, 0.9, 0.95, 0.99, 0.999, *rng.uniform(0.01, 0.99, 20)):
+        root = rng.normal(size=(2, 2))
+        cov = root @ root.T * 0.05
+        e = confidence_ellipse(PoseBelief(np.array([1.0, 2.0]), cov), 0.3,
+                               confidence)
+        q = chi2.ppf(confidence, df=2)
+        vals = np.linalg.eigh(cov)[0]
+        assert e.a == math.sqrt(vals[1] * q) + 0.3
+        assert e.b == math.sqrt(vals[0] * q) + 0.3
+
+
+def test_package_import_leaves_scipy_stats_out():
+    # scipy.stats costs most of a fresh process's import time.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import namoplan
+
+    code = ("import sys, namoplan.simulator, namoplan.experiments, namoplan.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(namoplan.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_ellipse_invalid_confidence():
     with pytest.raises(ValueError):
         confidence_ellipse(PoseBelief(np.zeros(2), np.eye(2)), 0.1, 1.0)

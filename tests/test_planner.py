@@ -1,12 +1,14 @@
 """A* planning: optimality against Dijkstra, ellipse obstacles, headings."""
 
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
 import oracles
 from conftest import grid_from_ascii
+from namoplan import planner
 from namoplan.gridmap import STATIC, GridPosition, OccupancyGrid
 from namoplan.planner import (Ellipse, EndpointBlocked, PlanRequest, Trajectory,
                               blocked_mask, plan_path, smooth_headings)
@@ -272,3 +274,104 @@ def test_plan_matches_reference_when_unreachable_or_blocked():
     wall = GridPosition(2.0, 1.55)
     assert _assert_same_plan(g, PlanRequest(below, wall), 0.1) == "blocked"
     assert _assert_same_plan(g, PlanRequest(wall, below), 0.1) == "blocked"
+
+
+# -- the shared search cache ---------------------------------------------
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """An empty plan cache for the test, and the list of A* searches run."""
+    monkeypatch.setattr(planner, "_PLAN_CACHE", OrderedDict())
+    calls = []
+    real = planner._astar_on_mask
+    monkeypatch.setattr(planner, "_astar_on_mask",
+                        lambda *a: calls.append(a[2:]) or real(*a))
+    return calls
+
+
+def test_cached_plans_match_reference_cold_and_warm(searches):
+    rng = np.random.default_rng(21)
+    for _ in range(3):
+        g = OccupancyGrid.empty(40, 30, 0.1)
+        g.cells[rng.random((30, 40)) < 0.08] = STATIC
+        ellipse_sets = [()] + [
+            tuple(Ellipse(rng.uniform(0.5, 3.5), rng.uniform(0.5, 2.5),
+                          rng.uniform(0.2, 0.6), rng.uniform(0.2, 0.6),
+                          rng.uniform(-math.pi, math.pi)) for _ in range(2))
+            for _ in range(3)]
+        # The same start and goal recur under every set of ellipses.
+        pairs = [(r.start, r.goal) for r in _random_requests(g, rng, 5)]
+        requests = [PlanRequest(a, b, e) for e in ellipse_sets for a, b in pairs]
+        cold = [_assert_same_plan(g, r, 0.1) for r in requests]
+        n_cold = len(searches)
+        warm = [_assert_same_plan(g, r, 0.1) for r in requests]
+        assert warm == cold and len(searches) == n_cold
+    # Each mask got its own entry and search for a recurring start and goal.
+    assert len(set(searches)) < len(searches) == len(planner._PLAN_CACHE)
+
+
+def test_cache_stays_within_capacity(searches):
+    g = OccupancyGrid.empty(30, 30, 0.1)
+    goal = GridPosition(2.55, 2.55)
+    starts = [GridPosition(*g.cell_center(iy, ix))
+              for iy in range(2, 27) for ix in range(2, 9)]
+    assert len(starts) > planner._PLAN_CACHE_SIZE
+    first = plan_path(g, PlanRequest(starts[0], goal), 0.1)
+    for start in starts[1:]:
+        plan_path(g, PlanRequest(start, goal), 0.1)
+        assert len(planner._PLAN_CACHE) <= planner._PLAN_CACHE_SIZE
+        # A hit refreshes the first entry, so it outlives its neighbours.
+        assert plan_path(g, PlanRequest(starts[0], goal), 0.1) is first
+    assert len(planner._PLAN_CACHE) == planner._PLAN_CACHE_SIZE
+    assert len(searches) == len(starts)
+    plan_path(g, PlanRequest(starts[1], goal), 0.1)  # evicted, searched again
+    assert len(searches) == len(starts) + 1
+
+
+def test_cache_keeps_maps_of_one_shape_apart(searches):
+    open_grid = OccupancyGrid.empty(40, 30, 0.1)
+    walled = OccupancyGrid.empty(40, 30, 0.1)
+    walled.cells[5:30, 20] = STATIC
+    coarse = OccupancyGrid.empty(40, 30, 0.2)
+    req = PlanRequest(GridPosition(0.55, 1.55), GridPosition(3.55, 1.55))
+    got_open = plan_path(open_grid, req, 0.1)
+    got_walled = plan_path(walled, req, 0.1)
+    assert len(searches) == 2
+    for g, got in ((open_grid, got_open), (walled, got_walled)):
+        assert np.array_equal(got.positions, oracles.plan_path(g, req, 0.1).positions)
+    assert not np.array_equal(got_walled.positions, got_open.positions)
+    # The same mask and cells at twice the resolution and radius: a new
+    # search, and waypoints twice as far apart.
+    coarse_req = PlanRequest(GridPosition(1.1, 3.1), GridPosition(7.1, 3.1))
+    wide = plan_path(coarse, coarse_req, 0.2)
+    assert np.array_equal(planner.planning_mask(coarse, coarse_req, 0.2),
+                          planner.planning_mask(open_grid, req, 0.1))
+    assert len(searches) == 3
+    assert np.array_equal(wide.positions, 2.0 * got_open.positions)
+
+
+def test_cached_trajectory_is_read_only(searches):
+    g = OccupancyGrid.empty(30, 20, 0.1)
+    req = PlanRequest(GridPosition(0.55, 0.55), GridPosition(2.55, 1.55))
+    traj = plan_path(g, req, 0.1)
+    want = traj.positions.copy()
+    with pytest.raises(ValueError):
+        traj.positions[0, 0] = 9.0
+    with pytest.raises(ValueError):
+        traj.headings[0] = 9.0
+    again = plan_path(g, req, 0.1)
+    assert again is traj and np.array_equal(again.positions, want)
+    assert len(searches) == 1
+
+
+def test_endpoint_errors_are_never_cached(searches):
+    g = OccupancyGrid.empty(20, 20, 0.1)
+    g.cells[10, :] = STATIC
+    wall, free = GridPosition(1.05, 1.05), GridPosition(0.55, 0.55)
+    for _ in range(2):
+        with pytest.raises(EndpointBlocked):
+            plan_path(g, PlanRequest(free, wall), 0.1)
+        with pytest.raises(ValueError, match="start equals goal"):
+            plan_path(g, PlanRequest(free, GridPosition(0.52, 0.58)), 0.1)
+    assert searches == [] and len(planner._PLAN_CACHE) == 0

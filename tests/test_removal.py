@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import oracles
 from conftest import grid_from_ascii
+from namoplan.gridmap import STATIC, OccupancyGrid
 from namoplan.observation import MovableObstacle, PoseBelief
 from namoplan.planner import Trajectory
-from namoplan.removal import (BetaBelief, RemovalParameters, beta_ppf,
-                              estimate_removal_time, expected_removal_cost,
+from namoplan.removal import (BetaBelief, RemovalParameters, _stock_candidates,
+                              beta_ppf, estimate_removal_time, expected_removal_cost,
                               read_calibration_log, removal_cost_interval,
                               success_rate_interval, update_belief,
                               write_calibration_log)
@@ -170,6 +172,61 @@ def test_removal_time_stable_across_runs():
     assert first.t_mo == second.t_mo
     assert (first.stock_position.x, first.stock_position.y) == \
         (second.stock_position.x, second.stock_position.y)
+
+
+def _wall_world(rng) -> tuple[OccupancyGrid, int]:
+    """50 x 40 cells at 0.1 m: scattered statics and a wall with a gap at
+    the returned column."""
+    grid = OccupancyGrid.empty(50, 40, 0.1)
+    grid.cells[rng.random((40, 50)) < 0.04] = STATIC
+    col = int(rng.integers(10, 40))
+    grid.cells[:, col] = STATIC
+    gap = int(rng.integers(5, 30))
+    grid.cells[gap:gap + 8, col] = 0
+    return grid, col
+
+
+def test_stock_search_matches_per_cell_scan():
+    rng = np.random.default_rng(31)
+    found = passed_nearest = 0
+    for _ in range(10):
+        grid, col = _wall_world(rng)
+        means = [(rng.uniform(0.05, 0.3), rng.uniform(0.1, 3.9)),  # left border
+                 (rng.uniform(0.1, 4.9), rng.uniform(3.7, 3.95)),  # top border
+                 ((col + 0.5) * 0.1 + rng.choice([-0.2, 0.2]),  # beside the wall
+                  rng.uniform(0.5, 3.5)),
+                 (rng.uniform(0.5, 4.5), rng.uniform(0.5, 3.5)),
+                 (-0.3, 2.0),  # just off the map
+                 (-9.0, 2.0)]  # the whole box off the map
+        for mx, my in means:
+            # A blocked path through the belief mean removes the nearest cells.
+            ys = np.linspace(0.05, 3.95, 40)
+            blocked = Trajectory(np.column_stack([np.full_like(ys, mx), ys]))
+            for mo_radius, search_radius in ((0.15, 0.5), (0.25, 1.2), (0.3, 3.0)):
+                want = oracles.stock_candidates(grid, mx, my, mo_radius, search_radius)
+                assert _stock_candidates(grid, mx, my, mo_radius,
+                                         search_radius) == want
+                mo = MovableObstacle("m", PoseBelief(np.array([mx, my]),
+                                                     1e-6 * np.eye(2)), mo_radius)
+                args = (grid, mo, np.array([2.5, 2.0]), blocked, 0.1)
+                est = estimate_removal_time(*args, search_radius=search_radius)
+                assert est == oracles.estimate_removal_time(
+                    *args, search_radius=search_radius)
+                if est is not None:
+                    found += 1
+                    nearest = grid.cell_center(*want[0][1:])
+                    passed_nearest += (est.stock_position.x, est.stock_position.y) != nearest
+    assert found > 0 and passed_nearest > 0
+
+
+def test_stock_search_bounds_are_closed():
+    # At 0.25 m every cell center and distance along a row is exact, so
+    # cells lie exactly at 2 cells and at the search radius.
+    grid = OccupancyGrid.empty(24, 24, 0.25)
+    mx, my = grid.cell_center(12, 12)
+    got = _stock_candidates(grid, mx, my, 0.2, 1.0)
+    assert got == oracles.stock_candidates(grid, mx, my, 0.2, 1.0)
+    assert got[0] == (0.5, 10, 12) and got[-1] == (1.0, 16, 12)
 
 
 # -- calibration log ----------------------------------------------------

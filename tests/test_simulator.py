@@ -110,6 +110,30 @@ def test_every_bundled_config_loads():
         assert ScenarioConfig.from_yaml(path).scenario_id == path.stem
 
 
+@pytest.mark.parametrize("edit, key", [
+    (lambda raw: raw.update(goal="ab"), "goal"),
+    (lambda raw: raw.update(goal=[18.0]), "goal"),
+    (lambda raw: raw.update(goal=[18.0, True]), "goal"),
+    (lambda raw: raw["robot"].update(start=[1.0, "9"]), "robot.start"),
+    (lambda raw: raw["robot"].update(start=[1.0, float("nan")]), "robot.start"),
+    (lambda raw: raw["obstacles"][1].update(position=5.0), "position of obstacle B"),
+    (lambda raw: raw.update(noise={"robot_cov_diag": [0.01, 0.01]}),
+     "noise.robot_cov_diag"),
+    (lambda raw: raw.update(noise={"meas_cov_diag": [0.01, -0.001]}),
+     "noise.meas_cov_diag"),
+])
+def test_tuple_fields_type_checked(tmp_path, edit, key):
+    with pytest.raises(ScenarioError, match=f"^{key} must be a list of"):
+        ScenarioConfig.from_yaml(_yaml_variant(tmp_path, edit))
+
+
+def test_tuple_fields_load_as_tuples():
+    cfg = ScenarioConfig.from_yaml(scenario_path("warehouse_abc.yaml"))
+    for value in (cfg.goal, cfg.robot.start, cfg.noise.robot_cov_diag,
+                  cfg.noise.meas_cov_diag, *(o.position for o in cfg.obstacles)):
+        assert isinstance(value, tuple)
+
+
 def test_too_few_blockage_samples_rejected(tmp_path):
     with pytest.raises(ScenarioError, match="blockage_samples"):
         _config(tmp_path, blockage_samples=999)
@@ -329,7 +353,7 @@ def test_trial_record_json_round_trip(room_config):
     assert clone.to_json_line() == record.to_json_line()
 
 
-# -- per-episode memos --------------------------------------------------
+# -- memos and the shared plan cache ------------------------------------
 
 
 def _unreliable_config(tmp_path, estimated_sr, true_sr) -> ScenarioConfig:
@@ -350,21 +374,23 @@ LOOPING_RECORD_SHA256 = (
 
 def test_looping_episode_record_pinned(tmp_path, monkeypatch):
     import hashlib
+    from collections import OrderedDict
 
-    import namoplan.simulator as sim
+    from namoplan import planner
 
-    calls = []
-    real = sim.plan_path
-    monkeypatch.setattr(sim, "plan_path",
-                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    monkeypatch.setattr(planner, "_PLAN_CACHE", OrderedDict())
+    searches = []
+    real = planner._astar_on_mask
+    monkeypatch.setattr(planner, "_astar_on_mask",
+                        lambda *a: searches.append(1) or real(*a))
     cfg = _unreliable_config(tmp_path, 0.9, 0.2)
     record = run_episode(cfg, "uncertainty-no-action", seed=1)
     assert record.outcome == "timeout"
     digest = hashlib.sha256(record.to_json_line().encode()).hexdigest()
     assert digest == LOOPING_RECORD_SHA256
     # n_replans counts plan_to calls; repeated queries are answered from
-    # the memo without searching again.
-    assert 0 < len(calls) < record.diagnostics["n_replans"]
+    # the planner's cache without searching again.
+    assert 0 < len(searches) < record.diagnostics["n_replans"]
 
 
 def _memo_episode(tmp_path, policy="uncertainty"):
@@ -403,18 +429,23 @@ def test_blockage_memo_follows_explored_growth(tmp_path, monkeypatch):
     assert second == fresh() and second != first
 
 
-def test_plan_memo_keeps_masks_apart(tmp_path):
+def test_plan_memo_keeps_masks_apart(tmp_path, monkeypatch):
+    from collections import OrderedDict
+
+    import oracles
+    from namoplan import planner
     from namoplan.gridmap import GridPosition
     from namoplan.observation import PoseBelief
-    from namoplan.planner import PlanRequest, plan_path
+    from namoplan.planner import PlanRequest
 
+    monkeypatch.setattr(planner, "_PLAN_CACHE", OrderedDict())
     ep = _memo_episode(tmp_path)
     goal = ep.cfg.goal
     r = ep.cfg.robot.radius
 
     def fresh(ellipses):
-        return plan_path(ep.grid, PlanRequest(GridPosition(ep.x, ep.y),
-                                              GridPosition(*goal), ellipses), r)
+        return oracles.plan_path(ep.grid, PlanRequest(GridPosition(ep.x, ep.y),
+                                                      GridPosition(*goal), ellipses), r)
 
     plans = []
     for b in ((6.0, 9.0), (10.5, 16.9)):
@@ -424,9 +455,45 @@ def test_plan_memo_keeps_masks_apart(tmp_path):
         plans.append((ep.plan_to(*goal), fresh(ep.ellipses())))
     plans.append((ep.plan_to(*goal, with_ellipses=False), fresh(())))
     plans.append((ep.plan_to(*goal, exclude="B"), fresh(())))
-    assert len(ep._plans) == 3
+    cached = list(planner._PLAN_CACHE.values())
+    assert len(cached) == 3 and all(c is p for c, (p, _) in zip(cached, plans))
     for got, want in plans:
         assert np.array_equal(got.positions, want.positions)
     assert not np.array_equal(plans[0][0].positions, plans[1][0].positions)
     # Without ellipses the mask equals the one with B excluded: one entry.
     assert plans[3][0] is plans[2][0]
+
+
+# The paired battery run in a fresh process: cold caches.
+_PAIRED_BATTERY = """
+from namoplan import scenario_path
+from namoplan.simulator import ScenarioConfig, run_episode
+cfg = ScenarioConfig.from_yaml(scenario_path("warehouse_abc.yaml"))
+for policy, seed in {cells!r}:
+    print(run_episode(cfg, policy, seed=seed).to_json_line())
+"""
+
+
+def test_paired_battery_same_in_fresh_and_warm_process():
+    import os
+    import random
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import namoplan
+
+    cells = [(policy, seed)
+             for policy in ("uncertainty", "uncertainty-no-action", "priority-removal")
+             for seed in (0, 1)]
+    env = dict(os.environ, PYTHONPATH=str(Path(namoplan.__file__).parents[1]))
+    fresh = subprocess.run(
+        [sys.executable, "-c", _PAIRED_BATTERY.format(cells=cells)], env=env,
+        capture_output=True, text=True, check=True).stdout.splitlines()
+    cfg = ScenarioConfig.from_yaml(scenario_path("warehouse_abc.yaml"))
+    rng = random.Random(5)
+    for _ in range(2):
+        order = rng.sample(cells, len(cells))
+        warm = {cell: run_episode(cfg, cell[0], seed=cell[1]).to_json_line()
+                for cell in order}
+        assert [warm[cell] for cell in cells] == fresh
