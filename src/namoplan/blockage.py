@@ -1,8 +1,8 @@
 """Blockage risk from unseen obstacles in unexplored regions.
 
 Piecewise corridor-blockage probability for a known obstacle size,
-marginalized over a Gaussian size population by sampling, composed over the
-unexplored waypoints of a trajectory, and converted to a cost interval.
+marginalized exactly over a truncated Gaussian size population, composed over
+the unexplored waypoints of a trajectory, and converted to a cost interval.
 """
 
 from __future__ import annotations
@@ -12,12 +12,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 from .gridmap import GridPosition, OccupancyGrid, QueryInsideObstacle, raycast_width
 from .intervals import CostInterval
 from .planner import Trajectory
 
 log = logging.getLogger(__name__)
+
+# Fixed 64-node Gauss-Legendre rule on [-1, 1] for the middle branch.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+# Diameters beyond mu +/- _TAIL sigma carry less than 1.3e-15 of the mass.
+_TAIL = 8.0
 
 
 @dataclass(frozen=True)
@@ -67,41 +73,32 @@ def blockage_given_size(l_mo: float, width: float, r: float) -> float:
     return min(max(4.0 * r / (width - l_mo) - 1.0, 0.0), 1.0)
 
 
-def sample_diameters(pop: ObstaclePopulation, n: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Draw obstacle diameters from the population truncated to (0, inf),
-    by rejection."""
-    if pop.sigma == 0.0:
-        return np.full(n, pop.mu)
-    out = np.empty(n)
-    filled = 0
-    while filled < n:
-        draw = rng.normal(pop.mu, pop.sigma, size=n - filled)
-        draw = draw[draw > 0.0]
-        out[filled:filled + len(draw)] = draw
-        filled += len(draw)
-    return out
+def blockage_at_width(pop: ObstaclePopulation, width: float, r: float) -> float:
+    """Blockage probability at one corridor width, marginalized exactly over
+    the size population N(mu, sigma) truncated to (0, inf).
 
-
-def blockage_at_width(pop: ObstaclePopulation, width: float, r: float,
-                      n_samples: int = 10_000, seed: int = 0) -> float:
-    """Blockage probability at one corridor width, marginalized over the
-    size population by seeded sampling."""
-    if n_samples < 1000:
-        raise ValueError("n_samples must be >= 1000")
+    The sure-block branch [w - 2r, w) is a difference of normal CDFs; the
+    middle branch (w - 4r, w - 2r) is integrated with a fixed Gauss-Legendre
+    rule. Both are clipped to mu +/- 8 sigma, so a population whose band
+    misses the branches gives exactly 0.
+    """
     if pop.sigma == 0.0:
         return blockage_given_size(pop.mu, width, r)
-    rng = np.random.default_rng(seed)
-    sizes = sample_diameters(pop, n_samples, rng)
-    return float(np.mean(_blockage_given_size_vec(sizes, width, r)))
-
-
-def _blockage_given_size_vec(l_mo: np.ndarray, width: float, r: float) -> np.ndarray:
-    p = np.zeros_like(l_mo)
-    middle = (l_mo > width - 4.0 * r) & (l_mo < width - 2.0 * r)
-    p[middle] = np.clip(4.0 * r / (width - l_mo[middle]) - 1.0, 0.0, 1.0)
-    p[(l_mo >= width - 2.0 * r) & (l_mo < width)] = 1.0
-    return p
+    mu, sigma = pop.mu, pop.sigma
+    lo = max(mu - _TAIL * sigma, 0.0)
+    hi = mu + _TAIL * sigma
+    p = 0.0
+    a, b = max(width - 2.0 * r, lo), min(width, hi)
+    if a < b:
+        p += float(ndtr((b - mu) / sigma) - ndtr((a - mu) / sigma))
+    a, b = max(width - 4.0 * r, lo), min(width - 2.0 * r, hi)
+    if a < b:
+        half = 0.5 * (b - a)
+        l_mo = a + half * (_GL_NODES + 1.0)
+        pdf = (np.exp(-0.5 * ((l_mo - mu) / sigma) ** 2)
+               / (sigma * math.sqrt(2.0 * math.pi)))
+        p += half * float(_GL_WEIGHTS @ ((4.0 * r / (width - l_mo) - 1.0) * pdf))
+    return min(max(p / float(ndtr(mu / sigma)), 0.0), 1.0)
 
 
 def waypoint_presence_probability(pop: ObstaclePopulation, width: float) -> float:
@@ -116,9 +113,7 @@ def waypoint_presence_probability(pop: ObstaclePopulation, width: float) -> floa
 
 
 def trajectory_blockage_detail(pop: ObstaclePopulation, trajectory: Trajectory,
-                               grid: OccupancyGrid, r: float,
-                               n_samples: int = 10_000,
-                               seed: int = 0) -> list[WaypointRisk]:
+                               grid: OccupancyGrid, r: float) -> list[WaypointRisk]:
     """Per-waypoint risk terms over the unexplored part of a trajectory.
 
     Waypoints are subsampled at one mean obstacle diameter of arc length:
@@ -144,7 +139,7 @@ def trajectory_blockage_detail(pop: ObstaclePopulation, trajectory: Trajectory,
                                   float(trajectory.headings[idx]))
         except QueryInsideObstacle:
             continue
-        p_given = blockage_at_width(pop, width, r, n_samples, seed=seed + idx)
+        p_given = blockage_at_width(pop, width, r)
         # In wide-open space no obstacle size in the population can block the
         # traversal line, so skip the presence factor (whose W*K/A form is
         # only meaningful at corridor-scale widths anyway).
@@ -156,10 +151,9 @@ def trajectory_blockage_detail(pop: ObstaclePopulation, trajectory: Trajectory,
 
 
 def trajectory_blockage(pop: ObstaclePopulation, trajectory: Trajectory,
-                        grid: OccupancyGrid, r: float,
-                        n_samples: int = 10_000, seed: int = 0) -> float:
+                        grid: OccupancyGrid, r: float) -> float:
     """Probability that at least one unseen obstacle blocks the trajectory."""
-    risks = trajectory_blockage_detail(pop, trajectory, grid, r, n_samples, seed)
+    risks = trajectory_blockage_detail(pop, trajectory, grid, r)
     survive = 1.0
     for wr in risks:
         survive *= 1.0 - wr.p_block

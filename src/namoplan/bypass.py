@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.special import ndtri
 
 from .intervals import CostInterval
 from .observation import wrap_angle
@@ -157,11 +158,13 @@ def fit(dataset: TimingDataset, prior_var: float = 100.0) -> GlrModel:
 
 def predict_interval(model: GlrModel, features: TrajectoryFeatures,
                      confidence: float = 0.95) -> CostInterval:
-    """Mean +/- 2 sigma interval (the 95% convention), floored at zero."""
+    """Central normal interval at `confidence`, mean +/- z sigma with z the
+    (1 + confidence) / 2 quantile, floored at zero."""
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
     mean, sigma = model.predict(features)
-    return CostInterval(max(0.0, mean - 2.0 * sigma), max(0.0, mean + 2.0 * sigma))
+    half = float(ndtri((1.0 + confidence) / 2.0)) * sigma
+    return CostInterval(max(0.0, mean - half), max(0.0, mean + half))
 
 
 @dataclass

@@ -92,9 +92,7 @@ def _write_diagnostics(config: ScenarioConfig, path: str) -> None:
         raise ScenarioError("no initial route for diagnostics")
     pop = blk.ObstaclePopulation(config.population.mu, config.population.sigma,
                                  config.population.k, free_area(grid))
-    risks = blk.trajectory_blockage_detail(pop, traj, grid, config.robot.radius,
-                                           config.blockage_samples,
-                                           seed=config.seed)
+    risks = blk.trajectory_blockage_detail(pop, traj, grid, config.robot.radius)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "x", "y", "width", "p_block_given_here",

@@ -81,11 +81,6 @@ def _headings_from_positions(positions: np.ndarray) -> np.ndarray:
     return np.append(head, head[-1])
 
 
-def smooth_headings(trajectory: Trajectory) -> Trajectory:
-    """Recompute headings from the waypoint geometry; positions untouched."""
-    return Trajectory(trajectory.positions.copy())
-
-
 @dataclass
 class PlanRequest:
     start: GridPosition

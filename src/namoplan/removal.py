@@ -3,13 +3,11 @@ and a simplified stock-region placement with a motion-time estimate."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-from scipy.special import betainc
+from scipy.special import betaincinv
 
 from .gridmap import FREE, GridPosition, OccupancyGrid
 from .intervals import CostInterval
@@ -48,23 +46,12 @@ def update_belief(belief: BetaBelief, success: bool) -> BetaBelief:
     return BetaBelief(belief.alpha, belief.beta + 1.0)
 
 
-def beta_ppf(q: float, alpha: float, beta: float, tol: float = 1e-9) -> float:
-    """Quantile of Beta(alpha, beta) by bisection on the regularized
-    incomplete beta CDF."""
+def beta_ppf(q: float, alpha: float, beta: float) -> float:
+    """Quantile of Beta(alpha, beta): the inverse regularized incomplete
+    beta function."""
     if not 0.0 <= q <= 1.0:
         raise ValueError("quantile must be in [0, 1]")
-    if q == 0.0:
-        return 0.0
-    if q == 1.0:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if betainc(alpha, beta, mid) < q:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(betaincinv(alpha, beta, q))
 
 
 def success_rate_interval(belief: BetaBelief,
@@ -191,31 +178,3 @@ def estimate_removal_time(
         t_mo = travel + turning + load_overhead + unload_overhead
         return RemovalEstimate(t_mo, GridPosition(x, y), approach_len, carry_len)
     return None
-
-
-# ----------------------------------------------------------------------
-# calibration trial log
-
-
-def write_calibration_log(path: str | Path,
-                          trials: list[tuple[str, bool]]) -> None:
-    """Persist (obstacle_class, success) calibration trials as CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["obstacle_class", "success"])
-        for cls, ok in trials:
-            writer.writerow([cls, int(ok)])
-
-
-def read_calibration_log(path: str | Path) -> dict[str, BetaBelief]:
-    """Beliefs per obstacle class from a calibration CSV; the empty class
-    key aggregates all rows (shared-belief mode)."""
-    counts: dict[str, list[int]] = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            cls = row["obstacle_class"]
-            ok = bool(int(row["success"]))
-            for key in (cls, ""):
-                s, f = counts.setdefault(key, [0, 0])
-                counts[key][0 if ok else 1] += 1
-    return {cls: BetaBelief.from_trials(s, f) for cls, (s, f) in counts.items()}

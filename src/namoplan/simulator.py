@@ -134,7 +134,6 @@ class ScenarioConfig:
     confidence: float = 0.95
     timeout: float = 300.0
     seed: int = 0
-    blockage_samples: int = 10_000
     sense_interval: float = 1.0
 
     def __post_init__(self):
@@ -147,8 +146,6 @@ class ScenarioConfig:
             raise ScenarioError("estimated_sr out of [0, 1]")
         if not self.sense_interval > 0:
             raise ScenarioError("sense_interval must be positive")
-        if not self.blockage_samples >= 1000:
-            raise ScenarioError("blockage_samples must be >= 1000")
 
     def load_grid(self) -> OccupancyGrid:
         grid = OccupancyGrid.load(self.map_path)
@@ -401,8 +398,8 @@ class _Episode:
         self._last_t_mo = 0.0
         self._pending_traj: Trajectory | None = None
         # Memo of blockage_interval's probability. The grid's cells, the
-        # robot radius, the population and the seed are fixed for the
-        # episode, so a key need only name what varies.
+        # robot radius and the population are fixed for the episode, so a
+        # key need only name what varies.
         self._blockage: dict[tuple[bytes, bytes], float] = {}
 
     # -- success-rate beliefs ------------------------------------------
@@ -496,8 +493,7 @@ class _Episode:
         p = self._blockage.get(key)
         if p is None:
             p = blk.trajectory_blockage(self.pop, traj, self.grid,
-                                        self.cfg.robot.radius,
-                                        self.cfg.blockage_samples, seed=self.seed)
+                                        self.cfg.robot.radius)
             self._blockage[key] = p
         return blk.blockage_cost(p, proxy_removal)
 

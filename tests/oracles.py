@@ -2,7 +2,9 @@
 
 These are the straightforward per-cell versions: numpy arrays indexed one
 scalar at a time from Python. They are slow and kept only so tests can
-require the optimized code to give exactly the same answers.
+require the optimized code to give exactly the same answers. The seeded
+blockage sampler at the end is the Monte-Carlo estimate the exact marginal
+replaced; tests hold the two within sampling error.
 """
 
 from __future__ import annotations
@@ -242,3 +244,29 @@ def estimate_removal_time(grid, mo, robot_xy, blocked_path, robot_radius,
         t_mo = travel + math.pi / v_rot + load_overhead + unload_overhead
         return RemovalEstimate(t_mo, GridPosition(x, y), approach_len, carry_len)
     return None
+
+
+def sample_diameters(pop, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Obstacle diameters drawn from the population truncated to (0, inf),
+    by rejection."""
+    if pop.sigma == 0.0:
+        return np.full(n, pop.mu)
+    out = np.empty(n)
+    filled = 0
+    while filled < n:
+        draw = rng.normal(pop.mu, pop.sigma, size=n - filled)
+        draw = draw[draw > 0.0]
+        out[filled:filled + len(draw)] = draw
+        filled += len(draw)
+    return out
+
+
+def blockage_at_width(pop, width: float, r: float, n_samples: int = 10_000,
+                      seed: int = 0) -> float:
+    """`blockage.blockage_at_width` as the mean over seeded diameter draws."""
+    l_mo = sample_diameters(pop, n_samples, np.random.default_rng(seed))
+    p = np.zeros_like(l_mo)
+    middle = (l_mo > width - 4.0 * r) & (l_mo < width - 2.0 * r)
+    p[middle] = np.clip(4.0 * r / (width - l_mo[middle]) - 1.0, 0.0, 1.0)
+    p[(l_mo >= width - 2.0 * r) & (l_mo < width)] = 1.0
+    return float(p.mean())

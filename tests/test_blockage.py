@@ -6,12 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, stats
 
+import oracles
 from conftest import grid_from_ascii
 from namoplan.blockage import (ObstaclePopulation, blockage_at_width,
                                blockage_cost, blockage_given_size,
-                               sample_diameters, trajectory_blockage,
-                               trajectory_blockage_detail,
+                               trajectory_blockage, trajectory_blockage_detail,
                                waypoint_presence_probability)
 from namoplan.gridmap import OccupancyGrid
 from namoplan.intervals import CostInterval
@@ -87,26 +88,56 @@ def test_population_matches_quadrature():
     pdf /= np.trapezoid(pdf, xs)
     vals = np.array([blockage_given_size(x, w, r) for x in xs])
     quad = float(np.trapezoid(vals * pdf, xs))
-    assert blockage_at_width(pop, w, r, n_samples=100_000) == pytest.approx(
-        quad, abs=0.01)
+    assert blockage_at_width(pop, w, r) == pytest.approx(quad, abs=0.01)
 
 
-def test_sampling_deterministic_for_seed():
-    pop = _pop()
-    a = blockage_at_width(pop, 2.0, 0.3, seed=5)
-    b = blockage_at_width(pop, 2.0, 0.3, seed=5)
-    assert a == b
+def _quad_marginal(pop, w, r):
+    """Adaptive quadrature of the size model against the population density
+    truncated to (0, inf), one smooth piece at a time between the branch
+    points and the mean."""
+    density = stats.truncnorm(-pop.mu / pop.sigma, np.inf, pop.mu, pop.sigma).pdf
+    inner = (x for x in (w - 4 * r, w - 2 * r, pop.mu) if 0.0 < x < w)
+    edges = sorted({0.0, w, *inner})
+    total = 0.0
+    for a, b in zip(edges, edges[1:]):
+        if b - a < 1e-12:  # two edges that differ by rounding only
+            continue
+        piece, _ = integrate.quad(
+            lambda l: blockage_given_size(l, w, r) * density(l), a, b,
+            epsabs=1e-13, epsrel=1e-12, limit=200)
+        total += piece
+    return total
 
 
-def test_small_sample_count_rejected():
-    with pytest.raises(ValueError):
-        blockage_at_width(_pop(), 2.0, 0.3, n_samples=10)
+def test_population_matches_adaptive_quadrature():
+    rng = np.random.default_rng(21)
+    for _ in range(400):
+        mu = rng.uniform(0.2, 2.5)
+        sigma = rng.uniform(0.01, 1.5) * mu  # sigma >= mu / 2 in two thirds
+        r = rng.uniform(0.05, 0.6)
+        # random widths and the widths whose branch points sit at the mean
+        # or at zero diameter
+        for w in (rng.uniform(0.3, 5.0), mu, mu + 2 * r, mu + 4 * r,
+                  2 * r, 4 * r):
+            pop = ObstaclePopulation(mu, sigma, 1.0, 100.0)
+            assert abs(blockage_at_width(pop, w, r)
+                       - _quad_marginal(pop, w, r)) <= 1e-9
 
 
-def test_diameters_truncated_positive():
-    rng = np.random.default_rng(0)
-    draws = sample_diameters(ObstaclePopulation(0.3, 0.4, 1.0, 10.0), 5000, rng)
-    assert np.all(draws > 0.0)
+def test_population_matches_sampled_oracle():
+    rng = np.random.default_rng(22)
+    n = 100_000
+    for i in range(30):
+        mu = rng.uniform(0.2, 2.0)
+        pop = ObstaclePopulation(mu, rng.uniform(0.05, 1.2) * mu, 1.0, 100.0)
+        r = rng.uniform(0.1, 0.5)
+        w = mu + rng.uniform(-1.0, 4.0) * r
+        exact = blockage_at_width(pop, w, r)
+        sampled = oracles.blockage_at_width(pop, w, r, n_samples=n, seed=i)
+        # each draw contributes a value in [0, 1], so its variance is at
+        # most p (1 - p)
+        se = math.sqrt(max(exact * (1.0 - exact), 1e-12) / n)
+        assert abs(exact - sampled) <= 4 * se
 
 
 # -- presence probability -----------------------------------------------

@@ -162,11 +162,25 @@ def test_interval_centered_and_clamped():
     model = fit(ds)
     q = TrajectoryFeatures(10.0, 0.3, 0.05)
     mean, sigma = model.predict(q)
-    iv = predict_interval(model, q)
-    assert iv.lo == pytest.approx(max(0.0, mean - 2 * sigma))
-    assert iv.hi == pytest.approx(mean + 2 * sigma)
+    # z is the (1 + confidence) / 2 standard-normal quantile
+    for confidence, z in [(0.5, 0.6744897501960817), (0.95, 1.959963984540054),
+                          (0.99, 2.5758293035489004)]:
+        iv = predict_interval(model, q, confidence)
+        assert iv.lo == pytest.approx(max(0.0, mean - z * sigma))
+        assert iv.hi == pytest.approx(mean + z * sigma)
+    assert predict_interval(model, q) == predict_interval(model, q, 0.95)
     tiny = predict_interval(model, TrajectoryFeatures(0.0, 0.0, 0.0))
     assert tiny.lo >= 0.0
+
+
+def test_intervals_nest_across_confidences():
+    rng = np.random.default_rng(9)
+    model = fit(_synthetic_dataset(200, rng))
+    for row in rng.uniform([0.0, 0.0, 0.0], [30.0, 3.0, 0.5], size=(50, 3)):
+        q = TrajectoryFeatures(*row)
+        ivs = [predict_interval(model, q, c) for c in (0.5, 0.95, 0.99)]
+        for inner, outer in zip(ivs, ivs[1:]):
+            assert outer.lo <= inner.lo and inner.hi < outer.hi
 
 
 def test_interval_coverage_on_synthetic_data():

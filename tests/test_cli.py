@@ -109,14 +109,6 @@ def test_run_misspelt_key_exit_two(tiny_yaml, tmp_path, capsys, monkeypatch):
     assert "unknown key(s) in config: timout" in capsys.readouterr().err
 
 
-def test_run_too_few_blockage_samples_exit_two(tiny_yaml, tmp_path, capsys,
-                                               monkeypatch):
-    monkeypatch.setattr("namoplan.cli.run_episode", _no_episode)
-    bad = _variant(tiny_yaml, tmp_path, lambda raw: raw.update(blockage_samples=500))
-    assert main(["run", "--config", bad]) == 2
-    assert "blockage_samples" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("edit, key", [
     (lambda raw: raw.update(goal="ab"), "goal"),
     (lambda raw: raw["robot"].update(start=[0.7]), "robot.start"),

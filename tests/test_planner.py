@@ -11,7 +11,7 @@ from conftest import grid_from_ascii
 from namoplan import planner
 from namoplan.gridmap import STATIC, GridPosition, OccupancyGrid
 from namoplan.planner import (Ellipse, EndpointBlocked, PlanRequest, Trajectory,
-                              blocked_mask, plan_path, smooth_headings)
+                              blocked_mask, plan_path)
 from oracles import dijkstra_cost
 
 # -- trajectory basics --------------------------------------------------
@@ -33,13 +33,6 @@ def test_headings_point_at_successor():
     assert t.headings[1] == pytest.approx(math.pi / 2)
     # last waypoint inherits its predecessor's heading
     assert t.headings[2] == pytest.approx(math.pi / 2)
-
-
-def test_smooth_headings_leaves_positions():
-    t = Trajectory(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]]))
-    s = smooth_headings(t)
-    assert np.array_equal(s.positions, t.positions)
-    assert s.headings[1] == pytest.approx(math.atan2(1.0, 1.0))
 
 
 def test_segment_slices_inclusive():

@@ -13,9 +13,8 @@ from namoplan.observation import MovableObstacle, PoseBelief
 from namoplan.planner import Trajectory
 from namoplan.removal import (BetaBelief, RemovalParameters, _stock_candidates,
                               beta_ppf, estimate_removal_time, expected_removal_cost,
-                              read_calibration_log, removal_cost_interval,
-                              success_rate_interval, update_belief,
-                              write_calibration_log)
+                              removal_cost_interval, success_rate_interval,
+                              update_belief)
 
 # -- Beta belief --------------------------------------------------------
 
@@ -46,6 +45,12 @@ def test_ppf_uniform_case():
     assert beta_ppf(0.975, 1, 1) == pytest.approx(0.975, abs=1e-8)
     assert beta_ppf(0.0, 3, 4) == 0.0
     assert beta_ppf(1.0, 3, 4) == 1.0
+
+
+@pytest.mark.parametrize("q", [-1e-9, 1.0 + 1e-9, math.nan])
+def test_ppf_rejects_quantile_outside_unit_interval(q):
+    with pytest.raises(ValueError, match="quantile"):
+        beta_ppf(q, 3, 4)
 
 
 def test_ppf_against_scipy():
@@ -227,16 +232,3 @@ def test_stock_search_bounds_are_closed():
     got = _stock_candidates(grid, mx, my, 0.2, 1.0)
     assert got == oracles.stock_candidates(grid, mx, my, 0.2, 1.0)
     assert got[0] == (0.5, 10, 12) and got[-1] == (1.0, 16, 12)
-
-
-# -- calibration log ----------------------------------------------------
-
-
-def test_calibration_log_roundtrip(tmp_path):
-    path = tmp_path / "calib.csv"
-    trials = [("box", True)] * 9 + [("box", False)] + [("crate", True)] * 3
-    write_calibration_log(path, trials)
-    beliefs = read_calibration_log(path)
-    assert beliefs["box"] == BetaBelief(9, 1)
-    assert beliefs["crate"] == BetaBelief(3, 1)  # all-success keeps one failure
-    assert beliefs[""] == BetaBelief(12, 1)  # shared aggregate

@@ -1,0 +1,59 @@
+"""The bundled JSON schemas agree with the config loader and the records."""
+
+import json
+from dataclasses import fields
+from pathlib import Path
+
+import jsonschema
+import yaml
+
+import namoplan
+from namoplan import scenario_path
+from namoplan.simulator import (BypassModelConfig, NoiseConfig, ObstacleSpec,
+                                PopulationConfig, RemovalConfig, RobotConfig,
+                                ScenarioConfig, run_episode)
+
+SECTIONS = {"robot": RobotConfig, "population": PopulationConfig,
+            "removal": RemovalConfig, "noise": NoiseConfig,
+            "bypass_model": BypassModelConfig}
+
+
+def _validator(name: str) -> jsonschema.Draft7Validator:
+    path = Path(namoplan.__file__).parent / "schemas" / name
+    schema = json.loads(path.read_text())
+    jsonschema.Draft7Validator.check_schema(schema)
+    return jsonschema.Draft7Validator(schema)
+
+
+def _names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
+def test_every_bundled_config_matches_the_schema():
+    validator = _validator("scenario_config.schema.json")
+    paths = sorted(scenario_path("room.yaml").parent.glob("*.yaml"))
+    assert paths
+    for path in paths:
+        raw = yaml.safe_load(path.read_text())
+        assert [e.message for e in validator.iter_errors(raw)] == [], path.name
+
+
+def test_schema_properties_match_the_dataclasses():
+    schema = _validator("scenario_config.schema.json").schema
+    props = schema["properties"]
+    # The YAML names the map file `map`; the config holds its resolved path.
+    assert set(props) == _names(ScenarioConfig) - {"map_path"} | {"map"}
+    assert schema["additionalProperties"] is False
+    for key, cls in SECTIONS.items():
+        assert set(props[key]["properties"]) == _names(cls), key
+        assert props[key]["additionalProperties"] is False, key
+    items = props["obstacles"]["items"]
+    assert set(items["properties"]) == _names(ObstacleSpec)
+    assert items["additionalProperties"] is False
+
+
+def test_records_match_the_schema(room_config):
+    validator = _validator("trial_record.schema.json")
+    for policy in ("uncertainty", "priority-removal"):
+        record = json.loads(run_episode(room_config, policy, seed=0).to_json_line())
+        assert [e.message for e in validator.iter_errors(record)] == []

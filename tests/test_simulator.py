@@ -134,11 +134,6 @@ def test_tuple_fields_load_as_tuples():
         assert isinstance(value, tuple)
 
 
-def test_too_few_blockage_samples_rejected(tmp_path):
-    with pytest.raises(ScenarioError, match="blockage_samples"):
-        _config(tmp_path, blockage_samples=999)
-
-
 def test_invariants_validated(tmp_path):
     with pytest.raises(ScenarioError):
         _config(tmp_path, timeout=0.0)
@@ -369,7 +364,7 @@ def _unreliable_config(tmp_path, estimated_sr, true_sr) -> ScenarioConfig:
 # sha256 of the record of a looping episode: loads keep failing and the
 # robot decides again and again from the same pose until the timeout.
 LOOPING_RECORD_SHA256 = (
-    "fd5f0d2ec42f4e3e94b1aa2f251e1b177cfc44933528b0a3c6c15d2d9ecddf98")
+    "33d51a320cc638adff960db4da002fecf8ac8b0e5f83eb972da0819eff260037")
 
 
 def test_looping_episode_record_pinned(tmp_path, monkeypatch):
@@ -408,8 +403,7 @@ def test_blockage_memo_follows_explored_growth(tmp_path, monkeypatch):
     proxy = CostInterval(10.0, 20.0)
 
     def fresh():
-        p = blk.trajectory_blockage(ep.pop, traj, ep.grid, ep.cfg.robot.radius,
-                                    ep.cfg.blockage_samples, seed=ep.seed)
+        p = blk.trajectory_blockage(ep.pop, traj, ep.grid, ep.cfg.robot.radius)
         return blk.blockage_cost(p, proxy)
 
     first = ep.blockage_interval(traj, proxy)
