@@ -82,6 +82,8 @@ def blockage_at_width(pop: ObstaclePopulation, width: float, r: float) -> float:
     rule. Both are clipped to mu +/- 8 sigma, so a population whose band
     misses the branches gives exactly 0.
     """
+    if width <= 0 or r <= 0:
+        raise ValueError("width, r must be positive")
     if pop.sigma == 0.0:
         return blockage_given_size(pop.mu, width, r)
     mu, sigma = pop.mu, pop.sigma

@@ -59,13 +59,6 @@ class TimingDataset:
     def __len__(self) -> int:
         return len(self.durations)
 
-    def save_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["F_l", "F_s", "F_v", "duration"])
-            for row, dur in zip(self.features, self.durations):
-                writer.writerow([repr(float(v)) for v in (*row, dur)])
-
     @staticmethod
     def load_csv(path: str | Path) -> "TimingDataset":
         with open(path, newline="") as fh:

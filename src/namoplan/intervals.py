@@ -52,9 +52,3 @@ class CostInterval:
         if math.isinf(self.hi):
             return INF
         return 0.5 * (self.lo + self.hi)
-
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def contains(self, value: float) -> bool:
-        return self.lo <= value <= self.hi

@@ -29,10 +29,6 @@ class BetaBelief:
         return self.alpha / (self.alpha + self.beta)
 
     @staticmethod
-    def uniform() -> "BetaBelief":
-        return BetaBelief(1.0, 1.0)
-
-    @staticmethod
     def from_trials(successes: int, failures: int) -> "BetaBelief":
         """Belief after a calibration run. The recorded counts stand in for
         the pseudo-counts directly; an all-success or all-failure run keeps

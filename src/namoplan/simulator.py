@@ -11,7 +11,9 @@ import hashlib
 import json
 import math
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -202,24 +204,98 @@ def _build(cls, raw, where: str):
 # policies
 
 
+def _feasible(detour, est, route) -> bool:
+    """Some strategy has a route: the detour, or a stock cell together with
+    the route past the removed obstacle."""
+    return detour is not None or (est is not None and route is not None)
+
+
+def _compare_intervals(ep: _Episode, blocker: str, detour, est, route, *,
+                       action_uncertainty: bool = True,
+                       blockage_uncertainty: bool = True) -> tuple[str, dict]:
+    """NAMOUnc: the strategy whose cost interval has the smaller midpoint.
+
+    The switches ablate the Beta success-rate interval (a point T_MO
+    instead) and the blockage risk of the routes (zero instead).
+    """
+    nav_by = ep.nav_interval(detour)
+    c_by_scalar = ep.cfg.timeout if nav_by.is_infinite else nav_by.midpoint()
+
+    def removal(t_mo: float) -> CostInterval:
+        params = rem.RemovalParameters(ep.cfg.removal.max_attempts, t_mo,
+                                       c_by_scalar)
+        if action_uncertainty:
+            return rem.removal_cost_interval(ep.beta_for(blocker), params,
+                                             ep.cfg.confidence)
+        return CostInterval.point(t_mo)
+
+    proxy_removal = removal(ep.t_mo)
+
+    def blocked(traj: Trajectory | None) -> CostInterval:
+        if traj is None or not blockage_uncertainty:
+            return CostInterval(0.0, 0.0)
+        return ep.blockage_interval(traj, proxy_removal)
+
+    c_bypass = assemble_bypass_cost(nav_by, blocked(detour))
+    if est is None:
+        c_removal = CostInterval.infinite()
+    else:
+        c_removal = assemble_removal_cost(removal(est.t_mo),
+                                          ep.nav_interval(route), blocked(route))
+    try:
+        dec = decide(c_bypass, c_removal, blocker)
+    except NoFeasibleStrategy:
+        return "none", {}
+    return dec.choice, dec.to_dict()
+
+
+def _priority_bypass(ep, blocker, detour, est, route) -> tuple[str, dict]:
+    """Always bypass; with no detour, wait for the way to clear until the
+    timeout."""
+    return ("bypass" if detour is not None else "wait"), {}
+
+
+def _priority_removal(ep, blocker, detour, est, route) -> tuple[str, dict]:
+    """Remove whenever a stock cell exists, else bypass."""
+    if not _feasible(detour, est, route):
+        return "none", {}
+    return ("remove" if est is not None else "bypass"), {}
+
+
+def _random_choice(ep, blocker, detour, est, route) -> tuple[str, dict]:
+    """A fair coin, tossed only when some strategy is feasible. Removal
+    needs a stock cell and bypass a detour; a strategy that lacks its own
+    gives way to the other."""
+    if not _feasible(detour, est, route):
+        return "none", {}
+    heads = ep.rng.random() < 0.5
+    if detour is None or (heads and est is not None):
+        return "remove", {}
+    return "bypass", {}
+
+
 @dataclass(frozen=True)
 class Policy:
+    """A named choice rule. At a blockage, `choose(episode, blocker, detour,
+    est, route)` sees the detour to the goal, the stock-search estimate and
+    the route after removal (planned only when the estimate exists; None
+    when absent) and returns the action ("bypass", "remove", "wait" or
+    "none") with the details its decision trace entry records."""
+
     name: str
-    use_action_uncertainty: bool = True
-    use_blockage_uncertainty: bool = True
-    kind: str = "uncertainty"  # "uncertainty" | "bypass" | "removal" | "random"
+    choose: Callable[..., tuple[str, dict]]
 
 
-POLICIES: dict[str, Policy] = {
-    "uncertainty": Policy("uncertainty"),
-    "uncertainty-no-action": Policy("uncertainty-no-action",
-                                    use_action_uncertainty=False),
-    "uncertainty-no-blockage": Policy("uncertainty-no-blockage",
-                                      use_blockage_uncertainty=False),
-    "priority-bypass": Policy("priority-bypass", kind="bypass"),
-    "priority-removal": Policy("priority-removal", kind="removal"),
-    "random-choice": Policy("random-choice", kind="random"),
-}
+POLICIES: dict[str, Policy] = {p.name: p for p in (
+    Policy("uncertainty", _compare_intervals),
+    Policy("uncertainty-no-action",
+           partial(_compare_intervals, action_uncertainty=False)),
+    Policy("uncertainty-no-blockage",
+           partial(_compare_intervals, blockage_uncertainty=False)),
+    Policy("priority-bypass", _priority_bypass),
+    Policy("priority-removal", _priority_removal),
+    Policy("random-choice", _random_choice),
+)}
 
 
 def get_policy(name: str) -> Policy:
@@ -394,9 +470,9 @@ class _Episode:
             raise ScenarioError("robot start not in a free cell")
         if not self.grid.is_free(*config.goal):
             raise ScenarioError("goal not in a free cell")
-        self._last_blocked_traj: Trajectory | None = None
-        self._last_t_mo = 0.0
-        self._pending_traj: Trajectory | None = None
+        # Removal cycle time estimated at the latest decision; a failed
+        # load costs one cycle.
+        self.t_mo = 0.0
         # Memo of blockage_interval's probability. The grid's cells, the
         # robot radius and the population are fixed for the episode, so a
         # key need only name what varies.
@@ -463,15 +539,14 @@ class _Episode:
 
     # -- planning helpers ----------------------------------------------
 
-    def plan_to(self, x: float, y: float, exclude: str | None = None,
-                with_ellipses: bool = True) -> Trajectory | None:
+    def plan_to(self, x: float, y: float,
+                exclude: str | None = None) -> Trajectory | None:
         """Plan from the robot to (x, y); None when there is no path."""
         self.diag["n_replans"] += 1
         if self.grid.cell_index(self.x, self.y) == self.grid.cell_index(x, y):
             return None
-        ellipses = self.ellipses(exclude) if with_ellipses else ()
         request = PlanRequest(GridPosition(self.x, self.y), GridPosition(x, y),
-                              ellipses)
+                              self.ellipses(exclude))
         try:
             return plan_path(self.grid, request, self.cfg.robot.radius)
         except EndpointBlocked:
@@ -483,10 +558,8 @@ class _Episode:
         return byp.predict_interval(self.model, byp.extract_features(traj),
                                     self.cfg.confidence)
 
-    def blockage_interval(self, traj: Trajectory | None,
+    def blockage_interval(self, traj: Trajectory,
                           proxy_removal: CostInterval) -> CostInterval:
-        if traj is None or not self.policy.use_blockage_uncertainty:
-            return CostInterval(0.0, 0.0)
         # Of what the score reads, only the waypoints and the explored mask
         # can change within an episode.
         key = (_digest(traj.positions, traj.headings), _digest(self.grid.explored))
@@ -536,9 +609,6 @@ class _Episode:
                 return "timeout", None
         return "goal", None
 
-    def wait_out(self) -> None:
-        self.t = self.cfg.timeout
-
     # -- removal execution ---------------------------------------------
 
     def staging_point(self, label: str) -> tuple[float, float] | None:
@@ -557,10 +627,9 @@ class _Episode:
     def evaluate_removal(self, label: str, blocked_traj: Trajectory):
         """Stock search + manipulation-time estimate for the blocking MO."""
         mo = self.mos[label]
-        belief = self.beliefs[label]
-        est = rem.estimate_removal_time(
+        return rem.estimate_removal_time(
             self.grid,
-            MovableObstacle(label, belief, mo.spec.radius),
+            MovableObstacle(label, self.beliefs[label], mo.spec.radius),
             np.array([self.x, self.y]),
             blocked_traj,
             self.cfg.robot.radius,
@@ -570,21 +639,12 @@ class _Episode:
             self.cfg.removal.unload_overhead,
             self.cfg.removal.search_radius,
         )
-        return est
 
-    def removal_interval(self, label: str, t_mo: float,
-                         c_by_scalar: float) -> CostInterval:
-        params = rem.RemovalParameters(self.cfg.removal.max_attempts, t_mo,
-                                       c_by_scalar)
-        if self.policy.use_action_uncertainty:
-            return rem.removal_cost_interval(self.beta_for(label), params,
-                                             self.cfg.confidence)
-        return CostInterval.point(t_mo)
+    def execute_removal(self, label: str, blocked_traj: Trajectory) -> str:
+        """Approach, attempt loads, and on success carry the obstacle to a
+        stock cell clear of `blocked_traj`.
 
-    def execute_removal(self, label: str) -> tuple[str, Trajectory | None]:
-        """Approach, attempt loads, and on success carry to the stock cell.
-
-        Returns ("removed", None), ("gave_up", None) or ("timeout", None).
+        Returns "removed", "gave_up" or "timeout".
         """
         mo = self.mos[label]
         stage = self.staging_point(label)
@@ -593,7 +653,7 @@ class _Episode:
             if approach is not None:
                 status, _ = self.follow(approach, ignore=label)
                 if status == "timeout":
-                    return "timeout", None
+                    return "timeout"
         for _ in range(self.cfg.removal.max_attempts):
             self.t += self.cfg.removal.load_overhead
             self.diag["n_attempts"] += 1
@@ -604,19 +664,17 @@ class _Episode:
             if not success:
                 # A failed load means backing off, repositioning and setting
                 # up again, so the whole attempt costs one removal cycle.
-                self.t += max(self._last_t_mo - self.cfg.removal.load_overhead,
-                              0.0)
+                self.t += max(self.t_mo - self.cfg.removal.load_overhead, 0.0)
             if self.t >= self.cfg.timeout:
-                return "timeout", None
+                return "timeout"
             if not success:
                 continue
-            blocked_traj = self._last_blocked_traj
             est = self.evaluate_removal(label, blocked_traj)
             if est is None:
                 # Load succeeded but nowhere to put the obstacle down: give up.
                 self.trace.append({"event": "no_stock", "t": self.t,
                                    "obstacle": label})
-                return "gave_up", None
+                return "gave_up"
             carry_time = (2.0 * est.carry_length / self.cfg.robot.v_lin
                           + math.pi / self.cfg.robot.v_rot
                           + self.cfg.removal.unload_overhead)
@@ -630,71 +688,26 @@ class _Episode:
             self.trace.append({"event": "placed", "t": self.t, "obstacle": label,
                                "stock": [mo.x, mo.y]})
             if self.t >= self.cfg.timeout:
-                return "timeout", None
-            return "removed", None
-        return "gave_up", None
+                return "timeout"
+            return "removed"
+        return "gave_up"
 
     # -- decision epoch ------------------------------------------------
 
-    def decision_epoch(self, blocker: str, blocked_traj: Trajectory) -> str:
-        """Returns the chosen action: "bypass", "remove" or "none"."""
+    def decision_epoch(self, blocker: str,
+                       blocked_traj: Trajectory) -> tuple[str, Trajectory | None]:
+        """Gather what every policy reads, ask the policy's rule and trace
+        its answer. Returns the choice and the detour to the goal."""
         self.diag["n_decisions"] += 1
-        self._last_blocked_traj = blocked_traj
-        gx, gy = self.cfg.goal
-
-        detour = self.plan_to(gx, gy)
-        nav_by = self.nav_interval(detour)
-
+        detour = self.plan_to(*self.cfg.goal)
         est = self.evaluate_removal(blocker, blocked_traj)
-        t_mo = est.t_mo if est is not None else self.cfg.removal.default_t_mo
-        self._last_t_mo = t_mo
-        c_by_scalar = (nav_by.midpoint() if not nav_by.is_infinite
-                       else self.cfg.timeout)
-        proxy_removal = self.removal_interval(blocker, t_mo, c_by_scalar)
-
-        blocked_by = self.blockage_interval(detour, proxy_removal)
-        c_bypass = assemble_bypass_cost(nav_by, blocked_by)
-
-        if est is None:
-            c_removal = CostInterval.infinite()
-            nav_re_traj = None
-        else:
-            nav_re_traj = self.plan_to(gx, gy, exclude=blocker)
-            nav_re = self.nav_interval(nav_re_traj)
-            c_mo = self.removal_interval(blocker, est.t_mo, c_by_scalar)
-            blocked_re = self.blockage_interval(nav_re_traj, proxy_removal)
-            c_removal = assemble_removal_cost(c_mo, nav_re, blocked_re)
-
-        try:
-            dec = decide(c_bypass, c_removal, blocker)
-        except NoFeasibleStrategy:
-            self.trace.append({"event": "decision", "t": self.t,
-                               "blocking_obstacle": blocker,
-                               "policy_choice": "none"})
-            return "none"
-
-        choice = dec.choice
-        if self.policy.kind == "bypass":
-            choice = "bypass" if not c_bypass.is_infinite else "none"
-        elif self.policy.kind == "removal":
-            if est is not None:
-                choice = "remove"
-            else:
-                choice = "bypass" if not c_bypass.is_infinite else "none"
-        elif self.policy.kind == "random":
-            pick = "remove" if self.rng.random() < 0.5 else "bypass"
-            if pick == "remove" and est is None:
-                pick = "bypass"
-            if pick == "bypass" and c_bypass.is_infinite:
-                pick = "remove" if est is not None else "none"
-            choice = pick
-
-        entry = dec.to_dict()
-        entry.update({"event": "decision", "t": self.t, "policy_choice": choice})
-        self.trace.append(entry)
-        if choice == "bypass":
-            self._pending_traj = detour
-        return choice
+        self.t_mo = est.t_mo if est is not None else self.cfg.removal.default_t_mo
+        route = None if est is None else self.plan_to(*self.cfg.goal, exclude=blocker)
+        choice, details = self.policy.choose(self, blocker, detour, est, route)
+        self.trace.append({"event": "decision", "t": self.t,
+                           "blocking_obstacle": blocker, **details,
+                           "policy_choice": choice})
+        return choice, detour
 
     # -- main loop -----------------------------------------------------
 
@@ -716,22 +729,25 @@ class _Episode:
                 if blocker is None:
                     outcome = "no_strategy"
                     break
-                action = self._handle_block(blocker, self._fallback_traj())
+                blocked_traj = self._fallback_traj()
             else:
                 status, blocker = self.follow(traj)
-                if status == "goal":
-                    outcome = "success"
+                if status != "blocked":
+                    outcome = "success" if status == "goal" else "timeout"
                     break
-                if status == "timeout":
+                blocked_traj = traj
+            choice, detour = self.decision_epoch(blocker, blocked_traj)
+            if choice == "bypass":
+                traj = detour
+            elif choice == "remove":
+                if self.execute_removal(blocker, blocked_traj) == "timeout":
                     outcome = "timeout"
-                    break
-                action = self._handle_block(blocker, traj)
-            if action == "timeout":
-                outcome = "timeout"
-            elif action == "none":
-                outcome = "no_strategy"
+                else:
+                    traj = self.plan_to(*self.cfg.goal)
+            elif choice == "wait":
+                outcome = "timeout"  # the way never clears: wait out the clock
             else:
-                traj = self._next_traj(action)
+                outcome = "no_strategy"
 
         elapsed = self.cfg.timeout if outcome == "timeout" else self.t
         return TrialRecord(self.cfg.scenario_id, self.seed, self.policy.name,
@@ -752,28 +768,6 @@ class _Episode:
             if d < best_d:
                 best, best_d = label, d
         return best
-
-    def _handle_block(self, blocker: str, blocked_traj: Trajectory) -> str:
-        action = self.decision_epoch(blocker, blocked_traj)
-        if action == "remove":
-            status, _ = self.execute_removal(blocker)
-            if status == "timeout":
-                return "timeout"
-            return "replan"
-        if action == "bypass":
-            return "bypass"
-        if action == "none" and self.policy.kind == "bypass":
-            self.wait_out()
-            return "timeout"
-        return action
-
-    def _next_traj(self, action: str) -> Trajectory | None:
-        if action == "bypass":
-            traj, self._pending_traj = self._pending_traj, None
-            return traj
-        if action == "replan":
-            return self.plan_to(*self.cfg.goal)
-        return None
 
 
 def run_episode(config: ScenarioConfig, policy: Policy | str,

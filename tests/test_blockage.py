@@ -54,6 +54,12 @@ def test_invalid_geometry_rejected():
         blockage_given_size(0.0, 2.0, 0.3)
     with pytest.raises(ValueError):
         blockage_given_size(1.0, 2.0, 0.0)
+    # The population marginal rejects the same geometry, point mass or not.
+    for sigma in (0.0, 0.1):
+        pop = ObstaclePopulation(1.0, sigma, 1.0, 10.0)
+        for width, r in ((-1.0, 0.3), (0.0, 0.3), (2.0, -0.3), (2.0, 0.0)):
+            with pytest.raises(ValueError):
+                blockage_at_width(pop, width, r)
 
 
 def test_middle_branch_matches_offset_monte_carlo():

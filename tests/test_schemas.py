@@ -9,9 +9,9 @@ import yaml
 
 import namoplan
 from namoplan import scenario_path
-from namoplan.simulator import (BypassModelConfig, NoiseConfig, ObstacleSpec,
-                                PopulationConfig, RemovalConfig, RobotConfig,
-                                ScenarioConfig, run_episode)
+from namoplan.simulator import (POLICIES, BypassModelConfig, NoiseConfig,
+                                ObstacleSpec, PopulationConfig, RemovalConfig,
+                                RobotConfig, ScenarioConfig, run_episode)
 
 SECTIONS = {"robot": RobotConfig, "population": PopulationConfig,
             "removal": RemovalConfig, "noise": NoiseConfig,
@@ -54,6 +54,6 @@ def test_schema_properties_match_the_dataclasses():
 
 def test_records_match_the_schema(room_config):
     validator = _validator("trial_record.schema.json")
-    for policy in ("uncertainty", "priority-removal"):
+    for policy in POLICIES:
         record = json.loads(run_episode(room_config, policy, seed=0).to_json_line())
         assert [e.message for e in validator.iter_errors(record)] == []

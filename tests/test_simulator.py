@@ -1,6 +1,7 @@
 """Episode simulation: configs, motion time, sensing, policies, determinism."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -326,6 +327,54 @@ def test_random_choice_policy_runs(tmp_path):
     assert choices >= {"bypass", "remove"}
 
 
+# -- baseline choice rules ---------------------------------------------
+
+# The choice of each baseline rule for every (detour, stock estimate, route
+# after removal) presence: priority-bypass, priority-removal, then
+# random-choice on heads and on tails.
+BASELINE_CHOICES = {
+    (1, 1, 1): ("bypass", "remove", "remove", "bypass"),
+    (1, 1, 0): ("bypass", "remove", "remove", "bypass"),
+    (1, 0, 1): ("bypass", "bypass", "bypass", "bypass"),
+    (1, 0, 0): ("bypass", "bypass", "bypass", "bypass"),
+    (0, 1, 1): ("wait", "remove", "remove", "remove"),
+    (0, 1, 0): ("wait", "none", "none", "none"),
+    (0, 0, 1): ("wait", "none", "none", "none"),
+    (0, 0, 0): ("wait", "none", "none", "none"),
+}
+
+
+class _Coin:
+    """Stands in for the episode rng: every draw returns `value`."""
+
+    def __init__(self, value: float):
+        self.value, self.draws = value, 0
+
+    def random(self) -> float:
+        self.draws += 1
+        return self.value
+
+
+@pytest.mark.parametrize("present", list(BASELINE_CHOICES))
+def test_baseline_rules_pin_their_choices(present):
+    detour, est, route = (object() if p else None for p in present)
+    bypass_first, removal_first, heads, tails = BASELINE_CHOICES[present]
+
+    def choose(name, draw=0.0):
+        coin = _Coin(draw)
+        choice, details = POLICIES[name].choose(SimpleNamespace(rng=coin), "B",
+                                                detour, est, route)
+        assert details == {}  # baselines trace no interval
+        return choice, coin.draws
+
+    assert choose("priority-bypass") == (bypass_first, 0)
+    assert choose("priority-removal") == (removal_first, 0)
+    # The coin is tossed only when some strategy is feasible.
+    draws = int(heads != "none")
+    assert choose("random-choice", 0.2) == (heads, draws)
+    assert choose("random-choice", 0.8) == (tails, draws)
+
+
 # -- determinism and records --------------------------------------------
 
 
@@ -437,9 +486,11 @@ def test_plan_memo_keeps_masks_apart(tmp_path, monkeypatch):
     goal = ep.cfg.goal
     r = ep.cfg.robot.radius
 
+    def request(ellipses):
+        return PlanRequest(GridPosition(ep.x, ep.y), GridPosition(*goal), ellipses)
+
     def fresh(ellipses):
-        return oracles.plan_path(ep.grid, PlanRequest(GridPosition(ep.x, ep.y),
-                                                      GridPosition(*goal), ellipses), r)
+        return oracles.plan_path(ep.grid, request(ellipses), r)
 
     plans = []
     for b in ((6.0, 9.0), (10.5, 16.9)):
@@ -447,7 +498,7 @@ def test_plan_memo_keeps_masks_apart(tmp_path, monkeypatch):
         # off it, its ellipse rasterizes elsewhere for the same start and goal.
         ep.beliefs["B"] = PoseBelief(np.array(b), np.eye(2) * 0.01)
         plans.append((ep.plan_to(*goal), fresh(ep.ellipses())))
-    plans.append((ep.plan_to(*goal, with_ellipses=False), fresh(())))
+    plans.append((planner.plan_path(ep.grid, request(()), r), fresh(())))
     plans.append((ep.plan_to(*goal, exclude="B"), fresh(())))
     cached = list(planner._PLAN_CACHE.values())
     assert len(cached) == 3 and all(c is p for c, (p, _) in zip(cached, plans))
