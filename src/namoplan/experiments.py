@@ -34,8 +34,7 @@ SUMMARY_COLUMNS = ["scenario_id", "policy", "n", "mean", "std", "median",
 
 
 def _one_trial(args) -> TrialRecord:
-    config_path, policy_name, seed = args
-    config = ScenarioConfig.from_yaml(config_path)
+    config, policy_name, seed = args
     return run_episode(config, policy_name, seed=seed)
 
 
@@ -46,13 +45,18 @@ def run_benchmark(spec: ExperimentSpec, workers: int = 1,
     Trial seeds are seed_base + repetition index, shared across cells so
     policies face paired worlds. Results are merged in deterministic
     scenario/policy/repetition order regardless of worker completion order.
+    Each scenario file is parsed once, before any episode runs, so a bad
+    config fails the grid up front; episodes never modify their config, so
+    its trials share it.
     """
-    jobs = []
-    for scenario in spec.scenario_paths:
-        for policy in spec.policies:
-            get_policy(policy)  # fail fast on unknown names
-            for rep in range(spec.repetitions):
-                jobs.append((scenario, policy, spec.seed_base + rep))
+    for policy in spec.policies:
+        get_policy(policy)  # fail fast on unknown names
+    configs = {path: ScenarioConfig.from_yaml(path)
+               for path in dict.fromkeys(spec.scenario_paths)}
+    jobs = [(configs[path], policy, spec.seed_base + rep)
+            for path in spec.scenario_paths
+            for policy in spec.policies
+            for rep in range(spec.repetitions)]
 
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -70,7 +74,7 @@ def run_benchmark(spec: ExperimentSpec, workers: int = 1,
                 records.append(_one_trial(job))
                 if progress:
                     progress(len(records), len(jobs))
-        for (scenario, policy, seed), record in zip(jobs, records):
+        for (_, policy, seed), record in zip(jobs, records):
             rows.append({
                 "scenario_id": record.scenario_id,
                 "policy": policy,

@@ -139,11 +139,13 @@ def path_blocked(trajectory: Trajectory, obstacles: list[MovableObstacle],
                  robot_radius: float, confidence: float = 0.95) -> str | None:
     """First obstacle (by path order) whose confidence ellipse, inflated by
     the robot radius, touches a waypoint. Closed-set convention: grazing
-    contact counts as blocked."""
-    ellipses = [(mo.id, confidence_ellipse(mo.belief, mo.radius, confidence))
-                for mo in obstacles]
-    for x, y in trajectory.positions:
-        for mo_id, e in ellipses:
-            if e.contains(x, y, margin=robot_radius):
-                return mo_id
-    return None
+    contact counts as blocked. Of two obstacles first touched at the same
+    waypoint, the one earlier in `obstacles` counts."""
+    xs, ys = trajectory.positions[:, 0], trajectory.positions[:, 1]
+    blocker, first = None, len(trajectory)
+    for mo in obstacles:
+        e = confidence_ellipse(mo.belief, mo.radius, confidence)
+        hits = np.flatnonzero(e.contains(xs, ys, margin=robot_radius))
+        if hits.size and hits[0] < first:
+            blocker, first = mo.id, hits[0]
+    return blocker

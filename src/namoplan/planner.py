@@ -27,13 +27,18 @@ class Ellipse:
     b: float
     angle: float
 
-    def contains(self, x: float, y: float, margin: float = 0.0) -> bool:
+    def contains(self, x, y, margin: float = 0.0):
+        """Whether (x, y) lies in the closed ellipse grown by `margin`.
+
+        Works elementwise on numpy arrays, with the same floating-point
+        steps as on scalars: the squares are products, because Python's
+        `float ** 2` calls libm `pow`, which can differ from numpy's array
+        square in the last bit."""
         dx, dy = x - self.cx, y - self.cy
         c, s = math.cos(self.angle), math.sin(self.angle)
-        u = c * dx + s * dy
-        v = -s * dx + c * dy
-        a, b = self.a + margin, self.b + margin
-        return (u / a) ** 2 + (v / b) ** 2 <= 1.0
+        u = (c * dx + s * dy) / (self.a + margin)
+        v = (-s * dx + c * dy) / (self.b + margin)
+        return u * u + v * v <= 1.0
 
     def inflate(self, margin: float) -> "Ellipse":
         return Ellipse(self.cx, self.cy, self.a + margin, self.b + margin, self.angle)
@@ -111,11 +116,14 @@ def blocked_mask(grid: OccupancyGrid, robot_radius: float,
             ix1 = min(w, int((ei.cx + reach) / res) + 2)
             iy0 = max(0, int((ei.cy - reach) / res) - 1)
             iy1 = min(h, int((ei.cy + reach) / res) + 2)
-            for iy in range(iy0, iy1):
-                cy = (iy + 0.5) * res
-                for ix in range(ix0, ix1):
-                    if not mask[iy, ix] and ei.contains((ix + 0.5) * res, cy):
-                        mask[iy, ix] = True
+            # An ellipse wholly off the map's low side gives a negative
+            # stop, which a slice would wrap around.
+            if ix0 >= ix1 or iy0 >= iy1:
+                continue
+            xs = (np.arange(ix0, ix1) + 0.5) * res
+            ys = (np.arange(iy0, iy1) + 0.5) * res
+            mask[iy0:iy1, ix0:ix1] |= ei.contains(xs[np.newaxis, :],
+                                                  ys[:, np.newaxis])
     return mask
 
 

@@ -133,6 +133,13 @@ def _stock_candidates(grid: OccupancyGrid, mx: float, my: float,
     return candidates
 
 
+# Candidates whose path clearance one broadcast computes. The search takes
+# the first fit and usually stops early, and 32 cells against a
+# 400-waypoint path take 200 KB, where a whole 3 m search box (about 3.7k
+# cells) would take 24 MB.
+_CLEARANCE_CHUNK = 32
+
+
 def estimate_removal_time(
     grid: OccupancyGrid,
     mo: MovableObstacle,
@@ -154,23 +161,29 @@ def estimate_removal_time(
     mx, my = mo.belief.mean
     clearance_path = mo.radius + robot_radius
     path_pts = blocked_path.positions
-    for _, iy, ix in _stock_candidates(grid, mx, my, mo.radius, search_radius):
-        x, y = grid.cell_center(iy, ix)
-        d_path = np.min(np.linalg.norm(path_pts - np.array([x, y]), axis=1))
-        if d_path < clearance_path:
-            continue
-        try:
-            carry = plan_path(grid, PlanRequest(GridPosition(mx, my), GridPosition(x, y)),
-                              robot_radius)
-        except ValueError:
-            continue
-        if carry is None:
-            continue
-        approach_len = float(np.linalg.norm(np.asarray(robot_xy) - np.array([mx, my])))
-        carry_len = carry.total_length
-        # approach + carry + return, plus load/unload handling time
-        travel = (approach_len + 2.0 * carry_len) / v_lin
-        turning = math.pi / v_rot  # nominal in-place turns at pick and place
-        t_mo = travel + turning + load_overhead + unload_overhead
-        return RemovalEstimate(t_mo, GridPosition(x, y), approach_len, carry_len)
+    candidates = _stock_candidates(grid, mx, my, mo.radius, search_radius)
+    for first in range(0, len(candidates), _CLEARANCE_CHUNK):
+        chunk = candidates[first:first + _CLEARANCE_CHUNK]
+        centers = np.array([grid.cell_center(iy, ix) for _, iy, ix in chunk])
+        d_path = np.linalg.norm(path_pts - centers[:, np.newaxis],
+                                axis=-1).min(axis=1)
+        for (_, iy, ix), d in zip(chunk, d_path):
+            if d < clearance_path:
+                continue
+            x, y = grid.cell_center(iy, ix)
+            request = PlanRequest(GridPosition(mx, my), GridPosition(x, y))
+            try:
+                carry = plan_path(grid, request, robot_radius)
+            except ValueError:
+                continue
+            if carry is None:
+                continue
+            approach_len = float(np.linalg.norm(np.asarray(robot_xy)
+                                                - np.array([mx, my])))
+            carry_len = carry.total_length
+            # approach + carry + return, plus load/unload handling time
+            travel = (approach_len + 2.0 * carry_len) / v_lin
+            turning = math.pi / v_rot  # nominal in-place turns at pick and place
+            t_mo = travel + turning + load_overhead + unload_overhead
+            return RemovalEstimate(t_mo, GridPosition(x, y), approach_len, carry_len)
     return None

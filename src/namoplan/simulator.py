@@ -99,6 +99,17 @@ class RemovalConfig:
     search_radius: float = 3.0
     default_t_mo: float = 30.0  # proxy when no estimate is available
 
+    def __post_init__(self):
+        if (not isinstance(self.max_attempts, numbers.Integral)
+                or isinstance(self.max_attempts, bool) or self.max_attempts < 1):
+            raise ScenarioError("removal.max_attempts must be an integer >= 1")
+        for name in ("search_radius", "default_t_mo"):
+            if not getattr(self, name) > 0:
+                raise ScenarioError(f"removal.{name} must be positive")
+        for name in ("load_overhead", "unload_overhead"):
+            if not getattr(self, name) >= 0:
+                raise ScenarioError(f"removal.{name} must be non-negative")
+
 
 @dataclass
 class NoiseConfig:
@@ -140,7 +151,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         self.goal = _numbers(self.goal, 2, "goal")
-        if self.timeout <= 0:
+        if not self.timeout > 0:
             raise ScenarioError("timeout must be positive")
         if not 0.0 < self.confidence < 1.0:
             raise ScenarioError("confidence must be in (0, 1)")
@@ -445,11 +456,11 @@ class _WorldMO:
 
 class _Episode:
     def __init__(self, config: ScenarioConfig, policy: Policy, seed: int,
-                 model: byp.GlrModel, grid: OccupancyGrid):
+                 model: byp.GlrModel | None, grid: OccupancyGrid):
         self.cfg = config
         self.policy = policy
         self.seed = seed
-        self.model = model
+        self._model = model  # fitted on first use when None
         self.rng = np.random.default_rng(seed)
         self.grid = grid
         self.mos = {o.label: _WorldMO(o, o.position[0], o.position[1])
@@ -551,6 +562,15 @@ class _Episode:
             return plan_path(self.grid, request, self.cfg.robot.radius)
         except EndpointBlocked:
             return None
+
+    @property
+    def model(self) -> byp.GlrModel:
+        """The bypass-time model. Only the interval rules read it, so an
+        episode of a baseline policy never fits one."""
+        if self._model is None:
+            self._model = bypass_model_for(self.grid, self.cfg.robot,
+                                           self.cfg.bypass_model)
+        return self._model
 
     def nav_interval(self, traj: Trajectory | None) -> CostInterval:
         if traj is None:
@@ -773,12 +793,11 @@ class _Episode:
 def run_episode(config: ScenarioConfig, policy: Policy | str,
                 seed: int | None = None,
                 model: byp.GlrModel | None = None) -> TrialRecord:
-    """Execute one seeded episode under the given policy."""
+    """Execute one seeded episode under the given policy. Without a `model`,
+    the map's bypass-time model is fitted (or taken from the cache) when the
+    policy first needs it."""
     if isinstance(policy, str):
         policy = get_policy(policy)
     seed = config.seed if seed is None else seed
-    grid = config.load_grid()
-    if model is None:
-        model = bypass_model_for(grid, config.robot, config.bypass_model)
-    episode = _Episode(config, policy, seed, model, grid)
+    episode = _Episode(config, policy, seed, model, config.load_grid())
     return episode.run()

@@ -16,6 +16,7 @@ import numpy as np
 from scipy import ndimage
 
 from namoplan.gridmap import FREE, STATIC, GridPosition, OccupancyGrid
+from namoplan.observation import confidence_ellipse
 from namoplan.planner import (_MOVES, EndpointBlocked, PlanRequest, Trajectory,
                               _carve_escape)
 from namoplan.removal import RemovalEstimate
@@ -53,6 +54,18 @@ def blocked_mask(grid: OccupancyGrid, robot_radius: float,
                 if not mask[iy, ix] and ei.contains((ix + 0.5) * res, cy):
                     mask[iy, ix] = True
     return mask
+
+
+def path_blocked(trajectory, obstacles, robot_radius, confidence=0.95):
+    """Every waypoint against every ellipse, one scalar test at a time;
+    oracle for `observation.path_blocked`."""
+    ellipses = [(mo.id, confidence_ellipse(mo.belief, mo.radius, confidence))
+                for mo in obstacles]
+    for x, y in trajectory.positions:
+        for mo_id, e in ellipses:
+            if e.contains(x, y, margin=robot_radius):
+                return mo_id
+    return None
 
 
 def plan_path(grid: OccupancyGrid, request: PlanRequest,

@@ -127,6 +127,26 @@ def test_run_bad_tuple_field_exit_two(tiny_yaml, tmp_path, capsys, monkeypatch,
     assert f"{key} must be a list of" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    (None, "timeout", float("nan")),
+    ("removal", "max_attempts", 0),
+    ("removal", "max_attempts", 2.5),
+    ("removal", "max_attempts", True),
+    ("removal", "search_radius", 0.0),
+    ("removal", "default_t_mo", float("nan")),
+    ("removal", "load_overhead", -5.0),
+    ("removal", "unload_overhead", -0.5),
+])
+def test_run_bad_removal_or_timeout_exit_two(tiny_yaml, tmp_path, capsys,
+                                             monkeypatch, section, key, value):
+    monkeypatch.setattr("namoplan.cli.run_episode", _no_episode)
+    bad = _variant(tiny_yaml, tmp_path, lambda raw: (
+        raw if section is None else raw.setdefault(section, {})).update({key: value}))
+    assert main(["run", "--config", bad]) == 2
+    name = key if section is None else f"{section}.{key}"
+    assert f"{name} must be" in capsys.readouterr().err
+
+
 def test_run_map_with_unknown_cell_exit_two(tiny_yaml, tmp_path, capsys):
     text = OccupancyGrid.empty(60, 40, 0.1).to_text().splitlines()
     text[5] = "o" + text[5][1:]
@@ -174,6 +194,17 @@ def test_benchmark_writes_grid(tiny_yaml, tmp_path, capsys):
     assert len(rows) == 1 + 4  # header + 2 policies x 2 reps
     assert (out / "summary.csv").exists()
     assert (out / "trials.jsonl").exists()
+
+
+def test_benchmark_bad_second_config_exit_two(tiny_yaml, tmp_path, capsys,
+                                              monkeypatch):
+    monkeypatch.setattr("namoplan.experiments.run_episode", _no_episode)
+    bad = _variant(tiny_yaml, tmp_path, lambda raw: raw.update(timeout=-1))
+    code = main(["benchmark", "--config", tiny_yaml, bad,
+                 "--policy", "priority-bypass", "--reps", "1",
+                 "--out", str(tmp_path / "res")])
+    assert code == 2
+    assert "timeout must be positive" in capsys.readouterr().err
 
 
 # -- train-bypass -------------------------------------------------------

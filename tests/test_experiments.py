@@ -1,11 +1,13 @@
 """Batch harness: trial grids, CSV outputs, and the predictor benchmark."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from namoplan import scenario_path
 from namoplan.bypass import TimingDataset
 from namoplan.experiments import (RAW_COLUMNS, SUMMARY_COLUMNS, ExperimentSpec,
                                   evaluate_bypass_predictors,
@@ -117,6 +119,52 @@ def test_unknown_policy_fails_fast(tiny_scenario, tmp_path):
                           output_dir=str(tmp_path))
     with pytest.raises(ValueError):
         run_benchmark(spec)
+
+
+def test_scenario_parsed_once_and_left_unmutated(tiny_scenario, tmp_path,
+                                                 monkeypatch):
+    parsed = []
+    real = ScenarioConfig.from_yaml
+    monkeypatch.setattr(ScenarioConfig, "from_yaml", staticmethod(
+        lambda path: parsed.append(real(path)) or parsed[-1]))
+    spec = ExperimentSpec([tiny_scenario, tiny_scenario],
+                          ["uncertainty", "priority-removal", "random-choice"],
+                          repetitions=2, output_dir=str(tmp_path))
+    rows, _ = run_benchmark(spec)
+    assert len(rows) == 12 and len(parsed) == 1
+    # Episodes carried obstacles away, yet the shared config is as parsed.
+    assert any(e["event"] == "placed" for r in rows for e in r["record"].decisions)
+    assert parsed[0] == real(tiny_scenario)
+
+
+def test_worker_pool_gives_the_same_records(bench, tmp_path):
+    spec, rows, _, _ = bench
+    pooled = ExperimentSpec(spec.scenario_paths, spec.policies,
+                            repetitions=spec.repetitions,
+                            seed_base=spec.seed_base, output_dir=str(tmp_path))
+    rows2, _ = run_benchmark(pooled, workers=2)
+    assert [r["record"].to_json_line() for r in rows] == \
+        [r["record"].to_json_line() for r in rows2]
+
+
+# sha256 of the sorted record lines of the episode benchmark's suite
+# battery: the 7 bundled scenarios x 4 policies at seed 0.
+SUITE_RECORDS_SHA256 = (
+    "6b8bb7e6a49a51c3ecab02c9228fd257b42e8950387640c1ca98e617037efcdd")
+
+
+def test_suite_battery_records_pinned(tmp_path):
+    names = ["room", "warehouse_ab", "warehouse_abc", "warehouse_abd",
+             "warehouse_abe", "warehouse_bc", "warehouse_bce"]
+    spec = ExperimentSpec([str(scenario_path(f"{n}.yaml")) for n in names],
+                          ["uncertainty", "uncertainty-no-blockage",
+                           "priority-bypass", "priority-removal"],
+                          repetitions=1, seed_base=0, output_dir=str(tmp_path))
+    rows, _ = run_benchmark(spec)
+    digest = hashlib.sha256()
+    for line in sorted(r["record"].to_json_line() for r in rows):
+        digest.update(line.encode() + b"\n")
+    assert len(rows) == 28 and digest.hexdigest() == SUITE_RECORDS_SHA256
 
 
 def test_summarize_groups_by_scenario_and_policy():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from namoplan.observation import (InvalidCovariance, MovableObstacle, PoseBelief,
                                   RangeBearingMeasurement, RobotPoseBelief,
                                   confidence_ellipse, fuse, path_blocked,
@@ -273,3 +274,72 @@ def test_first_blocker_by_path_order():
     far = MovableObstacle("far", PoseBelief(np.array([4.0, 0.0]),
                                             np.zeros((2, 2))), 0.3)
     assert path_blocked(traj, [far, near], robot_radius=0.2) == "near"
+
+
+# -- pinned to the per-waypoint reference loop ----------------------------
+
+
+def _belief(rng, mean, zero=False):
+    """A belief at `mean` with a random rotated covariance, or none."""
+    if zero:
+        return PoseBelief(np.asarray(mean), np.zeros((2, 2)))
+    t = rng.uniform(-math.pi, math.pi)
+    rot = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    cov = rot @ np.diag(rng.uniform(0.0, 0.05, 2)) @ rot.T
+    return PoseBelief(np.asarray(mean), 0.5 * (cov + cov.T))
+
+
+def test_path_blocked_matches_reference_on_random_paths():
+    rng = np.random.default_rng(41)
+    outcomes = set()
+    for _ in range(300):
+        n = int(rng.integers(2, 80))
+        pts = np.cumsum(rng.normal(0.0, 0.15, (n, 2)), axis=0)
+        mos = [MovableObstacle(f"m{k}", _belief(rng, pts[rng.integers(n)]
+                                               + rng.normal(0.0, 0.6, 2),
+                                               zero=rng.random() < 0.3),
+                               rng.uniform(0.1, 0.4))
+               for k in range(int(rng.integers(0, 5)))]
+        traj = Trajectory(pts)
+        r = rng.uniform(0.1, 0.3)
+        conf = rng.choice([0.5, 0.95, 0.99])
+        got = path_blocked(traj, mos, r, conf)
+        assert got == oracles.path_blocked(traj, mos, r, conf)
+        outcomes.add("none" if got is None else
+                     "first" if got == mos[0].id else "later")
+    assert outcomes == {"none", "first", "later"}
+
+
+def test_path_blocked_matches_reference_on_ellipse_boundaries():
+    # Waypoints on, and a hair either side of, the rims of rotated ellipses
+    # and of zero-covariance (circular) ones: grazing contact decides.
+    rng = np.random.default_rng(42)
+    for zero in (True, False):
+        for _ in range(40):
+            mo = MovableObstacle("m", _belief(rng, rng.uniform(-2, 2, 2), zero),
+                                 rng.uniform(0.1, 0.4))
+            r = 0.2
+            e = confidence_ellipse(mo.belief, mo.radius).inflate(r)
+            t = rng.uniform(-math.pi, math.pi, 50)
+            rim = np.column_stack([
+                e.cx + e.a * np.cos(t) * math.cos(e.angle)
+                - e.b * np.sin(t) * math.sin(e.angle),
+                e.cy + e.a * np.cos(t) * math.sin(e.angle)
+                + e.b * np.sin(t) * math.cos(e.angle)])
+            for pts in (rim, np.nextafter(rim, np.inf), np.nextafter(rim, -np.inf)):
+                for pt in pts:
+                    traj = Trajectory(np.array([[e.cx + 9.0, e.cy], pt]))
+                    assert path_blocked(traj, [mo], r) == \
+                        oracles.path_blocked(traj, [mo], r)
+
+
+def test_same_waypoint_tie_goes_to_the_earlier_obstacle():
+    # Both obstacles are first touched at waypoint 1; the list order decides.
+    traj = Trajectory(np.array([[0.0, 0.0], [2.0, 0.0], [4.0, 0.0]]))
+    above = MovableObstacle("above", PoseBelief(np.array([2.0, 0.4]),
+                                                np.zeros((2, 2))), 0.3)
+    below = MovableObstacle("below", PoseBelief(np.array([2.0, -0.4]),
+                                                0.01 * np.eye(2)), 0.3)
+    for mos in ([above, below], [below, above]):
+        assert path_blocked(traj, mos, 0.2) == mos[0].id
+        assert oracles.path_blocked(traj, mos, 0.2) == mos[0].id

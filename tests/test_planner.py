@@ -269,6 +269,40 @@ def test_plan_matches_reference_when_unreachable_or_blocked():
     assert _assert_same_plan(g, PlanRequest(wall, below), 0.1) == "blocked"
 
 
+def test_blocked_mask_matches_per_cell_rasterization():
+    # Centers across and beyond the map on every side, so boxes are whole,
+    # clipped, or wholly off the map (low side: negative slice stops).
+    rng = np.random.default_rng(15)
+    painted = 0
+    for _ in range(30):
+        g = OccupancyGrid.empty(int(rng.integers(20, 60)), int(rng.integers(20, 60)),
+                                float(rng.choice([0.05, 0.1, 0.25])))
+        g.cells[rng.random(g.cells.shape) < 0.05] = STATIC
+        w, h = g.width_m, g.height_m
+        ellipses = tuple(Ellipse(rng.uniform(-0.5 * w, 1.5 * w),
+                                 rng.uniform(-0.5 * h, 1.5 * h),
+                                 rng.uniform(0.0, 0.3 * w), rng.uniform(0.0, 0.3 * h),
+                                 rng.uniform(-math.pi, math.pi))
+                         for _ in range(int(rng.integers(1, 6))))
+        r = float(rng.uniform(0.0, 0.3))
+        got = blocked_mask(g, r, ellipses)
+        assert np.array_equal(got, oracles.blocked_mask(g, r, ellipses))
+        painted += np.count_nonzero(got & ~blocked_mask(g, r))
+    assert painted > 0
+
+
+@pytest.mark.parametrize("cx, cy", [(-3.0, 2.0), (2.0, -3.0), (-3.0, -3.0),
+                                    (-0.2, 2.0), (2.0, -0.2), (9.0, 2.0)])
+def test_blocked_mask_with_ellipse_off_the_map(cx, cy):
+    g = OccupancyGrid.empty(40, 40, 0.1)
+    e = Ellipse(cx, cy, 0.5, 0.3, 0.4)
+    got = blocked_mask(g, 0.1, (e,))
+    assert np.array_equal(got, oracles.blocked_mask(g, 0.1, (e,)))
+    # Only an ellipse reaching into the map paints cells.
+    painted = got & ~blocked_mask(g, 0.1)
+    assert painted.any() == (cx == -0.2 or cy == -0.2)
+
+
 # -- the shared search cache ---------------------------------------------
 
 

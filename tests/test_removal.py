@@ -8,6 +8,7 @@ from scipy import stats
 
 import oracles
 from conftest import grid_from_ascii
+from namoplan import removal
 from namoplan.gridmap import STATIC, OccupancyGrid
 from namoplan.observation import MovableObstacle, PoseBelief
 from namoplan.planner import Trajectory
@@ -222,6 +223,28 @@ def test_stock_search_matches_per_cell_scan():
                     nearest = grid.cell_center(*want[0][1:])
                     passed_nearest += (est.stock_position.x, est.stock_position.y) != nearest
     assert found > 0 and passed_nearest > 0
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 32, 10_000])
+def test_stock_search_first_fit_across_chunks(monkeypatch, chunk):
+    # A path looping around the obstacle rules out its nearest few hundred
+    # candidates, so the first fit lies chunks deep whatever the chunk size.
+    monkeypatch.setattr(removal, "_CLEARANCE_CHUNK", chunk)
+    rng = np.random.default_rng(32)
+    t = np.linspace(0.0, 6.0 * math.pi, 400)
+    for _ in range(4):
+        grid, _ = _wall_world(rng)
+        mx, my = rng.uniform(1.5, 3.5), rng.uniform(1.5, 2.5)
+        blocked = Trajectory(np.column_stack([mx + 0.1 * t / math.pi * np.cos(t),
+                                              my + 0.1 * t / math.pi * np.sin(t)]))
+        mo = MovableObstacle("m", PoseBelief(np.array([mx, my]),
+                                             1e-6 * np.eye(2)), 0.15)
+        args = (grid, mo, np.array([0.5, 0.5]), blocked, 0.1)
+        est = estimate_removal_time(*args)
+        assert est is not None and est == oracles.estimate_removal_time(*args)
+        cells = [c[1:] for c in _stock_candidates(grid, mx, my, 0.15, 3.0)]
+        assert cells.index(grid.cell_index(est.stock_position.x,
+                                           est.stock_position.y)) > 64
 
 
 def test_stock_search_bounds_are_closed():

@@ -1,5 +1,6 @@
 """The bundled JSON schemas agree with the config loader and the records."""
 
+import copy
 import json
 from dataclasses import fields
 from pathlib import Path
@@ -11,7 +12,8 @@ import namoplan
 from namoplan import scenario_path
 from namoplan.simulator import (POLICIES, BypassModelConfig, NoiseConfig,
                                 ObstacleSpec, PopulationConfig, RemovalConfig,
-                                RobotConfig, ScenarioConfig, run_episode)
+                                RobotConfig, ScenarioConfig, ScenarioError,
+                                run_episode)
 
 SECTIONS = {"robot": RobotConfig, "population": PopulationConfig,
             "removal": RemovalConfig, "noise": NoiseConfig,
@@ -50,6 +52,28 @@ def test_schema_properties_match_the_dataclasses():
     items = props["obstacles"]["items"]
     assert set(items["properties"]) == _names(ObstacleSpec)
     assert items["additionalProperties"] is False
+
+
+def test_schema_bounds_match_the_loader(tmp_path):
+    # The schema's minimums and the loader's checks accept the same values.
+    validator = _validator("scenario_config.schema.json")
+    raw = yaml.safe_load(scenario_path("room.yaml").read_text())
+    raw["map"] = str(scenario_path(raw["map"]))
+    keys = [(None, "timeout"), ("removal", "max_attempts"),
+            ("removal", "load_overhead"), ("removal", "unload_overhead"),
+            ("removal", "search_radius"), ("removal", "default_t_mo")]
+    for section, key in keys:
+        for value in (-1.0, 0, 0.5, 1, 2, 2.5):
+            edited = copy.deepcopy(raw)
+            (edited if section is None
+             else edited.setdefault(section, {}))[key] = value
+            path = tmp_path / "edited.yaml"
+            path.write_text(yaml.safe_dump(edited))
+            try:
+                loads = ScenarioConfig.from_yaml(path) is not None
+            except ScenarioError:
+                loads = False
+            assert loads == validator.is_valid(edited), (key, value)
 
 
 def test_records_match_the_schema(room_config):

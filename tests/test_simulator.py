@@ -163,6 +163,23 @@ def test_bypass_model_cache_keys_on_cells():
     assert bypass_model_for(walled, robot, fit) is not model
 
 
+def test_baseline_episodes_never_fit_the_bypass_model(tmp_path, monkeypatch):
+    from namoplan import simulator
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the bypass model was fitted")
+
+    monkeypatch.setattr(simulator, "_MODEL_CACHE", {})
+    monkeypatch.setattr(simulator, "generate_timing_dataset", no_fit)
+    cfg = _config(tmp_path, obstacles=[("X", (3.0, 2.0))])
+    for policy in ("priority-bypass", "priority-removal", "random-choice"):
+        record = run_episode(cfg, policy, seed=0)
+        assert any(e["event"] == "decision" for e in record.decisions)
+    # The interval rules fit it at their first decision.
+    with pytest.raises(AssertionError, match="fitted"):
+        run_episode(cfg, "uncertainty", seed=0)
+
+
 def test_unknown_policy_rejected():
     with pytest.raises(ValueError):
         get_policy("does-not-exist")
