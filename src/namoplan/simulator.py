@@ -10,10 +10,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
+import operator
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
-from functools import partial
+from dataclasses import dataclass, field
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -35,20 +35,11 @@ class ScenarioError(ValueError):
     """Invalid scenario configuration."""
 
 
-def _numbers(value, n: int, name: str, nonnegative: bool = False) -> tuple:
-    """`value` as a tuple of `n` finite numbers; ScenarioError naming `name`
-    otherwise (YAML gives a string such as `ab` where a list was meant)."""
-    items = tuple(value) if isinstance(value, (list, tuple)) else ()
-    if len(items) != n or not all(
-            isinstance(v, numbers.Real) and not isinstance(v, bool)
-            and math.isfinite(v) and (v >= 0 or not nonnegative) for v in items):
-        kind = "non-negative numbers" if nonnegative else "numbers"
-        raise ScenarioError(f"{name} must be a list of {n} {kind}")
-    return items
-
-
 # ----------------------------------------------------------------------
 # configuration
+#
+# The dataclasses hold the defaults; `scenario_config.schema.json` decides
+# which keys, types and ranges load.
 
 
 @dataclass
@@ -61,14 +52,6 @@ class RobotConfig:
     sensor_range: float = 5.0
     sensor_fov: float = math.pi / 2.0
 
-    def __post_init__(self):
-        self.start = _numbers(self.start, 2, "robot.start")
-        for name in ("radius", "v_lin", "v_rot", "sensor_range"):
-            if not getattr(self, name) > 0:
-                raise ScenarioError(f"robot.{name} must be positive")
-        if not 0.0 < self.sensor_fov <= 2.0 * math.pi:
-            raise ScenarioError("robot.sensor_fov must be in (0, 2*pi]")
-
 
 @dataclass
 class ObstacleSpec:
@@ -76,12 +59,6 @@ class ObstacleSpec:
     position: tuple[float, float]
     radius: float
     true_sr: float
-
-    def __post_init__(self):
-        self.position = _numbers(self.position, 2,
-                                 f"position of obstacle {self.label}")
-        if not 0.0 <= self.true_sr <= 1.0:
-            raise ScenarioError(f"true_sr of {self.label} out of [0, 1]")
 
 
 @dataclass
@@ -99,28 +76,11 @@ class RemovalConfig:
     search_radius: float = 3.0
     default_t_mo: float = 30.0  # proxy when no estimate is available
 
-    def __post_init__(self):
-        if (not isinstance(self.max_attempts, numbers.Integral)
-                or isinstance(self.max_attempts, bool) or self.max_attempts < 1):
-            raise ScenarioError("removal.max_attempts must be an integer >= 1")
-        for name in ("search_radius", "default_t_mo"):
-            if not getattr(self, name) > 0:
-                raise ScenarioError(f"removal.{name} must be positive")
-        for name in ("load_overhead", "unload_overhead"):
-            if not getattr(self, name) >= 0:
-                raise ScenarioError(f"removal.{name} must be non-negative")
-
 
 @dataclass
 class NoiseConfig:
     robot_cov_diag: tuple[float, float, float] = (0.01, 0.01, 0.004)
     meas_cov_diag: tuple[float, float] = (0.01, 0.001)
-
-    def __post_init__(self):
-        self.robot_cov_diag = _numbers(self.robot_cov_diag, 3,
-                                       "noise.robot_cov_diag", nonnegative=True)
-        self.meas_cov_diag = _numbers(self.meas_cov_diag, 2,
-                                      "noise.meas_cov_diag", nonnegative=True)
 
 
 @dataclass
@@ -149,17 +109,6 @@ class ScenarioConfig:
     seed: int = 0
     sense_interval: float = 1.0
 
-    def __post_init__(self):
-        self.goal = _numbers(self.goal, 2, "goal")
-        if not self.timeout > 0:
-            raise ScenarioError("timeout must be positive")
-        if not 0.0 < self.confidence < 1.0:
-            raise ScenarioError("confidence must be in (0, 1)")
-        if not 0.0 <= self.estimated_sr <= 1.0:
-            raise ScenarioError("estimated_sr out of [0, 1]")
-        if not self.sense_interval > 0:
-            raise ScenarioError("sense_interval must be positive")
-
     def load_grid(self) -> OccupancyGrid:
         grid = OccupancyGrid.load(self.map_path)
         for spec in self.obstacles:
@@ -175,40 +124,75 @@ class ScenarioConfig:
             raw = yaml.safe_load(path.read_text())
         except yaml.YAMLError as exc:
             raise ScenarioError(f"malformed config: {exc}") from exc
-        raw = dict(_known_keys(raw, _TOP_LEVEL_KEYS, "config"))
-        try:
-            for key, cls in _SECTIONS.items():
-                raw[key] = _build(cls, raw.get(key, {}), key)
-            raw["obstacles"] = [_build(ObstacleSpec, o, "obstacle entry")
-                                for o in raw.get("obstacles", [])]
-            raw["map_path"] = str((path.parent / raw.pop("map")).resolve())
-            raw.setdefault("scenario_id", path.stem)
-            return ScenarioConfig(**raw)
-        except (KeyError, TypeError) as exc:
-            raise ScenarioError(f"bad config field: {exc}") from exc
+        _check(raw, _config_schema(), "")
+        sections = {key: cls(**_tuples(raw.pop(key, {})))
+                    for key, cls in _SECTIONS.items()}
+        obstacles = [ObstacleSpec(**_tuples(o)) for o in raw.pop("obstacles", [])]
+        # The YAML names the map file `map`; the config holds its resolved path.
+        map_path = str((path.parent / raw.pop("map")).resolve())
+        return ScenarioConfig(**{"scenario_id": path.stem, **_tuples(raw)},
+                              **sections, obstacles=obstacles, map_path=map_path)
 
 
 _SECTIONS = {"robot": RobotConfig, "population": PopulationConfig,
              "removal": RemovalConfig, "noise": NoiseConfig,
              "bypass_model": BypassModelConfig}
-# The YAML names the map file `map`; the config holds its resolved path.
-_TOP_LEVEL_KEYS = {f.name for f in fields(ScenarioConfig)} - {"map_path"} | {"map"}
 
 
-def _known_keys(raw, known: set[str], where: str) -> dict:
-    """`raw` if it is a mapping whose keys are all in `known`."""
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{where} must be a mapping")
-    unknown = sorted(str(k) for k in raw if k not in known)
-    if unknown:
-        raise ScenarioError(f"unknown key(s) in {where}: {', '.join(unknown)}")
-    return raw
+def _tuples(raw: dict) -> dict:
+    """`raw` with its lists as tuples, the form the dataclasses hold."""
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
 
 
-def _build(cls, raw, where: str):
-    """Dataclass `cls` from a YAML mapping; the dataclass holds the defaults."""
-    known = {f.name for f in fields(cls)}
-    return cls(**_known_keys(raw, known, where))
+@cache
+def _config_schema() -> dict:
+    return json.loads((Path(__file__).parent / "schemas"
+                       / "scenario_config.schema.json").read_text())
+
+
+_TYPES = {"object": (dict, "a mapping"), "string": (str, "a string"),
+          "boolean": (bool, "a boolean"), "integer": (int, "an integer"),
+          "number": ((int, float), "a number")}
+_BOUNDS = (("minimum", operator.ge, ">="), ("exclusiveMinimum", operator.gt, ">"),
+           ("maximum", operator.le, "<="), ("exclusiveMaximum", operator.lt, "<"))
+
+
+def _check(value, schema: dict, where: str) -> None:
+    """ScenarioError naming the dotted path `where` unless `value` meets
+    `schema`. Only the keywords the bundled schema uses are read. Two rules
+    are stricter than JSON Schema: a number must be finite, and an integer
+    must be a Python int (2.0 is not one); a bool is neither."""
+    name = where or "config"
+    kind = schema["type"]
+    if kind == "array":
+        lo, hi = schema.get("minItems", 0), schema.get("maxItems", math.inf)
+        if not isinstance(value, list) or not lo <= len(value) <= hi:
+            size = f" of {lo} items" if lo == hi else ""
+            raise ScenarioError(f"{name} must be a list{size}")
+        for i, item in enumerate(value):
+            _check(item, schema["items"], f"{where}[{i}]")
+        return
+    types, noun = _TYPES[kind]
+    if not isinstance(value, types) or (isinstance(value, bool)
+                                        and kind != "boolean"):
+        raise ScenarioError(f"{name} must be {noun}")
+    if kind == "object":
+        props = schema.get("properties", {})
+        unknown = sorted(str(k) for k in value if k not in props)
+        if unknown and schema.get("additionalProperties") is False:
+            raise ScenarioError(f"unknown key(s) in {name}: {', '.join(unknown)}")
+        missing = [k for k in schema.get("required", ()) if k not in value]
+        if missing:
+            raise ScenarioError(f"missing key(s) in {name}: {', '.join(missing)}")
+        for key, sub in props.items():
+            if key in value:
+                _check(value[key], sub, f"{where}.{key}" if where else key)
+        return
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ScenarioError(f"{name} must be finite")
+    for key, holds, op in _BOUNDS:
+        if key in schema and not holds(value, schema[key]):
+            raise ScenarioError(f"{name} must be {op} {schema[key]}")
 
 
 # ----------------------------------------------------------------------
@@ -522,8 +506,6 @@ class _Episode:
         self.diag["n_senses"] += 1
         mark_explored(self.grid, self.x, self.y, self.heading,
                       self.cfg.robot.sensor_range, self.cfg.robot.sensor_fov)
-        robot = RobotPoseBelief(np.array([self.x, self.y, self.heading]),
-                                np.diag(self.cfg.noise.robot_cov_diag))
         var_d, var_phi = self.cfg.noise.meas_cov_diag
         for label in sorted(self.mos):
             mo = self.mos[label]
@@ -542,6 +524,8 @@ class _Episode:
             phi_noisy = bearing + math.sqrt(var_phi) * self.rng.standard_normal()
             meas = RangeBearingMeasurement(d_noisy, phi_noisy,
                                            np.diag([var_d, var_phi]), label)
+            robot = RobotPoseBelief(np.array([self.x, self.y, self.heading]),
+                                    np.diag(self.cfg.noise.robot_cov_diag))
             obs = project_measurement(robot, meas)
             if label in self.beliefs:
                 self.beliefs[label] = fuse(self.beliefs[label], obs)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -112,8 +113,6 @@ def test_run_misspelt_key_exit_two(tiny_yaml, tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("edit, key", [
     (lambda raw: raw.update(goal="ab"), "goal"),
     (lambda raw: raw["robot"].update(start=[0.7]), "robot.start"),
-    (lambda raw: raw["obstacles"][0].update(position=["3.0", 2.0]),
-     "position of obstacle X"),
     (lambda raw: raw.update(noise={"robot_cov_diag": "0.01"}),
      "noise.robot_cov_diag"),
     (lambda raw: raw.update(noise={"meas_cov_diag": [0.01, 0.001, 0.0]}),
@@ -145,6 +144,44 @@ def test_run_bad_removal_or_timeout_exit_two(tiny_yaml, tmp_path, capsys,
     assert main(["run", "--config", bad]) == 2
     name = key if section is None else f"{section}.{key}"
     assert f"{name} must be" in capsys.readouterr().err
+
+
+def _set(raw: dict, key: str, value) -> None:
+    """Set the dotted `key`, which may index lists as `[i]`, in `raw`."""
+    parts = [int(p) if p.isdigit() else p for p in re.findall(r"[^.\[\]]+", key)]
+    node = raw
+    for part in parts[:-1]:
+        node = node[part] if isinstance(part, int) else node.setdefault(part, {})
+    node[parts[-1]] = value
+
+
+@pytest.mark.parametrize("key, value, rule", [
+    ("population.mu", -1, "> 0"),
+    ("population.sigma", -0.1, ">= 0"),
+    ("population.k", -1, ">= 0"),
+    ("bypass_model.n_rows", 2, ">= 5"),
+    ("bypass_model.dataset_seed", 1.5, "an integer"),
+    ("bypass_model.noise_sigma", -1, ">= 0"),
+    ("obstacles[0].radius", 0, "> 0"),
+    ("obstacles[0].label", 3, "a string"),
+    ("obstacles[0].position[0]", "3.0", "a number"),
+    ("robot.start_heading", "abc", "a number"),
+    ("robot.start_heading", float("nan"), "finite"),
+    ("robot.radius", float("inf"), "finite"),
+    ("seed", 1.5, "an integer"),
+    ("sr_shared", "maybe", "a boolean"),
+    ("calibration_trials", 0, ">= 1"),
+    ("scenario_id", 5, "a string"),
+    ("sense_interval", float("inf"), "finite"),
+    ("timeout", float("inf"), "finite"),
+])
+def test_run_value_outside_schema_exit_two(tiny_yaml, tmp_path, capsys,
+                                           monkeypatch, key, value, rule):
+    # Every type and range the schema sets is checked before an episode.
+    monkeypatch.setattr("namoplan.cli.run_episode", _no_episode)
+    bad = _variant(tiny_yaml, tmp_path, lambda raw: _set(raw, key, value))
+    assert main(["run", "--config", bad]) == 2
+    assert f"{key} must be {rule}\n" in capsys.readouterr().err
 
 
 def test_run_map_with_unknown_cell_exit_two(tiny_yaml, tmp_path, capsys):
@@ -204,7 +241,7 @@ def test_benchmark_bad_second_config_exit_two(tiny_yaml, tmp_path, capsys,
                  "--policy", "priority-bypass", "--reps", "1",
                  "--out", str(tmp_path / "res")])
     assert code == 2
-    assert "timeout must be positive" in capsys.readouterr().err
+    assert "timeout must be > 0" in capsys.readouterr().err
 
 
 # -- train-bypass -------------------------------------------------------

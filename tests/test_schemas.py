@@ -2,7 +2,8 @@
 
 import copy
 import json
-from dataclasses import fields
+import math
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import jsonschema
@@ -54,26 +55,93 @@ def test_schema_properties_match_the_dataclasses():
     assert items["additionalProperties"] is False
 
 
-def test_schema_bounds_match_the_loader(tmp_path):
-    # The schema's minimums and the loader's checks accept the same values.
-    validator = _validator("scenario_config.schema.json")
+def _scalar_leaves(schema: dict, path: tuple = ()):
+    """(path, schema) of every scalar leaf; an array stands for its first item."""
+    if schema["type"] == "object":
+        for key, sub in schema["properties"].items():
+            yield from _scalar_leaves(sub, path + (key,))
+    elif schema["type"] == "array":
+        yield from _scalar_leaves(schema["items"], path + (0,))
+    else:
+        yield path, schema
+
+
+def _with_defaults(raw: dict, schema: dict) -> dict:
+    """`raw` with every section and every key that has a default filled in,
+    so that each leaf's container exists."""
+    for key, sub in schema.get("properties", {}).items():
+        if sub["type"] == "object":
+            _with_defaults(raw.setdefault(key, {}), sub)
+        elif "default" in sub:
+            raw.setdefault(key, copy.deepcopy(sub["default"]))
+    return raw
+
+
+def _leaf_edits():
+    """The loader's schema, a full room.yaml and a setter for any leaf."""
+    schema = _validator("scenario_config.schema.json").schema
     raw = yaml.safe_load(scenario_path("room.yaml").read_text())
     raw["map"] = str(scenario_path(raw["map"]))
-    keys = [(None, "timeout"), ("removal", "max_attempts"),
-            ("removal", "load_overhead"), ("removal", "unload_overhead"),
-            ("removal", "search_radius"), ("removal", "default_t_mo")]
-    for section, key in keys:
-        for value in (-1.0, 0, 0.5, 1, 2, 2.5):
-            edited = copy.deepcopy(raw)
-            (edited if section is None
-             else edited.setdefault(section, {}))[key] = value
-            path = tmp_path / "edited.yaml"
-            path.write_text(yaml.safe_dump(edited))
-            try:
-                loads = ScenarioConfig.from_yaml(path) is not None
-            except ScenarioError:
-                loads = False
-            assert loads == validator.is_valid(edited), (key, value)
+    raw = _with_defaults(raw, schema)
+
+    def edited(path, value):
+        out = copy.deepcopy(raw)
+        node = out
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return out
+    return schema, edited
+
+
+def _loads(raw: dict, tmp_path) -> bool:
+    path = tmp_path / "edited.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    try:
+        ScenarioConfig.from_yaml(path)
+    except ScenarioError:
+        return False
+    return True
+
+
+# The loader is deliberately stricter than Draft 7 in two places, and only
+# there: a `number` must be finite (Draft 7 accepts NaN and infinities), and
+# an `integer` must be a Python int (Draft 7 accepts 2.0 and -1.0).
+
+
+def test_schema_bounds_match_the_loader(tmp_path):
+    # At every scalar leaf the loader accepts exactly what Draft 7 accepts,
+    # integral floats at integer leaves aside.
+    validator = _validator("scenario_config.schema.json")
+    schema, edited = _leaf_edits()
+    leaves = list(_scalar_leaves(schema))
+    assert len(leaves) == 34
+    for path, leaf in leaves:
+        for value in (-1.0, 0, 0.5, 1, 2, 2.5, True, "x", None):
+            raw = edited(path, value)
+            want = validator.is_valid(raw) and not (
+                leaf["type"] == "integer" and isinstance(value, float))
+            assert _loads(raw, tmp_path) == want, (path, value)
+
+
+def test_loader_rejects_non_finite_numbers_and_integral_floats(tmp_path):
+    schema, edited = _leaf_edits()
+    strict = {"number": (math.nan, math.inf, -math.inf), "integer": (2.0,)}
+    for path, leaf in _scalar_leaves(schema):
+        for value in strict.get(leaf["type"], ()):
+            assert not _loads(edited(path, value), tmp_path), (path, value)
+
+
+def test_schema_defaults_match_the_dataclasses():
+    props = _validator("scenario_config.schema.json").schema["properties"]
+    tables = [(props, ScenarioConfig),
+              (props["obstacles"]["items"]["properties"], ObstacleSpec)]
+    tables += [(props[key]["properties"], cls) for key, cls in SECTIONS.items()]
+    for table, cls in tables:
+        in_schema = {k: v["default"] for k, v in table.items() if "default" in v}
+        in_code = {f.name: list(f.default) if isinstance(f.default, tuple)
+                   else f.default for f in fields(cls) if f.default is not MISSING}
+        assert in_schema == in_code, cls.__name__
 
 
 def test_records_match_the_schema(room_config):

@@ -1,6 +1,7 @@
 """Episode simulation: configs, motion time, sensing, policies, determinism."""
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -86,8 +87,8 @@ def test_unknown_key_rejected(tmp_path, section):
             raw["obstacles"][1]["true_rs"] = 0.5
         else:
             raw.setdefault(section, {})["bogus"] = 1
-    where = {None: "config", "obstacle": "obstacle entry"}.get(section, section)
-    with pytest.raises(ScenarioError, match=f"unknown key\\(s\\) in {where}"):
+    where = {None: "config", "obstacle": "obstacles[1]"}.get(section, section)
+    with pytest.raises(ScenarioError, match=re.escape(f"unknown key(s) in {where}:")):
         ScenarioConfig.from_yaml(_yaml_variant(tmp_path, edit))
 
 
@@ -114,17 +115,26 @@ def test_every_bundled_config_loads():
 @pytest.mark.parametrize("edit, key", [
     (lambda raw: raw.update(goal="ab"), "goal"),
     (lambda raw: raw.update(goal=[18.0]), "goal"),
-    (lambda raw: raw.update(goal=[18.0, True]), "goal"),
-    (lambda raw: raw["robot"].update(start=[1.0, "9"]), "robot.start"),
-    (lambda raw: raw["robot"].update(start=[1.0, float("nan")]), "robot.start"),
-    (lambda raw: raw["obstacles"][1].update(position=5.0), "position of obstacle B"),
+    (lambda raw: raw["obstacles"][1].update(position=5.0), "obstacles[1].position"),
     (lambda raw: raw.update(noise={"robot_cov_diag": [0.01, 0.01]}),
      "noise.robot_cov_diag"),
-    (lambda raw: raw.update(noise={"meas_cov_diag": [0.01, -0.001]}),
-     "noise.meas_cov_diag"),
 ])
 def test_tuple_fields_type_checked(tmp_path, edit, key):
-    with pytest.raises(ScenarioError, match=f"^{key} must be a list of"):
+    with pytest.raises(ScenarioError, match=f"^{re.escape(key)} must be a list of"):
+        ScenarioConfig.from_yaml(_yaml_variant(tmp_path, edit))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: raw.update(goal=[18.0, True]), "goal[1] must be a number"),
+    (lambda raw: raw["robot"].update(start=[1.0, "9"]),
+     "robot.start[1] must be a number"),
+    (lambda raw: raw["robot"].update(start=[1.0, float("nan")]),
+     "robot.start[1] must be finite"),
+    (lambda raw: raw.update(noise={"meas_cov_diag": [0.01, -0.001]}),
+     "noise.meas_cov_diag[1] must be >= 0"),
+])
+def test_tuple_items_type_checked(tmp_path, edit, message):
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
         ScenarioConfig.from_yaml(_yaml_variant(tmp_path, edit))
 
 
@@ -136,12 +146,14 @@ def test_tuple_fields_load_as_tuples():
 
 
 def test_invariants_validated(tmp_path):
-    with pytest.raises(ScenarioError):
-        _config(tmp_path, timeout=0.0)
-    with pytest.raises(ScenarioError):
-        _config(tmp_path, estimated_sr=1.5)
-    with pytest.raises(ScenarioError):
-        _config(tmp_path, obstacles=[("X", (1.0, 1.0))], true_sr=2.0)
+    for edit, message in [
+        (lambda raw: raw.update(timeout=0.0), "timeout must be > 0"),
+        (lambda raw: raw.update(estimated_sr=1.5), "estimated_sr must be <= 1"),
+        (lambda raw: raw["obstacles"][0].update(true_sr=2.0),
+         "obstacles[0].true_sr must be <= 1"),
+    ]:
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            ScenarioConfig.from_yaml(_yaml_variant(tmp_path, edit))
 
 
 def test_obstacle_must_sit_in_free_cell(tmp_path):
