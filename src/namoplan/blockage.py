@@ -1,8 +1,8 @@
 """Blockage risk from unseen obstacles in unexplored regions.
 
 Piecewise corridor-blockage probability for a known obstacle size,
-marginalized exactly over a truncated Gaussian size population, composed over
-the unexplored waypoints of a trajectory, and converted to a cost interval.
+marginalized exactly over a truncated Gaussian size population and composed
+over the unexplored waypoints of a trajectory into one probability.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 from scipy.special import ndtr
 
 from .gridmap import GridPosition, OccupancyGrid, QueryInsideObstacle, raycast_width
-from .intervals import CostInterval
 from .planner import Trajectory
 
 log = logging.getLogger(__name__)
@@ -161,9 +160,3 @@ def trajectory_blockage(pop: ObstaclePopulation, trajectory: Trajectory,
         survive *= 1.0 - wr.p_block
     return min(max(1.0 - survive, 0.0), 1.0)
 
-
-def blockage_cost(p_block: float, removal_interval: CostInterval) -> CostInterval:
-    """Expected blockage cost: the removal interval scaled by the risk."""
-    if not 0.0 <= p_block <= 1.0:
-        raise ValueError("p_block must be in [0, 1]")
-    return removal_interval.scale(p_block)

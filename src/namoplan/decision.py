@@ -3,59 +3,21 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .intervals import CostInterval
 
 
-class NoFeasibleStrategy(RuntimeError):
-    """Both strategies have infinite utility; the task cannot proceed."""
-
-
-@dataclass
-class StrategyDecision:
-    choice: str  # "bypass" | "remove"
-    bypass_cost: CostInterval
-    removal_cost: CostInterval
-    u_bypass: float
-    u_removal: float
-    blocking_obstacle: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "choice": self.choice,
-            "bypass_cost": [self.bypass_cost.lo, self.bypass_cost.hi],
-            "removal_cost": [self.removal_cost.lo, self.removal_cost.hi],
-            "u_bypass": self.u_bypass,
-            "u_removal": self.u_removal,
-            "blocking_obstacle": self.blocking_obstacle,
-        }
-
-
-def assemble_bypass_cost(nav: CostInterval, blocked: CostInterval) -> CostInterval:
-    """Total bypass cost: detour navigation plus its blockage risk."""
-    return nav + blocked
-
-
-def assemble_removal_cost(c_mo: CostInterval, nav_after: CostInterval,
-                          blocked_after: CostInterval) -> CostInterval:
-    """Total removal cost: manipulation, then navigation plus blockage risk."""
-    return c_mo + nav_after + blocked_after
-
-
-def laplace_utility(interval: CostInterval) -> float:
-    """Expected cost under a uniform distribution over the interval: the
-    midpoint. Infinite endpoints dominate."""
-    return interval.midpoint()
-
-
-def decide(bypass: CostInterval, removal: CostInterval,
-           blocking_obstacle: str = "") -> StrategyDecision:
-    """Pick the strategy with the smaller utility. Ties go to bypass, which
-    never risks a failed manipulation."""
-    u_by = laplace_utility(bypass)
-    u_re = laplace_utility(removal)
+def decide(bypass: CostInterval, removal: CostInterval) -> dict | None:
+    """The strategy whose cost interval has the smaller midpoint (the
+    expected cost under a uniform distribution over the interval), with the
+    details a decision trace entry records. Ties go to bypass, which never
+    risks a failed manipulation. None when both midpoints are infinite."""
+    u_by = bypass.midpoint()
+    u_re = removal.midpoint()
     if math.isinf(u_by) and math.isinf(u_re):
-        raise NoFeasibleStrategy("no feasible strategy")
-    choice = "bypass" if u_by <= u_re else "remove"
-    return StrategyDecision(choice, bypass, removal, u_by, u_re, blocking_obstacle)
+        return None
+    return {"choice": "bypass" if u_by <= u_re else "remove",
+            "bypass_cost": [bypass.lo, bypass.hi],
+            "removal_cost": [removal.lo, removal.hi],
+            "u_bypass": u_by,
+            "u_removal": u_re}

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import multiprocessing as mp
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,16 +39,17 @@ def _one_trial(args) -> TrialRecord:
     return run_episode(config, policy_name, seed=seed)
 
 
-def run_benchmark(spec: ExperimentSpec, workers: int = 1,
-                  progress=None) -> tuple[list[dict], list[dict]]:
+def run_benchmark(spec: ExperimentSpec,
+                  workers: int = 1) -> tuple[list[dict], list[dict]]:
     """Run the scenario x policy x repetition grid.
 
     Trial seeds are seed_base + repetition index, shared across cells so
-    policies face paired worlds. Results are merged in deterministic
-    scenario/policy/repetition order regardless of worker completion order.
-    Each scenario file is parsed once, before any episode runs, so a bad
-    config fails the grid up front; episodes never modify their config, so
-    its trials share it.
+    policies face paired worlds. Results arrive in deterministic
+    scenario/policy/repetition order regardless of worker completion order,
+    and each is written as it arrives, so a failing episode leaves every
+    earlier record on disk. Each scenario file is parsed once, before any
+    episode runs, so a bad config fails the grid up front; episodes never
+    modify their config, so its trials share it.
     """
     for policy in spec.policies:
         get_policy(policy)  # fail fast on unknown names
@@ -64,18 +66,16 @@ def run_benchmark(spec: ExperimentSpec, workers: int = 1,
     jsonl_path = out_dir / "trials.jsonl"
 
     rows: list[dict] = []
-    try:
-        if workers > 1:
-            with mp.Pool(workers) as pool:
-                records = pool.map(_one_trial, jobs)
-        else:
-            records = []
-            for job in jobs:
-                records.append(_one_trial(job))
-                if progress:
-                    progress(len(records), len(jobs))
+    with (open(raw_path, "w", newline="") as raw_fh,
+          open(jsonl_path, "w") as jsonl_fh,
+          mp.Pool(workers) if workers > 1 else nullcontext() as pool):
+        writer = csv.DictWriter(raw_fh, fieldnames=RAW_COLUMNS,
+                                extrasaction="ignore")
+        writer.writeheader()
+        records = (pool.imap(_one_trial, jobs) if pool is not None
+                   else map(_one_trial, jobs))
         for (_, policy, seed), record in zip(jobs, records):
-            rows.append({
+            row = {
                 "scenario_id": record.scenario_id,
                 "policy": policy,
                 "rep": seed - spec.seed_base,
@@ -83,13 +83,10 @@ def run_benchmark(spec: ExperimentSpec, workers: int = 1,
                 "outcome": record.outcome,
                 "elapsed": record.elapsed,
                 "record": record,
-            })
-    finally:
-        # Flush whatever completed, even on a mid-batch failure.
-        _write_raw(raw_path, rows)
-        with open(jsonl_path, "w") as fh:
-            for row in rows:
-                fh.write(row["record"].to_json_line() + "\n")
+            }
+            rows.append(row)
+            writer.writerow(row)
+            jsonl_fh.write(record.to_json_line() + "\n")
 
     summary = summarize(rows)
     _write_summary(out_dir / "summary.csv", summary)
@@ -124,13 +121,6 @@ def summarize(rows: list[dict]) -> list[dict]:
                 [r["outcome"] == "success" for r in cells[key]])),
         })
     return summary
-
-
-def _write_raw(path: Path, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RAW_COLUMNS, extrasaction="ignore")
-        writer.writeheader()
-        writer.writerows(rows)
 
 
 def _write_summary(path: Path, summary: list[dict]) -> None:

@@ -50,7 +50,6 @@ class RangeBearingMeasurement:
     d: float
     phi: float
     cov: np.ndarray  # 2x2
-    target_id: str = ""
 
     def __post_init__(self):
         if self.d <= 0:

@@ -60,39 +60,28 @@ def success_rate_interval(belief: BetaBelief,
     return lo, hi
 
 
-@dataclass
-class RemovalParameters:
-    max_attempts: int  # give-up cap on consecutive failed loads
-    t_mo: float  # single removal execution time, seconds
-    c_by: float  # scalar fallback bypass cost after giving up
-
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.t_mo <= 0:
-            raise ValueError("t_mo must be positive")
-
-
-def expected_removal_cost(p_a: float, params: RemovalParameters) -> float:
+def expected_removal_cost(p_a: float, max_attempts: int, t_mo: float,
+                          c_by: float) -> float:
     """Expected cost of the remove-with-retries strategy.
 
     Sum of i * T_MO over the success-on-attempt-i branch, plus the give-up
-    branch (M * T_MO + C_by) after M straight failures.
+    branch (M * T_MO + C_by) after M = `max_attempts` straight failures,
+    where `t_mo` is one removal's execution time and `c_by` the scalar
+    bypass cost after giving up.
     """
     if not 0.0 <= p_a <= 1.0:
         raise ValueError("p_a must be in [0, 1]")
-    m, t = params.max_attempts, params.t_mo
     q = 1.0 - p_a
-    cost = t * sum(i * p_a * q ** (i - 1) for i in range(1, m + 1))
-    return cost + (m * t + params.c_by) * q ** m
+    cost = t_mo * sum(i * p_a * q ** (i - 1) for i in range(1, max_attempts + 1))
+    return cost + (max_attempts * t_mo + c_by) * q ** max_attempts
 
 
-def removal_cost_interval(belief: BetaBelief, params: RemovalParameters,
-                          confidence: float = 0.95) -> CostInterval:
+def removal_cost_interval(belief: BetaBelief, max_attempts: int, t_mo: float,
+                          c_by: float, confidence: float = 0.95) -> CostInterval:
     """Expected-cost interval from the success-rate confidence interval."""
     p_lo, p_hi = success_rate_interval(belief, confidence)
-    a = expected_removal_cost(p_lo, params)
-    b = expected_removal_cost(p_hi, params)
+    a = expected_removal_cost(p_lo, max_attempts, t_mo, c_by)
+    b = expected_removal_cost(p_hi, max_attempts, t_mo, c_by)
     # The cost is monotone non-increasing in p_a for C_by >= 0, but order
     # defensively rather than assuming.
     return CostInterval(min(a, b), max(a, b))
@@ -102,7 +91,6 @@ def removal_cost_interval(belief: BetaBelief, params: RemovalParameters,
 class RemovalEstimate:
     t_mo: float
     stock_position: GridPosition
-    approach_length: float
     carry_length: float
 
 
@@ -185,5 +173,5 @@ def estimate_removal_time(
             travel = (approach_len + 2.0 * carry_len) / v_lin
             turning = math.pi / v_rot  # nominal in-place turns at pick and place
             t_mo = travel + turning + load_overhead + unload_overhead
-            return RemovalEstimate(t_mo, GridPosition(x, y), approach_len, carry_len)
+            return RemovalEstimate(t_mo, GridPosition(x, y), carry_len)
     return None

@@ -13,7 +13,7 @@ import math
 import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ import yaml
 from . import blockage as blk
 from . import bypass as byp
 from . import removal as rem
-from .decision import NoFeasibleStrategy, assemble_bypass_cost, assemble_removal_cost, decide
+from .decision import decide
 from .gridmap import GridPosition, OccupancyGrid, mark_explored, raycast_distance, free_area
 from .intervals import CostInterval
 from .observation import (MovableObstacle, PoseBelief, RangeBearingMeasurement,
@@ -115,6 +115,10 @@ class ScenarioConfig:
             x, y = spec.position
             if not grid.is_free(x, y):
                 raise ScenarioError(f"obstacle {spec.label} not in a free cell")
+        if not grid.is_free(*self.robot.start):
+            raise ScenarioError("robot start not in a free cell")
+        if not grid.is_free(*self.goal):
+            raise ScenarioError("goal not in a free cell")
         return grid
 
     @staticmethod
@@ -130,8 +134,10 @@ class ScenarioConfig:
         obstacles = [ObstacleSpec(**_tuples(o)) for o in raw.pop("obstacles", [])]
         # The YAML names the map file `map`; the config holds its resolved path.
         map_path = str((path.parent / raw.pop("map")).resolve())
-        return ScenarioConfig(**{"scenario_id": path.stem, **_tuples(raw)},
-                              **sections, obstacles=obstacles, map_path=map_path)
+        config = ScenarioConfig(**{"scenario_id": path.stem, **_tuples(raw)},
+                                **sections, obstacles=obstacles, map_path=map_path)
+        config.load_grid()  # a bad map or a misplaced position fails here
+        return config
 
 
 _SECTIONS = {"robot": RobotConfig, "population": PopulationConfig,
@@ -214,34 +220,27 @@ def _compare_intervals(ep: _Episode, blocker: str, detour, est, route, *,
     instead) and the blockage risk of the routes (zero instead).
     """
     nav_by = ep.nav_interval(detour)
-    c_by_scalar = ep.cfg.timeout if nav_by.is_infinite else nav_by.midpoint()
-
-    def removal(t_mo: float) -> CostInterval:
-        params = rem.RemovalParameters(ep.cfg.removal.max_attempts, t_mo,
-                                       c_by_scalar)
-        if action_uncertainty:
-            return rem.removal_cost_interval(ep.beta_for(blocker), params,
-                                             ep.cfg.confidence)
-        return CostInterval.point(t_mo)
-
-    proxy_removal = removal(ep.t_mo)
+    c_by = ep.cfg.timeout if nav_by.is_infinite else nav_by.midpoint()
+    # One removal cycle's cost, from the latest t_mo (the stock estimate's
+    # when there is one): the removal term and the blockage proxy alike.
+    if action_uncertainty:
+        c_mo = rem.removal_cost_interval(ep.beta_for(blocker),
+                                         ep.cfg.removal.max_attempts, ep.t_mo,
+                                         c_by, ep.cfg.confidence)
+    else:
+        c_mo = CostInterval.point(ep.t_mo)
 
     def blocked(traj: Trajectory | None) -> CostInterval:
         if traj is None or not blockage_uncertainty:
             return CostInterval(0.0, 0.0)
-        return ep.blockage_interval(traj, proxy_removal)
+        return ep.blockage_interval(traj, c_mo)
 
-    c_bypass = assemble_bypass_cost(nav_by, blocked(detour))
-    if est is None:
-        c_removal = CostInterval.infinite()
-    else:
-        c_removal = assemble_removal_cost(removal(est.t_mo),
-                                          ep.nav_interval(route), blocked(route))
-    try:
-        dec = decide(c_bypass, c_removal, blocker)
-    except NoFeasibleStrategy:
+    c_removal = (CostInterval.infinite() if est is None
+                 else c_mo + ep.nav_interval(route) + blocked(route))
+    details = decide(nav_by + blocked(detour), c_removal)
+    if details is None:
         return "none", {}
-    return dec.choice, dec.to_dict()
+    return details["choice"], details
 
 
 def _priority_bypass(ep, blocker, detour, est, route) -> tuple[str, dict]:
@@ -439,14 +438,12 @@ class _WorldMO:
 
 
 class _Episode:
-    def __init__(self, config: ScenarioConfig, policy: Policy, seed: int,
-                 model: byp.GlrModel | None, grid: OccupancyGrid):
+    def __init__(self, config: ScenarioConfig, policy: Policy, seed: int):
         self.cfg = config
         self.policy = policy
         self.seed = seed
-        self._model = model  # fitted on first use when None
         self.rng = np.random.default_rng(seed)
-        self.grid = grid
+        self.grid = config.load_grid()
         self.mos = {o.label: _WorldMO(o, o.position[0], o.position[1])
                     for o in config.obstacles}
         self.beliefs: dict[str, PoseBelief] = {}
@@ -461,10 +458,6 @@ class _Episode:
                                           config.population.sigma,
                                           config.population.k,
                                           free_area(self.grid))
-        if not self.grid.is_free(*config.robot.start):
-            raise ScenarioError("robot start not in a free cell")
-        if not self.grid.is_free(*config.goal):
-            raise ScenarioError("goal not in a free cell")
         # Removal cycle time estimated at the latest decision; a failed
         # load costs one cycle.
         self.t_mo = 0.0
@@ -523,7 +516,7 @@ class _Episode:
             d_noisy = max(dist + math.sqrt(var_d) * self.rng.standard_normal(), 0.01)
             phi_noisy = bearing + math.sqrt(var_phi) * self.rng.standard_normal()
             meas = RangeBearingMeasurement(d_noisy, phi_noisy,
-                                           np.diag([var_d, var_phi]), label)
+                                           np.diag([var_d, var_phi]))
             robot = RobotPoseBelief(np.array([self.x, self.y, self.heading]),
                                     np.diag(self.cfg.noise.robot_cov_diag))
             obs = project_measurement(robot, meas)
@@ -547,14 +540,11 @@ class _Episode:
         except EndpointBlocked:
             return None
 
-    @property
+    @cached_property
     def model(self) -> byp.GlrModel:
         """The bypass-time model. Only the interval rules read it, so an
         episode of a baseline policy never fits one."""
-        if self._model is None:
-            self._model = bypass_model_for(self.grid, self.cfg.robot,
-                                           self.cfg.bypass_model)
-        return self._model
+        return bypass_model_for(self.grid, self.cfg.robot, self.cfg.bypass_model)
 
     def nav_interval(self, traj: Trajectory | None) -> CostInterval:
         if traj is None:
@@ -563,7 +553,8 @@ class _Episode:
                                     self.cfg.confidence)
 
     def blockage_interval(self, traj: Trajectory,
-                          proxy_removal: CostInterval) -> CostInterval:
+                          proxy: CostInterval) -> CostInterval:
+        """`proxy` scaled by the chance that an unseen obstacle blocks `traj`."""
         # Of what the score reads, only the waypoints and the explored mask
         # can change within an episode.
         key = (_digest(traj.positions, traj.headings), _digest(self.grid.explored))
@@ -572,7 +563,7 @@ class _Episode:
             p = blk.trajectory_blockage(self.pop, traj, self.grid,
                                         self.cfg.robot.radius)
             self._blockage[key] = p
-        return blk.blockage_cost(p, proxy_removal)
+        return proxy.scale(p)
 
     # -- movement ------------------------------------------------------
 
@@ -775,13 +766,11 @@ class _Episode:
 
 
 def run_episode(config: ScenarioConfig, policy: Policy | str,
-                seed: int | None = None,
-                model: byp.GlrModel | None = None) -> TrialRecord:
-    """Execute one seeded episode under the given policy. Without a `model`,
-    the map's bypass-time model is fitted (or taken from the cache) when the
-    policy first needs it."""
+                seed: int | None = None) -> TrialRecord:
+    """Execute one seeded episode under the given policy. The map's
+    bypass-time model is fitted (or taken from the cache) when the policy
+    first needs it."""
     if isinstance(policy, str):
         policy = get_policy(policy)
     seed = config.seed if seed is None else seed
-    episode = _Episode(config, policy, seed, model, config.load_grid())
-    return episode.run()
+    return _Episode(config, policy, seed).run()

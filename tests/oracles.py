@@ -255,7 +255,7 @@ def estimate_removal_time(grid, mo, robot_xy, blocked_path, robot_radius,
         carry_len = carry.total_length
         travel = (approach_len + 2.0 * carry_len) / v_lin
         t_mo = travel + math.pi / v_rot + load_overhead + unload_overhead
-        return RemovalEstimate(t_mo, GridPosition(x, y), approach_len, carry_len)
+        return RemovalEstimate(t_mo, GridPosition(x, y), carry_len)
     return None
 
 

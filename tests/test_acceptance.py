@@ -20,7 +20,7 @@ from namoplan.experiments import (evaluate_bypass_predictors,
 from namoplan.intervals import CostInterval
 from namoplan.observation import (PoseBelief, RangeBearingMeasurement,
                                   RobotPoseBelief, fuse, project_measurement)
-from namoplan.removal import (BetaBelief, RemovalParameters, beta_ppf,
+from namoplan.removal import (BetaBelief, beta_ppf,
                               expected_removal_cost, success_rate_interval)
 from namoplan.simulator import ScenarioConfig, run_episode
 
@@ -109,11 +109,10 @@ def test_expected_removal_cost_matches_attempt_simulation():
             first = np.argmax(hits, axis=1) + 1  # 1-based attempt index
             cost = np.where(any_hit, first * t_mo, m * t_mo + c_by)
             mc = float(cost.mean())
-            got = expected_removal_cost(p, RemovalParameters(m, t_mo, c_by))
+            got = expected_removal_cost(p, m, t_mo, c_by)
             assert got == pytest.approx(mc, rel=0.005)
     # closed-form anchor
-    assert expected_removal_cost(
-        0.5, RemovalParameters(3, 10.0, 20.0)) == pytest.approx(20.0)
+    assert expected_removal_cost(0.5, 3, 10.0, 20.0) == pytest.approx(20.0)
 
 
 # -- Beta quantiles vs sampling ------------------------------------------
@@ -369,5 +368,5 @@ def test_choice_invariant_under_cost_scaling():
         a = CostInterval(*np.sort(rng.uniform(0, 100, 2)))
         b = CostInterval(*np.sort(rng.uniform(0, 100, 2)))
         lam = float(rng.uniform(0.01, 50))
-        assert decide(a, b).choice == decide(a.scale(lam),
-                                             b.scale(lam)).choice
+        assert decide(a, b)["choice"] == decide(a.scale(lam),
+                                                b.scale(lam))["choice"]

@@ -1,5 +1,5 @@
-"""Blockage risk: piecewise corridor model, population marginalization,
-trajectory composition, and the cost conversion."""
+"""Blockage risk: piecewise corridor model, population marginalization and
+trajectory composition."""
 
 import logging
 import math
@@ -11,11 +11,10 @@ from scipy import integrate, stats
 import oracles
 from conftest import grid_from_ascii
 from namoplan.blockage import (ObstaclePopulation, blockage_at_width,
-                               blockage_cost, blockage_given_size,
+                               blockage_given_size,
                                trajectory_blockage, trajectory_blockage_detail,
                                waypoint_presence_probability)
 from namoplan.gridmap import OccupancyGrid
-from namoplan.intervals import CostInterval
 from namoplan.planner import Trajectory
 
 
@@ -231,23 +230,6 @@ def test_open_space_skips_presence_factor():
     assert all(r.p_block_given_here == 0.0 for r in risks)
     assert all(r.p_here == 0.0 for r in risks)
     assert trajectory_blockage(pop, traj, grid, 0.3) == 0.0
-
-
-# -- cost conversion ----------------------------------------------------
-
-
-def test_blockage_cost_scaling():
-    iv = CostInterval(15.0, 25.0)
-    assert blockage_cost(0.0, iv) == CostInterval(0.0, 0.0)
-    assert blockage_cost(1.0, iv) == iv
-    scaled = blockage_cost(0.19, iv)
-    assert scaled.lo == pytest.approx(2.85)
-    assert scaled.hi == pytest.approx(4.75)
-
-
-def test_blockage_cost_validates_probability():
-    with pytest.raises(ValueError):
-        blockage_cost(1.5, CostInterval(1.0, 2.0))
 
 
 def test_probabilities_stay_in_unit_interval_under_fuzzing():

@@ -194,6 +194,26 @@ def test_run_map_with_unknown_cell_exit_two(tiny_yaml, tmp_path, capsys):
     assert "unknown cell character 'o'" in capsys.readouterr().err
 
 
+def _room_variant(tmp_path, edit) -> str:
+    return _variant(str(scenario_path("room.yaml")), tmp_path, edit)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: raw.update(goal=[0.05, 3.0]), "goal not in a free cell"),
+    (lambda raw: raw["robot"].update(start=[5.0, 0.05]),
+     "robot start not in a free cell"),
+    (lambda raw: raw["obstacles"][0].update(position=[9.95, 3.0]),
+     "obstacle DOOR not in a free cell"),
+    (lambda raw: raw.update(map="missing.map"), "No such file"),
+])
+def test_run_position_or_map_error_exit_two(tmp_path, capsys, monkeypatch,
+                                            edit, message):
+    # The map is read while the config loads, before an episode.
+    monkeypatch.setattr("namoplan.cli.run_episode", _no_episode)
+    assert main(["run", "--config", _room_variant(tmp_path, edit)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["run"]) == 1  # --config is required
@@ -242,6 +262,18 @@ def test_benchmark_bad_second_config_exit_two(tiny_yaml, tmp_path, capsys,
                  "--out", str(tmp_path / "res")])
     assert code == 2
     assert "timeout must be > 0" in capsys.readouterr().err
+
+
+def test_benchmark_goal_in_wall_exit_two_before_any_episode(tmp_path, capsys,
+                                                            monkeypatch):
+    monkeypatch.setattr("namoplan.experiments.run_episode", _no_episode)
+    bad = _room_variant(tmp_path, lambda raw: raw.update(goal=[0.05, 3.0]))
+    out = tmp_path / "res"
+    code = main(["benchmark", "--config", str(scenario_path("room.yaml")), bad,
+                 "--policy", "priority-bypass", "--reps", "2", "--out", str(out)])
+    assert code == 2
+    assert "goal not in a free cell" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- train-bypass -------------------------------------------------------

@@ -137,14 +137,40 @@ def test_scenario_parsed_once_and_left_unmutated(tiny_scenario, tmp_path,
     assert parsed[0] == real(tiny_scenario)
 
 
+def test_failing_episode_leaves_earlier_records(bench, tmp_path, monkeypatch):
+    from namoplan import experiments
+
+    spec, rows, _, _ = bench
+    real, calls = experiments._one_trial, []
+
+    def fifth_fails(job):
+        calls.append(job)
+        if len(calls) == 5:
+            raise RuntimeError("episode failed")
+        return real(job)
+
+    monkeypatch.setattr(experiments, "_one_trial", fifth_fails)
+    again = ExperimentSpec(spec.scenario_paths, spec.policies,
+                           repetitions=spec.repetitions,
+                           seed_base=spec.seed_base, output_dir=str(tmp_path))
+    with pytest.raises(RuntimeError, match="episode failed"):
+        run_benchmark(again)
+    with open(tmp_path / "trials.csv") as fh:
+        raw = list(csv.reader(fh))
+    assert raw[0] == RAW_COLUMNS and len(raw) == 1 + 4
+    lines = (tmp_path / "trials.jsonl").read_text().splitlines()
+    assert lines == [r["record"].to_json_line() for r in rows[:4]]
+
+
 def test_worker_pool_gives_the_same_records(bench, tmp_path):
     spec, rows, _, _ = bench
     pooled = ExperimentSpec(spec.scenario_paths, spec.policies,
                             repetitions=spec.repetitions,
                             seed_base=spec.seed_base, output_dir=str(tmp_path))
     rows2, _ = run_benchmark(pooled, workers=2)
-    assert [r["record"].to_json_line() for r in rows] == \
-        [r["record"].to_json_line() for r in rows2]
+    lines = [r["record"].to_json_line() for r in rows]
+    assert lines == [r["record"].to_json_line() for r in rows2]
+    assert (tmp_path / "trials.jsonl").read_text().splitlines() == lines
 
 
 # sha256 of the sorted record lines of the episode benchmark's suite

@@ -12,7 +12,7 @@ from namoplan import removal
 from namoplan.gridmap import STATIC, OccupancyGrid
 from namoplan.observation import MovableObstacle, PoseBelief
 from namoplan.planner import Trajectory
-from namoplan.removal import (BetaBelief, RemovalParameters, _stock_candidates,
+from namoplan.removal import (BetaBelief, _stock_candidates,
                               beta_ppf, estimate_removal_time, expected_removal_cost,
                               removal_cost_interval, success_rate_interval,
                               update_belief)
@@ -77,37 +77,33 @@ def test_interval_nesting():
 
 
 def test_cost_degenerate_rates():
-    params = RemovalParameters(3, 10.0, 20.0)
-    assert expected_removal_cost(1.0, params) == pytest.approx(10.0)
-    assert expected_removal_cost(0.0, params) == pytest.approx(50.0)
+    assert expected_removal_cost(1.0, 3, 10.0, 20.0) == pytest.approx(10.0)
+    assert expected_removal_cost(0.0, 3, 10.0, 20.0) == pytest.approx(50.0)
 
 
 def test_cost_anchor_value():
-    params = RemovalParameters(3, 10.0, 20.0)
-    assert expected_removal_cost(0.5, params) == pytest.approx(20.0)
+    assert expected_removal_cost(0.5, 3, 10.0, 20.0) == pytest.approx(20.0)
 
 
 def test_cost_monotone_in_success_rate():
-    params = RemovalParameters(4, 12.0, 35.0)
     grid = np.linspace(0.0, 1.0, 101)
-    costs = [expected_removal_cost(p, params) for p in grid]
+    costs = [expected_removal_cost(p, 4, 12.0, 35.0) for p in grid]
     assert all(a >= b - 1e-9 for a, b in zip(costs, costs[1:]))
 
 
 def test_cost_interval_orients_endpoints():
     belief = BetaBelief(9, 1)
-    params = RemovalParameters(3, 10.0, 20.0)
-    iv = removal_cost_interval(belief, params)
+    params = (3, 10.0, 20.0)
+    iv = removal_cost_interval(belief, *params)
     p_lo, p_hi = success_rate_interval(belief)
-    assert iv.lo == pytest.approx(expected_removal_cost(p_hi, params))
-    assert iv.hi == pytest.approx(expected_removal_cost(p_lo, params))
-    assert iv.lo <= expected_removal_cost(belief.mean, params) <= iv.hi
+    assert iv.lo == pytest.approx(expected_removal_cost(p_hi, *params))
+    assert iv.hi == pytest.approx(expected_removal_cost(p_lo, *params))
+    assert iv.lo <= expected_removal_cost(belief.mean, *params) <= iv.hi
 
 
 def test_cost_interval_concentrates():
-    params = RemovalParameters(3, 10.0, 20.0)
-    wide = removal_cost_interval(BetaBelief(9, 1), params)
-    tight = removal_cost_interval(BetaBelief(900, 100), params)
+    wide = removal_cost_interval(BetaBelief(9, 1), 3, 10.0, 20.0)
+    tight = removal_cost_interval(BetaBelief(900, 100), 3, 10.0, 20.0)
     assert tight.hi - tight.lo < wide.hi - wide.lo
 
 

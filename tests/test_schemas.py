@@ -5,6 +5,7 @@ import json
 import math
 from dataclasses import MISSING, fields
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import yaml
@@ -95,10 +96,13 @@ def _leaf_edits():
 
 
 def _loads(raw: dict, tmp_path) -> bool:
+    """Whether `from_yaml` accepts `raw`, leaving out its checks against the
+    map (file, obstacle, start and goal cells), which no schema can express."""
     path = tmp_path / "edited.yaml"
     path.write_text(yaml.safe_dump(raw))
     try:
-        ScenarioConfig.from_yaml(path)
+        with mock.patch.object(ScenarioConfig, "load_grid"):
+            ScenarioConfig.from_yaml(path)
     except ScenarioError:
         return False
     return True

@@ -227,8 +227,7 @@ def test_sense_occluded_obstacle_not_seen(tmp_path):
     cells[:, 20] = STATIC  # wall at x in [2.0, 2.1)
     cfg = _config(tmp_path, obstacles=[("X", (2.6, 2.0))])
     cfg.map_path = _write_map(tmp_path, cells)
-    ep = _Episode(cfg, get_policy("priority-removal"), seed=0, model=None,
-                  grid=cfg.load_grid())
+    ep = _Episode(cfg, get_policy("priority-removal"), seed=0)
     ep.sense()
     assert "X" not in ep.beliefs
 
@@ -237,16 +236,14 @@ def test_sense_noiseless_is_exact(tmp_path):
     cfg = _config(tmp_path, obstacles=[("X", (2.0, 2.0))])
     cfg.noise.meas_cov_diag = (0.0, 0.0)
     cfg.noise.robot_cov_diag = (0.0, 0.0, 0.0)
-    ep = _Episode(cfg, get_policy("priority-removal"), seed=0, model=None,
-                  grid=cfg.load_grid())
+    ep = _Episode(cfg, get_policy("priority-removal"), seed=0)
     ep.sense()
     assert ep.beliefs["X"].mean == pytest.approx([2.0, 2.0], abs=1e-9)
 
 
 def test_sense_out_of_fov_not_seen(tmp_path):
     cfg = _config(tmp_path, obstacles=[("X", (0.7, 3.5))])  # behind/above
-    ep = _Episode(cfg, get_policy("priority-removal"), seed=0, model=None,
-                  grid=cfg.load_grid())
+    ep = _Episode(cfg, get_policy("priority-removal"), seed=0)
     ep.sense()  # robot faces +x with a 90 degree fov
     assert "X" not in ep.beliefs
 
@@ -254,8 +251,7 @@ def test_sense_out_of_fov_not_seen(tmp_path):
 def test_sense_noise_matches_configured_covariance(tmp_path):
     cfg = _config(tmp_path, obstacles=[("X", (2.5, 2.4))])
     var_d, var_phi = cfg.noise.meas_cov_diag
-    ep = _Episode(cfg, get_policy("priority-removal"), seed=0, model=None,
-                  grid=cfg.load_grid())
+    ep = _Episode(cfg, get_policy("priority-removal"), seed=0)
     rx, ry = cfg.robot.start
     samples = []
     for _ in range(10_000):
@@ -468,8 +464,7 @@ def test_looping_episode_record_pinned(tmp_path, monkeypatch):
 
 def _memo_episode(tmp_path, policy="uncertainty"):
     cfg = _unreliable_config(tmp_path, 0.9, 0.9)
-    return _Episode(cfg, get_policy(policy), seed=0, model=None,
-                    grid=cfg.load_grid())
+    return _Episode(cfg, get_policy(policy), seed=0)
 
 
 def test_blockage_memo_follows_explored_growth(tmp_path, monkeypatch):
@@ -482,7 +477,7 @@ def test_blockage_memo_follows_explored_growth(tmp_path, monkeypatch):
 
     def fresh():
         p = blk.trajectory_blockage(ep.pop, traj, ep.grid, ep.cfg.robot.radius)
-        return blk.blockage_cost(p, proxy)
+        return proxy.scale(p)
 
     first = ep.blockage_interval(traj, proxy)
     assert first == fresh() and first.hi > 0.0
