@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,12 +36,17 @@ class OccupancyGrid:
     """Row-major cell grid. cells[iy, ix] covers
     [ix*res, (ix+1)*res) x [iy*res, (iy+1)*res).
 
-    The explored mask only ever grows during a run.
+    The explored mask only ever grows during a run. A grid read from a file
+    has read-only cells and a `key` naming their contents, on which the ray
+    casts below are memoized; a grid built in code has writable cells and no
+    key.
     """
 
     resolution: float
     cells: np.ndarray
     explored: np.ndarray = field(default=None)  # type: ignore[assignment]
+    key: tuple | None = field(default=None, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self):
         if self.resolution <= 0:
@@ -138,7 +145,13 @@ class OccupancyGrid:
 
     @staticmethod
     def load(path: str | Path) -> "OccupancyGrid":
-        return OccupancyGrid.from_text(Path(path).read_text())
+        grid = OccupancyGrid.from_text(Path(path).read_text())
+        grid.cells.flags.writeable = False
+        # Hashed once here: hashing on every query would cost more than
+        # the ray casts it saves.
+        grid.key = (hashlib.blake2b(grid.cells.tobytes(), digest_size=16).digest(),
+                    grid.cells.shape, grid.resolution)
+        return grid
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_text())
@@ -147,10 +160,50 @@ class OccupancyGrid:
 # ----------------------------------------------------------------------
 # queries
 
+_MISS = object()
+
+
+def lru_lookup(memo: OrderedDict, size: int, key, compute, *args):
+    """`memo[key]`, filled with `compute(*args)` on a miss, keeping at most
+    `size` entries: the least recently used one is dropped first. Any value,
+    None included, is stored."""
+    value = memo.get(key, _MISS)
+    if value is _MISS:
+        value = memo[key] = compute(*args)
+        if len(memo) > size:
+            memo.popitem(last=False)
+    else:
+        memo.move_to_end(key)
+    return value
+
+
+# Visibility and ray casts are pure functions of the static map and the
+# query, and paired seeds repeat both across the episodes of a grid. On a
+# grid with a key they are memoized, least recently used first, on the key
+# and the query arguments. A hit returns exactly what the call would compute.
+_VISIBILITY_MEMO: OrderedDict[tuple, np.ndarray] = OrderedDict()
+_VISIBILITY_MEMO_SIZE = 256
+_RAY_MEMO: OrderedDict[tuple, float] = OrderedDict()
+_RAY_MEMO_SIZE = 2048
+
+
+def _memoized(memo: OrderedDict, size: int, compute, grid: OccupancyGrid,
+              *query):
+    """`compute(grid, *query)`, memoized in `memo` when the grid has a key."""
+    if grid.key is None:
+        return compute(grid, *query)
+    return lru_lookup(memo, size, (grid.key, *query), compute, grid, *query)
+
 
 def raycast_distance(grid: OccupancyGrid, x: float, y: float, angle: float,
                      max_range: float | None = None) -> float:
     """Distance from (x, y) to the first static cell or map border along angle."""
+    return _memoized(_RAY_MEMO, _RAY_MEMO_SIZE, _raycast, grid, x, y, angle,
+                     max_range)
+
+
+def _raycast(grid: OccupancyGrid, x: float, y: float, angle: float,
+             max_range: float | None) -> float:
     res = grid.resolution
     step = res * 0.5
     width_m, height_m = grid.width_m, grid.height_m
@@ -199,13 +252,19 @@ def mark_explored(grid: OccupancyGrid, x: float, y: float, heading: float,
     """
     if not grid.in_bounds(x, y):
         raise ValueError("robot pose outside map")
+    np.put(grid.explored, _memoized(_VISIBILITY_MEMO, _VISIBILITY_MEMO_SIZE,
+                                    _visible_cells, grid, x, y, heading,
+                                    sensor_range, fov), True)
+
+
+def _visible_cells(grid: OccupancyGrid, x: float, y: float, heading: float,
+                   sensor_range: float, fov: float) -> np.ndarray:
+    """Sorted flat indices of the cells `mark_explored` marks, read-only."""
     res = grid.resolution
     # Angular step fine enough that adjacent rays at max range are < 1 cell apart.
     n_rays = max(8, int(math.ceil(fov * sensor_range / (0.5 * res))))
     angles = heading + np.linspace(-fov / 2.0, fov / 2.0, n_rays)
     steps = np.arange(0.0, sensor_range + res, 0.5 * res)
-    iy0, ix0 = grid.cell_index(x, y)
-    grid.explored[iy0, ix0] = True
     h, w = grid.cells.shape
     # One row per ray. The per-ray cos and sin come from math, and each
     # sample point is x + step * cos as in a ray-by-ray walk, so the cell
@@ -223,7 +282,18 @@ def mark_explored(grid: OccupancyGrid, x: float, y: float, heading: float,
     first_out = np.where(inside.all(axis=1), n, np.argmin(inside, axis=1))
     past_static = np.where(static.any(axis=1), np.argmax(static, axis=1) + 1, n)
     seen = np.arange(n) < np.minimum(first_out, past_static)[:, None]
-    grid.explored[iys[seen], ixs[seen]] = True
+    iy0, ix0 = grid.cell_index(x, y)
+    iys, ixs = np.append(iys[seen], iy0), np.append(ixs[seen], ix0)
+    # Deduplicate in the bounding box of the seen cells, so the cost follows
+    # the sensor's reach and not the size of the map.
+    top, left = iys.min(), ixs.min()
+    box_w = ixs.max() - left + 1
+    box = np.zeros((iys.max() - top + 1) * box_w, dtype=bool)
+    box[(iys - top) * box_w + ixs - left] = True
+    local = np.flatnonzero(box)
+    cells = ((local // box_w + top) * w + local % box_w + left).astype(np.int32)
+    cells.flags.writeable = False
+    return cells
 
 
 _INFLATION_CACHE: dict[tuple, np.ndarray] = {}

@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridmap import FREE, GridPosition, OccupancyGrid, inflated_blocked_mask
+from .gridmap import (FREE, GridPosition, OccupancyGrid, inflated_blocked_mask,
+                      lru_lookup)
 
 
 class EndpointBlocked(ValueError):
@@ -171,16 +172,17 @@ def plan_path(grid: OccupancyGrid, request: PlanRequest,
     start, goal = _endpoint_cells(grid, mask, request.start, request.goal)
     key = (hashlib.blake2b(mask.tobytes(), digest_size=16).digest(),
            mask.shape, grid.resolution, start, goal)
-    if key in _PLAN_CACHE:
-        _PLAN_CACHE.move_to_end(key)
-        return _PLAN_CACHE[key]
+    return lru_lookup(_PLAN_CACHE, _PLAN_CACHE_SIZE, key, _read_only_plan,
+                      grid, mask, start, goal)
+
+
+def _read_only_plan(grid: OccupancyGrid, mask: np.ndarray,
+                    start: tuple[int, int],
+                    goal: tuple[int, int]) -> Trajectory | None:
     traj = _astar_on_mask(grid, mask, start, goal)
     if traj is not None:
         traj.positions.flags.writeable = False
         traj.headings.flags.writeable = False
-    _PLAN_CACHE[key] = traj
-    if len(_PLAN_CACHE) > _PLAN_CACHE_SIZE:
-        _PLAN_CACHE.popitem(last=False)
     return traj
 
 

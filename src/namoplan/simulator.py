@@ -110,7 +110,11 @@ class ScenarioConfig:
     sense_interval: float = 1.0
 
     def load_grid(self) -> OccupancyGrid:
-        grid = OccupancyGrid.load(self.map_path)
+        try:
+            grid = OccupancyGrid.load(self.map_path)
+        except OSError as exc:
+            raise ScenarioError(f"cannot read map {self.map_path}: "
+                                f"{exc.strerror or exc}") from exc
         for spec in self.obstacles:
             x, y = spec.position
             if not grid.is_free(x, y):
@@ -125,7 +129,12 @@ class ScenarioConfig:
     def from_yaml(path: str | Path) -> "ScenarioConfig":
         path = Path(path)
         try:
-            raw = yaml.safe_load(path.read_text())
+            text = path.read_text()
+        except OSError as exc:
+            raise ScenarioError(f"cannot read config {path}: "
+                                f"{exc.strerror or exc}") from exc
+        try:
+            raw = yaml.safe_load(text)
         except yaml.YAMLError as exc:
             raise ScenarioError(f"malformed config: {exc}") from exc
         _check(raw, _config_schema(), "")

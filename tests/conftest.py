@@ -1,10 +1,12 @@
 """Shared fixtures: ASCII grid construction and bundled scenario access."""
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from namoplan import scenario_path
+from namoplan import gridmap, scenario_path
 from namoplan.gridmap import FREE, STATIC, OccupancyGrid
 from namoplan.simulator import ScenarioConfig
 
@@ -27,6 +29,13 @@ def grid_from_ascii(art: str, resolution: float = 0.1) -> OccupancyGrid:
         for ix, ch in enumerate(row):
             cells[iy, ix] = STATIC if ch == "#" else FREE
     return OccupancyGrid(resolution, cells)
+
+
+@pytest.fixture
+def fresh_memos(monkeypatch):
+    """Empty visibility and ray-cast memos, restored after the test."""
+    monkeypatch.setattr(gridmap, "_VISIBILITY_MEMO", OrderedDict())
+    monkeypatch.setattr(gridmap, "_RAY_MEMO", OrderedDict())
 
 
 @pytest.fixture

@@ -214,6 +214,22 @@ def test_run_position_or_map_error_exit_two(tmp_path, capsys, monkeypatch,
     assert message in capsys.readouterr().err
 
 
+def test_run_map_that_is_a_directory_exit_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("namoplan.cli.run_episode", _no_episode)
+    bad = _room_variant(tmp_path, lambda raw: raw.update(map="."))
+    assert main(["run", "--config", bad]) == 2
+    err = capsys.readouterr().err
+    assert "config error: cannot read map" in err and str(tmp_path) in err
+
+
+@pytest.mark.parametrize("command", ["run", "benchmark"])
+def test_config_that_is_a_directory_exit_two(tmp_path, capsys, command):
+    extra = ["--policy", "uncertainty"] if command == "benchmark" else []
+    assert main([command, "--config", str(tmp_path), *extra]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot read config {tmp_path}" in err
+
+
 def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["run"]) == 1  # --config is required

@@ -7,14 +7,14 @@ import json
 import numpy as np
 import pytest
 
-from namoplan import scenario_path
+from namoplan import gridmap, scenario_path
 from namoplan.bypass import TimingDataset
 from namoplan.experiments import (RAW_COLUMNS, SUMMARY_COLUMNS, ExperimentSpec,
                                   evaluate_bypass_predictors,
                                   generate_bypass_benchmark, run_benchmark,
                                   summarize)
 from namoplan.gridmap import OccupancyGrid
-from namoplan.simulator import ScenarioConfig, TrialRecord
+from namoplan.simulator import ScenarioConfig, TrialRecord, run_episode
 
 
 @pytest.fixture(scope="module")
@@ -173,24 +173,64 @@ def test_worker_pool_gives_the_same_records(bench, tmp_path):
     assert (tmp_path / "trials.jsonl").read_text().splitlines() == lines
 
 
+def _records_sha256(records) -> str:
+    digest = hashlib.sha256()
+    for line in sorted(r.to_json_line() for r in records):
+        digest.update(line.encode() + b"\n")
+    return digest.hexdigest()
+
+
+def _memo_keys():
+    return set(gridmap._VISIBILITY_MEMO), set(gridmap._RAY_MEMO)
+
+
 # sha256 of the sorted record lines of the episode benchmark's suite
 # battery: the 7 bundled scenarios x 4 policies at seed 0.
 SUITE_RECORDS_SHA256 = (
     "6b8bb7e6a49a51c3ecab02c9228fd257b42e8950387640c1ca98e617037efcdd")
 
 
-def test_suite_battery_records_pinned(tmp_path):
+def test_suite_battery_records_pinned(tmp_path, fresh_memos):
     names = ["room", "warehouse_ab", "warehouse_abc", "warehouse_abd",
              "warehouse_abe", "warehouse_bc", "warehouse_bce"]
     spec = ExperimentSpec([str(scenario_path(f"{n}.yaml")) for n in names],
                           ["uncertainty", "uncertainty-no-blockage",
                            "priority-bypass", "priority-removal"],
                           repetitions=1, seed_base=0, output_dir=str(tmp_path))
-    rows, _ = run_benchmark(spec)
-    digest = hashlib.sha256()
-    for line in sorted(r["record"].to_json_line() for r in rows):
-        digest.update(line.encode() + b"\n")
-    assert len(rows) == 28 and digest.hexdigest() == SUITE_RECORDS_SHA256
+    # The second run's ray casts all come from the memos the first filled.
+    for run in range(2):
+        rows, _ = run_benchmark(spec)
+        assert len(rows) == 28
+        assert _records_sha256(r["record"] for r in rows) == SUITE_RECORDS_SHA256
+        if run == 0:
+            filled = _memo_keys()
+    assert _memo_keys() == filled and all(filled)
+
+
+# sha256 of the sorted record lines of the episode benchmark's
+# unreliable-removal battery: warehouse_abc at three (estimated_sr,
+# true_sr) pairs x 2 policies x seeds 0-2.
+UNRELIABLE_RECORDS_SHA256 = (
+    "080081b22af7cb36e8acbbe3d90eda449a179b2c9bb970df3274cd1a73e55fb6")
+
+
+def test_unreliable_removal_battery_records_pinned(fresh_memos):
+    def battery():
+        for estimated, true in [(0.2, 0.2), (0.9, 0.2), (0.9, 0.5)]:
+            for policy in ["uncertainty", "uncertainty-no-action"]:
+                for seed in range(3):
+                    cfg = ScenarioConfig.from_yaml(
+                        scenario_path("warehouse_abc.yaml"))
+                    cfg.estimated_sr = estimated
+                    for obstacle in cfg.obstacles:
+                        obstacle.true_sr = true
+                    yield run_episode(cfg, policy, seed=seed)
+
+    for run in range(2):
+        assert _records_sha256(battery()) == UNRELIABLE_RECORDS_SHA256
+        if run == 0:
+            filled = _memo_keys()
+    assert _memo_keys() == filled and all(filled)
 
 
 def test_summarize_groups_by_scenario_and_policy():

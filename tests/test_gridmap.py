@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from conftest import grid_from_ascii
+from namoplan import gridmap, scenario_path
 from namoplan.gridmap import (FREE, STATIC, GridPosition, OccupancyGrid,
                               QueryInsideObstacle, free_area,
                               inflated_blocked_mask, mark_explored,
@@ -161,7 +162,6 @@ def test_free_area_decrement_per_cell():
 
 
 def test_warehouse_map_free_area_stable():
-    from namoplan import scenario_path
     g1 = OccupancyGrid.load(scenario_path("warehouse.map"))
     g2 = OccupancyGrid.load(scenario_path("warehouse.map"))
     assert free_area(g1) == free_area(g2) > 0.0
@@ -262,3 +262,100 @@ def test_inflated_mask_is_a_fresh_copy():
     first = inflated_blocked_mask(g, 0.2)
     first[:] = True
     assert not inflated_blocked_mask(g, 0.2)[15, 15]
+
+
+# -- memoized ray casts on maps read from a file ------------------------
+
+
+def _free_points(grid, rng, n):
+    free = np.argwhere(grid.cells == FREE)
+    picks = free[rng.integers(len(free), size=n)]
+    jitter = rng.uniform(0.0, grid.resolution, size=(n, 2))
+    return [((ix + jx) * grid.resolution, (iy + jy) * grid.resolution)
+            for (iy, ix), (jx, jy) in zip(picks, jitter)]
+
+
+def _with_repeats(queries, rng):
+    """The queries, then 20 of them again in random order."""
+    return queries + [queries[i] for i in rng.integers(len(queries), size=20)]
+
+
+@pytest.mark.parametrize("name", ["room.map", "warehouse.map"])
+def test_memoized_mark_explored_matches_oracle(fresh_memos, name):
+    grid = OccupancyGrid.load(scenario_path(name))
+    rng = np.random.default_rng(8)
+    poses = [(x, y, rng.uniform(-math.pi, math.pi), rng.uniform(0.5, 5.0),
+              rng.uniform(0.2, 2 * math.pi)) for x, y in _free_points(grid, rng, 20)]
+    for pose in _with_repeats(poses, rng):
+        grid.explored[:] = False
+        want = grid.copy()
+        mark_explored(grid, *pose)
+        oracles.mark_explored(want, *pose)
+        assert np.array_equal(grid.explored, want.explored), pose
+    assert len(gridmap._VISIBILITY_MEMO) == len(poses)
+
+
+@pytest.mark.parametrize("name", ["room.map", "warehouse.map"])
+def test_memoized_raycast_matches_oracle(fresh_memos, name):
+    grid = OccupancyGrid.load(scenario_path(name))
+    want = grid.copy()
+    rng = np.random.default_rng(9)
+    rays = [(x, y, rng.uniform(-math.pi, math.pi),
+             None if i % 2 else rng.uniform(0.1, 6.0))
+            for i, (x, y) in enumerate(_free_points(grid, rng, 40))]
+    for ray in _with_repeats(rays, rng):
+        assert raycast_distance(grid, *ray) == oracles.raycast_distance(want, *ray)
+    assert len(gridmap._RAY_MEMO) == len(rays)
+
+
+def test_loaded_cells_are_read_only_and_copies_writable(tmp_path):
+    OccupancyGrid.empty(6, 4, 0.1).save(tmp_path / "m.map")
+    grid = OccupancyGrid.load(tmp_path / "m.map")
+    with pytest.raises(ValueError):
+        grid.cells[1, 1] = STATIC
+    assert grid.key is not None
+    copy = grid.copy()
+    copy.cells[1, 1] = STATIC
+    assert copy.key is None and grid.cells[1, 1] == FREE
+
+
+def test_grid_built_in_code_answers_from_its_current_cells(fresh_memos):
+    g = OccupancyGrid.empty(40, 40, 0.1)
+    assert g.key is None
+    assert raycast_distance(g, 0.55, 2.05, 0.0) == pytest.approx(3.45, abs=0.06)
+    mark_explored(g, 0.55, 2.05, 0.0, sensor_range=3.0, fov=0.2)
+    assert g.is_explored(3.05, 2.05)
+    g.cells[20, 25] = STATIC
+    g.explored[:] = False
+    want = g.copy()
+    assert raycast_distance(g, 0.55, 2.05, 0.0) == pytest.approx(1.95, abs=0.06)
+    assert raycast_distance(g, 0.55, 2.05, 0.0) == oracles.raycast_distance(
+        want, 0.55, 2.05, 0.0)
+    mark_explored(g, 0.55, 2.05, 0.0, sensor_range=3.0, fov=0.2)
+    oracles.mark_explored(want, 0.55, 2.05, 0.0, sensor_range=3.0, fov=0.2)
+    assert np.array_equal(g.explored, want.explored)
+    assert not g.is_explored(3.05, 2.05)
+    assert not gridmap._VISIBILITY_MEMO and not gridmap._RAY_MEMO
+
+
+def test_memos_stay_within_their_bounds(fresh_memos, monkeypatch):
+    monkeypatch.setattr(gridmap, "_VISIBILITY_MEMO_SIZE", 3)
+    monkeypatch.setattr(gridmap, "_RAY_MEMO_SIZE", 5)
+    grid = OccupancyGrid.load(scenario_path("warehouse.map"))
+    want = grid.copy()
+    rng = np.random.default_rng(10)
+    points = _free_points(grid, rng, 12)
+    for i, (x, y) in enumerate(_with_repeats(points, rng)):
+        grid.explored[:] = False
+        want.explored[:] = False
+        mark_explored(grid, x, y, 0.5, 2.0)
+        oracles.mark_explored(want, x, y, 0.5, 2.0)
+        assert np.array_equal(grid.explored, want.explored)
+        assert raycast_distance(grid, x, y, 1.0) == oracles.raycast_distance(
+            want, x, y, 1.0)
+        assert len(gridmap._VISIBILITY_MEMO) == min(i + 1, 3)
+        assert len(gridmap._RAY_MEMO) == min(i + 1, 5)
+    # The most recently used queries are the ones kept.
+    x, y = points[0]
+    mark_explored(grid, x, y, 0.5, 2.0)
+    assert next(reversed(gridmap._VISIBILITY_MEMO))[1:3] == (x, y)

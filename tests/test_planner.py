@@ -402,3 +402,12 @@ def test_endpoint_errors_are_never_cached(searches):
         with pytest.raises(ValueError, match="start equals goal"):
             plan_path(g, PlanRequest(free, GridPosition(0.52, 0.58)), 0.1)
     assert searches == [] and len(planner._PLAN_CACHE) == 0
+
+
+def test_unreachable_goal_is_cached(searches):
+    g = OccupancyGrid.empty(20, 20, 0.1)
+    g.cells[10, :] = STATIC
+    req = PlanRequest(GridPosition(0.55, 0.55), GridPosition(0.55, 1.55))
+    assert plan_path(g, req, 0.05) is None
+    assert plan_path(g, req, 0.05) is None
+    assert len(searches) == 1 and list(planner._PLAN_CACHE.values()) == [None]
