@@ -125,13 +125,11 @@ def trajectory_blockage_detail(pop: ObstaclePopulation, trajectory: Trajectory,
     spacing = max(pop.mu, grid.resolution)
     next_at = 0.0
     travelled = 0.0
-    prev = trajectory.positions[0]
-    for idx in range(len(trajectory)):
-        pos = trajectory.positions[idx]
-        travelled += float(np.linalg.norm(pos - prev))
-        prev = pos
+    for idx, step in enumerate([0.0, *trajectory.step_lengths]):
+        travelled += step
         if travelled < next_at:
             continue
+        pos = trajectory.positions[idx]
         if grid.is_explored(pos[0], pos[1]):
             continue
         next_at = travelled + spacing

@@ -34,7 +34,7 @@ class TrajectoryFeatures:
 def extract_features(trajectory: Trajectory) -> TrajectoryFeatures:
     if len(trajectory) < 2:
         raise ValueError("degenerate trajectory")
-    headings = trajectory.headings
+    headings = trajectory.headings.tolist()
     deltas = np.abs([wrap_angle(b - a) for a, b in zip(headings[:-1], headings[1:])])
     return TrajectoryFeatures(
         f_l=trajectory.total_length,

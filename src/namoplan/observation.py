@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaincinv
 
-from .planner import Ellipse, Trajectory
+from .planner import Ellipse
 
 
 class InvalidCovariance(ValueError):
@@ -134,14 +134,14 @@ def confidence_ellipse(belief: PoseBelief, mo_radius: float,
     return Ellipse(belief.mean[0], belief.mean[1], a, b, angle)
 
 
-def path_blocked(trajectory: Trajectory, obstacles: list[MovableObstacle],
+def path_blocked(positions: np.ndarray, obstacles: list[MovableObstacle],
                  robot_radius: float, confidence: float = 0.95) -> str | None:
     """First obstacle (by path order) whose confidence ellipse, inflated by
-    the robot radius, touches a waypoint. Closed-set convention: grazing
-    contact counts as blocked. Of two obstacles first touched at the same
-    waypoint, the one earlier in `obstacles` counts."""
-    xs, ys = trajectory.positions[:, 0], trajectory.positions[:, 1]
-    blocker, first = None, len(trajectory)
+    the robot radius, touches one of the (N, 2) waypoints. Closed-set
+    convention: grazing contact counts as blocked. Of two obstacles first
+    touched at the same waypoint, the one earlier in `obstacles` counts."""
+    xs, ys = positions[:, 0], positions[:, 1]
+    blocker, first = None, len(positions)
     for mo in obstacles:
         e = confidence_ellipse(mo.belief, mo.radius, confidence)
         hits = np.flatnonzero(e.contains(xs, ys, margin=robot_radius))

@@ -7,6 +7,7 @@ import heapq
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,15 @@ class Trajectory:
     @property
     def total_length(self) -> float:
         return float(np.sum(np.linalg.norm(np.diff(self.positions, axis=0), axis=1)))
+
+    @cached_property
+    def step_lengths(self) -> list[float]:
+        """Length of each step, equal bit for bit to the 1-D
+        `np.linalg.norm(p1 - p0)`: `vecdot` uses the same dot kernel, where
+        `norm(..., axis=1)` squares and sums differently and disagrees in the
+        last bit on some steps."""
+        d = np.diff(self.positions, axis=0)
+        return np.sqrt(np.vecdot(d, d)).tolist()
 
     @property
     def start(self) -> np.ndarray:

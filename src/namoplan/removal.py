@@ -4,7 +4,9 @@ and a simplified stock-region placement with a motion-time estimate."""
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.special import betaincinv
@@ -94,12 +96,24 @@ class RemovalEstimate:
     carry_length: float
 
 
+# Relative gap in squared distance that separates two bands of the
+# candidate order. Squared distances and `math.hypot` are each within a few
+# ulps of exact, so candidates in a later band are strictly farther than all
+# candidates in an earlier one, whatever the rounding.
+_BAND_GAP = 1e-9
+
+
 def _stock_candidates(grid: OccupancyGrid, mx: float, my: float,
                       mo_radius: float,
-                      search_radius: float) -> list[tuple[float, int, int]]:
+                      search_radius: float) -> Iterator[tuple[float, int, int]]:
     """(distance, iy, ix) of the free cells that keep an obstacle of
     `mo_radius` clear of static obstacles, between 2 cells and
-    `search_radius` from (mx, my), nearest first."""
+    `search_radius` from (mx, my), nearest first.
+
+    The cells are ordered by squared distance in numpy and split into bands
+    where that order leaves a clear gap. Only a band that is reached gets
+    its exact `math.hypot` distances and its (distance, iy, ix) sort, so a
+    search that takes an early fit never computes the rest."""
     res = grid.resolution
     r_cells = int(math.ceil(search_radius / res))
     ciy, cix = grid.cell_index(mx, my)
@@ -107,18 +121,30 @@ def _stock_candidates(grid: OccupancyGrid, mx: float, my: float,
     iy1 = min(grid.height_cells, ciy + r_cells + 1)
     ix1 = min(grid.width_cells, cix + r_cells + 1)
     if iy0 >= iy1 or ix0 >= ix1:
-        return []
+        return
     ok = ((grid.cells[iy0:iy1, ix0:ix1] == FREE)
           & ~blocked_mask(grid, mo_radius)[iy0:iy1, ix0:ix1])
     iys, ixs = np.nonzero(ok)
-    candidates = []
-    for iy, ix in zip((iys + iy0).tolist(), (ixs + ix0).tolist()):
-        x, y = grid.cell_center(iy, ix)
-        dist = math.hypot(x - mx, y - my)
-        if 2.0 * res <= dist <= search_radius:
-            candidates.append((dist, iy, ix))
-    candidates.sort()
-    return candidates
+    iys += iy0
+    ixs += ix0
+    # The same IEEE operations as `grid.cell_center` followed by the offset.
+    dx = (ixs + 0.5) * res - mx
+    dy = (iys + 0.5) * res - my
+    d2 = dx * dx + dy * dy
+    order = np.argsort(d2, kind="stable")
+    d2 = d2[order]
+    cuts = (np.flatnonzero(np.diff(d2) > _BAND_GAP * d2[1:]) + 1).tolist()
+    dx, dy = dx[order].tolist(), dy[order].tolist()
+    iys, ixs = iys[order].tolist(), ixs[order].tolist()
+    min_dist = 2.0 * res
+    for lo, hi in zip([0, *cuts], [*cuts, len(dx)]):
+        band = sorted((math.hypot(dx[k], dy[k]), iys[k], ixs[k])
+                      for k in range(lo, hi))
+        for c in band:
+            if c[0] > search_radius:
+                return  # every later band lies farther still
+            if c[0] >= min_dist:
+                yield c
 
 
 # Candidates whose path clearance one broadcast computes. The search takes
@@ -148,16 +174,21 @@ def estimate_removal_time(
     such cell exists within the search radius (removal infeasible)."""
     mx, my = mo.belief.mean
     clearance_path = mo.radius + robot_radius
+    # A waypoint farther than search_radius + clearance from the mean cannot
+    # come within the clearance of any candidate, so the `<` test below is
+    # decided by the rest; the margin dwarfs the rounding of both distances.
     path_pts = blocked_path.positions
+    reach = np.linalg.norm(path_pts - (mx, my), axis=1)
+    path_pts = path_pts[reach <= search_radius + clearance_path + 1e-6]
     candidates = _stock_candidates(grid, mx, my, mo.radius, search_radius)
-    for first in range(0, len(candidates), _CLEARANCE_CHUNK):
-        chunk = candidates[first:first + _CLEARANCE_CHUNK]
-        centers = np.array([grid.cell_center(iy, ix) for _, iy, ix in chunk])
+    res = grid.resolution
+    while chunk := list(islice(candidates, _CLEARANCE_CHUNK)):
+        _, iys, ixs = zip(*chunk)
+        centers = (np.column_stack([ixs, iys]) + 0.5) * res
         d_path = np.linalg.norm(path_pts - centers[:, np.newaxis],
-                                axis=-1).min(axis=1)
-        for (_, iy, ix), d in zip(chunk, d_path):
-            if d < clearance_path:
-                continue
+                                axis=-1).min(axis=1, initial=np.inf)
+        for k in np.flatnonzero(~(d_path < clearance_path)).tolist():
+            _, iy, ix = chunk[k]
             x, y = grid.cell_center(iy, ix)
             request = PlanRequest(GridPosition(mx, my), GridPosition(x, y))
             try:

@@ -15,7 +15,9 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from namoplan.gridmap import FREE, STATIC, GridPosition, OccupancyGrid
+from namoplan import blockage
+from namoplan.gridmap import (FREE, STATIC, GridPosition, OccupancyGrid,
+                              QueryInsideObstacle, raycast_width)
 from namoplan.observation import confidence_ellipse
 from namoplan.planner import (_MOVES, EndpointBlocked, PlanRequest, Trajectory,
                               _carve_escape)
@@ -56,12 +58,12 @@ def blocked_mask(grid: OccupancyGrid, robot_radius: float,
     return mask
 
 
-def path_blocked(trajectory, obstacles, robot_radius, confidence=0.95):
+def path_blocked(positions, obstacles, robot_radius, confidence=0.95):
     """Every waypoint against every ellipse, one scalar test at a time;
     oracle for `observation.path_blocked`."""
     ellipses = [(mo.id, confidence_ellipse(mo.belief, mo.radius, confidence))
                 for mo in obstacles]
-    for x, y in trajectory.positions:
+    for x, y in positions:
         for mo_id, e in ellipses:
             if e.contains(x, y, margin=robot_radius):
                 return mo_id
@@ -257,6 +259,36 @@ def estimate_removal_time(grid, mo, robot_xy, blocked_path, robot_radius,
         t_mo = travel + math.pi / v_rot + load_overhead + unload_overhead
         return RemovalEstimate(t_mo, GridPosition(x, y), carry_len)
     return None
+
+
+def trajectory_blockage_detail(pop, trajectory, grid, r):
+    """Arc length walked with one `np.linalg.norm` per step; oracle for
+    `blockage.trajectory_blockage_detail`."""
+    risks = []
+    spacing = max(pop.mu, grid.resolution)
+    next_at = 0.0
+    travelled = 0.0
+    prev = trajectory.positions[0]
+    for idx in range(len(trajectory)):
+        pos = trajectory.positions[idx]
+        travelled += float(np.linalg.norm(pos - prev))
+        prev = pos
+        if travelled < next_at:
+            continue
+        if grid.is_explored(pos[0], pos[1]):
+            continue
+        next_at = travelled + spacing
+        try:
+            width = raycast_width(grid, GridPosition(pos[0], pos[1]),
+                                  float(trajectory.headings[idx]))
+        except QueryInsideObstacle:
+            continue
+        p_given = blockage.blockage_at_width(pop, width, r)
+        p_here = (blockage.waypoint_presence_probability(pop, width)
+                  if p_given > 0.0 else 0.0)
+        risks.append(blockage.WaypointRisk(idx, float(pos[0]), float(pos[1]),
+                                           width, p_given, p_here))
+    return risks
 
 
 def sample_diameters(pop, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -14,7 +14,7 @@ from namoplan.blockage import (ObstaclePopulation, blockage_at_width,
                                blockage_given_size,
                                trajectory_blockage, trajectory_blockage_detail,
                                waypoint_presence_probability)
-from namoplan.gridmap import OccupancyGrid
+from namoplan.gridmap import STATIC, OccupancyGrid
 from namoplan.planner import Trajectory
 
 
@@ -230,6 +230,40 @@ def test_open_space_skips_presence_factor():
     assert all(r.p_block_given_here == 0.0 for r in risks)
     assert all(r.p_here == 0.0 for r in risks)
     assert trajectory_blockage(pop, traj, grid, 0.3) == 0.0
+
+
+def test_blockage_walk_matches_per_step_reference_on_random_paths():
+    rng = np.random.default_rng(71)
+    moves = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+                      if dx or dy])
+    kept = 0
+    for trial in range(40):
+        res = rng.choice([0.05, 0.1, 0.3])
+        grid = OccupancyGrid.empty(80, 60, res)
+        grid.cells[rng.random((60, 80)) < 0.03] = STATIC
+        grid.cells[int(rng.integers(5, 55)), 10:70] = STATIC  # a long wall
+        for _ in range(3):
+            iy, ix = rng.integers(0, 50), rng.integers(0, 70)
+            grid.explored[iy:iy + 10, ix:ix + 10] = True
+        n = int(rng.integers(2, 300))
+        if trial % 2:  # a walk over cell centres, as A* gives
+            cells = np.clip(rng.integers(10, 50, 2)
+                            + np.cumsum(moves[rng.integers(0, 8, n)], axis=0),
+                            0, 59)
+            positions = (cells + 0.5) * res
+        else:  # an off-grid walk
+            positions = np.clip(rng.uniform(0.0, 60 * res, 2)
+                                + np.cumsum(rng.normal(0.0, res, (n, 2)), axis=0),
+                                0.0, 60 * res - 1e-9)
+        traj = Trajectory(positions)
+        mu = rng.uniform(0.15, 1.2)
+        pop = ObstaclePopulation(mu, 0.1 * mu, rng.uniform(1.0, 20.0),
+                                 float(grid.cells.size) * res * res)
+        r = rng.uniform(0.1, 0.4)
+        got = trajectory_blockage_detail(pop, traj, grid, r)
+        assert got == oracles.trajectory_blockage_detail(pop, traj, grid, r)
+        kept += len(got)
+    assert kept > 100
 
 
 def test_probabilities_stay_in_unit_interval_under_fuzzing():

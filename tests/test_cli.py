@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 import yaml
 
-from namoplan import scenario_path
+from namoplan import scenario_path, simulator
 from namoplan.bypass import GlrModel
 from namoplan.cli import main
 from namoplan.gridmap import OccupancyGrid
+from namoplan.simulator import ScenarioConfig, ScenarioError
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +72,24 @@ def test_run_malformed_config_exit_two(tmp_path, capsys):
     bad.write_text("goal: [1, 1\n  map: x")
     assert main(["run", "--config", str(bad)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("loader", [
+    yaml.SafeLoader, *([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])],
+    ids=lambda loader: loader.__name__)
+def test_malformed_yaml_exit_two_with_either_loader(tmp_path, capsys,
+                                                    monkeypatch, loader):
+    monkeypatch.setattr(simulator, "_YAML_LOADER", loader)
+    texts = ["goal: [1, 1\n  map: x", "robot:\n\tradius: 0.3\n",
+             'scenario_id: "open', "goal: *nowhere\n", "a: b: c\n",
+             "obstacles: !!python/object:os.system {}\n"]
+    for k, text in enumerate(texts):
+        bad = tmp_path / f"bad{k}.yaml"
+        bad.write_text(text)
+        with pytest.raises(ScenarioError, match="malformed config"):
+            ScenarioConfig.from_yaml(bad)
+        assert main(["run", "--config", str(bad)]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 def _variant(tiny_yaml, tmp_path, edit) -> str:

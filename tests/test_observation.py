@@ -248,22 +248,22 @@ def _mo(x, y, radius=0.3, var=0.0):
 
 def test_far_obstacle_does_not_block():
     traj = Trajectory(np.array([[0.0, 0.0], [5.0, 0.0]]))
-    assert path_blocked(traj, [_mo(2.5, 3.0)], robot_radius=0.3) is None
+    assert path_blocked(traj.positions, [_mo(2.5, 3.0)], robot_radius=0.3) is None
 
 
 def test_obstacle_on_waypoint_blocks():
     traj = Trajectory(np.array([[0.0, 0.0], [2.0, 0.0], [4.0, 0.0]]))
-    assert path_blocked(traj, [_mo(2.0, 0.0)], robot_radius=0.3) == "m"
+    assert path_blocked(traj.positions, [_mo(2.0, 0.0)], robot_radius=0.3) == "m"
 
 
 def test_grazing_contact_counts_as_blocked():
     # ellipse radius exactly mo_radius; waypoint at distance radius + robot
     traj = Trajectory(np.array([[0.0, 0.6], [1.0, 0.6]]))
-    assert path_blocked(traj, [_mo(0.0, 0.0, radius=0.3)],
+    assert path_blocked(traj.positions, [_mo(0.0, 0.0, radius=0.3)],
                         robot_radius=0.3) == "m"
     # one millimeter farther: clear
     traj2 = Trajectory(np.array([[0.0, 0.601], [1.0, 0.601]]))
-    assert path_blocked(traj2, [_mo(0.0, 0.0, radius=0.3)],
+    assert path_blocked(traj2.positions, [_mo(0.0, 0.0, radius=0.3)],
                         robot_radius=0.3) is None
 
 
@@ -273,7 +273,7 @@ def test_first_blocker_by_path_order():
                                               np.zeros((2, 2))), 0.3)
     far = MovableObstacle("far", PoseBelief(np.array([4.0, 0.0]),
                                             np.zeros((2, 2))), 0.3)
-    assert path_blocked(traj, [far, near], robot_radius=0.2) == "near"
+    assert path_blocked(traj.positions, [far, near], robot_radius=0.2) == "near"
 
 
 # -- pinned to the per-waypoint reference loop ----------------------------
@@ -303,8 +303,8 @@ def test_path_blocked_matches_reference_on_random_paths():
         traj = Trajectory(pts)
         r = rng.uniform(0.1, 0.3)
         conf = rng.choice([0.5, 0.95, 0.99])
-        got = path_blocked(traj, mos, r, conf)
-        assert got == oracles.path_blocked(traj, mos, r, conf)
+        got = path_blocked(traj.positions, mos, r, conf)
+        assert got == oracles.path_blocked(traj.positions, mos, r, conf)
         outcomes.add("none" if got is None else
                      "first" if got == mos[0].id else "later")
     assert outcomes == {"none", "first", "later"}
@@ -329,8 +329,8 @@ def test_path_blocked_matches_reference_on_ellipse_boundaries():
             for pts in (rim, np.nextafter(rim, np.inf), np.nextafter(rim, -np.inf)):
                 for pt in pts:
                     traj = Trajectory(np.array([[e.cx + 9.0, e.cy], pt]))
-                    assert path_blocked(traj, [mo], r) == \
-                        oracles.path_blocked(traj, [mo], r)
+                    assert path_blocked(traj.positions, [mo], r) == \
+                        oracles.path_blocked(traj.positions, [mo], r)
 
 
 def test_same_waypoint_tie_goes_to_the_earlier_obstacle():
@@ -341,5 +341,5 @@ def test_same_waypoint_tie_goes_to_the_earlier_obstacle():
     below = MovableObstacle("below", PoseBelief(np.array([2.0, -0.4]),
                                                 0.01 * np.eye(2)), 0.3)
     for mos in ([above, below], [below, above]):
-        assert path_blocked(traj, mos, 0.2) == mos[0].id
-        assert oracles.path_blocked(traj, mos, 0.2) == mos[0].id
+        assert path_blocked(traj.positions, mos, 0.2) == mos[0].id
+        assert oracles.path_blocked(traj.positions, mos, 0.2) == mos[0].id

@@ -27,6 +27,36 @@ def test_total_length_sums_gaps():
     assert t.total_length == pytest.approx(7.0, rel=1e-9)
 
 
+def _per_step_norms(positions):
+    return [float(np.linalg.norm(p1 - p0))
+            for p0, p1 in zip(positions[:-1], positions[1:])]
+
+
+@pytest.mark.parametrize("res", [0.05, 0.1, 0.3])
+def test_step_lengths_match_per_step_norm_between_neighbouring_cells(res):
+    # Every other step moves from a random cell far from the origin to one
+    # of its 8 neighbours, where `np.linalg.norm(d, axis=1)` differs from
+    # the 1-D norm on some steps.
+    rng = np.random.default_rng(int(res * 100))
+    moves = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+                      if dx or dy])
+    cells = rng.integers(100, 3000, (10_000, 2))
+    pairs = np.stack([cells, cells + moves[rng.integers(0, 8, len(cells))]],
+                     axis=1)
+    t = Trajectory((pairs.reshape(-1, 2) + 0.5) * res)
+    assert t.step_lengths == _per_step_norms(t.positions)
+
+
+def test_step_lengths_match_per_step_norm_off_grid():
+    rng = np.random.default_rng(5)
+    walk = (rng.uniform(100.0, 1000.0, 2)
+            + np.cumsum(rng.normal(0.0, 0.2, (20_000, 2)), axis=0))
+    for positions in (walk, rng.uniform(-500.0, 500.0, (20_000, 2))):
+        t = Trajectory(positions)
+        assert t.step_lengths == _per_step_norms(t.positions)
+        assert t.step_lengths is t.step_lengths
+
+
 def test_headings_point_at_successor():
     t = Trajectory(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]))
     assert t.headings[0] == pytest.approx(0.0)

@@ -1,6 +1,7 @@
 """Success-rate beliefs, expected removal cost, and stock placement."""
 
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -188,6 +189,23 @@ def _wall_world(rng) -> tuple[OccupancyGrid, int]:
     return grid, col
 
 
+def _scattered_world(rng, w, h, res) -> OccupancyGrid:
+    grid = OccupancyGrid.empty(w, h, res)
+    grid.cells[rng.random((h, w)) < 0.05] = STATIC
+    return grid
+
+
+def _assert_lazy_order_matches(grid, mx, my, mo_radius, search_radius):
+    want = oracles.stock_candidates(grid, mx, my, mo_radius, search_radius)
+    assert list(_stock_candidates(grid, mx, my, mo_radius, search_radius)) == want
+    # A consumer that stops early sees the same prefix.
+    for k in (1, 7, len(want) // 2):
+        head = list(islice(_stock_candidates(grid, mx, my, mo_radius,
+                                             search_radius), k))
+        assert head == want[:k]
+    return want
+
+
 def test_stock_search_matches_per_cell_scan():
     rng = np.random.default_rng(31)
     found = passed_nearest = 0
@@ -205,9 +223,8 @@ def test_stock_search_matches_per_cell_scan():
             ys = np.linspace(0.05, 3.95, 40)
             blocked = Trajectory(np.column_stack([np.full_like(ys, mx), ys]))
             for mo_radius, search_radius in ((0.15, 0.5), (0.25, 1.2), (0.3, 3.0)):
-                want = oracles.stock_candidates(grid, mx, my, mo_radius, search_radius)
-                assert _stock_candidates(grid, mx, my, mo_radius,
-                                         search_radius) == want
+                want = _assert_lazy_order_matches(grid, mx, my, mo_radius,
+                                                  search_radius)
                 mo = MovableObstacle("m", PoseBelief(np.array([mx, my]),
                                                      1e-6 * np.eye(2)), mo_radius)
                 args = (grid, mo, np.array([2.5, 2.0]), blocked, 0.1)
@@ -219,6 +236,30 @@ def test_stock_search_matches_per_cell_scan():
                     nearest = grid.cell_center(*want[0][1:])
                     passed_nearest += (est.stock_position.x, est.stock_position.y) != nearest
     assert found > 0 and passed_nearest > 0
+
+
+def test_stock_search_ignores_only_waypoints_out_of_reach():
+    # Clearance 0.4, search radius 1.2: waypoints filling a disk of 0.8 m
+    # rule out every candidate nearer than about 1.165 m, and a ring at
+    # 1.55 m (inside the 1.6 m reach) every candidate beyond 1.15 m, so no
+    # stock cell is left. A ring at 1.65 m rules out none, and a path with
+    # no waypoint in reach leaves the nearest candidate.
+    grid = OccupancyGrid.empty(60, 60, 0.1)
+    mx, my = 3.02, 2.97
+    mo = MovableObstacle("m", PoseBelief(np.array([mx, my]), 1e-6 * np.eye(2)),
+                         0.2)
+    lattice = np.mgrid[-0.8:0.8:33j, -0.8:0.8:33j].reshape(2, -1).T
+    disk = lattice[np.hypot(lattice[:, 0], lattice[:, 1]) <= 0.8]
+    t = np.linspace(0.0, 2.0 * math.pi, 400, endpoint=False)
+    circle = np.column_stack([np.cos(t), np.sin(t)])
+    for pts, found in ((np.vstack([disk, 1.55 * circle]), False),
+                       (np.vstack([disk, 1.65 * circle]), True),
+                       (2.0 * circle, True)):
+        blocked = Trajectory(pts + (mx, my))
+        args = (grid, mo, np.array([0.5, 0.5]), blocked, 0.2)
+        est = estimate_removal_time(*args, search_radius=1.2)
+        assert est == oracles.estimate_removal_time(*args, search_radius=1.2)
+        assert (est is not None) == found
 
 
 @pytest.mark.parametrize("chunk", [1, 5, 32, 10_000])
@@ -248,6 +289,35 @@ def test_stock_search_bounds_are_closed():
     # cells lie exactly at 2 cells and at the search radius.
     grid = OccupancyGrid.empty(24, 24, 0.25)
     mx, my = grid.cell_center(12, 12)
-    got = _stock_candidates(grid, mx, my, 0.2, 1.0)
+    got = list(_stock_candidates(grid, mx, my, 0.2, 1.0))
     assert got == oracles.stock_candidates(grid, mx, my, 0.2, 1.0)
     assert got[0] == (0.5, 10, 12) and got[-1] == (1.0, 16, 12)
+
+
+@pytest.mark.parametrize("res", [0.05, 0.1, 0.3])
+def test_lazy_stock_order_at_fractional_means(res):
+    rng = np.random.default_rng(int(res * 1000))
+    grid = _scattered_world(rng, 60, 60, res)
+    side = 60 * res
+    for _ in range(6):
+        mx, my = rng.uniform(0.0, side, 2)
+        search_radius = rng.uniform(4.0, 25.0) * res
+        assert _assert_lazy_order_matches(grid, mx, my, 0.5 * res, search_radius)
+
+
+def test_lazy_stock_order_breaks_exact_ties_like_the_full_sort():
+    # At 0.25 m, with the mean on a cell centre or a cell corner, cell
+    # centres and squared distances are exact, so rings of 4 and 8 cells lie
+    # at equal distances and (iy, ix) decides their order.
+    rng = np.random.default_rng(33)
+    grid = _scattered_world(rng, 30, 30, 0.25)
+    for iy, ix in ((15, 15), (4, 22), (20, 9)):
+        cx, cy = grid.cell_center(iy, ix)
+        for mx, my in ((cx, cy), (cx - 0.125, cy - 0.125)):
+            for search_radius in (1.0, 1.25, 3.0):
+                want = _assert_lazy_order_matches(grid, mx, my, 0.2,
+                                                  search_radius)
+                dists = [d for d, _, _ in want]
+                assert len(set(dists)) < len(dists)
+                assert want[-1][0] <= search_radius
+

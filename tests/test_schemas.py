@@ -11,7 +11,7 @@ import jsonschema
 import yaml
 
 import namoplan
-from namoplan import scenario_path
+from namoplan import scenario_path, simulator
 from namoplan.simulator import (POLICIES, BypassModelConfig, NoiseConfig,
                                 ObstacleSpec, PopulationConfig, RemovalConfig,
                                 RobotConfig, ScenarioConfig, ScenarioError,
@@ -40,6 +40,26 @@ def test_every_bundled_config_matches_the_schema():
     for path in paths:
         raw = yaml.safe_load(path.read_text())
         assert [e.message for e in validator.iter_errors(raw)] == [], path.name
+
+
+YAML_LOADERS = [yaml.SafeLoader, *([yaml.CSafeLoader]
+                                  if hasattr(yaml, "CSafeLoader") else [])]
+
+
+def test_bundled_configs_load_equal_with_either_yaml_loader(monkeypatch):
+    assert simulator._YAML_LOADER is YAML_LOADERS[-1]
+    paths = sorted(scenario_path("room.yaml").parent.glob("*.yaml"))
+    assert paths
+    for path in paths:
+        # repr tells 1 from 1.0 and keeps the key order.
+        raws = {repr(yaml.load(path.read_text(), Loader=loader))
+                for loader in YAML_LOADERS}
+        assert len(raws) == 1
+        configs = []
+        for loader in YAML_LOADERS:
+            monkeypatch.setattr(simulator, "_YAML_LOADER", loader)
+            configs.append(ScenarioConfig.from_yaml(path))
+        assert all(c == configs[0] for c in configs)
 
 
 def test_schema_properties_match_the_dataclasses():
