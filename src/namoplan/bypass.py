@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .intervals import CostInterval
-from .observation import wrap_angle
+from .observation import turn_angles
 from .planner import Trajectory
 
 
@@ -34,8 +34,7 @@ class TrajectoryFeatures:
 def extract_features(trajectory: Trajectory) -> TrajectoryFeatures:
     if len(trajectory) < 2:
         raise ValueError("degenerate trajectory")
-    headings = trajectory.headings.tolist()
-    deltas = np.abs([wrap_angle(b - a) for a, b in zip(headings[:-1], headings[1:])])
+    deltas = turn_angles(trajectory.headings)
     return TrajectoryFeatures(
         f_l=trajectory.total_length,
         f_s=float(np.mean(deltas)),

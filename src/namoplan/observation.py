@@ -20,8 +20,30 @@ class InvalidCovariance(ValueError):
     pass
 
 
+def _surely_psd(cov: np.ndarray) -> bool:
+    """Closed-form accept for small covariances: True only where the
+    `allclose` and `eigvalsh` checks are sure to accept too. The matrix must
+    be finite, exactly symmetric and no entry above 1 in magnitude, so that
+    `eigvalsh`'s backward error keeps a PSD matrix's eigenvalues far above
+    -1e-12. A 2x2 must be PSD by a relative margin that rounding cannot
+    undo, a 3x3 diagonal with non-negative entries. Comparisons with NaN
+    are false, so NaN and inf never pass."""
+    if cov.shape == (2, 2):
+        (a, b), (c, d) = cov.tolist()
+        return (b == c and 0.0 <= a <= 1.0 and 0.0 <= d <= 1.0
+                and -1.0 <= b <= 1.0
+                and (b == 0.0 or a * d - b * b >= 1e-9 * (a * d + b * b)))
+    if cov.shape == (3, 3):
+        (a, b, c), (d, e, f), (g, h, i) = cov.tolist()
+        return (b == c == d == f == g == h == 0.0
+                and 0.0 <= a <= 1.0 and 0.0 <= e <= 1.0 and 0.0 <= i <= 1.0)
+    return False
+
+
 def _check_psd(cov: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
+    if _surely_psd(cov):
+        return cov
     if not np.allclose(cov, cov.T, atol=1e-9):
         raise InvalidCovariance("invalid covariance: not symmetric")
     if np.min(np.linalg.eigvalsh(cov)) < -tol:
@@ -33,6 +55,22 @@ def wrap_angle(a: float) -> float:
     """Wrap to (-pi, pi]."""
     w = math.remainder(a, 2.0 * math.pi)
     return math.pi if w <= -math.pi else w
+
+
+def turn_angles(headings: np.ndarray) -> np.ndarray:
+    """|wrap_angle(b - a)| of each pair of successive headings, bit for bit.
+
+    For |d| <= 2 pi the IEEE remainder is d itself, d - 2 pi or d + 2 pi,
+    and the shifted differences are exact (Sterbenz), so the array form
+    equals the scalar one. Larger changes (explicit headings are unbounded)
+    go through `wrap_angle` one at a time."""
+    d = np.diff(headings)
+    tau = 2.0 * math.pi
+    if np.any(np.abs(d) > tau):
+        h = headings.tolist()
+        return np.abs([wrap_angle(b - a) for a, b in zip(h[:-1], h[1:])])
+    return np.abs(np.where(d > math.pi, d - tau,
+                           np.where(d < -math.pi, d + tau, d)))
 
 
 @dataclass
@@ -134,17 +172,17 @@ def confidence_ellipse(belief: PoseBelief, mo_radius: float,
     return Ellipse(belief.mean[0], belief.mean[1], a, b, angle)
 
 
-def path_blocked(positions: np.ndarray, obstacles: list[MovableObstacle],
-                 robot_radius: float, confidence: float = 0.95) -> str | None:
+def path_blocked(positions: np.ndarray, obstacles: list[tuple[str, Ellipse]],
+                 robot_radius: float) -> str | None:
     """First obstacle (by path order) whose confidence ellipse, inflated by
-    the robot radius, touches one of the (N, 2) waypoints. Closed-set
-    convention: grazing contact counts as blocked. Of two obstacles first
-    touched at the same waypoint, the one earlier in `obstacles` counts."""
+    the robot radius, touches one of the (N, 2) waypoints. `obstacles` pairs
+    each label with its ellipse. Closed-set convention: grazing contact
+    counts as blocked. Of two obstacles first touched at the same waypoint,
+    the one earlier in `obstacles` counts."""
     xs, ys = positions[:, 0], positions[:, 1]
     blocker, first = None, len(positions)
-    for mo in obstacles:
-        e = confidence_ellipse(mo.belief, mo.radius, confidence)
+    for label, e in obstacles:
         hits = np.flatnonzero(e.contains(xs, ys, margin=robot_radius))
         if hits.size and hits[0] < first:
-            blocker, first = mo.id, hits[0]
+            blocker, first = label, hits[0]
     return blocker

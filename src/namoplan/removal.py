@@ -74,8 +74,12 @@ def expected_removal_cost(p_a: float, max_attempts: int, t_mo: float,
     if not 0.0 <= p_a <= 1.0:
         raise ValueError("p_a must be in [0, 1]")
     q = 1.0 - p_a
-    cost = t_mo * sum(i * p_a * q ** (i - 1) for i in range(1, max_attempts + 1))
-    return cost + (max_attempts * t_mo + c_by) * q ** max_attempts
+    # Left to right: the builtin sum of floats is compensated from Python
+    # 3.12 on and would round differently.
+    attempts = 0.0
+    for i in range(1, max_attempts + 1):
+        attempts += i * p_a * q ** (i - 1)
+    return t_mo * attempts + (max_attempts * t_mo + c_by) * q ** max_attempts
 
 
 def removal_cost_interval(belief: BetaBelief, max_attempts: int, t_mo: float,

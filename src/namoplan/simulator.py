@@ -27,8 +27,8 @@ from .gridmap import GridPosition, OccupancyGrid, mark_explored, raycast_distanc
 from .intervals import CostInterval
 from .observation import (MovableObstacle, PoseBelief, RangeBearingMeasurement,
                           RobotPoseBelief, confidence_ellipse, fuse, path_blocked,
-                          project_measurement, wrap_angle)
-from .planner import EndpointBlocked, PlanRequest, Trajectory, plan_path
+                          project_measurement, turn_angles, wrap_angle)
+from .planner import Ellipse, EndpointBlocked, PlanRequest, Trajectory, plan_path
 
 
 class ScenarioError(ValueError):
@@ -319,8 +319,11 @@ def get_policy(name: str) -> Policy:
 def motion_time(trajectory: Trajectory, v_lin: float, v_rot: float) -> float:
     """Traversal time: length at v_lin plus accumulated turning at v_rot."""
     length = trajectory.total_length
-    h = trajectory.headings
-    turn = sum(abs(wrap_angle(b - a)) for a, b in zip(h[:-1], h[1:]))
+    # Left to right: the builtin sum of floats is compensated from Python
+    # 3.12 on and would round differently.
+    turn = 0.0
+    for t in turn_angles(trajectory.headings).tolist():
+        turn += t
     return length / v_lin + turn / v_rot
 
 
@@ -478,6 +481,10 @@ class _Episode:
         # robot radius and the population are fixed for the episode, so a
         # key need only name what varies.
         self._blockage: dict[tuple[bytes, bytes], float] = {}
+        # Each obstacle's latest belief with its confidence ellipse. Beliefs
+        # are replaced on fuse and placement, never mutated, so an entry
+        # holds while its belief is the current one.
+        self._ellipses: dict[str, tuple[PoseBelief, Ellipse]] = {}
 
     # -- success-rate beliefs ------------------------------------------
 
@@ -498,15 +505,20 @@ class _Episode:
 
     # -- perception ----------------------------------------------------
 
-    def known_obstacles(self) -> list[MovableObstacle]:
-        return [MovableObstacle(label, self.beliefs[label], self.mos[label].spec.radius)
-                for label in sorted(self.beliefs)]
+    def ellipse(self, label: str) -> Ellipse:
+        """Confidence ellipse of the obstacle's current belief, computed
+        once per belief."""
+        belief = self.beliefs[label]
+        memo = self._ellipses.get(label)
+        if memo is None or memo[0] is not belief:
+            memo = (belief, confidence_ellipse(belief, self.mos[label].spec.radius,
+                                               self.cfg.confidence))
+            self._ellipses[label] = memo
+        return memo[1]
 
-    def ellipses(self, exclude: str | None = None):
-        return tuple(
-            confidence_ellipse(mo.belief, mo.radius, self.cfg.confidence)
-            for mo in self.known_obstacles() if mo.id != exclude
-        )
+    def ellipses(self, exclude: str | None = None) -> tuple[Ellipse, ...]:
+        return tuple(self.ellipse(label) for label in sorted(self.beliefs)
+                     if label != exclude)
 
     def sense(self) -> None:
         self.diag["n_senses"] += 1
@@ -587,8 +599,13 @@ class _Episode:
         `ignore` names an obstacle that never counts as blocking (the target
         of a removal approach). Returns ("goal", None), ("blocked",
         obstacle_id) or ("timeout", None).
+
+        A sense tests only the obstacles whose belief changed since they
+        were last cleared on this trajectory: the waypoints left are a
+        suffix of those cleared then, so an unchanged belief cannot block.
         """
         v_lin, v_rot = self.cfg.robot.v_lin, self.cfg.robot.v_rot
+        cleared: dict[str, PoseBelief] = {}  # label -> belief found clear
         since_sense = math.inf  # force a sense right away
         steps = traj.step_lengths
         i = 0
@@ -597,12 +614,16 @@ class _Episode:
             if since_sense >= self.cfg.sense_interval:
                 self.sense()
                 since_sense = 0.0
-                obstacles = [mo for mo in self.known_obstacles()
-                             if mo.id != ignore]
-                blocker = path_blocked(traj.positions[i:], obstacles,
-                                       self.cfg.robot.radius, self.cfg.confidence)
+                changed = [label for label in sorted(self.beliefs)
+                           if label != ignore
+                           and cleared.get(label) is not self.beliefs[label]]
+                blocker = path_blocked(
+                    traj.positions[i:],
+                    [(label, self.ellipse(label)) for label in changed],
+                    self.cfg.robot.radius)
                 if blocker is not None:
                     return "blocked", blocker
+                cleared.update((label, self.beliefs[label]) for label in changed)
             p1 = traj.positions[i + 1]
             step = steps[i]
             new_heading = float(traj.headings[i])

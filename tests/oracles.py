@@ -18,7 +18,7 @@ from scipy import ndimage
 from namoplan import blockage
 from namoplan.gridmap import (FREE, STATIC, GridPosition, OccupancyGrid,
                               QueryInsideObstacle, raycast_width)
-from namoplan.observation import confidence_ellipse
+from namoplan.observation import InvalidCovariance, confidence_ellipse, wrap_angle
 from namoplan.planner import (_MOVES, EndpointBlocked, PlanRequest, Trajectory,
                               _carve_escape)
 from namoplan.removal import RemovalEstimate
@@ -68,6 +68,24 @@ def path_blocked(positions, obstacles, robot_radius, confidence=0.95):
             if e.contains(x, y, margin=robot_radius):
                 return mo_id
     return None
+
+
+def check_psd(cov, tol: float = 1e-12) -> np.ndarray:
+    """`allclose` symmetry and `eigvalsh` sign on every matrix; oracle for
+    `observation._check_psd`."""
+    cov = np.asarray(cov, dtype=float)
+    if not np.allclose(cov, cov.T, atol=1e-9):
+        raise InvalidCovariance("invalid covariance: not symmetric")
+    if np.min(np.linalg.eigvalsh(cov)) < -tol:
+        raise InvalidCovariance("invalid covariance: negative eigenvalue")
+    return cov
+
+
+def turn_angles(headings: np.ndarray) -> np.ndarray:
+    """`wrap_angle` of each heading change, one at a time; oracle for
+    `observation.turn_angles`."""
+    h = headings.tolist()
+    return np.abs([wrap_angle(b - a) for a, b in zip(h[:-1], h[1:])])
 
 
 def plan_path(grid: OccupancyGrid, request: PlanRequest,

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import oracles
+from namoplan import observation
 from namoplan.observation import (InvalidCovariance, MovableObstacle, PoseBelief,
                                   RangeBearingMeasurement, RobotPoseBelief,
                                   confidence_ellipse, fuse, path_blocked,
-                                  project_measurement, wrap_angle)
+                                  project_measurement, turn_angles, wrap_angle)
 from namoplan.planner import Trajectory
 
 
@@ -34,6 +35,34 @@ def _meas(d, phi, cov=None):
 ])
 def test_wrap_angle(a, expected):
     assert wrap_angle(a) == pytest.approx(expected)
+
+
+def _heading_cases(rng):
+    """Heading sequences: atan2 outputs, planned-path steps, changes of
+    exactly and a hair around +-pi and +-2 pi, and explicit headings far
+    outside (-pi, pi]."""
+    pi, tau = math.pi, 2.0 * math.pi
+    yield rng.uniform(-pi, pi, 500)
+    yield np.arctan2(*rng.integers(-1, 2, (2, 500)).astype(float))
+    yield np.array([pi, -pi, pi, 0.0, -pi, -0.0, 0.0, -pi, tau - pi])
+    edges = np.array([pi, -pi, tau, -tau])
+    for direction in (np.inf, -np.inf):
+        for start in (0.0, 0.5, -1.25):
+            near = np.nextafter(edges + start, direction)
+            yield np.ravel(np.column_stack([np.full(4, start), near]))
+            yield np.ravel(np.column_stack([np.full(4, start), edges + start]))
+    yield rng.uniform(-3.0 * pi, 3.0 * pi, 500)
+    yield rng.uniform(-20.0, 20.0, 500)  # the one-at-a-time fallback
+
+
+def test_turn_angles_match_wrap_angle_bit_for_bit():
+    rng = np.random.default_rng(12)
+    fallback = 0
+    for h in _heading_cases(rng):
+        got, want = turn_angles(h), oracles.turn_angles(h)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        fallback += bool(np.any(np.abs(np.diff(h)) > 2.0 * math.pi))
+    assert fallback >= 2
 
 
 # -- measurement projection ---------------------------------------------
@@ -110,6 +139,92 @@ def test_projection_rejects_invalid_covariance():
 def test_nonpositive_range_rejected():
     with pytest.raises(ValueError):
         _meas(0.0, 0.0)
+
+
+# -- covariance check, pinned to the allclose/eigvalsh reference ----------
+
+
+def _rotation(t):
+    return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+
+def _covariance_cases(rng):
+    """2x2 and 3x3 matrices on both sides of every accept/reject edge."""
+    for n in (2, 3):
+        for scale in (1e-9, 1e-3, 0.1, 1.0, 10.0, 1e6, 1e300):
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            cov = q @ np.diag(rng.uniform(0.0, scale, n)) @ q.T
+            yield cov  # PSD, symmetric up to rounding
+            yield 0.5 * (cov + cov.T)  # exactly symmetric
+            v = rng.normal(size=n) * math.sqrt(scale)
+            yield np.outer(v, v)  # rank one
+            yield np.diag(rng.uniform(0.0, scale, n))
+            yield np.diag(rng.uniform(-0.1, 1.0, n) * scale)
+            yield -0.5 * (cov + cov.T)
+        sym = 0.5 * (cov + cov.T)
+        sym = sym / np.max(np.abs(sym))
+        for off in (1e-10, 1e-3):  # inside and beyond allclose's atol
+            bad = sym.copy()
+            bad[0, 1] += off
+            yield bad
+        for value in (np.nan, np.inf, -np.inf):
+            for i, j in ((0, 0), (0, 1), (1, 0)):
+                bad = np.eye(n) * 0.5
+                bad[i, j] = value
+                yield bad
+                if i != j:
+                    bad[j, i] = value
+                    yield bad
+        for k in range(n):
+            for neg in (-1e-13, -1e-11, -0.3):  # within, beyond tolerance
+                diag = np.full(n, 0.5)
+                diag[k] = neg
+                yield np.diag(diag)
+        yield np.diag([-0.0, 0.0, 1.0][:n])
+        for _ in range(50):
+            # symmetric, diagonal non-negative, often indefinite
+            m = rng.uniform(-1.0, 1.0, (n, n))
+            m = 0.5 * (m + m.T)
+            np.fill_diagonal(m, np.abs(m.diagonal()))
+            yield m
+    for _ in range(200):
+        # determinant around +-1e-13, eigenvalue near -1e-12 at the edge
+        a = rng.uniform(1e-3, 1.0)
+        b = rng.uniform(-1.0, 1.0) * a
+        det = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 10.0) * 1e-13
+        yield np.array([[a, b], [b, (b * b + det) / a]])
+        yield np.array([[0.0, b], [b, 0.0]])
+    for _ in range(100):
+        # the projected and fused beliefs the episodes build
+        robot = _robot(*rng.uniform(-5.0, 5.0, 3),
+                       cov=np.diag(rng.uniform(0.0, 0.01, 3)))
+        meas = _meas(rng.uniform(0.1, 5.0), rng.uniform(-1.0, 1.0),
+                     np.diag(rng.uniform(0.0, 0.01, 2)))
+        b1 = project_measurement(robot, meas)
+        b2 = project_measurement(robot, meas)
+        yield b1.cov
+        yield fuse(b1, b2).cov
+
+
+def _psd_outcome(check, cov):
+    try:
+        out = check(cov)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return "ok", out.shape, out.tobytes()
+
+
+def test_check_psd_matches_reference():
+    fast, outcomes = [], []
+    for cov in _covariance_cases(np.random.default_rng(13)):
+        got = _psd_outcome(observation._check_psd, cov)
+        assert got == _psd_outcome(oracles.check_psd, cov), cov
+        fast.append(observation._surely_psd(np.asarray(cov, dtype=float)))
+        outcomes.append(got[0] if got[0] == "ok" else got[1])
+    # Both paths are taken, and the slow one accepts some matrices too.
+    assert sum(fast) >= 200 and outcomes.count("ok") >= sum(fast) + 50
+    assert {"invalid covariance: not symmetric",
+            "invalid covariance: negative eigenvalue"} <= set(outcomes)
 
 
 # -- fusion -------------------------------------------------------------
@@ -246,24 +361,30 @@ def _mo(x, y, radius=0.3, var=0.0):
                                            var * np.eye(2)), radius)
 
 
+def _pairs(mos, confidence=0.95):
+    """(label, confidence ellipse) pairs, as `path_blocked` takes them."""
+    return [(mo.id, confidence_ellipse(mo.belief, mo.radius, confidence))
+            for mo in mos]
+
+
 def test_far_obstacle_does_not_block():
     traj = Trajectory(np.array([[0.0, 0.0], [5.0, 0.0]]))
-    assert path_blocked(traj.positions, [_mo(2.5, 3.0)], robot_radius=0.3) is None
+    assert path_blocked(traj.positions, _pairs([_mo(2.5, 3.0)]), robot_radius=0.3) is None
 
 
 def test_obstacle_on_waypoint_blocks():
     traj = Trajectory(np.array([[0.0, 0.0], [2.0, 0.0], [4.0, 0.0]]))
-    assert path_blocked(traj.positions, [_mo(2.0, 0.0)], robot_radius=0.3) == "m"
+    assert path_blocked(traj.positions, _pairs([_mo(2.0, 0.0)]), robot_radius=0.3) == "m"
 
 
 def test_grazing_contact_counts_as_blocked():
     # ellipse radius exactly mo_radius; waypoint at distance radius + robot
     traj = Trajectory(np.array([[0.0, 0.6], [1.0, 0.6]]))
-    assert path_blocked(traj.positions, [_mo(0.0, 0.0, radius=0.3)],
+    assert path_blocked(traj.positions, _pairs([_mo(0.0, 0.0, radius=0.3)]),
                         robot_radius=0.3) == "m"
     # one millimeter farther: clear
     traj2 = Trajectory(np.array([[0.0, 0.601], [1.0, 0.601]]))
-    assert path_blocked(traj2.positions, [_mo(0.0, 0.0, radius=0.3)],
+    assert path_blocked(traj2.positions, _pairs([_mo(0.0, 0.0, radius=0.3)]),
                         robot_radius=0.3) is None
 
 
@@ -273,7 +394,7 @@ def test_first_blocker_by_path_order():
                                               np.zeros((2, 2))), 0.3)
     far = MovableObstacle("far", PoseBelief(np.array([4.0, 0.0]),
                                             np.zeros((2, 2))), 0.3)
-    assert path_blocked(traj.positions, [far, near], robot_radius=0.2) == "near"
+    assert path_blocked(traj.positions, _pairs([far, near]), robot_radius=0.2) == "near"
 
 
 # -- pinned to the per-waypoint reference loop ----------------------------
@@ -303,7 +424,7 @@ def test_path_blocked_matches_reference_on_random_paths():
         traj = Trajectory(pts)
         r = rng.uniform(0.1, 0.3)
         conf = rng.choice([0.5, 0.95, 0.99])
-        got = path_blocked(traj.positions, mos, r, conf)
+        got = path_blocked(traj.positions, _pairs(mos, conf), r)
         assert got == oracles.path_blocked(traj.positions, mos, r, conf)
         outcomes.add("none" if got is None else
                      "first" if got == mos[0].id else "later")
@@ -329,7 +450,7 @@ def test_path_blocked_matches_reference_on_ellipse_boundaries():
             for pts in (rim, np.nextafter(rim, np.inf), np.nextafter(rim, -np.inf)):
                 for pt in pts:
                     traj = Trajectory(np.array([[e.cx + 9.0, e.cy], pt]))
-                    assert path_blocked(traj.positions, [mo], r) == \
+                    assert path_blocked(traj.positions, _pairs([mo]), r) == \
                         oracles.path_blocked(traj.positions, [mo], r)
 
 
@@ -341,5 +462,5 @@ def test_same_waypoint_tie_goes_to_the_earlier_obstacle():
     below = MovableObstacle("below", PoseBelief(np.array([2.0, -0.4]),
                                                 0.01 * np.eye(2)), 0.3)
     for mos in ([above, below], [below, above]):
-        assert path_blocked(traj.positions, mos, 0.2) == mos[0].id
+        assert path_blocked(traj.positions, _pairs(mos), 0.2) == mos[0].id
         assert oracles.path_blocked(traj.positions, mos, 0.2) == mos[0].id

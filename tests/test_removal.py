@@ -86,6 +86,23 @@ def test_cost_anchor_value():
     assert expected_removal_cost(0.5, 3, 10.0, 20.0) == pytest.approx(20.0)
 
 
+def test_cost_adds_attempts_left_to_right():
+    # The builtin sum of floats is compensated from Python 3.12 on; adding
+    # the attempt terms one after another gives the same bits everywhere.
+    compensated_differs = 0
+    for p in np.linspace(0.01, 0.99, 99).tolist():
+        for m in (3, 7, 20):
+            q = 1.0 - p
+            terms = [i * p * q ** (i - 1) for i in range(1, m + 1)]
+            total = 0.0
+            for term in terms:
+                total += term
+            want = 12.0 * total + (m * 12.0 + 35.0) * q ** m
+            assert expected_removal_cost(p, m, 12.0, 35.0) == want
+            compensated_differs += total != math.fsum(terms)
+    assert compensated_differs > 10
+
+
 def test_cost_monotone_in_success_rate():
     grid = np.linspace(0.0, 1.0, 101)
     costs = [expected_removal_cost(p, 4, 12.0, 35.0) for p in grid]

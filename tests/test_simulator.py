@@ -219,6 +219,26 @@ def test_motion_time_l_path_additive():
     assert motion_time(t, 0.5, 1.0) == pytest.approx(20.0 + math.pi / 2)
 
 
+def test_motion_time_adds_turns_left_to_right():
+    # Planned paths of many turns, whose turn total a compensated sum (the
+    # builtin sum from Python 3.12 on) would round differently.
+    import oracles
+
+    rng = np.random.default_rng(3)
+    compensated_differs = 0
+    for _ in range(50):
+        steps = rng.integers(-1, 2, (200, 2)).astype(float) * 0.1
+        steps = steps[np.any(steps != 0.0, axis=1)]
+        t = Trajectory(np.cumsum(np.vstack([[[1.0, 1.0]], steps]), axis=0))
+        turns = oracles.turn_angles(t.headings).tolist()
+        total = 0.0
+        for turn in turns:
+            total += turn
+        assert motion_time(t, 0.5, 1.0) == t.total_length / 0.5 + total / 1.0
+        compensated_differs += total != math.fsum(turns)
+    assert compensated_differs > 10
+
+
 # -- sensing ------------------------------------------------------------
 
 
@@ -531,6 +551,125 @@ def test_plan_memo_keeps_masks_apart(tmp_path, monkeypatch):
     assert not np.array_equal(plans[0][0].positions, plans[1][0].positions)
     # Without ellipses the mask equals the one with B excluded: one entry.
     assert plans[3][0] is plans[2][0]
+
+
+# -- incremental sensing ------------------------------------------------
+
+
+def test_follow_retests_only_changed_beliefs(tmp_path, monkeypatch):
+    # Scripted senses along a straight run at y = 2: A and B are first seen
+    # off the path, then nothing changes, then A's belief moves onto the
+    # path ahead. Only new or changed beliefs are tested, and the change
+    # blocks.
+    from namoplan import simulator
+    from namoplan.observation import PoseBelief
+
+    cfg = _config(tmp_path, obstacles=[("A", (3.0, 3.5)), ("B", (2.0, 0.5))])
+    ep = _Episode(cfg, get_policy("uncertainty"), seed=0)
+    traj = Trajectory(np.column_stack([np.linspace(0.7, 5.3, 47),
+                                       np.full(47, 2.0)]))
+    off_path = {"A": PoseBelief(np.array([3.0, 3.5]), np.eye(2) * 1e-4),
+                "B": PoseBelief(np.array([2.0, 0.5]), np.eye(2) * 1e-4)}
+    script = [off_path, {}, {"A": PoseBelief(np.array([4.5, 2.1]),
+                                             np.eye(2) * 1e-4)}]
+    monkeypatch.setattr(ep, "sense",
+                        lambda: ep.beliefs.update(script.pop(0) if script else {}))
+    tested = []
+    real = simulator.path_blocked
+    monkeypatch.setattr(simulator, "path_blocked", lambda positions, obstacles, r:
+                        tested.append([label for label, _ in obstacles])
+                        or real(positions, obstacles, r))
+    assert ep.follow(traj) == ("blocked", "A")
+    assert tested == [["A", "B"], [], ["A"]]
+
+
+_INTERVAL_POLICIES = ("uncertainty", "uncertainty-no-action",
+                      "uncertainty-no-blockage")
+
+
+@pytest.fixture(scope="module")
+def sensing_battery():
+    """Every bundled scenario under the interval policies at seeds 0-2,
+    with `follow`'s path checks, the ellipse memo after every fuse and
+    placement, and the closed-form covariance check all observed."""
+    import oracles
+    from namoplan import observation, simulator
+    from namoplan.observation import MovableObstacle, confidence_ellipse
+
+    seen = {"checks": [], "ellipses": [], "fast_psd": []}
+    current = {}
+    follow, sense = _Episode.follow, _Episode.sense
+    execute_removal = _Episode.execute_removal
+    path_blocked, surely_psd = simulator.path_blocked, observation._surely_psd
+
+    def spy_follow(self, traj, ignore=None):
+        current["episode"], current["ignore"] = self, ignore
+        return follow(self, traj, ignore)
+
+    def spy_path_blocked(positions, obstacles, robot_radius):
+        got = path_blocked(positions, obstacles, robot_radius)
+        ep = current["episode"]
+        known = [MovableObstacle(label, ep.beliefs[label], ep.mos[label].spec.radius)
+                 for label in sorted(ep.beliefs) if label != current["ignore"]]
+        want = oracles.path_blocked(positions, known, robot_radius,
+                                    ep.cfg.confidence)
+        seen["checks"].append((got, want, len(obstacles), len(known)))
+        return got
+
+    def check_ellipses(ep, event):
+        fresh = tuple(confidence_ellipse(ep.beliefs[label],
+                                         ep.mos[label].spec.radius,
+                                         ep.cfg.confidence)
+                      for label in sorted(ep.beliefs))
+        seen["ellipses"].append((event, ep.ellipses(), fresh))
+
+    def spy_sense(self):
+        sense(self)
+        check_ellipses(self, "sense")
+
+    def spy_execute_removal(self, label, blocked_traj):
+        status = execute_removal(self, label, blocked_traj)
+        check_ellipses(self, "placed" if self.mos[label].placed else status)
+        return status
+
+    def spy_surely_psd(cov):
+        seen["fast_psd"].append(surely_psd(cov))
+        return seen["fast_psd"][-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Episode, "follow", spy_follow)
+        mp.setattr(_Episode, "sense", spy_sense)
+        mp.setattr(_Episode, "execute_removal", spy_execute_removal)
+        mp.setattr(simulator, "path_blocked", spy_path_blocked)
+        mp.setattr(observation, "_surely_psd", spy_surely_psd)
+        names = sorted(p.name for p in scenario_path("room.yaml").parent.glob("*.yaml"))
+        for name in names:
+            cfg = ScenarioConfig.from_yaml(scenario_path(name))
+            for policy in _INTERVAL_POLICIES:
+                for seed in range(3):
+                    run_episode(cfg, policy, seed=seed)
+    assert len(names) == 7
+    return seen
+
+
+def test_incremental_path_check_equals_full_check(sensing_battery):
+    checks = sensing_battery["checks"]
+    assert all(got == want for got, want, _, _ in checks)
+    # Some senses skipped cleared obstacles, and some found a blocker.
+    assert sum(tested < known for _, _, tested, known in checks) > 100
+    assert sum(got is not None for got, _, _, _ in checks) > 10
+
+
+def test_ellipse_memo_follows_fuse_and_placement(sensing_battery):
+    snapshots = sensing_battery["ellipses"]
+    assert all(memo == fresh for _, memo, fresh in snapshots)
+    events = [event for event, memo, _ in snapshots if memo]
+    assert events.count("sense") > 100 and events.count("placed") > 5
+
+
+def test_episode_covariances_pass_the_closed_form_check(sensing_battery):
+    fast = sensing_battery["fast_psd"]
+    assert len(fast) > 500 and all(fast)
 
 
 # The paired battery run in a fresh process: cold caches.
