@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
-from .gridmap import GridPosition, OccupancyGrid, QueryInsideObstacle, raycast_width
+from .gridmap import (GridPosition, OccupancyGrid, QueryInsideObstacle,
+                      lru_lookup, raycast_width)
 from .planner import Trajectory
 
 log = logging.getLogger(__name__)
@@ -72,6 +74,12 @@ def blockage_given_size(l_mo: float, width: float, r: float) -> float:
     return min(max(4.0 * r / (width - l_mo) - 1.0, 0.0), 1.0)
 
 
+# Blockage probabilities by (mu, sigma, width, r): a run scores a few dozen
+# distinct widths thousands of times.
+_WIDTH_MEMO: OrderedDict[tuple, float] = OrderedDict()
+_WIDTH_MEMO_SIZE = 1024
+
+
 def blockage_at_width(pop: ObstaclePopulation, width: float, r: float) -> float:
     """Blockage probability at one corridor width, marginalized exactly over
     the size population N(mu, sigma) truncated to (0, inf).
@@ -79,13 +87,18 @@ def blockage_at_width(pop: ObstaclePopulation, width: float, r: float) -> float:
     The sure-block branch [w - 2r, w) is a difference of normal CDFs; the
     middle branch (w - 4r, w - 2r) is integrated with a fixed Gauss-Legendre
     rule. Both are clipped to mu +/- 8 sigma, so a population whose band
-    misses the branches gives exactly 0.
+    misses the branches gives exactly 0. Memoized on the arguments it reads.
     """
     if width <= 0 or r <= 0:
         raise ValueError("width, r must be positive")
-    if pop.sigma == 0.0:
-        return blockage_given_size(pop.mu, width, r)
-    mu, sigma = pop.mu, pop.sigma
+    return lru_lookup(_WIDTH_MEMO, _WIDTH_MEMO_SIZE,
+                      (pop.mu, pop.sigma, width, r), _marginal, pop.mu,
+                      pop.sigma, width, r)
+
+
+def _marginal(mu: float, sigma: float, width: float, r: float) -> float:
+    if sigma == 0.0:
+        return blockage_given_size(mu, width, r)
     lo = max(mu - _TAIL * sigma, 0.0)
     hi = mu + _TAIL * sigma
     p = 0.0

@@ -296,7 +296,8 @@ def _visible_cells(grid: OccupancyGrid, x: float, y: float, heading: float,
     return cells
 
 
-_INFLATION_CACHE: dict[tuple, np.ndarray] = {}
+# Static inflation of a loaded grid, keyed on `(grid.key, radius)`.
+_INFLATION_CACHE: OrderedDict[tuple, np.ndarray] = OrderedDict()
 _INFLATION_CACHE_SIZE = 8
 
 
@@ -304,18 +305,16 @@ def inflated_blocked_mask(grid: OccupancyGrid, radius: float) -> np.ndarray:
     """Boolean mask of cells whose center is within radius of any static cell
     (or the map border). Used as the planning substrate.
 
-    Masks are cached on the cells' contents, so a changed grid never reads a
-    stale one; every call returns a fresh copy the caller may write to.
+    Masks of a grid with a key are cached on the key and the radius; a grid
+    built in code computes every call, so changed cells never read a stale
+    mask. Every call returns a fresh copy the caller may write to.
     """
-    cells = grid.cells
-    key = (cells.tobytes(), cells.shape, grid.resolution, radius)
-    mask = _INFLATION_CACHE.get(key)
-    if mask is None:
-        # Pad with a static border so the map edge inflates inward.
-        padded = np.pad(cells == STATIC, 1, constant_values=True)
-        dist = ndimage.distance_transform_edt(~padded) * grid.resolution
-        mask = dist[1:-1, 1:-1] <= radius
-        if len(_INFLATION_CACHE) >= _INFLATION_CACHE_SIZE:
-            del _INFLATION_CACHE[next(iter(_INFLATION_CACHE))]
-        _INFLATION_CACHE[key] = mask
-    return mask.copy()
+    return _memoized(_INFLATION_CACHE, _INFLATION_CACHE_SIZE, _inflate, grid,
+                     radius).copy()
+
+
+def _inflate(grid: OccupancyGrid, radius: float) -> np.ndarray:
+    # Pad with a static border so the map edge inflates inward.
+    padded = np.pad(grid.cells == STATIC, 1, constant_values=True)
+    dist = ndimage.distance_transform_edt(~padded) * grid.resolution
+    return dist[1:-1, 1:-1] <= radius

@@ -4,9 +4,10 @@ and a simplified stock-region placement with a motion-time estimate."""
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from itertools import islice
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 from scipy.special import betaincinv
@@ -106,18 +107,29 @@ class RemovalEstimate:
 # candidates in an earlier one, whatever the rounding.
 _BAND_GAP = 1e-9
 
+# Cells whose fit one call of the predicate decides first; each later slice
+# doubles. The median search on the bundled scenarios passes a few hundred
+# cells before the first that fits, and most searches end at that one.
+_FIRST_SLICE = 64
+
 
 def _stock_candidates(grid: OccupancyGrid, mx: float, my: float,
-                      mo_radius: float,
-                      search_radius: float) -> Iterator[tuple[float, int, int]]:
+                      mo_radius: float, search_radius: float,
+                      fits: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                      max_slice: int) -> Iterator[tuple[float, int, int]]:
     """(distance, iy, ix) of the free cells that keep an obstacle of
-    `mo_radius` clear of static obstacles, between 2 cells and
-    `search_radius` from (mx, my), nearest first.
+    `mo_radius` clear of static obstacles and whose centres pass `fits`,
+    between 2 cells and `search_radius` from (mx, my), nearest first.
 
     The cells are ordered by squared distance in numpy and split into bands
-    where that order leaves a clear gap. Only a band that is reached gets
-    its exact `math.hypot` distances and its (distance, iy, ix) sort, so a
-    search that takes an early fit never computes the rest."""
+    where that order leaves a clear gap. `fits(xs, ys)` maps arrays of cell
+    centres to a boolean array; it sees the cells in slices of that order,
+    the first `_FIRST_SLICE` long (at most `max_slice`), each later one
+    twice as long, each extended to the end of the band it cuts. Only the
+    cells that fit get their exact `math.hypot` distances and their
+    (distance, iy, ix) sort within their band. Filtering never reorders a
+    band, so the cells yielded are exactly the ones that fit, in the order
+    of the full per-cell sort."""
     res = grid.resolution
     r_cells = int(math.ceil(search_radius / res))
     ciy, cix = grid.cell_index(mx, my)
@@ -132,30 +144,42 @@ def _stock_candidates(grid: OccupancyGrid, mx: float, my: float,
     iys += iy0
     ixs += ix0
     # The same IEEE operations as `grid.cell_center` followed by the offset.
-    dx = (ixs + 0.5) * res - mx
-    dy = (iys + 0.5) * res - my
+    xs = (ixs + 0.5) * res
+    ys = (iys + 0.5) * res
+    dx = xs - mx
+    dy = ys - my
     d2 = dx * dx + dy * dy
-    order = np.argsort(d2, kind="stable")
+    # A cell this far out lies beyond `search_radius` whatever the rounding,
+    # so it is never yielded and never tested.
+    near = np.flatnonzero(d2 <= search_radius * search_radius
+                          * (1.0 + _BAND_GAP))
+    order = near[np.argsort(d2[near], kind="stable")]
     d2 = d2[order]
-    cuts = (np.flatnonzero(np.diff(d2) > _BAND_GAP * d2[1:]) + 1).tolist()
-    dx, dy = dx[order].tolist(), dy[order].tolist()
-    iys, ixs = iys[order].tolist(), ixs[order].tolist()
+    xs, ys, dx, dy = xs[order], ys[order], dx[order], dy[order]
+    iys, ixs = iys[order], ixs[order]
+    n = len(order)
+    ends = np.append(np.flatnonzero(np.diff(d2) > _BAND_GAP * d2[1:]) + 1, n)
+    band = np.searchsorted(ends, np.arange(n), side="right")
     min_dist = 2.0 * res
-    for lo, hi in zip([0, *cuts], [*cuts, len(dx)]):
-        band = sorted((math.hypot(dx[k], dy[k]), iys[k], ixs[k])
-                      for k in range(lo, hi))
-        for c in band:
-            if c[0] > search_radius:
-                return  # every later band lies farther still
-            if c[0] >= min_dist:
-                yield c
+    lo, size = 0, min(_FIRST_SLICE, max_slice)
+    while lo < n:
+        hi = int(ends[np.searchsorted(ends, min(lo + size, n))])
+        fit = np.flatnonzero(fits(xs[lo:hi], ys[lo:hi])) + lo
+        cells = zip(band[fit].tolist(), dx[fit].tolist(), dy[fit].tolist(),
+                    iys[fit].tolist(), ixs[fit].tolist())
+        for _, group in groupby(cells, key=itemgetter(0)):
+            for c in sorted((math.hypot(x, y), iy, ix)
+                            for _, x, y, iy, ix in group):
+                if c[0] > search_radius:
+                    return  # every later band lies farther still
+                if c[0] >= min_dist:
+                    yield c
+        lo, size = hi, min(2 * size, max_slice)
 
 
-# Candidates whose path clearance one broadcast computes. The search takes
-# the first fit and usually stops early, and 32 cells against a
-# 400-waypoint path take 200 KB, where a whole 3 m search box (about 3.7k
-# cells) would take 24 MB.
-_CLEARANCE_CHUNK = 32
+# Largest (cells x waypoints) array one clearance test builds: 0.5 MB of
+# float64 per temporary.
+_CLEARANCE_ELEMENTS = 65_536
 
 
 def estimate_removal_time(
@@ -183,30 +207,35 @@ def estimate_removal_time(
     # decided by the rest; the margin dwarfs the rounding of both distances.
     path_pts = blocked_path.positions
     reach = np.linalg.norm(path_pts - (mx, my), axis=1)
-    path_pts = path_pts[reach <= search_radius + clearance_path + 1e-6]
-    candidates = _stock_candidates(grid, mx, my, mo.radius, search_radius)
-    res = grid.resolution
-    while chunk := list(islice(candidates, _CLEARANCE_CHUNK)):
-        _, iys, ixs = zip(*chunk)
-        centers = (np.column_stack([ixs, iys]) + 0.5) * res
-        d_path = np.linalg.norm(path_pts - centers[:, np.newaxis],
-                                axis=-1).min(axis=1, initial=np.inf)
-        for k in np.flatnonzero(~(d_path < clearance_path)).tolist():
-            _, iy, ix = chunk[k]
-            x, y = grid.cell_center(iy, ix)
-            request = PlanRequest(GridPosition(mx, my), GridPosition(x, y))
-            try:
-                carry = plan_path(grid, request, robot_radius)
-            except ValueError:
-                continue
-            if carry is None:
-                continue
-            approach_len = float(np.linalg.norm(np.asarray(robot_xy)
-                                                - np.array([mx, my])))
-            carry_len = carry.total_length
-            # approach + carry + return, plus load/unload handling time
-            travel = (approach_len + 2.0 * carry_len) / v_lin
-            turning = math.pi / v_rot  # nominal in-place turns at pick and place
-            t_mo = travel + turning + load_overhead + unload_overhead
-            return RemovalEstimate(t_mo, GridPosition(x, y), carry_len)
+    px, py = path_pts[reach <= search_radius + clearance_path + 1e-6].T
+
+    def fits(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        # `sqrt(ex*ex + ey*ey)` is what `np.linalg.norm` computes for a
+        # 2-vector, and a correctly rounded, monotone sqrt commutes with the
+        # min, so this is the per-cell `norm(...).min() < clearance` test.
+        # With no waypoint in reach every cell fits.
+        ex = px - xs[:, np.newaxis]
+        ey = py - ys[:, np.newaxis]
+        d2 = (ex * ex + ey * ey).min(axis=1, initial=np.inf)
+        return ~(np.sqrt(d2) < clearance_path)
+
+    max_slice = max(1, _CLEARANCE_ELEMENTS // max(1, len(px)))
+    for _, iy, ix in _stock_candidates(grid, mx, my, mo.radius, search_radius,
+                                       fits, max_slice):
+        x, y = grid.cell_center(iy, ix)
+        request = PlanRequest(GridPosition(mx, my), GridPosition(x, y))
+        try:
+            carry = plan_path(grid, request, robot_radius)
+        except ValueError:
+            continue
+        if carry is None:
+            continue
+        approach_len = float(np.linalg.norm(np.asarray(robot_xy)
+                                            - np.array([mx, my])))
+        carry_len = carry.total_length
+        # approach + carry + return, plus load/unload handling time
+        travel = (approach_len + 2.0 * carry_len) / v_lin
+        turning = math.pi / v_rot  # nominal in-place turns at pick and place
+        t_mo = travel + turning + load_overhead + unload_overhead
+        return RemovalEstimate(t_mo, GridPosition(x, y), carry_len)
     return None

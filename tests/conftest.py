@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from namoplan import gridmap, scenario_path
+from namoplan import blockage, gridmap, scenario_path
 from namoplan.gridmap import FREE, STATIC, OccupancyGrid
 from namoplan.simulator import ScenarioConfig
 
@@ -33,9 +33,12 @@ def grid_from_ascii(art: str, resolution: float = 0.1) -> OccupancyGrid:
 
 @pytest.fixture
 def fresh_memos(monkeypatch):
-    """Empty visibility and ray-cast memos, restored after the test."""
+    """Empty visibility, ray-cast, inflation and blockage-width memos,
+    restored after the test."""
     monkeypatch.setattr(gridmap, "_VISIBILITY_MEMO", OrderedDict())
     monkeypatch.setattr(gridmap, "_RAY_MEMO", OrderedDict())
+    monkeypatch.setattr(gridmap, "_INFLATION_CACHE", OrderedDict())
+    monkeypatch.setattr(blockage, "_WIDTH_MEMO", OrderedDict())
 
 
 @pytest.fixture

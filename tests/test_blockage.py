@@ -10,6 +10,7 @@ from scipy import integrate, stats
 
 import oracles
 from conftest import grid_from_ascii
+from namoplan import blockage
 from namoplan.blockage import (ObstaclePopulation, blockage_at_width,
                                blockage_given_size,
                                trajectory_blockage, trajectory_blockage_detail,
@@ -138,11 +139,42 @@ def test_population_matches_sampled_oracle():
         r = rng.uniform(0.1, 0.5)
         w = mu + rng.uniform(-1.0, 4.0) * r
         exact = blockage_at_width(pop, w, r)
-        sampled = oracles.blockage_at_width(pop, w, r, n_samples=n, seed=i)
+        sampled = oracles.sampled_blockage_at_width(pop, w, r, n_samples=n,
+                                                    seed=i)
         # each draw contributes a value in [0, 1], so its variance is at
         # most p (1 - p)
         se = math.sqrt(max(exact * (1.0 - exact), 1e-12) / n)
         assert abs(exact - sampled) <= 4 * se
+
+
+def test_memoized_width_matches_uncached_formula(fresh_memos):
+    # Populations that share a mean but not a spread, and radii that share
+    # a width, must each get their own entry.
+    rng = np.random.default_rng(23)
+    pops = [ObstaclePopulation(mu, sigma, 1.0, 100.0)
+            for mu in (0.6, 1.1) for sigma in (0.0, 0.05, 0.3)]
+    queries = [(pop, w, r) for pop in pops for r in (0.2, 0.35)
+               for w in [*rng.uniform(0.3, 3.0, 4), pop.mu + 3.0 * r]]
+    repeats = [queries[i] for i in rng.integers(len(queries), size=40)]
+    for pop, w, r in queries + repeats:
+        assert blockage_at_width(pop, w, r) == oracles.blockage_at_width(
+            pop, w, r)
+    assert len(blockage._WIDTH_MEMO) == len(queries)
+
+
+def test_width_memo_keeps_no_errors_and_stays_bounded(fresh_memos,
+                                                      monkeypatch):
+    monkeypatch.setattr(blockage, "_WIDTH_MEMO_SIZE", 3)
+    pop = _pop()
+    with pytest.raises(ValueError):
+        blockage_at_width(pop, 0.0, 0.3)
+    assert not blockage._WIDTH_MEMO
+    for i, w in enumerate((1.2, 1.4, 1.6, 1.8, 1.2)):
+        assert blockage_at_width(pop, w, 0.3) == oracles.blockage_at_width(
+            pop, w, 0.3)
+        assert len(blockage._WIDTH_MEMO) == min(i + 1, 3)
+    assert list(blockage._WIDTH_MEMO) == [(1.0, 0.1, w, 0.3)
+                                          for w in (1.6, 1.8, 1.2)]
 
 
 # -- presence probability -----------------------------------------------

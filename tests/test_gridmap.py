@@ -264,6 +264,23 @@ def test_inflated_mask_is_a_fresh_copy():
     assert not inflated_blocked_mask(g, 0.2)[15, 15]
 
 
+def test_loaded_grid_inflation_is_keyed_on_the_map(fresh_memos, monkeypatch):
+    monkeypatch.setattr(gridmap, "_INFLATION_CACHE_SIZE", 3)
+    grids = [OccupancyGrid.load(scenario_path(name))
+             for name in ("room.map", "warehouse.map")]
+    queries = [(g, radius) for g in grids for radius in (0.2, 0.25, 0.35)]
+    for i, (g, radius) in enumerate(queries + queries[::-1]):
+        mask = inflated_blocked_mask(g, radius)
+        assert np.array_equal(mask, oracles.inflated_blocked_mask(g, radius))
+        mask[:] = True  # a fresh copy: the cached mask is untouched
+        assert len(gridmap._INFLATION_CACHE) == min(i + 1, 3)
+        # The key names the map by its 16-byte digest, never by its cells.
+        assert set(gridmap._INFLATION_CACHE) <= {(h.key, r) for h, r in queries}
+    kept = list(gridmap._INFLATION_CACHE)
+    inflated_blocked_mask(OccupancyGrid.empty(30, 30, 0.1), 0.2)
+    assert list(gridmap._INFLATION_CACHE) == kept
+
+
 # -- memoized ray casts on maps read from a file ------------------------
 
 

@@ -212,13 +212,23 @@ def _scattered_world(rng, w, h, res) -> OccupancyGrid:
     return grid
 
 
+# A slice cap no search box reaches.
+_NO_CAP = 10**9
+
+
+def _everything(xs, ys):
+    return np.ones(len(xs), dtype=bool)
+
+
 def _assert_lazy_order_matches(grid, mx, my, mo_radius, search_radius):
     want = oracles.stock_candidates(grid, mx, my, mo_radius, search_radius)
-    assert list(_stock_candidates(grid, mx, my, mo_radius, search_radius)) == want
+    assert list(_stock_candidates(grid, mx, my, mo_radius, search_radius,
+                                  _everything, _NO_CAP)) == want
     # A consumer that stops early sees the same prefix.
     for k in (1, 7, len(want) // 2):
         head = list(islice(_stock_candidates(grid, mx, my, mo_radius,
-                                             search_radius), k))
+                                             search_radius, _everything,
+                                             _NO_CAP), k))
         assert head == want[:k]
     return want
 
@@ -279,11 +289,12 @@ def test_stock_search_ignores_only_waypoints_out_of_reach():
         assert (est is not None) == found
 
 
-@pytest.mark.parametrize("chunk", [1, 5, 32, 10_000])
-def test_stock_search_first_fit_across_chunks(monkeypatch, chunk):
+@pytest.mark.parametrize("first_slice", [1, 5, 32, 64, 10_000])
+def test_stock_search_first_fit_across_chunks(monkeypatch, first_slice):
     # A path looping around the obstacle rules out its nearest few hundred
-    # candidates, so the first fit lies chunks deep whatever the chunk size.
-    monkeypatch.setattr(removal, "_CLEARANCE_CHUNK", chunk)
+    # candidates, so the first fit lies slices deep whatever the first
+    # slice's size.
+    monkeypatch.setattr(removal, "_FIRST_SLICE", first_slice)
     rng = np.random.default_rng(32)
     t = np.linspace(0.0, 6.0 * math.pi, 400)
     for _ in range(4):
@@ -296,7 +307,8 @@ def test_stock_search_first_fit_across_chunks(monkeypatch, chunk):
         args = (grid, mo, np.array([0.5, 0.5]), blocked, 0.1)
         est = estimate_removal_time(*args)
         assert est is not None and est == oracles.estimate_removal_time(*args)
-        cells = [c[1:] for c in _stock_candidates(grid, mx, my, 0.15, 3.0)]
+        cells = [c[1:] for c in _stock_candidates(grid, mx, my, 0.15, 3.0,
+                                                  _everything, _NO_CAP)]
         assert cells.index(grid.cell_index(est.stock_position.x,
                                            est.stock_position.y)) > 64
 
@@ -306,7 +318,8 @@ def test_stock_search_bounds_are_closed():
     # cells lie exactly at 2 cells and at the search radius.
     grid = OccupancyGrid.empty(24, 24, 0.25)
     mx, my = grid.cell_center(12, 12)
-    got = list(_stock_candidates(grid, mx, my, 0.2, 1.0))
+    got = list(_stock_candidates(grid, mx, my, 0.2, 1.0, _everything,
+                                 _NO_CAP))
     assert got == oracles.stock_candidates(grid, mx, my, 0.2, 1.0)
     assert got[0] == (0.5, 10, 12) and got[-1] == (1.0, 16, 12)
 
@@ -338,3 +351,102 @@ def test_lazy_stock_order_breaks_exact_ties_like_the_full_sort():
                 assert len(set(dists)) < len(dists)
                 assert want[-1][0] <= search_radius
 
+
+
+def _random_fit(rng, grid, p):
+    """A predicate over cell centres that passes a fixed random share `p`
+    of the grid's cells."""
+    table = rng.random(grid.cells.shape) < p
+
+    def fits(xs, ys):
+        res = grid.resolution
+        return table[(ys / res).astype(int), (xs / res).astype(int)]
+    return fits, table
+
+
+def _tie_grid_means(grid):
+    # At 0.25 m, means on a cell centre or a cell corner make rings of 4
+    # and 8 cells at exactly equal distances.
+    for iy, ix in ((15, 15), (4, 22), (20, 9)):
+        cx, cy = grid.cell_center(iy, ix)
+        yield cx, cy
+        yield cx - 0.125, cy - 0.125
+
+
+@pytest.mark.parametrize("first_slice", [1, 2, 3, 4, 5, 64])
+def test_filtered_stock_order_matches_the_full_sort(monkeypatch, first_slice):
+    # Slices of 1-5 cells cut through the bands of equal and nearly equal
+    # distances; each cut must be extended to the end of its band.
+    monkeypatch.setattr(removal, "_FIRST_SLICE", first_slice)
+    rng = np.random.default_rng(34)
+    worlds = [(_scattered_world(rng, 30, 30, 0.25), 0.2)]
+    worlds += [(_scattered_world(rng, 40, 40, res), 0.5 * res)
+               for res in (0.1, 0.3)]
+    for grid, mo_radius in worlds:
+        means = list(_tie_grid_means(grid)) if grid.resolution == 0.25 else [
+            grid.cell_center(*rng.integers(5, 35, 2)) for _ in range(3)]
+        for mx, my in means:
+            for p in (0.1, 0.5, 0.9):
+                fits, table = _random_fit(rng, grid, p)
+                search_radius = 8.5 * grid.resolution
+                want = [c for c in oracles.stock_candidates(
+                    grid, mx, my, mo_radius, search_radius)
+                    if table[c[1], c[2]]]
+                args = (grid, mx, my, mo_radius, search_radius, fits, _NO_CAP)
+                assert list(_stock_candidates(*args)) == want
+                for k in range(len(want)):
+                    assert list(islice(_stock_candidates(*args), k)) == want[:k]
+
+
+def test_clearance_slices_double_up_to_the_cap():
+    # With nothing fitting, every cell within the search radius is tested
+    # once, in slices of 64, 128, ... capped at `max_slice`, and no cell
+    # beyond the radius is tested at all.
+    grid = OccupancyGrid.empty(100, 100, 0.1)
+    mx, my = 5.0123, 4.9871
+    inside = sum(math.hypot(*(np.array(grid.cell_center(iy, ix)) - (mx, my)))
+                 <= 3.0 for iy in range(100) for ix in range(100))
+    for max_slice, first in ((_NO_CAP, [64, 128, 256, 512, 1024]),
+                             (100, [64, 100, 100, 100])):
+        sizes = []
+
+        def nothing(xs, ys):
+            sizes.append(len(xs))
+            return np.zeros(len(xs), dtype=bool)
+        assert list(_stock_candidates(grid, mx, my, 0.05, 3.0, nothing,
+                                      max_slice)) == []
+        assert sizes[:len(first)] == first
+        assert max(sizes) <= max_slice and sum(sizes) == inside
+
+
+def test_stock_clearance_test_is_strict():
+    # At 0.25 m the cell centres, the waypoints and the clearance
+    # 0.25 + 0.25 are exact, so the nearest candidate lies exactly at the
+    # clearance from the path and still fits.
+    grid = OccupancyGrid.empty(24, 24, 0.25)
+    mx, my = grid.cell_center(12, 12)
+    mo = MovableObstacle("m", PoseBelief(np.array([mx, my]),
+                                         1e-6 * np.eye(2)), 0.25)
+    xs = np.arange(0.125, 6.0, 0.25)
+    blocked = Trajectory(np.column_stack([xs, np.full_like(xs, my - 1.0)]))
+    args = (grid, mo, np.array([1.0, 1.0]), blocked, 0.25)
+    est = estimate_removal_time(*args)
+    assert est == oracles.estimate_removal_time(*args)
+    assert (est.stock_position.x, est.stock_position.y) == (mx, my - 0.5)
+
+
+def test_stock_search_under_the_smallest_slice_cap(monkeypatch):
+    # One cell per clearance test (extended to its band) chooses the same
+    # stock cells as the uncapped search.
+    monkeypatch.setattr(removal, "_CLEARANCE_ELEMENTS", 1)
+    rng = np.random.default_rng(35)
+    for _ in range(3):
+        grid, _ = _wall_world(rng)
+        mx, my = rng.uniform(1.0, 4.0), rng.uniform(1.0, 3.0)
+        ys = np.linspace(0.05, 3.95, 40)
+        blocked = Trajectory(np.column_stack([np.full_like(ys, mx), ys]))
+        mo = MovableObstacle("m", PoseBelief(np.array([mx, my]),
+                                             1e-6 * np.eye(2)), 0.2)
+        args = (grid, mo, np.array([2.5, 2.0]), blocked, 0.1)
+        assert estimate_removal_time(*args) == oracles.estimate_removal_time(
+            *args)
