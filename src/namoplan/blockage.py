@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import ndtr
@@ -132,20 +134,25 @@ def trajectory_blockage_detail(pop: ObstaclePopulation, trajectory: Trajectory,
 
     Waypoints are subsampled at one mean obstacle diameter of arc length:
     consecutive grid waypoints describe the same physical corridor slot, so
-    treating each as independent would overstate the risk.
+    treating each as independent would overstate the risk. The scored
+    waypoint after one at arc length s is the first unexplored one at
+    `s + spacing` or beyond; one inside a static cell scores nothing.
     """
     risks: list[WaypointRisk] = []
     spacing = max(pop.mu, grid.resolution)
+    # Arc length summed left to right, as a walk over the steps would.
+    travelled = list(accumulate(trajectory.step_lengths, initial=0.0))
+    unexplored = _unexplored_indices(grid, trajectory.positions)
     next_at = 0.0
-    travelled = 0.0
-    for idx, step in enumerate([0.0, *trajectory.step_lengths]):
-        travelled += step
-        if travelled < next_at:
-            continue
+    k = 0
+    while True:
+        k = bisect_left(unexplored, bisect_left(travelled, next_at), k)
+        if k == len(unexplored):
+            return risks
+        idx = unexplored[k]
+        k += 1
+        next_at = travelled[idx] + spacing
         pos = trajectory.positions[idx]
-        if grid.is_explored(pos[0], pos[1]):
-            continue
-        next_at = travelled + spacing
         try:
             width = raycast_width(grid, GridPosition(pos[0], pos[1]),
                                   float(trajectory.headings[idx]))
@@ -159,7 +166,18 @@ def trajectory_blockage_detail(pop: ObstaclePopulation, trajectory: Trajectory,
                   if p_given > 0.0 else 0.0)
         risks.append(WaypointRisk(idx, float(pos[0]), float(pos[1]),
                                   width, p_given, p_here))
-    return risks
+
+
+def _unexplored_indices(grid: OccupancyGrid, positions: np.ndarray) -> list[int]:
+    """Indices of the positions `grid.is_explored` calls unexplored, with its
+    arithmetic: off the map counts as explored."""
+    xs, ys = positions[:, 0], positions[:, 1]
+    inside = (0.0 <= xs) & (xs < grid.width_m) & (0.0 <= ys) & (ys < grid.height_m)
+    res = grid.resolution
+    unexplored = np.zeros(len(positions), dtype=bool)
+    unexplored[inside] = ~grid.explored[(ys[inside] / res).astype(int),
+                                        (xs[inside] / res).astype(int)]
+    return np.flatnonzero(unexplored).tolist()
 
 
 def trajectory_blockage(pop: ObstaclePopulation, trajectory: Trajectory,

@@ -81,7 +81,7 @@ def _write_diagnostics(config: ScenarioConfig, path: str) -> None:
     from .gridmap import GridPosition, free_area, mark_explored
     from .planner import PlanRequest, plan_path
 
-    grid = config.load_grid()
+    grid = config.load_grid().unexplored_view()
     sx, sy = config.robot.start
     mark_explored(grid, sx, sy, config.robot.start_heading,
                   config.robot.sensor_range, config.robot.sensor_fov)

@@ -39,7 +39,7 @@ class OccupancyGrid:
     The explored mask only ever grows during a run. A grid read from a file
     has read-only cells and a `key` naming their contents, on which the ray
     casts below are memoized; a grid built in code has writable cells and no
-    key.
+    key. Read-only arrays stay read-only through pickling.
     """
 
     resolution: float
@@ -69,6 +69,27 @@ class OccupancyGrid:
 
     def copy(self) -> "OccupancyGrid":
         return OccupancyGrid(self.resolution, self.cells.copy(), self.explored.copy())
+
+    def unexplored_view(self) -> "OccupancyGrid":
+        """A grid sharing these cells and this key, with its own mask in
+        which nothing is explored yet."""
+        view = OccupancyGrid(self.resolution, self.cells)
+        view.key = self.key
+        return view
+
+    # Unpickled arrays come back writable; a keyed grid's memos rely on its
+    # cells never changing, so the flags travel with the arrays.
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_writeable": (self.cells.flags.writeable,
+                                                self.explored.flags.writeable)}
+
+    def __setstate__(self, state: dict) -> None:
+        state = dict(state)
+        writeable = state.pop("_writeable")
+        self.__dict__.update(state)
+        for array, w in zip((self.cells, self.explored), writeable):
+            if not w:
+                array.flags.writeable = False
 
     # -- geometry helpers ---------------------------------------------
 

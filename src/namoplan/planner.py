@@ -161,9 +161,10 @@ def planning_mask(grid: OccupancyGrid, request: PlanRequest,
 # Finished searches shared by every caller (episode plans, stock-search
 # carry plans, bypass-model training paths), least recently used first. The
 # key holds everything A* reads: the planning mask's contents and shape, the
-# resolution, and the start and goal cells. Paired seeds make the policies
-# of a benchmark grid repeat each other's searches, so most hits come from
-# other episodes.
+# resolution, and the start and goal cells. The contents are hashed packed
+# eight cells to a byte, which for one shape is one-to-one. Paired seeds
+# make the policies of a benchmark grid repeat each other's searches, so
+# most hits come from other episodes.
 _PLAN_CACHE: OrderedDict[tuple, Trajectory | None] = OrderedDict()
 _PLAN_CACHE_SIZE = 128
 
@@ -180,7 +181,7 @@ def plan_path(grid: OccupancyGrid, request: PlanRequest,
     """
     mask = planning_mask(grid, request, robot_radius)
     start, goal = _endpoint_cells(grid, mask, request.start, request.goal)
-    key = (hashlib.blake2b(mask.tobytes(), digest_size=16).digest(),
+    key = (hashlib.blake2b(np.packbits(mask), digest_size=16).digest(),
            mask.shape, grid.resolution, start, goal)
     return lru_lookup(_PLAN_CACHE, _PLAN_CACHE_SIZE, key, _read_only_plan,
                       grid, mask, start, goal)

@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import operator
+from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
@@ -23,7 +24,8 @@ from . import blockage as blk
 from . import bypass as byp
 from . import removal as rem
 from .decision import decide
-from .gridmap import GridPosition, OccupancyGrid, mark_explored, raycast_distance, free_area
+from .gridmap import (GridPosition, OccupancyGrid, free_area, lru_lookup,
+                      mark_explored, raycast_distance)
 from .intervals import CostInterval
 from .observation import (MovableObstacle, PoseBelief, RangeBearingMeasurement,
                           RobotPoseBelief, confidence_ellipse, fuse, path_blocked,
@@ -110,6 +112,13 @@ class ScenarioConfig:
     sense_interval: float = 1.0
 
     def load_grid(self) -> OccupancyGrid:
+        """The map, read and checked against the obstacle, start and goal
+        positions on first use, then kept. It is read-only, explored mask
+        included: an episode marks its own `unexplored_view()`."""
+        return self._grid
+
+    @cached_property
+    def _grid(self) -> OccupancyGrid:
         try:
             grid = OccupancyGrid.load(self.map_path)
         except OSError as exc:
@@ -123,6 +132,7 @@ class ScenarioConfig:
             raise ScenarioError("robot start not in a free cell")
         if not grid.is_free(*self.goal):
             raise ScenarioError("goal not in a free cell")
+        grid.explored.flags.writeable = False
         return grid
 
     @staticmethod
@@ -382,20 +392,27 @@ def generate_timing_dataset(grid: OccupancyGrid, robot_radius: float,
     return byp.TimingDataset(np.array(feats), np.array(durs))
 
 
-_MODEL_CACHE: dict[tuple, byp.GlrModel] = {}
+# Fitted models of loaded maps, keyed on `grid.key` and the fit's other
+# inputs, least recently used first.
+_MODEL_CACHE: OrderedDict[tuple, byp.GlrModel] = OrderedDict()
+_MODEL_CACHE_SIZE = 8
 
 
 def bypass_model_for(grid: OccupancyGrid, robot: RobotConfig,
                      cfg: BypassModelConfig) -> byp.GlrModel:
-    key = (grid.cells.tobytes(), grid.cells.shape, grid.resolution,
-           robot.radius, robot.v_lin, robot.v_rot,
-           cfg.dataset_seed, cfg.n_rows, cfg.noise_sigma)
-    if key not in _MODEL_CACHE:
-        dataset = generate_timing_dataset(grid, robot.radius, robot.v_lin,
-                                          robot.v_rot, cfg.n_rows,
-                                          cfg.dataset_seed, cfg.noise_sigma)
-        _MODEL_CACHE[key] = byp.fit(dataset)
-    return _MODEL_CACHE[key]
+    """The bypass-time model of the map; a grid with no key is fitted on
+    every call."""
+    args = (robot.radius, robot.v_lin, robot.v_rot, cfg.n_rows,
+            cfg.dataset_seed, cfg.noise_sigma)
+    if grid.key is None:
+        return _fit_model(grid, *args)
+    return lru_lookup(_MODEL_CACHE, _MODEL_CACHE_SIZE, (grid.key, *args),
+                      _fit_model, grid, *args)
+
+
+def _fit_model(grid: OccupancyGrid, *args) -> byp.GlrModel:
+    """A model fitted on `generate_timing_dataset(grid, *args)`."""
+    return byp.fit(generate_timing_dataset(grid, *args))
 
 
 # ----------------------------------------------------------------------
@@ -459,7 +476,7 @@ class _Episode:
         self.policy = policy
         self.seed = seed
         self.rng = np.random.default_rng(seed)
-        self.grid = config.load_grid()
+        self.grid = config.load_grid().unexplored_view()
         self.mos = {o.label: _WorldMO(o, o.position[0], o.position[1])
                     for o in config.obstacles}
         self.beliefs: dict[str, PoseBelief] = {}
@@ -480,7 +497,7 @@ class _Episode:
         # Memo of blockage_interval's probability. The grid's cells, the
         # robot radius and the population are fixed for the episode, so a
         # key need only name what varies.
-        self._blockage: dict[tuple[bytes, bytes], float] = {}
+        self._blockage: dict[tuple[bytes, int], float] = {}
         # Each obstacle's latest belief with its confidence ellipse. Beliefs
         # are replaced on fuse and placement, never mutated, so an entry
         # holds while its belief is the current one.
@@ -581,8 +598,10 @@ class _Episode:
                           proxy: CostInterval) -> CostInterval:
         """`proxy` scaled by the chance that an unseen obstacle blocks `traj`."""
         # Of what the score reads, only the waypoints and the explored mask
-        # can change within an episode.
-        key = (_digest(traj.positions, traj.headings), _digest(self.grid.explored))
+        # can change within an episode. The mask only ever gains cells, so
+        # two of its states with the same count are equal.
+        key = (_digest(traj.positions, traj.headings),
+               np.count_nonzero(self.grid.explored))
         p = self._blockage.get(key)
         if p is None:
             p = blk.trajectory_blockage(self.pop, traj, self.grid,

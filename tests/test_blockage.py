@@ -298,6 +298,36 @@ def test_blockage_walk_matches_per_step_reference_on_random_paths():
     assert kept > 100
 
 
+def test_blockage_walk_matches_reference_off_map_and_in_static_cells():
+    """Waypoints off the map, repeated waypoints (zero-length steps) and
+    waypoints inside static cells, over partly explored masks."""
+    rng = np.random.default_rng(72)
+    seen = {"off": 0, "static": 0, "repeat": 0}
+    kept = 0
+    for trial in range(60):
+        res = rng.choice([0.1, 0.25])
+        grid = OccupancyGrid.empty(40, 30, res)
+        grid.cells[rng.random((30, 40)) < 0.15] = STATIC
+        grid.explored[rng.random((30, 40)) < rng.uniform(0.0, 0.8)] = True
+        n = int(rng.integers(2, 200))
+        # A walk of sub-cell steps that may start off the map or leave it.
+        positions = (rng.uniform(-0.2, 1.2, 2) * (40 * res, 30 * res)
+                     + np.cumsum(rng.normal(0.0, 0.7 * res, (n, 2)), axis=0))
+        positions = np.repeat(positions, rng.integers(1, 3, n), axis=0)
+        traj = Trajectory(positions)
+        mu = rng.uniform(0.05, 1.0)
+        pop = ObstaclePopulation(mu, 0.1 * mu, rng.uniform(1.0, 20.0), 100.0)
+        got = trajectory_blockage_detail(pop, traj, grid, 0.2)
+        assert got == oracles.trajectory_blockage_detail(pop, traj, grid, 0.2)
+        kept += len(got)
+        inside = [grid.in_bounds(*p) for p in positions]
+        seen["off"] += inside.count(False)
+        seen["static"] += sum(ok and grid.state_at(*p) == STATIC
+                              for ok, p in zip(inside, positions))
+        seen["repeat"] += int(np.sum(np.diff(positions, axis=0) == 0))
+    assert kept > 100 and min(seen.values()) > 100
+
+
 def test_probabilities_stay_in_unit_interval_under_fuzzing():
     rng = np.random.default_rng(99)
     for _ in range(10_000):

@@ -137,6 +137,19 @@ def test_scenario_parsed_once_and_left_unmutated(tiny_scenario, tmp_path,
     assert parsed[0] == real(tiny_scenario)
 
 
+def test_each_map_is_parsed_once_per_config(tmp_path, monkeypatch):
+    loads = []
+    real = OccupancyGrid.load
+    monkeypatch.setattr(OccupancyGrid, "load", staticmethod(
+        lambda path: loads.append(path) or real(path)))
+    paths = sorted(str(p) for p in scenario_path("room.yaml").parent.glob("*.yaml"))
+    spec = ExperimentSpec(paths, ["priority-bypass", "priority-removal"],
+                          repetitions=2, output_dir=str(tmp_path))
+    rows, _ = run_benchmark(spec)
+    assert len(paths) == 7 and len(rows) == 28
+    assert len(loads) == 7
+
+
 def test_failing_episode_leaves_earlier_records(bench, tmp_path, monkeypatch):
     from namoplan import experiments
 

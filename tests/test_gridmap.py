@@ -1,9 +1,12 @@
 """Occupancy grid: file format, ray casting, widths, exploration, area."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from conftest import grid_from_ascii
@@ -334,6 +337,53 @@ def test_loaded_cells_are_read_only_and_copies_writable(tmp_path):
     copy = grid.copy()
     copy.cells[1, 1] = STATIC
     assert copy.key is None and grid.cells[1, 1] == FREE
+
+
+def test_keyed_grid_stays_read_only_through_pickling(tmp_path):
+    OccupancyGrid.empty(6, 4, 0.1).save(tmp_path / "m.map")
+    grid = OccupancyGrid.load(tmp_path / "m.map")
+    grid.explored.flags.writeable = False
+    back = pickle.loads(pickle.dumps(grid))
+    assert back.key == grid.key and np.array_equal(back.cells, grid.cells)
+    assert not back.cells.flags.writeable and not back.explored.flags.writeable
+    built = pickle.loads(pickle.dumps(OccupancyGrid.empty(6, 4, 0.1)))
+    assert built.key is None
+    assert built.cells.flags.writeable and built.explored.flags.writeable
+
+
+def test_unexplored_view_shares_cells_and_key():
+    grid = OccupancyGrid.load(scenario_path("room.map"))
+    mark_explored(grid, 2.0, 3.0, 0.0)
+    view = grid.unexplored_view()
+    assert view.cells is grid.cells and view.key == grid.key
+    assert not view.explored.any() and view.explored.flags.writeable
+    mark_explored(view, 2.0, 3.0, 0.0)
+    assert np.array_equal(view.explored, grid.explored)
+    assert view.explored is not grid.explored
+
+
+def _wall_grid() -> OccupancyGrid:
+    g = OccupancyGrid.empty(30, 20, 0.1)
+    g.cells[3:17, 15] = STATIC
+    return g
+
+
+_poses = st.tuples(st.floats(0.0, 2.99), st.floats(0.0, 1.99),
+                   st.floats(-math.pi, math.pi), st.floats(0.1, 3.0),
+                   st.floats(0.1, 2 * math.pi))
+
+
+@given(st.lists(_poses, min_size=1, max_size=6))
+def test_mark_explored_only_sets_cells(poses):
+    """The mask never loses a cell, so its count grows exactly when it
+    changes: the episode's blockage memo keys on that count."""
+    grid = _wall_grid()
+    for pose in poses:
+        before = grid.explored.copy()
+        mark_explored(grid, *pose)
+        assert not (before & ~grid.explored).any()
+        grew = np.count_nonzero(grid.explored) > np.count_nonzero(before)
+        assert grew == (not np.array_equal(grid.explored, before))
 
 
 def test_grid_built_in_code_answers_from_its_current_cells(fresh_memos):

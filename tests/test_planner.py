@@ -441,3 +441,21 @@ def test_unreachable_goal_is_cached(searches):
     assert plan_path(g, req, 0.05) is None
     assert plan_path(g, req, 0.05) is None
     assert len(searches) == 1 and list(planner._PLAN_CACHE.values()) == [None]
+
+
+def test_cache_keeps_masks_one_cell_or_one_shape_apart(searches):
+    """7 x 9 cells pack into 8 bytes with one bit to spare: the last cell
+    still tells two masks apart, and so does the shape, though 9 x 7 and
+    8 x 8 masks can pack to the same bytes."""
+    req = PlanRequest(GridPosition(0.05, 0.05), GridPosition(0.35, 0.35))
+    open_grid = OccupancyGrid.empty(9, 7, 0.1)
+    last = OccupancyGrid.empty(9, 7, 0.1)
+    last.cells[6, 8] = STATIC
+    masks = [planner.planning_mask(g, req, 0.01) for g in (open_grid, last)]
+    assert np.count_nonzero(masks[0] != masks[1]) == 1
+    for g in (open_grid, last, OccupancyGrid.empty(7, 9, 0.1),
+              OccupancyGrid.empty(8, 8, 0.1)):
+        plan_path(g, req, 0.01)
+    assert np.array_equal(np.packbits(planner.planning_mask(
+        OccupancyGrid.empty(8, 8, 0.1), req, 0.01)), np.packbits(masks[0]))
+    assert len(searches) == len(planner._PLAN_CACHE) == 4

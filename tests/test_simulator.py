@@ -1,6 +1,7 @@
 """Episode simulation: configs, motion time, sensing, policies, determinism."""
 
 import math
+import pickle
 import re
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ import pytest
 import yaml
 
 from namoplan import scenario_path
-from namoplan.gridmap import STATIC, OccupancyGrid
+from namoplan.gridmap import STATIC, OccupancyGrid, mark_explored
 from namoplan.planner import Trajectory
 from namoplan.simulator import (POLICIES, BypassModelConfig, ObstacleSpec,
                                 RobotConfig, ScenarioConfig, ScenarioError,
@@ -165,23 +166,79 @@ def test_obstacle_must_sit_in_free_cell(tmp_path):
         cfg.load_grid()
 
 
-def test_bypass_model_cache_keys_on_cells():
-    open_grid = OccupancyGrid.empty(60, 40, 0.1)
-    walled = OccupancyGrid.empty(60, 40, 0.1)
-    walled.cells[:30, 30] = STATIC
+def test_bypass_model_cache_keys_on_cells(tmp_path):
+    cells = np.zeros((40, 60), np.uint8)
+    cells[:30, 30] = STATIC
+    open_grid = OccupancyGrid.load(_write_map(tmp_path))
+    (tmp_path / "walled").mkdir()
+    walled = OccupancyGrid.load(_write_map(tmp_path / "walled", cells))
     robot, fit = RobotConfig(), BypassModelConfig(n_rows=200)
     model = bypass_model_for(open_grid, robot, fit)
-    assert bypass_model_for(open_grid.copy(), robot, fit) is model
+    assert bypass_model_for(OccupancyGrid.load(_write_map(tmp_path)), robot,
+                            fit) is model
     assert bypass_model_for(walled, robot, fit) is not model
 
 
+def test_bypass_models_keyed_on_the_map_within_a_bound(tmp_path, monkeypatch):
+    from collections import OrderedDict
+
+    from namoplan import simulator
+
+    monkeypatch.setattr(simulator, "_MODEL_CACHE", OrderedDict())
+    monkeypatch.setattr(simulator, "_MODEL_CACHE_SIZE", 2)
+    first, second = _config(tmp_path), _config(tmp_path)
+    assert first.load_grid() is not second.load_grid()
+    model = bypass_model_for(first.load_grid(), first.robot, first.bypass_model)
+    assert bypass_model_for(second.load_grid(), second.robot,
+                            second.bypass_model) is model
+    for n_rows in (150, 250):
+        fit = BypassModelConfig(n_rows=n_rows)
+        bypass_model_for(first.load_grid(), first.robot, fit)
+    assert len(simulator._MODEL_CACHE) == 2
+    for key in simulator._MODEL_CACHE:
+        assert key[0] == first.load_grid().key
+        assert not any(isinstance(part, bytes) for part in key)
+    # A grid built in code has no key: fitted anew, never cached.
+    built = OccupancyGrid.empty(60, 40, 0.1)
+    fit = BypassModelConfig(n_rows=200)
+    assert bypass_model_for(built, first.robot, fit) is not bypass_model_for(
+        built, first.robot, fit)
+    assert len(simulator._MODEL_CACHE) == 2
+
+
+def test_config_keeps_one_read_only_grid_across_episodes(tmp_path, monkeypatch):
+    loads = []
+    real = OccupancyGrid.load
+    monkeypatch.setattr(OccupancyGrid, "load", staticmethod(
+        lambda path: loads.append(path) or real(path)))
+    cfg = _config(tmp_path, obstacles=[("X", (3.0, 2.0))])
+    grid = cfg.load_grid()
+    for policy in POLICIES:
+        run_episode(cfg, policy, seed=1)
+    assert cfg.load_grid() is grid and len(loads) == 1
+    assert not grid.explored.any()
+    assert not grid.cells.flags.writeable and not grid.explored.flags.writeable
+    with pytest.raises(ValueError):
+        mark_explored(grid, *cfg.robot.start, 0.0)
+
+
+def test_pickled_config_keeps_its_read_only_grid():
+    cfg = ScenarioConfig.from_yaml(scenario_path("room.yaml"))
+    back = pickle.loads(pickle.dumps(cfg))
+    grid = back.load_grid()
+    assert back == cfg and grid.key == cfg.load_grid().key
+    assert not grid.cells.flags.writeable and not grid.explored.flags.writeable
+
+
 def test_baseline_episodes_never_fit_the_bypass_model(tmp_path, monkeypatch):
+    from collections import OrderedDict
+
     from namoplan import simulator
 
     def no_fit(*args, **kwargs):
         raise AssertionError("the bypass model was fitted")
 
-    monkeypatch.setattr(simulator, "_MODEL_CACHE", {})
+    monkeypatch.setattr(simulator, "_MODEL_CACHE", OrderedDict())
     monkeypatch.setattr(simulator, "generate_timing_dataset", no_fit)
     cfg = _config(tmp_path, obstacles=[("X", (3.0, 2.0))])
     for policy in ("priority-bypass", "priority-removal", "random-choice"):
