@@ -34,9 +34,22 @@ SUMMARY_COLUMNS = ["scenario_id", "policy", "n", "mean", "std", "median",
                    "q1", "q3", "iqr", "success_rate"]
 
 
+# The grid's configs, in the process that runs its episodes: set by
+# `run_benchmark` for the length of a grid, and in each pool worker once, by
+# the pool's initializer. A job names its config by index, so the configs
+# (each with its map) are sent to a worker once, not with every job, and a
+# worker's episodes of one config share its decision nodes.
+_CONFIGS: list[ScenarioConfig] = []
+
+
+def _set_configs(configs: list[ScenarioConfig]) -> None:
+    global _CONFIGS
+    _CONFIGS = configs
+
+
 def _one_trial(args) -> TrialRecord:
-    config, policy_name, seed = args
-    return run_episode(config, policy_name, seed=seed)
+    index, policy_name, seed = args
+    return run_episode(_CONFIGS[index], policy_name, seed=seed)
 
 
 def run_benchmark(spec: ExperimentSpec,
@@ -49,13 +62,18 @@ def run_benchmark(spec: ExperimentSpec,
     and each is written as it arrives, so a failing episode leaves every
     earlier record on disk. Each scenario file is parsed once, before any
     episode runs, so a bad config fails the grid up front; episodes never
-    modify their config, so its trials share it.
+    modify their config, so its trials share it. Each job is one
+    `run_episode(config, policy, seed=...)` call, and the episodes of one
+    config in one process share their work up to the first choice in which
+    their policies differ (see `run_episode`); the configs, and with them
+    those shared nodes, live for this one grid. Worker processes receive
+    the configs once, through the pool's initializer.
     """
     for policy in spec.policies:
         get_policy(policy)  # fail fast on unknown names
-    configs = {path: ScenarioConfig.from_yaml(path)
-               for path in dict.fromkeys(spec.scenario_paths)}
-    jobs = [(configs[path], policy, spec.seed_base + rep)
+    index = {path: i for i, path in enumerate(dict.fromkeys(spec.scenario_paths))}
+    configs = [ScenarioConfig.from_yaml(path) for path in index]
+    jobs = [(index[path], policy, spec.seed_base + rep)
             for path in spec.scenario_paths
             for policy in spec.policies
             for rep in range(spec.repetitions)]
@@ -66,27 +84,32 @@ def run_benchmark(spec: ExperimentSpec,
     jsonl_path = out_dir / "trials.jsonl"
 
     rows: list[dict] = []
-    with (open(raw_path, "w", newline="") as raw_fh,
-          open(jsonl_path, "w") as jsonl_fh,
-          mp.Pool(workers) if workers > 1 else nullcontext() as pool):
-        writer = csv.DictWriter(raw_fh, fieldnames=RAW_COLUMNS,
-                                extrasaction="ignore")
-        writer.writeheader()
-        records = (pool.imap(_one_trial, jobs) if pool is not None
-                   else map(_one_trial, jobs))
-        for (_, policy, seed), record in zip(jobs, records):
-            row = {
-                "scenario_id": record.scenario_id,
-                "policy": policy,
-                "rep": seed - spec.seed_base,
-                "seed": seed,
-                "outcome": record.outcome,
-                "elapsed": record.elapsed,
-                "record": record,
-            }
-            rows.append(row)
-            writer.writerow(row)
-            jsonl_fh.write(record.to_json_line() + "\n")
+    _set_configs(configs)
+    try:
+        with (open(raw_path, "w", newline="") as raw_fh,
+              open(jsonl_path, "w") as jsonl_fh,
+              mp.Pool(workers, _set_configs, (configs,)) if workers > 1
+              else nullcontext() as pool):
+            writer = csv.DictWriter(raw_fh, fieldnames=RAW_COLUMNS,
+                                    extrasaction="ignore")
+            writer.writeheader()
+            records = (pool.imap(_one_trial, jobs) if pool is not None
+                       else map(_one_trial, jobs))
+            for (_, policy, seed), record in zip(jobs, records):
+                row = {
+                    "scenario_id": record.scenario_id,
+                    "policy": policy,
+                    "rep": seed - spec.seed_base,
+                    "seed": seed,
+                    "outcome": record.outcome,
+                    "elapsed": record.elapsed,
+                    "record": record,
+                }
+                rows.append(row)
+                writer.writerow(row)
+                jsonl_fh.write(record.to_json_line() + "\n")
+    finally:
+        _set_configs([])
 
     summary = summarize(rows)
     _write_summary(out_dir / "summary.csv", summary)

@@ -8,6 +8,7 @@ blockage pick a strategy (remove or bypass) from the configured policy.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import operator
@@ -134,6 +135,20 @@ class ScenarioConfig:
             raise ScenarioError("goal not in a free cell")
         grid.explored.flags.writeable = False
         return grid
+
+    def _decision_nodes(self) -> OrderedDict:
+        """`run_episode`'s memo of decision nodes for this config's current
+        contents; a change to any field starts a new one. It is kept in the
+        instance dict, not in a field, so `==` and `repr` ignore it, and
+        pickling leaves it out."""
+        contents = repr(self)
+        memo = self.__dict__.get("_nodes")
+        if memo is None or memo[0] != contents:
+            memo = self.__dict__["_nodes"] = (contents, OrderedDict())
+        return memo[1]
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_nodes"}
 
     @staticmethod
     def from_yaml(path: str | Path) -> "ScenarioConfig":
@@ -297,7 +312,13 @@ class Policy:
     est, route)` sees the detour to the goal, the stock-search estimate and
     the route after removal (planned only when the estimate exists; None
     when absent) and returns the action ("bypass", "remove", "wait" or
-    "none") with the details its decision trace entry records."""
+    "none") with the details its decision trace entry records.
+
+    A rule reads the episode and may draw from `episode.rng`, and changes
+    nothing else: it may fill the episode's pure memos (through
+    `blockage_interval`, `beta_for` and `model`), which change no answer.
+    `run_episode` relies on this to resume one policy from the state another
+    reached with the same choices."""
 
     name: str
     choose: Callable[..., tuple[str, dict]]
@@ -484,7 +505,12 @@ class _Episode:
         self.x, self.y = config.robot.start
         self.heading = config.robot.start_heading
         self.t = 0.0
+        # Trace entries made since the last choice.
         self.trace: list[dict] = []
+        # Walks to a decision so far, bounded by the guard.
+        self.steps = 0
+        # The decision node whose state the episode is in, if any.
+        self.at: _Node | None = None
         self.diag = {"n_senses": 0, "n_replans": 0, "n_attempts": 0,
                      "n_decisions": 0, "distance": 0.0}
         self.pop = blk.ObstaclePopulation(config.population.mu,
@@ -742,64 +768,75 @@ class _Episode:
 
     # -- decision epoch ------------------------------------------------
 
-    def decision_epoch(self, blocker: str,
-                       blocked_traj: Trajectory) -> tuple[str, Trajectory | None]:
-        """Gather what every policy reads, ask the policy's rule and trace
-        its answer. Returns the choice and the detour to the goal."""
+    def _next_decision(self, traj: Trajectory | None):
+        """Follow `traj` (None when no path is known) to the next blockage
+        and gather what every policy reads there: the blocker, the blocked
+        trajectory, the detour to the goal, the stock-search estimate and
+        the route after removal. Nothing here reads the policy. Returns
+        (outcome, None) when the episode ends first, else (None, decision).
+        """
+        self.steps += 1
+        if self.steps > 500:
+            raise RuntimeError("episode failed to terminate")
+        if self.t >= self.cfg.timeout:
+            return "timeout", None
+        if traj is None:
+            # No path under current beliefs: treat like a blockage by the
+            # nearest known obstacle, or give up if none is known.
+            blocker = self._nearest_known_blocker()
+            if blocker is None:
+                return "no_strategy", None
+            blocked_traj = self._fallback_traj()
+        else:
+            status, blocker = self.follow(traj)
+            if status != "blocked":
+                return ("success" if status == "goal" else "timeout"), None
+            blocked_traj = traj
         self.diag["n_decisions"] += 1
         detour = self.plan_to(*self.cfg.goal)
         est = self.evaluate_removal(blocker, blocked_traj)
         self.t_mo = est.t_mo if est is not None else self.cfg.removal.default_t_mo
         route = None if est is None else self.plan_to(*self.cfg.goal, exclude=blocker)
-        choice, details = self.policy.choose(self, blocker, detour, est, route)
-        self.trace.append({"event": "decision", "t": self.t,
-                           "blocking_obstacle": blocker, **details,
-                           "policy_choice": choice})
-        return choice, detour
+        return None, (blocker, blocked_traj, detour, est, route)
 
-    # -- main loop -----------------------------------------------------
+    def _act(self, decision: tuple, choice: str):
+        """Carry out a choice. Returns (outcome, None) when the episode
+        ends, else (None, the trajectory to follow next)."""
+        blocker, blocked_traj, detour = decision[:3]
+        if choice == "bypass":
+            return None, detour
+        if choice == "remove":
+            if self.execute_removal(blocker, blocked_traj) == "timeout":
+                return "timeout", None
+            return None, self.plan_to(*self.cfg.goal)
+        # "wait": the way never clears, so wait out the clock.
+        return ("timeout" if choice == "wait" else "no_strategy"), None
 
-    def run(self) -> TrialRecord:
-        outcome = None
-        traj = self.plan_to(*self.cfg.goal)
-        guard = 0
-        while outcome is None:
-            guard += 1
-            if guard > 500:
-                raise RuntimeError("episode failed to terminate")
-            if self.t >= self.cfg.timeout:
-                outcome = "timeout"
-                break
-            if traj is None:
-                # No path under current beliefs: treat like a blockage by the
-                # nearest known obstacle, or give up if none is known.
-                blocker = self._nearest_known_blocker()
-                if blocker is None:
-                    outcome = "no_strategy"
-                    break
-                blocked_traj = self._fallback_traj()
-            else:
-                status, blocker = self.follow(traj)
-                if status != "blocked":
-                    outcome = "success" if status == "goal" else "timeout"
-                    break
-                blocked_traj = traj
-            choice, detour = self.decision_epoch(blocker, blocked_traj)
-            if choice == "bypass":
-                traj = detour
-            elif choice == "remove":
-                if self.execute_removal(blocker, blocked_traj) == "timeout":
-                    outcome = "timeout"
-                else:
-                    traj = self.plan_to(*self.cfg.goal)
-            elif choice == "wait":
-                outcome = "timeout"  # the way never clears: wait out the clock
-            else:
-                outcome = "no_strategy"
+    # -- the tree of decisions -----------------------------------------
 
-        elapsed = self.cfg.timeout if outcome == "timeout" else self.t
-        return TrialRecord(self.cfg.scenario_id, self.seed, self.policy.name,
-                           outcome, elapsed, self.trace, self.diag)
+    def _start(self) -> _End | _Node:
+        """The first step: plan, then walk to the end or the first decision."""
+        return self._walk(None, self.plan_to(*self.cfg.goal))
+
+    def _after(self, node: _Node, choice: str) -> _End | _Node:
+        """The step after `choice` at `node`, whose state the episode is in."""
+        # The node's blockage memo holds for it and every state after it;
+        # what this branch adds does not hold for the node's other branches.
+        self._blockage = dict(self._blockage)
+        return self._walk(*self._act(node.decision, choice))
+
+    def _walk(self, outcome: str | None,
+              traj: Trajectory | None) -> _End | _Node:
+        """The step that follows `_act`'s answer: the end, or the next
+        decision, holding the trace entries made on the way."""
+        if outcome is None:
+            outcome, decision = self._next_decision(traj)
+        events, self.trace = self.trace, []
+        if outcome is not None:
+            elapsed = self.cfg.timeout if outcome == "timeout" else self.t
+            return _End(events, outcome, elapsed, dict(self.diag))
+        self.at = _Node(self, events, decision)
+        return self.at
 
     def _fallback_traj(self) -> Trajectory:
         gx, gy = self.cfg.goal
@@ -818,12 +855,114 @@ class _Episode:
         return best
 
 
+@dataclass
+class _End:
+    """The end of an episode: the trace entries made since the last choice,
+    the outcome, the elapsed time and the diagnostics."""
+
+    events: list[dict]
+    outcome: str
+    elapsed: float
+    diag: dict
+
+
+# Node ids, unique in the process, so a child's key names its parent.
+_NODE_IDS = itertools.count()
+
+
+class _Node:
+    """An episode at a decision, before its policy chooses: the trace
+    entries made since the last choice, what every policy reads there
+    (`_next_decision`'s tuple) and the state to resume from. A node holds
+    nothing of the config, so a memo of nodes kept on the config makes no
+    reference cycle and dies with it."""
+
+    def __init__(self, ep: _Episode, events: list[dict], decision: tuple):
+        self.id = next(_NODE_IDS)
+        self.events, self.decision = events, decision
+        self.rng = ep.rng.bit_generator.state
+        self.explored = np.packbits(ep.grid.explored)
+        self.mos = [(mo.x, mo.y, mo.placed) for mo in ep.mos.values()]
+        self.beliefs, self.betas = dict(ep.beliefs), dict(ep.betas)
+        self.diag = dict(ep.diag)
+        self.scalars = (ep.x, ep.y, ep.heading, ep.t, ep.t_mo, ep.steps)
+        # Shared with every choice made here; `_after` forks it.
+        self.blockage = ep._blockage
+        self.ellipses = dict(ep._ellipses)
+
+    def restore(self, ep: _Episode) -> None:
+        """Put `ep` in this node's state."""
+        ep.rng.bit_generator.state = self.rng
+        cells = ep.grid.cells
+        ep.grid.explored = np.unpackbits(self.explored, count=cells.size).view(
+            bool).reshape(cells.shape)
+        for mo, (x, y, placed) in zip(ep.mos.values(), self.mos):
+            mo.x, mo.y, mo.placed = x, y, placed
+        ep.beliefs, ep.betas = dict(self.beliefs), dict(self.betas)
+        ep.diag = dict(self.diag)
+        ep.x, ep.y, ep.heading, ep.t, ep.t_mo, ep.steps = self.scalars
+        ep._blockage = self.blockage
+        ep._ellipses = dict(self.ellipses)
+        ep.at = self
+
+
+def _rng_key(rng: np.random.Generator) -> tuple:
+    """The generator's whole state, hashable."""
+    state = rng.bit_generator.state
+    return (state["state"]["state"], state["state"]["inc"],
+            state["has_uint32"], state["uinteger"])
+
+
+# Decision nodes kept per config, least recently used first out: at most
+# this many, and on a large map only as many as keep the packed explored
+# masks within `_NODE_MASK_BYTES`.
+_NODES_PER_CONFIG = 1024
+_NODE_MASK_BYTES = 32 << 20
+
+
 def run_episode(config: ScenarioConfig, policy: Policy | str,
                 seed: int | None = None) -> TrialRecord:
     """Execute one seeded episode under the given policy. The map's
     bypass-time model is fitted (or taken from the cache) when the policy
-    first needs it."""
+    first needs it.
+
+    Episodes of one config share their work. The config keeps the nodes its
+    episodes reach at decisions, keyed on the seed and the choices so far
+    (each with the rng state after it, since a rule may draw). An episode
+    walks them: at each stored node it asks its own rule, traces its own
+    decision and moves to the child for its choice, and it simulates only
+    from the first step no earlier episode took. Nothing before a choice
+    reads the policy, and a rule changes nothing but the rng and pure memos,
+    so the record is the one a fresh config would give.
+    """
     if isinstance(policy, str):
         policy = get_policy(policy)
     seed = config.seed if seed is None else seed
-    return _Episode(config, policy, seed).run()
+    nodes = config._decision_nodes()
+    ep = _Episode(config, policy, seed)
+    bound = min(_NODES_PER_CONFIG,
+                max(1, _NODE_MASK_BYTES // -(-ep.grid.cells.size // 8)))
+    trace: list[dict] = []
+    key = (seed,)
+    step = lru_lookup(nodes, bound, key, ep._start)
+    while True:
+        trace += map(dict, step.events)
+        if isinstance(step, _End):
+            break
+        new = ep.at is step
+        if not new:
+            step.restore(ep)
+        blocker, _, detour, est, route = step.decision
+        try:
+            choice, details = policy.choose(ep, blocker, detour, est, route)
+        except BaseException:
+            if new:
+                nodes.pop(key, None)
+            raise
+        trace.append({"event": "decision", "t": ep.t,
+                      "blocking_obstacle": blocker, **details,
+                      "policy_choice": choice})
+        key = (step.id, choice, _rng_key(ep.rng))
+        step = lru_lookup(nodes, bound, key, ep._after, step, choice)
+    return TrialRecord(config.scenario_id, seed, policy.name, step.outcome,
+                       step.elapsed, trace, dict(step.diag))

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from namoplan.experiments import (RAW_COLUMNS, SUMMARY_COLUMNS, ExperimentSpec,
                                   generate_bypass_benchmark, run_benchmark,
                                   summarize)
 from namoplan.gridmap import OccupancyGrid
-from namoplan.simulator import ScenarioConfig, TrialRecord, run_episode
+from namoplan.simulator import POLICIES, ScenarioConfig, TrialRecord, run_episode
 
 
 @pytest.fixture(scope="module")
@@ -175,15 +176,36 @@ def test_failing_episode_leaves_earlier_records(bench, tmp_path, monkeypatch):
     assert lines == [r["record"].to_json_line() for r in rows[:4]]
 
 
-def test_worker_pool_gives_the_same_records(bench, tmp_path):
-    spec, rows, _, _ = bench
-    pooled = ExperimentSpec(spec.scenario_paths, spec.policies,
-                            repetitions=spec.repetitions,
-                            seed_base=spec.seed_base, output_dir=str(tmp_path))
-    rows2, _ = run_benchmark(pooled, workers=2)
+def test_worker_pool_gives_the_same_records(tiny_scenario, tmp_path):
+    policies = list(POLICIES)
+    specs = [ExperimentSpec([tiny_scenario], policies, repetitions=2,
+                            seed_base=3, output_dir=str(tmp_path / out))
+             for out in ("serial", "pooled")]
+    rows, _ = run_benchmark(specs[0])
+    rows2, _ = run_benchmark(specs[1], workers=2)
     lines = [r["record"].to_json_line() for r in rows]
+    assert len(policies) == 6 and len(lines) == 12
     assert lines == [r["record"].to_json_line() for r in rows2]
-    assert (tmp_path / "trials.jsonl").read_text().splitlines() == lines
+    assert (tmp_path / "pooled" / "trials.jsonl").read_text().splitlines() == lines
+    # Each record is the one a config of its own gives.
+    assert lines == [run_episode(ScenarioConfig.from_yaml(tiny_scenario), policy,
+                                 seed=3 + rep).to_json_line()
+                     for policy in policies for rep in range(2)]
+
+
+def test_jobs_name_their_config_by_index(tiny_scenario, tmp_path, monkeypatch):
+    from namoplan import experiments
+
+    sizes, real = [], experiments._one_trial
+    monkeypatch.setattr(experiments, "_one_trial",
+                        lambda job: sizes.append(len(pickle.dumps(job))) or real(job))
+    warehouse = str(scenario_path("warehouse_abc.yaml"))
+    spec = ExperimentSpec([warehouse, tiny_scenario], ["priority-bypass"],
+                          repetitions=1, output_dir=str(tmp_path))
+    run_benchmark(spec)
+    assert len(sizes) == 2 and max(sizes) < 1024
+    # The configs stay with the grid, not with the module.
+    assert experiments._CONFIGS == []
 
 
 def _records_sha256(records) -> str:
