@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bypass as byp
-from .simulator import (ScenarioConfig, TrialRecord, generate_timing_dataset,
-                        get_policy, run_episode)
+from .simulator import (POLICIES, ScenarioConfig, TrialRecord,
+                        generate_timing_dataset, get_policy, run_episode)
 
 
 @dataclass
@@ -58,9 +58,10 @@ def run_benchmark(spec: ExperimentSpec,
 
     Trial seeds are seed_base + repetition index, shared across cells so
     policies face paired worlds. Results arrive in deterministic
-    scenario/policy/repetition order regardless of worker completion order,
-    and each is written as it arrives, so a failing episode leaves every
-    earlier record on disk. Each scenario file is parsed once, before any
+    scenario/policy/repetition order regardless of worker completion order
+    or run order, and each is written as soon as every record before it is
+    in, so a failing episode leaves every record before the first missing
+    one on disk. Each scenario file is parsed once, before any
     episode runs, so a bad config fails the grid up front; episodes never
     modify their config, so its trials share it. Each job is one
     `run_episode(config, policy, seed=...)` call, and the episodes of one
@@ -68,6 +69,11 @@ def run_benchmark(spec: ExperimentSpec,
     their policies differ (see `run_episode`); the configs, and with them
     those shared nodes, live for this one grid. Worker processes receive
     the configs once, through the pool's initializer.
+
+    Within each scenario's block of jobs the episodes run with their
+    policies in `POLICIES` order, whatever order the spec lists them in, so
+    which episode first computes the nodes the others reuse, and with it
+    each episode's host time, does not depend on that order.
     """
     for policy in spec.policies:
         get_policy(policy)  # fail fast on unknown names
@@ -77,6 +83,10 @@ def run_benchmark(spec: ExperimentSpec,
             for path in spec.scenario_paths
             for policy in spec.policies
             for rep in range(spec.repetitions)]
+    block = len(spec.policies) * spec.repetitions
+    rank = {name: i for i, name in enumerate(POLICIES)}
+    order = sorted(range(len(jobs)),
+                   key=lambda i: (i // block, rank[jobs[i][1]]))
 
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -93,21 +103,27 @@ def run_benchmark(spec: ExperimentSpec,
             writer = csv.DictWriter(raw_fh, fieldnames=RAW_COLUMNS,
                                     extrasaction="ignore")
             writer.writeheader()
-            records = (pool.imap(_one_trial, jobs) if pool is not None
-                       else map(_one_trial, jobs))
-            for (_, policy, seed), record in zip(jobs, records):
-                row = {
-                    "scenario_id": record.scenario_id,
-                    "policy": policy,
-                    "rep": seed - spec.seed_base,
-                    "seed": seed,
-                    "outcome": record.outcome,
-                    "elapsed": record.elapsed,
-                    "record": record,
-                }
-                rows.append(row)
-                writer.writerow(row)
-                jsonl_fh.write(record.to_json_line() + "\n")
+            run = [jobs[i] for i in order]
+            records = (pool.imap(_one_trial, run) if pool is not None
+                       else map(_one_trial, run))
+            done: dict[int, TrialRecord] = {}
+            for i, record in zip(order, records):
+                done[i] = record
+                while len(rows) in done:
+                    _, policy, seed = jobs[len(rows)]
+                    record = done.pop(len(rows))
+                    row = {
+                        "scenario_id": record.scenario_id,
+                        "policy": policy,
+                        "rep": seed - spec.seed_base,
+                        "seed": seed,
+                        "outcome": record.outcome,
+                        "elapsed": record.elapsed,
+                        "record": record,
+                    }
+                    rows.append(row)
+                    writer.writerow(row)
+                    jsonl_fh.write(record.to_json_line() + "\n")
     finally:
         _set_configs([])
 

@@ -176,6 +176,42 @@ def test_failing_episode_leaves_earlier_records(bench, tmp_path, monkeypatch):
     assert lines == [r["record"].to_json_line() for r in rows[:4]]
 
 
+def test_episodes_run_in_registry_order_and_write_in_grid_order(
+        bench, tmp_path, monkeypatch):
+    from namoplan import experiments
+
+    spec, rows, _, _ = bench
+    real, calls = experiments._one_trial, []
+
+    def third_fails(job):
+        calls.append(job)
+        if len(calls) == 3:
+            raise RuntimeError("episode failed")
+        return real(job)
+
+    monkeypatch.setattr(experiments, "_one_trial", third_fails)
+    flipped = ExperimentSpec(spec.scenario_paths, spec.policies[::-1],
+                             repetitions=2, seed_base=spec.seed_base,
+                             output_dir=str(tmp_path))
+    assert flipped.policies == ["priority-bypass", "uncertainty"]
+    with pytest.raises(RuntimeError, match="episode failed"):
+        run_benchmark(flipped)
+    # The uncertainty episodes ran first, yet the grid's first row is a
+    # priority-bypass one, so the failure left no record on disk.
+    assert [(policy, seed) for _, policy, seed in calls] == \
+        [("uncertainty", 3), ("uncertainty", 4), ("priority-bypass", 3)]
+    assert (tmp_path / "trials.jsonl").read_text() == ""
+
+    monkeypatch.setattr(experiments, "_one_trial", real)
+    rows2, _ = run_benchmark(flipped)
+    assert [(r["policy"], r["rep"]) for r in rows2] == \
+        [(p, rep) for p in flipped.policies for rep in range(2)]
+    by_cell = {(r["policy"], r["rep"]): r["record"].to_json_line() for r in rows}
+    lines = [by_cell[r["policy"], r["rep"]] for r in rows2]
+    assert [r["record"].to_json_line() for r in rows2] == lines
+    assert (tmp_path / "trials.jsonl").read_text().splitlines() == lines
+
+
 def test_worker_pool_gives_the_same_records(tiny_scenario, tmp_path):
     policies = list(POLICIES)
     specs = [ExperimentSpec([tiny_scenario], policies, repetitions=2,
