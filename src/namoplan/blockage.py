@@ -137,6 +137,10 @@ def trajectory_blockage_detail(pop: ObstaclePopulation, trajectory: Trajectory,
     treating each as independent would overstate the risk. The scored
     waypoint after one at arc length s is the first unexplored one at
     `s + spacing` or beyond; one inside a static cell scores nothing.
+
+    A scored waypoint's corridor width depends only on the static map and
+    the waypoint, so on a grid with a key a read-only trajectory keeps it
+    (or that the waypoint is inside a static cell) on `(grid.key, index)`.
     """
     risks: list[WaypointRisk] = []
     spacing = max(pop.mu, grid.resolution)
@@ -152,12 +156,14 @@ def trajectory_blockage_detail(pop: ObstaclePopulation, trajectory: Trajectory,
         idx = unexplored[k]
         k += 1
         next_at = travelled[idx] + spacing
-        pos = trajectory.positions[idx]
-        try:
-            width = raycast_width(grid, GridPosition(pos[0], pos[1]),
-                                  float(trajectory.headings[idx]))
-        except QueryInsideObstacle:
+        if grid.key is None:
+            width = _waypoint_width(grid, trajectory, idx)
+        else:
+            width = trajectory.memoized(("width", grid.key, idx),
+                                        _waypoint_width, grid, trajectory, idx)
+        if width is None:
             continue
+        pos = trajectory.positions[idx]
         p_given = blockage_at_width(pop, width, r)
         # In wide-open space no obstacle size in the population can block the
         # traversal line, so skip the presence factor (whose W*K/A form is
@@ -166,6 +172,17 @@ def trajectory_blockage_detail(pop: ObstaclePopulation, trajectory: Trajectory,
                   if p_given > 0.0 else 0.0)
         risks.append(WaypointRisk(idx, float(pos[0]), float(pos[1]),
                                   width, p_given, p_here))
+
+
+def _waypoint_width(grid: OccupancyGrid, trajectory: Trajectory,
+                    idx: int) -> float | None:
+    """`raycast_width` at waypoint `idx`, or None inside a static cell."""
+    pos = trajectory.positions[idx]
+    try:
+        return raycast_width(grid, GridPosition(pos[0], pos[1]),
+                             float(trajectory.headings[idx]))
+    except QueryInsideObstacle:
+        return None
 
 
 def _unexplored_indices(grid: OccupancyGrid, positions: np.ndarray) -> list[int]:

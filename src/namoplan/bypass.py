@@ -32,6 +32,11 @@ class TrajectoryFeatures:
 
 
 def extract_features(trajectory: Trajectory) -> TrajectoryFeatures:
+    """Features of the trajectory, kept on a read-only one."""
+    return trajectory.memoized("features", _features, trajectory)
+
+
+def _features(trajectory: Trajectory) -> TrajectoryFeatures:
     if len(trajectory) < 2:
         raise ValueError("degenerate trajectory")
     deltas = turn_angles(trajectory.headings)

@@ -190,12 +190,20 @@ def lru_lookup(memo: OrderedDict, size: int, key, compute, *args):
     None included, is stored."""
     value = memo.get(key, _MISS)
     if value is _MISS:
-        value = memo[key] = compute(*args)
-        if len(memo) > size:
-            memo.popitem(last=False)
+        value = compute(*args)
+        lru_store(memo, size, key, value)
     else:
         memo.move_to_end(key)
     return value
+
+
+def lru_store(memo: OrderedDict, size: int, key, value) -> None:
+    """Set `memo[key]` as the most recently used entry, dropping the least
+    recently used one past `size` entries."""
+    memo[key] = value
+    memo.move_to_end(key)
+    if len(memo) > size:
+        memo.popitem(last=False)
 
 
 # Visibility and ray casts are pure functions of the static map and the

@@ -11,8 +11,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .gridmap import (FREE, GridPosition, OccupancyGrid, inflated_blocked_mask,
-                      lru_lookup)
+from .gridmap import (_MISS, FREE, GridPosition, OccupancyGrid,
+                      inflated_blocked_mask, lru_lookup, lru_store)
 
 
 class EndpointBlocked(ValueError):
@@ -49,10 +49,17 @@ class Ellipse:
 @dataclass
 class Trajectory:
     """Ordered waypoints (x, y, heading). Heading i points at waypoint i+1;
-    the last waypoint inherits its predecessor's heading."""
+    the last waypoint inherits its predecessor's heading.
+
+    A trajectory whose two arrays are both read-only, as every one
+    `plan_path` returns is, keeps the answers of `memoized`; a writable one
+    computes them every call, so changed waypoints never read a stale one.
+    """
 
     positions: np.ndarray  # (N, 2)
     headings: np.ndarray = field(default=None)  # type: ignore[assignment]
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float)
@@ -66,9 +73,20 @@ class Trajectory:
     def __len__(self) -> int:
         return self.positions.shape[0]
 
+    def memoized(self, key, compute, *args):
+        """`compute(*args)`, kept under `key` while both arrays are
+        read-only. The key must name every input of `compute` other than
+        the waypoints; an exception is never kept."""
+        if self.positions.flags.writeable or self.headings.flags.writeable:
+            return compute(*args)
+        value = self._memo.get(key, _MISS)
+        if value is _MISS:
+            value = self._memo[key] = compute(*args)
+        return value
+
     @property
     def total_length(self) -> float:
-        return float(np.sum(np.linalg.norm(np.diff(self.positions, axis=0), axis=1)))
+        return self.memoized("total_length", _total_length, self.positions)
 
     @cached_property
     def step_lengths(self) -> list[float]:
@@ -89,6 +107,10 @@ class Trajectory:
 
     def segment(self, i: int, j: int) -> "Trajectory":
         return Trajectory(self.positions[i:j + 1].copy())
+
+
+def _total_length(positions: np.ndarray) -> float:
+    return float(np.sum(np.linalg.norm(np.diff(positions, axis=0), axis=1)))
 
 
 def _headings_from_positions(positions: np.ndarray) -> np.ndarray:
@@ -168,6 +190,17 @@ def planning_mask(grid: OccupancyGrid, request: PlanRequest,
 _PLAN_CACHE: OrderedDict[tuple, Trajectory | None] = OrderedDict()
 _PLAN_CACHE_SIZE = 128
 
+# For each request on a grid with a key, the `_PLAN_CACHE` key it built
+# last, least recently used first. On such a grid the request's inputs fix
+# the planning mask: `grid.key` names the cells, shape and resolution, and
+# with the robot radius they fix the static inflation and the rasterized
+# ellipses; the start cell places the escape carve. So a request that
+# recurs, as at a decision repeated after a failed load, skips building
+# and hashing the mask. The index holds keys, not plans: an evicted plan is
+# searched again.
+_PLAN_INDEX: OrderedDict[tuple, tuple] = OrderedDict()
+_PLAN_INDEX_SIZE = 512
+
 
 def plan_path(grid: OccupancyGrid, request: PlanRequest,
               robot_radius: float) -> Trajectory | None:
@@ -177,14 +210,34 @@ def plan_path(grid: OccupancyGrid, request: PlanRequest,
     The path depends only on `planning_mask(grid, request, robot_radius)`
     and the start and goal cells, so it is cached on them; a returned
     trajectory's arrays are read-only because later calls hand out the same
-    object.
+    object. On a grid with a key, a request seen before is answered from
+    `_PLAN_INDEX` without building the mask. A request that raises
+    (`EndpointBlocked`, start equals goal) is never cached or indexed.
     """
+    if grid.key is None:
+        return _cached_plan(grid, request, robot_radius)[1]
+    request_key = (grid.key, robot_radius, tuple(request.temporary_obstacles),
+                   grid.cell_index(request.start.x, request.start.y),
+                   grid.cell_index(request.goal.x, request.goal.y))
+    plan_key = _PLAN_INDEX.get(request_key)
+    plan = _PLAN_CACHE.get(plan_key, _MISS)
+    if plan is _MISS:
+        plan_key, plan = _cached_plan(grid, request, robot_radius)
+    else:
+        _PLAN_CACHE.move_to_end(plan_key)
+    lru_store(_PLAN_INDEX, _PLAN_INDEX_SIZE, request_key, plan_key)
+    return plan
+
+
+def _cached_plan(grid: OccupancyGrid, request: PlanRequest,
+                 robot_radius: float) -> tuple[tuple, Trajectory | None]:
+    """The `_PLAN_CACHE` key of `request` and its plan, searched on a miss."""
     mask = planning_mask(grid, request, robot_radius)
     start, goal = _endpoint_cells(grid, mask, request.start, request.goal)
     key = (hashlib.blake2b(np.packbits(mask), digest_size=16).digest(),
            mask.shape, grid.resolution, start, goal)
-    return lru_lookup(_PLAN_CACHE, _PLAN_CACHE_SIZE, key, _read_only_plan,
-                      grid, mask, start, goal)
+    return key, lru_lookup(_PLAN_CACHE, _PLAN_CACHE_SIZE, key,
+                           _read_only_plan, grid, mask, start, goal)
 
 
 def _read_only_plan(grid: OccupancyGrid, mask: np.ndarray,

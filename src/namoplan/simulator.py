@@ -626,7 +626,7 @@ class _Episode:
         # Of what the score reads, only the waypoints and the explored mask
         # can change within an episode. The mask only ever gains cells, so
         # two of its states with the same count are equal.
-        key = (_digest(traj.positions, traj.headings),
+        key = (traj.memoized("digest", _digest, traj.positions, traj.headings),
                np.count_nonzero(self.grid.explored))
         p = self._blockage.get(key)
         if p is None:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from namoplan import blockage, gridmap, scenario_path
+from namoplan import blockage, gridmap, planner, scenario_path
 from namoplan.gridmap import FREE, STATIC, OccupancyGrid
 from namoplan.simulator import ScenarioConfig
 
@@ -31,14 +31,24 @@ def grid_from_ascii(art: str, resolution: float = 0.1) -> OccupancyGrid:
     return OccupancyGrid(resolution, cells)
 
 
+def keyed(grid: OccupancyGrid, path) -> OccupancyGrid:
+    """`grid` written to the map file `path` and loaded back: the same
+    cells, read-only, with a key."""
+    grid.save(path)
+    return OccupancyGrid.load(path)
+
+
 @pytest.fixture
 def fresh_memos(monkeypatch):
-    """Empty visibility, ray-cast, inflation and blockage-width memos,
-    restored after the test."""
+    """Empty visibility, ray-cast, inflation and blockage-width memos, and
+    an empty plan cache and plan index, restored after the test."""
     monkeypatch.setattr(gridmap, "_VISIBILITY_MEMO", OrderedDict())
     monkeypatch.setattr(gridmap, "_RAY_MEMO", OrderedDict())
     monkeypatch.setattr(gridmap, "_INFLATION_CACHE", OrderedDict())
     monkeypatch.setattr(blockage, "_WIDTH_MEMO", OrderedDict())
+    monkeypatch.setattr(planner, "_PLAN_CACHE", OrderedDict())
+    monkeypatch.setattr(planner, "_PLAN_INDEX", OrderedDict())
+
 
 
 @pytest.fixture

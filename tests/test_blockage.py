@@ -9,7 +9,7 @@ import pytest
 from scipy import integrate, stats
 
 import oracles
-from conftest import grid_from_ascii
+from conftest import grid_from_ascii, keyed
 from namoplan import blockage
 from namoplan.blockage import (ObstaclePopulation, blockage_at_width,
                                blockage_given_size,
@@ -335,3 +335,59 @@ def test_probabilities_stay_in_unit_interval_under_fuzzing():
         r = rng.uniform(0.05, 0.8)
         l = rng.uniform(0.01, 7.0)
         assert 0.0 <= blockage_given_size(l, w, r) <= 1.0
+
+
+# -- corridor widths kept on read-only trajectories -----------------------
+
+
+def test_one_read_only_trajectory_scored_on_two_maps(tmp_path, fresh_memos):
+    """One plan entry can serve maps whose cells differ where the planning
+    masks agree, so a kept width must name its map."""
+    rng = np.random.default_rng(74)
+    grids = []
+    for name in ("a", "b"):
+        g = OccupancyGrid.empty(40, 30, 0.1)
+        g.cells[rng.random((30, 40)) < 0.15] = STATIC
+        grids.append(keyed(g, tmp_path / f"{name}.map"))
+    cells = np.clip(np.array([15, 20]) + np.cumsum(
+        rng.integers(-1, 2, (300, 2)), axis=0), 0, [39, 29])
+    traj = Trajectory((cells + 0.5) * 0.1)
+    traj.positions.flags.writeable = False
+    traj.headings.flags.writeable = False
+    pop = ObstaclePopulation(0.3, 0.03, 2.0, 12.0)
+    static = [{i for i, p in enumerate(traj.positions)
+               if g.state_at(*p) == STATIC} for g in grids]
+    assert static[0] and static[1] and static[0] != static[1]
+    scored = [set(), set()]
+    for _ in range(3):
+        for m, g in enumerate(grids):
+            view = g.unexplored_view()
+            view.explored[rng.random((30, 40)) < 0.3] = True
+            got = trajectory_blockage_detail(pop, traj, view, 0.2)
+            assert got == oracles.trajectory_blockage_detail(pop, traj, view,
+                                                             0.2)
+            scored[m] |= {r.index for r in got}
+    # Waypoints scored on both maps, and ones scored on one map that sit
+    # in a static cell of the other.
+    assert scored[0] & scored[1]
+    assert scored[0] & static[1] and scored[1] & static[0]
+
+
+def test_widths_are_kept_only_for_read_only_trajectories_on_keyed_maps(
+        tmp_path, fresh_memos, monkeypatch):
+    casts = []
+    real = blockage.raycast_width
+    monkeypatch.setattr(blockage, "raycast_width",
+                        lambda *a: casts.append(1) or real(*a))
+    grid, traj = _corridor_and_traj()
+    loaded = keyed(grid, tmp_path / "corridor.map")
+    read_only = Trajectory(traj.positions.copy())
+    read_only.positions.flags.writeable = False
+    read_only.headings.flags.writeable = False
+    pop = ObstaclePopulation(1.8, 0.1, 10.0, 40.0)
+    for g, t, kept in ((loaded, read_only, True), (loaded, traj, False),
+                       (grid, read_only, False)):
+        first = trajectory_blockage_detail(pop, t, g, 0.3)
+        n = len(casts)
+        assert trajectory_blockage_detail(pop, t, g, 0.3) == first
+        assert len(casts) - n == (0 if kept else len(first))

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from namoplan import bypass
 from namoplan.bypass import (AverageSpeedPredictor, GlrModel, TimingDataset,
                              TrajectoryFeatures, baseline_average_speed,
                              baseline_trapezoid, extract_features, fit,
@@ -58,6 +60,53 @@ def test_features_invariant_under_rigid_motion():
     assert f1.f_l == pytest.approx(f0.f_l, rel=1e-9)
     assert f1.f_s == pytest.approx(f0.f_s, rel=1e-9)
     assert f1.f_v == pytest.approx(f0.f_v, abs=1e-9)
+
+
+# -- features kept on read-only trajectories ------------------------------
+
+
+def _uncached_features(traj):
+    deltas = oracles.turn_angles(traj.headings)
+    length = np.sum(np.linalg.norm(np.diff(traj.positions, axis=0), axis=1))
+    return TrajectoryFeatures(float(length), float(np.mean(deltas)),
+                              float(np.var(deltas)))
+
+
+def _read_only(traj):
+    """`traj` with both arrays read-only, as `plan_path` returns them."""
+    traj.positions.flags.writeable = False
+    traj.headings.flags.writeable = False
+    return traj
+
+
+def test_features_match_uncached_on_read_only_and_writable_trajectories(
+        monkeypatch):
+    computed = []
+    real = bypass._features
+    monkeypatch.setattr(bypass, "_features",
+                        lambda t: computed.append(t) or real(t))
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        pts = np.cumsum(rng.normal(size=(int(rng.integers(2, 60)), 2)), axis=0)
+        writable, read_only = Trajectory(pts.copy()), _read_only(
+            Trajectory(pts.copy()))
+        for traj in (writable, read_only, writable, read_only):
+            want = _uncached_features(traj)
+            assert extract_features(traj) == want
+            assert traj.total_length == want.f_l
+        # The writable one computed at each call, the read-only one once.
+        assert [id(t) for t in computed[-3:]] == [id(writable), id(read_only),
+                                                  id(writable)]
+
+
+def test_mutated_writable_trajectory_gives_new_features():
+    traj = Trajectory(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
+    before, length = extract_features(traj), traj.total_length
+    traj.positions[2] = (1.0, 3.0)
+    traj.headings[1] = math.pi / 2
+    after = extract_features(traj)
+    assert after == _uncached_features(traj) and after != before
+    assert traj.total_length == after.f_l == 4.0 != length
 
 
 # -- dataset ------------------------------------------------------------

@@ -8,7 +8,7 @@ import pickle
 import numpy as np
 import pytest
 
-from namoplan import gridmap, scenario_path
+from namoplan import gridmap, planner, scenario_path
 from namoplan.bypass import TimingDataset
 from namoplan.experiments import (RAW_COLUMNS, SUMMARY_COLUMNS, ExperimentSpec,
                                   evaluate_bypass_predictors,
@@ -255,27 +255,42 @@ def _memo_keys():
     return set(gridmap._VISIBILITY_MEMO), set(gridmap._RAY_MEMO)
 
 
+def _count_searches(monkeypatch) -> list:
+    """The list that gets one entry per A* search from now on."""
+    calls = []
+    real = planner._astar_on_mask
+    monkeypatch.setattr(planner, "_astar_on_mask",
+                        lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
 # sha256 of the sorted record lines of the episode benchmark's suite
 # battery: the 7 bundled scenarios x 4 policies at seed 0.
 SUITE_RECORDS_SHA256 = (
     "6b8bb7e6a49a51c3ecab02c9228fd257b42e8950387640c1ca98e617037efcdd")
 
 
-def test_suite_battery_records_pinned(tmp_path, fresh_memos):
+def test_suite_battery_records_pinned(tmp_path, fresh_memos, monkeypatch):
     names = ["room", "warehouse_ab", "warehouse_abc", "warehouse_abd",
              "warehouse_abe", "warehouse_bc", "warehouse_bce"]
     spec = ExperimentSpec([str(scenario_path(f"{n}.yaml")) for n in names],
                           ["uncertainty", "uncertainty-no-blockage",
                            "priority-bypass", "priority-removal"],
                           repetitions=1, seed_base=0, output_dir=str(tmp_path))
-    # The second run's ray casts all come from the memos the first filled.
+    searches = _count_searches(monkeypatch)
+    # The first run starts from empty memos and an empty plan cache; the
+    # second's ray casts all come from the memos the first filled, and its
+    # plans from requests the first indexed.
     for run in range(2):
         rows, _ = run_benchmark(spec)
         assert len(rows) == 28
         assert _records_sha256(r["record"] for r in rows) == SUITE_RECORDS_SHA256
         if run == 0:
-            filled = _memo_keys()
+            filled, n_searched = _memo_keys(), len(searches)
+            indexed = list(planner._PLAN_INDEX)
     assert _memo_keys() == filled and all(filled)
+    assert n_searched > 0 and len(searches) == n_searched
+    assert set(planner._PLAN_INDEX) == set(indexed) and indexed
 
 
 # sha256 of the sorted record lines of the episode benchmark's
@@ -285,7 +300,7 @@ UNRELIABLE_RECORDS_SHA256 = (
     "080081b22af7cb36e8acbbe3d90eda449a179b2c9bb970df3274cd1a73e55fb6")
 
 
-def test_unreliable_removal_battery_records_pinned(fresh_memos):
+def test_unreliable_removal_battery_records_pinned(fresh_memos, monkeypatch):
     def battery():
         for estimated, true in [(0.2, 0.2), (0.9, 0.2), (0.9, 0.5)]:
             for policy in ["uncertainty", "uncertainty-no-action"]:
@@ -297,11 +312,16 @@ def test_unreliable_removal_battery_records_pinned(fresh_memos):
                         obstacle.true_sr = true
                     yield run_episode(cfg, policy, seed=seed)
 
+    searches = _count_searches(monkeypatch)
+    # A cold first run, then a second answered from what the first filled.
     for run in range(2):
         assert _records_sha256(battery()) == UNRELIABLE_RECORDS_SHA256
         if run == 0:
-            filled = _memo_keys()
+            filled, n_searched = _memo_keys(), len(searches)
+            indexed = list(planner._PLAN_INDEX)
     assert _memo_keys() == filled and all(filled)
+    assert n_searched > 0 and len(searches) == n_searched
+    assert set(planner._PLAN_INDEX) == set(indexed) and indexed
 
 
 def test_summarize_groups_by_scenario_and_policy():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import grid_from_ascii
+from conftest import grid_from_ascii, keyed
 from namoplan import planner
 from namoplan.gridmap import STATIC, GridPosition, OccupancyGrid
 from namoplan.planner import (Ellipse, EndpointBlocked, PlanRequest, Trajectory,
@@ -459,3 +459,129 @@ def test_cache_keeps_masks_one_cell_or_one_shape_apart(searches):
     assert np.array_equal(np.packbits(planner.planning_mask(
         OccupancyGrid.empty(8, 8, 0.1), req, 0.01)), np.packbits(masks[0]))
     assert len(searches) == len(planner._PLAN_CACHE) == 4
+
+
+# -- the request index, on maps read from a file --------------------------
+
+
+@pytest.fixture
+def masks_built(monkeypatch):
+    """One entry per planning mask built in the test."""
+    calls = []
+    real = planner.planning_mask
+    monkeypatch.setattr(planner, "planning_mask",
+                        lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def _elsewhere_in_cell(g, pos, rng):
+    """Another point of the cell that holds `pos`."""
+    iy, ix = g.cell_index(pos.x, pos.y)
+    return GridPosition((ix + rng.uniform(0.01, 0.99)) * g.resolution,
+                        (iy + rng.uniform(0.01, 0.99)) * g.resolution)
+
+
+def test_indexed_plans_match_reference_cold_and_warm(tmp_path, fresh_memos,
+                                                     searches, masks_built):
+    rng = np.random.default_rng(31)
+    for m in range(3):
+        g = OccupancyGrid.empty(40, 30, 0.1)
+        g.cells[rng.random((30, 40)) < 0.08] = STATIC
+        g = keyed(g, tmp_path / f"{m}.map")
+        # An ellipse moving along a row, then back at its first places.
+        moving = [(Ellipse(0.6 + 0.4 * i, 1.5, 0.4, 0.25, 0.3),)
+                  for i in range(7)]
+        pairs = [(r.start, r.goal) for r in _random_requests(g, rng, 5)]
+        requests = [PlanRequest(a, b, e) for e in [(), *moving, *moving[:3]]
+                    for a, b in pairs]
+        cold = [_assert_same_plan(g, r, radius)
+                for radius in (0.1, 0.15) for r in requests]
+        n_built, n_searched = len(masks_built), len(searches)
+        # The same cells through other points, ellipses as a list.
+        warm = [_assert_same_plan(
+                    g, PlanRequest(_elsewhere_in_cell(g, r.start, rng),
+                                   _elsewhere_in_cell(g, r.goal, rng),
+                                   list(r.temporary_obstacles)), radius)
+                for radius in (0.1, 0.15) for r in requests]
+        assert warm == cold and len(searches) == n_searched
+        # Only the requests that raise build their mask again.
+        assert len(masks_built) - n_built == cold.count("blocked")
+        assert {"path", "blocked"} <= set(cold)
+
+
+def test_ellipses_that_rasterize_alike_share_one_search(tmp_path, fresh_memos,
+                                                        searches):
+    g = keyed(OccupancyGrid.empty(40, 30, 0.1), tmp_path / "open.map")
+    start, goal = GridPosition(0.55, 1.55), GridPosition(3.55, 1.55)
+    reqs = [PlanRequest(start, goal, (Ellipse(cx, 1.5, 0.4, 0.3, 0.0),))
+            for cx in (2.0, 2.0 + 1e-6)]
+    assert np.array_equal(planner.planning_mask(g, reqs[0], 0.1),
+                          planner.planning_mask(g, reqs[1], 0.1))
+    plans = [plan_path(g, r, 0.1) for r in reqs]
+    assert plans[0] is plans[1] and len(searches) == 1
+    assert len(planner._PLAN_INDEX) == 2
+    assert len(set(planner._PLAN_INDEX.values())) == 1
+    assert np.array_equal(plans[1].positions,
+                          oracles.plan_path(g, reqs[1], 0.1).positions)
+
+
+def test_indexed_request_whose_plan_was_evicted_searches_again(
+        tmp_path, fresh_memos, searches, monkeypatch):
+    monkeypatch.setattr(planner, "_PLAN_CACHE_SIZE", 2)
+    g = keyed(OccupancyGrid.empty(30, 20, 0.1), tmp_path / "open.map")
+    goal = GridPosition(2.55, 1.55)
+    reqs = [PlanRequest(GridPosition(0.55, 0.55 + 0.5 * i), goal)
+            for i in range(3)]
+    first = plan_path(g, reqs[0], 0.1)
+    for r in reqs[1:]:
+        plan_path(g, r, 0.1)
+    assert len(searches) == len(planner._PLAN_INDEX) == 3
+    again = plan_path(g, reqs[0], 0.1)
+    assert len(searches) == 4 and again is not first
+    assert np.array_equal(again.positions,
+                          oracles.plan_path(g, reqs[0], 0.1).positions)
+    # The request now names the new entry.
+    assert plan_path(g, reqs[0], 0.1) is again and len(searches) == 4
+
+
+def test_raising_requests_and_keyless_grids_stay_out_of_the_index(
+        tmp_path, fresh_memos, searches):
+    walled = OccupancyGrid.empty(20, 20, 0.1)
+    walled.cells[10, :] = STATIC
+    g = keyed(walled, tmp_path / "walled.map")
+    wall, free = GridPosition(1.05, 1.05), GridPosition(0.55, 0.55)
+    for _ in range(2):
+        with pytest.raises(EndpointBlocked):
+            plan_path(g, PlanRequest(free, wall), 0.1)
+        with pytest.raises(ValueError, match="start equals goal"):
+            plan_path(g, PlanRequest(free, GridPosition(0.52, 0.58)), 0.1)
+    assert searches == [] and not planner._PLAN_CACHE
+    assert not planner._PLAN_INDEX
+    # The grid built in code plans through the cache alone.
+    req = PlanRequest(free, GridPosition(1.55, 0.55))
+    got = plan_path(walled, req, 0.1)
+    assert plan_path(walled, req, 0.1) is got
+    assert len(planner._PLAN_CACHE) == 1 and not planner._PLAN_INDEX
+    # The loaded one has the same mask: it shares the entry and indexes it.
+    assert plan_path(g, req, 0.1) is got and len(searches) == 1
+    assert len(planner._PLAN_INDEX) == 1
+
+
+def test_index_stays_within_its_bound(tmp_path, fresh_memos, searches,
+                                      masks_built, monkeypatch):
+    monkeypatch.setattr(planner, "_PLAN_INDEX_SIZE", 4)
+    g = keyed(OccupancyGrid.empty(30, 30, 0.1), tmp_path / "open.map")
+    goal = GridPosition(2.55, 2.55)
+    reqs = [PlanRequest(GridPosition(*g.cell_center(2, ix)), goal)
+            for ix in range(2, 12)]
+    for i, r in enumerate(reqs):
+        plan_path(g, r, 0.1)
+        assert len(planner._PLAN_INDEX) == min(i + 1, 4)
+        # A hit refreshes the first request, so it outlives the others.
+        plan_path(g, reqs[0], 0.1)
+    assert len(masks_built) == len(searches) == len(reqs)
+    assert [key[3] for key in planner._PLAN_INDEX] == [
+        g.cell_index(r.start.x, r.start.y) for r in (*reqs[-3:], reqs[0])]
+    # A dropped request builds its mask again and finds its search cached.
+    plan_path(g, reqs[1], 0.1)
+    assert len(masks_built) == len(reqs) + 1 and len(searches) == len(reqs)
