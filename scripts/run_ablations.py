@@ -21,6 +21,7 @@ Writes one trials CSV per battery to --out and prints mean/std tables.
 import argparse
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,19 +33,22 @@ BIASED_PAIRS = [(0.9, 0.2), (0.9, 0.5), (0.5, 0.2),
                 (0.5, 0.9), (0.2, 0.5), (0.2, 0.9)]
 
 
-def battery(name, policy, seeds, estimated_sr=None, true_sr=None):
+def battery(name, policies, seeds, estimated_sr=None, true_sr=None):
+    """Each policy at each seed on one config of the scenario with these
+    success rates, so that the episodes share decision nodes."""
+    cfg = ScenarioConfig.from_yaml(scenario_path(f"{name}.yaml"))
+    if estimated_sr is not None:
+        cfg = replace(cfg, estimated_sr=estimated_sr)
+    if true_sr is not None:
+        cfg = replace(cfg, obstacles=tuple(replace(spec, true_sr=true_sr)
+                                           for spec in cfg.obstacles))
     rows = []
-    for seed in seeds:
-        cfg = ScenarioConfig.from_yaml(scenario_path(f"{name}.yaml"))
-        if estimated_sr is not None:
-            cfg.estimated_sr = estimated_sr
-        if true_sr is not None:
-            for spec in cfg.obstacles:
-                spec.true_sr = true_sr
-        record = run_episode(cfg, policy, seed=seed)
-        rows.append({"scenario": name, "policy": policy, "seed": seed,
-                     "estimated_sr": estimated_sr, "true_sr": true_sr,
-                     "outcome": record.outcome, "elapsed": record.elapsed})
+    for policy in policies:
+        for seed in seeds:
+            record = run_episode(cfg, policy, seed=seed)
+            rows.append({"scenario": name, "policy": policy, "seed": seed,
+                         "estimated_sr": estimated_sr, "true_sr": true_sr,
+                         "outcome": record.outcome, "elapsed": record.elapsed})
     return rows
 
 
@@ -75,8 +79,8 @@ def main(argv=None):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    rows = (battery("warehouse_abc", "uncertainty", seeds, 0.2, 0.2)
-            + battery("warehouse_abc", "uncertainty-no-action", seeds, 0.2, 0.2))
+    rows = battery("warehouse_abc", ("uncertainty", "uncertainty-no-action"),
+                   seeds, 0.2, 0.2)
     write_csv(out / "unreliable_removal.csv", rows)
     report("unreliable removal (warehouse ABC, true SR 0.2)",
            [(p, [r for r in rows if r["policy"] == p])
@@ -84,8 +88,8 @@ def main(argv=None):
 
     rows = []
     for estimated, real in BIASED_PAIRS:
-        for policy in ("uncertainty", "uncertainty-no-action"):
-            rows += battery("warehouse_abc", policy, seeds, estimated, real)
+        rows += battery("warehouse_abc", ("uncertainty", "uncertainty-no-action"),
+                        seeds, estimated, real)
     write_csv(out / "biased_estimates.csv", rows)
     cells = [(f"est {e:.1f} real {r:.1f} {p}",
               [x for x in rows if x["policy"] == p
@@ -99,8 +103,7 @@ def main(argv=None):
 
     rows = []
     for name in ("warehouse_ab", "warehouse_abe"):
-        for policy in ("uncertainty", "uncertainty-no-blockage"):
-            rows += battery(name, policy, seeds)
+        rows += battery(name, ("uncertainty", "uncertainty-no-blockage"), seeds)
     write_csv(out / "blockage_term.csv", rows)
     cells = [(f"{name} {p}",
               [x for x in rows if x["scenario"] == name and x["policy"] == p])
@@ -111,9 +114,8 @@ def main(argv=None):
            [(p, [x for x in rows if x["policy"] == p])
             for p in ("uncertainty", "uncertainty-no-blockage")])
 
-    rows = []
-    for policy in ("priority-bypass", "priority-removal", "uncertainty"):
-        rows += battery("room", policy, seeds)
+    rows = battery("room", ("priority-bypass", "priority-removal", "uncertainty"),
+                   seeds)
     write_csv(out / "room.csv", rows)
     report("room doorway (removal required)",
            [(p, [x for x in rows if x["policy"] == p])

@@ -62,8 +62,8 @@ def run_benchmark(spec: ExperimentSpec,
     or run order, and each is written as soon as every record before it is
     in, so a failing episode leaves every record before the first missing
     one on disk. Each scenario file is parsed once, before any
-    episode runs, so a bad config fails the grid up front; episodes never
-    modify their config, so its trials share it. Each job is one
+    episode runs, so a bad config fails the grid up front; a config is
+    frozen, so its trials share it. Each job is one
     `run_episode(config, policy, seed=...)` call, and the episodes of one
     config in one process share their work up to the first choice in which
     their policies differ (see `run_episode`); the configs, and with them

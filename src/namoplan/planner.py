@@ -7,7 +7,6 @@ import heapq
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -88,14 +87,9 @@ class Trajectory:
     def total_length(self) -> float:
         return self.memoized("total_length", _total_length, self.positions)
 
-    @cached_property
+    @property
     def step_lengths(self) -> list[float]:
-        """Length of each step, equal bit for bit to the 1-D
-        `np.linalg.norm(p1 - p0)`: `vecdot` uses the same dot kernel, where
-        `norm(..., axis=1)` squares and sums differently and disagrees in the
-        last bit on some steps."""
-        d = np.diff(self.positions, axis=0)
-        return np.sqrt(np.vecdot(d, d)).tolist()
+        return self.memoized("step_lengths", _step_lengths, self.positions)
 
     @property
     def start(self) -> np.ndarray:
@@ -111,6 +105,15 @@ class Trajectory:
 
 def _total_length(positions: np.ndarray) -> float:
     return float(np.sum(np.linalg.norm(np.diff(positions, axis=0), axis=1)))
+
+
+def _step_lengths(positions: np.ndarray) -> list[float]:
+    """Length of each step, equal bit for bit to the 1-D
+    `np.linalg.norm(p1 - p0)`: `vecdot` uses the same dot kernel, where
+    `norm(..., axis=1)` squares and sums differently and disagrees in the
+    last bit on some steps."""
+    d = np.diff(positions, axis=0)
+    return np.sqrt(np.vecdot(d, d)).tolist()
 
 
 def _headings_from_positions(positions: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import math
 import operator
 from collections import OrderedDict
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cache, cached_property, partial
 from pathlib import Path
 
@@ -45,7 +45,7 @@ class ScenarioError(ValueError):
 # which keys, types and ranges load.
 
 
-@dataclass
+@dataclass(frozen=True)
 class RobotConfig:
     radius: float = 0.3
     start: tuple[float, float] = (1.0, 1.0)
@@ -56,7 +56,7 @@ class RobotConfig:
     sensor_fov: float = math.pi / 2.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObstacleSpec:
     label: str
     position: tuple[float, float]
@@ -64,14 +64,14 @@ class ObstacleSpec:
     true_sr: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class PopulationConfig:
     mu: float = 0.6
     sigma: float = 0.1
     k: float = 0.5
 
 
-@dataclass
+@dataclass(frozen=True)
 class RemovalConfig:
     max_attempts: int = 3
     load_overhead: float = 5.0
@@ -80,26 +80,26 @@ class RemovalConfig:
     default_t_mo: float = 30.0  # proxy when no estimate is available
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseConfig:
     robot_cov_diag: tuple[float, float, float] = (0.01, 0.01, 0.004)
     meas_cov_diag: tuple[float, float] = (0.01, 0.001)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BypassModelConfig:
     dataset_seed: int = 7
     n_rows: int = 1500
     noise_sigma: float = 0.05
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     scenario_id: str
     map_path: str
     robot: RobotConfig
     goal: tuple[float, float]
-    obstacles: list[ObstacleSpec]
+    obstacles: tuple[ObstacleSpec, ...]
     population: PopulationConfig = field(default_factory=PopulationConfig)
     removal: RemovalConfig = field(default_factory=RemovalConfig)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
@@ -112,10 +112,17 @@ class ScenarioConfig:
     seed: int = 0
     sense_interval: float = 1.0
 
+    def __post_init__(self):
+        """Every construction, from YAML, in code or by `replace`, is checked."""
+        plain = asdict(self)
+        plain["map"] = plain.pop("map_path")
+        _check(plain, _config_schema(), "")
+        self.load_grid()  # a bad map or a misplaced position fails here
+
     def load_grid(self) -> OccupancyGrid:
         """The map, read and checked against the obstacle, start and goal
-        positions on first use, then kept. It is read-only, explored mask
-        included: an episode marks its own `unexplored_view()`."""
+        positions when the config is constructed. It is read-only, explored
+        mask included: an episode marks its own `unexplored_view()`."""
         return self._grid
 
     @cached_property
@@ -137,15 +144,11 @@ class ScenarioConfig:
         return grid
 
     def _decision_nodes(self) -> OrderedDict:
-        """`run_episode`'s memo of decision nodes for this config's current
-        contents; a change to any field starts a new one. It is kept in the
-        instance dict, not in a field, so `==` and `repr` ignore it, and
-        pickling leaves it out."""
-        contents = repr(self)
-        memo = self.__dict__.get("_nodes")
-        if memo is None or memo[0] != contents:
-            memo = self.__dict__["_nodes"] = (contents, OrderedDict())
-        return memo[1]
+        """`run_episode`'s memo of decision nodes for this config. It is kept
+        in the instance dict, not in a field, so `==` and `repr` ignore it,
+        and pickling leaves it out; a config derived by `replace` starts
+        its own."""
+        return self.__dict__.setdefault("_nodes", OrderedDict())
 
     def __getstate__(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if k != "_nodes"}
@@ -165,13 +168,12 @@ class ScenarioConfig:
         _check(raw, _config_schema(), "")
         sections = {key: cls(**_tuples(raw.pop(key, {})))
                     for key, cls in _SECTIONS.items()}
-        obstacles = [ObstacleSpec(**_tuples(o)) for o in raw.pop("obstacles", [])]
+        obstacles = tuple(ObstacleSpec(**_tuples(o))
+                          for o in raw.pop("obstacles", []))
         # The YAML names the map file `map`; the config holds its resolved path.
         map_path = str((path.parent / raw.pop("map")).resolve())
-        config = ScenarioConfig(**{"scenario_id": path.stem, **_tuples(raw)},
-                                **sections, obstacles=obstacles, map_path=map_path)
-        config.load_grid()  # a bad map or a misplaced position fails here
-        return config
+        return ScenarioConfig(**{"scenario_id": path.stem, **_tuples(raw)},
+                              **sections, obstacles=obstacles, map_path=map_path)
 
 
 # libyaml's parser under the pure-Python safe constructor and resolver:
@@ -203,14 +205,15 @@ _BOUNDS = (("minimum", operator.ge, ">="), ("exclusiveMinimum", operator.gt, ">"
 
 def _check(value, schema: dict, where: str) -> None:
     """ScenarioError naming the dotted path `where` unless `value` meets
-    `schema`. Only the keywords the bundled schema uses are read. Two rules
-    are stricter than JSON Schema: a number must be finite, and an integer
-    must be a Python int (2.0 is not one); a bool is neither."""
+    `schema`. Only the keywords the bundled schema uses are read, and a
+    tuple passes where a list does. Two rules are stricter than JSON Schema:
+    a number must be finite, and an integer must be a Python int (2.0 is
+    not one); a bool is neither."""
     name = where or "config"
     kind = schema["type"]
     if kind == "array":
         lo, hi = schema.get("minItems", 0), schema.get("maxItems", math.inf)
-        if not isinstance(value, list) or not lo <= len(value) <= hi:
+        if not isinstance(value, (list, tuple)) or not lo <= len(value) <= hi:
             size = f" of {lo} items" if lo == hi else ""
             raise ScenarioError(f"{name} must be a list{size}")
         for i, item in enumerate(value):

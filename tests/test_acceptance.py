@@ -7,6 +7,7 @@ scenario-level behavior claims are checked on seeded episode batteries.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,19 +32,16 @@ WAREHOUSE_SUITE = ["warehouse_abc", "warehouse_ab", "warehouse_abd",
 def _scenario(name, estimated_sr=None, true_sr=None):
     cfg = ScenarioConfig.from_yaml(scenario_path(f"{name}.yaml"))
     if estimated_sr is not None:
-        cfg.estimated_sr = estimated_sr
+        cfg = replace(cfg, estimated_sr=estimated_sr)
     if true_sr is not None:
-        for spec in cfg.obstacles:
-            spec.true_sr = true_sr
+        cfg = replace(cfg, obstacles=tuple(replace(spec, true_sr=true_sr)
+                                           for spec in cfg.obstacles))
     return cfg
 
 
 def _battery(name, policy, seeds, estimated_sr=None, true_sr=None):
-    records = []
-    for seed in seeds:
-        cfg = _scenario(name, estimated_sr, true_sr)
-        records.append(run_episode(cfg, policy, seed=seed))
-    return records
+    cfg = _scenario(name, estimated_sr, true_sr)
+    return [run_episode(cfg, policy, seed=seed) for seed in seeds]
 
 
 def _mean_elapsed(records):

@@ -5,6 +5,7 @@ fresh config gives."""
 import gc
 import pickle
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -57,15 +58,21 @@ def _warehouse_case(config):
     return _line(config, "uncertainty", 1), _line(config, "uncertainty-no-action", 1)
 
 
+def _with_success_rates(config, estimated_sr, first_true_sr):
+    first, *rest = config.obstacles
+    return replace(config, estimated_sr=estimated_sr,
+                   obstacles=(replace(first, true_sr=first_true_sr), *rest))
+
+
 def test_changed_success_rates_give_fresh_records():
     config = _fresh("warehouse_abc.yaml")
     before = _warehouse_case(config)
-    config.estimated_sr = 0.2
-    want = _fresh("warehouse_abc.yaml")
-    want.estimated_sr = 0.2
-    assert _warehouse_case(config) == _warehouse_case(want) != before
-    config.obstacles[0].true_sr = want.obstacles[0].true_sr = 0.2
-    assert _warehouse_case(config) == _warehouse_case(want) != before
+    assert len(config._decision_nodes()) > 0
+    for rates in ((0.2, 0.9), (0.2, 0.2)):
+        derived = _with_success_rates(config, *rates)
+        assert len(derived._decision_nodes()) == 0
+        want = _with_success_rates(_fresh("warehouse_abc.yaml"), *rates)
+        assert _warehouse_case(derived) == _warehouse_case(want) != before
 
 
 def test_choice_that_raises_stores_no_node():

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -307,9 +308,9 @@ def test_unreliable_removal_battery_records_pinned(fresh_memos, monkeypatch):
                 for seed in range(3):
                     cfg = ScenarioConfig.from_yaml(
                         scenario_path("warehouse_abc.yaml"))
-                    cfg.estimated_sr = estimated
-                    for obstacle in cfg.obstacles:
-                        obstacle.true_sr = true
+                    cfg = replace(cfg, estimated_sr=estimated, obstacles=tuple(
+                        replace(obstacle, true_sr=true)
+                        for obstacle in cfg.obstacles))
                     yield run_episode(cfg, policy, seed=seed)
 
     searches = _count_searches(monkeypatch)

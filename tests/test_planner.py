@@ -54,7 +54,17 @@ def test_step_lengths_match_per_step_norm_off_grid():
     for positions in (walk, rng.uniform(-500.0, 500.0, (20_000, 2))):
         t = Trajectory(positions)
         assert t.step_lengths == _per_step_norms(t.positions)
+        # Kept only on a read-only trajectory.
+        t.positions.flags.writeable = False
+        t.headings.flags.writeable = False
         assert t.step_lengths is t.step_lengths
+
+
+def test_step_lengths_follow_a_writable_trajectory():
+    t = Trajectory(np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 4.0]]))
+    assert t.step_lengths == [3.0, 4.0]
+    t.positions[2] = (3.0, 1.0)
+    assert t.step_lengths == [3.0, 1.0]
 
 
 def test_headings_point_at_successor():

@@ -3,6 +3,7 @@
 import math
 import pickle
 import re
+from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,10 +13,11 @@ import yaml
 from namoplan import scenario_path
 from namoplan.gridmap import STATIC, OccupancyGrid, mark_explored
 from namoplan.planner import Trajectory
-from namoplan.simulator import (POLICIES, BypassModelConfig, ObstacleSpec,
-                                RobotConfig, ScenarioConfig, ScenarioError,
-                                TrialRecord, _Episode, bypass_model_for,
-                                get_policy, motion_time, run_episode)
+from namoplan.simulator import (POLICIES, BypassModelConfig, NoiseConfig,
+                                ObstacleSpec, RobotConfig, ScenarioConfig,
+                                ScenarioError, TrialRecord, _Episode,
+                                bypass_model_for, get_policy, motion_time,
+                                run_episode)
 
 # -- helpers ------------------------------------------------------------
 
@@ -28,18 +30,17 @@ def _write_map(tmp_path, cells=None, width=60, height=40, resolution=0.1):
     return str(path)
 
 
-def _config(tmp_path, obstacles=(), true_sr=0.9, **overrides):
-    cfg = ScenarioConfig(
+def _config(tmp_path, obstacles=(), true_sr=0.9, cells=None, **overrides):
+    return ScenarioConfig(
         scenario_id="unit",
-        map_path=_write_map(tmp_path),
+        map_path=_write_map(tmp_path, cells),
         robot=RobotConfig(start=(0.7, 2.0), sensor_range=3.0),
         goal=(5.3, 2.0),
-        obstacles=[ObstacleSpec(label, pos, 0.3, true_sr)
-                   for label, pos in obstacles],
+        obstacles=tuple(ObstacleSpec(label, pos, 0.3, true_sr)
+                        for label, pos in obstacles),
+        bypass_model=BypassModelConfig(n_rows=200),  # cheap test-model training
         **overrides,
     )
-    cfg.bypass_model.n_rows = 200  # keep test-model training cheap
-    return cfg
 
 
 # -- configuration ------------------------------------------------------
@@ -104,7 +105,7 @@ def test_defaults_come_from_the_dataclasses(tmp_path):
     path = tmp_path / "minimal.yaml"
     path.write_text(f"map: {scenario_path('room.map')}\ngoal: [8.0, 3.0]\n")
     cfg = ScenarioConfig.from_yaml(path)
-    want = ScenarioConfig("minimal", cfg.map_path, RobotConfig(), (8.0, 3.0), [])
+    want = ScenarioConfig("minimal", cfg.map_path, RobotConfig(), (8.0, 3.0), ())
     assert cfg == want
 
 
@@ -146,24 +147,73 @@ def test_tuple_fields_load_as_tuples():
         assert isinstance(value, tuple)
 
 
-def test_invariants_validated(tmp_path):
-    for edit, message in [
-        (lambda raw: raw.update(timeout=0.0), "timeout must be > 0"),
-        (lambda raw: raw.update(estimated_sr=1.5), "estimated_sr must be <= 1"),
-        (lambda raw: raw["obstacles"][0].update(true_sr=2.0),
-         "obstacles[0].true_sr must be <= 1"),
-    ]:
-        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
-            ScenarioConfig.from_yaml(_yaml_variant(tmp_path, edit))
+def _with_first_obstacle(cfg, **changes):
+    first, *rest = cfg.obstacles
+    return replace(cfg, obstacles=(replace(first, **changes), *rest))
+
+
+@pytest.mark.parametrize("edit, derive, message", [
+    (lambda raw: raw.update(timeout=0.0),
+     lambda cfg: replace(cfg, timeout=0.0), "timeout must be > 0"),
+    (lambda raw: raw.update(estimated_sr=1.5),
+     lambda cfg: replace(cfg, estimated_sr=1.5), "estimated_sr must be <= 1"),
+    (lambda raw: raw["obstacles"][0].update(true_sr=2.0),
+     lambda cfg: _with_first_obstacle(cfg, true_sr=2.0),
+     "obstacles[0].true_sr must be <= 1"),
+    (lambda raw: raw["obstacles"][0].update(position=[0.0, 0.0]),
+     lambda cfg: _with_first_obstacle(cfg, position=(0.0, 0.0)),
+     "obstacle A not in a free cell"),
+    (lambda raw: raw["robot"].update(start=[0.05, 9.0]),
+     lambda cfg: replace(cfg, robot=replace(cfg.robot, start=(0.05, 9.0))),
+     "robot start not in a free cell"),
+    (lambda raw: raw.update(goal=[0.05, 9.0]),
+     lambda cfg: replace(cfg, goal=(0.05, 9.0)), "goal not in a free cell"),
+], ids=["timeout", "estimated_sr", "true_sr", "obstacle", "start", "goal"])
+def test_invariants_validated(tmp_path, edit, derive, message):
+    # A config derived in code fails as the same value in a file does.
+    with pytest.raises(ScenarioError) as loaded:
+        ScenarioConfig.from_yaml(_yaml_variant(tmp_path, edit))
+    cfg = ScenarioConfig.from_yaml(scenario_path("warehouse_abc.yaml"))
+    with pytest.raises(ScenarioError) as derived:
+        derive(cfg)
+    assert str(derived.value) == str(loaded.value) == message
+
+
+def test_obstacle_moved_onto_a_static_cell_raises():
+    cfg = ScenarioConfig.from_yaml(scenario_path("warehouse_abe.yaml"))
+    with pytest.raises(ScenarioError, match="^obstacle A not in a free cell$"):
+        _with_first_obstacle(cfg, position=(0.0, 0.0))
+
+
+def test_derived_map_path_reads_its_own_map():
+    room = ScenarioConfig.from_yaml(scenario_path("room.yaml"))
+    warehouse = ScenarioConfig.from_yaml(scenario_path("warehouse_abc.yaml"))
+    # Room's doorway obstacle and goal sit on walls of the warehouse map.
+    with pytest.raises(ScenarioError, match="^obstacle DOOR not in a free cell$"):
+        replace(room, map_path=warehouse.map_path)
+    moved = replace(room, map_path=warehouse.map_path, obstacles=(),
+                    goal=warehouse.goal)
+    assert room.load_grid().cells.shape == (60, 100)
+    assert moved.load_grid().cells.shape == warehouse.load_grid().cells.shape
+    assert moved.load_grid().cells.shape != (60, 100)
+
+
+def test_config_classes_are_frozen():
+    cfg = ScenarioConfig.from_yaml(scenario_path("warehouse_abc.yaml"))
+    assert isinstance(cfg.obstacles, tuple)
+    for section, name in [(cfg, "timeout"), (cfg.robot, "start"),
+                          (cfg.obstacles[0], "true_sr"), (cfg.population, "mu"),
+                          (cfg.removal, "max_attempts"), (cfg.noise, "meas_cov_diag"),
+                          (cfg.bypass_model, "n_rows")]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(section, name, getattr(section, name))
 
 
 def test_obstacle_must_sit_in_free_cell(tmp_path):
     cells = np.zeros((40, 60), np.uint8)
     cells[20, 30] = STATIC
-    cfg = _config(tmp_path, obstacles=[("X", (3.05, 2.05))])
-    cfg.map_path = _write_map(tmp_path, cells)
-    with pytest.raises(ScenarioError):
-        cfg.load_grid()
+    with pytest.raises(ScenarioError, match="^obstacle X not in a free cell$"):
+        _config(tmp_path, obstacles=[("X", (3.05, 2.05))], cells=cells)
 
 
 def test_bypass_model_cache_keys_on_cells(tmp_path):
@@ -302,17 +352,16 @@ def test_motion_time_adds_turns_left_to_right():
 def test_sense_occluded_obstacle_not_seen(tmp_path):
     cells = np.zeros((40, 60), np.uint8)
     cells[:, 20] = STATIC  # wall at x in [2.0, 2.1)
-    cfg = _config(tmp_path, obstacles=[("X", (2.6, 2.0))])
-    cfg.map_path = _write_map(tmp_path, cells)
+    cfg = _config(tmp_path, obstacles=[("X", (2.6, 2.0))], cells=cells)
     ep = _Episode(cfg, get_policy("priority-removal"), seed=0)
     ep.sense()
     assert "X" not in ep.beliefs
 
 
 def test_sense_noiseless_is_exact(tmp_path):
-    cfg = _config(tmp_path, obstacles=[("X", (2.0, 2.0))])
-    cfg.noise.meas_cov_diag = (0.0, 0.0)
-    cfg.noise.robot_cov_diag = (0.0, 0.0, 0.0)
+    cfg = _config(tmp_path, obstacles=[("X", (2.0, 2.0))],
+                  noise=NoiseConfig(robot_cov_diag=(0.0, 0.0, 0.0),
+                                    meas_cov_diag=(0.0, 0.0)))
     ep = _Episode(cfg, get_policy("priority-removal"), seed=0)
     ep.sense()
     assert ep.beliefs["X"].mean == pytest.approx([2.0, 2.0], abs=1e-9)
@@ -378,8 +427,8 @@ def test_impossible_load_times_out(tmp_path):
     cells = np.zeros((40, 60), np.uint8)
     cells[:, 29:31] = STATIC
     cells[15:26, 29:31] = 0
-    cfg = _config(tmp_path, obstacles=[("X", (3.0, 2.0))], true_sr=0.0)
-    cfg.map_path = _write_map(tmp_path, cells)
+    cfg = _config(tmp_path, obstacles=[("X", (3.0, 2.0))], true_sr=0.0,
+                  cells=cells)
     record = run_episode(cfg, "priority-removal", seed=3)
     attempts = [e for e in record.decisions if e["event"] == "attempt"]
     assert record.outcome == "timeout"
