@@ -35,21 +35,21 @@ BIASED_PAIRS = [(0.9, 0.2), (0.9, 0.5), (0.5, 0.2),
 
 def battery(name, policies, seeds, estimated_sr=None, true_sr=None):
     """Each policy at each seed on one config of the scenario with these
-    success rates, so that the episodes share decision nodes."""
+    success rates, run seed by seed so that one seed's episodes share
+    decision nodes; the rows are policy by policy."""
     cfg = ScenarioConfig.from_yaml(scenario_path(f"{name}.yaml"))
     if estimated_sr is not None:
         cfg = replace(cfg, estimated_sr=estimated_sr)
     if true_sr is not None:
         cfg = replace(cfg, obstacles=tuple(replace(spec, true_sr=true_sr)
                                            for spec in cfg.obstacles))
-    rows = []
-    for policy in policies:
-        for seed in seeds:
-            record = run_episode(cfg, policy, seed=seed)
-            rows.append({"scenario": name, "policy": policy, "seed": seed,
-                         "estimated_sr": estimated_sr, "true_sr": true_sr,
-                         "outcome": record.outcome, "elapsed": record.elapsed})
-    return rows
+    records = {(policy, seed): run_episode(cfg, policy, seed=seed)
+               for seed in seeds for policy in policies}
+    return [{"scenario": name, "policy": policy, "seed": seed,
+             "estimated_sr": estimated_sr, "true_sr": true_sr,
+             "outcome": records[policy, seed].outcome,
+             "elapsed": records[policy, seed].elapsed}
+            for policy in policies for seed in seeds]
 
 
 def report(label, cells):

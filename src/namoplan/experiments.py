@@ -37,8 +37,7 @@ SUMMARY_COLUMNS = ["scenario_id", "policy", "n", "mean", "std", "median",
 # The grid's configs, in the process that runs its episodes: set by
 # `run_benchmark` for the length of a grid, and in each pool worker once, by
 # the pool's initializer. A job names its config by index, so the configs
-# (each with its map) are sent to a worker once, not with every job, and a
-# worker's episodes of one config share its decision nodes.
+# (each with its map) are sent to a worker once, not with every job.
 _CONFIGS: list[ScenarioConfig] = []
 
 
@@ -47,9 +46,10 @@ def _set_configs(configs: list[ScenarioConfig]) -> None:
     _CONFIGS = configs
 
 
-def _one_trial(args) -> TrialRecord:
-    index, policy_name, seed = args
-    return run_episode(_CONFIGS[index], policy_name, seed=seed)
+def _one_seed(args) -> list[TrialRecord]:
+    """A config's episodes at one seed, one per policy, in the given order."""
+    index, policies, seed = args
+    return [run_episode(_CONFIGS[index], policy, seed=seed) for policy in policies]
 
 
 def run_benchmark(spec: ExperimentSpec,
@@ -63,30 +63,31 @@ def run_benchmark(spec: ExperimentSpec,
     in, so a failing episode leaves every record before the first missing
     one on disk. Each scenario file is parsed once, before any
     episode runs, so a bad config fails the grid up front; a config is
-    frozen, so its trials share it. Each job is one
-    `run_episode(config, policy, seed=...)` call, and the episodes of one
-    config in one process share their work up to the first choice in which
-    their policies differ (see `run_episode`); the configs, and with them
-    those shared nodes, live for this one grid. Worker processes receive
-    the configs once, through the pool's initializer.
+    frozen, so its trials share it.
 
-    Within each scenario's block of jobs the episodes run with their
-    policies in `POLICIES` order, whatever order the spec lists them in, so
-    which episode first computes the nodes the others reuse, and with it
-    each episode's host time, does not depend on that order.
+    A job is one scenario at one seed, `(config index, policies, seed)`,
+    and makes one `run_episode(config, policy, seed=...)` call per policy.
+    The seed's episodes thus share their decision nodes up to the first
+    choice in which their policies differ (see `run_episode`), in one
+    process, so a pool repeats no walk. They run in `POLICIES` order,
+    whatever order the spec lists them in, so which episode first computes
+    the nodes the others reuse, and with it each episode's host time, does
+    not depend on that order. Worker processes receive the configs once,
+    through the pool's initializer.
     """
     for policy in spec.policies:
         get_policy(policy)  # fail fast on unknown names
     index = {path: i for i, path in enumerate(dict.fromkeys(spec.scenario_paths))}
     configs = [ScenarioConfig.from_yaml(path) for path in index]
-    jobs = [(index[path], policy, spec.seed_base + rep)
-            for path in spec.scenario_paths
-            for policy in spec.policies
-            for rep in range(spec.repetitions)]
-    block = len(spec.policies) * spec.repetitions
+    reps = spec.repetitions
+    # A job runs the spec's policies in `POLICIES` order; its k-th record
+    # is in the grid's policy column `columns[k]`.
     rank = {name: i for i, name in enumerate(POLICIES)}
-    order = sorted(range(len(jobs)),
-                   key=lambda i: (i // block, rank[jobs[i][1]]))
+    columns = sorted(range(len(spec.policies)),
+                     key=lambda j: rank[spec.policies[j]])
+    policies = tuple(spec.policies[j] for j in columns)
+    jobs = [(index[path], policies, spec.seed_base + rep)
+            for path in spec.scenario_paths for rep in range(reps)]
 
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -103,20 +104,20 @@ def run_benchmark(spec: ExperimentSpec,
             writer = csv.DictWriter(raw_fh, fieldnames=RAW_COLUMNS,
                                     extrasaction="ignore")
             writer.writeheader()
-            run = [jobs[i] for i in order]
-            records = (pool.imap(_one_trial, run) if pool is not None
-                       else map(_one_trial, run))
+            results = (pool.imap(_one_seed, jobs) if pool is not None
+                       else map(_one_seed, jobs))
             done: dict[int, TrialRecord] = {}
-            for i, record in zip(order, records):
-                done[i] = record
+            for n, records in enumerate(results):
+                scenario, rep = divmod(n, reps)
+                for column, record in zip(columns, records):
+                    done[(scenario * len(columns) + column) * reps + rep] = record
                 while len(rows) in done:
-                    _, policy, seed = jobs[len(rows)]
                     record = done.pop(len(rows))
                     row = {
                         "scenario_id": record.scenario_id,
-                        "policy": policy,
-                        "rep": seed - spec.seed_base,
-                        "seed": seed,
+                        "policy": record.policy,
+                        "rep": record.seed - spec.seed_base,
+                        "seed": record.seed,
                         "outcome": record.outcome,
                         "elapsed": record.elapsed,
                         "record": record,

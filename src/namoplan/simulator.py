@@ -8,7 +8,6 @@ blockage pick a strategy (remove or bypass) from the configured policy.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import operator
@@ -116,7 +115,7 @@ class ScenarioConfig:
         """Every construction, from YAML, in code or by `replace`, is checked."""
         plain = asdict(self)
         plain["map"] = plain.pop("map_path")
-        _check(plain, _config_schema(), "")
+        _check(plain, _config_schema(), "", tuple)
         self.load_grid()  # a bad map or a misplaced position fails here
 
     def load_grid(self) -> OccupancyGrid:
@@ -143,15 +142,11 @@ class ScenarioConfig:
         grid.explored.flags.writeable = False
         return grid
 
-    def _decision_nodes(self) -> OrderedDict:
-        """`run_episode`'s memo of decision nodes for this config. It is kept
-        in the instance dict, not in a field, so `==` and `repr` ignore it,
-        and pickling leaves it out; a config derived by `replace` starts
-        its own."""
-        return self.__dict__.setdefault("_nodes", OrderedDict())
-
     def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "_nodes"}
+        # `run_episode` keeps its tree of decision nodes in the instance
+        # dict, not in a field, so `==` and `repr` ignore it; a pickle, like
+        # a config derived by `replace`, starts without one.
+        return {k: v for k, v in self.__dict__.items() if k != "_tree"}
 
     @staticmethod
     def from_yaml(path: str | Path) -> "ScenarioConfig":
@@ -203,21 +198,21 @@ _BOUNDS = (("minimum", operator.ge, ">="), ("exclusiveMinimum", operator.gt, ">"
            ("maximum", operator.le, "<="), ("exclusiveMaximum", operator.lt, "<"))
 
 
-def _check(value, schema: dict, where: str) -> None:
+def _check(value, schema: dict, where: str, arrays: type = list) -> None:
     """ScenarioError naming the dotted path `where` unless `value` meets
-    `schema`. Only the keywords the bundled schema uses are read, and a
-    tuple passes where a list does. Two rules are stricter than JSON Schema:
-    a number must be finite, and an integer must be a Python int (2.0 is
-    not one); a bool is neither."""
+    `schema`. Only the keywords the bundled schema uses are read. An array
+    must be of type `arrays`: a list in YAML, a tuple in a config. Two
+    rules are stricter than JSON Schema: a number must be finite, and an
+    integer must be a Python int (2.0 is not one); a bool is neither."""
     name = where or "config"
     kind = schema["type"]
     if kind == "array":
         lo, hi = schema.get("minItems", 0), schema.get("maxItems", math.inf)
-        if not isinstance(value, (list, tuple)) or not lo <= len(value) <= hi:
+        if not isinstance(value, arrays) or not lo <= len(value) <= hi:
             size = f" of {lo} items" if lo == hi else ""
-            raise ScenarioError(f"{name} must be a list{size}")
+            raise ScenarioError(f"{name} must be a {arrays.__name__}{size}")
         for i, item in enumerate(value):
-            _check(item, schema["items"], f"{where}[{i}]")
+            _check(item, schema["items"], f"{where}[{i}]", arrays)
         return
     types, noun = _TYPES[kind]
     if not isinstance(value, types) or (isinstance(value, bool)
@@ -233,7 +228,8 @@ def _check(value, schema: dict, where: str) -> None:
             raise ScenarioError(f"missing key(s) in {name}: {', '.join(missing)}")
         for key, sub in props.items():
             if key in value:
-                _check(value[key], sub, f"{where}.{key}" if where else key)
+                _check(value[key], sub, f"{where}.{key}" if where else key,
+                       arrays)
         return
     if isinstance(value, float) and not math.isfinite(value):
         raise ScenarioError(f"{name} must be finite")
@@ -495,9 +491,8 @@ class _WorldMO:
 
 
 class _Episode:
-    def __init__(self, config: ScenarioConfig, policy: Policy, seed: int):
+    def __init__(self, config: ScenarioConfig, seed: int):
         self.cfg = config
-        self.policy = policy
         self.seed = seed
         self.rng = np.random.default_rng(seed)
         self.grid = config.load_grid().unexplored_view()
@@ -869,20 +864,19 @@ class _End:
     diag: dict
 
 
-# Node ids, unique in the process, so a child's key names its parent.
-_NODE_IDS = itertools.count()
-
-
 class _Node:
     """An episode at a decision, before its policy chooses: the trace
     entries made since the last choice, what every policy reads there
-    (`_next_decision`'s tuple) and the state to resume from. A node holds
-    nothing of the config, so a memo of nodes kept on the config makes no
-    reference cycle and dies with it."""
+    (`_next_decision`'s tuple), the state to resume from and the steps
+    after the choices made here. A node holds nothing of the config, so a
+    tree of nodes kept on the config makes no reference cycle and dies
+    with it."""
 
     def __init__(self, ep: _Episode, events: list[dict], decision: tuple):
-        self.id = next(_NODE_IDS)
         self.events, self.decision = events, decision
+        # The step after each choice, keyed on the choice and the rng state
+        # after it, since a rule may draw.
+        self.children: dict[tuple, _End | _Node] = {}
         self.rng = ep.rng.bit_generator.state
         self.explored = np.packbits(ep.grid.explored)
         self.mos = [(mo.x, mo.y, mo.placed) for mo in ep.mos.values()]
@@ -916,56 +910,52 @@ def _rng_key(rng: np.random.Generator) -> tuple:
             state["has_uint32"], state["uinteger"])
 
 
-# Decision nodes kept per config, least recently used first out: at most
-# this many, and on a large map only as many as keep the packed explored
-# masks within `_NODE_MASK_BYTES`.
-_NODES_PER_CONFIG = 1024
-_NODE_MASK_BYTES = 32 << 20
-
-
 def run_episode(config: ScenarioConfig, policy: Policy | str,
                 seed: int | None = None) -> TrialRecord:
     """Execute one seeded episode under the given policy. The map's
     bypass-time model is fitted (or taken from the cache) when the policy
     first needs it.
 
-    Episodes of one config share their work. The config keeps the nodes its
-    episodes reach at decisions, keyed on the seed and the choices so far
-    (each with the rng state after it, since a rule may draw). An episode
-    walks them: at each stored node it asks its own rule, traces its own
-    decision and moves to the child for its choice, and it simulates only
-    from the first step no earlier episode took. Nothing before a choice
-    reads the policy, and a rule changes nothing but the rng and pure memos,
-    so the record is the one a fresh config would give.
+    Episodes of one config and seed share their work. The config keeps the
+    tree of decision nodes of the seed it ran last: the root is the first
+    step, and each node holds the step after each choice made there (with
+    the rng state after it, since a rule may draw). An episode walks the
+    tree: at each stored node it asks its own rule, traces its own decision
+    and moves to the child for its choice, and it simulates only from the
+    first step no earlier episode took. Nothing before a choice reads the
+    policy, and a rule changes nothing but the rng and pure memos, so the
+    record is the one a fresh config would give. A call with another seed
+    replaces the tree, and a rule that raises drops it, so the tree holds
+    one seed's episodes and needs no bound: run a config's policies
+    seed by seed to share it.
     """
     if isinstance(policy, str):
         policy = get_policy(policy)
     seed = config.seed if seed is None else seed
-    nodes = config._decision_nodes()
-    ep = _Episode(config, policy, seed)
-    bound = min(_NODES_PER_CONFIG,
-                max(1, _NODE_MASK_BYTES // -(-ep.grid.cells.size // 8)))
+    ep = _Episode(config, seed)
+    tree = config.__dict__.get("_tree")
+    if tree is None or tree[0] != seed:
+        tree = config.__dict__["_tree"] = (seed, ep._start())
+    step = tree[1]
     trace: list[dict] = []
-    key = (seed,)
-    step = lru_lookup(nodes, bound, key, ep._start)
     while True:
         trace += map(dict, step.events)
         if isinstance(step, _End):
             break
-        new = ep.at is step
-        if not new:
+        if ep.at is not step:
             step.restore(ep)
         blocker, _, detour, est, route = step.decision
         try:
             choice, details = policy.choose(ep, blocker, detour, est, route)
         except BaseException:
-            if new:
-                nodes.pop(key, None)
+            config.__dict__.pop("_tree", None)
             raise
         trace.append({"event": "decision", "t": ep.t,
                       "blocking_obstacle": blocker, **details,
                       "policy_choice": choice})
-        key = (step.id, choice, _rng_key(ep.rng))
-        step = lru_lookup(nodes, bound, key, ep._after, step, choice)
+        key = (choice, _rng_key(ep.rng))
+        if key not in step.children:
+            step.children[key] = ep._after(step, choice)
+        step = step.children[key]
     return TrialRecord(config.scenario_id, seed, policy.name, step.outcome,
                        step.elapsed, trace, dict(step.diag))

@@ -1,6 +1,6 @@
-"""Shared decision nodes: episodes of one config resume from the states
-earlier episodes reached with the same choices, and give the records a
-fresh config gives."""
+"""Shared decision nodes: episodes of one config and seed resume from the
+states earlier episodes reached with the same choices, and give the
+records a fresh config gives."""
 
 import gc
 import pickle
@@ -38,20 +38,43 @@ def _count_restores(monkeypatch) -> list:
     return restores
 
 
-@pytest.mark.parametrize("order", ["forward", "reverse"])
+def _tree(config):
+    """The config's (seed, root step) of decision nodes, or None."""
+    return config.__dict__.get("_tree")
+
+
+@pytest.mark.parametrize("order", ["forward", "reverse", "policy-major"])
 def test_shared_config_gives_fresh_records(fresh_records, order, monkeypatch):
     # In reverse, random-choice runs first, so the rules that never draw
-    # walk nodes it reached after drawing.
-    policies = list(POLICIES)[::1 if order == "forward" else -1]
+    # walk nodes it reached after drawing. Policy-major interleaves the
+    # seeds, so each episode replaces the tree the one before it left.
+    policies = list(POLICIES)[::-1 if order == "reverse" else 1]
     assert len(SCENARIOS) == 7 and len(policies) == 6
+    cells = [(policy, seed) for seed in SEEDS for policy in policies]
+    if order == "policy-major":
+        cells = [(policy, seed) for policy in policies for seed in SEEDS]
     restores = _count_restores(monkeypatch)
     for name in SCENARIOS:
         config = _fresh(name)
-        for policy in policies:
-            for seed in SEEDS:
-                assert _line(config, policy, seed) == \
-                    fresh_records[name, policy, seed], (name, policy, seed)
-    assert len(restores) > 100
+        for policy, seed in cells:
+            assert _line(config, policy, seed) == \
+                fresh_records[name, policy, seed], (name, policy, seed)
+    if order == "policy-major":
+        assert restores == []
+    else:
+        assert len(restores) > 100
+
+
+def test_config_keeps_the_tree_of_its_last_seed():
+    config = _fresh("warehouse_abc.yaml")
+    _line(config, "uncertainty", 0)
+    seed, root = _tree(config)
+    assert seed == 0 and len(root.children) == 1
+    # The two interval rules split at the first decision.
+    _line(config, "uncertainty-no-action", 0)
+    assert _tree(config)[1] is root and len(root.children) == 2
+    _line(config, "uncertainty", 1)
+    assert _tree(config)[0] == 1 and _tree(config)[1] is not root
 
 
 def _warehouse_case(config):
@@ -67,41 +90,49 @@ def _with_success_rates(config, estimated_sr, first_true_sr):
 def test_changed_success_rates_give_fresh_records():
     config = _fresh("warehouse_abc.yaml")
     before = _warehouse_case(config)
-    assert len(config._decision_nodes()) > 0
+    assert _tree(config) is not None
     for rates in ((0.2, 0.9), (0.2, 0.2)):
         derived = _with_success_rates(config, *rates)
-        assert len(derived._decision_nodes()) == 0
+        assert _tree(derived) is None
         want = _with_success_rates(_fresh("warehouse_abc.yaml"), *rates)
         assert _warehouse_case(derived) == _warehouse_case(want) != before
 
 
 def test_choice_that_raises_stores_no_node():
-    calls = []
+    def flaky():
+        calls = []
 
-    def flaky(ep, *args):
-        calls.append(1)
-        if len(calls) == 1:
-            ep.rng.random()  # a draw, then a failure
-            raise RuntimeError("choice failed")
-        return POLICIES["priority-removal"].choose(ep, *args)
+        def choose(ep, *args):
+            calls.append(1)
+            if len(calls) == 1:
+                ep.rng.random()  # a draw, then a failure
+                raise RuntimeError("choice failed")
+            return POLICIES["priority-removal"].choose(ep, *args)
+
+        return Policy("flaky", choose)
 
     config = _fresh("warehouse_abc.yaml")
-    with pytest.raises(RuntimeError, match="choice failed"):
-        run_episode(config, Policy("flaky", flaky), seed=0)
-    assert len(config._decision_nodes()) == 0
-    record = run_episode(config, Policy("flaky", flaky), seed=0)
-    assert len(config._decision_nodes()) > 0
     want = run_episode(_fresh("warehouse_abc.yaml"), "priority-removal", seed=0)
-    assert (record.outcome, record.elapsed, record.decisions,
-            record.diagnostics) == (want.outcome, want.elapsed, want.decisions,
-                                    want.diagnostics)
+    # The first failure is at a node the failing episode made, the second
+    # at a node the episode before it stored.
+    for stored in (False, True):
+        assert (_tree(config) is not None) == stored
+        policy = flaky()
+        with pytest.raises(RuntimeError, match="choice failed"):
+            run_episode(config, policy, seed=0)
+        assert _tree(config) is None
+        record = run_episode(config, policy, seed=0)
+        assert _tree(config) is not None
+        assert (record.outcome, record.elapsed, record.decisions,
+                record.diagnostics) == (want.outcome, want.elapsed,
+                                        want.decisions, want.diagnostics)
 
 
 def test_used_config_dies_without_the_cyclic_collector():
     config = _fresh("warehouse_abc.yaml")
     for policy in POLICIES:
         run_episode(config, policy, seed=0)
-    assert len(config._decision_nodes()) > 0
+    assert _tree(config) is not None
     ref = weakref.ref(config)
     gc.disable()
     try:
@@ -112,31 +143,16 @@ def test_used_config_dies_without_the_cyclic_collector():
 
 
 def test_memo_is_no_part_of_the_config(monkeypatch):
-    monkeypatch.setattr(simulator, "_NODES_PER_CONFIG", 3)
     restores = _count_restores(monkeypatch)
     config = _fresh("warehouse_abc.yaml")
     pickled, text = pickle.dumps(config), repr(config)
-    first_id = next(simulator._NODE_IDS)
-    lines = {(p, s): _line(config, p, s) for s in (0, 1) for p in POLICIES}
-    assert next(simulator._NODE_IDS) - first_id > 10 and restores
-    assert 0 < len(config._decision_nodes()) <= 3
+    for policy in POLICIES:
+        _line(config, policy, 0)
+    assert restores and _tree(config) is not None
     assert pickle.dumps(config) == pickled and repr(config) == text
     assert config == _fresh("warehouse_abc.yaml")
-    assert "_nodes" not in pickle.loads(pickled).__dict__
-    # Evicted parents leave orphans behind; the records stay exact.
-    fresh = {(p, s): _line(_fresh("warehouse_abc.yaml"), p, s)
-             for p in POLICIES for s in (0, 1)}
-    assert lines == fresh
-
-
-def test_large_maps_keep_fewer_nodes(fresh_records, monkeypatch):
-    config = _fresh("warehouse_abc.yaml")
-    packed = -(-config.load_grid().cells.size // 8)
-    monkeypatch.setattr(simulator, "_NODE_MASK_BYTES", 2 * packed + 1)
-    for policy in POLICIES:
-        assert _line(config, policy, 0) == \
-            fresh_records["warehouse_abc.yaml", policy, 0]
-        assert len(config._decision_nodes()) <= 2
+    assert _tree(pickle.loads(pickled)) is None
+    assert _tree(replace(config)) is None
 
 
 def _state(ep) -> dict:
@@ -169,26 +185,26 @@ def test_node_restores_the_state_it_was_reached_in(monkeypatch):
     made = []
     real = simulator._Node.__init__
 
-    def restored(node, cfg, policy, seed):
-        twin = simulator._Episode(cfg, policy, seed)
+    def restored(node, cfg, seed):
+        twin = simulator._Episode(cfg, seed)
         node.restore(twin)
         return twin
 
     def spy(node, ep, events, decision):
         real(node, ep, events, decision)
-        made.append((node, ep.cfg, ep.policy, ep.seed, _state(ep),
+        made.append((node, ep.cfg, ep.seed, _state(ep),
                      dict(ep._blockage), int(ep.grid.explored.sum())))
-        assert _state(restored(*made[-1][:4])) == made[-1][4]
+        assert _state(restored(*made[-1][:3])) == made[-1][3]
 
     monkeypatch.setattr(simulator._Node, "__init__", spy)
     for name in SCENARIOS:
         config = _fresh(name)
-        for policy in POLICIES:
-            for seed in SEEDS:
+        for seed in SEEDS:
+            for policy in POLICIES:
                 run_episode(config, policy, seed=seed)
     placed = 0
-    for node, cfg, policy, seed, state, blockage, explored in made:
-        twin = restored(node, cfg, policy, seed)
+    for node, cfg, seed, state, blockage, explored in made:
+        twin = restored(node, cfg, seed)
         assert _state(twin) == state
         placed += any(mo.placed for mo in twin.mos.values())
         # The node's blockage memo keeps what it had, and gains only what

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import multiprocessing as mp
 import pickle
 from dataclasses import replace
 
@@ -156,7 +157,7 @@ def test_failing_episode_leaves_earlier_records(bench, tmp_path, monkeypatch):
     from namoplan import experiments
 
     spec, rows, _, _ = bench
-    real, calls = experiments._one_trial, []
+    real, calls = experiments._one_seed, []
 
     def fifth_fails(job):
         calls.append(job)
@@ -164,7 +165,9 @@ def test_failing_episode_leaves_earlier_records(bench, tmp_path, monkeypatch):
             raise RuntimeError("episode failed")
         return real(job)
 
-    monkeypatch.setattr(experiments, "_one_trial", fifth_fails)
+    # The fifth job is the grid's last seed, so only its last row of the
+    # first policy, and every row after it, is missing.
+    monkeypatch.setattr(experiments, "_one_seed", fifth_fails)
     again = ExperimentSpec(spec.scenario_paths, spec.policies,
                            repetitions=spec.repetitions,
                            seed_base=spec.seed_base, output_dir=str(tmp_path))
@@ -182,32 +185,34 @@ def test_episodes_run_in_registry_order_and_write_in_grid_order(
     from namoplan import experiments
 
     spec, rows, _, _ = bench
-    real, calls = experiments._one_trial, []
+    real, calls = experiments.run_episode, []
 
-    def third_fails(job):
-        calls.append(job)
-        if len(calls) == 3:
+    def fourth_fails(config, policy, seed):
+        calls.append((policy, seed))
+        if len(calls) == 4:
             raise RuntimeError("episode failed")
-        return real(job)
+        return real(config, policy, seed=seed)
 
-    monkeypatch.setattr(experiments, "_one_trial", third_fails)
+    monkeypatch.setattr(experiments, "run_episode", fourth_fails)
     flipped = ExperimentSpec(spec.scenario_paths, spec.policies[::-1],
                              repetitions=2, seed_base=spec.seed_base,
                              output_dir=str(tmp_path))
     assert flipped.policies == ["priority-bypass", "uncertainty"]
     with pytest.raises(RuntimeError, match="episode failed"):
         run_benchmark(flipped)
-    # The uncertainty episodes ran first, yet the grid's first row is a
-    # priority-bypass one, so the failure left no record on disk.
-    assert [(policy, seed) for _, policy, seed in calls] == \
-        [("uncertainty", 3), ("uncertainty", 4), ("priority-bypass", 3)]
-    assert (tmp_path / "trials.jsonl").read_text() == ""
+    # Each seed's episodes ran together, uncertainty first, yet the grid
+    # starts with both priority-bypass rows, so the failure at the second
+    # seed left only the first row on disk.
+    assert calls == [("uncertainty", 3), ("priority-bypass", 3),
+                     ("uncertainty", 4), ("priority-bypass", 4)]
+    by_cell = {(r["policy"], r["rep"]): r["record"].to_json_line() for r in rows}
+    assert (tmp_path / "trials.jsonl").read_text().splitlines() == \
+        [by_cell["priority-bypass", 0]]
 
-    monkeypatch.setattr(experiments, "_one_trial", real)
+    monkeypatch.setattr(experiments, "run_episode", real)
     rows2, _ = run_benchmark(flipped)
     assert [(r["policy"], r["rep"]) for r in rows2] == \
         [(p, rep) for p in flipped.policies for rep in range(2)]
-    by_cell = {(r["policy"], r["rep"]): r["record"].to_json_line() for r in rows}
     lines = [by_cell[r["policy"], r["rep"]] for r in rows2]
     assert [r["record"].to_json_line() for r in rows2] == lines
     assert (tmp_path / "trials.jsonl").read_text().splitlines() == lines
@@ -233,8 +238,8 @@ def test_worker_pool_gives_the_same_records(tiny_scenario, tmp_path):
 def test_jobs_name_their_config_by_index(tiny_scenario, tmp_path, monkeypatch):
     from namoplan import experiments
 
-    sizes, real = [], experiments._one_trial
-    monkeypatch.setattr(experiments, "_one_trial",
+    sizes, real = [], experiments._one_seed
+    monkeypatch.setattr(experiments, "_one_seed",
                         lambda job: sizes.append(len(pickle.dumps(job))) or real(job))
     warehouse = str(scenario_path("warehouse_abc.yaml"))
     spec = ExperimentSpec([warehouse, tiny_scenario], ["priority-bypass"],
@@ -243,6 +248,33 @@ def test_jobs_name_their_config_by_index(tiny_scenario, tmp_path, monkeypatch):
     assert len(sizes) == 2 and max(sizes) < 1024
     # The configs stay with the grid, not with the module.
     assert experiments._CONFIGS == []
+
+
+@pytest.mark.skipif(mp.get_start_method() != "fork",
+                    reason="workers inherit the walk counter only by fork")
+def test_worker_pool_repeats_no_walk(tmp_path, monkeypatch):
+    from namoplan import simulator
+
+    # Every process appends a line per walk to one file.
+    log, real = tmp_path / "walks", simulator._Episode._walk
+
+    def counted(ep, *args):
+        with open(log, "a") as fh:
+            fh.write("w\n")
+        return real(ep, *args)
+
+    monkeypatch.setattr(simulator._Episode, "_walk", counted)
+    paths = [str(scenario_path(f"{n}.yaml"))
+             for n in ("room", "warehouse_abc", "warehouse_bce")]
+    walks = []
+    for workers in (1, 2):
+        spec = ExperimentSpec(paths, list(POLICIES), repetitions=3,
+                              output_dir=str(tmp_path / str(workers)))
+        log.write_text("")
+        run_benchmark(spec, workers=workers)
+        walks.append(len(log.read_text().splitlines()))
+    assert len(spec.policies) == 6 and walks[0] > len(paths) * 3
+    assert walks[1] == walks[0]
 
 
 def _records_sha256(records) -> str:

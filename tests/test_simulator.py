@@ -147,6 +147,21 @@ def test_tuple_fields_load_as_tuples():
         assert isinstance(value, tuple)
 
 
+@pytest.mark.parametrize("derive, message", [
+    (lambda cfg: replace(cfg, obstacles=list(cfg.obstacles)),
+     "obstacles must be a tuple"),
+    (lambda cfg: replace(cfg, goal=list(cfg.goal)), "goal must be a tuple of 2 items"),
+    (lambda cfg: replace(cfg, robot=replace(cfg.robot, start=list(cfg.robot.start))),
+     "robot.start must be a tuple of 2 items"),
+], ids=["obstacles", "goal", "robot.start"])
+def test_lists_rejected_in_tuple_fields(derive, message):
+    # A list would leave the config open to unchecked changes and unhashable.
+    cfg = ScenarioConfig.from_yaml(scenario_path("warehouse_abc.yaml"))
+    hash(cfg)
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        derive(cfg)
+
+
 def _with_first_obstacle(cfg, **changes):
     first, *rest = cfg.obstacles
     return replace(cfg, obstacles=(replace(first, **changes), *rest))
@@ -353,7 +368,7 @@ def test_sense_occluded_obstacle_not_seen(tmp_path):
     cells = np.zeros((40, 60), np.uint8)
     cells[:, 20] = STATIC  # wall at x in [2.0, 2.1)
     cfg = _config(tmp_path, obstacles=[("X", (2.6, 2.0))], cells=cells)
-    ep = _Episode(cfg, get_policy("priority-removal"), seed=0)
+    ep = _Episode(cfg, seed=0)
     ep.sense()
     assert "X" not in ep.beliefs
 
@@ -362,14 +377,14 @@ def test_sense_noiseless_is_exact(tmp_path):
     cfg = _config(tmp_path, obstacles=[("X", (2.0, 2.0))],
                   noise=NoiseConfig(robot_cov_diag=(0.0, 0.0, 0.0),
                                     meas_cov_diag=(0.0, 0.0)))
-    ep = _Episode(cfg, get_policy("priority-removal"), seed=0)
+    ep = _Episode(cfg, seed=0)
     ep.sense()
     assert ep.beliefs["X"].mean == pytest.approx([2.0, 2.0], abs=1e-9)
 
 
 def test_sense_out_of_fov_not_seen(tmp_path):
     cfg = _config(tmp_path, obstacles=[("X", (0.7, 3.5))])  # behind/above
-    ep = _Episode(cfg, get_policy("priority-removal"), seed=0)
+    ep = _Episode(cfg, seed=0)
     ep.sense()  # robot faces +x with a 90 degree fov
     assert "X" not in ep.beliefs
 
@@ -377,7 +392,7 @@ def test_sense_out_of_fov_not_seen(tmp_path):
 def test_sense_noise_matches_configured_covariance(tmp_path):
     cfg = _config(tmp_path, obstacles=[("X", (2.5, 2.4))])
     var_d, var_phi = cfg.noise.meas_cov_diag
-    ep = _Episode(cfg, get_policy("priority-removal"), seed=0)
+    ep = _Episode(cfg, seed=0)
     rx, ry = cfg.robot.start
     samples = []
     for _ in range(10_000):
@@ -588,9 +603,9 @@ def test_looping_episode_record_pinned(tmp_path, monkeypatch):
     assert 0 < len(searches) < record.diagnostics["n_replans"]
 
 
-def _memo_episode(tmp_path, policy="uncertainty"):
+def _memo_episode(tmp_path):
     cfg = _unreliable_config(tmp_path, 0.9, 0.9)
-    return _Episode(cfg, get_policy(policy), seed=0)
+    return _Episode(cfg, seed=0)
 
 
 def test_blockage_memo_follows_explored_growth(tmp_path, monkeypatch):
@@ -671,7 +686,7 @@ def test_follow_retests_only_changed_beliefs(tmp_path, monkeypatch):
     from namoplan.observation import PoseBelief
 
     cfg = _config(tmp_path, obstacles=[("A", (3.0, 3.5)), ("B", (2.0, 0.5))])
-    ep = _Episode(cfg, get_policy("uncertainty"), seed=0)
+    ep = _Episode(cfg, seed=0)
     traj = Trajectory(np.column_stack([np.linspace(0.7, 5.3, 47),
                                        np.full(47, 2.0)]))
     off_path = {"A": PoseBelief(np.array([3.0, 3.5]), np.eye(2) * 1e-4),
@@ -751,8 +766,8 @@ def sensing_battery():
         names = sorted(p.name for p in scenario_path("room.yaml").parent.glob("*.yaml"))
         for name in names:
             cfg = ScenarioConfig.from_yaml(scenario_path(name))
-            for policy in _INTERVAL_POLICIES:
-                for seed in range(3):
+            for seed in range(3):
+                for policy in _INTERVAL_POLICIES:
                     run_episode(cfg, policy, seed=seed)
     assert len(names) == 7
     return seen
