@@ -33,23 +33,33 @@ BIASED_PAIRS = [(0.9, 0.2), (0.9, 0.5), (0.5, 0.2),
                 (0.5, 0.9), (0.2, 0.5), (0.2, 0.9)]
 
 
-def battery(name, policies, seeds, estimated_sr=None, true_sr=None):
-    """Each policy at each seed on one config of the scenario with these
-    success rates, run seed by seed so that one seed's episodes share
-    decision nodes; the rows are policy by policy."""
-    cfg = ScenarioConfig.from_yaml(scenario_path(f"{name}.yaml"))
-    if estimated_sr is not None:
-        cfg = replace(cfg, estimated_sr=estimated_sr)
-    if true_sr is not None:
-        cfg = replace(cfg, obstacles=tuple(replace(spec, true_sr=true_sr)
-                                           for spec in cfg.obstacles))
-    records = {(policy, seed): run_episode(cfg, policy, seed=seed)
-               for seed in seeds for policy in policies}
+def battery(name, policies, seeds, cells=((None, None),)):
+    """Each policy at each seed on one config of the scenario per
+    (estimated_sr, true_sr) cell; None keeps the file's rate. The cells
+    that share a true_sr simulate one world, so they run together, seed by
+    seed, and one seed's episodes share decision nodes. The rows are cell
+    by cell, policy by policy."""
+    base = ScenarioConfig.from_yaml(scenario_path(f"{name}.yaml"))
+    configs = {}
+    for estimated_sr, true_sr in cells:
+        cfg = base
+        if estimated_sr is not None:
+            cfg = replace(cfg, estimated_sr=estimated_sr)
+        if true_sr is not None:
+            cfg = replace(cfg, obstacles=tuple(replace(spec, true_sr=true_sr)
+                                               for spec in cfg.obstacles))
+        configs[estimated_sr, true_sr] = cfg
+    worlds = {}
+    for cell in cells:
+        worlds.setdefault(cell[1], []).append(cell)
+    records = {(cell, policy, seed): run_episode(configs[cell], policy, seed=seed)
+               for members in worlds.values() for seed in seeds
+               for cell in members for policy in policies}
     return [{"scenario": name, "policy": policy, "seed": seed,
-             "estimated_sr": estimated_sr, "true_sr": true_sr,
-             "outcome": records[policy, seed].outcome,
-             "elapsed": records[policy, seed].elapsed}
-            for policy in policies for seed in seeds]
+             "estimated_sr": cell[0], "true_sr": cell[1],
+             "outcome": records[cell, policy, seed].outcome,
+             "elapsed": records[cell, policy, seed].elapsed}
+            for cell in cells for policy in policies for seed in seeds]
 
 
 def report(label, cells):
@@ -80,16 +90,14 @@ def main(argv=None):
     out.mkdir(parents=True, exist_ok=True)
 
     rows = battery("warehouse_abc", ("uncertainty", "uncertainty-no-action"),
-                   seeds, 0.2, 0.2)
+                   seeds, [(0.2, 0.2)])
     write_csv(out / "unreliable_removal.csv", rows)
     report("unreliable removal (warehouse ABC, true SR 0.2)",
            [(p, [r for r in rows if r["policy"] == p])
             for p in ("uncertainty", "uncertainty-no-action")])
 
-    rows = []
-    for estimated, real in BIASED_PAIRS:
-        rows += battery("warehouse_abc", ("uncertainty", "uncertainty-no-action"),
-                        seeds, estimated, real)
+    rows = battery("warehouse_abc", ("uncertainty", "uncertainty-no-action"),
+                   seeds, BIASED_PAIRS)
     write_csv(out / "biased_estimates.csv", rows)
     cells = [(f"est {e:.1f} real {r:.1f} {p}",
               [x for x in rows if x["policy"] == p

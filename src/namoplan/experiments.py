@@ -46,10 +46,12 @@ def _set_configs(configs: list[ScenarioConfig]) -> None:
     _CONFIGS = configs
 
 
-def _one_seed(args) -> list[TrialRecord]:
-    """A config's episodes at one seed, one per policy, in the given order."""
-    index, policies, seed = args
-    return [run_episode(_CONFIGS[index], policy, seed=seed) for policy in policies]
+def _one_world(args) -> list[TrialRecord]:
+    """A world's episodes at one seed: config by config, one per policy,
+    each in the given order."""
+    indices, policies, seed = args
+    return [run_episode(_CONFIGS[index], policy, seed=seed)
+            for index in indices for policy in policies]
 
 
 def run_benchmark(spec: ExperimentSpec,
@@ -65,15 +67,19 @@ def run_benchmark(spec: ExperimentSpec,
     episode runs, so a bad config fails the grid up front; a config is
     frozen, so its trials share it.
 
-    A job is one scenario at one seed, `(config index, policies, seed)`,
-    and makes one `run_episode(config, policy, seed=...)` call per policy.
-    The seed's episodes thus share their decision nodes up to the first
-    choice in which their policies differ (see `run_episode`), in one
-    process, so a pool repeats no walk. They run in `POLICIES` order,
-    whatever order the spec lists them in, so which episode first computes
-    the nodes the others reuse, and with it each episode's host time, does
-    not depend on that order. Worker processes receive the configs once,
-    through the pool's initializer.
+    A job is one world at one seed, `(config indices, policies, seed)`:
+    the scenarios whose configs differ only in decision-only fields, such as
+    `estimated_sr`, simulate one world (see `run_episode`). It makes one
+    `run_episode(config, policy, seed=...)` call per config and policy, so
+    the seed's episodes share their decision nodes up to the first choice
+    in which their rules differ, in one process, and a pool repeats no
+    walk. Jobs run world by world, in the order of each world's first
+    scenario, and seed by seed. A job runs its configs by scenario id and
+    its policies in `POLICIES` order, whatever order the spec lists them
+    in, so which episode first computes the nodes the others reuse, and
+    with it each episode's host time, does not depend on that order.
+    Worker processes receive the configs once, through the pool's
+    initializer.
     """
     for policy in spec.policies:
         get_policy(policy)  # fail fast on unknown names
@@ -86,8 +92,15 @@ def run_benchmark(spec: ExperimentSpec,
     columns = sorted(range(len(spec.policies)),
                      key=lambda j: rank[spec.policies[j]])
     policies = tuple(spec.policies[j] for j in columns)
-    jobs = [(index[path], policies, spec.seed_base + rep)
-            for path in spec.scenario_paths for rep in range(reps)]
+    # The grid's scenario rows by world; a job's rows, by scenario id.
+    ids = [index[path] for path in spec.scenario_paths]
+    worlds: dict[tuple, list[int]] = {}
+    for row, i in enumerate(ids):
+        worlds.setdefault(configs[i]._world, []).append(row)
+    cells = [(sorted(members, key=lambda row: configs[ids[row]].scenario_id),
+              rep) for members in worlds.values() for rep in range(reps)]
+    jobs = [(tuple(ids[row] for row in members), policies,
+             spec.seed_base + rep) for members, rep in cells]
 
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -104,13 +117,13 @@ def run_benchmark(spec: ExperimentSpec,
             writer = csv.DictWriter(raw_fh, fieldnames=RAW_COLUMNS,
                                     extrasaction="ignore")
             writer.writeheader()
-            results = (pool.imap(_one_seed, jobs) if pool is not None
-                       else map(_one_seed, jobs))
+            results = (pool.imap(_one_world, jobs) if pool is not None
+                       else map(_one_world, jobs))
             done: dict[int, TrialRecord] = {}
-            for n, records in enumerate(results):
-                scenario, rep = divmod(n, reps)
-                for column, record in zip(columns, records):
-                    done[(scenario * len(columns) + column) * reps + rep] = record
+            for (members, rep), records in zip(cells, results):
+                done.update(zip(((row * len(columns) + column) * reps + rep
+                                 for row in members for column in columns),
+                                records))
                 while len(rows) in done:
                     record = done.pop(len(rows))
                     row = {

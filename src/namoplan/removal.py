@@ -39,12 +39,6 @@ class BetaBelief:
         return BetaBelief(max(float(successes), 1.0), max(float(failures), 1.0))
 
 
-def update_belief(belief: BetaBelief, success: bool) -> BetaBelief:
-    if success:
-        return BetaBelief(belief.alpha + 1.0, belief.beta)
-    return BetaBelief(belief.alpha, belief.beta + 1.0)
-
-
 def beta_ppf(q: float, alpha: float, beta: float) -> float:
     """Quantile of Beta(alpha, beta): the inverse regularized incomplete
     beta function."""

