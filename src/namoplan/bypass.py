@@ -47,32 +47,59 @@ def _features(trajectory: Trajectory) -> TrajectoryFeatures:
     )
 
 
+# The columns of a timing CSV, in the order a dataset holds them.
+_CSV_COLUMNS = ("F_l", "F_s", "F_v", "duration")
+
+
 @dataclass
 class TimingDataset:
     features: np.ndarray  # (n, 3) columns F_l, F_s, F_v
     durations: np.ndarray  # (n,)
 
     def __post_init__(self):
+        """ValueError naming the first bad data row (counted from 1) unless
+        every feature is finite and every duration finite and positive."""
         self.features = np.atleast_2d(np.asarray(self.features, dtype=float))
         self.durations = np.asarray(self.durations, dtype=float)
         if self.features.shape[0] != self.durations.shape[0]:
             raise ValueError("row count mismatch")
-        if np.any(self.durations <= 0):
-            raise ValueError("durations must be positive")
+        bad = ~np.isfinite(self.features).all(axis=1)
+        if bad.any():
+            raise ValueError(f"data row {int(np.argmax(bad)) + 1}: "
+                             "features must be finite")
+        bad = ~(np.isfinite(self.durations) & (self.durations > 0))
+        if bad.any():
+            raise ValueError(f"data row {int(np.argmax(bad)) + 1}: "
+                             "duration must be finite and positive")
 
     def __len__(self) -> int:
         return len(self.durations)
 
     @staticmethod
     def load_csv(path: str | Path) -> "TimingDataset":
+        """The dataset of a CSV with a header naming `_CSV_COLUMNS` (others
+        are ignored); ValueError naming the missing column or the data row
+        (counted from 1) that lacks a number."""
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
-            rows = [(float(r["F_l"]), float(r["F_s"]), float(r["F_v"]),
-                     float(r["duration"])) for r in reader]
+            header = reader.fieldnames or ()
+            missing = [c for c in _CSV_COLUMNS if c not in header]
+            if missing:
+                raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+            rows = []
+            for i, r in enumerate(reader, 1):
+                try:
+                    rows.append([float(r[c]) for c in _CSV_COLUMNS])
+                except (TypeError, ValueError):  # a short row reads None
+                    raise ValueError(f"{path}: data row {i} needs a number in "
+                                     f"each of {', '.join(_CSV_COLUMNS)}") from None
         if not rows:
             raise ValueError("empty dataset")
         arr = np.array(rows)
-        return TimingDataset(arr[:, :3], arr[:, 3])
+        try:
+            return TimingDataset(arr[:, :3], arr[:, 3])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass

@@ -99,9 +99,6 @@ class Trajectory:
     def goal(self) -> np.ndarray:
         return self.positions[-1]
 
-    def segment(self, i: int, j: int) -> "Trajectory":
-        return Trajectory(self.positions[i:j + 1].copy())
-
 
 def _total_length(positions: np.ndarray) -> float:
     return float(np.sum(np.linalg.norm(np.diff(positions, axis=0), axis=1)))

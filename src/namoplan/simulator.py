@@ -355,21 +355,6 @@ def get_policy(name: str) -> Policy:
 
 
 # ----------------------------------------------------------------------
-# motion-time model
-
-
-def motion_time(trajectory: Trajectory, v_lin: float, v_rot: float) -> float:
-    """Traversal time: length at v_lin plus accumulated turning at v_rot."""
-    length = trajectory.total_length
-    # Left to right: the builtin sum of floats is compensated from Python
-    # 3.12 on and would round differently.
-    turn = 0.0
-    for t in turn_angles(trajectory.headings).tolist():
-        turn += t
-    return length / v_lin + turn / v_rot
-
-
-# ----------------------------------------------------------------------
 # bypass-model training data
 
 
@@ -406,20 +391,31 @@ def generate_timing_dataset(grid: OccupancyGrid, robot_radius: float,
     if not paths:
         raise ScenarioError("could not generate any training paths")
 
+    # Each path's step lengths and turns, once. A row reads views of them
+    # and gets bit for bit what a trajectory of waypoints a..b would: the
+    # norms are those of `planner._total_length`, and its headings are the
+    # path's over [a, b) with the last one repeated, so its turns are the
+    # path's over [a, b - 1) and a 0.0. The 0.0 stays: `np.mean` and
+    # `np.var` divide by the count, and pairwise summation splits by the
+    # length.
+    steps = [np.linalg.norm(np.diff(p.positions, axis=0), axis=1) for p in paths]
+    turns = [turn_angles(p.headings) for p in paths]
     feats, durs = [], []
     while len(durs) < n_rows:
-        traj = paths[int(rng.integers(0, len(paths)))]
-        n = len(traj)
-        a, b = sorted(rng.integers(0, n, size=2))
+        k = int(rng.integers(0, len(paths)))
+        a, b = sorted(rng.integers(0, len(paths[k]), size=2))
         if b - a < 2:
             continue
-        seg = traj.segment(int(a), int(b))
-        if seg.total_length < 1.0:
+        length = float(np.sum(steps[k][a:b]))
+        if length < 1.0:
             continue
-        f = byp.extract_features(seg)
-        t_true = motion_time(seg, v_lin, v_rot)
+        deltas = np.append(turns[k][a:b - 1], 0.0)
+        # The motion model: length at v_lin plus the turns, added left to
+        # right, at v_rot.
+        t_true = (length / v_lin
+                  + float(np.add.accumulate(deltas)[-1]) / v_rot)
         t_obs = t_true * max(1.0 + noise_sigma * rng.standard_normal(), 0.1)
-        feats.append([f.f_l, f.f_s, f.f_v])
+        feats.append([length, float(np.mean(deltas)), float(np.var(deltas))])
         durs.append(t_obs)
     return byp.TimingDataset(np.array(feats), np.array(durs))
 

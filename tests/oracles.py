@@ -3,8 +3,9 @@
 These are the straightforward per-cell versions: numpy arrays indexed one
 scalar at a time from Python. They are slow and kept only so tests can
 require the optimized code to give exactly the same answers. The seeded
-blockage sampler at the end is the Monte-Carlo estimate the exact marginal
-replaced; tests hold the two within sampling error.
+blockage sampler is the Monte-Carlo estimate the exact marginal replaced;
+tests hold the two within sampling error. The timing dataset at the end
+builds each row from a trajectory of its own.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import numpy as np
 from scipy import ndimage
 from scipy.special import ndtr
 
-from namoplan import blockage
+from namoplan import blockage, observation, planner
+from namoplan.bypass import TimingDataset, extract_features
 from namoplan.gridmap import (FREE, STATIC, GridPosition, OccupancyGrid,
                               QueryInsideObstacle, raycast_width)
 from namoplan.observation import InvalidCovariance, confidence_ellipse, wrap_angle
@@ -366,3 +368,62 @@ def update_belief(belief: BetaBelief, success: bool) -> BetaBelief:
     if success:
         return BetaBelief(belief.alpha + 1.0, belief.beta)
     return BetaBelief(belief.alpha, belief.beta + 1.0)
+
+
+def segment(trajectory: Trajectory, i: int, j: int) -> Trajectory:
+    """Waypoints i..j inclusive as a trajectory of their own, headings
+    recomputed."""
+    return Trajectory(trajectory.positions[i:j + 1].copy())
+
+
+def motion_time(trajectory: Trajectory, v_lin: float, v_rot: float) -> float:
+    """Traversal time: length at v_lin plus accumulated turning at v_rot,
+    the turns added left to right (the builtin sum of floats is compensated
+    from Python 3.12 on and would round differently)."""
+    turn = 0.0
+    for t in observation.turn_angles(trajectory.headings).tolist():
+        turn += t
+    return trajectory.total_length / v_lin + turn / v_rot
+
+
+def generate_timing_dataset(grid: OccupancyGrid, robot_radius: float,
+                            v_lin: float, v_rot: float, n_rows: int,
+                            seed: int, noise_sigma: float = 0.05,
+                            n_base_paths: int = 40) -> TimingDataset:
+    """Each row from a trajectory of its own, built with `segment` and timed
+    by `motion_time`; oracle for `simulator.generate_timing_dataset`, which
+    draws from the rng in the same order."""
+    rng = np.random.default_rng(seed)
+    mask = planner.blocked_mask(grid, robot_radius)
+    free_iy, free_ix = np.nonzero(~mask)
+    res = grid.resolution
+    paths = []
+    guard = 0
+    while len(paths) < n_base_paths and guard < n_base_paths * 10:
+        guard += 1
+        i, j = rng.integers(0, len(free_iy), size=2)
+        if i == j:
+            continue
+        start = GridPosition((free_ix[i] + 0.5) * res, (free_iy[i] + 0.5) * res)
+        goal = GridPosition((free_ix[j] + 0.5) * res, (free_iy[j] + 0.5) * res)
+        try:
+            traj = planner.plan_path(grid, PlanRequest(start, goal), robot_radius)
+        except ValueError:
+            continue
+        if traj is not None and traj.total_length >= 2.0:
+            paths.append(traj)
+    feats, durs = [], []
+    while len(durs) < n_rows:
+        traj = paths[int(rng.integers(0, len(paths)))]
+        a, b = sorted(rng.integers(0, len(traj), size=2))
+        if b - a < 2:
+            continue
+        seg = segment(traj, int(a), int(b))
+        if seg.total_length < 1.0:
+            continue
+        f = extract_features(seg)
+        t_true = motion_time(seg, v_lin, v_rot)
+        t_obs = t_true * max(1.0 + noise_sigma * rng.standard_normal(), 0.1)
+        feats.append([f.f_l, f.f_s, f.f_v])
+        durs.append(t_obs)
+    return TimingDataset(np.array(feats), np.array(durs))

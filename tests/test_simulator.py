@@ -1,5 +1,6 @@
 """Episode simulation: configs, motion time, sensing, policies, determinism."""
 
+import hashlib
 import math
 import pickle
 import re
@@ -10,14 +11,17 @@ import numpy as np
 import pytest
 import yaml
 
+import oracles
+from conftest import keyed
 from namoplan import scenario_path
 from namoplan.gridmap import STATIC, OccupancyGrid, mark_explored
 from namoplan.planner import Trajectory
 from namoplan.simulator import (POLICIES, BypassModelConfig, NoiseConfig,
                                 ObstacleSpec, RobotConfig, ScenarioConfig,
                                 ScenarioError, TrialRecord, _Episode,
-                                bypass_model_for, get_policy, motion_time,
-                                run_episode)
+                                bypass_model_for, generate_timing_dataset,
+                                get_policy, run_episode)
+from oracles import motion_time
 
 # -- helpers ------------------------------------------------------------
 
@@ -344,8 +348,6 @@ def test_motion_time_l_path_additive():
 def test_motion_time_adds_turns_left_to_right():
     # Planned paths of many turns, whose turn total a compensated sum (the
     # builtin sum from Python 3.12 on) would round differently.
-    import oracles
-
     rng = np.random.default_rng(3)
     compensated_differs = 0
     for _ in range(50):
@@ -359,6 +361,49 @@ def test_motion_time_adds_turns_left_to_right():
         assert motion_time(t, 0.5, 1.0) == t.total_length / 0.5 + total / 1.0
         compensated_differs += total != math.fsum(turns)
     assert compensated_differs > 10
+
+
+# -- bypass-model timing dataset ----------------------------------------
+
+# sha256 of the features' and then the durations' bytes at the default
+# `BypassModelConfig`, from the per-segment loop `oracles` keeps.
+_DATASET_SHA256 = {
+    "room": "671cf63f8aab3329dfb830d466fd4ad5a29c3276fadc255603e8fa9737dcac1d",
+    "warehouse_abc":
+        "c756794a8f824c3fed7f58af741c100b59b318bf911ceed1b22b16ee68dc1315",
+}
+
+
+def _assert_same_dataset(got, want):
+    assert got.features.shape == want.features.shape
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.durations.tobytes() == want.durations.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_DATASET_SHA256))
+def test_timing_dataset_pinned_on_bundled_maps(name):
+    cfg = ScenarioConfig.from_yaml(scenario_path(f"{name}.yaml"))
+    fit, robot = cfg.bypass_model, cfg.robot
+    args = (cfg.load_grid(), robot.radius, robot.v_lin, robot.v_rot,
+            fit.n_rows, fit.dataset_seed, fit.noise_sigma)
+    got = generate_timing_dataset(*args)
+    _assert_same_dataset(got, oracles.generate_timing_dataset(*args))
+    digest = hashlib.sha256(got.features.tobytes() + got.durations.tobytes())
+    assert digest.hexdigest() == _DATASET_SHA256[name]
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 0.05, 0.5])
+@pytest.mark.parametrize("n_rows", [5, 50, 1500])
+def test_timing_dataset_matches_per_segment_rows(tmp_path, n_rows, noise_sigma):
+    rng = np.random.default_rng(n_rows + int(100 * noise_sigma))
+    for seed in range(3):
+        g = OccupancyGrid.empty(60, 40, 0.1)
+        g.cells[rng.random((40, 60)) < 0.05] = STATIC
+        g = keyed(g, tmp_path / f"{seed}.map")
+        args = (g, 0.15, rng.uniform(0.2, 1.0), rng.uniform(0.5, 2.0), n_rows,
+                seed, noise_sigma)
+        _assert_same_dataset(generate_timing_dataset(*args),
+                             oracles.generate_timing_dataset(*args))
 
 
 # -- sensing ------------------------------------------------------------
