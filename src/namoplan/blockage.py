@@ -10,15 +10,14 @@ from __future__ import annotations
 import logging
 import math
 from bisect import bisect_left
-from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 from scipy.special import ndtr
 
-from .gridmap import (GridPosition, OccupancyGrid, QueryInsideObstacle,
-                      lru_lookup, raycast_width)
+from .gridmap import (GridPosition, Memo, OccupancyGrid, QueryInsideObstacle,
+                      raycast_width)
 from .planner import Trajectory
 
 log = logging.getLogger(__name__)
@@ -78,8 +77,7 @@ def blockage_given_size(l_mo: float, width: float, r: float) -> float:
 
 # Blockage probabilities by (mu, sigma, width, r): a run scores a few dozen
 # distinct widths thousands of times.
-_WIDTH_MEMO: OrderedDict[tuple, float] = OrderedDict()
-_WIDTH_MEMO_SIZE = 1024
+_WIDTH_MEMO = Memo(1024)
 
 
 def blockage_at_width(pop: ObstaclePopulation, width: float, r: float) -> float:
@@ -93,9 +91,8 @@ def blockage_at_width(pop: ObstaclePopulation, width: float, r: float) -> float:
     """
     if width <= 0 or r <= 0:
         raise ValueError("width, r must be positive")
-    return lru_lookup(_WIDTH_MEMO, _WIDTH_MEMO_SIZE,
-                      (pop.mu, pop.sigma, width, r), _marginal, pop.mu,
-                      pop.sigma, width, r)
+    return _WIDTH_MEMO.lookup((pop.mu, pop.sigma, width, r), _marginal, pop.mu,
+                              pop.sigma, width, r)
 
 
 def _marginal(mu: float, sigma: float, width: float, r: float) -> float:
@@ -139,8 +136,8 @@ def trajectory_blockage_detail(pop: ObstaclePopulation, trajectory: Trajectory,
     `s + spacing` or beyond; one inside a static cell scores nothing.
 
     A scored waypoint's corridor width depends only on the static map and
-    the waypoint, so on a grid with a key a read-only trajectory keeps it
-    (or that the waypoint is inside a static cell) on `(grid.key, index)`.
+    the waypoint, so a read-only trajectory keeps it (or that the waypoint
+    is inside a static cell) on `(grid.key, index)`.
     """
     risks: list[WaypointRisk] = []
     spacing = max(pop.mu, grid.resolution)
@@ -156,11 +153,8 @@ def trajectory_blockage_detail(pop: ObstaclePopulation, trajectory: Trajectory,
         idx = unexplored[k]
         k += 1
         next_at = travelled[idx] + spacing
-        if grid.key is None:
-            width = _waypoint_width(grid, trajectory, idx)
-        else:
-            width = trajectory.memoized(("width", grid.key, idx),
-                                        _waypoint_width, grid, trajectory, idx)
+        width = trajectory.memoized(("width", grid.key, idx), _waypoint_width,
+                                    grid, trajectory, idx)
         if width is None:
             continue
         pos = trajectory.positions[idx]
@@ -186,8 +180,9 @@ def _waypoint_width(grid: OccupancyGrid, trajectory: Trajectory,
 
 
 def _unexplored_indices(grid: OccupancyGrid, positions: np.ndarray) -> list[int]:
-    """Indices of the positions `grid.is_explored` calls unexplored, with its
-    arithmetic: off the map counts as explored."""
+    """Indices of the positions whose cell `grid.explored` leaves
+    unexplored, with `cell_index`'s arithmetic: off the map counts as
+    explored."""
     xs, ys = positions[:, 0], positions[:, 1]
     inside = (0.0 <= xs) & (xs < grid.width_m) & (0.0 <= ys) & (ys < grid.height_m)
     res = grid.resolution

@@ -27,33 +27,33 @@ class GridPosition:
     x: float
     y: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
 
 @dataclass
 class OccupancyGrid:
     """Row-major cell grid. cells[iy, ix] covers
     [ix*res, (ix+1)*res) x [iy*res, (iy+1)*res).
 
-    The explored mask only ever grows during a run. A grid read from a file
-    has read-only cells and a `key` naming their contents, on which the ray
-    casts below are memoized; a grid built in code has writable cells and no
-    key. Read-only arrays stay read-only through pickling.
+    The explored mask only ever grows during a run. The cells are a
+    read-only copy of those given, named by a `key` on which the queries
+    below are memoized. Read-only arrays stay read-only through pickling.
     """
 
     resolution: float
     cells: np.ndarray
     explored: np.ndarray = field(default=None)  # type: ignore[assignment]
-    key: tuple | None = field(default=None, init=False, repr=False,
-                              compare=False)
+    key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.resolution <= 0:
             raise ValueError("resolution must be positive")
-        self.cells = np.asarray(self.cells, dtype=np.uint8)
+        self.cells = np.array(self.cells, dtype=np.uint8)
         if self.cells.ndim != 2 or min(self.cells.shape) < 1:
             raise ValueError("cells must be a non-empty 2D array")
+        self.cells.flags.writeable = False
+        # Hashed once here: hashing on every query would cost more than
+        # the queries it saves.
+        self.key = (hashlib.blake2b(self.cells.tobytes(), digest_size=16).digest(),
+                    self.cells.shape, self.resolution)
         if self.explored is None:
             self.explored = np.zeros_like(self.cells, dtype=bool)
         else:
@@ -67,18 +67,21 @@ class OccupancyGrid:
     def empty(width_cells: int, height_cells: int, resolution: float) -> "OccupancyGrid":
         return OccupancyGrid(resolution, np.full((height_cells, width_cells), FREE, np.uint8))
 
-    def copy(self) -> "OccupancyGrid":
-        return OccupancyGrid(self.resolution, self.cells.copy(), self.explored.copy())
-
     def unexplored_view(self) -> "OccupancyGrid":
         """A grid sharing these cells and this key, with its own mask in
         which nothing is explored yet."""
-        view = OccupancyGrid(self.resolution, self.cells)
+        # Built attribute by attribute, as `__init__` would: `copy.copy`
+        # goes through `__setstate__`, whose copied instance dict makes
+        # every attribute read of the episode's grid slower (about 2.5% of
+        # a warm suite pass), and `__init__` would hash the cells again.
+        view = object.__new__(OccupancyGrid)
+        view.resolution, view.cells = self.resolution, self.cells
+        view.explored = np.zeros_like(self.cells, dtype=bool)
         view.key = self.key
         return view
 
-    # Unpickled arrays come back writable; a keyed grid's memos rely on its
-    # cells never changing, so the flags travel with the arrays.
+    # Unpickled arrays come back writable; the memos rely on a grid's cells
+    # never changing, so the flags travel with the arrays.
     def __getstate__(self) -> dict:
         return {**self.__dict__, "_writeable": (self.cells.flags.writeable,
                                                 self.explored.flags.writeable)}
@@ -128,12 +131,6 @@ class OccupancyGrid:
     def is_free(self, x: float, y: float) -> bool:
         return self.state_at(x, y) == FREE
 
-    def is_explored(self, x: float, y: float) -> bool:
-        if not self.in_bounds(x, y):
-            return True
-        iy, ix = self.cell_index(x, y)
-        return bool(self.explored[iy, ix])
-
     # -- file format ---------------------------------------------------
 
     def to_text(self) -> str:
@@ -166,13 +163,7 @@ class OccupancyGrid:
 
     @staticmethod
     def load(path: str | Path) -> "OccupancyGrid":
-        grid = OccupancyGrid.from_text(Path(path).read_text())
-        grid.cells.flags.writeable = False
-        # Hashed once here: hashing on every query would cost more than
-        # the ray casts it saves.
-        grid.key = (hashlib.blake2b(grid.cells.tobytes(), digest_size=16).digest(),
-                    grid.cells.shape, grid.resolution)
-        return grid
+        return OccupancyGrid.from_text(Path(path).read_text())
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_text())
@@ -182,53 +173,61 @@ class OccupancyGrid:
 # queries
 
 _MISS = object()
+_MEMOS: list["Memo"] = []
 
 
-def lru_lookup(memo: OrderedDict, size: int, key, compute, *args):
-    """`memo[key]`, filled with `compute(*args)` on a miss, keeping at most
-    `size` entries: the least recently used one is dropped first. Any value,
-    None included, is stored."""
-    value = memo.get(key, _MISS)
-    if value is _MISS:
-        value = compute(*args)
-        lru_store(memo, size, key, value)
-    else:
-        memo.move_to_end(key)
-    return value
+class Memo(OrderedDict):
+    """A process-wide memo holding at most `size` entries: the least
+    recently used one is dropped first. Every memo registers itself, so
+    `clear_memos` empties them all."""
+
+    def __init__(self, size: int):
+        super().__init__()
+        self.size = size
+        _MEMOS.append(self)
+
+    def lookup(self, key, compute, *args):
+        """`self[key]`, filled with `compute(*args)` on a miss. Any value,
+        None included, is stored; an exception never is."""
+        value = self.get(key, _MISS)
+        if value is _MISS:
+            value = compute(*args)
+            self.store(key, value)
+        else:
+            self.move_to_end(key)
+        return value
+
+    def store(self, key, value) -> None:
+        """Set `self[key]` as the most recently used entry."""
+        self[key] = value
+        self.move_to_end(key)
+        if len(self) > self.size:
+            self.popitem(last=False)
 
 
-def lru_store(memo: OrderedDict, size: int, key, value) -> None:
-    """Set `memo[key]` as the most recently used entry, dropping the least
-    recently used one past `size` entries."""
-    memo[key] = value
-    memo.move_to_end(key)
-    if len(memo) > size:
-        memo.popitem(last=False)
+def clear_memos() -> None:
+    """Empty every memo, so the next queries start cold."""
+    for memo in _MEMOS:
+        memo.clear()
 
 
 # Visibility and ray casts are pure functions of the static map and the
-# query, and paired seeds repeat both across the episodes of a grid. On a
-# grid with a key they are memoized, least recently used first, on the key
-# and the query arguments. A hit returns exactly what the call would compute.
-_VISIBILITY_MEMO: OrderedDict[tuple, np.ndarray] = OrderedDict()
-_VISIBILITY_MEMO_SIZE = 256
-_RAY_MEMO: OrderedDict[tuple, float] = OrderedDict()
-_RAY_MEMO_SIZE = 2048
+# query, and paired seeds repeat both across the episodes of a grid. They
+# are memoized on the grid's key and the query arguments. A hit returns
+# exactly what the call would compute.
+_VISIBILITY_MEMO = Memo(256)
+_RAY_MEMO = Memo(2048)
 
 
-def _memoized(memo: OrderedDict, size: int, compute, grid: OccupancyGrid,
-              *query):
-    """`compute(grid, *query)`, memoized in `memo` when the grid has a key."""
-    if grid.key is None:
-        return compute(grid, *query)
-    return lru_lookup(memo, size, (grid.key, *query), compute, grid, *query)
+def _memoized(memo: Memo, compute, grid: OccupancyGrid, *query):
+    """`compute(grid, *query)`, memoized in `memo` on the grid's key."""
+    return memo.lookup((grid.key, *query), compute, grid, *query)
 
 
 def raycast_distance(grid: OccupancyGrid, x: float, y: float, angle: float,
                      max_range: float | None = None) -> float:
     """Distance from (x, y) to the first static cell or map border along angle."""
-    return _memoized(_RAY_MEMO, _RAY_MEMO_SIZE, _raycast, grid, x, y, angle,
-                     max_range)
+    return _memoized(_RAY_MEMO, _raycast, grid, x, y, angle, max_range)
 
 
 def _raycast(grid: OccupancyGrid, x: float, y: float, angle: float,
@@ -281,9 +280,8 @@ def mark_explored(grid: OccupancyGrid, x: float, y: float, heading: float,
     """
     if not grid.in_bounds(x, y):
         raise ValueError("robot pose outside map")
-    np.put(grid.explored, _memoized(_VISIBILITY_MEMO, _VISIBILITY_MEMO_SIZE,
-                                    _visible_cells, grid, x, y, heading,
-                                    sensor_range, fov), True)
+    np.put(grid.explored, _memoized(_VISIBILITY_MEMO, _visible_cells, grid,
+                                    x, y, heading, sensor_range, fov), True)
 
 
 def _visible_cells(grid: OccupancyGrid, x: float, y: float, heading: float,
@@ -325,21 +323,18 @@ def _visible_cells(grid: OccupancyGrid, x: float, y: float, heading: float,
     return cells
 
 
-# Static inflation of a loaded grid, keyed on `(grid.key, radius)`.
-_INFLATION_CACHE: OrderedDict[tuple, np.ndarray] = OrderedDict()
-_INFLATION_CACHE_SIZE = 8
+# Static inflation, keyed on `(grid.key, radius)`.
+_INFLATION_CACHE = Memo(8)
 
 
 def inflated_blocked_mask(grid: OccupancyGrid, radius: float) -> np.ndarray:
     """Boolean mask of cells whose center is within radius of any static cell
     (or the map border). Used as the planning substrate.
 
-    Masks of a grid with a key are cached on the key and the radius; a grid
-    built in code computes every call, so changed cells never read a stale
-    mask. Every call returns a fresh copy the caller may write to.
+    Masks are cached on the grid's key and the radius. Every call returns a
+    fresh copy the caller may write to.
     """
-    return _memoized(_INFLATION_CACHE, _INFLATION_CACHE_SIZE, _inflate, grid,
-                     radius).copy()
+    return _memoized(_INFLATION_CACHE, _inflate, grid, radius).copy()
 
 
 def _inflate(grid: OccupancyGrid, radius: float) -> np.ndarray:

@@ -5,13 +5,12 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridmap import (_MISS, FREE, GridPosition, OccupancyGrid,
-                      inflated_blocked_mask, lru_lookup, lru_store)
+from .gridmap import (_MISS, FREE, GridPosition, Memo, OccupancyGrid,
+                      inflated_blocked_mask)
 
 
 class EndpointBlocked(ValueError):
@@ -187,19 +186,17 @@ def planning_mask(grid: OccupancyGrid, request: PlanRequest,
 # eight cells to a byte, which for one shape is one-to-one. Paired seeds
 # make the policies of a benchmark grid repeat each other's searches, so
 # most hits come from other episodes.
-_PLAN_CACHE: OrderedDict[tuple, Trajectory | None] = OrderedDict()
-_PLAN_CACHE_SIZE = 128
+_PLAN_CACHE = Memo(128)
 
-# For each request on a grid with a key, the `_PLAN_CACHE` key it built
-# last, least recently used first. On such a grid the request's inputs fix
-# the planning mask: `grid.key` names the cells, shape and resolution, and
-# with the robot radius they fix the static inflation and the rasterized
-# ellipses; the start cell places the escape carve. So a request that
+# For each request, the `_PLAN_CACHE` key it built last, least recently
+# used first. The request's inputs fix the planning mask: `grid.key` names
+# the cells, shape and resolution, and with the robot radius they fix the
+# static inflation and the rasterized ellipses; the start cell places the
+# escape carve. So a request that
 # recurs, as at a decision repeated after a failed load, skips building
 # and hashing the mask. The index holds keys, not plans: an evicted plan is
 # searched again.
-_PLAN_INDEX: OrderedDict[tuple, tuple] = OrderedDict()
-_PLAN_INDEX_SIZE = 512
+_PLAN_INDEX = Memo(512)
 
 
 def plan_path(grid: OccupancyGrid, request: PlanRequest,
@@ -210,12 +207,10 @@ def plan_path(grid: OccupancyGrid, request: PlanRequest,
     The path depends only on `planning_mask(grid, request, robot_radius)`
     and the start and goal cells, so it is cached on them; a returned
     trajectory's arrays are read-only because later calls hand out the same
-    object. On a grid with a key, a request seen before is answered from
-    `_PLAN_INDEX` without building the mask. A request that raises
-    (`EndpointBlocked`, start equals goal) is never cached or indexed.
+    object. A request seen before is answered from `_PLAN_INDEX` without
+    building the mask. A request that raises (`EndpointBlocked`, start
+    equals goal) is never cached or indexed.
     """
-    if grid.key is None:
-        return _cached_plan(grid, request, robot_radius)[1]
     request_key = (grid.key, robot_radius, tuple(request.temporary_obstacles),
                    grid.cell_index(request.start.x, request.start.y),
                    grid.cell_index(request.goal.x, request.goal.y))
@@ -225,7 +220,7 @@ def plan_path(grid: OccupancyGrid, request: PlanRequest,
         plan_key, plan = _cached_plan(grid, request, robot_radius)
     else:
         _PLAN_CACHE.move_to_end(plan_key)
-    lru_store(_PLAN_INDEX, _PLAN_INDEX_SIZE, request_key, plan_key)
+    _PLAN_INDEX.store(request_key, plan_key)
     return plan
 
 
@@ -236,8 +231,8 @@ def _cached_plan(grid: OccupancyGrid, request: PlanRequest,
     start, goal = _endpoint_cells(grid, mask, request.start, request.goal)
     key = (hashlib.blake2b(np.packbits(mask), digest_size=16).digest(),
            mask.shape, grid.resolution, start, goal)
-    return key, lru_lookup(_PLAN_CACHE, _PLAN_CACHE_SIZE, key,
-                           _read_only_plan, grid, mask, start, goal)
+    return key, _PLAN_CACHE.lookup(key, _read_only_plan, grid, mask, start,
+                                   goal)
 
 
 def _read_only_plan(grid: OccupancyGrid, mask: np.ndarray,

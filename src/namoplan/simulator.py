@@ -11,7 +11,6 @@ import hashlib
 import json
 import math
 import operator
-from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from functools import cache, cached_property, partial
@@ -24,7 +23,7 @@ from . import blockage as blk
 from . import bypass as byp
 from . import removal as rem
 from .decision import decide
-from .gridmap import (GridPosition, OccupancyGrid, free_area, lru_lookup,
+from .gridmap import (GridPosition, Memo, OccupancyGrid, _memoized, free_area,
                       mark_explored, raycast_distance)
 from .intervals import CostInterval
 from .observation import (MovableObstacle, PoseBelief, RangeBearingMeasurement,
@@ -365,14 +364,16 @@ def generate_timing_dataset(grid: OccupancyGrid, robot_radius: float,
     """Random sub-segments of planned paths, timed by the motion model with
     multiplicative noise."""
     rng = np.random.default_rng(seed)
-    from .planner import blocked_mask
+    from .planner import _astar_on_mask, blocked_mask
 
     mask = blocked_mask(grid, robot_radius)
     free_iy, free_ix = np.nonzero(~mask)
     if len(free_iy) < 2:
         raise ScenarioError("map has no plannable free space")
-    res = grid.resolution
 
+    # Searched on `mask` directly: the two cells drawn are distinct free
+    # cells of it, and these paths only feed the dataset, so they stay out
+    # of the plan cache.
     paths: list[Trajectory] = []
     guard = 0
     while len(paths) < n_base_paths and guard < n_base_paths * 10:
@@ -380,12 +381,8 @@ def generate_timing_dataset(grid: OccupancyGrid, robot_radius: float,
         i, j = rng.integers(0, len(free_iy), size=2)
         if i == j:
             continue
-        start = GridPosition((free_ix[i] + 0.5) * res, (free_iy[i] + 0.5) * res)
-        goal = GridPosition((free_ix[j] + 0.5) * res, (free_iy[j] + 0.5) * res)
-        try:
-            traj = plan_path(grid, PlanRequest(start, goal), robot_radius)
-        except ValueError:
-            continue
+        traj = _astar_on_mask(grid, mask, (int(free_iy[i]), int(free_ix[i])),
+                              (int(free_iy[j]), int(free_ix[j])))
         if traj is not None and traj.total_length >= 2.0:
             paths.append(traj)
     if not paths:
@@ -420,22 +417,16 @@ def generate_timing_dataset(grid: OccupancyGrid, robot_radius: float,
     return byp.TimingDataset(np.array(feats), np.array(durs))
 
 
-# Fitted models of loaded maps, keyed on `grid.key` and the fit's other
-# inputs, least recently used first.
-_MODEL_CACHE: OrderedDict[tuple, byp.GlrModel] = OrderedDict()
-_MODEL_CACHE_SIZE = 8
+# Fitted models, keyed on `grid.key` and the fit's other inputs.
+_MODEL_CACHE = Memo(8)
 
 
 def bypass_model_for(grid: OccupancyGrid, robot: RobotConfig,
                      cfg: BypassModelConfig) -> byp.GlrModel:
-    """The bypass-time model of the map; a grid with no key is fitted on
-    every call."""
-    args = (robot.radius, robot.v_lin, robot.v_rot, cfg.n_rows,
-            cfg.dataset_seed, cfg.noise_sigma)
-    if grid.key is None:
-        return _fit_model(grid, *args)
-    return lru_lookup(_MODEL_CACHE, _MODEL_CACHE_SIZE, (grid.key, *args),
-                      _fit_model, grid, *args)
+    """The bypass-time model of the map."""
+    return _memoized(_MODEL_CACHE, _fit_model, grid, robot.radius, robot.v_lin,
+                     robot.v_rot, cfg.n_rows, cfg.dataset_seed,
+                     cfg.noise_sigma)
 
 
 def _fit_model(grid: OccupancyGrid, *args) -> byp.GlrModel:
@@ -470,12 +461,6 @@ class TrialRecord:
 
     def to_json_line(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
-
-    @staticmethod
-    def from_json_line(line: str) -> "TrialRecord":
-        d = json.loads(line)
-        return TrialRecord(d["scenario_id"], d["seed"], d["policy"], d["outcome"],
-                           d["elapsed"], d["decisions"], d["diagnostics"])
 
 
 # ----------------------------------------------------------------------
@@ -925,9 +910,9 @@ def _rng_key(rng: np.random.Generator) -> tuple:
             state["has_uint32"], state["uinteger"])
 
 
-# The tree of decision nodes `run_episode` ran last: (world key, seed,
-# root step).
-_TREE: tuple | None = None
+# The root step of the tree of decision nodes `run_episode` ran last, keyed
+# on its world key and seed.
+_TREE = Memo(1)
 
 
 def run_episode(config: ScenarioConfig, policy: Policy | str,
@@ -952,14 +937,11 @@ def run_episode(config: ScenarioConfig, policy: Policy | str,
     world and needs no bound: run a world's configs and policies seed by
     seed to share it.
     """
-    global _TREE
     if isinstance(policy, str):
         policy = get_policy(policy)
     seed = config.seed if seed is None else seed
     ep = _Episode(config, seed)
-    if _TREE is None or _TREE[:2] != (config._world, seed):
-        _TREE = (config._world, seed, ep._start())
-    step = _TREE[2]
+    step = _TREE.lookup((config._world, seed), ep._start)
     trace: list[dict] = []
     while True:
         trace += map(dict, step.events)
@@ -971,7 +953,7 @@ def run_episode(config: ScenarioConfig, policy: Policy | str,
         try:
             choice, details = policy.choose(ep, blocker, detour, est, route)
         except BaseException:
-            _TREE = None
+            _TREE.clear()
             raise
         trace.append({"event": "decision", "t": ep.t,
                       "blocking_obstacle": blocker, **details,

@@ -1,12 +1,10 @@
 """Shared fixtures: ASCII grid construction and bundled scenario access."""
 
-from collections import OrderedDict
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from namoplan import blockage, gridmap, planner, scenario_path
+from namoplan import scenario_path
 from namoplan.gridmap import FREE, STATIC, OccupancyGrid
 from namoplan.simulator import ScenarioConfig
 
@@ -29,26 +27,6 @@ def grid_from_ascii(art: str, resolution: float = 0.1) -> OccupancyGrid:
         for ix, ch in enumerate(row):
             cells[iy, ix] = STATIC if ch == "#" else FREE
     return OccupancyGrid(resolution, cells)
-
-
-def keyed(grid: OccupancyGrid, path) -> OccupancyGrid:
-    """`grid` written to the map file `path` and loaded back: the same
-    cells, read-only, with a key."""
-    grid.save(path)
-    return OccupancyGrid.load(path)
-
-
-@pytest.fixture
-def fresh_memos(monkeypatch):
-    """Empty visibility, ray-cast, inflation and blockage-width memos, and
-    an empty plan cache and plan index, restored after the test."""
-    monkeypatch.setattr(gridmap, "_VISIBILITY_MEMO", OrderedDict())
-    monkeypatch.setattr(gridmap, "_RAY_MEMO", OrderedDict())
-    monkeypatch.setattr(gridmap, "_INFLATION_CACHE", OrderedDict())
-    monkeypatch.setattr(blockage, "_WIDTH_MEMO", OrderedDict())
-    monkeypatch.setattr(planner, "_PLAN_CACHE", OrderedDict())
-    monkeypatch.setattr(planner, "_PLAN_INDEX", OrderedDict())
-
 
 
 @pytest.fixture

@@ -282,6 +282,15 @@ def estimate_removal_time(grid, mo, robot_xy, blocked_path, robot_radius,
     return None
 
 
+def is_explored(grid: OccupancyGrid, x: float, y: float) -> bool:
+    """Whether the cell at (x, y) is explored; off the map counts as
+    explored."""
+    if not grid.in_bounds(x, y):
+        return True
+    iy, ix = grid.cell_index(x, y)
+    return bool(grid.explored[iy, ix])
+
+
 def trajectory_blockage_detail(pop, trajectory, grid, r):
     """Arc length walked with one `np.linalg.norm` per step; oracle for
     `blockage.trajectory_blockage_detail`."""
@@ -296,7 +305,7 @@ def trajectory_blockage_detail(pop, trajectory, grid, r):
         prev = pos
         if travelled < next_at:
             continue
-        if grid.is_explored(pos[0], pos[1]):
+        if is_explored(grid, pos[0], pos[1]):
             continue
         next_at = travelled + spacing
         try:

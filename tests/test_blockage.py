@@ -9,13 +9,13 @@ import pytest
 from scipy import integrate, stats
 
 import oracles
-from conftest import grid_from_ascii, keyed
+from conftest import grid_from_ascii
 from namoplan import blockage
 from namoplan.blockage import (ObstaclePopulation, blockage_at_width,
                                blockage_given_size,
                                trajectory_blockage, trajectory_blockage_detail,
                                waypoint_presence_probability)
-from namoplan.gridmap import STATIC, OccupancyGrid
+from namoplan.gridmap import STATIC, OccupancyGrid, clear_memos
 from namoplan.planner import Trajectory
 
 
@@ -147,7 +147,8 @@ def test_population_matches_sampled_oracle():
         assert abs(exact - sampled) <= 4 * se
 
 
-def test_memoized_width_matches_uncached_formula(fresh_memos):
+def test_memoized_width_matches_uncached_formula():
+    clear_memos()
     # Populations that share a mean but not a spread, and radii that share
     # a width, must each get their own entry.
     rng = np.random.default_rng(23)
@@ -162,9 +163,9 @@ def test_memoized_width_matches_uncached_formula(fresh_memos):
     assert len(blockage._WIDTH_MEMO) == len(queries)
 
 
-def test_width_memo_keeps_no_errors_and_stays_bounded(fresh_memos,
-                                                      monkeypatch):
-    monkeypatch.setattr(blockage, "_WIDTH_MEMO_SIZE", 3)
+def test_width_memo_keeps_no_errors_and_stays_bounded(monkeypatch):
+    clear_memos()
+    monkeypatch.setattr(blockage._WIDTH_MEMO, "size", 3)
     pop = _pop()
     with pytest.raises(ValueError):
         blockage_at_width(pop, 0.0, 0.3)
@@ -271,9 +272,10 @@ def test_blockage_walk_matches_per_step_reference_on_random_paths():
     kept = 0
     for trial in range(40):
         res = rng.choice([0.05, 0.1, 0.3])
-        grid = OccupancyGrid.empty(80, 60, res)
-        grid.cells[rng.random((60, 80)) < 0.03] = STATIC
-        grid.cells[int(rng.integers(5, 55)), 10:70] = STATIC  # a long wall
+        cells = np.zeros((60, 80), np.uint8)
+        cells[rng.random((60, 80)) < 0.03] = STATIC
+        cells[int(rng.integers(5, 55)), 10:70] = STATIC  # a long wall
+        grid = OccupancyGrid(res, cells)
         for _ in range(3):
             iy, ix = rng.integers(0, 50), rng.integers(0, 70)
             grid.explored[iy:iy + 10, ix:ix + 10] = True
@@ -306,8 +308,9 @@ def test_blockage_walk_matches_reference_off_map_and_in_static_cells():
     kept = 0
     for trial in range(60):
         res = rng.choice([0.1, 0.25])
-        grid = OccupancyGrid.empty(40, 30, res)
-        grid.cells[rng.random((30, 40)) < 0.15] = STATIC
+        cells = np.zeros((30, 40), np.uint8)
+        cells[rng.random((30, 40)) < 0.15] = STATIC
+        grid = OccupancyGrid(res, cells)
         grid.explored[rng.random((30, 40)) < rng.uniform(0.0, 0.8)] = True
         n = int(rng.integers(2, 200))
         # A walk of sub-cell steps that may start off the map or leave it.
@@ -340,15 +343,16 @@ def test_probabilities_stay_in_unit_interval_under_fuzzing():
 # -- corridor widths kept on read-only trajectories -----------------------
 
 
-def test_one_read_only_trajectory_scored_on_two_maps(tmp_path, fresh_memos):
+def test_one_read_only_trajectory_scored_on_two_maps():
     """One plan entry can serve maps whose cells differ where the planning
     masks agree, so a kept width must name its map."""
+    clear_memos()
     rng = np.random.default_rng(74)
     grids = []
-    for name in ("a", "b"):
-        g = OccupancyGrid.empty(40, 30, 0.1)
-        g.cells[rng.random((30, 40)) < 0.15] = STATIC
-        grids.append(keyed(g, tmp_path / f"{name}.map"))
+    for _ in range(2):
+        cells = np.zeros((30, 40), np.uint8)
+        cells[rng.random((30, 40)) < 0.15] = STATIC
+        grids.append(OccupancyGrid(0.1, cells))
     cells = np.clip(np.array([15, 20]) + np.cumsum(
         rng.integers(-1, 2, (300, 2)), axis=0), 0, [39, 29])
     traj = Trajectory((cells + 0.5) * 0.1)
@@ -374,19 +378,18 @@ def test_one_read_only_trajectory_scored_on_two_maps(tmp_path, fresh_memos):
 
 
 def test_widths_are_kept_only_for_read_only_trajectories_on_keyed_maps(
-        tmp_path, fresh_memos, monkeypatch):
+        monkeypatch):
+    clear_memos()
     casts = []
     real = blockage.raycast_width
     monkeypatch.setattr(blockage, "raycast_width",
                         lambda *a: casts.append(1) or real(*a))
     grid, traj = _corridor_and_traj()
-    loaded = keyed(grid, tmp_path / "corridor.map")
     read_only = Trajectory(traj.positions.copy())
     read_only.positions.flags.writeable = False
     read_only.headings.flags.writeable = False
     pop = ObstaclePopulation(1.8, 0.1, 10.0, 40.0)
-    for g, t, kept in ((loaded, read_only, True), (loaded, traj, False),
-                       (grid, read_only, False)):
+    for g, t, kept in ((grid, read_only, True), (grid, traj, False)):
         first = trajectory_blockage_detail(pop, t, g, 0.3)
         n = len(casts)
         assert trajectory_blockage_detail(pop, t, g, 0.3) == first

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from namoplan import scenario_path, simulator
-from namoplan.gridmap import FREE, STATIC
+from namoplan.gridmap import FREE, STATIC, OccupancyGrid, clear_memos
 from namoplan.simulator import (POLICIES, BypassModelConfig, Policy,
                                 ScenarioConfig, run_episode)
 
@@ -40,8 +40,10 @@ def _line(config, policy, seed) -> str:
 
 
 def _alone(config, policy, seed) -> str:
-    """The record of an episode that shares no node with any before it."""
-    simulator._TREE = None
+    """The record of an episode that shares no node with any before it.
+    Only the tree is emptied: `clear_memos` would refit the bypass models
+    on every call."""
+    simulator._TREE.clear()
     return _line(config, policy, seed)
 
 
@@ -62,8 +64,10 @@ def _count_restores(monkeypatch) -> list:
 def _tree(config):
     """The (seed, root step) of decision nodes kept for the config's world,
     or None."""
-    tree = simulator._TREE
-    return None if tree is None or tree[0] != config._world else tree[1:]
+    for (world, seed), root in simulator._TREE.items():
+        if world == config._world:
+            return seed, root
+    return None
 
 
 def test_every_config_field_is_of_the_world_or_decision_only(tmp_path):
@@ -96,9 +100,9 @@ def test_every_config_field_is_of_the_world_or_decision_only(tmp_path):
     # The map enters by its contents, not its path.
     copy = shutil.copy(config.map_path, tmp_path / "copy.map")
     assert replace(config, map_path=str(copy))._world == config._world
-    other = config.load_grid().copy()
-    other.cells[0, 0] = FREE if other.cells[0, 0] == STATIC else STATIC
-    other.save(tmp_path / "other.map")
+    cells = config.load_grid().cells.copy()
+    cells[0, 0] = FREE if cells[0, 0] == STATIC else STATIC
+    OccupancyGrid(config.load_grid().resolution, cells).save(tmp_path / "other.map")
     assert replace(config, map_path=str(tmp_path / "other.map"))._world != \
         config._world
     assert replace(config, seed=5)._world == config._world
@@ -118,7 +122,7 @@ def _variants(config):
 def test_configs_of_one_world_give_fresh_records(monkeypatch):
     shared = _variants(_fresh("warehouse_abc.yaml"))
     assert len({c._world for c in shared}) == 1
-    monkeypatch.setattr(simulator, "_TREE", None)
+    clear_memos()
     restores = _count_restores(monkeypatch)
     lines = {(i, policy, seed): _line(config, policy, seed)
              for seed in SEEDS for i, config in enumerate(shared)
@@ -170,7 +174,7 @@ def test_shared_config_gives_fresh_records(fresh_records, order, monkeypatch):
     cells = [(policy, seed) for seed in SEEDS for policy in policies]
     if order == "policy-major":
         cells = [(policy, seed) for policy in policies for seed in SEEDS]
-    monkeypatch.setattr(simulator, "_TREE", None)
+    clear_memos()
     restores = _count_restores(monkeypatch)
     for name in SCENARIOS:
         config = _fresh(name)
@@ -183,8 +187,8 @@ def test_shared_config_gives_fresh_records(fresh_records, order, monkeypatch):
         assert len(restores) > 100
 
 
-def test_one_tree_is_kept_for_the_last_world_and_seed(monkeypatch):
-    monkeypatch.setattr(simulator, "_TREE", None)
+def test_one_tree_is_kept_for_the_last_world_and_seed():
+    clear_memos()
     config = _fresh("warehouse_abc.yaml")
     _line(config, "uncertainty", 0)
     seed, root = _tree(config)
@@ -229,7 +233,7 @@ def test_changed_success_rates_give_fresh_records():
                            _alone(want, "uncertainty-no-action", 1)) != before
 
 
-def test_choice_that_raises_stores_no_node(monkeypatch):
+def test_choice_that_raises_stores_no_node():
     def flaky():
         calls = []
 
@@ -244,7 +248,7 @@ def test_choice_that_raises_stores_no_node(monkeypatch):
 
     config = _fresh("warehouse_abc.yaml")
     want = run_episode(_fresh("warehouse_abc.yaml"), "priority-removal", seed=0)
-    monkeypatch.setattr(simulator, "_TREE", None)
+    clear_memos()
     # The first failure is at a node the failing episode made, the second
     # at a node the episode before it stored.
     for stored in (False, True):

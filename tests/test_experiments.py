@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 import yaml
 
-from namoplan import gridmap, planner, scenario_path
+from namoplan import blockage, gridmap, planner, scenario_path, simulator
 from namoplan.bypass import TimingDataset
 from namoplan.experiments import (RAW_COLUMNS, SUMMARY_COLUMNS, ExperimentSpec,
                                   evaluate_bypass_predictors,
                                   generate_bypass_benchmark, run_benchmark,
                                   summarize)
-from namoplan.gridmap import OccupancyGrid
+from namoplan.gridmap import OccupancyGrid, clear_memos
 from namoplan.simulator import POLICIES, ScenarioConfig, TrialRecord, run_episode
 
 
@@ -98,7 +98,7 @@ def test_csv_and_jsonl_outputs(bench):
         lines = fh.read().splitlines()
     assert len(lines) == len(rows)
     for line, row in zip(lines, rows):
-        record = TrialRecord.from_json_line(line)
+        record = TrialRecord(**json.loads(line))
         assert record.seed == row["seed"]
         assert json.loads(line)["outcome"] == row["outcome"]
 
@@ -281,8 +281,6 @@ def test_a_job_is_one_world_at_one_seed(tiny_scenario, tmp_path, monkeypatch):
 @pytest.mark.skipif(mp.get_start_method() != "fork",
                     reason="workers inherit the walk counter only by fork")
 def test_worker_pool_repeats_no_walk(tmp_path, monkeypatch):
-    from namoplan import simulator
-
     # Every process appends a line per walk to one file.
     log, real = tmp_path / "walks", simulator._Episode._walk
 
@@ -309,7 +307,7 @@ def test_worker_pool_repeats_no_walk(tmp_path, monkeypatch):
         assert len(spec.policies) == 6
         log.write_text("")
         # Each grid starts from an empty slot, also in forked workers.
-        monkeypatch.setattr(simulator, "_TREE", None)
+        clear_memos()
         run_benchmark(spec, workers=workers)
         return len(log.read_text().splitlines())
 
@@ -353,7 +351,8 @@ SUITE_RECORDS_SHA256 = (
     "6b8bb7e6a49a51c3ecab02c9228fd257b42e8950387640c1ca98e617037efcdd")
 
 
-def test_suite_battery_records_pinned(tmp_path, fresh_memos, monkeypatch):
+def test_suite_battery_records_pinned(tmp_path, monkeypatch):
+    clear_memos()
     names = ["room", "warehouse_ab", "warehouse_abc", "warehouse_abd",
              "warehouse_abe", "warehouse_bc", "warehouse_bce"]
     spec = ExperimentSpec([str(scenario_path(f"{n}.yaml")) for n in names],
@@ -376,6 +375,26 @@ def test_suite_battery_records_pinned(tmp_path, fresh_memos, monkeypatch):
     assert set(planner._PLAN_INDEX) == set(indexed) and indexed
 
 
+def test_clear_memos_empties_every_memo_and_keeps_the_records(tmp_path):
+    spec = ExperimentSpec([str(scenario_path(f"{n}.yaml"))
+                           for n in ("room", "warehouse_abc")],
+                          list(POLICIES), repetitions=2, seed_base=0,
+                          output_dir=str(tmp_path))
+    memos = [gridmap._VISIBILITY_MEMO, gridmap._RAY_MEMO,
+             gridmap._INFLATION_CACHE, blockage._WIDTH_MEMO,
+             planner._PLAN_CACHE, planner._PLAN_INDEX,
+             simulator._MODEL_CACHE, simulator._TREE]
+    run_benchmark(spec)
+    warm, _ = run_benchmark(spec)
+    assert all(memos)
+    clear_memos()
+    assert not any(memos)
+    cold, _ = run_benchmark(spec)
+    assert all(memos)
+    assert _records_sha256(r["record"] for r in cold) == \
+        _records_sha256(r["record"] for r in warm)
+
+
 # sha256 of the sorted record lines of the episode benchmark's
 # unreliable-removal battery: warehouse_abc at three (estimated_sr,
 # true_sr) pairs x 2 policies x seeds 0-2.
@@ -383,7 +402,7 @@ UNRELIABLE_RECORDS_SHA256 = (
     "080081b22af7cb36e8acbbe3d90eda449a179b2c9bb970df3274cd1a73e55fb6")
 
 
-def test_unreliable_removal_battery_records_pinned(fresh_memos, monkeypatch):
+def test_unreliable_removal_battery_records_pinned(monkeypatch):
     def battery():
         for estimated, true in [(0.2, 0.2), (0.9, 0.2), (0.9, 0.5)]:
             for policy in ["uncertainty", "uncertainty-no-action"]:
@@ -395,6 +414,7 @@ def test_unreliable_removal_battery_records_pinned(fresh_memos, monkeypatch):
                         for obstacle in cfg.obstacles))
                     yield run_episode(cfg, policy, seed=seed)
 
+    clear_memos()
     searches = _count_searches(monkeypatch)
     # A cold first run, then a second answered from what the first filled.
     for run in range(2):

@@ -1,7 +1,11 @@
 """Occupancy grid: file format, ray casting, widths, exploration, area."""
 
+import copy
+import importlib
 import math
 import pickle
+import pkgutil
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -10,11 +14,13 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import grid_from_ascii
+import namoplan
 from namoplan import gridmap, scenario_path
 from namoplan.gridmap import (FREE, STATIC, GridPosition, OccupancyGrid,
-                              QueryInsideObstacle, free_area,
+                              QueryInsideObstacle, clear_memos, free_area,
                               inflated_blocked_mask, mark_explored,
                               raycast_distance, raycast_width)
+from oracles import is_explored
 
 # -- construction and file format --------------------------------------
 
@@ -66,7 +72,7 @@ def test_out_of_bounds_is_static():
     g = OccupancyGrid.empty(10, 10, 0.1)
     assert g.state_at(-0.05, 0.5) == STATIC
     assert g.state_at(0.5, 99.0) == STATIC
-    assert g.is_explored(-1.0, -1.0)  # outside counts as known
+    assert is_explored(g, -1.0, -1.0)  # outside counts as known
 
 
 # -- ray casting and widths --------------------------------------------
@@ -95,8 +101,9 @@ def test_raycast_matches_state_at_walk():
     rng = np.random.default_rng(5)
     angles = [k * math.pi / 4 for k in range(-4, 5)]
     for trial in range(60):
-        g = OccupancyGrid.empty(50, 40, 0.1)
-        g.cells[rng.random((40, 50)) < rng.uniform(0.0, 0.2)] = STATIC
+        cells = np.zeros((40, 50), np.uint8)
+        cells[rng.random((40, 50)) < rng.uniform(0.0, 0.2)] = STATIC
+        g = OccupancyGrid(0.1, cells)
         if trial % 3 == 0:
             # Origins on and just outside the border, where the first
             # samples may leave the map or land on its last row or column.
@@ -152,16 +159,17 @@ def test_free_area_all_free():
 
 
 def test_free_area_counts_conversions():
-    g = OccupancyGrid.empty(10, 10, 1.0)
-    g.cells[:3, :10] = STATIC  # 30 cells
+    cells = np.zeros((10, 10), np.uint8)
+    cells[:3, :10] = STATIC  # 30 cells
+    g = OccupancyGrid(1.0, cells)
     assert free_area(g) == pytest.approx(70.0)
 
 
 def test_free_area_decrement_per_cell():
-    g = OccupancyGrid.empty(20, 20, 0.1)
-    before = free_area(g)
-    g.cells[4, 7] = STATIC
-    assert before - free_area(g) == pytest.approx(0.1 ** 2)
+    cells = np.zeros((20, 20), np.uint8)
+    before = free_area(OccupancyGrid(0.1, cells))
+    cells[4, 7] = STATIC
+    assert before - free_area(OccupancyGrid(0.1, cells)) == pytest.approx(0.1 ** 2)
 
 
 def test_warehouse_map_free_area_stable():
@@ -177,9 +185,9 @@ def test_mark_explored_open_disk():
     g = OccupancyGrid.empty(100, 100, 0.1)
     mark_explored(g, 5.0, 5.0, 0.0, sensor_range=2.0, fov=2 * math.pi)
     # a cell well inside the disk, ahead of the robot
-    assert g.is_explored(6.5, 5.0)
+    assert is_explored(g, 6.5, 5.0)
     # a cell far outside the disk
-    assert not g.is_explored(9.5, 9.5)
+    assert not is_explored(g, 9.5, 9.5)
 
 
 def test_mark_explored_occlusion():
@@ -190,8 +198,8 @@ def test_mark_explored_occlusion():
 """)
     # robot left of the wall cell at x in [0.4, 0.5), y in [0.1, 0.2)
     mark_explored(g, 0.15, 0.15, 0.0, sensor_range=0.9, fov=0.2)
-    assert g.is_explored(0.45, 0.15)  # the wall itself is seen
-    assert not g.is_explored(0.75, 0.15)  # cell behind the wall is not
+    assert is_explored(g, 0.45, 0.15)  # the wall itself is seen
+    assert not is_explored(g, 0.75, 0.15)  # cell behind the wall is not
 
 
 def test_mark_explored_monotone():
@@ -206,8 +214,9 @@ def test_mark_explored_monotone():
 def test_mark_explored_matches_per_ray_walk():
     rng = np.random.default_rng(21)
     for trial in range(40):
-        g = OccupancyGrid.empty(50, 40, 0.1)
-        g.cells[rng.random((40, 50)) < rng.uniform(0.0, 0.15)] = STATIC
+        cells = np.zeros((40, 50), np.uint8)
+        cells[rng.random((40, 50)) < rng.uniform(0.0, 0.15)] = STATIC
+        g = OccupancyGrid(0.1, cells)
         if trial % 4 == 0:
             # Hug the border and look outward: rays leave the map, some at
             # small negative coordinates that int() truncates to cell 0.
@@ -218,7 +227,7 @@ def test_mark_explored_matches_per_ray_walk():
         heading = rng.uniform(-math.pi, math.pi)
         fov = 2 * math.pi if trial % 3 == 0 else rng.uniform(0.1, 2 * math.pi)
         sensor_range = rng.uniform(0.3, 3.0)
-        want, got = g.copy(), g.copy()
+        want, got = g, copy.deepcopy(g)
         oracles.mark_explored(want, x, y, heading, sensor_range, fov)
         mark_explored(got, x, y, heading, sensor_range, fov)
         assert np.array_equal(got.explored, want.explored), trial
@@ -251,13 +260,18 @@ def test_inflated_mask_border_inflates_inward():
 
 
 def test_inflated_mask_follows_cell_writes():
-    g = OccupancyGrid.empty(30, 30, 0.1)
+    cells = np.zeros((30, 30), np.uint8)
+    g = OccupancyGrid(0.1, cells)
     iy, ix = g.cell_index(1.5, 1.5)
     assert not inflated_blocked_mask(g, 0.2)[iy, ix]
-    g.cells[iy, ix + 1] = STATIC
-    assert inflated_blocked_mask(g, 0.2)[iy, ix]
-    assert np.array_equal(inflated_blocked_mask(g, 0.2),
-                          oracles.inflated_blocked_mask(g, 0.2))
+    # A write to the array the grid was built from reaches neither the grid
+    # nor its cached mask; a grid built after it has a key and mask of its own.
+    cells[iy, ix + 1] = STATIC
+    assert g.cells[iy, ix + 1] == FREE and not inflated_blocked_mask(g, 0.2)[iy, ix]
+    h = OccupancyGrid(0.1, cells)
+    assert h.key != g.key and inflated_blocked_mask(h, 0.2)[iy, ix]
+    assert np.array_equal(inflated_blocked_mask(h, 0.2),
+                          oracles.inflated_blocked_mask(h, 0.2))
 
 
 def test_inflated_mask_is_a_fresh_copy():
@@ -267,8 +281,9 @@ def test_inflated_mask_is_a_fresh_copy():
     assert not inflated_blocked_mask(g, 0.2)[15, 15]
 
 
-def test_loaded_grid_inflation_is_keyed_on_the_map(fresh_memos, monkeypatch):
-    monkeypatch.setattr(gridmap, "_INFLATION_CACHE_SIZE", 3)
+def test_loaded_grid_inflation_is_keyed_on_the_map(monkeypatch):
+    clear_memos()
+    monkeypatch.setattr(gridmap._INFLATION_CACHE, "size", 3)
     grids = [OccupancyGrid.load(scenario_path(name))
              for name in ("room.map", "warehouse.map")]
     queries = [(g, radius) for g in grids for radius in (0.2, 0.25, 0.35)]
@@ -279,12 +294,29 @@ def test_loaded_grid_inflation_is_keyed_on_the_map(fresh_memos, monkeypatch):
         assert len(gridmap._INFLATION_CACHE) == min(i + 1, 3)
         # The key names the map by its 16-byte digest, never by its cells.
         assert set(gridmap._INFLATION_CACHE) <= {(h.key, r) for h, r in queries}
-    kept = list(gridmap._INFLATION_CACHE)
-    inflated_blocked_mask(OccupancyGrid.empty(30, 30, 0.1), 0.2)
-    assert list(gridmap._INFLATION_CACHE) == kept
 
 
-# -- memoized ray casts on maps read from a file ------------------------
+# -- the process-wide memos ---------------------------------------------
+
+
+def test_every_module_level_ordered_dict_is_a_registered_memo():
+    memos = {}
+    for info in pkgutil.iter_modules(namoplan.__path__):
+        module = importlib.import_module(f"namoplan.{info.name}")
+        for name, value in vars(module).items():
+            if isinstance(value, OrderedDict):
+                memos[f"{info.name}.{name}"] = value
+    assert set(memos) >= {
+        "gridmap._VISIBILITY_MEMO", "gridmap._RAY_MEMO",
+        "gridmap._INFLATION_CACHE", "blockage._WIDTH_MEMO",
+        "planner._PLAN_CACHE", "planner._PLAN_INDEX",
+        "simulator._MODEL_CACHE", "simulator._TREE"}
+    for name, memo in memos.items():
+        assert isinstance(memo, gridmap.Memo), name
+        assert any(memo is m for m in gridmap._MEMOS), name
+
+
+# -- memoized ray casts --------------------------------------------------
 
 
 def _free_points(grid, rng, n):
@@ -301,14 +333,15 @@ def _with_repeats(queries, rng):
 
 
 @pytest.mark.parametrize("name", ["room.map", "warehouse.map"])
-def test_memoized_mark_explored_matches_oracle(fresh_memos, name):
+def test_memoized_mark_explored_matches_oracle(name):
+    clear_memos()
     grid = OccupancyGrid.load(scenario_path(name))
     rng = np.random.default_rng(8)
     poses = [(x, y, rng.uniform(-math.pi, math.pi), rng.uniform(0.5, 5.0),
               rng.uniform(0.2, 2 * math.pi)) for x, y in _free_points(grid, rng, 20)]
     for pose in _with_repeats(poses, rng):
         grid.explored[:] = False
-        want = grid.copy()
+        want = copy.deepcopy(grid)
         mark_explored(grid, *pose)
         oracles.mark_explored(want, *pose)
         assert np.array_equal(grid.explored, want.explored), pose
@@ -316,9 +349,10 @@ def test_memoized_mark_explored_matches_oracle(fresh_memos, name):
 
 
 @pytest.mark.parametrize("name", ["room.map", "warehouse.map"])
-def test_memoized_raycast_matches_oracle(fresh_memos, name):
+def test_memoized_raycast_matches_oracle(name):
+    clear_memos()
     grid = OccupancyGrid.load(scenario_path(name))
-    want = grid.copy()
+    want = copy.deepcopy(grid)
     rng = np.random.default_rng(9)
     rays = [(x, y, rng.uniform(-math.pi, math.pi),
              None if i % 2 else rng.uniform(0.1, 6.0))
@@ -328,15 +362,19 @@ def test_memoized_raycast_matches_oracle(fresh_memos, name):
     assert len(gridmap._RAY_MEMO) == len(rays)
 
 
-def test_loaded_cells_are_read_only_and_copies_writable(tmp_path):
+def test_cells_are_a_read_only_copy_named_by_the_key(tmp_path):
     OccupancyGrid.empty(6, 4, 0.1).save(tmp_path / "m.map")
     grid = OccupancyGrid.load(tmp_path / "m.map")
     with pytest.raises(ValueError):
         grid.cells[1, 1] = STATIC
-    assert grid.key is not None
-    copy = grid.copy()
-    copy.cells[1, 1] = STATIC
-    assert copy.key is None and grid.cells[1, 1] == FREE
+    cells = np.zeros((4, 6), np.uint8)
+    built = OccupancyGrid(0.1, cells)
+    assert built.key == grid.key and not built.cells.flags.writeable
+    cells[1, 1] = STATIC
+    assert built.cells[1, 1] == FREE
+    assert OccupancyGrid(0.1, cells).key != grid.key
+    assert OccupancyGrid(0.05, np.zeros((4, 6))).key != grid.key
+    assert OccupancyGrid(0.1, np.zeros((6, 4))).key != grid.key
 
 
 def test_keyed_grid_stays_read_only_through_pickling(tmp_path):
@@ -347,8 +385,8 @@ def test_keyed_grid_stays_read_only_through_pickling(tmp_path):
     assert back.key == grid.key and np.array_equal(back.cells, grid.cells)
     assert not back.cells.flags.writeable and not back.explored.flags.writeable
     built = pickle.loads(pickle.dumps(OccupancyGrid.empty(6, 4, 0.1)))
-    assert built.key is None
-    assert built.cells.flags.writeable and built.explored.flags.writeable
+    assert built.key == grid.key
+    assert not built.cells.flags.writeable and built.explored.flags.writeable
 
 
 def test_unexplored_view_shares_cells_and_key():
@@ -363,9 +401,9 @@ def test_unexplored_view_shares_cells_and_key():
 
 
 def _wall_grid() -> OccupancyGrid:
-    g = OccupancyGrid.empty(30, 20, 0.1)
-    g.cells[3:17, 15] = STATIC
-    return g
+    cells = np.zeros((20, 30), np.uint8)
+    cells[3:17, 15] = STATIC
+    return OccupancyGrid(0.1, cells)
 
 
 _poses = st.tuples(st.floats(0.0, 2.99), st.floats(0.0, 1.99),
@@ -386,30 +424,12 @@ def test_mark_explored_only_sets_cells(poses):
         assert grew == (not np.array_equal(grid.explored, before))
 
 
-def test_grid_built_in_code_answers_from_its_current_cells(fresh_memos):
-    g = OccupancyGrid.empty(40, 40, 0.1)
-    assert g.key is None
-    assert raycast_distance(g, 0.55, 2.05, 0.0) == pytest.approx(3.45, abs=0.06)
-    mark_explored(g, 0.55, 2.05, 0.0, sensor_range=3.0, fov=0.2)
-    assert g.is_explored(3.05, 2.05)
-    g.cells[20, 25] = STATIC
-    g.explored[:] = False
-    want = g.copy()
-    assert raycast_distance(g, 0.55, 2.05, 0.0) == pytest.approx(1.95, abs=0.06)
-    assert raycast_distance(g, 0.55, 2.05, 0.0) == oracles.raycast_distance(
-        want, 0.55, 2.05, 0.0)
-    mark_explored(g, 0.55, 2.05, 0.0, sensor_range=3.0, fov=0.2)
-    oracles.mark_explored(want, 0.55, 2.05, 0.0, sensor_range=3.0, fov=0.2)
-    assert np.array_equal(g.explored, want.explored)
-    assert not g.is_explored(3.05, 2.05)
-    assert not gridmap._VISIBILITY_MEMO and not gridmap._RAY_MEMO
-
-
-def test_memos_stay_within_their_bounds(fresh_memos, monkeypatch):
-    monkeypatch.setattr(gridmap, "_VISIBILITY_MEMO_SIZE", 3)
-    monkeypatch.setattr(gridmap, "_RAY_MEMO_SIZE", 5)
+def test_memos_stay_within_their_bounds(monkeypatch):
+    clear_memos()
+    monkeypatch.setattr(gridmap._VISIBILITY_MEMO, "size", 3)
+    monkeypatch.setattr(gridmap._RAY_MEMO, "size", 5)
     grid = OccupancyGrid.load(scenario_path("warehouse.map"))
-    want = grid.copy()
+    want = copy.deepcopy(grid)
     rng = np.random.default_rng(10)
     points = _free_points(grid, rng, 12)
     for i, (x, y) in enumerate(_with_repeats(points, rng)):

@@ -1,15 +1,14 @@
 """A* planning: optimality against Dijkstra, ellipse obstacles, headings."""
 
 import math
-from collections import OrderedDict
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import grid_from_ascii, keyed
+from conftest import grid_from_ascii
 from namoplan import planner
-from namoplan.gridmap import STATIC, GridPosition, OccupancyGrid
+from namoplan.gridmap import STATIC, GridPosition, OccupancyGrid, clear_memos
 from namoplan.planner import (Ellipse, EndpointBlocked, PlanRequest, Trajectory,
                               blocked_mask, plan_path)
 from oracles import dijkstra_cost
@@ -143,9 +142,7 @@ def test_corridor_covered_by_ellipse_gives_no_path(corridor_grid):
 def test_astar_matches_dijkstra_on_random_maps():
     rng = np.random.default_rng(4)
     for trial in range(25):
-        g = OccupancyGrid.empty(40, 40, 0.1)
-        blocks = rng.random((40, 40)) < 0.25
-        g.cells[blocks] = STATIC
+        g = OccupancyGrid(0.1, rng.random((40, 40)) < 0.25)
         mask = blocked_mask(g, 0.05)
         free = np.argwhere(~mask)
         if len(free) < 2:
@@ -256,8 +253,7 @@ def test_plan_matches_reference_on_random_maps(density):
     rng = np.random.default_rng(11)
     seen = set()
     for _ in range(12):
-        g = OccupancyGrid.empty(36, 28, 0.1)
-        g.cells[rng.random((28, 36)) < density] = STATIC
+        g = OccupancyGrid(0.1, rng.random((28, 36)) < density)
         for req in _random_requests(g, rng, 6):
             seen.add(_assert_same_plan(g, req, 0.1))
     assert seen == {"blocked", "none", "path"}
@@ -274,8 +270,7 @@ def test_plan_matches_reference_on_open_grid_ties():
 
 def test_plan_matches_reference_with_ellipses():
     rng = np.random.default_rng(13)
-    g = OccupancyGrid.empty(60, 50, 0.1)
-    g.cells[rng.random((50, 60)) < 0.05] = STATIC
+    g = OccupancyGrid(0.1, rng.random((50, 60)) < 0.05)
     for _ in range(8):
         ellipses = tuple(Ellipse(rng.uniform(0.5, 5.5), rng.uniform(0.5, 4.5),
                                  rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8),
@@ -287,8 +282,9 @@ def test_plan_matches_reference_with_ellipses():
 
 def test_plan_matches_reference_from_inside_ellipse():
     rng = np.random.default_rng(14)
-    g = OccupancyGrid.empty(60, 60, 0.1)
-    g.cells[20:40, 45] = STATIC
+    cells = np.zeros((60, 60), np.uint8)
+    cells[20:40, 45] = STATIC
+    g = OccupancyGrid(0.1, cells)
     for _ in range(20):
         e = Ellipse(rng.uniform(2.0, 4.0), rng.uniform(2.0, 4.0),
                     rng.uniform(0.5, 1.2), rng.uniform(0.5, 1.2),
@@ -300,8 +296,9 @@ def test_plan_matches_reference_from_inside_ellipse():
 
 
 def test_plan_matches_reference_when_unreachable_or_blocked():
-    g = OccupancyGrid.empty(40, 30, 0.1)
-    g.cells[15, :] = STATIC
+    cells = np.zeros((30, 40), np.uint8)
+    cells[15, :] = STATIC
+    g = OccupancyGrid(0.1, cells)
     below, above = GridPosition(2.0, 0.8), GridPosition(2.0, 2.5)
     assert _assert_same_plan(g, PlanRequest(below, above), 0.1) == "none"
     wall = GridPosition(2.0, 1.55)
@@ -315,9 +312,9 @@ def test_blocked_mask_matches_per_cell_rasterization():
     rng = np.random.default_rng(15)
     painted = 0
     for _ in range(30):
-        g = OccupancyGrid.empty(int(rng.integers(20, 60)), int(rng.integers(20, 60)),
-                                float(rng.choice([0.05, 0.1, 0.25])))
-        g.cells[rng.random(g.cells.shape) < 0.05] = STATIC
+        shape = (int(rng.integers(20, 60)), int(rng.integers(20, 60)))
+        g = OccupancyGrid(float(rng.choice([0.05, 0.1, 0.25])),
+                          rng.random(shape[::-1]) < 0.05)
         w, h = g.width_m, g.height_m
         ellipses = tuple(Ellipse(rng.uniform(-0.5 * w, 1.5 * w),
                                  rng.uniform(-0.5 * h, 1.5 * h),
@@ -348,8 +345,8 @@ def test_blocked_mask_with_ellipse_off_the_map(cx, cy):
 
 @pytest.fixture
 def searches(monkeypatch):
-    """An empty plan cache for the test, and the list of A* searches run."""
-    monkeypatch.setattr(planner, "_PLAN_CACHE", OrderedDict())
+    """Empty memos for the test, and the list of A* searches run."""
+    clear_memos()
     calls = []
     real = planner._astar_on_mask
     monkeypatch.setattr(planner, "_astar_on_mask",
@@ -360,8 +357,7 @@ def searches(monkeypatch):
 def test_cached_plans_match_reference_cold_and_warm(searches):
     rng = np.random.default_rng(21)
     for _ in range(3):
-        g = OccupancyGrid.empty(40, 30, 0.1)
-        g.cells[rng.random((30, 40)) < 0.08] = STATIC
+        g = OccupancyGrid(0.1, rng.random((30, 40)) < 0.08)
         ellipse_sets = [()] + [
             tuple(Ellipse(rng.uniform(0.5, 3.5), rng.uniform(0.5, 2.5),
                           rng.uniform(0.2, 0.6), rng.uniform(0.2, 0.6),
@@ -383,14 +379,14 @@ def test_cache_stays_within_capacity(searches):
     goal = GridPosition(2.55, 2.55)
     starts = [GridPosition(*g.cell_center(iy, ix))
               for iy in range(2, 27) for ix in range(2, 9)]
-    assert len(starts) > planner._PLAN_CACHE_SIZE
+    assert len(starts) > planner._PLAN_CACHE.size
     first = plan_path(g, PlanRequest(starts[0], goal), 0.1)
     for start in starts[1:]:
         plan_path(g, PlanRequest(start, goal), 0.1)
-        assert len(planner._PLAN_CACHE) <= planner._PLAN_CACHE_SIZE
+        assert len(planner._PLAN_CACHE) <= planner._PLAN_CACHE.size
         # A hit refreshes the first entry, so it outlives its neighbours.
         assert plan_path(g, PlanRequest(starts[0], goal), 0.1) is first
-    assert len(planner._PLAN_CACHE) == planner._PLAN_CACHE_SIZE
+    assert len(planner._PLAN_CACHE) == planner._PLAN_CACHE.size
     assert len(searches) == len(starts)
     plan_path(g, PlanRequest(starts[1], goal), 0.1)  # evicted, searched again
     assert len(searches) == len(starts) + 1
@@ -398,8 +394,9 @@ def test_cache_stays_within_capacity(searches):
 
 def test_cache_keeps_maps_of_one_shape_apart(searches):
     open_grid = OccupancyGrid.empty(40, 30, 0.1)
-    walled = OccupancyGrid.empty(40, 30, 0.1)
-    walled.cells[5:30, 20] = STATIC
+    cells = np.zeros((30, 40), np.uint8)
+    cells[5:30, 20] = STATIC
+    walled = OccupancyGrid(0.1, cells)
     coarse = OccupancyGrid.empty(40, 30, 0.2)
     req = PlanRequest(GridPosition(0.55, 1.55), GridPosition(3.55, 1.55))
     got_open = plan_path(open_grid, req, 0.1)
@@ -433,8 +430,9 @@ def test_cached_trajectory_is_read_only(searches):
 
 
 def test_endpoint_errors_are_never_cached(searches):
-    g = OccupancyGrid.empty(20, 20, 0.1)
-    g.cells[10, :] = STATIC
+    cells = np.zeros((20, 20), np.uint8)
+    cells[10, :] = STATIC
+    g = OccupancyGrid(0.1, cells)
     wall, free = GridPosition(1.05, 1.05), GridPosition(0.55, 0.55)
     for _ in range(2):
         with pytest.raises(EndpointBlocked):
@@ -445,8 +443,9 @@ def test_endpoint_errors_are_never_cached(searches):
 
 
 def test_unreachable_goal_is_cached(searches):
-    g = OccupancyGrid.empty(20, 20, 0.1)
-    g.cells[10, :] = STATIC
+    cells = np.zeros((20, 20), np.uint8)
+    cells[10, :] = STATIC
+    g = OccupancyGrid(0.1, cells)
     req = PlanRequest(GridPosition(0.55, 0.55), GridPosition(0.55, 1.55))
     assert plan_path(g, req, 0.05) is None
     assert plan_path(g, req, 0.05) is None
@@ -459,8 +458,9 @@ def test_cache_keeps_masks_one_cell_or_one_shape_apart(searches):
     8 x 8 masks can pack to the same bytes."""
     req = PlanRequest(GridPosition(0.05, 0.05), GridPosition(0.35, 0.35))
     open_grid = OccupancyGrid.empty(9, 7, 0.1)
-    last = OccupancyGrid.empty(9, 7, 0.1)
-    last.cells[6, 8] = STATIC
+    cells = np.zeros((7, 9), np.uint8)
+    cells[6, 8] = STATIC
+    last = OccupancyGrid(0.1, cells)
     masks = [planner.planning_mask(g, req, 0.01) for g in (open_grid, last)]
     assert np.count_nonzero(masks[0] != masks[1]) == 1
     for g in (open_grid, last, OccupancyGrid.empty(7, 9, 0.1),
@@ -471,7 +471,7 @@ def test_cache_keeps_masks_one_cell_or_one_shape_apart(searches):
     assert len(searches) == len(planner._PLAN_CACHE) == 4
 
 
-# -- the request index, on maps read from a file --------------------------
+# -- the request index ---------------------------------------------------
 
 
 @pytest.fixture
@@ -491,13 +491,10 @@ def _elsewhere_in_cell(g, pos, rng):
                         (iy + rng.uniform(0.01, 0.99)) * g.resolution)
 
 
-def test_indexed_plans_match_reference_cold_and_warm(tmp_path, fresh_memos,
-                                                     searches, masks_built):
+def test_indexed_plans_match_reference_cold_and_warm(searches, masks_built):
     rng = np.random.default_rng(31)
-    for m in range(3):
-        g = OccupancyGrid.empty(40, 30, 0.1)
-        g.cells[rng.random((30, 40)) < 0.08] = STATIC
-        g = keyed(g, tmp_path / f"{m}.map")
+    for _ in range(3):
+        g = OccupancyGrid(0.1, rng.random((30, 40)) < 0.08)
         # An ellipse moving along a row, then back at its first places.
         moving = [(Ellipse(0.6 + 0.4 * i, 1.5, 0.4, 0.25, 0.3),)
                   for i in range(7)]
@@ -519,9 +516,8 @@ def test_indexed_plans_match_reference_cold_and_warm(tmp_path, fresh_memos,
         assert {"path", "blocked"} <= set(cold)
 
 
-def test_ellipses_that_rasterize_alike_share_one_search(tmp_path, fresh_memos,
-                                                        searches):
-    g = keyed(OccupancyGrid.empty(40, 30, 0.1), tmp_path / "open.map")
+def test_ellipses_that_rasterize_alike_share_one_search(searches):
+    g = OccupancyGrid.empty(40, 30, 0.1)
     start, goal = GridPosition(0.55, 1.55), GridPosition(3.55, 1.55)
     reqs = [PlanRequest(start, goal, (Ellipse(cx, 1.5, 0.4, 0.3, 0.0),))
             for cx in (2.0, 2.0 + 1e-6)]
@@ -536,9 +532,9 @@ def test_ellipses_that_rasterize_alike_share_one_search(tmp_path, fresh_memos,
 
 
 def test_indexed_request_whose_plan_was_evicted_searches_again(
-        tmp_path, fresh_memos, searches, monkeypatch):
-    monkeypatch.setattr(planner, "_PLAN_CACHE_SIZE", 2)
-    g = keyed(OccupancyGrid.empty(30, 20, 0.1), tmp_path / "open.map")
+        searches, monkeypatch):
+    monkeypatch.setattr(planner._PLAN_CACHE, "size", 2)
+    g = OccupancyGrid.empty(30, 20, 0.1)
     goal = GridPosition(2.55, 1.55)
     reqs = [PlanRequest(GridPosition(0.55, 0.55 + 0.5 * i), goal)
             for i in range(3)]
@@ -554,11 +550,10 @@ def test_indexed_request_whose_plan_was_evicted_searches_again(
     assert plan_path(g, reqs[0], 0.1) is again and len(searches) == 4
 
 
-def test_raising_requests_and_keyless_grids_stay_out_of_the_index(
-        tmp_path, fresh_memos, searches):
-    walled = OccupancyGrid.empty(20, 20, 0.1)
-    walled.cells[10, :] = STATIC
-    g = keyed(walled, tmp_path / "walled.map")
+def test_raising_requests_stay_out_of_the_index(searches):
+    cells = np.zeros((20, 20), np.uint8)
+    cells[10, :] = STATIC
+    g = OccupancyGrid(0.1, cells)
     wall, free = GridPosition(1.05, 1.05), GridPosition(0.55, 0.55)
     for _ in range(2):
         with pytest.raises(EndpointBlocked):
@@ -567,20 +562,18 @@ def test_raising_requests_and_keyless_grids_stay_out_of_the_index(
             plan_path(g, PlanRequest(free, GridPosition(0.52, 0.58)), 0.1)
     assert searches == [] and not planner._PLAN_CACHE
     assert not planner._PLAN_INDEX
-    # The grid built in code plans through the cache alone.
+    # A grid of the same cells built apart has the same key: it shares the
+    # entry and the index.
     req = PlanRequest(free, GridPosition(1.55, 0.55))
-    got = plan_path(walled, req, 0.1)
-    assert plan_path(walled, req, 0.1) is got
-    assert len(planner._PLAN_CACHE) == 1 and not planner._PLAN_INDEX
-    # The loaded one has the same mask: it shares the entry and indexes it.
-    assert plan_path(g, req, 0.1) is got and len(searches) == 1
-    assert len(planner._PLAN_INDEX) == 1
+    got = plan_path(g, req, 0.1)
+    assert plan_path(OccupancyGrid(0.1, cells), req, 0.1) is got
+    assert len(searches) == 1
+    assert len(planner._PLAN_CACHE) == len(planner._PLAN_INDEX) == 1
 
 
-def test_index_stays_within_its_bound(tmp_path, fresh_memos, searches,
-                                      masks_built, monkeypatch):
-    monkeypatch.setattr(planner, "_PLAN_INDEX_SIZE", 4)
-    g = keyed(OccupancyGrid.empty(30, 30, 0.1), tmp_path / "open.map")
+def test_index_stays_within_its_bound(searches, masks_built, monkeypatch):
+    monkeypatch.setattr(planner._PLAN_INDEX, "size", 4)
+    g = OccupancyGrid.empty(30, 30, 0.1)
     goal = GridPosition(2.55, 2.55)
     reqs = [PlanRequest(GridPosition(*g.cell_center(2, ix)), goal)
             for ix in range(2, 12)]

@@ -162,8 +162,8 @@ def test_stock_found_next_to_doorway():
     assert est is not None
     assert est.t_mo > 0
     # placed clear of the blocked path by obstacle + robot radius
-    d = min(np.linalg.norm(blocked.positions
-                           - est.stock_position.as_array(), axis=1))
+    stock = est.stock_position
+    d = min(np.linalg.norm(blocked.positions - [stock.x, stock.y], axis=1))
     assert d >= 0.45
 
 
@@ -196,19 +196,17 @@ def test_removal_time_stable_across_runs():
 def _wall_world(rng) -> tuple[OccupancyGrid, int]:
     """50 x 40 cells at 0.1 m: scattered statics and a wall with a gap at
     the returned column."""
-    grid = OccupancyGrid.empty(50, 40, 0.1)
-    grid.cells[rng.random((40, 50)) < 0.04] = STATIC
+    cells = np.zeros((40, 50), np.uint8)
+    cells[rng.random((40, 50)) < 0.04] = STATIC
     col = int(rng.integers(10, 40))
-    grid.cells[:, col] = STATIC
+    cells[:, col] = STATIC
     gap = int(rng.integers(5, 30))
-    grid.cells[gap:gap + 8, col] = 0
-    return grid, col
+    cells[gap:gap + 8, col] = 0
+    return OccupancyGrid(0.1, cells), col
 
 
 def _scattered_world(rng, w, h, res) -> OccupancyGrid:
-    grid = OccupancyGrid.empty(w, h, res)
-    grid.cells[rng.random((h, w)) < 0.05] = STATIC
-    return grid
+    return OccupancyGrid(res, rng.random((h, w)) < 0.05)
 
 
 # A slice cap no search box reaches.

@@ -1,6 +1,7 @@
 """Episode simulation: configs, motion time, sensing, policies, determinism."""
 
 import hashlib
+import json
 import math
 import pickle
 import re
@@ -12,9 +13,8 @@ import pytest
 import yaml
 
 import oracles
-from conftest import keyed
 from namoplan import scenario_path
-from namoplan.gridmap import STATIC, OccupancyGrid, mark_explored
+from namoplan.gridmap import STATIC, OccupancyGrid, clear_memos, mark_explored
 from namoplan.planner import Trajectory
 from namoplan.simulator import (POLICIES, BypassModelConfig, NoiseConfig,
                                 ObstacleSpec, RobotConfig, ScenarioConfig,
@@ -249,12 +249,10 @@ def test_bypass_model_cache_keys_on_cells(tmp_path):
 
 
 def test_bypass_models_keyed_on_the_map_within_a_bound(tmp_path, monkeypatch):
-    from collections import OrderedDict
-
     from namoplan import simulator
 
-    monkeypatch.setattr(simulator, "_MODEL_CACHE", OrderedDict())
-    monkeypatch.setattr(simulator, "_MODEL_CACHE_SIZE", 2)
+    clear_memos()
+    monkeypatch.setattr(simulator._MODEL_CACHE, "size", 2)
     first, second = _config(tmp_path), _config(tmp_path)
     assert first.load_grid() is not second.load_grid()
     model = bypass_model_for(first.load_grid(), first.robot, first.bypass_model)
@@ -267,12 +265,6 @@ def test_bypass_models_keyed_on_the_map_within_a_bound(tmp_path, monkeypatch):
     for key in simulator._MODEL_CACHE:
         assert key[0] == first.load_grid().key
         assert not any(isinstance(part, bytes) for part in key)
-    # A grid built in code has no key: fitted anew, never cached.
-    built = OccupancyGrid.empty(60, 40, 0.1)
-    fit = BypassModelConfig(n_rows=200)
-    assert bypass_model_for(built, first.robot, fit) is not bypass_model_for(
-        built, first.robot, fit)
-    assert len(simulator._MODEL_CACHE) == 2
 
 
 def test_config_keeps_one_read_only_grid_across_episodes(tmp_path, monkeypatch):
@@ -300,14 +292,12 @@ def test_pickled_config_keeps_its_read_only_grid():
 
 
 def test_baseline_episodes_never_fit_the_bypass_model(tmp_path, monkeypatch):
-    from collections import OrderedDict
-
     from namoplan import simulator
 
     def no_fit(*args, **kwargs):
         raise AssertionError("the bypass model was fitted")
 
-    monkeypatch.setattr(simulator, "_MODEL_CACHE", OrderedDict())
+    clear_memos()
     monkeypatch.setattr(simulator, "generate_timing_dataset", no_fit)
     cfg = _config(tmp_path, obstacles=[("X", (3.0, 2.0))])
     for policy in ("priority-bypass", "priority-removal", "random-choice"):
@@ -394,12 +384,10 @@ def test_timing_dataset_pinned_on_bundled_maps(name):
 
 @pytest.mark.parametrize("noise_sigma", [0.0, 0.05, 0.5])
 @pytest.mark.parametrize("n_rows", [5, 50, 1500])
-def test_timing_dataset_matches_per_segment_rows(tmp_path, n_rows, noise_sigma):
+def test_timing_dataset_matches_per_segment_rows(n_rows, noise_sigma):
     rng = np.random.default_rng(n_rows + int(100 * noise_sigma))
     for seed in range(3):
-        g = OccupancyGrid.empty(60, 40, 0.1)
-        g.cells[rng.random((40, 60)) < 0.05] = STATIC
-        g = keyed(g, tmp_path / f"{seed}.map")
+        g = OccupancyGrid(0.1, rng.random((40, 60)) < 0.05)
         args = (g, 0.15, rng.uniform(0.2, 1.0), rng.uniform(0.5, 2.0), n_rows,
                 seed, noise_sigma)
         _assert_same_dataset(generate_timing_dataset(*args),
@@ -604,7 +592,7 @@ def test_different_seeds_differ(tmp_path):
 
 def test_trial_record_json_round_trip(room_config):
     record = run_episode(room_config, "uncertainty", seed=1)
-    clone = TrialRecord.from_json_line(record.to_json_line())
+    clone = TrialRecord(**json.loads(record.to_json_line()))
     assert clone.to_json_line() == record.to_json_line()
 
 
@@ -629,11 +617,10 @@ LOOPING_RECORD_SHA256 = (
 
 def test_looping_episode_record_pinned(tmp_path, monkeypatch):
     import hashlib
-    from collections import OrderedDict
 
     from namoplan import planner
 
-    monkeypatch.setattr(planner, "_PLAN_CACHE", OrderedDict())
+    clear_memos()
     searches = []
     real = planner._astar_on_mask
     monkeypatch.setattr(planner, "_astar_on_mask",
@@ -682,16 +669,14 @@ def test_blockage_memo_follows_explored_growth(tmp_path, monkeypatch):
     assert second == fresh() and second != first
 
 
-def test_plan_memo_keeps_masks_apart(tmp_path, monkeypatch):
-    from collections import OrderedDict
-
+def test_plan_memo_keeps_masks_apart(tmp_path):
     import oracles
     from namoplan import planner
     from namoplan.gridmap import GridPosition
     from namoplan.observation import PoseBelief
     from namoplan.planner import PlanRequest
 
-    monkeypatch.setattr(planner, "_PLAN_CACHE", OrderedDict())
+    clear_memos()
     ep = _memo_episode(tmp_path)
     goal = ep.cfg.goal
     r = ep.cfg.robot.radius
