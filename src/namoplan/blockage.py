@@ -136,8 +136,8 @@ def trajectory_blockage_detail(pop: ObstaclePopulation, trajectory: Trajectory,
     `s + spacing` or beyond; one inside a static cell scores nothing.
 
     A scored waypoint's corridor width depends only on the static map and
-    the waypoint, so a read-only trajectory keeps it (or that the waypoint
-    is inside a static cell) on `(grid.key, index)`.
+    the waypoint, so the trajectory keeps it (or that the waypoint is
+    inside a static cell) on `(grid.key, index)`.
     """
     risks: list[WaypointRisk] = []
     spacing = max(pop.mu, grid.resolution)

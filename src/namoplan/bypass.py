@@ -32,7 +32,7 @@ class TrajectoryFeatures:
 
 
 def extract_features(trajectory: Trajectory) -> TrajectoryFeatures:
-    """Features of the trajectory, kept on a read-only one."""
+    """Features of the trajectory, kept on it."""
     return trajectory.memoized("features", _features, trajectory)
 
 

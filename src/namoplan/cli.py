@@ -15,6 +15,8 @@ from . import blockage as blk
 from . import bypass as byp
 from .experiments import (ExperimentSpec, evaluate_bypass_predictors,
                           generate_bypass_benchmark, run_benchmark)
+from .gridmap import GridPosition, free_area, mark_explored
+from .planner import PlanRequest, plan_path
 from .simulator import POLICIES, ScenarioConfig, ScenarioError, run_episode
 
 
@@ -78,9 +80,6 @@ def _cmd_run(args) -> int:
 
 
 def _write_diagnostics(config: ScenarioConfig, path: str) -> None:
-    from .gridmap import GridPosition, free_area, mark_explored
-    from .planner import PlanRequest, plan_path
-
     grid = config.load_grid().unexplored_view()
     sx, sy = config.robot.start
     mark_explored(grid, sx, sy, config.robot.start_heading,

@@ -81,6 +81,8 @@ def run_benchmark(spec: ExperimentSpec,
     Worker processes receive the configs once, through the pool's
     initializer.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     for policy in spec.policies:
         get_policy(policy)  # fail fast on unknown names
     index = {path: i for i, path in enumerate(dict.fromkeys(spec.scenario_paths))}

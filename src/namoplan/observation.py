@@ -58,17 +58,14 @@ def wrap_angle(a: float) -> float:
 
 
 def turn_angles(headings: np.ndarray) -> np.ndarray:
-    """|wrap_angle(b - a)| of each pair of successive headings, bit for bit.
+    """|wrap_angle(b - a)| of each pair of successive headings in
+    [-pi, pi], such as a trajectory's, bit for bit.
 
-    For |d| <= 2 pi the IEEE remainder is d itself, d - 2 pi or d + 2 pi,
-    and the shifted differences are exact (Sterbenz), so the array form
-    equals the scalar one. Larger changes (explicit headings are unbounded)
-    go through `wrap_angle` one at a time."""
+    Their changes d lie in [-2 pi, 2 pi], where the IEEE remainder is d
+    itself, d - 2 pi or d + 2 pi, and the shifted differences are exact
+    (Sterbenz), so the array form equals the scalar one."""
     d = np.diff(headings)
     tau = 2.0 * math.pi
-    if np.any(np.abs(d) > tau):
-        h = headings.tolist()
-        return np.abs([wrap_angle(b - a) for a, b in zip(h[:-1], h[1:])])
     return np.abs(np.where(d > math.pi, d - tau,
                            np.where(d < -math.pi, d + tau, d)))
 

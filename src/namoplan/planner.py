@@ -44,39 +44,34 @@ class Ellipse:
         return Ellipse(self.cx, self.cy, self.a + margin, self.b + margin, self.angle)
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """Ordered waypoints (x, y, heading). Heading i points at waypoint i+1;
     the last waypoint inherits its predecessor's heading.
 
-    A trajectory whose two arrays are both read-only, as every one
-    `plan_path` returns is, keeps the answers of `memoized`; a writable one
-    computes them every call, so changed waypoints never read a stale one.
+    The positions are a read-only copy of those given and the headings,
+    derived from them, are read-only too, so a trajectory never changes
+    and keeps the answers of `memoized`. Trajectories compare by identity.
     """
 
     positions: np.ndarray  # (N, 2)
-    headings: np.ndarray = field(default=None)  # type: ignore[assignment]
-    _memo: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
+    headings: np.ndarray = field(init=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=float)
+        self.positions = np.array(self.positions, dtype=float)
         if self.positions.ndim != 2 or self.positions.shape[0] < 2:
             raise ValueError("trajectory needs at least 2 waypoints")
-        if self.headings is None:
-            self.headings = _headings_from_positions(self.positions)
-        else:
-            self.headings = np.asarray(self.headings, dtype=float)
+        self.headings = _headings_from_positions(self.positions)
+        self.positions.flags.writeable = False
+        self.headings.flags.writeable = False
 
     def __len__(self) -> int:
         return self.positions.shape[0]
 
     def memoized(self, key, compute, *args):
-        """`compute(*args)`, kept under `key` while both arrays are
-        read-only. The key must name every input of `compute` other than
-        the waypoints; an exception is never kept."""
-        if self.positions.flags.writeable or self.headings.flags.writeable:
-            return compute(*args)
+        """`compute(*args)`, kept under `key`. The key must name every input
+        of `compute` other than the waypoints; an exception is never kept."""
         value = self._memo.get(key, _MISS)
         if value is _MISS:
             value = self._memo[key] = compute(*args)
@@ -89,14 +84,6 @@ class Trajectory:
     @property
     def step_lengths(self) -> list[float]:
         return self.memoized("step_lengths", _step_lengths, self.positions)
-
-    @property
-    def start(self) -> np.ndarray:
-        return self.positions[0]
-
-    @property
-    def goal(self) -> np.ndarray:
-        return self.positions[-1]
 
 
 def _total_length(positions: np.ndarray) -> float:
@@ -205,11 +192,10 @@ def plan_path(grid: OccupancyGrid, request: PlanRequest,
     unreachable (callers translate that to an infinite cost).
 
     The path depends only on `planning_mask(grid, request, robot_radius)`
-    and the start and goal cells, so it is cached on them; a returned
-    trajectory's arrays are read-only because later calls hand out the same
-    object. A request seen before is answered from `_PLAN_INDEX` without
-    building the mask. A request that raises (`EndpointBlocked`, start
-    equals goal) is never cached or indexed.
+    and the start and goal cells, so it is cached on them, and later calls
+    hand out the same trajectory. A request seen before is answered from
+    `_PLAN_INDEX` without building the mask. A request that raises
+    (`EndpointBlocked`, start equals goal) is never cached or indexed.
     """
     request_key = (grid.key, robot_radius, tuple(request.temporary_obstacles),
                    grid.cell_index(request.start.x, request.start.y),
@@ -231,18 +217,8 @@ def _cached_plan(grid: OccupancyGrid, request: PlanRequest,
     start, goal = _endpoint_cells(grid, mask, request.start, request.goal)
     key = (hashlib.blake2b(np.packbits(mask), digest_size=16).digest(),
            mask.shape, grid.resolution, start, goal)
-    return key, _PLAN_CACHE.lookup(key, _read_only_plan, grid, mask, start,
+    return key, _PLAN_CACHE.lookup(key, _astar_on_mask, grid, mask, start,
                                    goal)
-
-
-def _read_only_plan(grid: OccupancyGrid, mask: np.ndarray,
-                    start: tuple[int, int],
-                    goal: tuple[int, int]) -> Trajectory | None:
-    traj = _astar_on_mask(grid, mask, start, goal)
-    if traj is not None:
-        traj.positions.flags.writeable = False
-        traj.headings.flags.writeable = False
-    return traj
 
 
 def _endpoint_cells(grid: OccupancyGrid, mask: np.ndarray, start: GridPosition,

@@ -29,7 +29,8 @@ from .intervals import CostInterval
 from .observation import (MovableObstacle, PoseBelief, RangeBearingMeasurement,
                           RobotPoseBelief, confidence_ellipse, fuse, path_blocked,
                           project_measurement, turn_angles, wrap_angle)
-from .planner import Ellipse, EndpointBlocked, PlanRequest, Trajectory, plan_path
+from .planner import (Ellipse, EndpointBlocked, PlanRequest, Trajectory,
+                      _astar_on_mask, blocked_mask, plan_path)
 
 
 class ScenarioError(ValueError):
@@ -364,8 +365,6 @@ def generate_timing_dataset(grid: OccupancyGrid, robot_radius: float,
     """Random sub-segments of planned paths, timed by the motion model with
     multiplicative noise."""
     rng = np.random.default_rng(seed)
-    from .planner import _astar_on_mask, blocked_mask
-
     mask = blocked_mask(grid, robot_radius)
     free_iy, free_ix = np.nonzero(~mask)
     if len(free_iy) < 2:

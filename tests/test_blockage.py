@@ -356,8 +356,6 @@ def test_one_read_only_trajectory_scored_on_two_maps():
     cells = np.clip(np.array([15, 20]) + np.cumsum(
         rng.integers(-1, 2, (300, 2)), axis=0), 0, [39, 29])
     traj = Trajectory((cells + 0.5) * 0.1)
-    traj.positions.flags.writeable = False
-    traj.headings.flags.writeable = False
     pop = ObstaclePopulation(0.3, 0.03, 2.0, 12.0)
     static = [{i for i, p in enumerate(traj.positions)
                if g.state_at(*p) == STATIC} for g in grids]
@@ -377,20 +375,15 @@ def test_one_read_only_trajectory_scored_on_two_maps():
     assert scored[0] & static[1] and scored[1] & static[0]
 
 
-def test_widths_are_kept_only_for_read_only_trajectories_on_keyed_maps(
-        monkeypatch):
+def test_widths_are_kept_on_the_trajectory(monkeypatch):
     clear_memos()
     casts = []
     real = blockage.raycast_width
     monkeypatch.setattr(blockage, "raycast_width",
                         lambda *a: casts.append(1) or real(*a))
     grid, traj = _corridor_and_traj()
-    read_only = Trajectory(traj.positions.copy())
-    read_only.positions.flags.writeable = False
-    read_only.headings.flags.writeable = False
     pop = ObstaclePopulation(1.8, 0.1, 10.0, 40.0)
-    for g, t, kept in ((grid, read_only, True), (grid, traj, False)):
-        first = trajectory_blockage_detail(pop, t, g, 0.3)
-        n = len(casts)
-        assert trajectory_blockage_detail(pop, t, g, 0.3) == first
-        assert len(casts) - n == (0 if kept else len(first))
+    first = trajectory_blockage_detail(pop, traj, grid, 0.3)
+    assert first and len(casts) == len(first)
+    assert trajectory_blockage_detail(pop, traj, grid, 0.3) == first
+    assert len(casts) == len(first)

@@ -26,18 +26,18 @@ def test_straight_path_features():
 
 
 def test_square_wave_constant_deltas():
-    # headings 0, pi/2, 0, pi/2 -> absolute deltas {pi/2, pi/2, pi/2}
-    t = Trajectory(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [2.0, 1.0]]),
-                   headings=np.array([0.0, math.pi / 2, 0.0, math.pi / 2]))
+    # headings 0, pi/2, 0, pi/2, pi/2 -> absolute deltas pi/2 at each of the
+    # three turns, then 0 into the last waypoint
+    t = Trajectory(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [2.0, 1.0],
+                             [2.0, 2.0]]))
     f = extract_features(t)
-    assert f.f_s == pytest.approx(math.pi / 2)
-    assert f.f_v == pytest.approx(0.0, abs=1e-12)
+    assert f.f_s == pytest.approx(3 * math.pi / 8)
+    assert f.f_v == pytest.approx(3 * math.pi ** 2 / 64)
 
 
 def test_mixed_deltas_mean_and_variance():
-    # headings 0, 0, pi/2 -> deltas {0, pi/2}
-    t = Trajectory(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
-                   headings=np.array([0.0, 0.0, math.pi / 2]))
+    # headings 0, pi/2, pi/2 -> deltas {pi/2, 0}
+    t = Trajectory(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]))
     f = extract_features(t)
     assert f.f_s == pytest.approx(math.pi / 4)
     assert f.f_v == pytest.approx((math.pi / 4) ** 2)
@@ -62,7 +62,7 @@ def test_features_invariant_under_rigid_motion():
     assert f1.f_v == pytest.approx(f0.f_v, abs=1e-9)
 
 
-# -- features kept on read-only trajectories ------------------------------
+# -- features kept on trajectories ----------------------------------------
 
 
 def _uncached_features(traj):
@@ -72,41 +72,21 @@ def _uncached_features(traj):
                               float(np.var(deltas)))
 
 
-def _read_only(traj):
-    """`traj` with both arrays read-only, as `plan_path` returns them."""
-    traj.positions.flags.writeable = False
-    traj.headings.flags.writeable = False
-    return traj
-
-
-def test_features_match_uncached_on_read_only_and_writable_trajectories(
-        monkeypatch):
+def test_features_match_uncached_and_are_computed_once(monkeypatch):
     computed = []
     real = bypass._features
     monkeypatch.setattr(bypass, "_features",
                         lambda t: computed.append(t) or real(t))
     rng = np.random.default_rng(41)
+    trajectories = []
     for _ in range(30):
         pts = np.cumsum(rng.normal(size=(int(rng.integers(2, 60)), 2)), axis=0)
-        writable, read_only = Trajectory(pts.copy()), _read_only(
-            Trajectory(pts.copy()))
-        for traj in (writable, read_only, writable, read_only):
-            want = _uncached_features(traj)
-            assert extract_features(traj) == want
-            assert traj.total_length == want.f_l
-        # The writable one computed at each call, the read-only one once.
-        assert [id(t) for t in computed[-3:]] == [id(writable), id(read_only),
-                                                  id(writable)]
-
-
-def test_mutated_writable_trajectory_gives_new_features():
-    traj = Trajectory(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
-    before, length = extract_features(traj), traj.total_length
-    traj.positions[2] = (1.0, 3.0)
-    traj.headings[1] = math.pi / 2
-    after = extract_features(traj)
-    assert after == _uncached_features(traj) and after != before
-    assert traj.total_length == after.f_l == 4.0 != length
+        trajectories.append(Trajectory(pts))
+        for _ in range(2):
+            want = _uncached_features(trajectories[-1])
+            assert extract_features(trajectories[-1]) == want
+            assert trajectories[-1].total_length == want.f_l
+    assert computed == trajectories
 
 
 # -- dataset ------------------------------------------------------------

@@ -311,6 +311,23 @@ def test_benchmark_goal_in_wall_exit_two_before_any_episode(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("reps,workers,message", [
+    ("0", "1", "repetitions must be >= 1"),
+    ("1", "0", "workers must be >= 1"),
+    ("1", "-2", "workers must be >= 1"),
+], ids=["reps-0", "workers-0", "workers-minus-2"])
+def test_benchmark_count_below_one_exit_two_before_any_file(
+        tiny_yaml, tmp_path, capsys, monkeypatch, reps, workers, message):
+    monkeypatch.setattr("namoplan.experiments.run_episode", _no_episode)
+    out = tmp_path / "res"
+    code = main(["benchmark", "--config", tiny_yaml, "--policy",
+                 "priority-bypass", "--reps", reps, "--workers", workers,
+                 "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- train-bypass -------------------------------------------------------
 
 

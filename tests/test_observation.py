@@ -38,31 +38,28 @@ def test_wrap_angle(a, expected):
 
 
 def _heading_cases(rng):
-    """Heading sequences: atan2 outputs, planned-path steps, changes of
-    exactly and a hair around +-pi and +-2 pi, and explicit headings far
-    outside (-pi, pi]."""
-    pi, tau = math.pi, 2.0 * math.pi
+    """Heading sequences in [-pi, pi], as a trajectory's: atan2 outputs,
+    planned-path steps, and changes of exactly and a hair around +-pi and
+    +-2 pi."""
+    pi = math.pi
     yield rng.uniform(-pi, pi, 500)
     yield np.arctan2(*rng.integers(-1, 2, (2, 500)).astype(float))
-    yield np.array([pi, -pi, pi, 0.0, -pi, -0.0, 0.0, -pi, tau - pi])
-    edges = np.array([pi, -pi, tau, -tau])
-    for direction in (np.inf, -np.inf):
-        for start in (0.0, 0.5, -1.25):
-            near = np.nextafter(edges + start, direction)
-            yield np.ravel(np.column_stack([np.full(4, start), near]))
-            yield np.ravel(np.column_stack([np.full(4, start), edges + start]))
-    yield rng.uniform(-3.0 * pi, 3.0 * pi, 500)
-    yield rng.uniform(-20.0, 20.0, 500)  # the one-at-a-time fallback
+    yield np.array([pi, -pi, pi, 0.0, -pi, -0.0, 0.0, -pi, pi])
+    starts = np.array([-pi, -1.25, -0.5, 0.0, 0.5, 1.25, pi])
+    for change in (pi, -pi, 2.0 * pi, -2.0 * pi):
+        ends = starts + change
+        for end in (ends, np.nextafter(ends, np.inf),
+                    np.nextafter(ends, -np.inf)):
+            keep = np.abs(end) <= pi
+            if keep.any():
+                yield np.ravel(np.column_stack([starts[keep], end[keep]]))
 
 
 def test_turn_angles_match_wrap_angle_bit_for_bit():
     rng = np.random.default_rng(12)
-    fallback = 0
     for h in _heading_cases(rng):
         got, want = turn_angles(h), oracles.turn_angles(h)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        fallback += bool(np.any(np.abs(np.diff(h)) > 2.0 * math.pi))
-    assert fallback >= 2
 
 
 # -- measurement projection ---------------------------------------------
