@@ -75,11 +75,6 @@ def blockage_given_size(l_mo: float, width: float, r: float) -> float:
     return min(max(4.0 * r / (width - l_mo) - 1.0, 0.0), 1.0)
 
 
-# Blockage probabilities by (mu, sigma, width, r): a run scores a few dozen
-# distinct widths thousands of times.
-_WIDTH_MEMO = Memo(1024)
-
-
 def blockage_at_width(pop: ObstaclePopulation, width: float, r: float) -> float:
     """Blockage probability at one corridor width, marginalized exactly over
     the size population N(mu, sigma) truncated to (0, inf).
@@ -87,15 +82,11 @@ def blockage_at_width(pop: ObstaclePopulation, width: float, r: float) -> float:
     The sure-block branch [w - 2r, w) is a difference of normal CDFs; the
     middle branch (w - 4r, w - 2r) is integrated with a fixed Gauss-Legendre
     rule. Both are clipped to mu +/- 8 sigma, so a population whose band
-    misses the branches gives exactly 0. Memoized on the arguments it reads.
+    misses the branches gives exactly 0.
     """
     if width <= 0 or r <= 0:
         raise ValueError("width, r must be positive")
-    return _WIDTH_MEMO.lookup((pop.mu, pop.sigma, width, r), _marginal, pop.mu,
-                              pop.sigma, width, r)
-
-
-def _marginal(mu: float, sigma: float, width: float, r: float) -> float:
+    mu, sigma = pop.mu, pop.sigma
     if sigma == 0.0:
         return blockage_given_size(mu, width, r)
     lo = max(mu - _TAIL * sigma, 0.0)
@@ -143,7 +134,7 @@ def trajectory_blockage_detail(pop: ObstaclePopulation, trajectory: Trajectory,
     spacing = max(pop.mu, grid.resolution)
     # Arc length summed left to right, as a walk over the steps would.
     travelled = list(accumulate(trajectory.step_lengths, initial=0.0))
-    unexplored = _unexplored_indices(grid, trajectory.positions)
+    unexplored = _unexplored_indices(grid, trajectory)
     next_at = 0.0
     k = 0
     while True:
@@ -179,25 +170,54 @@ def _waypoint_width(grid: OccupancyGrid, trajectory: Trajectory,
         return None
 
 
-def _unexplored_indices(grid: OccupancyGrid, positions: np.ndarray) -> list[int]:
-    """Indices of the positions whose cell `grid.explored` leaves
-    unexplored, with `cell_index`'s arithmetic: off the map counts as
-    explored."""
+def _on_map_cells(grid: OccupancyGrid,
+                  positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the positions on the map and the flat index into
+    `grid.explored` of each one's cell, with `cell_index`'s arithmetic."""
     xs, ys = positions[:, 0], positions[:, 1]
-    inside = (0.0 <= xs) & (xs < grid.width_m) & (0.0 <= ys) & (ys < grid.height_m)
+    inside = np.flatnonzero((0.0 <= xs) & (xs < grid.width_m)
+                            & (0.0 <= ys) & (ys < grid.height_m))
     res = grid.resolution
-    unexplored = np.zeros(len(positions), dtype=bool)
-    unexplored[inside] = ~grid.explored[(ys[inside] / res).astype(int),
-                                        (xs[inside] / res).astype(int)]
-    return np.flatnonzero(unexplored).tolist()
+    cells = ((ys[inside] / res).astype(int) * grid.width_cells
+             + (xs[inside] / res).astype(int))
+    return inside, cells
+
+
+def _route_cells(grid: OccupancyGrid,
+                 trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """`_on_map_cells` of the waypoints, which depend only on the map's
+    shape and resolution, kept on the trajectory."""
+    return trajectory.memoized(("cells", grid.key), _on_map_cells, grid,
+                               trajectory.positions)
+
+
+def _unexplored_indices(grid: OccupancyGrid, trajectory: Trajectory) -> list[int]:
+    """Indices of the waypoints whose cell `grid.explored` leaves
+    unexplored: off the map counts as explored."""
+    inside, cells = _route_cells(grid, trajectory)
+    return inside[~grid.explored.ravel()[cells]].tolist()
+
+
+# Blockage probabilities by everything a score reads: the trajectory, the
+# map, the population, the robot radius and which of the trajectory's cells
+# are explored. Paired seeds, and a decision repeated after a failed load,
+# score the same route from the same explored state.
+_BLOCKAGE_MEMO = Memo(256)
 
 
 def trajectory_blockage(pop: ObstaclePopulation, trajectory: Trajectory,
                         grid: OccupancyGrid, r: float) -> float:
-    """Probability that at least one unseen obstacle blocks the trajectory."""
-    risks = trajectory_blockage_detail(pop, trajectory, grid, r)
+    """Probability that at least one unseen obstacle blocks the trajectory.
+    Memoized on its inputs; of the explored mask it reads only the
+    trajectory's cells, so the key holds just those."""
+    seen = grid.explored.ravel()[_route_cells(grid, trajectory)[1]].tobytes()
+    return _BLOCKAGE_MEMO.lookup((trajectory, grid.key, pop, r, seen),
+                                 _blockage, pop, trajectory, grid, r)
+
+
+def _blockage(pop: ObstaclePopulation, trajectory: Trajectory,
+              grid: OccupancyGrid, r: float) -> float:
     survive = 1.0
-    for wr in risks:
+    for wr in trajectory_blockage_detail(pop, trajectory, grid, r):
         survive *= 1.0 - wr.p_block
     return min(max(1.0 - survive, 0.0), 1.0)
-

@@ -225,7 +225,3 @@ class TrapezoidPredictor:
         if d >= d_ramp:
             return d / self.v_max + self.v_max / self.accel
         return 2.0 * math.sqrt(d / self.accel)
-
-
-def baseline_trapezoid(v_max: float, accel: float) -> TrapezoidPredictor:
-    return TrapezoidPredictor(v_max, accel)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from pathlib import Path
 
 from . import blockage as blk
 from . import bypass as byp

@@ -212,7 +212,7 @@ def evaluate_bypass_predictors(train: byp.TimingDataset, test: byp.TimingDataset
     on test."""
     model = byp.fit(train)
     avg = byp.baseline_average_speed(train)
-    trap = byp.baseline_trapezoid(v_max, accel)
+    trap = byp.TrapezoidPredictor(v_max, accel)
 
     report = BypassReport(n_train=len(train), n_test=len(test))
     preds = {

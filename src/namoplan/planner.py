@@ -5,11 +5,12 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridmap import (_MISS, FREE, GridPosition, Memo, OccupancyGrid,
+from .gridmap import (_MISS, GridPosition, Memo, OccupancyGrid,
                       inflated_blocked_mask)
 
 
@@ -239,8 +240,6 @@ def _endpoint_cells(grid: OccupancyGrid, mask: np.ndarray, start: GridPosition,
 def _carve_escape(mask: np.ndarray, static: np.ndarray, sy: int, sx: int) -> None:
     """Unblock the shortest statics-respecting route from (sy, sx) to the
     nearest cell that is free in `mask`, in place."""
-    from collections import deque
-
     h, w = mask.shape
     prev: dict[tuple[int, int], tuple[int, int]] = {(sy, sx): (sy, sx)}
     queue = deque([(sy, sx)])

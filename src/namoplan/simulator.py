@@ -7,7 +7,6 @@ blockage pick a strategy (remove or bypass) from the configured policy.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import operator
@@ -322,14 +321,14 @@ class Policy:
     "none") with the details its decision trace entry records.
 
     A rule reads the episode and may draw from `episode.rng`, and changes
-    nothing else: it may fill the episode's pure memos (through
-    `blockage_interval` and `model`), which change no answer. Only a rule
-    may read the config's decision-only fields (those not in
-    `WORLD_FIELDS`: `estimated_sr`, `calibration_trials` and `sr_shared`
-    through `beta_for`, `bypass_model` through `model`); the world the
-    episode walks between choices must not. `run_episode` relies on this to
-    resume one policy, of any config of the same world, from the state
-    another reached with the same choices."""
+    nothing else: it may fill pure memos (the episode's `model` and the
+    process-wide memos behind `blockage_interval` and `model`), which change
+    no answer. Only a rule may read the config's decision-only fields (those
+    not in `WORLD_FIELDS`: `estimated_sr`, `calibration_trials` and
+    `sr_shared` through `beta_for`, `bypass_model` through `model`); the
+    world the episode walks between choices must not. `run_episode` relies
+    on this to resume one policy, of any config of the same world, from the
+    state another reached with the same choices."""
 
     name: str
     choose: Callable[..., tuple[str, dict]]
@@ -447,31 +446,12 @@ class TrialRecord:
     decisions: list[dict] = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "scenario_id": self.scenario_id,
-            "seed": self.seed,
-            "policy": self.policy,
-            "outcome": self.outcome,
-            "elapsed": self.elapsed,
-            "decisions": self.decisions,
-            "diagnostics": self.diagnostics,
-        }
-
     def to_json_line(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
 
 # ----------------------------------------------------------------------
 # episode
-
-
-def _digest(*arrays: np.ndarray) -> bytes:
-    """Short digest of array contents, small enough to keep as a dict key."""
-    h = hashlib.blake2b(digest_size=16)
-    for a in arrays:
-        h.update(a.tobytes())
-    return h.digest()
 
 
 @dataclass
@@ -511,10 +491,6 @@ class _Episode:
         # Removal cycle time estimated at the latest decision; a failed
         # load costs one cycle.
         self.t_mo = 0.0
-        # Memo of blockage_interval's probability. The grid's cells, the
-        # robot radius and the population are fixed for the episode, so a
-        # key need only name what varies.
-        self._blockage: dict[tuple[bytes, int], float] = {}
         # Each obstacle's latest belief with its confidence ellipse. Beliefs
         # are replaced on fuse and placement, never mutated, so an entry
         # holds while its belief is the current one.
@@ -620,17 +596,8 @@ class _Episode:
     def blockage_interval(self, traj: Trajectory,
                           proxy: CostInterval) -> CostInterval:
         """`proxy` scaled by the chance that an unseen obstacle blocks `traj`."""
-        # Of what the score reads, only the waypoints and the explored mask
-        # can change within an episode. The mask only ever gains cells, so
-        # two of its states with the same count are equal.
-        key = (traj.memoized("digest", _digest, traj.positions, traj.headings),
-               np.count_nonzero(self.grid.explored))
-        p = self._blockage.get(key)
-        if p is None:
-            p = blk.trajectory_blockage(self.pop, traj, self.grid,
-                                        self.cfg.robot.radius)
-            self._blockage[key] = p
-        return proxy.scale(p)
+        return proxy.scale(blk.trajectory_blockage(self.pop, traj, self.grid,
+                                                   self.cfg.robot.radius))
 
     # -- movement ------------------------------------------------------
 
@@ -817,9 +784,6 @@ class _Episode:
 
     def _after(self, node: _Node, choice: str) -> _End | _Node:
         """The step after `choice` at `node`, whose state the episode is in."""
-        # The node's blockage memo holds for it and every state after it;
-        # what this branch adds does not hold for the node's other branches.
-        self._blockage = dict(self._blockage)
         return self._walk(*self._act(node.decision, choice))
 
     def _walk(self, outcome: str | None,
@@ -882,8 +846,6 @@ class _Node:
         self.beliefs, self.betas = dict(ep.beliefs), dict(ep.betas)
         self.diag = dict(ep.diag)
         self.scalars = (ep.x, ep.y, ep.heading, ep.t, ep.t_mo, ep.steps)
-        # Shared with every choice made here; `_after` forks it.
-        self.blockage = ep._blockage
         self.ellipses = dict(ep._ellipses)
 
     def restore(self, ep: _Episode) -> None:
@@ -897,7 +859,6 @@ class _Node:
         ep.beliefs, ep.betas = dict(self.beliefs), dict(self.betas)
         ep.diag = dict(self.diag)
         ep.x, ep.y, ep.heading, ep.t, ep.t_mo, ep.steps = self.scalars
-        ep._blockage = self.blockage
         ep._ellipses = dict(self.ellipses)
         ep.at = self
 

@@ -15,7 +15,6 @@ import math
 
 import numpy as np
 from scipy import ndimage
-from scipy.special import ndtr
 
 from namoplan import blockage, observation, planner
 from namoplan.bypass import TimingDataset, extract_features
@@ -321,28 +320,13 @@ def trajectory_blockage_detail(pop, trajectory, grid, r):
     return risks
 
 
-def blockage_at_width(pop, width: float, r: float) -> float:
-    """Unmemoized exact marginal; oracle for `blockage.blockage_at_width`."""
-    if width <= 0 or r <= 0:
-        raise ValueError("width, r must be positive")
-    if pop.sigma == 0.0:
-        return blockage.blockage_given_size(pop.mu, width, r)
-    mu, sigma = pop.mu, pop.sigma
-    lo = max(mu - 8.0 * sigma, 0.0)
-    hi = mu + 8.0 * sigma
-    p = 0.0
-    a, b = max(width - 2.0 * r, lo), min(width, hi)
-    if a < b:
-        p += float(ndtr((b - mu) / sigma) - ndtr((a - mu) / sigma))
-    a, b = max(width - 4.0 * r, lo), min(width - 2.0 * r, hi)
-    if a < b:
-        nodes, weights = np.polynomial.legendre.leggauss(64)
-        half = 0.5 * (b - a)
-        l_mo = a + half * (nodes + 1.0)
-        pdf = (np.exp(-0.5 * ((l_mo - mu) / sigma) ** 2)
-               / (sigma * math.sqrt(2.0 * math.pi)))
-        p += half * float(weights @ ((4.0 * r / (width - l_mo) - 1.0) * pdf))
-    return min(max(p / float(ndtr(mu / sigma)), 0.0), 1.0)
+def trajectory_blockage(pop, trajectory, grid, r) -> float:
+    """Unmemoized score over the reference walk; oracle for
+    `blockage.trajectory_blockage`."""
+    survive = 1.0
+    for wr in trajectory_blockage_detail(pop, trajectory, grid, r):
+        survive *= 1.0 - wr.p_block
+    return min(max(1.0 - survive, 0.0), 1.0)
 
 
 def sample_diameters(pop, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -147,37 +147,6 @@ def test_population_matches_sampled_oracle():
         assert abs(exact - sampled) <= 4 * se
 
 
-def test_memoized_width_matches_uncached_formula():
-    clear_memos()
-    # Populations that share a mean but not a spread, and radii that share
-    # a width, must each get their own entry.
-    rng = np.random.default_rng(23)
-    pops = [ObstaclePopulation(mu, sigma, 1.0, 100.0)
-            for mu in (0.6, 1.1) for sigma in (0.0, 0.05, 0.3)]
-    queries = [(pop, w, r) for pop in pops for r in (0.2, 0.35)
-               for w in [*rng.uniform(0.3, 3.0, 4), pop.mu + 3.0 * r]]
-    repeats = [queries[i] for i in rng.integers(len(queries), size=40)]
-    for pop, w, r in queries + repeats:
-        assert blockage_at_width(pop, w, r) == oracles.blockage_at_width(
-            pop, w, r)
-    assert len(blockage._WIDTH_MEMO) == len(queries)
-
-
-def test_width_memo_keeps_no_errors_and_stays_bounded(monkeypatch):
-    clear_memos()
-    monkeypatch.setattr(blockage._WIDTH_MEMO, "size", 3)
-    pop = _pop()
-    with pytest.raises(ValueError):
-        blockage_at_width(pop, 0.0, 0.3)
-    assert not blockage._WIDTH_MEMO
-    for i, w in enumerate((1.2, 1.4, 1.6, 1.8, 1.2)):
-        assert blockage_at_width(pop, w, 0.3) == oracles.blockage_at_width(
-            pop, w, 0.3)
-        assert len(blockage._WIDTH_MEMO) == min(i + 1, 3)
-    assert list(blockage._WIDTH_MEMO) == [(1.0, 0.1, w, 0.3)
-                                          for w in (1.6, 1.8, 1.2)]
-
-
 # -- presence probability -----------------------------------------------
 
 
@@ -387,3 +356,71 @@ def test_widths_are_kept_on_the_trajectory(monkeypatch):
     assert first and len(casts) == len(first)
     assert trajectory_blockage_detail(pop, traj, grid, 0.3) == first
     assert len(casts) == len(first)
+
+
+# -- scores memoized on what they read ------------------------------------
+
+
+def test_memoized_blockage_matches_uncached_score():
+    clear_memos()
+    rng = np.random.default_rng(23)
+    cells = np.zeros((30, 40), np.uint8)
+    cells[rng.random((30, 40)) < 0.1] = STATIC
+    grid = OccupancyGrid(0.1, cells)
+    trajs = [Trajectory((np.clip(np.array([15, 20]) + np.cumsum(
+        rng.integers(-1, 2, (200, 2)), axis=0), -2, [41, 31]) + 0.5) * 0.1)
+        for _ in range(2)]
+    # Populations that share a mean but not a spread, and two radii.
+    pops = [ObstaclePopulation(0.3, sigma, 2.0, 12.0) for sigma in (0.0, 0.05)]
+    masks = [rng.random((30, 40)) < rng.uniform(0.1, 0.9) for _ in range(4)]
+    queries = [(t, pop, r, m) for t in range(2) for pop in pops
+               for r in (0.15, 0.2) for m in range(4)]
+    repeats = [queries[i] for i in rng.integers(len(queries), size=30)]
+    distinct = set()
+    for t, pop, r, m in queries + repeats:
+        view = grid.unexplored_view()
+        view.explored[masks[m]] = True
+        traj = trajs[t]
+        assert trajectory_blockage(pop, traj, view, r) == \
+            oracles.trajectory_blockage(pop, traj, view, r)
+        # The memo tells states apart only by the explored flags of the
+        # trajectory's cells; off the map counts as explored.
+        distinct.add((t, pop, r, tuple(oracles.is_explored(view, *p)
+                                       for p in traj.positions)))
+    assert len(blockage._BLOCKAGE_MEMO) == len(distinct)
+
+
+def test_exploring_a_route_cell_adds_an_entry_and_an_off_route_cell_hits(
+        monkeypatch):
+    clear_memos()
+    scored = []
+    real = blockage._blockage
+    monkeypatch.setattr(blockage, "_blockage",
+                        lambda *a: scored.append(1) or real(*a))
+    grid, traj = _corridor_and_traj()
+    pop = ObstaclePopulation(1.8, 0.1, 10.0, 40.0)
+    first = trajectory_blockage(pop, traj, grid, 0.3)
+    assert first > 0.0 and len(scored) == 1
+    iy, ix = grid.cell_index(*traj.positions[0])
+    grid.explored[iy + 1, ix] = True
+    assert trajectory_blockage(pop, traj, grid, 0.3) == first
+    assert len(scored) == 1 and len(blockage._BLOCKAGE_MEMO) == 1
+    grid.explored[iy, ix] = True
+    second = trajectory_blockage(pop, traj, grid, 0.3)
+    assert second == oracles.trajectory_blockage(pop, traj, grid, 0.3)
+    assert len(scored) == 2 and len(blockage._BLOCKAGE_MEMO) == 2
+
+
+def test_blockage_memo_keeps_no_errors_and_stays_bounded(monkeypatch):
+    clear_memos()
+    monkeypatch.setattr(blockage._BLOCKAGE_MEMO, "size", 3)
+    grid, traj = _corridor_and_traj()
+    pop = ObstaclePopulation(1.8, 0.1, 10.0, 40.0)
+    with pytest.raises(ValueError):
+        trajectory_blockage(pop, traj, grid, -0.3)
+    assert not blockage._BLOCKAGE_MEMO
+    for i, r in enumerate((0.2, 0.25, 0.3, 0.35, 0.2)):
+        assert trajectory_blockage(pop, traj, grid, r) == \
+            oracles.trajectory_blockage(pop, traj, grid, r)
+        assert len(blockage._BLOCKAGE_MEMO) == min(i + 1, 3)
+    assert [key[3] for key in blockage._BLOCKAGE_MEMO] == [0.3, 0.35, 0.2]

@@ -9,8 +9,8 @@ import pytest
 import oracles
 from namoplan import bypass
 from namoplan.bypass import (AverageSpeedPredictor, GlrModel, TimingDataset,
-                             TrajectoryFeatures, baseline_average_speed,
-                             baseline_trapezoid, extract_features, fit,
+                             TrajectoryFeatures, TrapezoidPredictor,
+                             baseline_average_speed, extract_features, fit,
                              predict_interval)
 from namoplan.planner import Trajectory
 
@@ -265,7 +265,7 @@ def test_average_speed_exact_on_constant_speed():
 
 
 def test_trapezoid_cruise_and_triangular():
-    trap = baseline_trapezoid(v_max=1.0, accel=0.5)
+    trap = TrapezoidPredictor(v_max=1.0, accel=0.5)
     # long: reaches cruise; d_ramp = v^2/a = 2
     assert trap.predict(TrajectoryFeatures(10.0, 0, 0)) == pytest.approx(
         10.0 / 1.0 + 1.0 / 0.5)
@@ -276,4 +276,4 @@ def test_trapezoid_cruise_and_triangular():
 
 def test_trapezoid_validation():
     with pytest.raises(ValueError):
-        baseline_trapezoid(0.0, 1.0)
+        TrapezoidPredictor(0.0, 1.0)

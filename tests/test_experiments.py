@@ -381,7 +381,7 @@ def test_clear_memos_empties_every_memo_and_keeps_the_records(tmp_path):
                           list(POLICIES), repetitions=2, seed_base=0,
                           output_dir=str(tmp_path))
     memos = [gridmap._VISIBILITY_MEMO, gridmap._RAY_MEMO,
-             gridmap._INFLATION_CACHE, blockage._WIDTH_MEMO,
+             gridmap._INFLATION_CACHE, blockage._BLOCKAGE_MEMO,
              planner._PLAN_CACHE, planner._PLAN_INDEX,
              simulator._MODEL_CACHE, simulator._TREE]
     run_benchmark(spec)

@@ -308,7 +308,7 @@ def test_every_module_level_ordered_dict_is_a_registered_memo():
                 memos[f"{info.name}.{name}"] = value
     assert set(memos) >= {
         "gridmap._VISIBILITY_MEMO", "gridmap._RAY_MEMO",
-        "gridmap._INFLATION_CACHE", "blockage._WIDTH_MEMO",
+        "gridmap._INFLATION_CACHE", "blockage._BLOCKAGE_MEMO",
         "planner._PLAN_CACHE", "planner._PLAN_INDEX",
         "simulator._MODEL_CACHE", "simulator._TREE"}
     for name, memo in memos.items():

@@ -641,23 +641,24 @@ def _memo_episode(tmp_path):
 
 
 def test_blockage_memo_follows_explored_growth(tmp_path, monkeypatch):
+    import oracles
     from namoplan import blockage as blk
     from namoplan.intervals import CostInterval
 
+    clear_memos()
     ep = _memo_episode(tmp_path)
     traj = ep.plan_to(*ep.cfg.goal)
     proxy = CostInterval(10.0, 20.0)
 
     def fresh():
-        p = blk.trajectory_blockage(ep.pop, traj, ep.grid, ep.cfg.robot.radius)
-        return proxy.scale(p)
+        return proxy.scale(oracles.trajectory_blockage(
+            ep.pop, traj, ep.grid, ep.cfg.robot.radius))
 
     first = ep.blockage_interval(traj, proxy)
     assert first == fresh() and first.hi > 0.0
     calls = []
-    real = blk.trajectory_blockage
-    monkeypatch.setattr(blk, "trajectory_blockage",
-                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    real = blk._blockage
+    monkeypatch.setattr(blk, "_blockage", lambda *a: calls.append(1) or real(*a))
     assert ep.blockage_interval(traj, proxy) == first
     assert calls == []
     # Explore the first half of the route: fewer waypoints carry risk.
