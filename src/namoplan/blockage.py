@@ -125,10 +125,6 @@ def trajectory_blockage_detail(pop: ObstaclePopulation, trajectory: Trajectory,
     treating each as independent would overstate the risk. The scored
     waypoint after one at arc length s is the first unexplored one at
     `s + spacing` or beyond; one inside a static cell scores nothing.
-
-    A scored waypoint's corridor width depends only on the static map and
-    the waypoint, so the trajectory keeps it (or that the waypoint is
-    inside a static cell) on `(grid.key, index)`.
     """
     risks: list[WaypointRisk] = []
     spacing = max(pop.mu, grid.resolution)
@@ -144,8 +140,7 @@ def trajectory_blockage_detail(pop: ObstaclePopulation, trajectory: Trajectory,
         idx = unexplored[k]
         k += 1
         next_at = travelled[idx] + spacing
-        width = trajectory.memoized(("width", grid.key, idx), _waypoint_width,
-                                    grid, trajectory, idx)
+        width = _waypoint_width(grid, trajectory, idx)
         if width is None:
             continue
         pos = trajectory.positions[idx]

@@ -134,25 +134,12 @@ class GlrModel:
         lines.append("feat_std " + " ".join(repr(float(v)) for v in self.feat_std))
         Path(path).write_text("\n".join(lines) + "\n")
 
-    @staticmethod
-    def load(path: str | Path) -> "GlrModel":
-        lines = Path(path).read_text().splitlines()
-        if not lines or lines[0] != "glr-model v1":
-            raise ValueError("not a glr model file")
-        fields: dict[str, list[list[float]]] = {}
-        for line in lines[1:]:
-            key, *vals = line.split()
-            fields.setdefault(key, []).append([float(v) for v in vals])
-        return GlrModel(
-            w_mean=np.array(fields["w_mean"][0]),
-            w_cov=np.array(fields["w_cov_row"]),
-            noise_var=fields["noise_var"][0][0],
-            feat_mean=np.array(fields["feat_mean"][0]),
-            feat_std=np.array(fields["feat_std"][0]),
-        )
+
+# Variance of the isotropic Gaussian prior on the standardized weights.
+_PRIOR_VAR = 100.0
 
 
-def fit(dataset: TimingDataset, prior_var: float = 100.0) -> GlrModel:
+def fit(dataset: TimingDataset) -> GlrModel:
     """Conjugate Bayesian linear regression on [1, z(F_l), z(F_s), z(F_v)].
 
     Features are z-scored with training statistics so the isotropic weight
@@ -174,14 +161,14 @@ def fit(dataset: TimingDataset, prior_var: float = 100.0) -> GlrModel:
     dof = max(len(dataset) - x.shape[1], 1)
     noise_var = max(float(resid @ resid) / dof, 1e-12)
 
-    precision = np.eye(4) / prior_var + (x.T @ x) / noise_var
+    precision = np.eye(4) / _PRIOR_VAR + (x.T @ x) / noise_var
     w_cov = np.linalg.inv(precision)
     w_mean = w_cov @ (x.T @ y) / noise_var
     return GlrModel(w_mean, w_cov, noise_var, feat_mean, feat_std)
 
 
 def predict_interval(model: GlrModel, features: TrajectoryFeatures,
-                     confidence: float = 0.95) -> CostInterval:
+                     confidence: float) -> CostInterval:
     """Central normal interval at `confidence`, mean +/- z sigma with z the
     (1 + confidence) / 2 quantile, floored at zero."""
     if not 0.0 < confidence < 1.0:

@@ -16,7 +16,8 @@ from .experiments import (ExperimentSpec, evaluate_bypass_predictors,
                           generate_bypass_benchmark, run_benchmark)
 from .gridmap import GridPosition, free_area, mark_explored
 from .planner import PlanRequest, plan_path
-from .simulator import POLICIES, ScenarioConfig, ScenarioError, run_episode
+from .simulator import (POLICIES, RobotConfig, ScenarioConfig, ScenarioError,
+                        run_episode)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,7 +132,7 @@ def _cmd_train_bypass(args) -> int:
         split = int(n * 0.7)
         train = byp.TimingDataset(full.features[:split], full.durations[:split])
         test = byp.TimingDataset(full.features[split:], full.durations[split:])
-        v_max = 0.5
+        v_max = RobotConfig.v_lin  # no config: the default robot's speed
     else:
         print("error: provide --dataset or --generate", file=sys.stderr)
         return 1

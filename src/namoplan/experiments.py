@@ -205,14 +205,17 @@ class BypassReport:
         return "\n".join(lines)
 
 
+# The trapezoid baseline's acceleration, m/s^2.
+_TRAPEZOID_ACCEL = 0.5
+
+
 def evaluate_bypass_predictors(train: byp.TimingDataset, test: byp.TimingDataset,
-                               v_max: float = 0.5,
-                               accel: float = 0.5) -> tuple[byp.GlrModel, BypassReport]:
+                               v_max: float) -> tuple[byp.GlrModel, BypassReport]:
     """Fit the regressor and both baselines on train, score absolute error
     on test."""
     model = byp.fit(train)
     avg = byp.baseline_average_speed(train)
-    trap = byp.TrapezoidPredictor(v_max, accel)
+    trap = byp.TrapezoidPredictor(v_max, _TRAPEZOID_ACCEL)
 
     report = BypassReport(n_train=len(train), n_test=len(test))
     preds = {
@@ -232,7 +235,7 @@ def _feat(row: np.ndarray) -> byp.TrajectoryFeatures:
     return byp.TrajectoryFeatures(float(row[0]), float(row[1]), float(row[2]))
 
 
-def generate_bypass_benchmark(config: ScenarioConfig, seed: int = 0,
+def generate_bypass_benchmark(config: ScenarioConfig, seed: int,
                               n_train: int = 1500,
                               n_test: int = 600) -> tuple[byp.TimingDataset,
                                                           byp.TimingDataset]:

@@ -33,14 +33,14 @@ class OccupancyGrid:
     """Row-major cell grid. cells[iy, ix] covers
     [ix*res, (ix+1)*res) x [iy*res, (iy+1)*res).
 
-    The explored mask only ever grows during a run. The cells are a
+    The explored mask starts empty and only ever grows during a run. The cells are a
     read-only copy of those given, named by a `key` on which the queries
     below are memoized. Read-only arrays stay read-only through pickling.
     """
 
     resolution: float
     cells: np.ndarray
-    explored: np.ndarray = field(default=None)  # type: ignore[assignment]
+    explored: np.ndarray = field(init=False)
     key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -54,18 +54,9 @@ class OccupancyGrid:
         # the queries it saves.
         self.key = (hashlib.blake2b(self.cells.tobytes(), digest_size=16).digest(),
                     self.cells.shape, self.resolution)
-        if self.explored is None:
-            self.explored = np.zeros_like(self.cells, dtype=bool)
-        else:
-            self.explored = np.asarray(self.explored, dtype=bool)
-            if self.explored.shape != self.cells.shape:
-                raise ValueError("explored mask shape mismatch")
+        self.explored = np.zeros_like(self.cells, dtype=bool)
 
     # -- construction -------------------------------------------------
-
-    @staticmethod
-    def empty(width_cells: int, height_cells: int, resolution: float) -> "OccupancyGrid":
-        return OccupancyGrid(resolution, np.full((height_cells, width_cells), FREE, np.uint8))
 
     def unexplored_view(self) -> "OccupancyGrid":
         """A grid sharing these cells and this key, with its own mask in
@@ -272,7 +263,7 @@ def free_area(grid: OccupancyGrid) -> float:
 
 
 def mark_explored(grid: OccupancyGrid, x: float, y: float, heading: float,
-                  sensor_range: float = 5.0, fov: float = math.pi / 2.0) -> None:
+                  sensor_range: float, fov: float) -> None:
     """Grow the explored mask with single-bounce visibility from (x, y).
 
     Rays are cast over the field of view; cells behind the first static hit

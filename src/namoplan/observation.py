@@ -40,13 +40,17 @@ def _surely_psd(cov: np.ndarray) -> bool:
     return False
 
 
-def _check_psd(cov: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+# A covariance may have eigenvalues down to -_PSD_TOL, for rounding.
+_PSD_TOL = 1e-12
+
+
+def _check_psd(cov: np.ndarray) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
     if _surely_psd(cov):
         return cov
     if not np.allclose(cov, cov.T, atol=1e-9):
         raise InvalidCovariance("invalid covariance: not symmetric")
-    if np.min(np.linalg.eigvalsh(cov)) < -tol:
+    if np.min(np.linalg.eigvalsh(cov)) < -_PSD_TOL:
         raise InvalidCovariance("invalid covariance: negative eigenvalue")
     return cov
 
@@ -153,7 +157,7 @@ def fuse(prior: PoseBelief, obs: PoseBelief) -> PoseBelief:
 
 
 def confidence_ellipse(belief: PoseBelief, mo_radius: float,
-                       confidence: float = 0.95) -> Ellipse:
+                       confidence: float) -> Ellipse:
     """Belief region at the given confidence, grown by the obstacle radius."""
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")

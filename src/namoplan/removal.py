@@ -27,10 +27,6 @@ class BetaBelief:
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError("Beta parameters must be positive")
 
-    @property
-    def mean(self) -> float:
-        return self.alpha / (self.alpha + self.beta)
-
     @staticmethod
     def from_trials(successes: int, failures: int) -> "BetaBelief":
         """Belief after a calibration run. The recorded counts stand in for
@@ -48,7 +44,7 @@ def beta_ppf(q: float, alpha: float, beta: float) -> float:
 
 
 def success_rate_interval(belief: BetaBelief,
-                          confidence: float = 0.95) -> tuple[float, float]:
+                          confidence: float) -> tuple[float, float]:
     """Equal-tailed confidence interval for the success rate."""
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
@@ -78,7 +74,7 @@ def expected_removal_cost(p_a: float, max_attempts: int, t_mo: float,
 
 
 def removal_cost_interval(belief: BetaBelief, max_attempts: int, t_mo: float,
-                          c_by: float, confidence: float = 0.95) -> CostInterval:
+                          c_by: float, confidence: float) -> CostInterval:
     """Expected-cost interval from the success-rate confidence interval."""
     p_lo, p_hi = success_rate_interval(belief, confidence)
     a = expected_removal_cost(p_lo, max_attempts, t_mo, c_by)
@@ -182,11 +178,11 @@ def estimate_removal_time(
     robot_xy: np.ndarray,
     blocked_path: Trajectory,
     robot_radius: float,
-    v_lin: float = 0.5,
-    v_rot: float = 1.0,
-    load_overhead: float = 5.0,
-    unload_overhead: float = 5.0,
-    search_radius: float = 3.0,
+    v_lin: float,
+    v_rot: float,
+    load_overhead: float,
+    unload_overhead: float,
+    search_radius: float,
 ) -> RemovalEstimate | None:
     """Nearest valid stock cell and the time to move the obstacle there.
 

@@ -115,6 +115,11 @@ class ScenarioConfig:
         plain = asdict(self)
         plain["map"] = plain.pop("map_path")
         _check(plain, _config_schema(), "", tuple)
+        # An episode keys its obstacles by label.
+        labels = [spec.label for spec in self.obstacles]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ScenarioError(f"obstacle label {label!r} is repeated")
         grid = self.load_grid()  # a bad map or a misplaced position fails here
         # The world an episode simulates: the map's contents and every field
         # the walk between choices reads (`repr` tells -0.0 from 0.0).
@@ -357,12 +362,15 @@ def get_policy(name: str) -> Policy:
 # bypass-model training data
 
 
+# Planned paths whose sub-segments make up a timing dataset.
+_N_BASE_PATHS = 40
+
+
 def generate_timing_dataset(grid: OccupancyGrid, robot_radius: float,
                             v_lin: float, v_rot: float, n_rows: int,
-                            seed: int, noise_sigma: float = 0.05,
-                            n_base_paths: int = 40) -> byp.TimingDataset:
-    """Random sub-segments of planned paths, timed by the motion model with
-    multiplicative noise."""
+                            seed: int, noise_sigma: float) -> byp.TimingDataset:
+    """Random sub-segments of `_N_BASE_PATHS` planned paths, timed by the
+    motion model with multiplicative noise."""
     rng = np.random.default_rng(seed)
     mask = blocked_mask(grid, robot_radius)
     free_iy, free_ix = np.nonzero(~mask)
@@ -374,7 +382,7 @@ def generate_timing_dataset(grid: OccupancyGrid, robot_radius: float,
     # of the plan cache.
     paths: list[Trajectory] = []
     guard = 0
-    while len(paths) < n_base_paths and guard < n_base_paths * 10:
+    while len(paths) < _N_BASE_PATHS and guard < _N_BASE_PATHS * 10:
         guard += 1
         i, j = rng.integers(0, len(free_iy), size=2)
         if i == j:

@@ -29,10 +29,17 @@ def grid_from_ascii(art: str, resolution: float = 0.1) -> OccupancyGrid:
     return OccupancyGrid(resolution, cells)
 
 
+def empty_grid(width_cells: int, height_cells: int,
+               resolution: float) -> OccupancyGrid:
+    """A grid with every cell free."""
+    return OccupancyGrid(resolution, np.full((height_cells, width_cells), FREE,
+                                             np.uint8))
+
+
 @pytest.fixture
 def open_grid() -> OccupancyGrid:
     """Fully free 100 x 100 cells at 0.1 m (10 m x 10 m)."""
-    return OccupancyGrid.empty(100, 100, 0.1)
+    return empty_grid(100, 100, 0.1)
 
 
 @pytest.fixture

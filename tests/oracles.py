@@ -12,18 +12,20 @@ from __future__ import annotations
 
 import heapq
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
 
 from namoplan import blockage, observation, planner
-from namoplan.bypass import TimingDataset, extract_features
+from namoplan.bypass import GlrModel, TimingDataset, extract_features
 from namoplan.gridmap import (FREE, STATIC, GridPosition, OccupancyGrid,
                               QueryInsideObstacle, raycast_width)
 from namoplan.observation import InvalidCovariance, confidence_ellipse, wrap_angle
 from namoplan.planner import (_MOVES, EndpointBlocked, PlanRequest, Trajectory,
                               _carve_escape)
 from namoplan.removal import BetaBelief, RemovalEstimate
+from namoplan.simulator import _N_BASE_PATHS
 
 
 def _octile(ax: int, ay: int, bx: int, by: int) -> float:
@@ -190,7 +192,7 @@ def dijkstra_cost(grid: OccupancyGrid, mask: np.ndarray,
 
 
 def mark_explored(grid: OccupancyGrid, x: float, y: float, heading: float,
-                  sensor_range: float = 5.0, fov: float = math.pi / 2.0) -> None:
+                  sensor_range: float, fov: float) -> None:
     """Per-ray visibility walk: mark cells until the first static hit or the
     first step off the map."""
     if not grid.in_bounds(x, y):
@@ -254,8 +256,8 @@ def stock_candidates(grid: OccupancyGrid, mx: float, my: float,
 
 
 def estimate_removal_time(grid, mo, robot_xy, blocked_path, robot_radius,
-                          v_lin=0.5, v_rot=1.0, load_overhead=5.0,
-                          unload_overhead=5.0, search_radius=3.0):
+                          v_lin, v_rot, load_overhead, unload_overhead,
+                          search_radius):
     """`removal.estimate_removal_time` over the per-cell candidate scan and
     the reference planner."""
     mx, my = mo.belief.mean
@@ -355,6 +357,29 @@ def sampled_blockage_at_width(pop, width: float, r: float,
     return float(p.mean())
 
 
+def beta_mean(belief: BetaBelief) -> float:
+    """Mean of a success-rate belief."""
+    return belief.alpha / (belief.alpha + belief.beta)
+
+
+def load_glr_model(path) -> GlrModel:
+    """The model a `GlrModel.save` file holds."""
+    lines = Path(path).read_text().splitlines()
+    if not lines or lines[0] != "glr-model v1":
+        raise ValueError("not a glr model file")
+    fields: dict[str, list[list[float]]] = {}
+    for line in lines[1:]:
+        key, *vals = line.split()
+        fields.setdefault(key, []).append([float(v) for v in vals])
+    return GlrModel(
+        w_mean=np.array(fields["w_mean"][0]),
+        w_cov=np.array(fields["w_cov_row"]),
+        noise_var=fields["noise_var"][0][0],
+        feat_mean=np.array(fields["feat_mean"][0]),
+        feat_std=np.array(fields["feat_std"][0]),
+    )
+
+
 def update_belief(belief: BetaBelief, success: bool) -> BetaBelief:
     """One load's update of a success-rate belief; the episode's load counts
     added to its prior must equal these updates made load by load."""
@@ -381,8 +406,7 @@ def motion_time(trajectory: Trajectory, v_lin: float, v_rot: float) -> float:
 
 def generate_timing_dataset(grid: OccupancyGrid, robot_radius: float,
                             v_lin: float, v_rot: float, n_rows: int,
-                            seed: int, noise_sigma: float = 0.05,
-                            n_base_paths: int = 40) -> TimingDataset:
+                            seed: int, noise_sigma: float) -> TimingDataset:
     """Each row from a trajectory of its own, built with `segment` and timed
     by `motion_time`; oracle for `simulator.generate_timing_dataset`, which
     draws from the rng in the same order."""
@@ -392,7 +416,7 @@ def generate_timing_dataset(grid: OccupancyGrid, robot_radius: float,
     res = grid.resolution
     paths = []
     guard = 0
-    while len(paths) < n_base_paths and guard < n_base_paths * 10:
+    while len(paths) < _N_BASE_PATHS and guard < _N_BASE_PATHS * 10:
         guard += 1
         i, j = rng.integers(0, len(free_iy), size=2)
         if i == j:

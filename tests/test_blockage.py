@@ -9,7 +9,7 @@ import pytest
 from scipy import integrate, stats
 
 import oracles
-from conftest import grid_from_ascii
+from conftest import empty_grid, grid_from_ascii
 from namoplan import blockage
 from namoplan.blockage import (ObstaclePopulation, blockage_at_width,
                                blockage_given_size,
@@ -224,7 +224,7 @@ def test_more_unexplored_waypoints_riskier():
 
 
 def test_open_space_skips_presence_factor():
-    grid = OccupancyGrid.empty(200, 200, 0.1)  # 20 m x 20 m open hall
+    grid = empty_grid(200, 200, 0.1)  # 20 m x 20 m open hall
     xs = np.arange(3.0, 17.0, 0.1)
     traj = Trajectory(np.column_stack([xs, np.full_like(xs, 10.0)]))
     pop = ObstaclePopulation(0.6, 0.1, 50.0, 100.0)
@@ -309,12 +309,13 @@ def test_probabilities_stay_in_unit_interval_under_fuzzing():
         assert 0.0 <= blockage_given_size(l, w, r) <= 1.0
 
 
-# -- corridor widths kept on read-only trajectories -----------------------
+# -- one read-only trajectory on two maps ---------------------------------
 
 
 def test_one_read_only_trajectory_scored_on_two_maps():
     """One plan entry can serve maps whose cells differ where the planning
-    masks agree, so a kept width must name its map."""
+    masks agree, so what the trajectory and the blockage memo keep must
+    name its map."""
     clear_memos()
     rng = np.random.default_rng(74)
     grids = []
@@ -342,20 +343,6 @@ def test_one_read_only_trajectory_scored_on_two_maps():
     # in a static cell of the other.
     assert scored[0] & scored[1]
     assert scored[0] & static[1] and scored[1] & static[0]
-
-
-def test_widths_are_kept_on_the_trajectory(monkeypatch):
-    clear_memos()
-    casts = []
-    real = blockage.raycast_width
-    monkeypatch.setattr(blockage, "raycast_width",
-                        lambda *a: casts.append(1) or real(*a))
-    grid, traj = _corridor_and_traj()
-    pop = ObstaclePopulation(1.8, 0.1, 10.0, 40.0)
-    first = trajectory_blockage_detail(pop, traj, grid, 0.3)
-    assert first and len(casts) == len(first)
-    assert trajectory_blockage_detail(pop, traj, grid, 0.3) == first
-    assert len(casts) == len(first)
 
 
 # -- scores memoized on what they read ------------------------------------

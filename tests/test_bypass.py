@@ -8,11 +8,14 @@ import pytest
 
 import oracles
 from namoplan import bypass
-from namoplan.bypass import (AverageSpeedPredictor, GlrModel, TimingDataset,
+from namoplan.bypass import (AverageSpeedPredictor, TimingDataset,
                              TrajectoryFeatures, TrapezoidPredictor,
                              baseline_average_speed, extract_features, fit,
                              predict_interval)
 from namoplan.planner import Trajectory
+from namoplan.simulator import ScenarioConfig
+
+CONFIDENCE = ScenarioConfig.confidence
 
 # -- feature extraction -------------------------------------------------
 
@@ -207,8 +210,7 @@ def test_interval_centered_and_clamped():
         iv = predict_interval(model, q, confidence)
         assert iv.lo == pytest.approx(max(0.0, mean - z * sigma))
         assert iv.hi == pytest.approx(mean + z * sigma)
-    assert predict_interval(model, q) == predict_interval(model, q, 0.95)
-    tiny = predict_interval(model, TrajectoryFeatures(0.0, 0.0, 0.0))
+    tiny = predict_interval(model, TrajectoryFeatures(0.0, 0.0, 0.0), CONFIDENCE)
     assert tiny.lo >= 0.0
 
 
@@ -229,7 +231,7 @@ def test_interval_coverage_on_synthetic_data():
     model = fit(train)
     hits = 0
     for row, dur in zip(test.features, test.durations):
-        iv = predict_interval(model, TrajectoryFeatures(*row))
+        iv = predict_interval(model, TrajectoryFeatures(*row), CONFIDENCE)
         hits += iv.lo <= dur <= iv.hi
     coverage = hits / len(test)
     assert 0.92 <= coverage <= 0.98
@@ -240,7 +242,7 @@ def test_model_save_load_roundtrip(tmp_path):
     model = fit(_synthetic_dataset(100, rng))
     path = tmp_path / "model.txt"
     model.save(path)
-    loaded = GlrModel.load(path)
+    loaded = oracles.load_glr_model(path)
     q = TrajectoryFeatures(7.0, 0.2, 0.04)
     assert loaded.predict(q) == model.predict(q)
 
@@ -249,7 +251,7 @@ def test_model_load_rejects_other_files(tmp_path):
     path = tmp_path / "junk.txt"
     path.write_text("not a model\n")
     with pytest.raises(ValueError):
-        GlrModel.load(path)
+        oracles.load_glr_model(path)
 
 
 # -- baselines ----------------------------------------------------------

@@ -9,17 +9,17 @@ import numpy as np
 import pytest
 import yaml
 
+import oracles
+from conftest import empty_grid
 from namoplan import scenario_path, simulator
-from namoplan.bypass import GlrModel
 from namoplan.cli import main
-from namoplan.gridmap import OccupancyGrid
 from namoplan.simulator import ScenarioConfig, ScenarioError
 
 
 @pytest.fixture(scope="module")
 def tiny_yaml(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
-    OccupancyGrid.empty(60, 40, 0.1).save(root / "tiny.map")
+    empty_grid(60, 40, 0.1).save(root / "tiny.map")
     (root / "tiny.yaml").write_text("""
 scenario_id: tiny
 map: tiny.map
@@ -204,7 +204,7 @@ def test_run_value_outside_schema_exit_two(tiny_yaml, tmp_path, capsys,
 
 
 def test_run_map_with_unknown_cell_exit_two(tiny_yaml, tmp_path, capsys):
-    text = OccupancyGrid.empty(60, 40, 0.1).to_text().splitlines()
+    text = empty_grid(60, 40, 0.1).to_text().splitlines()
     text[5] = "o" + text[5][1:]
     (tmp_path / "marked.map").write_text("\n".join(text) + "\n")
     bad = _variant(tiny_yaml, tmp_path,
@@ -239,6 +239,21 @@ def test_run_map_that_is_a_directory_exit_two(tmp_path, capsys, monkeypatch):
     assert main(["run", "--config", bad]) == 2
     err = capsys.readouterr().err
     assert "config error: cannot read map" in err and str(tmp_path) in err
+
+
+@pytest.mark.parametrize("command", ["run", "benchmark"])
+def test_repeated_obstacle_label_exit_two(tmp_path, capsys, monkeypatch,
+                                          command):
+    # An episode keys its obstacles by label, so a second B would replace
+    # the first, and the robot would drive through the one dropped.
+    monkeypatch.setattr("namoplan.cli.run_episode", _no_episode)
+    monkeypatch.setattr("namoplan.experiments.run_episode", _no_episode)
+    bad = _variant(str(scenario_path("warehouse_abc.yaml")), tmp_path,
+                   lambda raw: raw["obstacles"][2].update(label="B"))
+    extra = (["--policy", "uncertainty", "--out", str(tmp_path / "res")]
+             if command == "benchmark" else [])
+    assert main([command, "--config", bad, *extra]) == 2
+    assert "obstacle label 'B' is repeated" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["run", "benchmark"])
@@ -340,7 +355,7 @@ def test_train_bypass_generate_deterministic(tiny_yaml, tmp_path, capsys):
     assert a.read_text() == b.read_text()
     printed = capsys.readouterr().out
     assert "glr" in printed and "average-speed" in printed
-    GlrModel.load(a)  # artifact is loadable
+    oracles.load_glr_model(a)  # artifact is loadable
 
 
 def test_train_bypass_beats_speed_baseline(tiny_yaml, tmp_path, capsys):

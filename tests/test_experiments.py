@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
+from conftest import empty_grid
 from namoplan import blockage, gridmap, planner, scenario_path, simulator
 from namoplan.bypass import TimingDataset
 from namoplan.experiments import (RAW_COLUMNS, SUMMARY_COLUMNS, ExperimentSpec,
@@ -19,13 +20,16 @@ from namoplan.experiments import (RAW_COLUMNS, SUMMARY_COLUMNS, ExperimentSpec,
                                   generate_bypass_benchmark, run_benchmark,
                                   summarize)
 from namoplan.gridmap import OccupancyGrid, clear_memos
-from namoplan.simulator import POLICIES, ScenarioConfig, TrialRecord, run_episode
+from namoplan.simulator import (POLICIES, RobotConfig, ScenarioConfig, TrialRecord,
+                                run_episode)
+
+ROBOT = RobotConfig()
 
 
 @pytest.fixture(scope="module")
 def tiny_scenario(tmp_path_factory):
     root = tmp_path_factory.mktemp("bench")
-    OccupancyGrid.empty(60, 40, 0.1).save(root / "tiny.map")
+    empty_grid(60, 40, 0.1).save(root / "tiny.map")
     (root / "tiny.yaml").write_text("""
 scenario_id: tiny
 map: tiny.map
@@ -455,7 +459,7 @@ def _heading_heavy_dataset(n, seed, noise=0.3):
 def test_predictor_report_structure():
     train = _heading_heavy_dataset(800, 0)
     test = _heading_heavy_dataset(400, 1)
-    model, report = evaluate_bypass_predictors(train, test)
+    model, report = evaluate_bypass_predictors(train, test, ROBOT.v_lin)
     assert set(report.median_ae) == {"glr", "average-speed", "trapezoid"}
     assert set(report.iqr_ae) == {"glr", "average-speed", "trapezoid"}
     assert report.n_train == 800 and report.n_test == 400
@@ -466,7 +470,7 @@ def test_predictor_report_structure():
 def test_regressor_beats_speed_baseline_when_turns_matter():
     train = _heading_heavy_dataset(800, 2)
     test = _heading_heavy_dataset(400, 3)
-    _, report = evaluate_bypass_predictors(train, test)
+    _, report = evaluate_bypass_predictors(train, test, ROBOT.v_lin)
     assert report.median_ae["glr"] < report.median_ae["average-speed"]
     assert report.iqr_ae["glr"] < report.iqr_ae["average-speed"]
 

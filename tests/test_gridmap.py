@@ -13,20 +13,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import grid_from_ascii
+from conftest import empty_grid, grid_from_ascii
 import namoplan
 from namoplan import gridmap, scenario_path
 from namoplan.gridmap import (FREE, STATIC, GridPosition, OccupancyGrid,
                               QueryInsideObstacle, clear_memos, free_area,
                               inflated_blocked_mask, mark_explored,
                               raycast_distance, raycast_width)
+from namoplan.simulator import RobotConfig
 from oracles import is_explored
+
+ROBOT = RobotConfig()
 
 # -- construction and file format --------------------------------------
 
 
 def test_empty_dimensions():
-    g = OccupancyGrid.empty(30, 20, 0.1)
+    g = empty_grid(30, 20, 0.1)
     assert g.width_cells == 30 and g.height_cells == 20
     assert g.width_m == pytest.approx(3.0)
     assert g.height_m == pytest.approx(2.0)
@@ -34,7 +37,7 @@ def test_empty_dimensions():
 
 def test_invalid_resolution():
     with pytest.raises(ValueError):
-        OccupancyGrid.empty(5, 5, 0.0)
+        empty_grid(5, 5, 0.0)
 
 
 def test_text_roundtrip(tmp_path):
@@ -51,7 +54,7 @@ def test_text_roundtrip(tmp_path):
 
 
 def test_text_header():
-    g = OccupancyGrid.empty(4, 3, 0.05)
+    g = empty_grid(4, 3, 0.05)
     assert g.to_text().splitlines()[0] == "4 3 0.05"
 
 
@@ -69,7 +72,7 @@ def test_malformed_maps_rejected(bad):
 
 
 def test_out_of_bounds_is_static():
-    g = OccupancyGrid.empty(10, 10, 0.1)
+    g = empty_grid(10, 10, 0.1)
     assert g.state_at(-0.05, 0.5) == STATIC
     assert g.state_at(0.5, 99.0) == STATIC
     assert is_explored(g, -1.0, -1.0)  # outside counts as known
@@ -86,7 +89,7 @@ def test_raycast_hits_wall():
 
 
 def test_raycast_respects_max_range():
-    g = OccupancyGrid.empty(100, 100, 0.1)
+    g = empty_grid(100, 100, 0.1)
     assert raycast_distance(g, 5.0, 5.0, 1.0, max_range=2.0) == pytest.approx(2.0)
 
 
@@ -133,7 +136,7 @@ def test_corridor_width_1p2_at_fine_resolution():
 
 
 def test_width_in_open_room_bounded_by_span():
-    g = OccupancyGrid.empty(100, 100, 0.1)  # 10 m x 10 m
+    g = empty_grid(100, 100, 0.1)  # 10 m x 10 m
     w = raycast_width(g, GridPosition(5.0, 5.0), 0.0)
     assert 2.0 <= w <= 10.0 + 2 * g.resolution
 
@@ -154,7 +157,7 @@ def test_width_query_inside_obstacle_rejected(corridor_grid):
 
 
 def test_free_area_all_free():
-    g = OccupancyGrid.empty(10, 10, 1.0)
+    g = empty_grid(10, 10, 1.0)
     assert free_area(g) == pytest.approx(100.0)
 
 
@@ -182,7 +185,7 @@ def test_warehouse_map_free_area_stable():
 
 
 def test_mark_explored_open_disk():
-    g = OccupancyGrid.empty(100, 100, 0.1)
+    g = empty_grid(100, 100, 0.1)
     mark_explored(g, 5.0, 5.0, 0.0, sensor_range=2.0, fov=2 * math.pi)
     # a cell well inside the disk, ahead of the robot
     assert is_explored(g, 6.5, 5.0)
@@ -203,7 +206,7 @@ def test_mark_explored_occlusion():
 
 
 def test_mark_explored_monotone():
-    g = OccupancyGrid.empty(60, 60, 0.1)
+    g = empty_grid(60, 60, 0.1)
     counts = []
     for x in (1.0, 2.0, 3.0):
         mark_explored(g, x, 3.0, 0.0, sensor_range=1.5, fov=math.pi / 2)
@@ -234,9 +237,9 @@ def test_mark_explored_matches_per_ray_walk():
 
 
 def test_mark_explored_outside_map_rejected():
-    g = OccupancyGrid.empty(10, 10, 0.1)
+    g = empty_grid(10, 10, 0.1)
     with pytest.raises(ValueError):
-        mark_explored(g, -0.5, 0.5, 0.0)
+        mark_explored(g, -0.5, 0.5, 0.0, ROBOT.sensor_range, ROBOT.sensor_fov)
 
 
 # -- inflation ----------------------------------------------------------
@@ -251,7 +254,7 @@ def test_inflated_mask_blocks_near_wall(corridor_grid):
 
 
 def test_inflated_mask_border_inflates_inward():
-    g = OccupancyGrid.empty(50, 50, 0.1)
+    g = empty_grid(50, 50, 0.1)
     mask = inflated_blocked_mask(g, 0.3)
     iy, ix = g.cell_index(0.15, 2.5)
     assert mask[iy, ix]
@@ -275,7 +278,7 @@ def test_inflated_mask_follows_cell_writes():
 
 
 def test_inflated_mask_is_a_fresh_copy():
-    g = OccupancyGrid.empty(30, 30, 0.1)
+    g = empty_grid(30, 30, 0.1)
     first = inflated_blocked_mask(g, 0.2)
     first[:] = True
     assert not inflated_blocked_mask(g, 0.2)[15, 15]
@@ -363,7 +366,7 @@ def test_memoized_raycast_matches_oracle(name):
 
 
 def test_cells_are_a_read_only_copy_named_by_the_key(tmp_path):
-    OccupancyGrid.empty(6, 4, 0.1).save(tmp_path / "m.map")
+    empty_grid(6, 4, 0.1).save(tmp_path / "m.map")
     grid = OccupancyGrid.load(tmp_path / "m.map")
     with pytest.raises(ValueError):
         grid.cells[1, 1] = STATIC
@@ -378,24 +381,25 @@ def test_cells_are_a_read_only_copy_named_by_the_key(tmp_path):
 
 
 def test_keyed_grid_stays_read_only_through_pickling(tmp_path):
-    OccupancyGrid.empty(6, 4, 0.1).save(tmp_path / "m.map")
+    empty_grid(6, 4, 0.1).save(tmp_path / "m.map")
     grid = OccupancyGrid.load(tmp_path / "m.map")
     grid.explored.flags.writeable = False
     back = pickle.loads(pickle.dumps(grid))
     assert back.key == grid.key and np.array_equal(back.cells, grid.cells)
     assert not back.cells.flags.writeable and not back.explored.flags.writeable
-    built = pickle.loads(pickle.dumps(OccupancyGrid.empty(6, 4, 0.1)))
+    built = pickle.loads(pickle.dumps(empty_grid(6, 4, 0.1)))
     assert built.key == grid.key
     assert not built.cells.flags.writeable and built.explored.flags.writeable
 
 
 def test_unexplored_view_shares_cells_and_key():
     grid = OccupancyGrid.load(scenario_path("room.map"))
-    mark_explored(grid, 2.0, 3.0, 0.0)
+    sensor = (ROBOT.sensor_range, ROBOT.sensor_fov)
+    mark_explored(grid, 2.0, 3.0, 0.0, *sensor)
     view = grid.unexplored_view()
     assert view.cells is grid.cells and view.key == grid.key
     assert not view.explored.any() and view.explored.flags.writeable
-    mark_explored(view, 2.0, 3.0, 0.0)
+    mark_explored(view, 2.0, 3.0, 0.0, *sensor)
     assert np.array_equal(view.explored, grid.explored)
     assert view.explored is not grid.explored
 
@@ -435,8 +439,8 @@ def test_memos_stay_within_their_bounds(monkeypatch):
     for i, (x, y) in enumerate(_with_repeats(points, rng)):
         grid.explored[:] = False
         want.explored[:] = False
-        mark_explored(grid, x, y, 0.5, 2.0)
-        oracles.mark_explored(want, x, y, 0.5, 2.0)
+        mark_explored(grid, x, y, 0.5, 2.0, ROBOT.sensor_fov)
+        oracles.mark_explored(want, x, y, 0.5, 2.0, ROBOT.sensor_fov)
         assert np.array_equal(grid.explored, want.explored)
         assert raycast_distance(grid, x, y, 1.0) == oracles.raycast_distance(
             want, x, y, 1.0)
@@ -444,5 +448,5 @@ def test_memos_stay_within_their_bounds(monkeypatch):
         assert len(gridmap._RAY_MEMO) == min(i + 1, 5)
     # The most recently used queries are the ones kept.
     x, y = points[0]
-    mark_explored(grid, x, y, 0.5, 2.0)
+    mark_explored(grid, x, y, 0.5, 2.0, ROBOT.sensor_fov)
     assert next(reversed(gridmap._VISIBILITY_MEMO))[1:3] == (x, y)

@@ -12,6 +12,9 @@ from namoplan.observation import (InvalidCovariance, MovableObstacle, PoseBelief
                                   confidence_ellipse, fuse, path_blocked,
                                   project_measurement, turn_angles, wrap_angle)
 from namoplan.planner import Trajectory
+from namoplan.simulator import ScenarioConfig
+
+CONFIDENCE = ScenarioConfig.confidence
 
 
 def _robot(x=0.0, y=0.0, th=0.0, cov=None):
@@ -288,7 +291,7 @@ def test_ellipse_isotropic():
 
 def test_ellipse_zero_covariance():
     e = confidence_ellipse(PoseBelief(np.array([0.0, 0.0]), np.zeros((2, 2))),
-                           mo_radius=0.25)
+                           mo_radius=0.25, confidence=CONFIDENCE)
     assert e.a == pytest.approx(0.25)
     assert e.b == pytest.approx(0.25)
 
@@ -437,7 +440,7 @@ def test_path_blocked_matches_reference_on_ellipse_boundaries():
             mo = MovableObstacle("m", _belief(rng, rng.uniform(-2, 2, 2), zero),
                                  rng.uniform(0.1, 0.4))
             r = 0.2
-            e = confidence_ellipse(mo.belief, mo.radius).inflate(r)
+            e = confidence_ellipse(mo.belief, mo.radius, CONFIDENCE).inflate(r)
             t = rng.uniform(-math.pi, math.pi, 50)
             rim = np.column_stack([
                 e.cx + e.a * np.cos(t) * math.cos(e.angle)

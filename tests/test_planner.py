@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from conftest import grid_from_ascii
+from conftest import empty_grid, grid_from_ascii
 from namoplan import observation, planner
 from namoplan.gridmap import STATIC, GridPosition, OccupancyGrid, clear_memos
 from namoplan.planner import (Ellipse, EndpointBlocked, PlanRequest, Trajectory,
@@ -95,7 +95,7 @@ def test_segment_slices_inclusive():
 
 
 def test_straight_path_eight_meters():
-    g = OccupancyGrid.empty(100, 30, 0.1)
+    g = empty_grid(100, 30, 0.1)
     traj = plan_path(g, PlanRequest(GridPosition(1.0, 1.5), GridPosition(9.0, 1.5)),
                      robot_radius=0.3)
     assert traj is not None
@@ -105,14 +105,14 @@ def test_straight_path_eight_meters():
 
 
 def test_start_equals_goal_rejected():
-    g = OccupancyGrid.empty(20, 20, 0.1)
+    g = empty_grid(20, 20, 0.1)
     with pytest.raises(ValueError):
         plan_path(g, PlanRequest(GridPosition(1.0, 1.0), GridPosition(1.02, 1.04)),
                   robot_radius=0.1)
 
 
 def test_endpoint_blocked_distinct_from_no_path():
-    g = OccupancyGrid.empty(40, 40, 0.1)
+    g = empty_grid(40, 40, 0.1)
     with pytest.raises(EndpointBlocked):
         plan_path(g, PlanRequest(GridPosition(0.1, 0.1), GridPosition(2.0, 2.0)),
                   robot_radius=0.3)
@@ -171,7 +171,7 @@ def test_astar_matches_dijkstra_on_random_maps():
 
 
 def test_adding_obstacle_never_shortens():
-    g = OccupancyGrid.empty(60, 60, 0.1)
+    g = empty_grid(60, 60, 0.1)
     req = PlanRequest(GridPosition(1.0, 3.0), GridPosition(5.0, 3.0))
     base = plan_path(g, req, 0.2)
     e = Ellipse(3.0, 3.0, 0.4, 0.4, 0.0)
@@ -199,7 +199,7 @@ def test_waypoints_clear_of_static_cells():
 
 
 def test_consecutive_waypoints_adjacent():
-    g = OccupancyGrid.empty(50, 50, 0.1)
+    g = empty_grid(50, 50, 0.1)
     traj = plan_path(g, PlanRequest(GridPosition(1.0, 1.0), GridPosition(4.0, 3.0)),
                      robot_radius=0.2)
     gaps = np.linalg.norm(np.diff(traj.positions, axis=0), axis=1)
@@ -210,7 +210,7 @@ def test_consecutive_waypoints_adjacent():
 
 
 def test_start_inside_ellipse_is_escapable():
-    g = OccupancyGrid.empty(60, 60, 0.1)
+    g = empty_grid(60, 60, 0.1)
     e = Ellipse(3.0, 3.0, 1.0, 1.0, 0.0)
     traj = plan_path(g, PlanRequest(GridPosition(3.2, 3.0), GridPosition(5.5, 3.0),
                                     (e,)),
@@ -220,7 +220,7 @@ def test_start_inside_ellipse_is_escapable():
 
 
 def test_start_inside_static_inflation_still_blocked():
-    g = OccupancyGrid.empty(60, 60, 0.1)
+    g = empty_grid(60, 60, 0.1)
     e = Ellipse(3.0, 0.5, 1.0, 1.0, 0.0)
     # start is inside the border inflation, not just the ellipse
     with pytest.raises(EndpointBlocked):
@@ -272,7 +272,7 @@ def test_plan_matches_reference_on_open_grid_ties():
     # Many equal-cost routes: only the turn-count tie-break and the heap
     # order pick one, so any drift in either shows up here.
     rng = np.random.default_rng(12)
-    g = OccupancyGrid.empty(50, 40, 0.1)
+    g = empty_grid(50, 40, 0.1)
     for req in _random_requests(g, rng, 40):
         _assert_same_plan(g, req, 0.15)
 
@@ -340,7 +340,7 @@ def test_blocked_mask_matches_per_cell_rasterization():
 @pytest.mark.parametrize("cx, cy", [(-3.0, 2.0), (2.0, -3.0), (-3.0, -3.0),
                                     (-0.2, 2.0), (2.0, -0.2), (9.0, 2.0)])
 def test_blocked_mask_with_ellipse_off_the_map(cx, cy):
-    g = OccupancyGrid.empty(40, 40, 0.1)
+    g = empty_grid(40, 40, 0.1)
     e = Ellipse(cx, cy, 0.5, 0.3, 0.4)
     got = blocked_mask(g, 0.1, (e,))
     assert np.array_equal(got, oracles.blocked_mask(g, 0.1, (e,)))
@@ -384,7 +384,7 @@ def test_cached_plans_match_reference_cold_and_warm(searches):
 
 
 def test_cache_stays_within_capacity(searches):
-    g = OccupancyGrid.empty(30, 30, 0.1)
+    g = empty_grid(30, 30, 0.1)
     goal = GridPosition(2.55, 2.55)
     starts = [GridPosition(*g.cell_center(iy, ix))
               for iy in range(2, 27) for ix in range(2, 9)]
@@ -402,11 +402,11 @@ def test_cache_stays_within_capacity(searches):
 
 
 def test_cache_keeps_maps_of_one_shape_apart(searches):
-    open_grid = OccupancyGrid.empty(40, 30, 0.1)
+    open_grid = empty_grid(40, 30, 0.1)
     cells = np.zeros((30, 40), np.uint8)
     cells[5:30, 20] = STATIC
     walled = OccupancyGrid(0.1, cells)
-    coarse = OccupancyGrid.empty(40, 30, 0.2)
+    coarse = empty_grid(40, 30, 0.2)
     req = PlanRequest(GridPosition(0.55, 1.55), GridPosition(3.55, 1.55))
     got_open = plan_path(open_grid, req, 0.1)
     got_walled = plan_path(walled, req, 0.1)
@@ -425,7 +425,7 @@ def test_cache_keeps_maps_of_one_shape_apart(searches):
 
 
 def test_cached_trajectory_is_read_only(searches):
-    g = OccupancyGrid.empty(30, 20, 0.1)
+    g = empty_grid(30, 20, 0.1)
     req = PlanRequest(GridPosition(0.55, 0.55), GridPosition(2.55, 1.55))
     traj = plan_path(g, req, 0.1)
     want = traj.positions.copy()
@@ -466,17 +466,17 @@ def test_cache_keeps_masks_one_cell_or_one_shape_apart(searches):
     still tells two masks apart, and so does the shape, though 9 x 7 and
     8 x 8 masks can pack to the same bytes."""
     req = PlanRequest(GridPosition(0.05, 0.05), GridPosition(0.35, 0.35))
-    open_grid = OccupancyGrid.empty(9, 7, 0.1)
+    open_grid = empty_grid(9, 7, 0.1)
     cells = np.zeros((7, 9), np.uint8)
     cells[6, 8] = STATIC
     last = OccupancyGrid(0.1, cells)
     masks = [planner.planning_mask(g, req, 0.01) for g in (open_grid, last)]
     assert np.count_nonzero(masks[0] != masks[1]) == 1
-    for g in (open_grid, last, OccupancyGrid.empty(7, 9, 0.1),
-              OccupancyGrid.empty(8, 8, 0.1)):
+    for g in (open_grid, last, empty_grid(7, 9, 0.1),
+              empty_grid(8, 8, 0.1)):
         plan_path(g, req, 0.01)
     assert np.array_equal(np.packbits(planner.planning_mask(
-        OccupancyGrid.empty(8, 8, 0.1), req, 0.01)), np.packbits(masks[0]))
+        empty_grid(8, 8, 0.1), req, 0.01)), np.packbits(masks[0]))
     assert len(searches) == len(planner._PLAN_CACHE) == 4
 
 
@@ -526,7 +526,7 @@ def test_indexed_plans_match_reference_cold_and_warm(searches, masks_built):
 
 
 def test_ellipses_that_rasterize_alike_share_one_search(searches):
-    g = OccupancyGrid.empty(40, 30, 0.1)
+    g = empty_grid(40, 30, 0.1)
     start, goal = GridPosition(0.55, 1.55), GridPosition(3.55, 1.55)
     reqs = [PlanRequest(start, goal, (Ellipse(cx, 1.5, 0.4, 0.3, 0.0),))
             for cx in (2.0, 2.0 + 1e-6)]
@@ -543,7 +543,7 @@ def test_ellipses_that_rasterize_alike_share_one_search(searches):
 def test_indexed_request_whose_plan_was_evicted_searches_again(
         searches, monkeypatch):
     monkeypatch.setattr(planner._PLAN_CACHE, "size", 2)
-    g = OccupancyGrid.empty(30, 20, 0.1)
+    g = empty_grid(30, 20, 0.1)
     goal = GridPosition(2.55, 1.55)
     reqs = [PlanRequest(GridPosition(0.55, 0.55 + 0.5 * i), goal)
             for i in range(3)]
@@ -582,7 +582,7 @@ def test_raising_requests_stay_out_of_the_index(searches):
 
 def test_index_stays_within_its_bound(searches, masks_built, monkeypatch):
     monkeypatch.setattr(planner._PLAN_INDEX, "size", 4)
-    g = OccupancyGrid.empty(30, 30, 0.1)
+    g = empty_grid(30, 30, 0.1)
     goal = GridPosition(2.55, 2.55)
     reqs = [PlanRequest(GridPosition(*g.cell_center(2, ix)), goal)
             for ix in range(2, 12)]

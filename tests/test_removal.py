@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 import oracles
-from conftest import grid_from_ascii
+from conftest import empty_grid, grid_from_ascii
 from namoplan import removal
 from namoplan.gridmap import STATIC, OccupancyGrid
 from namoplan.observation import MovableObstacle, PoseBelief
@@ -16,6 +16,16 @@ from namoplan.planner import Trajectory
 from namoplan.removal import (BetaBelief, _stock_candidates,
                               beta_ppf, estimate_removal_time, expected_removal_cost,
                               removal_cost_interval, success_rate_interval)
+from namoplan.simulator import RemovalConfig, RobotConfig, ScenarioConfig
+
+CONFIDENCE = ScenarioConfig.confidence
+ROBOT, REMOVAL = RobotConfig(), RemovalConfig()
+# Stock-search arguments from the default config: its speeds and handling
+# times, and in STOCK its search radius too.
+TIMES = {"v_lin": ROBOT.v_lin, "v_rot": ROBOT.v_rot,
+         "load_overhead": REMOVAL.load_overhead,
+         "unload_overhead": REMOVAL.unload_overhead}
+STOCK = {**TIMES, "search_radius": REMOVAL.search_radius}
 
 # -- Beta belief --------------------------------------------------------
 
@@ -24,7 +34,7 @@ def test_update_counts():
     assert oracles.update_belief(BetaBelief(9, 1), False) == BetaBelief(9, 2)
     b = oracles.update_belief(BetaBelief(1, 1), True)
     assert b == BetaBelief(2, 1)
-    assert b.mean == pytest.approx(2 / 3)
+    assert oracles.beta_mean(b) == pytest.approx(2 / 3)
 
 
 def test_from_trials_keeps_belief_proper():
@@ -111,16 +121,18 @@ def test_cost_monotone_in_success_rate():
 def test_cost_interval_orients_endpoints():
     belief = BetaBelief(9, 1)
     params = (3, 10.0, 20.0)
-    iv = removal_cost_interval(belief, *params)
-    p_lo, p_hi = success_rate_interval(belief)
+    iv = removal_cost_interval(belief, *params, CONFIDENCE)
+    p_lo, p_hi = success_rate_interval(belief, CONFIDENCE)
     assert iv.lo == pytest.approx(expected_removal_cost(p_hi, *params))
     assert iv.hi == pytest.approx(expected_removal_cost(p_lo, *params))
-    assert iv.lo <= expected_removal_cost(belief.mean, *params) <= iv.hi
+    assert iv.lo <= expected_removal_cost(oracles.beta_mean(belief),
+                                          *params) <= iv.hi
 
 
 def test_cost_interval_concentrates():
-    wide = removal_cost_interval(BetaBelief(9, 1), 3, 10.0, 20.0)
-    tight = removal_cost_interval(BetaBelief(900, 100), 3, 10.0, 20.0)
+    wide = removal_cost_interval(BetaBelief(9, 1), 3, 10.0, 20.0, CONFIDENCE)
+    tight = removal_cost_interval(BetaBelief(900, 100), 3, 10.0, 20.0,
+                                  CONFIDENCE)
     assert tight.hi - tight.lo < wide.hi - wide.lo
 
 
@@ -130,7 +142,7 @@ def test_belief_converges_to_true_rate():
     belief = BetaBelief(1, 1)
     for _ in range(10_000):
         belief = oracles.update_belief(belief, bool(rng.random() < p))
-    assert belief.mean == pytest.approx(p, abs=0.02)
+    assert oracles.beta_mean(belief) == pytest.approx(p, abs=0.02)
 
 
 # -- stock placement ----------------------------------------------------
@@ -158,7 +170,7 @@ def _doorway_world():
 def test_stock_found_next_to_doorway():
     grid, mo, blocked = _doorway_world()
     est = estimate_removal_time(grid, mo, np.array([1.5, 2.0]), blocked,
-                                robot_radius=0.2, search_radius=3.0)
+                                robot_radius=0.2, search_radius=3.0, **TIMES)
     assert est is not None
     assert est.t_mo > 0
     # placed clear of the blocked path by obstacle + robot radius
@@ -178,16 +190,16 @@ def test_no_stock_in_tight_corridor():
     xs = np.arange(0.2, 23.8, 0.2)
     blocked = Trajectory(np.column_stack([xs, np.full_like(xs, 2.2)]))
     est = estimate_removal_time(grid, mo, np.array([10.0, 2.2]), blocked,
-                                robot_radius=0.3, search_radius=2.5)
+                                robot_radius=0.3, search_radius=2.5, **TIMES)
     assert est is None
 
 
 def test_removal_time_stable_across_runs():
     grid, mo, blocked = _doorway_world()
     first = estimate_removal_time(grid, mo, np.array([1.5, 2.0]), blocked,
-                                  robot_radius=0.2)
+                                  robot_radius=0.2, **STOCK)
     second = estimate_removal_time(grid, mo, np.array([1.5, 2.0]), blocked,
-                                   robot_radius=0.2)
+                                   robot_radius=0.2, **STOCK)
     assert first.t_mo == second.t_mo
     assert (first.stock_position.x, first.stock_position.y) == \
         (second.stock_position.x, second.stock_position.y)
@@ -252,9 +264,10 @@ def test_stock_search_matches_per_cell_scan():
                 mo = MovableObstacle("m", PoseBelief(np.array([mx, my]),
                                                      1e-6 * np.eye(2)), mo_radius)
                 args = (grid, mo, np.array([2.5, 2.0]), blocked, 0.1)
-                est = estimate_removal_time(*args, search_radius=search_radius)
+                est = estimate_removal_time(*args, **TIMES,
+                                            search_radius=search_radius)
                 assert est == oracles.estimate_removal_time(
-                    *args, search_radius=search_radius)
+                    *args, **TIMES, search_radius=search_radius)
                 if est is not None:
                     found += 1
                     nearest = grid.cell_center(*want[0][1:])
@@ -268,7 +281,7 @@ def test_stock_search_ignores_only_waypoints_out_of_reach():
     # 1.55 m (inside the 1.6 m reach) every candidate beyond 1.15 m, so no
     # stock cell is left. A ring at 1.65 m rules out none, and a path with
     # no waypoint in reach leaves the nearest candidate.
-    grid = OccupancyGrid.empty(60, 60, 0.1)
+    grid = empty_grid(60, 60, 0.1)
     mx, my = 3.02, 2.97
     mo = MovableObstacle("m", PoseBelief(np.array([mx, my]), 1e-6 * np.eye(2)),
                          0.2)
@@ -281,8 +294,9 @@ def test_stock_search_ignores_only_waypoints_out_of_reach():
                        (2.0 * circle, True)):
         blocked = Trajectory(pts + (mx, my))
         args = (grid, mo, np.array([0.5, 0.5]), blocked, 0.2)
-        est = estimate_removal_time(*args, search_radius=1.2)
-        assert est == oracles.estimate_removal_time(*args, search_radius=1.2)
+        est = estimate_removal_time(*args, **TIMES, search_radius=1.2)
+        assert est == oracles.estimate_removal_time(*args, **TIMES,
+                                                    search_radius=1.2)
         assert (est is not None) == found
 
 
@@ -302,8 +316,9 @@ def test_stock_search_first_fit_across_chunks(monkeypatch, first_slice):
         mo = MovableObstacle("m", PoseBelief(np.array([mx, my]),
                                              1e-6 * np.eye(2)), 0.15)
         args = (grid, mo, np.array([0.5, 0.5]), blocked, 0.1)
-        est = estimate_removal_time(*args)
-        assert est is not None and est == oracles.estimate_removal_time(*args)
+        est = estimate_removal_time(*args, **STOCK)
+        assert est is not None and est == oracles.estimate_removal_time(
+            *args, **STOCK)
         cells = [c[1:] for c in _stock_candidates(grid, mx, my, 0.15, 3.0,
                                                   _everything, _NO_CAP)]
         assert cells.index(grid.cell_index(est.stock_position.x,
@@ -313,7 +328,7 @@ def test_stock_search_first_fit_across_chunks(monkeypatch, first_slice):
 def test_stock_search_bounds_are_closed():
     # At 0.25 m every cell center and distance along a row is exact, so
     # cells lie exactly at 2 cells and at the search radius.
-    grid = OccupancyGrid.empty(24, 24, 0.25)
+    grid = empty_grid(24, 24, 0.25)
     mx, my = grid.cell_center(12, 12)
     got = list(_stock_candidates(grid, mx, my, 0.2, 1.0, _everything,
                                  _NO_CAP))
@@ -399,7 +414,7 @@ def test_clearance_slices_double_up_to_the_cap():
     # With nothing fitting, every cell within the search radius is tested
     # once, in slices of 64, 128, ... capped at `max_slice`, and no cell
     # beyond the radius is tested at all.
-    grid = OccupancyGrid.empty(100, 100, 0.1)
+    grid = empty_grid(100, 100, 0.1)
     mx, my = 5.0123, 4.9871
     inside = sum(math.hypot(*(np.array(grid.cell_center(iy, ix)) - (mx, my)))
                  <= 3.0 for iy in range(100) for ix in range(100))
@@ -420,15 +435,15 @@ def test_stock_clearance_test_is_strict():
     # At 0.25 m the cell centres, the waypoints and the clearance
     # 0.25 + 0.25 are exact, so the nearest candidate lies exactly at the
     # clearance from the path and still fits.
-    grid = OccupancyGrid.empty(24, 24, 0.25)
+    grid = empty_grid(24, 24, 0.25)
     mx, my = grid.cell_center(12, 12)
     mo = MovableObstacle("m", PoseBelief(np.array([mx, my]),
                                          1e-6 * np.eye(2)), 0.25)
     xs = np.arange(0.125, 6.0, 0.25)
     blocked = Trajectory(np.column_stack([xs, np.full_like(xs, my - 1.0)]))
     args = (grid, mo, np.array([1.0, 1.0]), blocked, 0.25)
-    est = estimate_removal_time(*args)
-    assert est == oracles.estimate_removal_time(*args)
+    est = estimate_removal_time(*args, **STOCK)
+    assert est == oracles.estimate_removal_time(*args, **STOCK)
     assert (est.stock_position.x, est.stock_position.y) == (mx, my - 0.5)
 
 
@@ -445,5 +460,5 @@ def test_stock_search_under_the_smallest_slice_cap(monkeypatch):
         mo = MovableObstacle("m", PoseBelief(np.array([mx, my]),
                                              1e-6 * np.eye(2)), 0.2)
         args = (grid, mo, np.array([2.5, 2.0]), blocked, 0.1)
-        assert estimate_removal_time(*args) == oracles.estimate_removal_time(
-            *args)
+        assert estimate_removal_time(*args, **STOCK) == oracles.estimate_removal_time(
+            *args, **STOCK)

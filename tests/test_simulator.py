@@ -13,6 +13,7 @@ import pytest
 import yaml
 
 import oracles
+from conftest import empty_grid
 from namoplan import scenario_path
 from namoplan.gridmap import STATIC, OccupancyGrid, clear_memos, mark_explored
 from namoplan.planner import Trajectory
@@ -28,7 +29,7 @@ from oracles import motion_time
 
 def _write_map(tmp_path, cells=None, width=60, height=40, resolution=0.1):
     grid = (OccupancyGrid(resolution, cells) if cells is not None
-            else OccupancyGrid.empty(width, height, resolution))
+            else empty_grid(width, height, resolution))
     path = tmp_path / "test.map"
     grid.save(path)
     return str(path)
@@ -187,7 +188,12 @@ def _with_first_obstacle(cfg, **changes):
      "robot start not in a free cell"),
     (lambda raw: raw.update(goal=[0.05, 9.0]),
      lambda cfg: replace(cfg, goal=(0.05, 9.0)), "goal not in a free cell"),
-], ids=["timeout", "estimated_sr", "true_sr", "obstacle", "start", "goal"])
+    (lambda raw: raw["obstacles"][2].update(label="B"),
+     lambda cfg: replace(cfg, obstacles=(*cfg.obstacles[:2],
+                                         replace(cfg.obstacles[2], label="B"))),
+     "obstacle label 'B' is repeated"),
+], ids=["timeout", "estimated_sr", "true_sr", "obstacle", "start", "goal",
+        "label"])
 def test_invariants_validated(tmp_path, edit, derive, message):
     # A config derived in code fails as the same value in a file does.
     with pytest.raises(ScenarioError) as loaded:
@@ -280,7 +286,8 @@ def test_config_keeps_one_read_only_grid_across_episodes(tmp_path, monkeypatch):
     assert not grid.explored.any()
     assert not grid.cells.flags.writeable and not grid.explored.flags.writeable
     with pytest.raises(ValueError):
-        mark_explored(grid, *cfg.robot.start, 0.0)
+        mark_explored(grid, *cfg.robot.start, 0.0, cfg.robot.sensor_range,
+                      cfg.robot.sensor_fov)
 
 
 def test_pickled_config_keeps_its_read_only_grid():
