@@ -117,8 +117,10 @@ def waypoint_presence_probability(pop: ObstaclePopulation, width: float) -> floa
 
 
 def trajectory_blockage_detail(pop: ObstaclePopulation, trajectory: Trajectory,
-                               grid: OccupancyGrid, r: float) -> list[WaypointRisk]:
-    """Per-waypoint risk terms over the unexplored part of a trajectory.
+                               grid: OccupancyGrid, explored: np.ndarray,
+                               r: float) -> list[WaypointRisk]:
+    """Per-waypoint risk terms over the part of a trajectory that the mask
+    `explored`, of the grid's shape, leaves unexplored.
 
     Waypoints are subsampled at one mean obstacle diameter of arc length:
     consecutive grid waypoints describe the same physical corridor slot, so
@@ -130,7 +132,7 @@ def trajectory_blockage_detail(pop: ObstaclePopulation, trajectory: Trajectory,
     spacing = max(pop.mu, grid.resolution)
     # Arc length summed left to right, as a walk over the steps would.
     travelled = list(accumulate(trajectory.step_lengths, initial=0.0))
-    unexplored = _unexplored_indices(grid, trajectory)
+    unexplored = _unexplored_indices(grid, explored, trajectory)
     next_at = 0.0
     k = 0
     while True:
@@ -167,8 +169,8 @@ def _waypoint_width(grid: OccupancyGrid, trajectory: Trajectory,
 
 def _on_map_cells(grid: OccupancyGrid,
                   positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the positions on the map and the flat index into
-    `grid.explored` of each one's cell, with `cell_index`'s arithmetic."""
+    """Indices of the positions on the map and the flat index of each one's
+    cell, with `cell_index`'s arithmetic."""
     xs, ys = positions[:, 0], positions[:, 1]
     inside = np.flatnonzero((0.0 <= xs) & (xs < grid.width_m)
                             & (0.0 <= ys) & (ys < grid.height_m))
@@ -186,11 +188,12 @@ def _route_cells(grid: OccupancyGrid,
                                trajectory.positions)
 
 
-def _unexplored_indices(grid: OccupancyGrid, trajectory: Trajectory) -> list[int]:
-    """Indices of the waypoints whose cell `grid.explored` leaves
-    unexplored: off the map counts as explored."""
+def _unexplored_indices(grid: OccupancyGrid, explored: np.ndarray,
+                        trajectory: Trajectory) -> list[int]:
+    """Indices of the waypoints whose cell `explored` leaves unexplored:
+    off the map counts as explored."""
     inside, cells = _route_cells(grid, trajectory)
-    return inside[~grid.explored.ravel()[cells]].tolist()
+    return inside[~explored.ravel()[cells]].tolist()
 
 
 # Blockage probabilities by everything a score reads: the trajectory, the
@@ -201,18 +204,19 @@ _BLOCKAGE_MEMO = Memo(256)
 
 
 def trajectory_blockage(pop: ObstaclePopulation, trajectory: Trajectory,
-                        grid: OccupancyGrid, r: float) -> float:
-    """Probability that at least one unseen obstacle blocks the trajectory.
-    Memoized on its inputs; of the explored mask it reads only the
-    trajectory's cells, so the key holds just those."""
-    seen = grid.explored.ravel()[_route_cells(grid, trajectory)[1]].tobytes()
+                        grid: OccupancyGrid, explored: np.ndarray,
+                        r: float) -> float:
+    """Probability that at least one unseen obstacle blocks the trajectory,
+    given the explored mask `explored`. Memoized on its inputs; of the mask
+    it reads only the trajectory's cells, so the key holds just those."""
+    seen = explored.ravel()[_route_cells(grid, trajectory)[1]].tobytes()
     return _BLOCKAGE_MEMO.lookup((trajectory, grid.key, pop, r, seen),
-                                 _blockage, pop, trajectory, grid, r)
+                                 _blockage, pop, trajectory, grid, explored, r)
 
 
 def _blockage(pop: ObstaclePopulation, trajectory: Trajectory,
-              grid: OccupancyGrid, r: float) -> float:
+              grid: OccupancyGrid, explored: np.ndarray, r: float) -> float:
     survive = 1.0
-    for wr in trajectory_blockage_detail(pop, trajectory, grid, r):
+    for wr in trajectory_blockage_detail(pop, trajectory, grid, explored, r):
         survive *= 1.0 - wr.p_block
     return min(max(1.0 - survive, 0.0), 1.0)

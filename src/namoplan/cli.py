@@ -10,6 +10,8 @@ import argparse
 import csv
 import sys
 
+import numpy as np
+
 from . import blockage as blk
 from . import bypass as byp
 from .experiments import (ExperimentSpec, evaluate_bypass_predictors,
@@ -80,9 +82,10 @@ def _cmd_run(args) -> int:
 
 
 def _write_diagnostics(config: ScenarioConfig, path: str) -> None:
-    grid = config.load_grid().unexplored_view()
+    grid = config.load_grid()
+    explored = np.zeros_like(grid.cells, dtype=bool)
     sx, sy = config.robot.start
-    mark_explored(grid, sx, sy, config.robot.start_heading,
+    mark_explored(grid, explored, sx, sy, config.robot.start_heading,
                   config.robot.sensor_range, config.robot.sensor_fov)
     traj = plan_path(grid, PlanRequest(GridPosition(sx, sy),
                                        GridPosition(*config.goal)),
@@ -91,7 +94,8 @@ def _write_diagnostics(config: ScenarioConfig, path: str) -> None:
         raise ScenarioError("no initial route for diagnostics")
     pop = blk.ObstaclePopulation(config.population.mu, config.population.sigma,
                                  config.population.k, free_area(grid))
-    risks = blk.trajectory_blockage_detail(pop, traj, grid, config.robot.radius)
+    risks = blk.trajectory_blockage_detail(pop, traj, grid, explored,
+                                           config.robot.radius)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "x", "y", "width", "p_block_given_here",

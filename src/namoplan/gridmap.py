@@ -28,62 +28,40 @@ class GridPosition:
     y: float
 
 
-@dataclass
+@dataclass(eq=False)
 class OccupancyGrid:
     """Row-major cell grid. cells[iy, ix] covers
     [ix*res, (ix+1)*res) x [iy*res, (iy+1)*res).
 
-    The explored mask starts empty and only ever grows during a run. The cells are a
-    read-only copy of those given, named by a `key` on which the queries
-    below are memoized. Read-only arrays stay read-only through pickling.
+    An immutable value: the cells are a read-only copy of those given, named
+    by a `key` on which the queries below are memoized. Two grids are told
+    apart by their keys, not by `==`. What an episode has seen of the map is
+    its own explored mask, not the grid's.
     """
 
     resolution: float
     cells: np.ndarray
-    explored: np.ndarray = field(init=False)
-    key: tuple = field(init=False, repr=False, compare=False)
+    key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.resolution <= 0:
-            raise ValueError("resolution must be positive")
         self.cells = np.array(self.cells, dtype=np.uint8)
         if self.cells.ndim != 2 or min(self.cells.shape) < 1:
             raise ValueError("cells must be a non-empty 2D array")
+        # A finite area also rules out a NaN or infinite resolution.
+        if not (self.resolution > 0 and math.isfinite(self.width_m * self.height_m)):
+            raise ValueError(f"map resolution {self.resolution} must be "
+                             "positive and give a finite map area")
         self.cells.flags.writeable = False
         # Hashed once here: hashing on every query would cost more than
         # the queries it saves.
         self.key = (hashlib.blake2b(self.cells.tobytes(), digest_size=16).digest(),
                     self.cells.shape, self.resolution)
-        self.explored = np.zeros_like(self.cells, dtype=bool)
-
-    # -- construction -------------------------------------------------
-
-    def unexplored_view(self) -> "OccupancyGrid":
-        """A grid sharing these cells and this key, with its own mask in
-        which nothing is explored yet."""
-        # Built attribute by attribute, as `__init__` would: `copy.copy`
-        # goes through `__setstate__`, whose copied instance dict makes
-        # every attribute read of the episode's grid slower (about 2.5% of
-        # a warm suite pass), and `__init__` would hash the cells again.
-        view = object.__new__(OccupancyGrid)
-        view.resolution, view.cells = self.resolution, self.cells
-        view.explored = np.zeros_like(self.cells, dtype=bool)
-        view.key = self.key
-        return view
 
     # Unpickled arrays come back writable; the memos rely on a grid's cells
-    # never changing, so the flags travel with the arrays.
-    def __getstate__(self) -> dict:
-        return {**self.__dict__, "_writeable": (self.cells.flags.writeable,
-                                                self.explored.flags.writeable)}
-
+    # never changing.
     def __setstate__(self, state: dict) -> None:
-        state = dict(state)
-        writeable = state.pop("_writeable")
         self.__dict__.update(state)
-        for array, w in zip((self.cells, self.explored), writeable):
-            if not w:
-                array.flags.writeable = False
+        self.cells.flags.writeable = False
 
     # -- geometry helpers ---------------------------------------------
 
@@ -262,17 +240,18 @@ def free_area(grid: OccupancyGrid) -> float:
     return float(np.count_nonzero(grid.cells == FREE)) * grid.resolution ** 2
 
 
-def mark_explored(grid: OccupancyGrid, x: float, y: float, heading: float,
-                  sensor_range: float, fov: float) -> None:
-    """Grow the explored mask with single-bounce visibility from (x, y).
+def mark_explored(grid: OccupancyGrid, explored: np.ndarray, x: float, y: float,
+                  heading: float, sensor_range: float, fov: float) -> None:
+    """Grow `explored`, a boolean mask of the grid's shape, with
+    single-bounce visibility from (x, y).
 
     Rays are cast over the field of view; cells behind the first static hit
-    stay unexplored. Mutates the grid in place.
+    stay unexplored. Mutates `explored` in place.
     """
     if not grid.in_bounds(x, y):
         raise ValueError("robot pose outside map")
-    np.put(grid.explored, _memoized(_VISIBILITY_MEMO, _visible_cells, grid,
-                                    x, y, heading, sensor_range, fov), True)
+    np.put(explored, _memoized(_VISIBILITY_MEMO, _visible_cells, grid,
+                               x, y, heading, sensor_range, fov), True)
 
 
 def _visible_cells(grid: OccupancyGrid, x: float, y: float, heading: float,

@@ -100,7 +100,6 @@ class RangeBearingMeasurement:
 class PoseBelief:
     mean: np.ndarray  # (x, y)
     cov: np.ndarray  # 2x2
-    observation_count: int = 1
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
@@ -136,7 +135,7 @@ def project_measurement(robot: RobotPoseBelief,
                     [s, d * c]])
     cov = j_r @ robot.cov @ j_r.T + j_y @ meas.cov @ j_y.T
     cov = 0.5 * (cov + cov.T)
-    return PoseBelief(mean, cov, observation_count=1)
+    return PoseBelief(mean, cov)
 
 
 def fuse(prior: PoseBelief, obs: PoseBelief) -> PoseBelief:
@@ -145,15 +144,14 @@ def fuse(prior: PoseBelief, obs: PoseBelief) -> PoseBelief:
     if np.trace(s) < 1e-12:
         if np.linalg.norm(prior.mean - obs.mean) > 1e-9:
             raise ValueError("inconsistent noiseless observations")
-        return PoseBelief(prior.mean.copy(), prior.cov.copy(),
-                          prior.observation_count + obs.observation_count)
+        return PoseBelief(prior.mean.copy(), prior.cov.copy())
     gain = prior.cov @ np.linalg.inv(s)
     mean = prior.mean + gain @ (obs.mean - prior.mean)
     cov = (np.eye(2) - gain) @ prior.cov
     cov = 0.5 * (cov + cov.T)
     # Numerical guard: fusion can only tighten the belief.
     cov = np.where(np.eye(2, dtype=bool), np.maximum(cov.diagonal(), 0.0), cov)
-    return PoseBelief(mean, cov, prior.observation_count + obs.observation_count)
+    return PoseBelief(mean, cov)
 
 
 def confidence_ellipse(belief: PoseBelief, mo_radius: float,

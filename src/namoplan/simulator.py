@@ -131,8 +131,7 @@ class ScenarioConfig:
 
     def load_grid(self) -> OccupancyGrid:
         """The map, read and checked against the obstacle, start and goal
-        positions when the config is constructed. It is read-only, explored
-        mask included: an episode marks its own `unexplored_view()`."""
+        positions when the config is constructed."""
         return self._grid
 
     @cached_property
@@ -150,7 +149,10 @@ class ScenarioConfig:
             raise ScenarioError("robot start not in a free cell")
         if not grid.is_free(*self.goal):
             raise ScenarioError("goal not in a free cell")
-        grid.explored.flags.writeable = False
+        # `plan_to` finds no route within one cell, so such an episode
+        # could only end in no_strategy.
+        if grid.cell_index(*self.robot.start) == grid.cell_index(*self.goal):
+            raise ScenarioError("goal in the robot's start cell")
         return grid
 
     @staticmethod
@@ -475,7 +477,9 @@ class _Episode:
         self.cfg = config
         self.seed = seed
         self.rng = np.random.default_rng(seed)
-        self.grid = config.load_grid().unexplored_view()
+        self.grid = config.load_grid()
+        # The cells this episode has sensed so far.
+        self.explored = np.zeros_like(self.grid.cells, dtype=bool)
         self.mos = {o.label: _WorldMO(o, o.position[0], o.position[1])
                     for o in config.obstacles}
         self.beliefs: dict[str, PoseBelief] = {}
@@ -546,7 +550,7 @@ class _Episode:
 
     def sense(self) -> None:
         self.diag["n_senses"] += 1
-        mark_explored(self.grid, self.x, self.y, self.heading,
+        mark_explored(self.grid, self.explored, self.x, self.y, self.heading,
                       self.cfg.robot.sensor_range, self.cfg.robot.sensor_fov)
         var_d, var_phi = self.cfg.noise.meas_cov_diag
         for label in sorted(self.mos):
@@ -605,6 +609,7 @@ class _Episode:
                           proxy: CostInterval) -> CostInterval:
         """`proxy` scaled by the chance that an unseen obstacle blocks `traj`."""
         return proxy.scale(blk.trajectory_blockage(self.pop, traj, self.grid,
+                                                   self.explored,
                                                    self.cfg.robot.radius))
 
     # -- movement ------------------------------------------------------
@@ -728,9 +733,8 @@ class _Episode:
             self.diag["distance"] += 2.0 * est.carry_length
             mo.x, mo.y = est.stock_position.x, est.stock_position.y
             mo.placed = True
-            self.beliefs[label] = PoseBelief(
-                np.array([mo.x, mo.y]), np.eye(2) * 1e-6,
-                self.beliefs[label].observation_count + 1)
+            self.beliefs[label] = PoseBelief(np.array([mo.x, mo.y]),
+                                             np.eye(2) * 1e-6)
             self.trace.append({"event": "placed", "t": self.t, "obstacle": label,
                                "stock": [mo.x, mo.y]})
             if self.t >= self.cfg.timeout:
@@ -849,7 +853,7 @@ class _Node:
         # after it, since a rule may draw.
         self.children: dict[tuple, _End | _Node] = {}
         self.rng = ep.rng.bit_generator.state
-        self.explored = np.packbits(ep.grid.explored)
+        self.explored = np.packbits(ep.explored)
         self.mos = [(mo.x, mo.y, mo.placed) for mo in ep.mos.values()]
         self.beliefs, self.betas = dict(ep.beliefs), dict(ep.betas)
         self.diag = dict(ep.diag)
@@ -860,7 +864,7 @@ class _Node:
         """Put `ep` in this node's state."""
         ep.rng.bit_generator.state = self.rng
         cells = ep.grid.cells
-        ep.grid.explored = np.unpackbits(self.explored, count=cells.size).view(
+        ep.explored = np.unpackbits(self.explored, count=cells.size).view(
             bool).reshape(cells.shape)
         for mo, (x, y, placed) in zip(ep.mos.values(), self.mos):
             mo.x, mo.y, mo.placed = x, y, placed

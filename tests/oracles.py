@@ -191,8 +191,8 @@ def dijkstra_cost(grid: OccupancyGrid, mask: np.ndarray,
     return math.inf
 
 
-def mark_explored(grid: OccupancyGrid, x: float, y: float, heading: float,
-                  sensor_range: float, fov: float) -> None:
+def mark_explored(grid: OccupancyGrid, explored: np.ndarray, x: float, y: float,
+                  heading: float, sensor_range: float, fov: float) -> None:
     """Per-ray visibility walk: mark cells until the first static hit or the
     first step off the map."""
     if not grid.in_bounds(x, y):
@@ -202,7 +202,7 @@ def mark_explored(grid: OccupancyGrid, x: float, y: float, heading: float,
     angles = heading + np.linspace(-fov / 2.0, fov / 2.0, n_rays)
     steps = np.arange(0.0, sensor_range + res, 0.5 * res)
     iy0, ix0 = grid.cell_index(x, y)
-    grid.explored[iy0, ix0] = True
+    explored[iy0, ix0] = True
     h, w = grid.cells.shape
     for ang in angles:
         xs = x + steps * math.cos(ang)
@@ -213,7 +213,7 @@ def mark_explored(grid: OccupancyGrid, x: float, y: float, heading: float,
         for ix, iy, ok in zip(ixs, iys, inside):
             if not ok:
                 break
-            grid.explored[iy, ix] = True
+            explored[iy, ix] = True
             if grid.cells[iy, ix] == STATIC:
                 break
 
@@ -283,16 +283,17 @@ def estimate_removal_time(grid, mo, robot_xy, blocked_path, robot_radius,
     return None
 
 
-def is_explored(grid: OccupancyGrid, x: float, y: float) -> bool:
-    """Whether the cell at (x, y) is explored; off the map counts as
+def is_explored(grid: OccupancyGrid, explored: np.ndarray, x: float,
+                y: float) -> bool:
+    """Whether `explored` marks the cell at (x, y); off the map counts as
     explored."""
     if not grid.in_bounds(x, y):
         return True
     iy, ix = grid.cell_index(x, y)
-    return bool(grid.explored[iy, ix])
+    return bool(explored[iy, ix])
 
 
-def trajectory_blockage_detail(pop, trajectory, grid, r):
+def trajectory_blockage_detail(pop, trajectory, grid, explored, r):
     """Arc length walked with one `np.linalg.norm` per step; oracle for
     `blockage.trajectory_blockage_detail`."""
     risks = []
@@ -306,7 +307,7 @@ def trajectory_blockage_detail(pop, trajectory, grid, r):
         prev = pos
         if travelled < next_at:
             continue
-        if is_explored(grid, pos[0], pos[1]):
+        if is_explored(grid, explored, pos[0], pos[1]):
             continue
         next_at = travelled + spacing
         try:
@@ -322,11 +323,11 @@ def trajectory_blockage_detail(pop, trajectory, grid, r):
     return risks
 
 
-def trajectory_blockage(pop, trajectory, grid, r) -> float:
+def trajectory_blockage(pop, trajectory, grid, explored, r) -> float:
     """Unmemoized score over the reference walk; oracle for
     `blockage.trajectory_blockage`."""
     survive = 1.0
-    for wr in trajectory_blockage_detail(pop, trajectory, grid, r):
+    for wr in trajectory_blockage_detail(pop, trajectory, grid, explored, r):
         survive *= 1.0 - wr.p_block
     return min(max(1.0 - survive, 0.0), 1.0)
 

@@ -179,16 +179,14 @@ def _corridor_and_traj(explored=False):
 ..........................................
 ##########################################
 """, resolution=0.5)
-    if explored:
-        grid.explored[:, :] = True
     xs = np.arange(0.75, 20.5, 0.5)
     traj = Trajectory(np.column_stack([xs, np.full_like(xs, 1.25)]))
-    return grid, traj
+    return grid, np.full(grid.cells.shape, explored), traj
 
 
 def test_fully_explored_trajectory_risk_free():
-    grid, traj = _corridor_and_traj(explored=True)
-    assert trajectory_blockage(_pop(), traj, grid, 0.3) == 0.0
+    grid, seen, traj = _corridor_and_traj(explored=True)
+    assert trajectory_blockage(_pop(), traj, grid, seen, 0.3) == 0.0
 
 
 def test_two_waypoint_product():
@@ -198,15 +196,15 @@ def test_two_waypoint_product():
 
 
 def test_unexplored_corridor_accumulates_risk():
-    grid, traj = _corridor_and_traj()
+    grid, seen, traj = _corridor_and_traj()
     pop = ObstaclePopulation(1.8, 0.1, 10.0, 40.0)
-    risks = trajectory_blockage_detail(pop, traj, grid, 0.3)
+    risks = trajectory_blockage_detail(pop, traj, grid, seen, 0.3)
     assert len(risks) >= 2
     # subsampling: consecutive kept waypoints are at least one diameter apart
     kept = [r.index for r in risks]
     gaps = np.diff([traj.positions[i][0] for i in kept])
     assert np.all(gaps >= pop.mu - 1e-9)
-    p = trajectory_blockage(pop, traj, grid, 0.3)
+    p = trajectory_blockage(pop, traj, grid, seen, 0.3)
     manual = 1.0
     for r in risks:
         manual *= 1 - r.p_block
@@ -215,11 +213,11 @@ def test_unexplored_corridor_accumulates_risk():
 
 
 def test_more_unexplored_waypoints_riskier():
-    grid, traj = _corridor_and_traj()
+    grid, seen, traj = _corridor_and_traj()
     pop = ObstaclePopulation(1.8, 0.1, 10.0, 40.0)
     short = Trajectory(traj.positions[:8])
-    p_short = trajectory_blockage(pop, short, grid, 0.3)
-    p_full = trajectory_blockage(pop, traj, grid, 0.3)
+    p_short = trajectory_blockage(pop, short, grid, seen, 0.3)
+    p_full = trajectory_blockage(pop, traj, grid, seen, 0.3)
     assert p_full >= p_short - 1e-12
 
 
@@ -228,10 +226,11 @@ def test_open_space_skips_presence_factor():
     xs = np.arange(3.0, 17.0, 0.1)
     traj = Trajectory(np.column_stack([xs, np.full_like(xs, 10.0)]))
     pop = ObstaclePopulation(0.6, 0.1, 50.0, 100.0)
-    risks = trajectory_blockage_detail(pop, traj, grid, 0.3)
+    seen = np.zeros(grid.cells.shape, bool)
+    risks = trajectory_blockage_detail(pop, traj, grid, seen, 0.3)
     assert all(r.p_block_given_here == 0.0 for r in risks)
     assert all(r.p_here == 0.0 for r in risks)
-    assert trajectory_blockage(pop, traj, grid, 0.3) == 0.0
+    assert trajectory_blockage(pop, traj, grid, seen, 0.3) == 0.0
 
 
 def test_blockage_walk_matches_per_step_reference_on_random_paths():
@@ -245,9 +244,10 @@ def test_blockage_walk_matches_per_step_reference_on_random_paths():
         cells[rng.random((60, 80)) < 0.03] = STATIC
         cells[int(rng.integers(5, 55)), 10:70] = STATIC  # a long wall
         grid = OccupancyGrid(res, cells)
+        seen = np.zeros((60, 80), bool)
         for _ in range(3):
             iy, ix = rng.integers(0, 50), rng.integers(0, 70)
-            grid.explored[iy:iy + 10, ix:ix + 10] = True
+            seen[iy:iy + 10, ix:ix + 10] = True
         n = int(rng.integers(2, 300))
         if trial % 2:  # a walk over cell centres, as A* gives
             cells = np.clip(rng.integers(10, 50, 2)
@@ -263,8 +263,9 @@ def test_blockage_walk_matches_per_step_reference_on_random_paths():
         pop = ObstaclePopulation(mu, 0.1 * mu, rng.uniform(1.0, 20.0),
                                  float(grid.cells.size) * res * res)
         r = rng.uniform(0.1, 0.4)
-        got = trajectory_blockage_detail(pop, traj, grid, r)
-        assert got == oracles.trajectory_blockage_detail(pop, traj, grid, r)
+        got = trajectory_blockage_detail(pop, traj, grid, seen, r)
+        assert got == oracles.trajectory_blockage_detail(pop, traj, grid,
+                                                         seen, r)
         kept += len(got)
     assert kept > 100
 
@@ -280,7 +281,7 @@ def test_blockage_walk_matches_reference_off_map_and_in_static_cells():
         cells = np.zeros((30, 40), np.uint8)
         cells[rng.random((30, 40)) < 0.15] = STATIC
         grid = OccupancyGrid(res, cells)
-        grid.explored[rng.random((30, 40)) < rng.uniform(0.0, 0.8)] = True
+        explored = rng.random((30, 40)) < rng.uniform(0.0, 0.8)
         n = int(rng.integers(2, 200))
         # A walk of sub-cell steps that may start off the map or leave it.
         positions = (rng.uniform(-0.2, 1.2, 2) * (40 * res, 30 * res)
@@ -289,8 +290,9 @@ def test_blockage_walk_matches_reference_off_map_and_in_static_cells():
         traj = Trajectory(positions)
         mu = rng.uniform(0.05, 1.0)
         pop = ObstaclePopulation(mu, 0.1 * mu, rng.uniform(1.0, 20.0), 100.0)
-        got = trajectory_blockage_detail(pop, traj, grid, 0.2)
-        assert got == oracles.trajectory_blockage_detail(pop, traj, grid, 0.2)
+        got = trajectory_blockage_detail(pop, traj, grid, explored, 0.2)
+        assert got == oracles.trajectory_blockage_detail(pop, traj, grid,
+                                                         explored, 0.2)
         kept += len(got)
         inside = [grid.in_bounds(*p) for p in positions]
         seen["off"] += inside.count(False)
@@ -333,11 +335,10 @@ def test_one_read_only_trajectory_scored_on_two_maps():
     scored = [set(), set()]
     for _ in range(3):
         for m, g in enumerate(grids):
-            view = g.unexplored_view()
-            view.explored[rng.random((30, 40)) < 0.3] = True
-            got = trajectory_blockage_detail(pop, traj, view, 0.2)
-            assert got == oracles.trajectory_blockage_detail(pop, traj, view,
-                                                             0.2)
+            seen = rng.random((30, 40)) < 0.3
+            got = trajectory_blockage_detail(pop, traj, g, seen, 0.2)
+            assert got == oracles.trajectory_blockage_detail(pop, traj, g,
+                                                             seen, 0.2)
             scored[m] |= {r.index for r in got}
     # Waypoints scored on both maps, and ones scored on one map that sit
     # in a static cell of the other.
@@ -365,14 +366,13 @@ def test_memoized_blockage_matches_uncached_score():
     repeats = [queries[i] for i in rng.integers(len(queries), size=30)]
     distinct = set()
     for t, pop, r, m in queries + repeats:
-        view = grid.unexplored_view()
-        view.explored[masks[m]] = True
+        seen = masks[m]
         traj = trajs[t]
-        assert trajectory_blockage(pop, traj, view, r) == \
-            oracles.trajectory_blockage(pop, traj, view, r)
+        assert trajectory_blockage(pop, traj, grid, seen, r) == \
+            oracles.trajectory_blockage(pop, traj, grid, seen, r)
         # The memo tells states apart only by the explored flags of the
         # trajectory's cells; off the map counts as explored.
-        distinct.add((t, pop, r, tuple(oracles.is_explored(view, *p)
+        distinct.add((t, pop, r, tuple(oracles.is_explored(grid, seen, *p)
                                        for p in traj.positions)))
     assert len(blockage._BLOCKAGE_MEMO) == len(distinct)
 
@@ -384,30 +384,30 @@ def test_exploring_a_route_cell_adds_an_entry_and_an_off_route_cell_hits(
     real = blockage._blockage
     monkeypatch.setattr(blockage, "_blockage",
                         lambda *a: scored.append(1) or real(*a))
-    grid, traj = _corridor_and_traj()
+    grid, seen, traj = _corridor_and_traj()
     pop = ObstaclePopulation(1.8, 0.1, 10.0, 40.0)
-    first = trajectory_blockage(pop, traj, grid, 0.3)
+    first = trajectory_blockage(pop, traj, grid, seen, 0.3)
     assert first > 0.0 and len(scored) == 1
     iy, ix = grid.cell_index(*traj.positions[0])
-    grid.explored[iy + 1, ix] = True
-    assert trajectory_blockage(pop, traj, grid, 0.3) == first
+    seen[iy + 1, ix] = True
+    assert trajectory_blockage(pop, traj, grid, seen, 0.3) == first
     assert len(scored) == 1 and len(blockage._BLOCKAGE_MEMO) == 1
-    grid.explored[iy, ix] = True
-    second = trajectory_blockage(pop, traj, grid, 0.3)
-    assert second == oracles.trajectory_blockage(pop, traj, grid, 0.3)
+    seen[iy, ix] = True
+    second = trajectory_blockage(pop, traj, grid, seen, 0.3)
+    assert second == oracles.trajectory_blockage(pop, traj, grid, seen, 0.3)
     assert len(scored) == 2 and len(blockage._BLOCKAGE_MEMO) == 2
 
 
 def test_blockage_memo_keeps_no_errors_and_stays_bounded(monkeypatch):
     clear_memos()
     monkeypatch.setattr(blockage._BLOCKAGE_MEMO, "size", 3)
-    grid, traj = _corridor_and_traj()
+    grid, seen, traj = _corridor_and_traj()
     pop = ObstaclePopulation(1.8, 0.1, 10.0, 40.0)
     with pytest.raises(ValueError):
-        trajectory_blockage(pop, traj, grid, -0.3)
+        trajectory_blockage(pop, traj, grid, seen, -0.3)
     assert not blockage._BLOCKAGE_MEMO
     for i, r in enumerate((0.2, 0.25, 0.3, 0.35, 0.2)):
-        assert trajectory_blockage(pop, traj, grid, r) == \
-            oracles.trajectory_blockage(pop, traj, grid, r)
+        assert trajectory_blockage(pop, traj, grid, seen, r) == \
+            oracles.trajectory_blockage(pop, traj, grid, seen, r)
         assert len(blockage._BLOCKAGE_MEMO) == min(i + 1, 3)
     assert [key[3] for key in blockage._BLOCKAGE_MEMO] == [0.3, 0.35, 0.2]

@@ -233,6 +233,36 @@ def test_run_position_or_map_error_exit_two(tmp_path, capsys, monkeypatch,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "benchmark"])
+@pytest.mark.parametrize("resolution", ["nan", "inf", "1e154", "1e200"])
+def test_unusable_map_resolution_exit_two(tmp_path, capsys, monkeypatch,
+                                          command, resolution):
+    # On a 3 x 2 map the positions would all land in cell (0, 0), or the
+    # map's area would overflow.
+    monkeypatch.setattr("namoplan.cli.run_episode", _no_episode)
+    monkeypatch.setattr("namoplan.experiments.run_episode", _no_episode)
+    (tmp_path / "huge.map").write_text(f"3 2 {resolution}\n...\n...\n")
+    bad = _room_variant(tmp_path,
+                        lambda raw: raw.update(map=str(tmp_path / "huge.map")))
+    extra = (["--policy", "uncertainty", "--out", str(tmp_path / "res")]
+             if command == "benchmark" else [])
+    assert main([command, "--config", bad, *extra]) == 2
+    assert f"map resolution {float(resolution)} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "benchmark"])
+def test_goal_in_start_cell_exit_two(tmp_path, capsys, monkeypatch, command):
+    # Room's start is (2.0, 3.0); a goal 1 cm away shares its 0.1 m cell,
+    # where no route is planned and every policy would give up at once.
+    monkeypatch.setattr("namoplan.cli.run_episode", _no_episode)
+    monkeypatch.setattr("namoplan.experiments.run_episode", _no_episode)
+    bad = _room_variant(tmp_path, lambda raw: raw.update(goal=[2.01, 3.0]))
+    extra = (["--policy", "uncertainty", "--out", str(tmp_path / "res")]
+             if command == "benchmark" else [])
+    assert main([command, "--config", bad, *extra]) == 2
+    assert "goal in the robot's start cell" in capsys.readouterr().err
+
+
 def test_run_map_that_is_a_directory_exit_two(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("namoplan.cli.run_episode", _no_episode)
     bad = _room_variant(tmp_path, lambda raw: raw.update(map="."))

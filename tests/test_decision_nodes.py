@@ -306,7 +306,9 @@ def _state(ep) -> dict:
         if name == "rng":
             value = value.bit_generator.state
         elif name == "grid":
-            value = (value.explored.tobytes(), value.cells is ep.cfg.load_grid().cells)
+            value = value is ep.cfg.load_grid()
+        elif name == "explored":
+            value = value.tobytes()
         elif name == "mos":
             value = [(label, mo.spec, mo.x, mo.y, mo.placed)
                      for label, mo in value.items()]

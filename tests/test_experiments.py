@@ -241,6 +241,26 @@ def test_worker_pool_gives_the_same_records(tiny_scenario, tmp_path):
                      for policy in policies for rep in range(2)]
 
 
+def test_spawned_workers_give_the_same_records(tmp_path, monkeypatch):
+    """Under `spawn`, the default on macOS, a worker imports the package
+    afresh and gets the configs pickled, maps and all."""
+    from namoplan import experiments
+
+    paths = [str(scenario_path(f"{name}.yaml"))
+             for name in ("room", "warehouse_abc")]
+
+    def lines(workers):
+        spec = ExperimentSpec(paths, ["priority-bypass", "priority-removal"],
+                              repetitions=2, seed_base=0,
+                              output_dir=str(tmp_path / f"w{workers}"))
+        rows, _ = run_benchmark(spec, workers=workers)
+        return [r["record"].to_json_line() for r in rows]
+
+    serial = lines(1)
+    monkeypatch.setattr(experiments, "mp", mp.get_context("spawn"))
+    assert lines(2) == serial and len(serial) == 8
+
+
 def test_jobs_name_their_config_by_index(tiny_scenario, tmp_path, monkeypatch):
     from namoplan import experiments
 

@@ -65,6 +65,9 @@ def test_text_header():
     "4 2 0.1\n....\n...\n",  # short row
     "4 2 0.1\n....\n..q.\n",  # unknown char
     "4 2 0.1\n....\n..o.\n",  # 'o' is not a cell character
+    "3 2 nan\n...\n...\n",  # a resolution must be finite and positive
+    "3 2 inf\n...\n...\n",
+    "3 2 1e154\n...\n...\n",  # the map's area overflows
 ])
 def test_malformed_maps_rejected(bad):
     with pytest.raises(ValueError):
@@ -75,7 +78,8 @@ def test_out_of_bounds_is_static():
     g = empty_grid(10, 10, 0.1)
     assert g.state_at(-0.05, 0.5) == STATIC
     assert g.state_at(0.5, 99.0) == STATIC
-    assert is_explored(g, -1.0, -1.0)  # outside counts as known
+    seen = np.zeros(g.cells.shape, bool)
+    assert is_explored(g, seen, -1.0, -1.0)  # outside counts as known
 
 
 # -- ray casting and widths --------------------------------------------
@@ -186,11 +190,12 @@ def test_warehouse_map_free_area_stable():
 
 def test_mark_explored_open_disk():
     g = empty_grid(100, 100, 0.1)
-    mark_explored(g, 5.0, 5.0, 0.0, sensor_range=2.0, fov=2 * math.pi)
+    seen = np.zeros(g.cells.shape, bool)
+    mark_explored(g, seen, 5.0, 5.0, 0.0, sensor_range=2.0, fov=2 * math.pi)
     # a cell well inside the disk, ahead of the robot
-    assert is_explored(g, 6.5, 5.0)
+    assert is_explored(g, seen, 6.5, 5.0)
     # a cell far outside the disk
-    assert not is_explored(g, 9.5, 9.5)
+    assert not is_explored(g, seen, 9.5, 9.5)
 
 
 def test_mark_explored_occlusion():
@@ -200,17 +205,19 @@ def test_mark_explored_occlusion():
 ..........
 """)
     # robot left of the wall cell at x in [0.4, 0.5), y in [0.1, 0.2)
-    mark_explored(g, 0.15, 0.15, 0.0, sensor_range=0.9, fov=0.2)
-    assert is_explored(g, 0.45, 0.15)  # the wall itself is seen
-    assert not is_explored(g, 0.75, 0.15)  # cell behind the wall is not
+    seen = np.zeros(g.cells.shape, bool)
+    mark_explored(g, seen, 0.15, 0.15, 0.0, sensor_range=0.9, fov=0.2)
+    assert is_explored(g, seen, 0.45, 0.15)  # the wall itself is seen
+    assert not is_explored(g, seen, 0.75, 0.15)  # cell behind the wall is not
 
 
 def test_mark_explored_monotone():
     g = empty_grid(60, 60, 0.1)
+    seen = np.zeros(g.cells.shape, bool)
     counts = []
     for x in (1.0, 2.0, 3.0):
-        mark_explored(g, x, 3.0, 0.0, sensor_range=1.5, fov=math.pi / 2)
-        counts.append(int(g.explored.sum()))
+        mark_explored(g, seen, x, 3.0, 0.0, sensor_range=1.5, fov=math.pi / 2)
+        counts.append(int(seen.sum()))
     assert counts == sorted(counts)
 
 
@@ -230,16 +237,17 @@ def test_mark_explored_matches_per_ray_walk():
         heading = rng.uniform(-math.pi, math.pi)
         fov = 2 * math.pi if trial % 3 == 0 else rng.uniform(0.1, 2 * math.pi)
         sensor_range = rng.uniform(0.3, 3.0)
-        want, got = g, copy.deepcopy(g)
-        oracles.mark_explored(want, x, y, heading, sensor_range, fov)
-        mark_explored(got, x, y, heading, sensor_range, fov)
-        assert np.array_equal(got.explored, want.explored), trial
+        want, got = np.zeros((2, 40, 50), bool)
+        oracles.mark_explored(g, want, x, y, heading, sensor_range, fov)
+        mark_explored(g, got, x, y, heading, sensor_range, fov)
+        assert np.array_equal(got, want), trial
 
 
 def test_mark_explored_outside_map_rejected():
     g = empty_grid(10, 10, 0.1)
     with pytest.raises(ValueError):
-        mark_explored(g, -0.5, 0.5, 0.0, ROBOT.sensor_range, ROBOT.sensor_fov)
+        mark_explored(g, np.zeros(g.cells.shape, bool), -0.5, 0.5, 0.0,
+                      ROBOT.sensor_range, ROBOT.sensor_fov)
 
 
 # -- inflation ----------------------------------------------------------
@@ -343,11 +351,10 @@ def test_memoized_mark_explored_matches_oracle(name):
     poses = [(x, y, rng.uniform(-math.pi, math.pi), rng.uniform(0.5, 5.0),
               rng.uniform(0.2, 2 * math.pi)) for x, y in _free_points(grid, rng, 20)]
     for pose in _with_repeats(poses, rng):
-        grid.explored[:] = False
-        want = copy.deepcopy(grid)
-        mark_explored(grid, *pose)
-        oracles.mark_explored(want, *pose)
-        assert np.array_equal(grid.explored, want.explored), pose
+        got, want = np.zeros((2, *grid.cells.shape), bool)
+        mark_explored(grid, got, *pose)
+        oracles.mark_explored(grid, want, *pose)
+        assert np.array_equal(got, want), pose
     assert len(gridmap._VISIBILITY_MEMO) == len(poses)
 
 
@@ -378,30 +385,18 @@ def test_cells_are_a_read_only_copy_named_by_the_key(tmp_path):
     assert OccupancyGrid(0.1, cells).key != grid.key
     assert OccupancyGrid(0.05, np.zeros((4, 6))).key != grid.key
     assert OccupancyGrid(0.1, np.zeros((6, 4))).key != grid.key
+    # Grids are named by their keys: `==` is identity.
+    twin = OccupancyGrid(0.1, np.zeros((4, 6)))
+    assert twin.key == built.key and twin != built and twin == twin
 
 
 def test_keyed_grid_stays_read_only_through_pickling(tmp_path):
     empty_grid(6, 4, 0.1).save(tmp_path / "m.map")
     grid = OccupancyGrid.load(tmp_path / "m.map")
-    grid.explored.flags.writeable = False
     back = pickle.loads(pickle.dumps(grid))
     assert back.key == grid.key and np.array_equal(back.cells, grid.cells)
-    assert not back.cells.flags.writeable and not back.explored.flags.writeable
-    built = pickle.loads(pickle.dumps(empty_grid(6, 4, 0.1)))
-    assert built.key == grid.key
-    assert not built.cells.flags.writeable and built.explored.flags.writeable
-
-
-def test_unexplored_view_shares_cells_and_key():
-    grid = OccupancyGrid.load(scenario_path("room.map"))
-    sensor = (ROBOT.sensor_range, ROBOT.sensor_fov)
-    mark_explored(grid, 2.0, 3.0, 0.0, *sensor)
-    view = grid.unexplored_view()
-    assert view.cells is grid.cells and view.key == grid.key
-    assert not view.explored.any() and view.explored.flags.writeable
-    mark_explored(view, 2.0, 3.0, 0.0, *sensor)
-    assert np.array_equal(view.explored, grid.explored)
-    assert view.explored is not grid.explored
+    assert not back.cells.flags.writeable
+    assert vars(back).keys() == vars(grid).keys()
 
 
 def _wall_grid() -> OccupancyGrid:
@@ -420,12 +415,13 @@ def test_mark_explored_only_sets_cells(poses):
     """The mask never loses a cell, so its count grows exactly when it
     changes: the episode's blockage memo keys on that count."""
     grid = _wall_grid()
+    seen = np.zeros(grid.cells.shape, bool)
     for pose in poses:
-        before = grid.explored.copy()
-        mark_explored(grid, *pose)
-        assert not (before & ~grid.explored).any()
-        grew = np.count_nonzero(grid.explored) > np.count_nonzero(before)
-        assert grew == (not np.array_equal(grid.explored, before))
+        before = seen.copy()
+        mark_explored(grid, seen, *pose)
+        assert not (before & ~seen).any()
+        grew = np.count_nonzero(seen) > np.count_nonzero(before)
+        assert grew == (not np.array_equal(seen, before))
 
 
 def test_memos_stay_within_their_bounds(monkeypatch):
@@ -437,16 +433,16 @@ def test_memos_stay_within_their_bounds(monkeypatch):
     rng = np.random.default_rng(10)
     points = _free_points(grid, rng, 12)
     for i, (x, y) in enumerate(_with_repeats(points, rng)):
-        grid.explored[:] = False
-        want.explored[:] = False
-        mark_explored(grid, x, y, 0.5, 2.0, ROBOT.sensor_fov)
-        oracles.mark_explored(want, x, y, 0.5, 2.0, ROBOT.sensor_fov)
-        assert np.array_equal(grid.explored, want.explored)
+        got, expected = np.zeros((2, *grid.cells.shape), bool)
+        mark_explored(grid, got, x, y, 0.5, 2.0, ROBOT.sensor_fov)
+        oracles.mark_explored(want, expected, x, y, 0.5, 2.0, ROBOT.sensor_fov)
+        assert np.array_equal(got, expected)
         assert raycast_distance(grid, x, y, 1.0) == oracles.raycast_distance(
             want, x, y, 1.0)
         assert len(gridmap._VISIBILITY_MEMO) == min(i + 1, 3)
         assert len(gridmap._RAY_MEMO) == min(i + 1, 5)
     # The most recently used queries are the ones kept.
     x, y = points[0]
-    mark_explored(grid, x, y, 0.5, 2.0, ROBOT.sensor_fov)
+    mark_explored(grid, np.zeros(grid.cells.shape, bool), x, y, 0.5, 2.0,
+                  ROBOT.sensor_fov)
     assert next(reversed(gridmap._VISIBILITY_MEMO))[1:3] == (x, y)

@@ -237,7 +237,6 @@ def test_fuse_balanced():
     f = fuse(a, b)
     assert f.mean == pytest.approx(m)
     assert f.cov == pytest.approx(0.02 * np.eye(2))
-    assert f.observation_count == 2
 
 
 def test_fuse_uninformative_prior():

@@ -15,7 +15,7 @@ import yaml
 import oracles
 from conftest import empty_grid
 from namoplan import scenario_path
-from namoplan.gridmap import STATIC, OccupancyGrid, clear_memos, mark_explored
+from namoplan.gridmap import STATIC, OccupancyGrid, clear_memos
 from namoplan.planner import Trajectory
 from namoplan.simulator import (POLICIES, BypassModelConfig, NoiseConfig,
                                 ObstacleSpec, RobotConfig, ScenarioConfig,
@@ -188,12 +188,16 @@ def _with_first_obstacle(cfg, **changes):
      "robot start not in a free cell"),
     (lambda raw: raw.update(goal=[0.05, 9.0]),
      lambda cfg: replace(cfg, goal=(0.05, 9.0)), "goal not in a free cell"),
+    # 1 cm from the start (1.0, 9.0), in the same 0.1 m cell.
+    (lambda raw: raw.update(goal=[1.01, 9.0]),
+     lambda cfg: replace(cfg, goal=(1.01, 9.0)),
+     "goal in the robot's start cell"),
     (lambda raw: raw["obstacles"][2].update(label="B"),
      lambda cfg: replace(cfg, obstacles=(*cfg.obstacles[:2],
                                          replace(cfg.obstacles[2], label="B"))),
      "obstacle label 'B' is repeated"),
 ], ids=["timeout", "estimated_sr", "true_sr", "obstacle", "start", "goal",
-        "label"])
+        "goal-in-start-cell", "label"])
 def test_invariants_validated(tmp_path, edit, derive, message):
     # A config derived in code fails as the same value in a file does.
     with pytest.raises(ScenarioError) as loaded:
@@ -283,11 +287,8 @@ def test_config_keeps_one_read_only_grid_across_episodes(tmp_path, monkeypatch):
     for policy in POLICIES:
         run_episode(cfg, policy, seed=1)
     assert cfg.load_grid() is grid and len(loads) == 1
-    assert not grid.explored.any()
-    assert not grid.cells.flags.writeable and not grid.explored.flags.writeable
-    with pytest.raises(ValueError):
-        mark_explored(grid, *cfg.robot.start, 0.0, cfg.robot.sensor_range,
-                      cfg.robot.sensor_fov)
+    assert _Episode(cfg, seed=1).grid is grid
+    assert not grid.cells.flags.writeable
 
 
 def test_pickled_config_keeps_its_read_only_grid():
@@ -295,7 +296,7 @@ def test_pickled_config_keeps_its_read_only_grid():
     back = pickle.loads(pickle.dumps(cfg))
     grid = back.load_grid()
     assert back == cfg and grid.key == cfg.load_grid().key
-    assert not grid.cells.flags.writeable and not grid.explored.flags.writeable
+    assert not grid.cells.flags.writeable
 
 
 def test_baseline_episodes_never_fit_the_bypass_model(tmp_path, monkeypatch):
@@ -659,7 +660,7 @@ def test_blockage_memo_follows_explored_growth(tmp_path, monkeypatch):
 
     def fresh():
         return proxy.scale(oracles.trajectory_blockage(
-            ep.pop, traj, ep.grid, ep.cfg.robot.radius))
+            ep.pop, traj, ep.grid, ep.explored, ep.cfg.robot.radius))
 
     first = ep.blockage_interval(traj, proxy)
     assert first == fresh() and first.hi > 0.0
@@ -671,7 +672,7 @@ def test_blockage_memo_follows_explored_growth(tmp_path, monkeypatch):
     # Explore the first half of the route: fewer waypoints carry risk.
     for x, y in traj.positions[: len(traj) // 2]:
         iy, ix = ep.grid.cell_index(x, y)
-        ep.grid.explored[iy, ix] = True
+        ep.explored[iy, ix] = True
     second = ep.blockage_interval(traj, proxy)
     assert len(calls) == 1
     assert second == fresh() and second != first
