@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 import multiprocessing as mp
-from contextlib import nullcontext
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,6 +27,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.seed_base < 0:
+            raise ValueError("seed must be >= 0")
 
 
 RAW_COLUMNS = ["scenario_id", "policy", "rep", "seed", "outcome", "elapsed"]
@@ -64,8 +66,8 @@ def run_benchmark(spec: ExperimentSpec,
     or run order, and each is written as soon as every record before it is
     in, so a failing episode leaves every record before the first missing
     one on disk. Each scenario file is parsed once, before any
-    episode runs, so a bad config fails the grid up front; a config is
-    frozen, so its trials share it.
+    episode runs, so a bad config, or a `scenario_id` that two files share,
+    fails the grid up front; a config is frozen, so its trials share it.
 
     A job is one world at one seed, `(config indices, policies, seed)`:
     the scenarios whose configs differ only in decision-only fields, such as
@@ -79,7 +81,8 @@ def run_benchmark(spec: ExperimentSpec,
     in, so which episode first computes the nodes the others reuse, and
     with it each episode's host time, does not depend on that order.
     Worker processes receive the configs once, through the pool's
-    initializer.
+    initializer. A worker that dies breaks the pool, and the grid raises
+    `BrokenProcessPool` with the jobs not yet started cancelled.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -87,6 +90,12 @@ def run_benchmark(spec: ExperimentSpec,
         get_policy(policy)  # fail fast on unknown names
     index = {path: i for i, path in enumerate(dict.fromkeys(spec.scenario_paths))}
     configs = [ScenarioConfig.from_yaml(path) for path in index]
+    files: dict[str, Path] = {}
+    for path, config in zip(index, configs):
+        first = files.setdefault(config.scenario_id, Path(path).resolve())
+        if first != Path(path).resolve():
+            raise ValueError(f"scenario_id {config.scenario_id!r} is in both "
+                             f"{first} and {path}")
     reps = spec.repetitions
     # A job runs the spec's policies in `POLICIES` order; its k-th record
     # is in the grid's policy column `columns[k]`.
@@ -110,16 +119,17 @@ def run_benchmark(spec: ExperimentSpec,
     jsonl_path = out_dir / "trials.jsonl"
 
     rows: list[dict] = []
+    pool = (ProcessPoolExecutor(workers, mp_context=mp.get_context(),
+                                initializer=_set_configs, initargs=(configs,))
+            if workers > 1 else None)
     _set_configs(configs)
     try:
         with (open(raw_path, "w", newline="") as raw_fh,
-              open(jsonl_path, "w") as jsonl_fh,
-              mp.Pool(workers, _set_configs, (configs,)) if workers > 1
-              else nullcontext() as pool):
+              open(jsonl_path, "w") as jsonl_fh):
             writer = csv.DictWriter(raw_fh, fieldnames=RAW_COLUMNS,
                                     extrasaction="ignore")
             writer.writeheader()
-            results = (pool.imap(_one_world, jobs) if pool is not None
+            results = (pool.map(_one_world, jobs) if pool is not None
                        else map(_one_world, jobs))
             done: dict[int, TrialRecord] = {}
             for (members, rep), records in zip(cells, results):
@@ -142,6 +152,8 @@ def run_benchmark(spec: ExperimentSpec,
                     jsonl_fh.write(record.to_json_line() + "\n")
     finally:
         _set_configs([])
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     summary = summarize(rows)
     _write_summary(out_dir / "summary.csv", summary)

@@ -160,18 +160,12 @@ class Memo(OrderedDict):
         None included, is stored; an exception never is."""
         value = self.get(key, _MISS)
         if value is _MISS:
-            value = compute(*args)
-            self.store(key, value)
+            value = self[key] = compute(*args)
+            if len(self) > self.size:
+                self.popitem(last=False)
         else:
             self.move_to_end(key)
         return value
-
-    def store(self, key, value) -> None:
-        """Set `self[key]` as the most recently used entry."""
-        self[key] = value
-        self.move_to_end(key)
-        if len(self) > self.size:
-            self.popitem(last=False)
 
 
 def clear_memos() -> None:

@@ -167,24 +167,22 @@ def planning_mask(grid: OccupancyGrid, request: PlanRequest,
     return mask
 
 
-# Finished searches shared by every caller (episode plans, stock-search
-# carry plans, bypass-model training paths), least recently used first. The
-# key holds everything A* reads: the planning mask's contents and shape, the
-# resolution, and the start and goal cells. The contents are hashed packed
-# eight cells to a byte, which for one shape is one-to-one. Paired seeds
-# make the policies of a benchmark grid repeat each other's searches, so
-# most hits come from other episodes.
-_PLAN_CACHE = Memo(128)
-
-# For each request, the `_PLAN_CACHE` key it built last, least recently
-# used first. The request's inputs fix the planning mask: `grid.key` names
-# the cells, shape and resolution, and with the robot radius they fix the
-# static inflation and the rasterized ellipses; the start cell places the
-# escape carve. So a request that
-# recurs, as at a decision repeated after a failed load, skips building
-# and hashing the mask. The index holds keys, not plans: an evicted plan is
-# searched again.
-_PLAN_INDEX = Memo(512)
+# The one plan memo, least recently used first, with two kinds of key. A
+# mask key holds everything A* reads: a 16-byte blake2b digest of the
+# planning mask packed eight cells to a byte (one-to-one for one shape),
+# the mask's shape, the resolution, and the start and goal cells. A
+# request key holds what fixes that mask: `grid.key` names the cells,
+# shape and resolution, and with the robot radius they fix the static
+# inflation and the rasterized ellipses; the start cell places the escape
+# carve. A request key starts with a tuple and a mask key with bytes, so
+# the two never collide. A recurring request, as at a decision repeated
+# after a failed load, skips building and hashing the mask; requests whose
+# ellipses rasterize alike share one search through the mask key. Paired
+# seeds make the policies of a benchmark grid repeat each other's
+# searches, so most hits come from other episodes. Episode plans and
+# stock-search carry plans share it; the bypass model's training paths
+# call `_astar_on_mask` directly. At most 256 plans stay alive.
+_PLAN_CACHE = Memo(256)
 
 
 def plan_path(grid: OccupancyGrid, request: PlanRequest,
@@ -193,33 +191,25 @@ def plan_path(grid: OccupancyGrid, request: PlanRequest,
     unreachable (callers translate that to an infinite cost).
 
     The path depends only on `planning_mask(grid, request, robot_radius)`
-    and the start and goal cells, so it is cached on them, and later calls
-    hand out the same trajectory. A request seen before is answered from
-    `_PLAN_INDEX` without building the mask. A request that raises
-    (`EndpointBlocked`, start equals goal) is never cached or indexed.
+    and the start and goal cells, so it is memoized on them and on the
+    request, and later calls hand out the same trajectory. A request that
+    raises (`EndpointBlocked`, start equals goal) is never stored.
     """
     request_key = (grid.key, robot_radius, tuple(request.temporary_obstacles),
                    grid.cell_index(request.start.x, request.start.y),
                    grid.cell_index(request.goal.x, request.goal.y))
-    plan_key = _PLAN_INDEX.get(request_key)
-    plan = _PLAN_CACHE.get(plan_key, _MISS)
-    if plan is _MISS:
-        plan_key, plan = _cached_plan(grid, request, robot_radius)
-    else:
-        _PLAN_CACHE.move_to_end(plan_key)
-    _PLAN_INDEX.store(request_key, plan_key)
-    return plan
+    return _PLAN_CACHE.lookup(request_key, _plan_on_mask, grid, request,
+                              robot_radius)
 
 
-def _cached_plan(grid: OccupancyGrid, request: PlanRequest,
-                 robot_radius: float) -> tuple[tuple, Trajectory | None]:
-    """The `_PLAN_CACHE` key of `request` and its plan, searched on a miss."""
+def _plan_on_mask(grid: OccupancyGrid, request: PlanRequest,
+                  robot_radius: float) -> Trajectory | None:
+    """The plan of `request`, memoized on its planning mask and cells."""
     mask = planning_mask(grid, request, robot_radius)
     start, goal = _endpoint_cells(grid, mask, request.start, request.goal)
     key = (hashlib.blake2b(np.packbits(mask), digest_size=16).digest(),
            mask.shape, grid.resolution, start, goal)
-    return key, _PLAN_CACHE.lookup(key, _astar_on_mask, grid, mask, start,
-                                   goal)
+    return _PLAN_CACHE.lookup(key, _astar_on_mask, grid, mask, start, goal)
 
 
 def _endpoint_cells(grid: OccupancyGrid, mask: np.ndarray, start: GridPosition,

@@ -373,6 +373,67 @@ def test_benchmark_count_below_one_exit_two_before_any_file(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "benchmark"])
+@pytest.mark.parametrize("key", ["seed", "bypass_model.dataset_seed"])
+def test_negative_config_seed_exit_two_before_any_file(
+        tiny_yaml, tmp_path, capsys, monkeypatch, command, key):
+    # numpy's generators take no negative seed: the load rejects it and
+    # names the field, before an episode or a fit starts.
+    monkeypatch.setattr("namoplan.cli.run_episode", _no_episode)
+    monkeypatch.setattr("namoplan.experiments.run_episode", _no_episode)
+    bad = _variant(tiny_yaml, tmp_path, lambda raw: _set(raw, key, -1))
+    out = tmp_path / "res"
+    extra = (["--policy", "uncertainty", "--out", str(out)]
+             if command == "benchmark" else ["--out", str(out)])
+    assert main([command, "--config", bad, *extra]) == 2
+    assert f"config error: {key} must be >= 0\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_benchmark_negative_seed_exit_two_before_any_file(
+        tiny_yaml, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("namoplan.experiments.run_episode", _no_episode)
+    out = tmp_path / "res"
+    code = main(["benchmark", "--config", tiny_yaml, "--policy",
+                 "priority-bypass", "--seed", "-1", "--out", str(out)])
+    assert code == 2
+    assert "config error: seed must be >= 0\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_benchmark_two_files_with_one_scenario_id_exit_two_before_any_file(
+        tmp_path, capsys, monkeypatch):
+    # Their rows would be merged into one summary cell and could not be
+    # told apart in trials.csv.
+    monkeypatch.setattr("namoplan.experiments.run_episode", _no_episode)
+    abc = str(scenario_path("warehouse_abc.yaml"))
+    copy = _variant(abc, tmp_path, lambda raw: [
+        obstacle.update(true_sr=0.2) for obstacle in raw["obstacles"]])
+    out = tmp_path / "res"
+    code = main(["benchmark", "--config", abc, copy, "--policy",
+                 "priority-bypass", "--reps", "2", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "scenario_id 'warehouse_abc' is in both" in err and copy in err
+    assert not out.exists()
+
+
+def test_benchmark_one_file_listed_twice_runs_it_twice(tiny_yaml, tmp_path,
+                                                       capsys):
+    # The same file, also named through its directory's parent: one
+    # scenario, whose summary cell holds both listings' trials.
+    again = str(Path(tiny_yaml).parent / ".." / Path(tiny_yaml).parent.name
+                / "tiny.yaml")
+    out = tmp_path / "res"
+    code = main(["benchmark", "--config", tiny_yaml, again, tiny_yaml,
+                 "--policy", "priority-bypass", "--reps", "1",
+                 "--out", str(out)])
+    assert code == 0
+    assert "n=3 " in capsys.readouterr().out
+    with open(out / "trials.csv") as fh:
+        assert [row["scenario_id"] for row in csv.DictReader(fh)] == ["tiny"] * 3
+
+
 # -- train-bypass -------------------------------------------------------
 
 

@@ -4,7 +4,10 @@ import csv
 import hashlib
 import json
 import multiprocessing as mp
+import os
 import pickle
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +16,7 @@ import pytest
 import yaml
 
 from conftest import empty_grid
+import namoplan
 from namoplan import blockage, gridmap, planner, scenario_path, simulator
 from namoplan.bypass import TimingDataset
 from namoplan.experiments import (RAW_COLUMNS, SUMMARY_COLUMNS, ExperimentSpec,
@@ -261,6 +265,56 @@ def test_spawned_workers_give_the_same_records(tmp_path, monkeypatch):
     assert lines(2) == serial and len(serial) == 8
 
 
+# Pool workers that die at start, run apart so that a pool which waits
+# for them forever fails the test by its timeout instead of hanging the
+# suite. Under fork each worker inherits `_set_configs` patched to raise
+# outside the process that started it.
+_DYING_WORKERS = """
+import multiprocessing as mp
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
+
+from namoplan import cli, experiments, scenario_path
+from namoplan.experiments import ExperimentSpec, run_benchmark
+
+set_configs = experiments._set_configs
+
+
+def die_in_workers(configs):
+    if mp.parent_process() is not None:
+        raise RuntimeError("worker dies at start")
+    set_configs(configs)
+
+
+mp.set_start_method("fork")
+experiments._set_configs = die_in_workers
+room, out = str(scenario_path("room.yaml")), sys.argv[1]
+start = time.perf_counter()
+try:
+    run_benchmark(ExperimentSpec([room], ["priority-bypass"], repetitions=4,
+                                 output_dir=out + "/api"), workers=2)
+except BrokenProcessPool:
+    print("raised after", time.perf_counter() - start)
+print("exit", cli.main(["benchmark", "--config", room, "--policy",
+                        "priority-bypass", "--reps", "4", "--workers", "2",
+                        "--out", out + "/cli"]))
+"""
+
+
+def test_workers_dying_at_start_fail_the_grid(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(namoplan.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _DYING_WORKERS, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    raised, code = done.stdout.splitlines()
+    assert raised.startswith("raised after ")
+    assert float(raised.split()[-1]) < 10.0
+    # The CLI reports the broken pool as an internal error.
+    assert code == "exit 3"
+    assert "internal error: " in done.stderr
+    assert (tmp_path / "cli" / "trials.csv").read_text().count("\n") == 1
+
+
 def test_jobs_name_their_config_by_index(tiny_scenario, tmp_path, monkeypatch):
     from namoplan import experiments
 
@@ -317,6 +371,9 @@ def test_worker_pool_repeats_no_walk(tmp_path, monkeypatch):
 
     def warehouse_abc(name, estimated_sr, true_sr=None):
         raw = yaml.safe_load(scenario_path("warehouse_abc.yaml").read_text())
+        # Its own id, which sorts after warehouse_abc's, as two files of a
+        # grid may not share one.
+        raw["scenario_id"] = f"warehouse_abc-{name}"
         raw["map"] = str(scenario_path(raw["map"]))
         raw["estimated_sr"] = estimated_sr
         for obstacle in raw["obstacles"]:
@@ -384,19 +441,21 @@ def test_suite_battery_records_pinned(tmp_path, monkeypatch):
                            "priority-bypass", "priority-removal"],
                           repetitions=1, seed_base=0, output_dir=str(tmp_path))
     searches = _count_searches(monkeypatch)
-    # The first run starts from empty memos and an empty plan cache; the
+    # The first run starts from empty memos and an empty plan memo; the
     # second's ray casts all come from the memos the first filled, and its
-    # plans from requests the first indexed.
+    # plans from the requests the first stored.
     for run in range(2):
         rows, _ = run_benchmark(spec)
         assert len(rows) == 28
         assert _records_sha256(r["record"] for r in rows) == SUITE_RECORDS_SHA256
         if run == 0:
             filled, n_searched = _memo_keys(), len(searches)
-            indexed = list(planner._PLAN_INDEX)
+            planned = set(planner._PLAN_CACHE)
     assert _memo_keys() == filled and all(filled)
-    assert n_searched > 0 and len(searches) == n_searched
-    assert set(planner._PLAN_INDEX) == set(indexed) and indexed
+    # Cold, requests whose planning masks are alike share one search;
+    # warm, none runs.
+    assert n_searched == 28 and len(searches) == n_searched
+    assert set(planner._PLAN_CACHE) == planned
 
 
 def test_clear_memos_empties_every_memo_and_keeps_the_records(tmp_path):
@@ -406,8 +465,8 @@ def test_clear_memos_empties_every_memo_and_keeps_the_records(tmp_path):
                           output_dir=str(tmp_path))
     memos = [gridmap._VISIBILITY_MEMO, gridmap._RAY_MEMO,
              gridmap._INFLATION_CACHE, blockage._BLOCKAGE_MEMO,
-             planner._PLAN_CACHE, planner._PLAN_INDEX,
-             simulator._MODEL_CACHE, simulator._TREE]
+             planner._PLAN_CACHE, simulator._MODEL_CACHE, simulator._TREE]
+    assert len(memos) == len(gridmap._MEMOS)
     run_benchmark(spec)
     warm, _ = run_benchmark(spec)
     assert all(memos)
@@ -445,10 +504,12 @@ def test_unreliable_removal_battery_records_pinned(monkeypatch):
         assert _records_sha256(battery()) == UNRELIABLE_RECORDS_SHA256
         if run == 0:
             filled, n_searched = _memo_keys(), len(searches)
-            indexed = list(planner._PLAN_INDEX)
+            planned = set(planner._PLAN_CACHE)
     assert _memo_keys() == filled and all(filled)
-    assert n_searched > 0 and len(searches) == n_searched
-    assert set(planner._PLAN_INDEX) == set(indexed) and indexed
+    # Cold, requests whose planning masks are alike share one search;
+    # warm, none runs.
+    assert n_searched == 45 and len(searches) == n_searched
+    assert set(planner._PLAN_CACHE) == planned
 
 
 def test_summarize_groups_by_scenario_and_policy():

@@ -317,14 +317,14 @@ def test_every_module_level_ordered_dict_is_a_registered_memo():
         for name, value in vars(module).items():
             if isinstance(value, OrderedDict):
                 memos[f"{info.name}.{name}"] = value
-    assert set(memos) >= {
+    assert set(memos) == {
         "gridmap._VISIBILITY_MEMO", "gridmap._RAY_MEMO",
         "gridmap._INFLATION_CACHE", "blockage._BLOCKAGE_MEMO",
-        "planner._PLAN_CACHE", "planner._PLAN_INDEX",
-        "simulator._MODEL_CACHE", "simulator._TREE"}
+        "planner._PLAN_CACHE", "simulator._MODEL_CACHE", "simulator._TREE"}
     for name, memo in memos.items():
         assert isinstance(memo, gridmap.Memo), name
         assert any(memo is m for m in gridmap._MEMOS), name
+    assert len(gridmap._MEMOS) == len(memos)
 
 
 # -- memoized ray casts --------------------------------------------------

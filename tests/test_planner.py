@@ -349,7 +349,7 @@ def test_blocked_mask_with_ellipse_off_the_map(cx, cy):
     assert painted.any() == (cx == -0.2 or cy == -0.2)
 
 
-# -- the shared search cache ---------------------------------------------
+# -- the plan memo ------------------------------------------------------
 
 
 @pytest.fixture
@@ -363,8 +363,25 @@ def searches(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def masks_built(monkeypatch):
+    """One entry per planning mask built in the test."""
+    calls = []
+    real = planner.planning_mask
+    monkeypatch.setattr(planner, "planning_mask",
+                        lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def _mask_keys():
+    """The plan memo's mask keys, which start with the mask digest's bytes;
+    its request keys start with `grid.key`, a tuple."""
+    return [key for key in planner._PLAN_CACHE if isinstance(key[0], bytes)]
+
+
 def test_cached_plans_match_reference_cold_and_warm(searches):
     rng = np.random.default_rng(21)
+    n_requests = 0
     for _ in range(3):
         g = OccupancyGrid(0.1, rng.random((30, 40)) < 0.08)
         ellipse_sets = [()] + [
@@ -379,26 +396,31 @@ def test_cached_plans_match_reference_cold_and_warm(searches):
         n_cold = len(searches)
         warm = [_assert_same_plan(g, r, 0.1) for r in requests]
         assert warm == cold and len(searches) == n_cold
-    # Each mask got its own entry and search for a recurring start and goal.
-    assert len(set(searches)) < len(searches) == len(planner._PLAN_CACHE)
+        n_requests += len(requests) - cold.count("blocked")
+    # Each mask got its own entry and search for a recurring start and
+    # goal, and each request that did not raise an entry of its own.
+    assert len(set(searches)) < len(searches) == len(_mask_keys())
+    assert len(planner._PLAN_CACHE) == len(searches) + n_requests
 
 
-def test_cache_stays_within_capacity(searches):
+def test_cache_stays_within_capacity(searches, masks_built):
     g = empty_grid(30, 30, 0.1)
     goal = GridPosition(2.55, 2.55)
     starts = [GridPosition(*g.cell_center(iy, ix))
               for iy in range(2, 27) for ix in range(2, 9)]
-    assert len(starts) > planner._PLAN_CACHE.size
+    # Each new start adds a request entry and a mask entry.
+    assert 2 * len(starts) > planner._PLAN_CACHE.size
     first = plan_path(g, PlanRequest(starts[0], goal), 0.1)
     for start in starts[1:]:
         plan_path(g, PlanRequest(start, goal), 0.1)
         assert len(planner._PLAN_CACHE) <= planner._PLAN_CACHE.size
-        # A hit refreshes the first entry, so it outlives its neighbours.
+        # A hit refreshes the first request, so it outlives its
+        # neighbours, and builds no mask.
         assert plan_path(g, PlanRequest(starts[0], goal), 0.1) is first
     assert len(planner._PLAN_CACHE) == planner._PLAN_CACHE.size
-    assert len(searches) == len(starts)
+    assert len(masks_built) == len(searches) == len(starts)
     plan_path(g, PlanRequest(starts[1], goal), 0.1)  # evicted, searched again
-    assert len(searches) == len(starts) + 1
+    assert len(masks_built) == len(searches) == len(starts) + 1
 
 
 def test_cache_keeps_maps_of_one_shape_apart(searches):
@@ -448,7 +470,7 @@ def test_endpoint_errors_are_never_cached(searches):
             plan_path(g, PlanRequest(free, wall), 0.1)
         with pytest.raises(ValueError, match="start equals goal"):
             plan_path(g, PlanRequest(free, GridPosition(0.52, 0.58)), 0.1)
-    assert searches == [] and len(planner._PLAN_CACHE) == 0
+    assert searches == [] and not planner._PLAN_CACHE
 
 
 def test_unreachable_goal_is_cached(searches):
@@ -458,7 +480,9 @@ def test_unreachable_goal_is_cached(searches):
     req = PlanRequest(GridPosition(0.55, 0.55), GridPosition(0.55, 1.55))
     assert plan_path(g, req, 0.05) is None
     assert plan_path(g, req, 0.05) is None
-    assert len(searches) == 1 and list(planner._PLAN_CACHE.values()) == [None]
+    # The request's entry and its mask's entry both hold the None.
+    assert len(searches) == 1
+    assert list(planner._PLAN_CACHE.values()) == [None, None]
 
 
 def test_cache_keeps_masks_one_cell_or_one_shape_apart(searches):
@@ -477,20 +501,10 @@ def test_cache_keeps_masks_one_cell_or_one_shape_apart(searches):
         plan_path(g, req, 0.01)
     assert np.array_equal(np.packbits(planner.planning_mask(
         empty_grid(8, 8, 0.1), req, 0.01)), np.packbits(masks[0]))
-    assert len(searches) == len(planner._PLAN_CACHE) == 4
+    assert len(searches) == len(_mask_keys()) == 4
 
 
-# -- the request index ---------------------------------------------------
-
-
-@pytest.fixture
-def masks_built(monkeypatch):
-    """One entry per planning mask built in the test."""
-    calls = []
-    real = planner.planning_mask
-    monkeypatch.setattr(planner, "planning_mask",
-                        lambda *a: calls.append(1) or real(*a))
-    return calls
+# -- request keys ---------------------------------------------------------
 
 
 def _elsewhere_in_cell(g, pos, rng):
@@ -525,7 +539,7 @@ def test_indexed_plans_match_reference_cold_and_warm(searches, masks_built):
         assert {"path", "blocked"} <= set(cold)
 
 
-def test_ellipses_that_rasterize_alike_share_one_search(searches):
+def test_ellipses_that_rasterize_alike_share_one_search(searches, masks_built):
     g = empty_grid(40, 30, 0.1)
     start, goal = GridPosition(0.55, 1.55), GridPosition(3.55, 1.55)
     reqs = [PlanRequest(start, goal, (Ellipse(cx, 1.5, 0.4, 0.3, 0.0),))
@@ -534,13 +548,21 @@ def test_ellipses_that_rasterize_alike_share_one_search(searches):
                           planner.planning_mask(g, reqs[1], 0.1))
     plans = [plan_path(g, r, 0.1) for r in reqs]
     assert plans[0] is plans[1] and len(searches) == 1
-    assert len(planner._PLAN_INDEX) == 2
-    assert len(set(planner._PLAN_INDEX.values())) == 1
+    # Two request entries and the one mask entry they share.
+    assert len(planner._PLAN_CACHE) == 3 and len(_mask_keys()) == 1
     assert np.array_equal(plans[1].positions,
                           oracles.plan_path(g, reqs[1], 0.1).positions)
+    # The second request refreshed the mask entry, so the least recently
+    # used entry is the first request's. Dropped, as by the bound, that
+    # request builds its mask again and finds the search.
+    dropped, _ = planner._PLAN_CACHE.popitem(last=False)
+    assert dropped[2] == reqs[0].temporary_obstacles
+    n_built = len(masks_built)
+    assert plan_path(g, reqs[0], 0.1) is plans[0]
+    assert len(masks_built) == n_built + 1 and len(searches) == 1
 
 
-def test_indexed_request_whose_plan_was_evicted_searches_again(
+def test_request_whose_entries_were_evicted_searches_again(
         searches, monkeypatch):
     monkeypatch.setattr(planner._PLAN_CACHE, "size", 2)
     g = empty_grid(30, 20, 0.1)
@@ -550,7 +572,8 @@ def test_indexed_request_whose_plan_was_evicted_searches_again(
     first = plan_path(g, reqs[0], 0.1)
     for r in reqs[1:]:
         plan_path(g, r, 0.1)
-    assert len(searches) == len(planner._PLAN_INDEX) == 3
+    # The memo holds the last request's entry and its mask's entry only.
+    assert len(searches) == 3 and len(planner._PLAN_CACHE) == 2
     again = plan_path(g, reqs[0], 0.1)
     assert len(searches) == 4 and again is not first
     assert np.array_equal(again.positions,
@@ -560,40 +583,46 @@ def test_indexed_request_whose_plan_was_evicted_searches_again(
 
 
 def test_raising_requests_stay_out_of_the_index(searches):
+    """A request that raises stores no request key, and moves and drops
+    no entry of the plan memo."""
     cells = np.zeros((20, 20), np.uint8)
     cells[10, :] = STATIC
     g = OccupancyGrid(0.1, cells)
     wall, free = GridPosition(1.05, 1.05), GridPosition(0.55, 0.55)
+    req = PlanRequest(free, GridPosition(1.55, 0.55))
+    got = plan_path(g, req, 0.1)
+    held = list(planner._PLAN_CACHE)
     for _ in range(2):
         with pytest.raises(EndpointBlocked):
             plan_path(g, PlanRequest(free, wall), 0.1)
         with pytest.raises(ValueError, match="start equals goal"):
             plan_path(g, PlanRequest(free, GridPosition(0.52, 0.58)), 0.1)
-    assert searches == [] and not planner._PLAN_CACHE
-    assert not planner._PLAN_INDEX
+    assert list(planner._PLAN_CACHE) == held and len(held) == 2
     # A grid of the same cells built apart has the same key: it shares the
-    # entry and the index.
-    req = PlanRequest(free, GridPosition(1.55, 0.55))
-    got = plan_path(g, req, 0.1)
+    # request's entry and its search.
     assert plan_path(OccupancyGrid(0.1, cells), req, 0.1) is got
-    assert len(searches) == 1
-    assert len(planner._PLAN_CACHE) == len(planner._PLAN_INDEX) == 1
+    assert len(searches) == 1 and list(planner._PLAN_CACHE) == held
 
 
 def test_index_stays_within_its_bound(searches, masks_built, monkeypatch):
-    monkeypatch.setattr(planner._PLAN_INDEX, "size", 4)
+    monkeypatch.setattr(planner._PLAN_CACHE, "size", 8)
     g = empty_grid(30, 30, 0.1)
     goal = GridPosition(2.55, 2.55)
     reqs = [PlanRequest(GridPosition(*g.cell_center(2, ix)), goal)
             for ix in range(2, 12)]
     for i, r in enumerate(reqs):
         plan_path(g, r, 0.1)
-        assert len(planner._PLAN_INDEX) == min(i + 1, 4)
+        # Each new request adds its request key and its mask key.
+        assert len(planner._PLAN_CACHE) == min(2 * (i + 1), 8)
         # A hit refreshes the first request, so it outlives the others.
         plan_path(g, reqs[0], 0.1)
     assert len(masks_built) == len(searches) == len(reqs)
-    assert [key[3] for key in planner._PLAN_INDEX] == [
-        g.cell_index(r.start.x, r.start.y) for r in (*reqs[-3:], reqs[0])]
-    # A dropped request builds its mask again and finds its search cached.
-    plan_path(g, reqs[1], 0.1)
+    request_keys = [key for key in planner._PLAN_CACHE
+                    if isinstance(key[0], tuple)]
+    assert [key[3] for key in request_keys] == [
+        g.cell_index(r.start.x, r.start.y) for r in (*reqs[-4:], reqs[0])]
+    # A request dropped while its mask key stays builds its mask again and
+    # finds its search.
+    del planner._PLAN_CACHE[request_keys[-2]]
+    plan_path(g, reqs[-1], 0.1)
     assert len(masks_built) == len(reqs) + 1 and len(searches) == len(reqs)
