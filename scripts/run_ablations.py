@@ -36,9 +36,10 @@ BIASED_PAIRS = [(0.9, 0.2), (0.9, 0.5), (0.5, 0.2),
 def battery(name, policies, seeds, cells=((None, None),)):
     """Each policy at each seed on one config of the scenario per
     (estimated_sr, true_sr) cell; None keeps the file's rate. The cells
-    that share a true_sr simulate one world, so they run together, seed by
-    seed, and one seed's episodes share decision nodes. The rows are cell
-    by cell, policy by policy."""
+    whose configs share a world key (`ScenarioConfig._world`, the key
+    `run_episode` shares decision nodes on) run together, seed by seed, so
+    one seed's episodes share decision nodes. The rows are cell by cell,
+    policy by policy."""
     base = ScenarioConfig.from_yaml(scenario_path(f"{name}.yaml"))
     configs = {}
     for estimated_sr, true_sr in cells:
@@ -51,7 +52,7 @@ def battery(name, policies, seeds, cells=((None, None),)):
         configs[estimated_sr, true_sr] = cfg
     worlds = {}
     for cell in cells:
-        worlds.setdefault(cell[1], []).append(cell)
+        worlds.setdefault(configs[cell]._world, []).append(cell)
     records = {(cell, policy, seed): run_episode(configs[cell], policy, seed=seed)
                for members in worlds.values() for seed in seeds
                for cell in members for policy in policies}

@@ -1,6 +1,7 @@
 """Command-line harness: single episodes, trial batches, predictor training.
 
-Exit codes: 0 success or valid result, 1 usage error, 2 config error,
+Exit codes: 0 success or valid result, 1 usage error, 2 config error
+(a bad option value or an unreadable or unwritable path among them),
 3 internal error.
 """
 
@@ -68,7 +69,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_seed(seed: int | None) -> None:
+    # numpy's generators take no negative seed; fail before any work.
+    if seed is not None and seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
+
+
 def _cmd_run(args) -> int:
+    _check_seed(args.seed)
     config = ScenarioConfig.from_yaml(args.config)
     record = run_episode(config, args.policy, seed=args.seed)
     print(f"{record.scenario_id} policy={record.policy} seed={record.seed} "
@@ -120,6 +128,7 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_train_bypass(args) -> int:
+    _check_seed(args.seed)
     if args.generate:
         if not args.config:
             print("error: --generate requires --config", file=sys.stderr)
@@ -161,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "train-bypass":
             return _cmd_train_bypass(args)
         return 1
-    except (ScenarioError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal failure

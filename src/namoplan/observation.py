@@ -106,17 +106,6 @@ class PoseBelief:
         self.cov = _check_psd(self.cov)
 
 
-@dataclass
-class MovableObstacle:
-    id: str
-    belief: PoseBelief
-    radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("MO radius must be positive")
-
-
 def project_measurement(robot: RobotPoseBelief,
                         meas: RangeBearingMeasurement) -> PoseBelief:
     """Obstacle position belief from a range-bearing measurement.

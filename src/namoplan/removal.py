@@ -14,7 +14,6 @@ from scipy.special import betaincinv
 
 from .gridmap import FREE, GridPosition, OccupancyGrid
 from .intervals import CostInterval
-from .observation import MovableObstacle
 from .planner import PlanRequest, Trajectory, blocked_mask, plan_path
 
 
@@ -174,7 +173,8 @@ _CLEARANCE_ELEMENTS = 65_536
 
 def estimate_removal_time(
     grid: OccupancyGrid,
-    mo: MovableObstacle,
+    mean: np.ndarray,
+    mo_radius: float,
     robot_xy: np.ndarray,
     blocked_path: Trajectory,
     robot_radius: float,
@@ -184,14 +184,15 @@ def estimate_removal_time(
     unload_overhead: float,
     search_radius: float,
 ) -> RemovalEstimate | None:
-    """Nearest valid stock cell and the time to move the obstacle there.
+    """Nearest valid stock cell and the time to move the obstacle, believed
+    at `mean` and of radius `mo_radius`, there.
 
     A stock cell must keep the placed obstacle clear of static obstacles by
     its own radius and clear of the blocked path by obstacle + robot radius,
     and must be reachable from the obstacle position. Returns None when no
     such cell exists within the search radius (removal infeasible)."""
-    mx, my = mo.belief.mean
-    clearance_path = mo.radius + robot_radius
+    mx, my = mean
+    clearance_path = mo_radius + robot_radius
     # A waypoint farther than search_radius + clearance from the mean cannot
     # come within the clearance of any candidate, so the `<` test below is
     # decided by the rest; the margin dwarfs the rounding of both distances.
@@ -210,7 +211,7 @@ def estimate_removal_time(
         return ~(np.sqrt(d2) < clearance_path)
 
     max_slice = max(1, _CLEARANCE_ELEMENTS // max(1, len(px)))
-    for _, iy, ix in _stock_candidates(grid, mx, my, mo.radius, search_radius,
+    for _, iy, ix in _stock_candidates(grid, mx, my, mo_radius, search_radius,
                                        fits, max_slice):
         x, y = grid.cell_center(iy, ix)
         request = PlanRequest(GridPosition(mx, my), GridPosition(x, y))

@@ -14,6 +14,7 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from functools import cache, cached_property, partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -25,8 +26,8 @@ from .decision import decide
 from .gridmap import (GridPosition, Memo, OccupancyGrid, _memoized, free_area,
                       mark_explored, raycast_distance)
 from .intervals import CostInterval
-from .observation import (MovableObstacle, PoseBelief, RangeBearingMeasurement,
-                          RobotPoseBelief, confidence_ellipse, fuse, path_blocked,
+from .observation import (PoseBelief, RangeBearingMeasurement, RobotPoseBelief,
+                          confidence_ellipse, fuse, path_blocked,
                           project_measurement, turn_angles, wrap_angle)
 from .planner import (Ellipse, EndpointBlocked, PlanRequest, Trajectory,
                       _astar_on_mask, blocked_mask, plan_path)
@@ -327,15 +328,16 @@ class Policy:
     when absent) and returns the action ("bypass", "remove", "wait" or
     "none") with the details its decision trace entry records.
 
-    A rule reads the episode and may draw from `episode.rng`, and changes
-    nothing else: it may fill pure memos (the episode's `model` and the
-    process-wide memos behind `blockage_interval` and `model`), which change
-    no answer. Only a rule may read the config's decision-only fields (those
-    not in `WORLD_FIELDS`: `estimated_sr`, `calibration_trials` and
-    `sr_shared` through `beta_for`, `bypass_model` through `model`); the
-    world the episode walks between choices must not. `run_episode` relies
-    on this to resume one policy, of any config of the same world, from the
-    state another reached with the same choices."""
+    A rule reads the episode (its obstacle records among the rest) and may
+    draw from `episode.rng`, and changes nothing else: it may fill pure
+    memos (the episode's `model` and the process-wide memos behind
+    `blockage_interval` and `model`), which change no answer. Only a rule
+    may read the config's decision-only fields (those not in
+    `WORLD_FIELDS`: `estimated_sr`, `calibration_trials` and `sr_shared`
+    through `beta_for`, `bypass_model` through `model`); the world the
+    episode walks between choices must not. `run_episode` relies on this to
+    resume one policy, of any config of the same world, from the state
+    another reached with the same choices."""
 
     name: str
     choose: Callable[..., tuple[str, dict]]
@@ -464,12 +466,18 @@ class TrialRecord:
 # episode
 
 
-@dataclass
-class _WorldMO:
+class _Obstacle(NamedTuple):
+    """One obstacle of an episode: where it truly is, the belief about where
+    it is with that belief's confidence ellipse (None until first sensed),
+    and its loads so far, (successes, failures). Replaced, never mutated."""
+
     spec: ObstacleSpec
     x: float
     y: float
     placed: bool = False
+    belief: PoseBelief | None = None
+    ellipse: Ellipse | None = None
+    loads: tuple[int, int] = (0, 0)
 
 
 class _Episode:
@@ -480,11 +488,9 @@ class _Episode:
         self.grid = config.load_grid()
         # The cells this episode has sensed so far.
         self.explored = np.zeros_like(self.grid.cells, dtype=bool)
-        self.mos = {o.label: _WorldMO(o, o.position[0], o.position[1])
-                    for o in config.obstacles}
-        self.beliefs: dict[str, PoseBelief] = {}
-        # Loads of each obstacle so far, (successes, failures).
-        self.betas: dict[str, tuple[int, int]] = {}
+        # Each obstacle's record, in label order.
+        self.obstacles = {o.label: _Obstacle(o, *o.position) for o in
+                          sorted(config.obstacles, key=lambda o: o.label)}
         self.x, self.y = config.robot.start
         self.heading = config.robot.start_heading
         self.t = 0.0
@@ -503,58 +509,50 @@ class _Episode:
         # Removal cycle time estimated at the latest decision; a failed
         # load costs one cycle.
         self.t_mo = 0.0
-        # Each obstacle's latest belief with its confidence ellipse. Beliefs
-        # are replaced on fuse and placement, never mutated, so an entry
-        # holds while its belief is the current one.
-        self._ellipses: dict[str, tuple[PoseBelief, Ellipse]] = {}
 
     # -- success-rate beliefs ------------------------------------------
-
-    def _initial_beta(self) -> rem.BetaBelief:
-        n = self.cfg.calibration_trials
-        s = int(round(self.cfg.estimated_sr * n))
-        return rem.BetaBelief.from_trials(s, n - s)
 
     def beta_for(self, label: str) -> rem.BetaBelief:
         """The config's prior plus the loads counted so far: of `label`, or
         of every obstacle when the rate is shared. Priors and counts are
         whole numbers, so this is the belief that updating the prior load
         by load would give, bit for bit."""
-        prior = self._initial_beta()
-        loads = (self.betas.values() if self.cfg.sr_shared
-                 else [self.betas.get(label, (0, 0))])
-        return rem.BetaBelief(prior.alpha + sum(s for s, _ in loads),
-                              prior.beta + sum(f for _, f in loads))
+        n = self.cfg.calibration_trials
+        s = int(round(self.cfg.estimated_sr * n))
+        prior = rem.BetaBelief.from_trials(s, n - s)
+        records = (self.obstacles.values() if self.cfg.sr_shared
+                   else [self.obstacles[label]])
+        return rem.BetaBelief(prior.alpha + sum(o.loads[0] for o in records),
+                              prior.beta + sum(o.loads[1] for o in records))
 
     def update_beta(self, label: str, success: bool) -> None:
         """Count a load; the belief it moves is the rules' to derive."""
-        s, f = self.betas.get(label, (0, 0))
-        self.betas[label] = (s + success, f + (not success))
+        o = self.obstacles[label]
+        s, f = o.loads
+        self.obstacles[label] = o._replace(loads=(s + success, f + (not success)))
 
     # -- perception ----------------------------------------------------
 
-    def ellipse(self, label: str) -> Ellipse:
-        """Confidence ellipse of the obstacle's current belief, computed
-        once per belief."""
-        belief = self.beliefs[label]
-        memo = self._ellipses.get(label)
-        if memo is None or memo[0] is not belief:
-            memo = (belief, confidence_ellipse(belief, self.mos[label].spec.radius,
-                                               self.cfg.confidence))
-            self._ellipses[label] = memo
-        return memo[1]
+    def set_belief(self, label: str, belief: PoseBelief, **truth) -> None:
+        """Replace the obstacle's belief, and its ground-truth fields named
+        in `truth`, together with the belief's confidence ellipse."""
+        o = self.obstacles[label]
+        self.obstacles[label] = o._replace(
+            belief=belief, ellipse=confidence_ellipse(belief, o.spec.radius,
+                                                      self.cfg.confidence),
+            **truth)
 
     def ellipses(self, exclude: str | None = None) -> tuple[Ellipse, ...]:
-        return tuple(self.ellipse(label) for label in sorted(self.beliefs)
-                     if label != exclude)
+        """The confidence ellipses of the known obstacles but `exclude`."""
+        return tuple(o.ellipse for label, o in self.obstacles.items()
+                     if o.belief is not None and label != exclude)
 
     def sense(self) -> None:
         self.diag["n_senses"] += 1
         mark_explored(self.grid, self.explored, self.x, self.y, self.heading,
                       self.cfg.robot.sensor_range, self.cfg.robot.sensor_fov)
         var_d, var_phi = self.cfg.noise.meas_cov_diag
-        for label in sorted(self.mos):
-            mo = self.mos[label]
+        for label, mo in self.obstacles.items():
             dx, dy = mo.x - self.x, mo.y - self.y
             dist = math.hypot(dx, dy)
             if dist > self.cfg.robot.sensor_range or dist < 1e-6:
@@ -573,10 +571,8 @@ class _Episode:
             robot = RobotPoseBelief(np.array([self.x, self.y, self.heading]),
                                     np.diag(self.cfg.noise.robot_cov_diag))
             obs = project_measurement(robot, meas)
-            if label in self.beliefs:
-                self.beliefs[label] = fuse(self.beliefs[label], obs)
-            else:
-                self.beliefs[label] = obs
+            self.set_belief(label, obs if mo.belief is None
+                            else fuse(mo.belief, obs))
 
     # -- planning helpers ----------------------------------------------
 
@@ -636,16 +632,16 @@ class _Episode:
             if since_sense >= self.cfg.sense_interval:
                 self.sense()
                 since_sense = 0.0
-                changed = [label for label in sorted(self.beliefs)
-                           if label != ignore
-                           and cleared.get(label) is not self.beliefs[label]]
+                changed = [(label, o) for label, o in self.obstacles.items()
+                           if o.belief is not None and label != ignore
+                           and cleared.get(label) is not o.belief]
                 blocker = path_blocked(
                     traj.positions[i:],
-                    [(label, self.ellipse(label)) for label in changed],
+                    [(label, o.ellipse) for label, o in changed],
                     self.cfg.robot.radius)
                 if blocker is not None:
                     return "blocked", blocker
-                cleared.update((label, self.beliefs[label]) for label in changed)
+                cleared.update((label, o.belief) for label, o in changed)
             p1 = traj.positions[i + 1]
             step = steps[i]
             new_heading = float(traj.headings[i])
@@ -663,7 +659,7 @@ class _Episode:
     # -- removal execution ---------------------------------------------
 
     def staging_point(self, label: str) -> tuple[float, float] | None:
-        mo = self.mos[label]
+        mo = self.obstacles[label]
         rsum = mo.spec.radius + self.cfg.robot.radius
         dx, dy = self.x - mo.x, self.y - mo.y
         dist = math.hypot(dx, dy)
@@ -677,10 +673,11 @@ class _Episode:
 
     def evaluate_removal(self, label: str, blocked_traj: Trajectory):
         """Stock search + manipulation-time estimate for the blocking MO."""
-        mo = self.mos[label]
+        mo = self.obstacles[label]
         return rem.estimate_removal_time(
             self.grid,
-            MovableObstacle(label, self.beliefs[label], mo.spec.radius),
+            mo.belief.mean,
+            mo.spec.radius,
             np.array([self.x, self.y]),
             blocked_traj,
             self.cfg.robot.radius,
@@ -697,7 +694,7 @@ class _Episode:
 
         Returns "removed", "gave_up" or "timeout".
         """
-        mo = self.mos[label]
+        true_sr = self.obstacles[label].spec.true_sr
         stage = self.staging_point(label)
         if stage is not None:
             approach = self.plan_to(stage[0], stage[1], exclude=label)
@@ -708,7 +705,7 @@ class _Episode:
         for _ in range(self.cfg.removal.max_attempts):
             self.t += self.cfg.removal.load_overhead
             self.diag["n_attempts"] += 1
-            success = bool(self.rng.random() < mo.spec.true_sr)
+            success = bool(self.rng.random() < true_sr)
             self.update_beta(label, success)
             self.trace.append({"event": "attempt", "t": self.t, "obstacle": label,
                                "success": success})
@@ -731,12 +728,11 @@ class _Episode:
                           + self.cfg.removal.unload_overhead)
             self.t += carry_time
             self.diag["distance"] += 2.0 * est.carry_length
-            mo.x, mo.y = est.stock_position.x, est.stock_position.y
-            mo.placed = True
-            self.beliefs[label] = PoseBelief(np.array([mo.x, mo.y]),
-                                             np.eye(2) * 1e-6)
+            x, y = est.stock_position.x, est.stock_position.y
+            self.set_belief(label, PoseBelief(np.array([x, y]), np.eye(2) * 1e-6),
+                            x=x, y=y, placed=True)
             self.trace.append({"event": "placed", "t": self.t, "obstacle": label,
-                               "stock": [mo.x, mo.y]})
+                               "stock": [x, y]})
             if self.t >= self.cfg.timeout:
                 return "timeout"
             return "removed"
@@ -818,10 +814,10 @@ class _Episode:
 
     def _nearest_known_blocker(self) -> str | None:
         best, best_d = None, math.inf
-        for label in sorted(self.beliefs):
-            if self.mos[label].placed:
+        for label, o in self.obstacles.items():
+            if o.belief is None or o.placed:
                 continue
-            bx, by = self.beliefs[label].mean
+            bx, by = o.belief.mean
             d = math.hypot(bx - self.x, by - self.y)
             if d < best_d:
                 best, best_d = label, d
@@ -843,9 +839,11 @@ class _Node:
     """An episode at a decision, before its policy chooses: the trace
     entries made since the last choice, what every policy reads there
     (`_next_decision`'s tuple), the state to resume from and the steps
-    after the choices made here. A node holds nothing of the config, so
-    the configs of one world share it and a config dies with its last
-    reference, wherever the tree is kept."""
+    after the choices made here. The state keeps the obstacle records in
+    one dict; records are replaced, never mutated, so a copy of the dict
+    keeps them. A node holds nothing of the config, so the configs of one
+    world share it and a config dies with its last reference, wherever the
+    tree is kept."""
 
     def __init__(self, ep: _Episode, events: list[dict], decision: tuple):
         self.events, self.decision = events, decision
@@ -854,11 +852,9 @@ class _Node:
         self.children: dict[tuple, _End | _Node] = {}
         self.rng = ep.rng.bit_generator.state
         self.explored = np.packbits(ep.explored)
-        self.mos = [(mo.x, mo.y, mo.placed) for mo in ep.mos.values()]
-        self.beliefs, self.betas = dict(ep.beliefs), dict(ep.betas)
+        self.obstacles = dict(ep.obstacles)
         self.diag = dict(ep.diag)
         self.scalars = (ep.x, ep.y, ep.heading, ep.t, ep.t_mo, ep.steps)
-        self.ellipses = dict(ep._ellipses)
 
     def restore(self, ep: _Episode) -> None:
         """Put `ep` in this node's state."""
@@ -866,12 +862,9 @@ class _Node:
         cells = ep.grid.cells
         ep.explored = np.unpackbits(self.explored, count=cells.size).view(
             bool).reshape(cells.shape)
-        for mo, (x, y, placed) in zip(ep.mos.values(), self.mos):
-            mo.x, mo.y, mo.placed = x, y, placed
-        ep.beliefs, ep.betas = dict(self.beliefs), dict(self.betas)
+        ep.obstacles = dict(self.obstacles)
         ep.diag = dict(self.diag)
         ep.x, ep.y, ep.heading, ep.t, ep.t_mo, ep.steps = self.scalars
-        ep._ellipses = dict(self.ellipses)
         ep.at = self
 
 

@@ -63,10 +63,11 @@ def blocked_mask(grid: OccupancyGrid, robot_radius: float,
 
 
 def path_blocked(positions, obstacles, robot_radius, confidence=0.95):
-    """Every waypoint against every ellipse, one scalar test at a time;
-    oracle for `observation.path_blocked`."""
-    ellipses = [(mo.id, confidence_ellipse(mo.belief, mo.radius, confidence))
-                for mo in obstacles]
+    """Every waypoint against the ellipse of every (label, belief, radius)
+    in `obstacles`, one scalar test at a time; oracle for
+    `observation.path_blocked`."""
+    ellipses = [(label, confidence_ellipse(belief, radius, confidence))
+                for label, belief, radius in obstacles]
     for x, y in positions:
         for mo_id, e in ellipses:
             if e.contains(x, y, margin=robot_radius):
@@ -255,17 +256,17 @@ def stock_candidates(grid: OccupancyGrid, mx: float, my: float,
     return [c for c in candidates if static_clear[c[1], c[2]]]
 
 
-def estimate_removal_time(grid, mo, robot_xy, blocked_path, robot_radius,
-                          v_lin, v_rot, load_overhead, unload_overhead,
-                          search_radius):
+def estimate_removal_time(grid, mean, mo_radius, robot_xy, blocked_path,
+                          robot_radius, v_lin, v_rot, load_overhead,
+                          unload_overhead, search_radius):
     """`removal.estimate_removal_time` over the per-cell candidate scan and
     the reference planner."""
-    mx, my = mo.belief.mean
+    mx, my = mean
     path_pts = blocked_path.positions
-    for _, iy, ix in stock_candidates(grid, mx, my, mo.radius, search_radius):
+    for _, iy, ix in stock_candidates(grid, mx, my, mo_radius, search_radius):
         x, y = grid.cell_center(iy, ix)
         d_path = np.min(np.linalg.norm(path_pts - np.array([x, y]), axis=1))
-        if d_path < mo.radius + robot_radius:
+        if d_path < mo_radius + robot_radius:
             continue
         try:
             carry = plan_path(

@@ -401,6 +401,40 @@ def test_benchmark_negative_seed_exit_two_before_any_file(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, output", [
+    ("run", "--out"), ("run", "--diagnostics"), ("train-bypass", "--out")])
+def test_negative_cli_seed_exit_two_before_any_file(
+        tiny_yaml, tmp_path, capsys, monkeypatch, command, output):
+    monkeypatch.setattr("namoplan.cli.run_episode", _no_episode)
+    monkeypatch.setattr("namoplan.cli.generate_bypass_benchmark", _no_episode)
+    out = tmp_path / "out"
+    extra = ["--generate"] if command == "train-bypass" else []
+    code = main([command, *extra, "--config", tiny_yaml, "--seed", "-1",
+                 output, str(out)])
+    assert code == 2
+    assert "config error: --seed must be >= 0, got -1\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_benchmark_out_that_is_a_file_exit_two(tiny_yaml, tmp_path, capsys):
+    out = tmp_path / "res"
+    out.write_text("kept\n")
+    code = main(["benchmark", "--config", tiny_yaml, "--policy",
+                 "priority-bypass", "--reps", "1", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(out) in err
+    assert out.read_text() == "kept\n"
+
+
+def test_run_out_that_is_a_directory_exit_two(tiny_yaml, tmp_path, capsys):
+    code = main(["run", "--config", tiny_yaml, "--seed", "1",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(tmp_path) in err
+
+
 def test_benchmark_two_files_with_one_scenario_id_exit_two_before_any_file(
         tmp_path, capsys, monkeypatch):
     # Their rows would be merged into one summary cell and could not be

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import oracles
 from namoplan import scenario_path, simulator
 from namoplan.gridmap import FREE, STATIC, OccupancyGrid, clear_memos
+from namoplan.removal import BetaBelief
 from namoplan.simulator import (POLICIES, BypassModelConfig, Policy,
                                 ScenarioConfig, run_episode)
 
@@ -152,7 +153,8 @@ def test_load_counts_give_the_beliefs_of_updates_made_load_by_load(
     config = replace(warehouse_config, sr_shared=shared,
                      estimated_sr=estimated_sr, calibration_trials=trials)
     ep = simulator._Episode(config, 0)
-    prior = ep._initial_beta()
+    s = round(estimated_sr * trials)
+    prior = BetaBelief.from_trials(s, trials - s)
     folds = {}
     for label, success in loads:
         key = "" if shared else label
@@ -296,9 +298,16 @@ def test_memo_is_no_part_of_the_config(monkeypatch):
     assert _tree(replace(config, estimated_sr=0.5)) == tree
 
 
+def _record(o) -> tuple:
+    """An obstacle record as plain values, its arrays as bytes."""
+    belief = None if o.belief is None else (o.belief.mean.tobytes(),
+                                             o.belief.cov.tobytes())
+    return o.spec, o.x, o.y, o.placed, belief, o.ellipse, o.loads
+
+
 def _state(ep) -> dict:
-    """Everything an episode holds, as plain values; beliefs by identity,
-    since beliefs are replaced and never changed."""
+    """Everything an episode holds, as plain values; obstacle records by
+    identity and by value, since records are replaced and never changed."""
     state = {}
     for name, value in vars(ep).items():
         if name in ("at", "model"):
@@ -309,13 +318,8 @@ def _state(ep) -> dict:
             value = value is ep.cfg.load_grid()
         elif name == "explored":
             value = value.tobytes()
-        elif name == "mos":
-            value = [(label, mo.spec, mo.x, mo.y, mo.placed)
-                     for label, mo in value.items()]
-        elif name == "beliefs":
-            value = [(label, id(b)) for label, b in value.items()]
-        elif name == "_ellipses":
-            value = [(label, id(b), e) for label, (b, e) in value.items()]
+        elif name == "obstacles":
+            value = [(label, id(o), _record(o)) for label, o in value.items()]
         elif isinstance(value, (dict, list)):
             value = repr(value)
         state[name] = value
@@ -344,9 +348,13 @@ def test_node_restores_the_state_it_was_reached_in(monkeypatch):
         for seed in SEEDS:
             for policy in POLICIES:
                 run_episode(config, policy, seed=seed)
-    placed = 0
+    placed = loaded = 0
     for node, cfg, seed, state in made:
         twin = restored(node, cfg, seed)
         assert _state(twin) == state
-        placed += any(mo.placed for mo in twin.mos.values())
-    assert len(made) > 50 and placed > 5
+        # The node's saved records are the very objects it was made with,
+        # and the episode holds a copy of the node's dict, not the dict.
+        assert twin.obstacles is not node.obstacles
+        placed += any(o.placed for o in twin.obstacles.values())
+        loaded += any(o.loads != (0, 0) for o in twin.obstacles.values())
+    assert len(made) > 50 and placed > 5 and loaded > 5

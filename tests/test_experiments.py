@@ -333,7 +333,7 @@ def test_jobs_name_their_config_by_index(tiny_scenario, tmp_path, monkeypatch):
 def test_a_job_is_one_world_at_one_seed(tiny_scenario, tmp_path, monkeypatch):
     from namoplan import experiments
 
-    raw = yaml.safe_load(open(tiny_scenario))
+    raw = yaml.safe_load(Path(tiny_scenario).read_text())
     raw.update(scenario_id="a_tiny", estimated_sr=0.5,
                map=str(Path(tiny_scenario).with_name(raw["map"])))
     (tmp_path / "a_tiny.yaml").write_text(yaml.safe_dump(raw))

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from namoplan import observation
-from namoplan.observation import (InvalidCovariance, MovableObstacle, PoseBelief,
+from namoplan.observation import (InvalidCovariance, PoseBelief,
                                   RangeBearingMeasurement, RobotPoseBelief,
                                   confidence_ellipse, fuse, path_blocked,
                                   project_measurement, turn_angles, wrap_angle)
@@ -356,14 +356,14 @@ def test_ellipse_invalid_confidence():
 
 
 def _mo(x, y, radius=0.3, var=0.0):
-    return MovableObstacle("m", PoseBelief(np.array([x, y]),
-                                           var * np.eye(2)), radius)
+    """A (label, belief, radius) triple."""
+    return "m", PoseBelief(np.array([x, y]), var * np.eye(2)), radius
 
 
 def _pairs(mos, confidence=0.95):
     """(label, confidence ellipse) pairs, as `path_blocked` takes them."""
-    return [(mo.id, confidence_ellipse(mo.belief, mo.radius, confidence))
-            for mo in mos]
+    return [(label, confidence_ellipse(belief, radius, confidence))
+            for label, belief, radius in mos]
 
 
 def test_far_obstacle_does_not_block():
@@ -389,10 +389,8 @@ def test_grazing_contact_counts_as_blocked():
 
 def test_first_blocker_by_path_order():
     traj = Trajectory(np.array([[0.0, 0.0], [2.0, 0.0], [4.0, 0.0]]))
-    near = MovableObstacle("near", PoseBelief(np.array([2.0, 0.0]),
-                                              np.zeros((2, 2))), 0.3)
-    far = MovableObstacle("far", PoseBelief(np.array([4.0, 0.0]),
-                                            np.zeros((2, 2))), 0.3)
+    near = ("near", PoseBelief(np.array([2.0, 0.0]), np.zeros((2, 2))), 0.3)
+    far = ("far", PoseBelief(np.array([4.0, 0.0]), np.zeros((2, 2))), 0.3)
     assert path_blocked(traj.positions, _pairs([far, near]), robot_radius=0.2) == "near"
 
 
@@ -415,10 +413,10 @@ def test_path_blocked_matches_reference_on_random_paths():
     for _ in range(300):
         n = int(rng.integers(2, 80))
         pts = np.cumsum(rng.normal(0.0, 0.15, (n, 2)), axis=0)
-        mos = [MovableObstacle(f"m{k}", _belief(rng, pts[rng.integers(n)]
-                                               + rng.normal(0.0, 0.6, 2),
-                                               zero=rng.random() < 0.3),
-                               rng.uniform(0.1, 0.4))
+        mos = [(f"m{k}", _belief(rng, pts[rng.integers(n)]
+                                 + rng.normal(0.0, 0.6, 2),
+                                 zero=rng.random() < 0.3),
+                rng.uniform(0.1, 0.4))
                for k in range(int(rng.integers(0, 5)))]
         traj = Trajectory(pts)
         r = rng.uniform(0.1, 0.3)
@@ -426,7 +424,7 @@ def test_path_blocked_matches_reference_on_random_paths():
         got = path_blocked(traj.positions, _pairs(mos, conf), r)
         assert got == oracles.path_blocked(traj.positions, mos, r, conf)
         outcomes.add("none" if got is None else
-                     "first" if got == mos[0].id else "later")
+                     "first" if got == mos[0][0] else "later")
     assert outcomes == {"none", "first", "later"}
 
 
@@ -436,10 +434,10 @@ def test_path_blocked_matches_reference_on_ellipse_boundaries():
     rng = np.random.default_rng(42)
     for zero in (True, False):
         for _ in range(40):
-            mo = MovableObstacle("m", _belief(rng, rng.uniform(-2, 2, 2), zero),
-                                 rng.uniform(0.1, 0.4))
+            mo = ("m", _belief(rng, rng.uniform(-2, 2, 2), zero),
+                  rng.uniform(0.1, 0.4))
             r = 0.2
-            e = confidence_ellipse(mo.belief, mo.radius, CONFIDENCE).inflate(r)
+            e = confidence_ellipse(*mo[1:], CONFIDENCE).inflate(r)
             t = rng.uniform(-math.pi, math.pi, 50)
             rim = np.column_stack([
                 e.cx + e.a * np.cos(t) * math.cos(e.angle)
@@ -456,10 +454,8 @@ def test_path_blocked_matches_reference_on_ellipse_boundaries():
 def test_same_waypoint_tie_goes_to_the_earlier_obstacle():
     # Both obstacles are first touched at waypoint 1; the list order decides.
     traj = Trajectory(np.array([[0.0, 0.0], [2.0, 0.0], [4.0, 0.0]]))
-    above = MovableObstacle("above", PoseBelief(np.array([2.0, 0.4]),
-                                                np.zeros((2, 2))), 0.3)
-    below = MovableObstacle("below", PoseBelief(np.array([2.0, -0.4]),
-                                                0.01 * np.eye(2)), 0.3)
+    above = ("above", PoseBelief(np.array([2.0, 0.4]), np.zeros((2, 2))), 0.3)
+    below = ("below", PoseBelief(np.array([2.0, -0.4]), 0.01 * np.eye(2)), 0.3)
     for mos in ([above, below], [below, above]):
-        assert path_blocked(traj.positions, _pairs(mos), 0.2) == mos[0].id
-        assert oracles.path_blocked(traj.positions, mos, 0.2) == mos[0].id
+        assert path_blocked(traj.positions, _pairs(mos), 0.2) == mos[0][0]
+        assert oracles.path_blocked(traj.positions, mos, 0.2) == mos[0][0]

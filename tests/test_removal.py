@@ -11,7 +11,6 @@ import oracles
 from conftest import empty_grid, grid_from_ascii
 from namoplan import removal
 from namoplan.gridmap import STATIC, OccupancyGrid
-from namoplan.observation import MovableObstacle, PoseBelief
 from namoplan.planner import Trajectory
 from namoplan.removal import (BetaBelief, _stock_candidates,
                               beta_ppf, estimate_removal_time, expected_removal_cost,
@@ -160,8 +159,7 @@ def _doorway_world():
 ..........
 ..........
 """, resolution=0.4)
-    mo = MovableObstacle("m", PoseBelief(np.array([1.5, 0.8]),
-                                         1e-6 * np.eye(2)), 0.25)
+    mo = (np.array([1.5, 0.8]), 0.25)  # belief mean and radius
     blocked = Trajectory(np.array([[1.5, 2.8], [1.5, 1.6], [1.5, 0.8],
                                    [1.5, 0.4]]))
     return grid, mo, blocked
@@ -169,7 +167,7 @@ def _doorway_world():
 
 def test_stock_found_next_to_doorway():
     grid, mo, blocked = _doorway_world()
-    est = estimate_removal_time(grid, mo, np.array([1.5, 2.0]), blocked,
+    est = estimate_removal_time(grid, *mo, np.array([1.5, 2.0]), blocked,
                                 robot_radius=0.2, search_radius=3.0, **TIMES)
     assert est is not None
     assert est.t_mo > 0
@@ -185,20 +183,19 @@ def test_no_stock_in_tight_corridor():
     cells[4:7, :] = 0
     from namoplan.gridmap import OccupancyGrid
     grid = OccupancyGrid(0.4, cells)
-    mo = MovableObstacle("m", PoseBelief(np.array([12.0, 2.2]),
-                                         1e-6 * np.eye(2)), 0.55)
+    mo = (np.array([12.0, 2.2]), 0.55)
     xs = np.arange(0.2, 23.8, 0.2)
     blocked = Trajectory(np.column_stack([xs, np.full_like(xs, 2.2)]))
-    est = estimate_removal_time(grid, mo, np.array([10.0, 2.2]), blocked,
+    est = estimate_removal_time(grid, *mo, np.array([10.0, 2.2]), blocked,
                                 robot_radius=0.3, search_radius=2.5, **TIMES)
     assert est is None
 
 
 def test_removal_time_stable_across_runs():
     grid, mo, blocked = _doorway_world()
-    first = estimate_removal_time(grid, mo, np.array([1.5, 2.0]), blocked,
+    first = estimate_removal_time(grid, *mo, np.array([1.5, 2.0]), blocked,
                                   robot_radius=0.2, **STOCK)
-    second = estimate_removal_time(grid, mo, np.array([1.5, 2.0]), blocked,
+    second = estimate_removal_time(grid, *mo, np.array([1.5, 2.0]), blocked,
                                    robot_radius=0.2, **STOCK)
     assert first.t_mo == second.t_mo
     assert (first.stock_position.x, first.stock_position.y) == \
@@ -261,9 +258,8 @@ def test_stock_search_matches_per_cell_scan():
             for mo_radius, search_radius in ((0.15, 0.5), (0.25, 1.2), (0.3, 3.0)):
                 want = _assert_lazy_order_matches(grid, mx, my, mo_radius,
                                                   search_radius)
-                mo = MovableObstacle("m", PoseBelief(np.array([mx, my]),
-                                                     1e-6 * np.eye(2)), mo_radius)
-                args = (grid, mo, np.array([2.5, 2.0]), blocked, 0.1)
+                args = (grid, np.array([mx, my]), mo_radius,
+                        np.array([2.5, 2.0]), blocked, 0.1)
                 est = estimate_removal_time(*args, **TIMES,
                                             search_radius=search_radius)
                 assert est == oracles.estimate_removal_time(
@@ -283,8 +279,7 @@ def test_stock_search_ignores_only_waypoints_out_of_reach():
     # no waypoint in reach leaves the nearest candidate.
     grid = empty_grid(60, 60, 0.1)
     mx, my = 3.02, 2.97
-    mo = MovableObstacle("m", PoseBelief(np.array([mx, my]), 1e-6 * np.eye(2)),
-                         0.2)
+    mo = (np.array([mx, my]), 0.2)
     lattice = np.mgrid[-0.8:0.8:33j, -0.8:0.8:33j].reshape(2, -1).T
     disk = lattice[np.hypot(lattice[:, 0], lattice[:, 1]) <= 0.8]
     t = np.linspace(0.0, 2.0 * math.pi, 400, endpoint=False)
@@ -293,7 +288,7 @@ def test_stock_search_ignores_only_waypoints_out_of_reach():
                        (np.vstack([disk, 1.65 * circle]), True),
                        (2.0 * circle, True)):
         blocked = Trajectory(pts + (mx, my))
-        args = (grid, mo, np.array([0.5, 0.5]), blocked, 0.2)
+        args = (grid, *mo, np.array([0.5, 0.5]), blocked, 0.2)
         est = estimate_removal_time(*args, **TIMES, search_radius=1.2)
         assert est == oracles.estimate_removal_time(*args, **TIMES,
                                                     search_radius=1.2)
@@ -313,9 +308,8 @@ def test_stock_search_first_fit_across_chunks(monkeypatch, first_slice):
         mx, my = rng.uniform(1.5, 3.5), rng.uniform(1.5, 2.5)
         blocked = Trajectory(np.column_stack([mx + 0.1 * t / math.pi * np.cos(t),
                                               my + 0.1 * t / math.pi * np.sin(t)]))
-        mo = MovableObstacle("m", PoseBelief(np.array([mx, my]),
-                                             1e-6 * np.eye(2)), 0.15)
-        args = (grid, mo, np.array([0.5, 0.5]), blocked, 0.1)
+        args = (grid, np.array([mx, my]), 0.15, np.array([0.5, 0.5]),
+                blocked, 0.1)
         est = estimate_removal_time(*args, **STOCK)
         assert est is not None and est == oracles.estimate_removal_time(
             *args, **STOCK)
@@ -437,11 +431,9 @@ def test_stock_clearance_test_is_strict():
     # clearance from the path and still fits.
     grid = empty_grid(24, 24, 0.25)
     mx, my = grid.cell_center(12, 12)
-    mo = MovableObstacle("m", PoseBelief(np.array([mx, my]),
-                                         1e-6 * np.eye(2)), 0.25)
     xs = np.arange(0.125, 6.0, 0.25)
     blocked = Trajectory(np.column_stack([xs, np.full_like(xs, my - 1.0)]))
-    args = (grid, mo, np.array([1.0, 1.0]), blocked, 0.25)
+    args = (grid, np.array([mx, my]), 0.25, np.array([1.0, 1.0]), blocked, 0.25)
     est = estimate_removal_time(*args, **STOCK)
     assert est == oracles.estimate_removal_time(*args, **STOCK)
     assert (est.stock_position.x, est.stock_position.y) == (mx, my - 0.5)
@@ -457,8 +449,7 @@ def test_stock_search_under_the_smallest_slice_cap(monkeypatch):
         mx, my = rng.uniform(1.0, 4.0), rng.uniform(1.0, 3.0)
         ys = np.linspace(0.05, 3.95, 40)
         blocked = Trajectory(np.column_stack([np.full_like(ys, mx), ys]))
-        mo = MovableObstacle("m", PoseBelief(np.array([mx, my]),
-                                             1e-6 * np.eye(2)), 0.2)
-        args = (grid, mo, np.array([2.5, 2.0]), blocked, 0.1)
+        args = (grid, np.array([mx, my]), 0.2, np.array([2.5, 2.0]),
+                blocked, 0.1)
         assert estimate_removal_time(*args, **STOCK) == oracles.estimate_removal_time(
             *args, **STOCK)

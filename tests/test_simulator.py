@@ -411,7 +411,7 @@ def test_sense_occluded_obstacle_not_seen(tmp_path):
     cfg = _config(tmp_path, obstacles=[("X", (2.6, 2.0))], cells=cells)
     ep = _Episode(cfg, seed=0)
     ep.sense()
-    assert "X" not in ep.beliefs
+    assert ep.obstacles["X"].belief is None and ep.obstacles["X"].ellipse is None
 
 
 def test_sense_noiseless_is_exact(tmp_path):
@@ -420,14 +420,14 @@ def test_sense_noiseless_is_exact(tmp_path):
                                     meas_cov_diag=(0.0, 0.0)))
     ep = _Episode(cfg, seed=0)
     ep.sense()
-    assert ep.beliefs["X"].mean == pytest.approx([2.0, 2.0], abs=1e-9)
+    assert ep.obstacles["X"].belief.mean == pytest.approx([2.0, 2.0], abs=1e-9)
 
 
 def test_sense_out_of_fov_not_seen(tmp_path):
     cfg = _config(tmp_path, obstacles=[("X", (0.7, 3.5))])  # behind/above
     ep = _Episode(cfg, seed=0)
     ep.sense()  # robot faces +x with a 90 degree fov
-    assert "X" not in ep.beliefs
+    assert ep.obstacles["X"].belief is None and ep.obstacles["X"].ellipse is None
 
 
 def test_sense_noise_matches_configured_covariance(tmp_path):
@@ -436,10 +436,11 @@ def test_sense_noise_matches_configured_covariance(tmp_path):
     ep = _Episode(cfg, seed=0)
     rx, ry = cfg.robot.start
     samples = []
+    unseen = ep.obstacles["X"]
     for _ in range(10_000):
-        ep.beliefs.clear()
+        ep.obstacles["X"] = unseen
         ep.sense()
-        mx, my = ep.beliefs["X"].mean
+        mx, my = ep.obstacles["X"].belief.mean
         d = math.hypot(mx - rx, my - ry)
         phi = math.atan2(my - ry, mx - rx) - ep.heading
         samples.append((d, phi))
@@ -700,7 +701,7 @@ def test_plan_memo_keeps_masks_apart(tmp_path):
     for b in ((6.0, 9.0), (10.5, 16.9)):
         # Believed on the straight route, obstacle B forces a detour; moved
         # off it, its ellipse rasterizes elsewhere for the same start and goal.
-        ep.beliefs["B"] = PoseBelief(np.array(b), np.eye(2) * 0.01)
+        ep.set_belief("B", PoseBelief(np.array(b), np.eye(2) * 0.01))
         plans.append((ep.plan_to(*goal), fresh(ep.ellipses())))
     plans.append((planner.plan_path(ep.grid, request(()), r), fresh(())))
     plans.append((ep.plan_to(*goal, exclude="B"), fresh(())))
@@ -735,8 +736,12 @@ def test_follow_retests_only_changed_beliefs(tmp_path, monkeypatch):
                 "B": PoseBelief(np.array([2.0, 0.5]), np.eye(2) * 1e-4)}
     script = [off_path, {}, {"A": PoseBelief(np.array([4.5, 2.1]),
                                              np.eye(2) * 1e-4)}]
-    monkeypatch.setattr(ep, "sense",
-                        lambda: ep.beliefs.update(script.pop(0) if script else {}))
+
+    def sense():
+        for label, belief in (script.pop(0) if script else {}).items():
+            ep.set_belief(label, belief)
+
+    monkeypatch.setattr(ep, "sense", sense)
     tested = []
     real = simulator.path_blocked
     monkeypatch.setattr(simulator, "path_blocked", lambda positions, obstacles, r:
@@ -753,13 +758,13 @@ _INTERVAL_POLICIES = ("uncertainty", "uncertainty-no-action",
 @pytest.fixture(scope="module")
 def sensing_battery():
     """Every bundled scenario under the interval policies at seeds 0-2,
-    with `follow`'s path checks, the ellipse memo after every fuse and
+    with `follow`'s path checks, the records after every sense and
     placement, and the closed-form covariance check all observed."""
     import oracles
     from namoplan import observation, simulator
-    from namoplan.observation import MovableObstacle, confidence_ellipse
+    from namoplan.observation import confidence_ellipse
 
-    seen = {"checks": [], "ellipses": [], "fast_psd": []}
+    seen = {"checks": [], "records": [], "fast_psd": []}
     current = {}
     follow, sense = _Episode.follow, _Episode.sense
     execute_removal = _Episode.execute_removal
@@ -772,27 +777,30 @@ def sensing_battery():
     def spy_path_blocked(positions, obstacles, robot_radius):
         got = path_blocked(positions, obstacles, robot_radius)
         ep = current["episode"]
-        known = [MovableObstacle(label, ep.beliefs[label], ep.mos[label].spec.radius)
-                 for label in sorted(ep.beliefs) if label != current["ignore"]]
+        known = [(label, o.belief, o.spec.radius)
+                 for label, o in sorted(ep.obstacles.items())
+                 if o.belief is not None and label != current["ignore"]]
         want = oracles.path_blocked(positions, known, robot_radius,
                                     ep.cfg.confidence)
         seen["checks"].append((got, want, len(obstacles), len(known)))
         return got
 
-    def check_ellipses(ep, event):
-        fresh = tuple(confidence_ellipse(ep.beliefs[label],
-                                         ep.mos[label].spec.radius,
-                                         ep.cfg.confidence)
-                      for label in sorted(ep.beliefs))
-        seen["ellipses"].append((event, ep.ellipses(), fresh))
+    def check_records(ep, event):
+        # Each record's ellipse as `confidence_ellipse` gives it afresh, or
+        # None with no belief; and the known ellipses in label order.
+        fresh = [None if o.belief is None else
+                 confidence_ellipse(o.belief, o.spec.radius, ep.cfg.confidence)
+                 for _, o in sorted(ep.obstacles.items())]
+        held = [o.ellipse for _, o in sorted(ep.obstacles.items())]
+        seen["records"].append((event, held, fresh, ep.ellipses()))
 
     def spy_sense(self):
         sense(self)
-        check_ellipses(self, "sense")
+        check_records(self, "sense")
 
     def spy_execute_removal(self, label, blocked_traj):
         status = execute_removal(self, label, blocked_traj)
-        check_ellipses(self, "placed" if self.mos[label].placed else status)
+        check_records(self, "placed" if self.obstacles[label].placed else status)
         return status
 
     def spy_surely_psd(cov):
@@ -823,11 +831,15 @@ def test_incremental_path_check_equals_full_check(sensing_battery):
     assert sum(got is not None for got, _, _, _ in checks) > 10
 
 
-def test_ellipse_memo_follows_fuse_and_placement(sensing_battery):
-    snapshots = sensing_battery["ellipses"]
-    assert all(memo == fresh for _, memo, fresh in snapshots)
-    events = [event for event, memo, _ in snapshots if memo]
+def test_each_record_holds_the_ellipse_of_its_belief(sensing_battery):
+    snapshots = sensing_battery["records"]
+    assert all(held == fresh for _, held, fresh, _ in snapshots)
+    assert all(known == tuple(e for e in fresh if e is not None)
+               for _, _, fresh, known in snapshots)
+    events = [event for event, _, _, known in snapshots if known]
     assert events.count("sense") > 100 and events.count("placed") > 5
+    # Some records were still unsensed, so their missing ellipse was checked.
+    assert sum(None in fresh for _, _, fresh, _ in snapshots) > 100
 
 
 def test_episode_covariances_pass_the_closed_form_check(sensing_battery):
