@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
-import heapq
 import math
+import os
+import subprocess
+import sysconfig
 from collections import deque
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -249,74 +253,78 @@ def _carve_escape(mask: np.ndarray, static: np.ndarray, sy: int, sx: int) -> Non
                 queue.append((ny, nx))
 
 
+# The A* kernel is C, compiled on first import into the package's
+# `__pycache__/`. The file name carries a digest of the source, the flags
+# and the platform, so an edited source or another platform builds a file
+# of its own and a stale build is never loaded. Each build is written under
+# a unique temporary name and renamed into place, so processes importing
+# at once never read a half-written file. There is no fallback: without a
+# C compiler the import fails.
+_SOURCE = Path(__file__).with_name("_astar.c")
+_CFLAGS = ("-std=c99", "-O2", "-shared", "-fPIC", "-ffp-contract=off")
+
+
+def build_kernel(source: Path, out_dir: Path) -> Path:
+    """The shared library compiled from `source` into `out_dir`, built
+    unless a build of the same source, flags and platform is there."""
+    code = source.read_bytes()
+    digest = hashlib.blake2b(code, digest_size=8)
+    digest.update(repr((_CFLAGS, sysconfig.get_platform())).encode())
+    target = out_dir / f"{source.stem}-{digest.hexdigest()}.so"
+    if target.exists():
+        return target
+    out_dir.mkdir(parents=True, exist_ok=True)
+    tmp = out_dir / f".{target.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    command = ["cc", *_CFLAGS, "-o", str(tmp), str(source)]
+    try:
+        try:
+            proc = subprocess.run(command, capture_output=True, text=True)
+        except OSError as exc:
+            raise ImportError(f"cannot build the A* kernel: "
+                              f"{' '.join(command)}: {exc}") from exc
+        if proc.returncode != 0:
+            raise ImportError(f"cannot build the A* kernel: "
+                              f"{' '.join(command)}\n{proc.stderr}")
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return target
+
+
+def load_kernel(library: Path):
+    """The `astar` function of a library `build_kernel` made."""
+    astar = ctypes.CDLL(str(library)).astar
+    astar.restype = ctypes.c_int64
+    astar.argtypes = [np.ctypeslib.ndpointer(np.uint8, flags="C,W"),
+                      ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+                      ctypes.c_int64, np.ctypeslib.ndpointer(np.int64, flags="C,W")]
+    return astar
+
+
+_KERNEL = load_kernel(build_kernel(_SOURCE, _SOURCE.parent / "__pycache__"))
+
+
 def _astar_on_mask(grid: OccupancyGrid, mask: np.ndarray,
                    start: tuple[int, int], goal: tuple[int, int]) -> Trajectory | None:
-    """A* from cell `start` to cell `goal`, both (iy, ix) free in `mask`."""
+    """A* from cell `start` to cell `goal`, both (iy, ix) free in `mask`.
+
+    The search runs in the compiled kernel over the mask padded by one
+    blocked cell, so every neighbour index exists and blocked cells start
+    out closed; see `_astar.c` for why its path is bit-identical to a
+    per-cell search in Python."""
     res = grid.resolution
-    sy, sx = start
-    gy, gx = goal
-    h, w = mask.shape
-
-    # Search flat lists over the mask padded by one blocked cell, so every
-    # neighbour index exists and blocked cells start out closed. Costs, the
-    # octile heuristic and the heap order (f, turns, push counter) are
-    # computed exactly as in a per-cell search over (x, y), and _MOVES keeps
-    # its order, so ties break the same way and the path is bit-identical.
-    pw = w + 2
-    closed = bytearray(np.pad(mask, 1, constant_values=True).tobytes())
-    n = len(closed)
-    adx = [abs(x - 1 - gx) for x in range(pw)]
-    ady = [abs(y - 1 - gy) for y in range(h + 2)]
-    diag = math.sqrt(2) - 2.0
-    moves = [(mi, dy * pw + dx, cost, dx, dy)
-             for mi, (dx, dy, cost) in enumerate(_MOVES)]
-    src = (sy + 1) * pw + sx + 1
-    dst = (gy + 1) * pw + gx + 1
-    g = [math.inf] * n
-    turns = [math.inf] * n  # tie-break: cumulative turn count
-    parent = [-1] * n
-    parent_dir = [-1] * n
-    g[src] = 0.0
-    turns[src] = 0.0
-    counter = 0
-    ax, ay = adx[sx + 1], ady[sy + 1]
-    heap = [((ax + ay) + diag * min(ax, ay), 0.0, counter, src)]
-    push, pop = heapq.heappush, heapq.heappop
-    while heap:
-        cur = pop(heap)[3]
-        if closed[cur]:
-            continue
-        closed[cur] = 1
-        if cur == dst:
-            break
-        cy, cx = divmod(cur, pw)
-        base_g = g[cur]
-        base_t = turns[cur]
-        pdir = parent_dir[cur]
-        for mi, off, cost, dx, dy in moves:
-            nb = cur + off
-            if closed[nb]:
-                continue
-            ng = base_g + cost
-            nt = base_t if pdir == -1 or pdir == mi else base_t + 1.0
-            old = g[nb]
-            if ng < old - 1e-12 or (ng < old + 1e-12 and nt < turns[nb]):
-                g[nb] = ng
-                turns[nb] = nt
-                parent[nb] = cur
-                parent_dir[nb] = mi
-                counter += 1
-                ax, ay = adx[cx + dx], ady[cy + dy]
-                push(heap, (ng + ((ax + ay) + diag * (ax if ax < ay else ay)),
-                            nt, counter, nb))
-    if not closed[dst]:
+    closed = np.pad(mask, 1, constant_values=True).view(np.uint8)
+    pw = closed.shape[1]
+    path = np.empty(closed.size, np.int64)
+    n = _KERNEL(closed, closed.size, pw, (start[0] + 1) * pw + start[1] + 1,
+                (goal[0] + 1) * pw + goal[1] + 1, path)
+    if n == -1:
+        raise MemoryError("A* kernel could not allocate its search arrays")
+    if n == -2:
+        raise ValueError(f"cells {start} and {goal} are not both in a "
+                         f"{mask.shape} mask")
+    if n == 0:
         return None
-
-    path = []
-    cur = dst
-    while cur != -1:
-        path.append(cur)
-        cur = parent[cur]
-    iy, ix = np.divmod(np.array(path[::-1]), pw)
+    iy, ix = np.divmod(path[:n], pw)
     positions = np.column_stack(((ix - 1 + 0.5) * res, (iy - 1 + 0.5) * res))
     return Trajectory(positions)

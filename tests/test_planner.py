@@ -626,3 +626,116 @@ def test_index_stays_within_its_bound(searches, masks_built, monkeypatch):
     del planner._PLAN_CACHE[request_keys[-2]]
     plan_path(g, reqs[-1], 0.1)
     assert len(masks_built) == len(reqs) + 1 and len(searches) == len(reqs)
+
+
+# -- the compiled kernel, pinned to the per-cell reference search ---------
+
+
+def _corridor_maze(rows: int, cols: int) -> np.ndarray:
+    """A snake of 1-cell corridors: walls on every odd row, each with a
+    1-cell gap at alternate ends, and 1-cell pockets between pillars on
+    the last row."""
+    mask = np.zeros((rows, cols), bool)
+    for iy in range(1, rows - 2, 2):
+        mask[iy, :] = True
+        mask[iy, cols - 1 if iy % 4 == 1 else 0] = False
+    mask[rows - 1, 1::2] = True
+    return mask
+
+
+def _kernel_cases():
+    """(mask, start cell, goal cell) of searches over seeded random
+    maps with reachable and unreachable goals, an open grid full of
+    equal-cost routes, 1-cell corridors and a 400 x 400 map with long
+    walls."""
+    rng = np.random.default_rng(28)
+    masks = [rng.random(rng.integers(4, 40, size=2)) < rng.uniform(0.1, 0.45)
+             for _ in range(60)]
+    masks += [np.zeros((40, 50), bool)] * 4
+    masks += [_corridor_maze(15, 21)] * 4
+    for mask in masks:
+        free = np.argwhere(~mask)
+        for _ in range(5):
+            a, b = rng.choice(len(free), size=2, replace=False)
+            yield mask, tuple(map(int, free[a])), tuple(map(int, free[b]))
+    big = rng.random((400, 400)) < 0.2
+    for k, row in enumerate(range(100, 400, 100)):
+        big[row, :] = True
+        big[row, slice(None, 20) if k % 2 else slice(380, None)] = False
+    big[0, 0] = big[-1, -1] = False
+    yield big, (0, 0), (399, 399)
+
+
+@pytest.fixture(scope="module")
+def kernel_cases():
+    """Each case with the reference search's waypoints, or None."""
+    cases = []
+    for mask, start, goal in _kernel_cases():
+        g = OccupancyGrid(0.1, np.zeros(mask.shape, np.uint8))
+        want = oracles.astar_on_mask(g, mask, GridPosition(*g.cell_center(*start)),
+                                     GridPosition(*g.cell_center(*goal)))
+        cases.append((g, mask, start, goal,
+                      None if want is None else want.positions))
+    return cases
+
+
+def _mismatch(cases):
+    """The first case where `_astar_on_mask` differs from the reference in
+    any bit of any waypoint, or None."""
+    for g, mask, start, goal, want in cases:
+        got = planner._astar_on_mask(g, mask, start, goal)
+        if (want is None) != (got is None) or (
+                want is not None and not np.array_equal(got.positions, want)):
+            return start, goal, mask.shape
+    return None
+
+
+def test_kernel_matches_reference_bit_for_bit(kernel_cases):
+    reached = [want is not None for *_, want in kernel_cases]
+    assert any(reached) and not all(reached)
+    assert max(mask.size for _, mask, *_ in kernel_cases) >= 400 * 400
+    assert _mismatch(kernel_cases) is None
+
+
+def _kernel_from(tmp_path, old: str, new: str):
+    """The kernel `planner.build_kernel` compiles from a copy of the
+    package's source with `old` replaced by `new`."""
+    source = planner._SOURCE.read_text()
+    assert source.count(old) == 1
+    copy = tmp_path / "_astar.c"
+    copy.write_text(source.replace(old, new))
+    return planner.load_kernel(planner.build_kernel(copy, tmp_path))
+
+
+@pytest.mark.parametrize("old, new", [
+    # The push counter dropped from the heap order: ties in (f, turns)
+    # pop in whatever order the heap leaves them.
+    ("return a->counter < b->counter;", "return 0;"),
+    # turns compared before f.
+    ("if (a->f != b->f)\n        return a->f < b->f;\n"
+     "    if (a->turns != b->turns)\n        return a->turns < b->turns;\n",
+     "if (a->turns != b->turns)\n        return a->turns < b->turns;\n"
+     "    if (a->f != b->f)\n        return a->f < b->f;\n"),
+], ids=["no-counter", "turns-first"])
+def test_broken_kernel_fails_the_equality_check(kernel_cases, tmp_path,
+                                                monkeypatch, old, new):
+    monkeypatch.setattr(planner, "_KERNEL", _kernel_from(tmp_path, old, new))
+    assert _mismatch(kernel_cases) is not None
+
+
+@pytest.mark.parametrize("allocator", ["malloc", "realloc"])
+def test_kernel_out_of_memory_raises(tmp_path, monkeypatch, allocator):
+    # Every call of `allocator` in a copy of the kernel returns NULL.
+    include = "#include <stdlib.h>\n"
+    monkeypatch.setattr(planner, "_KERNEL", _kernel_from(
+        tmp_path, include, f"{include}#define {allocator}(...) NULL\n"))
+    g = empty_grid(10, 10, 0.1)
+    with pytest.raises(MemoryError):
+        planner._astar_on_mask(g, np.zeros((10, 10), bool), (1, 1), (8, 8))
+
+
+@pytest.mark.parametrize("start, goal", [((-1, 0), (5, 5)), ((0, 0), (5, 10))])
+def test_kernel_rejects_cells_off_the_mask(start, goal):
+    g = empty_grid(10, 10, 0.1)
+    with pytest.raises(ValueError, match="not both in"):
+        planner._astar_on_mask(g, np.zeros((10, 10), bool), start, goal)
