@@ -44,7 +44,9 @@ class OccupancyGrid:
     key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.cells = np.array(self.cells, dtype=np.uint8)
+        # Row-major whatever the layout given: the kernel reads the cells
+        # by address.
+        self.cells = np.array(self.cells, dtype=np.uint8, order="C")
         if self.cells.ndim != 2 or min(self.cells.shape) < 1:
             raise ValueError("cells must be a non-empty 2D array")
         # A finite area also rules out a NaN or infinite resolution.
@@ -298,11 +300,18 @@ def inflated_blocked_mask(grid: OccupancyGrid, radius: float) -> np.ndarray:
     Masks are cached on the grid's key and the radius. Every call returns a
     fresh copy the caller may write to.
     """
-    return _memoized(_INFLATION_CACHE, _inflate, grid, radius).copy()
+    return static_inflation(grid, radius).copy()
+
+
+def static_inflation(grid: OccupancyGrid, radius: float) -> np.ndarray:
+    """The cached, read-only mask that `inflated_blocked_mask` copies."""
+    return _memoized(_INFLATION_CACHE, _inflate, grid, radius)
 
 
 def _inflate(grid: OccupancyGrid, radius: float) -> np.ndarray:
     # Pad with a static border so the map edge inflates inward.
     padded = np.pad(grid.cells == STATIC, 1, constant_values=True)
     dist = ndimage.distance_transform_edt(~padded) * grid.resolution
-    return dist[1:-1, 1:-1] <= radius
+    mask = dist[1:-1, 1:-1] <= radius
+    mask.flags.writeable = False
+    return mask

@@ -65,9 +65,16 @@ class Trajectory:
 
     def __post_init__(self):
         self.positions = np.array(self.positions, dtype=float)
-        if self.positions.ndim != 2 or self.positions.shape[0] < 2:
-            raise ValueError("trajectory needs at least 2 waypoints")
-        self.headings = _headings_from_positions(self.positions)
+        if (self.positions.ndim != 2 or self.positions.shape[0] < 2
+                or self.positions.shape[1] != 2):
+            raise ValueError("trajectory needs at least 2 (x, y) waypoints")
+        # A NaN or infinite waypoint makes a step non-finite too.
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps = np.diff(self.positions, axis=0)
+        if not np.isfinite(steps).all():
+            raise ValueError("trajectory waypoints and the steps between "
+                             "them must be finite")
+        self.headings = _headings_from_steps(steps)
         self.positions.flags.writeable = False
         self.headings.flags.writeable = False
 
@@ -104,9 +111,8 @@ def _step_lengths(positions: np.ndarray) -> list[float]:
     return np.sqrt(np.vecdot(d, d)).tolist()
 
 
-def _headings_from_positions(positions: np.ndarray) -> np.ndarray:
-    diffs = np.diff(positions, axis=0)
-    head = np.arctan2(diffs[:, 1], diffs[:, 0])
+def _headings_from_steps(steps: np.ndarray) -> np.ndarray:
+    head = np.arctan2(steps[:, 1], steps[:, 0])
     return np.append(head, head[-1])
 
 
@@ -253,15 +259,17 @@ def _carve_escape(mask: np.ndarray, static: np.ndarray, sy: int, sx: int) -> Non
                 queue.append((ny, nx))
 
 
-# The A* kernel is C, compiled on first import into the package's
-# `__pycache__/`. The file name carries a digest of the source, the flags
-# and the platform, so an edited source or another platform builds a file
-# of its own and a stale build is never loaded. Each build is written under
-# a unique temporary name and renamed into place, so processes importing
-# at once never read a half-written file. There is no fallback: without a
-# C compiler the import fails.
-_SOURCE = Path(__file__).with_name("_astar.c")
+# The kernel is C, compiled on first import into the package's
+# `__pycache__/`: the A* search below and the stock-cell search of
+# `removal`. The file name carries a digest of the source, the flags and
+# the platform, so an edited source or another platform builds a file of
+# its own and a stale build is never loaded. Each build is written under a
+# unique temporary name and renamed into place, so processes importing at
+# once never read a half-written file. There is no fallback: without a C
+# compiler the import fails.
+_SOURCE = Path(__file__).with_name("_kernel.c")
 _CFLAGS = ("-std=c99", "-O2", "-shared", "-fPIC", "-ffp-contract=off")
+_LIBS = ("-lm",)
 
 
 def build_kernel(source: Path, out_dir: Path) -> Path:
@@ -269,21 +277,21 @@ def build_kernel(source: Path, out_dir: Path) -> Path:
     unless a build of the same source, flags and platform is there."""
     code = source.read_bytes()
     digest = hashlib.blake2b(code, digest_size=8)
-    digest.update(repr((_CFLAGS, sysconfig.get_platform())).encode())
+    digest.update(repr((_CFLAGS, _LIBS, sysconfig.get_platform())).encode())
     target = out_dir / f"{source.stem}-{digest.hexdigest()}.so"
     if target.exists():
         return target
     out_dir.mkdir(parents=True, exist_ok=True)
     tmp = out_dir / f".{target.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
-    command = ["cc", *_CFLAGS, "-o", str(tmp), str(source)]
+    command = ["cc", *_CFLAGS, "-o", str(tmp), str(source), *_LIBS]
     try:
         try:
             proc = subprocess.run(command, capture_output=True, text=True)
         except OSError as exc:
-            raise ImportError(f"cannot build the A* kernel: "
+            raise ImportError(f"cannot build the kernel: "
                               f"{' '.join(command)}: {exc}") from exc
         if proc.returncode != 0:
-            raise ImportError(f"cannot build the A* kernel: "
+            raise ImportError(f"cannot build the kernel: "
                               f"{' '.join(command)}\n{proc.stderr}")
         os.replace(tmp, target)
     finally:
@@ -292,16 +300,24 @@ def build_kernel(source: Path, out_dir: Path) -> Path:
 
 
 def load_kernel(library: Path):
-    """The `astar` function of a library `build_kernel` made."""
-    astar = ctypes.CDLL(str(library)).astar
-    astar.restype = ctypes.c_int64
+    """The `astar` and `stock_cells` functions of a library `build_kernel`
+    made."""
+    lib = ctypes.CDLL(str(library))
+    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    astar, stock = lib.astar, lib.stock_cells
+    astar.restype = stock.restype = i64
     astar.argtypes = [np.ctypeslib.ndpointer(np.uint8, flags="C,W"),
-                      ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                      ctypes.c_int64, np.ctypeslib.ndpointer(np.int64, flags="C,W")]
-    return astar
+                      i64, i64, i64, i64,
+                      np.ctypeslib.ndpointer(np.int64, flags="C,W")]
+    # A stock search calls `stock_cells` once per band, so its arrays go
+    # in as addresses, without the per-call checks of `ndpointer`.
+    stock.argtypes = [ptr, ptr, i64, i64, i64, i64, i64, i64, f64, f64, f64,
+                      f64, f64, ptr, i64, f64, ptr, ptr, ptr]
+    return astar, stock
 
 
-_KERNEL = load_kernel(build_kernel(_SOURCE, _SOURCE.parent / "__pycache__"))
+_ASTAR, _STOCK = load_kernel(build_kernel(
+    _SOURCE, _SOURCE.parent / "__pycache__"))
 
 
 def _astar_on_mask(grid: OccupancyGrid, mask: np.ndarray,
@@ -310,13 +326,13 @@ def _astar_on_mask(grid: OccupancyGrid, mask: np.ndarray,
 
     The search runs in the compiled kernel over the mask padded by one
     blocked cell, so every neighbour index exists and blocked cells start
-    out closed; see `_astar.c` for why its path is bit-identical to a
+    out closed; see `_kernel.c` for why its path is bit-identical to a
     per-cell search in Python."""
     res = grid.resolution
     closed = np.pad(mask, 1, constant_values=True).view(np.uint8)
     pw = closed.shape[1]
     path = np.empty(closed.size, np.int64)
-    n = _KERNEL(closed, closed.size, pw, (start[0] + 1) * pw + start[1] + 1,
+    n = _ASTAR(closed, closed.size, pw, (start[0] + 1) * pw + start[1] + 1,
                 (goal[0] + 1) * pw + goal[1] + 1, path)
     if n == -1:
         raise MemoryError("A* kernel could not allocate its search arrays")

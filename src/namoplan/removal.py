@@ -4,17 +4,15 @@ and a simplified stock-region placement with a motion-time estimate."""
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
 
 import numpy as np
 from scipy.special import betaincinv
 
-from .gridmap import FREE, GridPosition, OccupancyGrid
+from .gridmap import GridPosition, OccupancyGrid, static_inflation
 from .intervals import CostInterval
-from .planner import PlanRequest, Trajectory, blocked_mask, plan_path
+from .planner import _STOCK, PlanRequest, Trajectory, plan_path
 
 
 @dataclass(frozen=True)
@@ -90,85 +88,81 @@ class RemovalEstimate:
     carry_length: float
 
 
-# Relative gap in squared distance that separates two bands of the
-# candidate order. Squared distances and `math.hypot` are each within a few
-# ulps of exact, so candidates in a later band are strictly farther than all
-# candidates in an earlier one, whatever the rounding.
-_BAND_GAP = 1e-9
+def _fitting_bands(grid: OccupancyGrid, mx: float, my: float,
+                   mo_radius: float, inner: float, search_radius: float,
+                   pts: np.ndarray, clearance: float) -> Iterator[list[int]]:
+    """The flat indices (iy * width + ix) of the stock candidates around
+    (mx, my) that keep `clearance` from every waypoint of `pts`, an
+    (n, 2) array, band by band in the kernel's order.
 
-# Cells whose fit one call of the predicate decides first; each later slice
-# doubles. The median search on the bundled scenarios passes a few hundred
-# cells before the first that fits, and most searches end at that one.
-_FIRST_SLICE = 64
-
-
-def _stock_candidates(grid: OccupancyGrid, mx: float, my: float,
-                      mo_radius: float, search_radius: float,
-                      fits: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                      max_slice: int) -> Iterator[tuple[float, int, int]]:
-    """(distance, iy, ix) of the free cells that keep an obstacle of
-    `mo_radius` clear of static obstacles and whose centres pass `fits`,
-    between 2 cells and `search_radius` from (mx, my), nearest first.
-
-    The cells are ordered by squared distance in numpy and split into bands
-    where that order leaves a clear gap. `fits(xs, ys)` maps arrays of cell
-    centres to a boolean array; it sees the cells in slices of that order,
-    the first `_FIRST_SLICE` long (at most `max_slice`), each later one
-    twice as long, each extended to the end of the band it cuts. Only the
-    cells that fit get their exact `math.hypot` distances and their
-    (distance, iy, ix) sort within their band. Filtering never reorders a
-    band, so the cells yielded are exactly the ones that fit, in the order
-    of the full per-cell sort."""
+    A candidate is a free cell of the search box, clear of the static
+    inflation for `mo_radius`, between `inner` and `search_radius` from
+    (mx, my) up to a relative 1e-9 of the squared distance. The kernel
+    orders the candidates by squared distance, equal ones in row-major
+    order, and cuts that order into bands where it leaves a relative gap
+    of 1e-9, so every cell of a later band is strictly farther than every
+    cell of an earlier one; it tests the cells one by one only until a band
+    has any that fit. See `_kernel.c`.
+    """
     res = grid.resolution
     r_cells = int(math.ceil(search_radius / res))
     ciy, cix = grid.cell_index(mx, my)
+    h, w = grid.cells.shape
     iy0, ix0 = max(0, ciy - r_cells), max(0, cix - r_cells)
-    iy1 = min(grid.height_cells, ciy + r_cells + 1)
-    ix1 = min(grid.width_cells, cix + r_cells + 1)
+    iy1, ix1 = min(h, ciy + r_cells + 1), min(w, cix + r_cells + 1)
     if iy0 >= iy1 or ix0 >= ix1:
         return
-    ok = ((grid.cells[iy0:iy1, ix0:ix1] == FREE)
-          & ~blocked_mask(grid, mo_radius)[iy0:iy1, ix0:ix1])
-    iys, ixs = np.nonzero(ok)
-    iys += iy0
-    ixs += ix0
-    # The same IEEE operations as `grid.cell_center` followed by the offset.
-    xs = (ixs + 0.5) * res
-    ys = (iys + 0.5) * res
-    dx = xs - mx
-    dy = ys - my
-    d2 = dx * dx + dy * dy
-    # A cell this far out lies beyond `search_radius` whatever the rounding,
-    # so it is never yielded and never tested.
-    near = np.flatnonzero(d2 <= search_radius * search_radius
-                          * (1.0 + _BAND_GAP))
-    order = near[np.argsort(d2[near], kind="stable")]
-    d2 = d2[order]
-    xs, ys, dx, dy = xs[order], ys[order], dx[order], dy[order]
-    iys, ixs = iys[order], ixs[order]
-    n = len(order)
-    ends = np.append(np.flatnonzero(np.diff(d2) > _BAND_GAP * d2[1:]) + 1, n)
-    band = np.searchsorted(ends, np.arange(n), side="right")
+    # The kernel reads its arrays by address, as C-contiguous arrays of the
+    # dtypes of `_kernel.c`; grids and inflations are such arrays. One
+    # buffer holds the search's state {next position, candidate count},
+    # the candidate order and the output, in that order.
+    blocked = static_inflation(grid, mo_radius)
+    pts = np.ascontiguousarray(pts, np.float64)
+    area = (iy1 - iy0) * (ix1 - ix0)
+    buf = np.empty(2 + 2 * area, np.int64)
+    buf[:2] = 0
+    state, out = buf.ctypes.data, buf[2 + area:]
+    args = (grid.cells.ctypes.data, blocked.ctypes.data, h, w, iy0, iy1, ix0,
+            ix1, mx, my, res, inner, search_radius, pts.ctypes.data, len(pts),
+            clearance, state + 2 * buf.itemsize, state, out.ctypes.data)
+    while True:
+        n = _STOCK(*args)
+        if n == -1:
+            raise MemoryError("stock kernel could not allocate its candidate "
+                              "arrays")
+        if n == -2:
+            raise ValueError(f"window {(iy0, iy1, ix0, ix1)} is not in a "
+                             f"{(h, w)} map")
+        if n == 0:
+            return
+        yield out[:n].tolist()
+
+
+def _stock_candidates(grid: OccupancyGrid, mx: float, my: float,
+                      mo_radius: float, search_radius: float, pts: np.ndarray,
+                      clearance: float) -> Iterator[tuple[float, int, int]]:
+    """(distance, iy, ix) of the cells of `_fitting_bands` between 2 cells
+    and `search_radius` from (mx, my), nearest first.
+
+    Each band is sorted on the exact `math.hypot` distance and the cell, so
+    the cells come out in exactly the order of a full per-cell sort; the
+    first distance beyond `search_radius` ends the search, since every
+    later band lies farther still."""
+    res = grid.resolution
+    w = grid.width_cells
     min_dist = 2.0 * res
-    lo, size = 0, min(_FIRST_SLICE, max_slice)
-    while lo < n:
-        hi = int(ends[np.searchsorted(ends, min(lo + size, n))])
-        fit = np.flatnonzero(fits(xs[lo:hi], ys[lo:hi])) + lo
-        cells = zip(band[fit].tolist(), dx[fit].tolist(), dy[fit].tolist(),
-                    iys[fit].tolist(), ixs[fit].tolist())
-        for _, group in groupby(cells, key=itemgetter(0)):
-            for c in sorted((math.hypot(x, y), iy, ix)
-                            for _, x, y, iy, ix in group):
-                if c[0] > search_radius:
-                    return  # every later band lies farther still
-                if c[0] >= min_dist:
-                    yield c
-        lo, size = hi, min(2 * size, max_slice)
-
-
-# Largest (cells x waypoints) array one clearance test builds: 0.5 MB of
-# float64 per temporary.
-_CLEARANCE_ELEMENTS = 65_536
+    for band in _fitting_bands(grid, mx, my, mo_radius, min_dist,
+                               search_radius, pts, clearance):
+        cells = []
+        for c in band:
+            iy, ix = divmod(c, w)
+            cells.append((math.hypot((ix + 0.5) * res - mx,
+                                     (iy + 0.5) * res - my), iy, ix))
+        for c in sorted(cells):
+            if c[0] > search_radius:
+                return
+            if c[0] >= min_dist:
+                yield c
 
 
 def estimate_removal_time(
@@ -192,27 +186,9 @@ def estimate_removal_time(
     and must be reachable from the obstacle position. Returns None when no
     such cell exists within the search radius (removal infeasible)."""
     mx, my = mean
-    clearance_path = mo_radius + robot_radius
-    # A waypoint farther than search_radius + clearance from the mean cannot
-    # come within the clearance of any candidate, so the `<` test below is
-    # decided by the rest; the margin dwarfs the rounding of both distances.
-    path_pts = blocked_path.positions
-    reach = np.linalg.norm(path_pts - (mx, my), axis=1)
-    px, py = path_pts[reach <= search_radius + clearance_path + 1e-6].T
-
-    def fits(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        # `sqrt(ex*ex + ey*ey)` is what `np.linalg.norm` computes for a
-        # 2-vector, and a correctly rounded, monotone sqrt commutes with the
-        # min, so this is the per-cell `norm(...).min() < clearance` test.
-        # With no waypoint in reach every cell fits.
-        ex = px - xs[:, np.newaxis]
-        ey = py - ys[:, np.newaxis]
-        d2 = (ex * ex + ey * ey).min(axis=1, initial=np.inf)
-        return ~(np.sqrt(d2) < clearance_path)
-
-    max_slice = max(1, _CLEARANCE_ELEMENTS // max(1, len(px)))
     for _, iy, ix in _stock_candidates(grid, mx, my, mo_radius, search_radius,
-                                       fits, max_slice):
+                                       blocked_path.positions,
+                                       mo_radius + robot_radius):
         x, y = grid.cell_center(iy, ix)
         request = PlanRequest(GridPosition(mx, my), GridPosition(x, y))
         try:

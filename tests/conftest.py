@@ -1,10 +1,11 @@
-"""Shared fixtures: ASCII grid construction and bundled scenario access."""
+"""Shared fixtures: ASCII grid construction, bundled scenario access and
+kernels built from edited copies of the source."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from namoplan import scenario_path
+from namoplan import planner, scenario_path
 from namoplan.gridmap import FREE, STATIC, OccupancyGrid
 from namoplan.simulator import ScenarioConfig
 
@@ -62,3 +63,14 @@ def warehouse_config() -> ScenarioConfig:
 
 def load_warehouse(name: str) -> ScenarioConfig:
     return ScenarioConfig.from_yaml(scenario_path(f"warehouse_{name}.yaml"))
+
+
+def kernel_from(tmp_path, old: str, new: str):
+    """The `astar` and `stock_cells` functions `planner.build_kernel`
+    compiles from a copy of the package's source with `old` replaced by
+    `new`."""
+    source = planner._SOURCE.read_text()
+    assert source.count(old) == 1
+    copy = tmp_path / "_kernel.c"
+    copy.write_text(source.replace(old, new))
+    return planner.load_kernel(planner.build_kernel(copy, tmp_path))

@@ -237,7 +237,7 @@ def stock_candidates(grid: OccupancyGrid, mx: float, my: float,
                      mo_radius: float,
                      search_radius: float) -> list[tuple[float, int, int]]:
     """Per-cell scan of the box around (mx, my) for stock cells, nearest
-    first; oracle for `removal._stock_candidates`."""
+    first; with `clears_path`, oracle for `removal._stock_candidates`."""
     res = grid.resolution
     candidates: list[tuple[float, int, int]] = []
     r_cells = int(math.ceil(search_radius / res))
@@ -256,6 +256,52 @@ def stock_candidates(grid: OccupancyGrid, mx: float, my: float,
     return [c for c in candidates if static_clear[c[1], c[2]]]
 
 
+def clears_path(path_pts: np.ndarray, x: float, y: float,
+                clearance: float) -> bool:
+    """Whether (x, y) keeps `clearance` from every waypoint of `path_pts`;
+    the per-cell clearance test of the stock search."""
+    return len(path_pts) == 0 or not np.min(
+        np.linalg.norm(path_pts - np.array([x, y]), axis=1)) < clearance
+
+
+def stock_bands(grid: OccupancyGrid, mx: float, my: float, mo_radius: float,
+                inner: float, search_radius: float, path_pts: np.ndarray,
+                clearance: float) -> list[list[int]]:
+    """Per-cell scan for `removal._fitting_bands`: the flat indices of the
+    free, statically clear cells of the box whose squared distance lies in
+    [inner**2 * (1 - 1e-9), search_radius**2 * (1 + 1e-9)], sorted by
+    squared distance with a stable sort of the row-major scan, cut where it
+    grows by more than a relative 1e-9, and filtered by `clears_path`;
+    bands left empty are dropped."""
+    res = grid.resolution
+    h, w = grid.cells.shape
+    r_cells = int(math.ceil(search_radius / res))
+    ciy, cix = grid.cell_index(mx, my)
+    static_clear = ~inflated_blocked_mask(grid, mo_radius)
+    low = inner * inner * (1.0 - 1e-9)
+    high = search_radius * search_radius * (1.0 + 1e-9)
+    scan = []
+    for iy in range(max(0, ciy - r_cells), min(h, ciy + r_cells + 1)):
+        for ix in range(max(0, cix - r_cells), min(w, cix + r_cells + 1)):
+            if grid.cells[iy, ix] != FREE or not static_clear[iy, ix]:
+                continue
+            x, y = grid.cell_center(iy, ix)
+            dx, dy = x - mx, y - my
+            d2 = dx * dx + dy * dy
+            if low <= d2 <= high:
+                scan.append((d2, iy, ix))
+    scan.sort(key=lambda c: c[0])
+    bands: list[list[int]] = []
+    prev = None
+    for d2, iy, ix in scan:
+        if prev is None or d2 - prev > 1e-9 * d2:
+            bands.append([])
+        prev = d2
+        if clears_path(path_pts, *grid.cell_center(iy, ix), clearance):
+            bands[-1].append(iy * w + ix)
+    return [band for band in bands if band]
+
+
 def estimate_removal_time(grid, mean, mo_radius, robot_xy, blocked_path,
                           robot_radius, v_lin, v_rot, load_overhead,
                           unload_overhead, search_radius):
@@ -265,8 +311,7 @@ def estimate_removal_time(grid, mean, mo_radius, robot_xy, blocked_path,
     path_pts = blocked_path.positions
     for _, iy, ix in stock_candidates(grid, mx, my, mo_radius, search_radius):
         x, y = grid.cell_center(iy, ix)
-        d_path = np.min(np.linalg.norm(path_pts - np.array([x, y]), axis=1))
-        if d_path < mo_radius + robot_radius:
+        if not clears_path(path_pts, x, y, mo_radius + robot_radius):
             continue
         try:
             carry = plan_path(

@@ -1,4 +1,4 @@
-"""The compiled A* kernel's build: one file per source, safe under
+"""The compiled kernel's build: one file per source, safe under
 concurrent first imports, and shipped with the package."""
 
 import contextlib
@@ -65,12 +65,12 @@ def test_concurrent_first_imports_build_one_kernel(tmp_path):
             proc.wait(timeout=120)
     assert ready == [f"{package / '__init__.py'}\n"] * 4, errors
     assert [proc.returncode for proc in procs] == [0] * 4, errors
-    assert len(list((package / "__pycache__").glob("_astar-*.so"))) == 1
+    assert len(list((package / "__pycache__").glob("_kernel-*.so"))) == 1
     assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_edited_source_builds_a_new_kernel(tmp_path):
-    source = tmp_path / "_astar.c"
+    source = tmp_path / "_kernel.c"
     shutil.copy(planner._SOURCE, source)
     first = planner.build_kernel(source, tmp_path / "cache")
     built = first.read_bytes()
@@ -82,7 +82,7 @@ def test_edited_source_builds_a_new_kernel(tmp_path):
 
 
 def test_existing_build_is_reused(tmp_path, monkeypatch):
-    source = tmp_path / "_astar.c"
+    source = tmp_path / "_kernel.c"
     shutil.copy(planner._SOURCE, source)
     first = planner.build_kernel(source, tmp_path)
     monkeypatch.setattr(subprocess, "run", None)  # any compile would fail
@@ -90,7 +90,7 @@ def test_existing_build_is_reused(tmp_path, monkeypatch):
 
 
 def test_compile_error_raises_import_error_and_leaves_nothing(tmp_path):
-    source = tmp_path / "_astar.c"
+    source = tmp_path / "_kernel.c"
     source.write_text("int astar(void) { return }\n")
     with pytest.raises(ImportError, match=r"cc -std=c99 (.|\n)*error"):
         planner.build_kernel(source, tmp_path / "cache")
@@ -99,7 +99,7 @@ def test_compile_error_raises_import_error_and_leaves_nothing(tmp_path):
 
 def test_missing_compiler_raises_import_error(tmp_path, monkeypatch):
     monkeypatch.setenv("PATH", str(tmp_path))
-    with pytest.raises(ImportError, match="cannot build the A\\* kernel: cc "):
+    with pytest.raises(ImportError, match="cannot build the kernel: cc "):
         planner.build_kernel(planner._SOURCE, tmp_path / "cache")
     assert not list((tmp_path / "cache").iterdir())
 
@@ -113,7 +113,7 @@ def test_files_read_at_import_are_package_data():
     data = sorted(p.relative_to(PACKAGE).as_posix() for p in read
                   if p.is_relative_to(PACKAGE) and p.suffix not in (".py", ".pyc")
                   and "__pycache__" not in p.parts)
-    assert "_astar.c" in data
+    assert "_kernel.c" in data
     globs = tomllib.loads(PYPROJECT.read_text())["tool"]["setuptools"][
         "package-data"]["namoplan"]
     missing = [p for p in data

@@ -4,12 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from conftest import empty_grid, grid_from_ascii
+from conftest import empty_grid, grid_from_ascii, kernel_from
 from namoplan import observation, planner
 from namoplan.gridmap import STATIC, GridPosition, OccupancyGrid, clear_memos
 from namoplan.planner import (Ellipse, EndpointBlocked, PlanRequest, Trajectory,
@@ -22,6 +22,10 @@ from oracles import dijkstra_cost
 def test_trajectory_needs_two_waypoints():
     with pytest.raises(ValueError):
         Trajectory(np.array([[1.0, 1.0]]))
+    # Waypoints are (x, y) pairs: the stock kernel reads them two by two.
+    for shape in ((3, 1), (3, 3), (3,), (2, 2, 2)):
+        with pytest.raises(ValueError, match=r"\(x, y\) waypoints"):
+            Trajectory(np.zeros(shape))
 
 
 def test_total_length_sums_gaps():
@@ -69,7 +73,18 @@ def test_headings_point_at_successor():
 
 @given(arrays(np.float64, st.tuples(st.integers(2, 40), st.just(2)),
               elements=st.floats(allow_nan=False, allow_infinity=False)))
+@example(np.array([[math.nan, 0.0], [1.0, 1.0]]))
+@example(np.array([[math.inf, 0.0], [1.0, 1.0]]))
+@example(np.array([[0.0, 0.0], [1.0, -math.inf]]))
+@example(np.array([[-1.7e308, 0.0], [1.7e308, 0.0]]))
 def test_trajectory_is_a_read_only_value_of_its_positions(positions):
+    # Waypoints that are not finite, or whose steps overflow, are refused.
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(np.diff(positions, axis=0)).all()
+    if not finite:
+        with pytest.raises(ValueError, match="finite"):
+            Trajectory(positions)
+        return
     given_bytes = positions.tobytes()
     t = Trajectory(positions)
     positions.fill(np.nan)
@@ -697,16 +712,6 @@ def test_kernel_matches_reference_bit_for_bit(kernel_cases):
     assert _mismatch(kernel_cases) is None
 
 
-def _kernel_from(tmp_path, old: str, new: str):
-    """The kernel `planner.build_kernel` compiles from a copy of the
-    package's source with `old` replaced by `new`."""
-    source = planner._SOURCE.read_text()
-    assert source.count(old) == 1
-    copy = tmp_path / "_astar.c"
-    copy.write_text(source.replace(old, new))
-    return planner.load_kernel(planner.build_kernel(copy, tmp_path))
-
-
 @pytest.mark.parametrize("old, new", [
     # The push counter dropped from the heap order: ties in (f, turns)
     # pop in whatever order the heap leaves them.
@@ -719,7 +724,8 @@ def _kernel_from(tmp_path, old: str, new: str):
 ], ids=["no-counter", "turns-first"])
 def test_broken_kernel_fails_the_equality_check(kernel_cases, tmp_path,
                                                 monkeypatch, old, new):
-    monkeypatch.setattr(planner, "_KERNEL", _kernel_from(tmp_path, old, new))
+    astar, _ = kernel_from(tmp_path, old, new)
+    monkeypatch.setattr(planner, "_ASTAR", astar)
     assert _mismatch(kernel_cases) is not None
 
 
@@ -727,8 +733,9 @@ def test_broken_kernel_fails_the_equality_check(kernel_cases, tmp_path,
 def test_kernel_out_of_memory_raises(tmp_path, monkeypatch, allocator):
     # Every call of `allocator` in a copy of the kernel returns NULL.
     include = "#include <stdlib.h>\n"
-    monkeypatch.setattr(planner, "_KERNEL", _kernel_from(
-        tmp_path, include, f"{include}#define {allocator}(...) NULL\n"))
+    astar, _ = kernel_from(tmp_path, include,
+                           f"{include}#define {allocator}(...) NULL\n")
+    monkeypatch.setattr(planner, "_ASTAR", astar)
     g = empty_grid(10, 10, 0.1)
     with pytest.raises(MemoryError):
         planner._astar_on_mask(g, np.zeros((10, 10), bool), (1, 1), (8, 8))

@@ -8,8 +8,8 @@ import pytest
 from scipy import stats
 
 import oracles
-from conftest import empty_grid, grid_from_ascii
-from namoplan import removal
+from conftest import empty_grid, grid_from_ascii, kernel_from
+from namoplan import planner, removal
 from namoplan.gridmap import STATIC, OccupancyGrid
 from namoplan.planner import Trajectory
 from namoplan.removal import (BetaBelief, _stock_candidates,
@@ -218,24 +218,17 @@ def _scattered_world(rng, w, h, res) -> OccupancyGrid:
     return OccupancyGrid(res, rng.random((h, w)) < 0.05)
 
 
-# A slice cap no search box reaches.
-_NO_CAP = 10**9
-
-
-def _everything(xs, ys):
-    return np.ones(len(xs), dtype=bool)
+# No blocked path: every candidate keeps any clearance from it.
+NO_PATH = np.empty((0, 2))
 
 
 def _assert_lazy_order_matches(grid, mx, my, mo_radius, search_radius):
     want = oracles.stock_candidates(grid, mx, my, mo_radius, search_radius)
-    assert list(_stock_candidates(grid, mx, my, mo_radius, search_radius,
-                                  _everything, _NO_CAP)) == want
+    args = (grid, mx, my, mo_radius, search_radius, NO_PATH, 0.1)
+    assert list(_stock_candidates(*args)) == want
     # A consumer that stops early sees the same prefix.
     for k in (1, 7, len(want) // 2):
-        head = list(islice(_stock_candidates(grid, mx, my, mo_radius,
-                                             search_radius, _everything,
-                                             _NO_CAP), k))
-        assert head == want[:k]
+        assert list(islice(_stock_candidates(*args), k)) == want[:k]
     return want
 
 
@@ -295,14 +288,13 @@ def test_stock_search_ignores_only_waypoints_out_of_reach():
         assert (est is not None) == found
 
 
-@pytest.mark.parametrize("first_slice", [1, 5, 32, 64, 10_000])
-def test_stock_search_first_fit_across_chunks(monkeypatch, first_slice):
-    # A path looping around the obstacle rules out its nearest few hundred
-    # candidates, so the first fit lies slices deep whatever the first
-    # slice's size.
-    monkeypatch.setattr(removal, "_FIRST_SLICE", first_slice)
-    rng = np.random.default_rng(32)
+@pytest.mark.parametrize("seed", [1, 5, 32, 64, 10_000])
+def test_stock_search_first_fit_across_chunks(seed):
+    # A path looping around the obstacle rules out its nearest candidates,
+    # so the first fit lies dozens of candidates and many bands deep.
+    rng = np.random.default_rng(seed)
     t = np.linspace(0.0, 6.0 * math.pi, 400)
+    depths = []
     for _ in range(4):
         grid, _ = _wall_world(rng)
         mx, my = rng.uniform(1.5, 3.5), rng.uniform(1.5, 2.5)
@@ -311,12 +303,13 @@ def test_stock_search_first_fit_across_chunks(monkeypatch, first_slice):
         args = (grid, np.array([mx, my]), 0.15, np.array([0.5, 0.5]),
                 blocked, 0.1)
         est = estimate_removal_time(*args, **STOCK)
-        assert est is not None and est == oracles.estimate_removal_time(
-            *args, **STOCK)
-        cells = [c[1:] for c in _stock_candidates(grid, mx, my, 0.15, 3.0,
-                                                  _everything, _NO_CAP)]
-        assert cells.index(grid.cell_index(est.stock_position.x,
-                                           est.stock_position.y)) > 64
+        assert est == oracles.estimate_removal_time(*args, **STOCK)
+        if est is not None:
+            cells = [c[1:] for c in _stock_candidates(grid, mx, my, 0.15, 3.0,
+                                                      NO_PATH, 0.25)]
+            depths.append(cells.index(grid.cell_index(est.stock_position.x,
+                                                      est.stock_position.y)))
+    assert depths and min(depths) > 50
 
 
 def test_stock_search_bounds_are_closed():
@@ -324,11 +317,23 @@ def test_stock_search_bounds_are_closed():
     # cells lie exactly at 2 cells and at the search radius.
     grid = empty_grid(24, 24, 0.25)
     mx, my = grid.cell_center(12, 12)
-    got = list(_stock_candidates(grid, mx, my, 0.2, 1.0, _everything,
-                                 _NO_CAP))
+    got = list(_stock_candidates(grid, mx, my, 0.2, 1.0, NO_PATH, 0.1))
     assert got == oracles.stock_candidates(grid, mx, my, 0.2, 1.0)
     assert got[0] == (0.5, 10, 12) and got[-1] == (1.0, 16, 12)
 
+
+
+@pytest.mark.parametrize("layout", [np.asfortranarray, np.transpose])
+def test_stock_search_reads_grids_of_any_layout(layout):
+    # The kernel reads the cells by address, so a grid made from a
+    # column-major array or a transposed view must store them row-major.
+    rng = np.random.default_rng(36)
+    cells = rng.random((30, 20)) < 0.1
+    grid = OccupancyGrid(0.1, layout(cells))
+    assert grid.cells.flags.c_contiguous
+    got = list(_stock_candidates(grid, 1.23, 0.87, 0.05, 0.6, NO_PATH, 0.1))
+    assert got == oracles.stock_candidates(grid, 1.23, 0.87, 0.05, 0.6)
+    assert len(got) > 50
 
 @pytest.mark.parametrize("res", [0.05, 0.1, 0.3])
 def test_lazy_stock_order_at_fractional_means(res):
@@ -358,71 +363,166 @@ def test_lazy_stock_order_breaks_exact_ties_like_the_full_sort():
                 assert want[-1][0] <= search_radius
 
 
-
-def _random_fit(rng, grid, p):
-    """A predicate over cell centres that passes a fixed random share `p`
-    of the grid's cells."""
-    table = rng.random(grid.cells.shape) < p
-
-    def fits(xs, ys):
-        res = grid.resolution
-        return table[(ys / res).astype(int), (xs / res).astype(int)]
-    return fits, table
+# -- the stock kernel, pinned to the per-cell scan -----------------------
 
 
-def _tie_grid_means(grid):
-    # At 0.25 m, means on a cell centre or a cell corner make rings of 4
-    # and 8 cells at exactly equal distances.
-    for iy, ix in ((15, 15), (4, 22), (20, 9)):
-        cx, cy = grid.cell_center(iy, ix)
-        yield cx, cy
-        yield cx - 0.125, cy - 0.125
+def _stock_case(grid, mx, my, mo_radius, search_radius, pts, clearance):
+    """A stock search with the per-cell scan's candidates that keep
+    `clearance` from `pts` and its fitting cells band by band."""
+    case = (grid, mx, my, mo_radius, search_radius, pts, clearance)
+    want = [c for c in oracles.stock_candidates(grid, mx, my, mo_radius,
+                                                search_radius)
+            if oracles.clears_path(pts, *grid.cell_center(*c[1:]), clearance)]
+    bands = oracles.stock_bands(grid, mx, my, mo_radius, 2.0 * grid.resolution,
+                                search_radius, pts, clearance)
+    return case, want, bands
 
 
-@pytest.mark.parametrize("first_slice", [1, 2, 3, 4, 5, 64])
-def test_filtered_stock_order_matches_the_full_sort(monkeypatch, first_slice):
-    # Slices of 1-5 cells cut through the bands of equal and nearly equal
-    # distances; each cut must be extended to the end of its band.
-    monkeypatch.setattr(removal, "_FIRST_SLICE", first_slice)
-    rng = np.random.default_rng(34)
+def _stock_cases():
+    """Stock searches on seeded random small maps. Means lie on cell
+    corners and cell centres, where at 0.25 m rings of cells lie at equal
+    squared distances, at random inside the map, and near or off its edge.
+    Paths run through the mean, lie wholly out of reach, or scatter
+    waypoints on cell centres, where at 0.25 m a distance equal to the
+    clearance is exact. Every fourth search radius exceeds the map."""
+    rng = np.random.default_rng(29)
+    layouts = [(res, where, path) for res in (0.25, 0.1, 0.3)
+               for where in ("corner", "centre", "inside", "edge")
+               for path in ("through", "out of reach", "scattered")]
+    for i, (res, where, path) in enumerate(layouts * 2):
+        h, w = (int(n) for n in rng.integers(6, 16, 2))
+        grid = OccupancyGrid(res, rng.random((h, w)) < rng.uniform(0.0, 0.3))
+        iy, ix = (int(n) for n in rng.integers(0, (h, w)))
+        if where == "corner":
+            mx, my = ix * res, iy * res
+        elif where == "centre":
+            mx, my = grid.cell_center(iy, ix)
+        elif where == "inside":
+            mx, my = rng.uniform(0.0, w * res), rng.uniform(0.0, h * res)
+        else:
+            mx = rng.choice([0.0, w * res]) + rng.uniform(-3.0, 3.0) * res
+            my = rng.uniform(0.0, h * res)
+        search_radius = 40.0 * res if i % 4 == 0 else rng.uniform(2.0, 6.0) * res
+        clearance = rng.choice([1.0, 1.5, 2.0]) * res
+        if path == "through":
+            ys = np.linspace(-res, (h + 1) * res, 3 * h)
+            pts = np.column_stack([np.full_like(ys, mx), ys])
+        elif path == "out of reach":
+            far = search_radius + clearance + res
+            pts = np.array([[mx + far, my], [mx, my - far], [mx - far, my + far]])
+        else:
+            pts = (rng.integers(0, max(h, w), (int(rng.integers(1, 30)), 2))
+                   + 0.5) * res
+        yield _stock_case(grid, float(mx), float(my),
+                          float(rng.uniform(0.0, 1.0) * res),
+                          float(search_radius), pts, float(clearance))
+
+
+@pytest.fixture(scope="module")
+def stock_cases():
+    return list(_stock_cases())
+
+
+def _stock_mismatch(cases):
+    """The first search where the kernel-backed one differs from the
+    per-cell scan, or None: in its candidates, in full or as any prefix,
+    or in the cells the kernel returns band by band, in its order."""
+    for case, want, bands in cases:
+        grid, mx, my, mo_radius, search_radius, pts, clearance = case
+        if list(removal._fitting_bands(grid, mx, my, mo_radius,
+                                       2.0 * grid.resolution, search_radius,
+                                       pts, clearance)) != bands:
+            return case
+        for k in range(len(want) + 2):
+            if list(islice(_stock_candidates(*case), k)) != want[:k]:
+                return case
+    return None
+
+
+def test_stock_kernel_matches_the_per_cell_scan(stock_cases):
+    wants = [want for _, want, _ in stock_cases]
+    assert any(not want for want in wants) and sum(map(len, wants)) > 1000
+    # Some band holds several cells that fit, so the order within a band
+    # is compared too.
+    assert any(len(band) > 1 for *_, bands in stock_cases for band in bands)
+    assert _stock_mismatch(stock_cases) is None
+
+
+@pytest.mark.parametrize("waypoints", [1, 2, 3, 4, 5, 64])
+def test_filtered_stock_order_matches_the_full_sort(waypoints):
+    # Waypoints on cell centres rule out the cells around them, at 0.25 m
+    # some exactly at the clearance; the cells that fit come out in the
+    # order of the full per-cell sort.
+    rng = np.random.default_rng(34 + waypoints)
     worlds = [(_scattered_world(rng, 30, 30, 0.25), 0.2)]
     worlds += [(_scattered_world(rng, 40, 40, res), 0.5 * res)
                for res in (0.1, 0.3)]
+    cases = []
     for grid, mo_radius in worlds:
-        means = list(_tie_grid_means(grid)) if grid.resolution == 0.25 else [
-            grid.cell_center(*rng.integers(5, 35, 2)) for _ in range(3)]
-        for mx, my in means:
-            for p in (0.1, 0.5, 0.9):
-                fits, table = _random_fit(rng, grid, p)
-                search_radius = 8.5 * grid.resolution
-                want = [c for c in oracles.stock_candidates(
-                    grid, mx, my, mo_radius, search_radius)
-                    if table[c[1], c[2]]]
-                args = (grid, mx, my, mo_radius, search_radius, fits, _NO_CAP)
-                assert list(_stock_candidates(*args)) == want
-                for k in range(len(want)):
-                    assert list(islice(_stock_candidates(*args), k)) == want[:k]
+        res = grid.resolution
+        iy, ix = rng.integers(5, 25, 2).tolist()
+        cx, cy = grid.cell_center(iy, ix)
+        pts = (rng.integers(iy - 8, iy + 9, (waypoints, 2)) + 0.5) * res
+        for mx, my in ((cx, cy), (cx - 0.5 * res, cy - 0.5 * res)):
+            for clearance in (res, 2.0 * res):
+                cases.append(_stock_case(grid, mx, my, mo_radius, 8.5 * res,
+                                         pts, clearance))
+    assert _stock_mismatch(cases) is None
 
 
-def test_clearance_slices_double_up_to_the_cap():
-    # With nothing fitting, every cell within the search radius is tested
-    # once, in slices of 64, 128, ... capped at `max_slice`, and no cell
-    # beyond the radius is tested at all.
+@pytest.mark.parametrize("old, new", [
+    # The insertion pass moves a cell past an equal squared distance, so
+    # equally distant cells leave row-major order.
+    ("sd2[j - 1] > v", "sd2[j - 1] >= v"),
+    # A cell exactly at the clearance from a waypoint fails.
+    ("if (sqrt(m) < clearance)", "if (sqrt(m) <= clearance)"),
+    # The bucket key falls with the squared distance.
+    ("return k < n ? k : n;", "return n - (k < n ? k : n);"),
+], ids=["no-row-major-tie-break", "clearance-le", "key-not-monotone"])
+def test_broken_stock_kernel_fails_the_comparison(stock_cases, tmp_path,
+                                                  monkeypatch, old, new):
+    _, stock = kernel_from(tmp_path, old, new)
+    monkeypatch.setattr(removal, "_STOCK", stock)
+    assert _stock_mismatch(stock_cases) is not None
+
+
+def test_stock_kernel_out_of_memory_raises(tmp_path, monkeypatch):
+    # Every call of `malloc` in a copy of the kernel returns NULL.
+    include = "#include <stdlib.h>\n"
+    _, stock = kernel_from(tmp_path, include,
+                           f"{include}#define malloc(...) NULL\n")
+    monkeypatch.setattr(removal, "_STOCK", stock)
+    with pytest.raises(MemoryError):
+        list(_stock_candidates(empty_grid(10, 10, 0.1), 0.55, 0.55, 0.05, 0.3,
+                               NO_PATH, 0.1))
+
+
+@pytest.mark.parametrize("window", [(-1, 5, 0, 5), (0, 11, 0, 5),
+                                    (3, 3, 0, 5), (0, 5, 4, 2)])
+def test_stock_kernel_rejects_a_window_off_the_map(window):
+    grid = empty_grid(10, 10, 0.1)
+    blocked = np.zeros((10, 10), bool)
+    buf = np.zeros(2 + 2 * 100, np.int64)
+    state = buf.ctypes.data
+    assert planner._STOCK(grid.cells.ctypes.data, blocked.ctypes.data, 10, 10,
+                          *window, 0.55, 0.55, 0.1, 0.2, 0.3,
+                          NO_PATH.ctypes.data, 0, 0.1, state + 16, state,
+                          state + 16 + 800) == -2
+
+
+def test_stock_kernel_walks_every_band_in_one_call_when_none_fit(
+        monkeypatch):
+    # Waypoints on every cell centre leave no cell that fits: one kernel
+    # call tests every candidate, and the search yields nothing.
+    calls = []
+    real = removal._STOCK
+    monkeypatch.setattr(removal, "_STOCK",
+                        lambda *args: calls.append(args) or real(*args))
     grid = empty_grid(100, 100, 0.1)
-    mx, my = 5.0123, 4.9871
-    inside = sum(math.hypot(*(np.array(grid.cell_center(iy, ix)) - (mx, my)))
-                 <= 3.0 for iy in range(100) for ix in range(100))
-    for max_slice, first in ((_NO_CAP, [64, 128, 256, 512, 1024]),
-                             (100, [64, 100, 100, 100])):
-        sizes = []
-
-        def nothing(xs, ys):
-            sizes.append(len(xs))
-            return np.zeros(len(xs), dtype=bool)
-        assert list(_stock_candidates(grid, mx, my, 0.05, 3.0, nothing,
-                                      max_slice)) == []
-        assert sizes[:len(first)] == first
-        assert max(sizes) <= max_slice and sum(sizes) == inside
+    pts = (np.argwhere(np.ones((100, 100), bool))[:, ::-1] + 0.5) * 0.1
+    assert list(_stock_candidates(grid, 5.0123, 4.9871, 0.05, 3.0, pts,
+                                  0.01)) == []
+    assert len(calls) == 1
 
 
 def test_stock_clearance_test_is_strict():
@@ -439,17 +539,26 @@ def test_stock_clearance_test_is_strict():
     assert (est.stock_position.x, est.stock_position.y) == (mx, my - 0.5)
 
 
-def test_stock_search_under_the_smallest_slice_cap(monkeypatch):
-    # One cell per clearance test (extended to its band) chooses the same
-    # stock cells as the uncapped search.
-    monkeypatch.setattr(removal, "_CLEARANCE_ELEMENTS", 1)
+def test_stock_search_resumes_past_cells_the_robot_cannot_reach(
+        monkeypatch):
+    # A small obstacle fits beside statics where the larger robot cannot
+    # stand, so stock cells that fit fail their carry plan and the search
+    # asks the kernel for band after band.
+    calls = []
+    real = removal._STOCK
+    monkeypatch.setattr(removal, "_STOCK",
+                        lambda *args: calls.append(args) or real(*args))
     rng = np.random.default_rng(35)
+    most = 0
     for _ in range(3):
         grid, _ = _wall_world(rng)
         mx, my = rng.uniform(1.0, 4.0), rng.uniform(1.0, 3.0)
         ys = np.linspace(0.05, 3.95, 40)
         blocked = Trajectory(np.column_stack([np.full_like(ys, mx), ys]))
-        args = (grid, np.array([mx, my]), 0.2, np.array([2.5, 2.0]),
-                blocked, 0.1)
-        assert estimate_removal_time(*args, **STOCK) == oracles.estimate_removal_time(
-            *args, **STOCK)
+        args = (grid, np.array([mx, my]), 0.05, np.array([2.5, 2.0]),
+                blocked, 0.3)
+        calls.clear()
+        assert estimate_removal_time(*args, **STOCK) == \
+            oracles.estimate_removal_time(*args, **STOCK)
+        most = max(most, len(calls))
+    assert most > 1
