@@ -16,8 +16,7 @@ from itertools import accumulate
 import numpy as np
 from scipy.special import ndtr
 
-from .gridmap import (GridPosition, Memo, OccupancyGrid, QueryInsideObstacle,
-                      raycast_width)
+from .gridmap import Memo, OccupancyGrid, raycast_width
 from .planner import Trajectory
 
 log = logging.getLogger(__name__)
@@ -142,10 +141,11 @@ def trajectory_blockage_detail(pop: ObstaclePopulation, trajectory: Trajectory,
         idx = unexplored[k]
         k += 1
         next_at = travelled[idx] + spacing
-        width = _waypoint_width(grid, trajectory, idx)
+        pos = trajectory.positions[idx]
+        width = raycast_width(grid, pos[0], pos[1],
+                              float(trajectory.headings[idx]))
         if width is None:
             continue
-        pos = trajectory.positions[idx]
         p_given = blockage_at_width(pop, width, r)
         # In wide-open space no obstacle size in the population can block the
         # traversal line, so skip the presence factor (whose W*K/A form is
@@ -154,17 +154,6 @@ def trajectory_blockage_detail(pop: ObstaclePopulation, trajectory: Trajectory,
                   if p_given > 0.0 else 0.0)
         risks.append(WaypointRisk(idx, float(pos[0]), float(pos[1]),
                                   width, p_given, p_here))
-
-
-def _waypoint_width(grid: OccupancyGrid, trajectory: Trajectory,
-                    idx: int) -> float | None:
-    """`raycast_width` at waypoint `idx`, or None inside a static cell."""
-    pos = trajectory.positions[idx]
-    try:
-        return raycast_width(grid, GridPosition(pos[0], pos[1]),
-                             float(trajectory.headings[idx]))
-    except QueryInsideObstacle:
-        return None
 
 
 def _on_map_cells(grid: OccupancyGrid,

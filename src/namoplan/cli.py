@@ -17,8 +17,8 @@ from . import blockage as blk
 from . import bypass as byp
 from .experiments import (ExperimentSpec, evaluate_bypass_predictors,
                           generate_bypass_benchmark, run_benchmark)
-from .gridmap import GridPosition, free_area, mark_explored
-from .planner import PlanRequest, plan_path
+from .gridmap import free_area, mark_explored
+from .planner import plan_path
 from .simulator import (POLICIES, RobotConfig, ScenarioConfig, ScenarioError,
                         run_episode)
 
@@ -95,9 +95,7 @@ def _write_diagnostics(config: ScenarioConfig, path: str) -> None:
     sx, sy = config.robot.start
     mark_explored(grid, explored, sx, sy, config.robot.start_heading,
                   config.robot.sensor_range, config.robot.sensor_fov)
-    traj = plan_path(grid, PlanRequest(GridPosition(sx, sy),
-                                       GridPosition(*config.goal)),
-                     config.robot.radius)
+    traj = plan_path(grid, (sx, sy), config.goal, config.robot.radius)
     if traj is None:
         raise ScenarioError("no initial route for diagnostics")
     pop = blk.ObstaclePopulation(config.population.mu, config.population.sigma,

@@ -18,16 +18,6 @@ _CELL_CHARS = {FREE: ".", STATIC: "#"}
 _CHAR_CELLS = {v: k for k, v in _CELL_CHARS.items()}
 
 
-class QueryInsideObstacle(ValueError):
-    """Raised when a free-space query lands inside an obstacle cell."""
-
-
-@dataclass
-class GridPosition:
-    x: float
-    y: float
-
-
 @dataclass(eq=False)
 class OccupancyGrid:
     """Row-major cell grid. cells[iy, ix] covers
@@ -217,17 +207,19 @@ def _raycast(grid: OccupancyGrid, x: float, y: float, angle: float,
     return limit
 
 
-def raycast_width(grid: OccupancyGrid, point: GridPosition, heading: float) -> float:
-    """Free-space span perpendicular to heading through point.
+def raycast_width(grid: OccupancyGrid, x: float, y: float,
+                  heading: float) -> float | None:
+    """Free-space span perpendicular to heading through (x, y), or None
+    outside a free cell.
 
     Measures the corridor width at a waypoint: distance between the first
     static hit on each side of the traversal line.
     """
-    if grid.state_at(point.x, point.y) != FREE:
-        raise QueryInsideObstacle("query inside obstacle")
+    if not grid.is_free(x, y):
+        return None
     perp = heading + math.pi / 2.0
-    left = raycast_distance(grid, point.x, point.y, perp)
-    right = raycast_distance(grid, point.x, point.y, perp + math.pi)
+    left = raycast_distance(grid, x, y, perp)
+    right = raycast_distance(grid, x, y, perp + math.pi)
     return max(left + right, grid.resolution)
 
 

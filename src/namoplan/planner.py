@@ -14,12 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gridmap import (_MISS, GridPosition, Memo, OccupancyGrid,
-                      inflated_blocked_mask)
-
-
-class EndpointBlocked(ValueError):
-    """Start or goal lies inside an inflated obstacle (distinct from NoPath)."""
+from .gridmap import _MISS, Memo, OccupancyGrid, inflated_blocked_mask
 
 
 @dataclass(frozen=True)
@@ -116,13 +111,6 @@ def _headings_from_steps(steps: np.ndarray) -> np.ndarray:
     return np.append(head, head[-1])
 
 
-@dataclass
-class PlanRequest:
-    start: GridPosition
-    goal: GridPosition
-    temporary_obstacles: tuple[Ellipse, ...] = ()
-
-
 # 8-connected moves with costs; order fixed for determinism.
 _MOVES = [
     (1, 0, 1.0), (-1, 0, 1.0), (0, 1, 1.0), (0, -1, 1.0),
@@ -157,18 +145,20 @@ def blocked_mask(grid: OccupancyGrid, robot_radius: float,
     return mask
 
 
-def planning_mask(grid: OccupancyGrid, request: PlanRequest,
+def planning_mask(grid: OccupancyGrid, start: tuple[float, float],
+                  ellipses: tuple[Ellipse, ...],
                   robot_radius: float) -> np.ndarray:
-    """The mask A* searches for `request`: `blocked_mask` with an escape
-    carved for a start inside a temporary ellipse.
+    """The mask A* searches from the point `start` among the temporary
+    `ellipses`: `blocked_mask` with an escape carved for a start inside an
+    ellipse.
 
     A start inside a temporary ellipse (but clear of static inflation) is
     escapable: the robot is standing in the conservative region around an
     obstacle, not in collision, so the shortest route out is carved free.
     """
-    mask = blocked_mask(grid, robot_radius, tuple(request.temporary_obstacles))
-    if request.temporary_obstacles:
-        sy, sx = grid.cell_index(request.start.x, request.start.y)
+    mask = blocked_mask(grid, robot_radius, ellipses)
+    if ellipses:
+        sy, sx = grid.cell_index(*start)
         h, w = mask.shape
         if 0 <= sy < h and 0 <= sx < w and mask[sy, sx]:
             static = inflated_blocked_mask(grid, robot_radius)
@@ -181,12 +171,14 @@ def planning_mask(grid: OccupancyGrid, request: PlanRequest,
 # mask key holds everything A* reads: a 16-byte blake2b digest of the
 # planning mask packed eight cells to a byte (one-to-one for one shape),
 # the mask's shape, the resolution, and the start and goal cells. A
-# request key holds what fixes that mask: `grid.key` names the cells,
-# shape and resolution, and with the robot radius they fix the static
-# inflation and the rasterized ellipses; the start cell places the escape
-# carve. A request key starts with a tuple and a mask key with bytes, so
-# the two never collide. A recurring request, as at a decision repeated
-# after a failed load, skips building and hashing the mask; requests whose
+# request key holds what fixes that mask and the answer: `grid.key` names
+# the cells, shape and resolution, and with the robot radius they fix the
+# static inflation and the rasterized ellipses; the start cell places the
+# escape carve. A request key starts with a tuple and a mask key with
+# bytes, so the two never collide. A recurring request, as at a decision
+# repeated after a failed load, skips building and hashing the mask; one
+# with an endpoint off the map or blocked, or both in one cell, runs no
+# search and keeps its None under the request key alone. Requests whose
 # ellipses rasterize alike share one search through the mask key. Paired
 # seeds make the policies of a benchmark grid repeat each other's
 # searches, so most hits come from other episodes. Episode plans and
@@ -195,46 +187,42 @@ def planning_mask(grid: OccupancyGrid, request: PlanRequest,
 _PLAN_CACHE = Memo(256)
 
 
-def plan_path(grid: OccupancyGrid, request: PlanRequest,
-              robot_radius: float) -> Trajectory | None:
-    """8-connected A* over the inflated grid. Returns None when the goal is
-    unreachable (callers translate that to an infinite cost).
+def plan_path(grid: OccupancyGrid, start: tuple[float, float],
+              goal: tuple[float, float], robot_radius: float,
+              ellipses: tuple[Ellipse, ...] = ()) -> Trajectory | None:
+    """8-connected A* from the point `start` to the point `goal` over the
+    inflated grid, around the temporary `ellipses`. Returns None whenever
+    there is no path (callers translate that to an infinite cost): the goal
+    is unreachable, an endpoint is off the map or blocked in the planning
+    mask, or both endpoints lie in one cell.
 
-    The path depends only on `planning_mask(grid, request, robot_radius)`
-    and the start and goal cells, so it is memoized on them and on the
-    request, and later calls hand out the same trajectory. A request that
-    raises (`EndpointBlocked`, start equals goal) is never stored.
+    The answer depends only on `planning_mask(grid, start, ellipses,
+    robot_radius)` and the start and goal cells, so it is memoized on them
+    and on the request, and later calls hand out the same answer.
     """
-    request_key = (grid.key, robot_radius, tuple(request.temporary_obstacles),
-                   grid.cell_index(request.start.x, request.start.y),
-                   grid.cell_index(request.goal.x, request.goal.y))
-    return _PLAN_CACHE.lookup(request_key, _plan_on_mask, grid, request,
+    ellipses = tuple(ellipses)
+    cells = grid.cell_index(*start), grid.cell_index(*goal)
+    return _PLAN_CACHE.lookup((grid.key, robot_radius, ellipses, *cells),
+                              _plan_on_mask, grid, start, cells, ellipses,
                               robot_radius)
 
 
-def _plan_on_mask(grid: OccupancyGrid, request: PlanRequest,
+def _plan_on_mask(grid: OccupancyGrid, start: tuple[float, float],
+                  cells: tuple[tuple[int, int], tuple[int, int]],
+                  ellipses: tuple[Ellipse, ...],
                   robot_radius: float) -> Trajectory | None:
-    """The plan of `request`, memoized on its planning mask and cells."""
-    mask = planning_mask(grid, request, robot_radius)
-    start, goal = _endpoint_cells(grid, mask, request.start, request.goal)
-    key = (hashlib.blake2b(np.packbits(mask), digest_size=16).digest(),
-           mask.shape, grid.resolution, start, goal)
-    return _PLAN_CACHE.lookup(key, _astar_on_mask, grid, mask, start, goal)
-
-
-def _endpoint_cells(grid: OccupancyGrid, mask: np.ndarray, start: GridPosition,
-                    goal: GridPosition) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The start and goal cells, checked to be distinct free cells of `mask`."""
-    cells = grid.cell_index(start.x, start.y), grid.cell_index(goal.x, goal.y)
+    """The plan between `cells` from the point `start`, memoized on its
+    planning mask and cells; None unless they are distinct free cells of
+    the mask."""
+    mask = planning_mask(grid, start, ellipses, robot_radius)
     h, w = mask.shape
-    for (iy, ix) in cells:
-        if not (0 <= iy < h and 0 <= ix < w):
-            raise EndpointBlocked("endpoint outside map")
-        if mask[iy, ix]:
-            raise EndpointBlocked("endpoint blocked")
-    if cells[0] == cells[1]:
-        raise ValueError("start equals goal")
-    return cells
+    if cells[0] == cells[1] or not all(0 <= iy < h and 0 <= ix < w
+                                       and not mask[iy, ix]
+                                       for iy, ix in cells):
+        return None
+    key = (hashlib.blake2b(np.packbits(mask), digest_size=16).digest(),
+           mask.shape, grid.resolution, *cells)
+    return _PLAN_CACHE.lookup(key, _astar_on_mask, grid, mask, *cells)
 
 
 def _carve_escape(mask: np.ndarray, static: np.ndarray, sy: int, sx: int) -> None:

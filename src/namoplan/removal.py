@@ -10,9 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaincinv
 
-from .gridmap import GridPosition, OccupancyGrid, static_inflation
+from .gridmap import OccupancyGrid, static_inflation
 from .intervals import CostInterval
-from .planner import _STOCK, PlanRequest, Trajectory, plan_path
+from .planner import _STOCK, Trajectory, plan_path
 
 
 @dataclass(frozen=True)
@@ -81,10 +81,10 @@ def removal_cost_interval(belief: BetaBelief, max_attempts: int, t_mo: float,
     return CostInterval(min(a, b), max(a, b))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RemovalEstimate:
     t_mo: float
-    stock_position: GridPosition
+    stock: tuple[float, float]
     carry_length: float
 
 
@@ -189,12 +189,8 @@ def estimate_removal_time(
     for _, iy, ix in _stock_candidates(grid, mx, my, mo_radius, search_radius,
                                        blocked_path.positions,
                                        mo_radius + robot_radius):
-        x, y = grid.cell_center(iy, ix)
-        request = PlanRequest(GridPosition(mx, my), GridPosition(x, y))
-        try:
-            carry = plan_path(grid, request, robot_radius)
-        except ValueError:
-            continue
+        stock = grid.cell_center(iy, ix)
+        carry = plan_path(grid, (mx, my), stock, robot_radius)
         if carry is None:
             continue
         approach_len = float(np.linalg.norm(np.asarray(robot_xy)
@@ -204,5 +200,5 @@ def estimate_removal_time(
         travel = (approach_len + 2.0 * carry_len) / v_lin
         turning = math.pi / v_rot  # nominal in-place turns at pick and place
         t_mo = travel + turning + load_overhead + unload_overhead
-        return RemovalEstimate(t_mo, GridPosition(x, y), carry_len)
+        return RemovalEstimate(t_mo, stock, carry_len)
     return None

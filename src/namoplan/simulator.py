@@ -23,14 +23,14 @@ from . import blockage as blk
 from . import bypass as byp
 from . import removal as rem
 from .decision import decide
-from .gridmap import (GridPosition, Memo, OccupancyGrid, _memoized, free_area,
-                      mark_explored, raycast_distance)
+from .gridmap import (Memo, OccupancyGrid, _memoized, free_area, mark_explored,
+                      raycast_distance)
 from .intervals import CostInterval
 from .observation import (PoseBelief, RangeBearingMeasurement, RobotPoseBelief,
                           confidence_ellipse, fuse, path_blocked,
                           project_measurement, turn_angles, wrap_angle)
-from .planner import (Ellipse, EndpointBlocked, PlanRequest, Trajectory,
-                      _astar_on_mask, blocked_mask, plan_path)
+from .planner import (Ellipse, Trajectory, _astar_on_mask, blocked_mask,
+                      plan_path)
 
 
 class ScenarioError(ValueError):
@@ -580,14 +580,8 @@ class _Episode:
                 exclude: str | None = None) -> Trajectory | None:
         """Plan from the robot to (x, y); None when there is no path."""
         self.diag["n_replans"] += 1
-        if self.grid.cell_index(self.x, self.y) == self.grid.cell_index(x, y):
-            return None
-        request = PlanRequest(GridPosition(self.x, self.y), GridPosition(x, y),
-                              self.ellipses(exclude))
-        try:
-            return plan_path(self.grid, request, self.cfg.robot.radius)
-        except EndpointBlocked:
-            return None
+        return plan_path(self.grid, (self.x, self.y), (x, y),
+                         self.cfg.robot.radius, self.ellipses(exclude))
 
     @cached_property
     def model(self) -> byp.GlrModel:
@@ -728,7 +722,7 @@ class _Episode:
                           + self.cfg.removal.unload_overhead)
             self.t += carry_time
             self.diag["distance"] += 2.0 * est.carry_length
-            x, y = est.stock_position.x, est.stock_position.y
+            x, y = est.stock
             self.set_belief(label, PoseBelief(np.array([x, y]), np.eye(2) * 1e-6),
                             x=x, y=y, placed=True)
             self.trace.append({"event": "placed", "t": self.t, "obstacle": label,

@@ -19,11 +19,9 @@ from scipy import ndimage
 
 from namoplan import blockage, observation, planner
 from namoplan.bypass import GlrModel, TimingDataset, extract_features
-from namoplan.gridmap import (FREE, STATIC, GridPosition, OccupancyGrid,
-                              QueryInsideObstacle, raycast_width)
+from namoplan.gridmap import FREE, STATIC, OccupancyGrid, raycast_width
 from namoplan.observation import InvalidCovariance, confidence_ellipse, wrap_angle
-from namoplan.planner import (_MOVES, EndpointBlocked, PlanRequest, Trajectory,
-                              _carve_escape)
+from namoplan.planner import _MOVES, Trajectory, _carve_escape
 from namoplan.removal import BetaBelief, RemovalEstimate
 from namoplan.simulator import _N_BASE_PATHS
 
@@ -93,34 +91,42 @@ def turn_angles(headings: np.ndarray) -> np.ndarray:
     return np.abs([wrap_angle(b - a) for a, b in zip(h[:-1], h[1:])])
 
 
-def plan_path(grid: OccupancyGrid, request: PlanRequest,
-              robot_radius: float) -> Trajectory | None:
+def plan_path(grid: OccupancyGrid, start: tuple[float, float],
+              goal: tuple[float, float], robot_radius: float,
+              ellipses: tuple = ()) -> Trajectory | None:
     """`planner.plan_path` built from the reference mask and A*."""
-    mask = blocked_mask(grid, robot_radius, tuple(request.temporary_obstacles))
-    if request.temporary_obstacles:
-        sy, sx = grid.cell_index(request.start.x, request.start.y)
+    mask = planning_mask(grid, start, ellipses, robot_radius)
+    return astar_on_mask(grid, mask, start, goal)
+
+
+def planning_mask(grid: OccupancyGrid, start: tuple[float, float],
+                  ellipses: tuple, robot_radius: float) -> np.ndarray:
+    """`planner.planning_mask` built from the reference masks."""
+    mask = blocked_mask(grid, robot_radius, tuple(ellipses))
+    if ellipses:
+        sy, sx = grid.cell_index(*start)
         h, w = mask.shape
         if 0 <= sy < h and 0 <= sx < w and mask[sy, sx]:
             static = inflated_blocked_mask(grid, robot_radius)
             if not static[sy, sx]:
                 _carve_escape(mask, static, sy, sx)
-    return astar_on_mask(grid, mask, request.start, request.goal)
+    return mask
 
 
 def astar_on_mask(grid: OccupancyGrid, mask: np.ndarray,
-                  start: GridPosition, goal: GridPosition) -> Trajectory | None:
-    """8-connected A* over numpy arrays, with the turn-count tie-break."""
+                  start: tuple[float, float],
+                  goal: tuple[float, float]) -> Trajectory | None:
+    """8-connected A* over numpy arrays, with the turn-count tie-break;
+    None unless the points lie in distinct free cells of `mask`."""
     res = grid.resolution
-    sy, sx = grid.cell_index(start.x, start.y)
-    gy, gx = grid.cell_index(goal.x, goal.y)
+    sy, sx = grid.cell_index(*start)
+    gy, gx = grid.cell_index(*goal)
     h, w = mask.shape
     for (iy, ix) in ((sy, sx), (gy, gx)):
-        if not (0 <= iy < h and 0 <= ix < w):
-            raise EndpointBlocked("endpoint outside map")
-        if mask[iy, ix]:
-            raise EndpointBlocked("endpoint blocked")
+        if not (0 <= iy < h and 0 <= ix < w) or mask[iy, ix]:
+            return None
     if (sy, sx) == (gy, gx):
-        raise ValueError("start equals goal")
+        return None
 
     g = np.full((h, w), np.inf)
     turns = np.full((h, w), np.inf)
@@ -168,10 +174,11 @@ def astar_on_mask(grid: OccupancyGrid, mask: np.ndarray,
 
 
 def dijkstra_cost(grid: OccupancyGrid, mask: np.ndarray,
-                  start: GridPosition, goal: GridPosition) -> float:
+                  start: tuple[float, float],
+                  goal: tuple[float, float]) -> float:
     """Plain Dijkstra path cost in cell units; oracle for A* optimality."""
-    sy, sx = grid.cell_index(start.x, start.y)
-    gy, gx = grid.cell_index(goal.x, goal.y)
+    sy, sx = grid.cell_index(*start)
+    gy, gx = grid.cell_index(*goal)
     h, w = mask.shape
     dist = np.full((h, w), np.inf)
     dist[sy, sx] = 0.0
@@ -310,22 +317,17 @@ def estimate_removal_time(grid, mean, mo_radius, robot_xy, blocked_path,
     mx, my = mean
     path_pts = blocked_path.positions
     for _, iy, ix in stock_candidates(grid, mx, my, mo_radius, search_radius):
-        x, y = grid.cell_center(iy, ix)
-        if not clears_path(path_pts, x, y, mo_radius + robot_radius):
+        stock = grid.cell_center(iy, ix)
+        if not clears_path(path_pts, *stock, mo_radius + robot_radius):
             continue
-        try:
-            carry = plan_path(
-                grid, PlanRequest(GridPosition(mx, my), GridPosition(x, y)),
-                robot_radius)
-        except ValueError:
-            continue
+        carry = plan_path(grid, (mx, my), stock, robot_radius)
         if carry is None:
             continue
         approach_len = float(np.linalg.norm(np.asarray(robot_xy) - np.array([mx, my])))
         carry_len = carry.total_length
         travel = (approach_len + 2.0 * carry_len) / v_lin
         t_mo = travel + math.pi / v_rot + load_overhead + unload_overhead
-        return RemovalEstimate(t_mo, GridPosition(x, y), carry_len)
+        return RemovalEstimate(t_mo, stock, carry_len)
     return None
 
 
@@ -356,10 +358,9 @@ def trajectory_blockage_detail(pop, trajectory, grid, explored, r):
         if is_explored(grid, explored, pos[0], pos[1]):
             continue
         next_at = travelled + spacing
-        try:
-            width = raycast_width(grid, GridPosition(pos[0], pos[1]),
-                                  float(trajectory.headings[idx]))
-        except QueryInsideObstacle:
+        width = raycast_width(grid, pos[0], pos[1],
+                              float(trajectory.headings[idx]))
+        if width is None:
             continue
         p_given = blockage.blockage_at_width(pop, width, r)
         p_here = (blockage.waypoint_presence_probability(pop, width)
@@ -468,12 +469,9 @@ def generate_timing_dataset(grid: OccupancyGrid, robot_radius: float,
         i, j = rng.integers(0, len(free_iy), size=2)
         if i == j:
             continue
-        start = GridPosition((free_ix[i] + 0.5) * res, (free_iy[i] + 0.5) * res)
-        goal = GridPosition((free_ix[j] + 0.5) * res, (free_iy[j] + 0.5) * res)
-        try:
-            traj = planner.plan_path(grid, PlanRequest(start, goal), robot_radius)
-        except ValueError:
-            continue
+        start = (free_ix[i] + 0.5) * res, (free_iy[i] + 0.5) * res
+        goal = (free_ix[j] + 0.5) * res, (free_iy[j] + 0.5) * res
+        traj = planner.plan_path(grid, start, goal, robot_radius)
         if traj is not None and traj.total_length >= 2.0:
             paths.append(traj)
     feats, durs = [], []

@@ -315,6 +315,23 @@ def test_run_writes_risk_diagnostics(tiny_yaml, tmp_path, capsys):
         assert 0.0 <= float(row[6]) <= 1.0
 
 
+def test_diagnostics_from_a_blocked_start_exit_two(tiny_yaml, tmp_path,
+                                                   capsys):
+    # A free start cell inside the border's inflation: no route leaves it.
+    raw = yaml.safe_load(Path(tiny_yaml).read_text())
+    raw["map"] = str(Path(tiny_yaml).with_name(raw["map"]))
+    raw["robot"]["start"] = [0.15, 2.0]
+    config = tmp_path / "blocked.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "risk.csv"
+    assert main(["run", "--config", str(config), "--seed", "0",
+                 "--diagnostics", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "outcome=no_strategy" in captured.out
+    assert captured.err == "config error: no initial route for diagnostics\n"
+    assert not out.exists()
+
+
 # -- benchmark ----------------------------------------------------------
 
 

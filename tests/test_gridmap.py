@@ -16,9 +16,8 @@ import oracles
 from conftest import empty_grid, grid_from_ascii
 import namoplan
 from namoplan import gridmap, scenario_path
-from namoplan.gridmap import (FREE, STATIC, GridPosition, OccupancyGrid,
-                              QueryInsideObstacle, clear_memos, free_area,
-                              inflated_blocked_mask, mark_explored,
+from namoplan.gridmap import (FREE, STATIC, OccupancyGrid, clear_memos,
+                              free_area, inflated_blocked_mask, mark_explored,
                               raycast_distance, raycast_width)
 from namoplan.simulator import RobotConfig
 from oracles import is_explored
@@ -126,7 +125,7 @@ def test_raycast_matches_state_at_walk():
 
 
 def test_corridor_width_two_meters(corridor_grid):
-    w = raycast_width(corridor_grid, GridPosition(5.0, 2.0), 0.0)
+    w = raycast_width(corridor_grid, 5.0, 2.0, 0.0)
     assert w == pytest.approx(2.0, abs=corridor_grid.resolution)
 
 
@@ -135,26 +134,26 @@ def test_corridor_width_1p2_at_fine_resolution():
     cells = np.full((40, 80), STATIC, np.uint8)
     cells[8:32, :] = FREE
     g = OccupancyGrid(0.05, cells)
-    w = raycast_width(g, GridPosition(2.0, 1.0), 0.0)
+    w = raycast_width(g, 2.0, 1.0, 0.0)
     assert w == pytest.approx(1.2, abs=0.05)
 
 
 def test_width_in_open_room_bounded_by_span():
     g = empty_grid(100, 100, 0.1)  # 10 m x 10 m
-    w = raycast_width(g, GridPosition(5.0, 5.0), 0.0)
+    w = raycast_width(g, 5.0, 5.0, 0.0)
     assert 2.0 <= w <= 10.0 + 2 * g.resolution
 
 
 def test_width_symmetric_under_heading_flip(corridor_grid):
-    p = GridPosition(4.3, 1.7)
-    w1 = raycast_width(corridor_grid, p, 0.3)
-    w2 = raycast_width(corridor_grid, p, 0.3 + math.pi)
+    w1 = raycast_width(corridor_grid, 4.3, 1.7, 0.3)
+    w2 = raycast_width(corridor_grid, 4.3, 1.7, 0.3 + math.pi)
     assert w1 == pytest.approx(w2, abs=1e-9)
 
 
 def test_width_query_inside_obstacle_rejected(corridor_grid):
-    with pytest.raises(QueryInsideObstacle):
-        raycast_width(corridor_grid, GridPosition(5.0, 0.5), 0.0)
+    # Inside a static cell and off the map there is no corridor to measure.
+    for x, y in [(5.0, 0.5), (-0.05, 2.0), (5.0, corridor_grid.height_m)]:
+        assert raycast_width(corridor_grid, x, y, 0.0) is None
 
 
 # -- free area ----------------------------------------------------------

@@ -11,9 +11,8 @@ from hypothesis.extra.numpy import arrays
 import oracles
 from conftest import empty_grid, grid_from_ascii, kernel_from
 from namoplan import observation, planner
-from namoplan.gridmap import STATIC, GridPosition, OccupancyGrid, clear_memos
-from namoplan.planner import (Ellipse, EndpointBlocked, PlanRequest, Trajectory,
-                              blocked_mask, plan_path)
+from namoplan.gridmap import STATIC, OccupancyGrid, clear_memos
+from namoplan.planner import Ellipse, Trajectory, blocked_mask, plan_path
 from oracles import dijkstra_cost
 
 # -- trajectory basics --------------------------------------------------
@@ -111,8 +110,7 @@ def test_segment_slices_inclusive():
 
 def test_straight_path_eight_meters():
     g = empty_grid(100, 30, 0.1)
-    traj = plan_path(g, PlanRequest(GridPosition(1.0, 1.5), GridPosition(9.0, 1.5)),
-                     robot_radius=0.3)
+    traj = plan_path(g, (1.0, 1.5), (9.0, 1.5), robot_radius=0.3)
     assert traj is not None
     assert traj.total_length == pytest.approx(8.0, abs=2 * g.resolution)
     # straight: every heading equal
@@ -121,16 +119,7 @@ def test_straight_path_eight_meters():
 
 def test_start_equals_goal_rejected():
     g = empty_grid(20, 20, 0.1)
-    with pytest.raises(ValueError):
-        plan_path(g, PlanRequest(GridPosition(1.0, 1.0), GridPosition(1.02, 1.04)),
-                  robot_radius=0.1)
-
-
-def test_endpoint_blocked_distinct_from_no_path():
-    g = empty_grid(40, 40, 0.1)
-    with pytest.raises(EndpointBlocked):
-        plan_path(g, PlanRequest(GridPosition(0.1, 0.1), GridPosition(2.0, 2.0)),
-                  robot_radius=0.3)
+    assert plan_path(g, (1.0, 1.0), (1.02, 1.04), robot_radius=0.1) is None
 
 
 def test_no_path_when_walled_off():
@@ -146,17 +135,14 @@ def test_no_path_when_walled_off():
 ..........
 ..........
 """, resolution=0.5)
-    traj = plan_path(g, PlanRequest(GridPosition(1.2, 1.2), GridPosition(1.2, 4.2)),
-                     robot_radius=0.2)
+    traj = plan_path(g, (1.2, 1.2), (1.2, 4.2), robot_radius=0.2)
     assert traj is None
 
 
 def test_corridor_covered_by_ellipse_gives_no_path(corridor_grid):
     e = Ellipse(5.0, 2.0, 0.5, 1.2, 0.0)
-    traj = plan_path(corridor_grid,
-                     PlanRequest(GridPosition(1.0, 2.0), GridPosition(9.0, 2.0),
-                                 (e,)),
-                     robot_radius=0.3)
+    traj = plan_path(corridor_grid, (1.0, 2.0), (9.0, 2.0), robot_radius=0.3,
+                     ellipses=(e,))
     assert traj is None
 
 
@@ -174,10 +160,9 @@ def test_astar_matches_dijkstra_on_random_maps():
         (sy, sx), (gy, gx) = free[rng.integers(0, len(free), 2)]
         if (sy, sx) == (gy, gx):
             continue
-        start = GridPosition(*g.cell_center(sy, sx))
-        goal = GridPosition(*g.cell_center(gy, gx))
+        start, goal = g.cell_center(sy, sx), g.cell_center(gy, gx)
         oracle = dijkstra_cost(g, mask, start, goal)
-        traj = plan_path(g, PlanRequest(start, goal), 0.05)
+        traj = plan_path(g, start, goal, 0.05)
         if traj is None:
             assert math.isinf(oracle)
         else:
@@ -187,10 +172,9 @@ def test_astar_matches_dijkstra_on_random_maps():
 
 def test_adding_obstacle_never_shortens():
     g = empty_grid(60, 60, 0.1)
-    req = PlanRequest(GridPosition(1.0, 3.0), GridPosition(5.0, 3.0))
-    base = plan_path(g, req, 0.2)
+    base = plan_path(g, (1.0, 3.0), (5.0, 3.0), 0.2)
     e = Ellipse(3.0, 3.0, 0.4, 0.4, 0.0)
-    detour = plan_path(g, PlanRequest(req.start, req.goal, (e,)), 0.2)
+    detour = plan_path(g, (1.0, 3.0), (5.0, 3.0), 0.2, (e,))
     assert base is not None and detour is not None
     assert detour.total_length >= base.total_length - 1e-9
 
@@ -204,8 +188,7 @@ def test_waypoints_clear_of_static_cells():
 ....................
 ....................
 """, resolution=0.25)
-    traj = plan_path(g, PlanRequest(GridPosition(0.6, 0.8), GridPosition(4.4, 0.8)),
-                     robot_radius=0.2)
+    traj = plan_path(g, (0.6, 0.8), (4.4, 0.8), robot_radius=0.2)
     assert traj is not None
     statics = np.argwhere(g.cells == STATIC)
     centers = np.array([g.cell_center(iy, ix) for iy, ix in statics])
@@ -215,8 +198,7 @@ def test_waypoints_clear_of_static_cells():
 
 def test_consecutive_waypoints_adjacent():
     g = empty_grid(50, 50, 0.1)
-    traj = plan_path(g, PlanRequest(GridPosition(1.0, 1.0), GridPosition(4.0, 3.0)),
-                     robot_radius=0.2)
+    traj = plan_path(g, (1.0, 1.0), (4.0, 3.0), robot_radius=0.2)
     gaps = np.linalg.norm(np.diff(traj.positions, axis=0), axis=1)
     assert np.all(gaps <= math.sqrt(2) * g.resolution + 1e-9)
 
@@ -227,9 +209,7 @@ def test_consecutive_waypoints_adjacent():
 def test_start_inside_ellipse_is_escapable():
     g = empty_grid(60, 60, 0.1)
     e = Ellipse(3.0, 3.0, 1.0, 1.0, 0.0)
-    traj = plan_path(g, PlanRequest(GridPosition(3.2, 3.0), GridPosition(5.5, 3.0),
-                                    (e,)),
-                     robot_radius=0.2)
+    traj = plan_path(g, (3.2, 3.0), (5.5, 3.0), robot_radius=0.2, ellipses=(e,))
     assert traj is not None
     assert traj.positions[-1, 0] == pytest.approx(5.55, abs=g.resolution)
 
@@ -238,28 +218,26 @@ def test_start_inside_static_inflation_still_blocked():
     g = empty_grid(60, 60, 0.1)
     e = Ellipse(3.0, 0.5, 1.0, 1.0, 0.0)
     # start is inside the border inflation, not just the ellipse
-    with pytest.raises(EndpointBlocked):
-        plan_path(g, PlanRequest(GridPosition(3.0, 0.15), GridPosition(5.5, 3.0),
-                                 (e,)),
-                  robot_radius=0.3)
+    assert plan_path(g, (3.0, 0.15), (5.5, 3.0), robot_radius=0.3,
+                     ellipses=(e,)) is None
 
 
 # -- pinned to the per-cell reference search ------------------------------
 
 
 def _assert_same_plan(g, req, radius):
-    """plan_path returns exactly the reference planner's waypoints, or raises
-    EndpointBlocked exactly when it does."""
-    try:
-        want = oracles.plan_path(g, req, radius)
-    except EndpointBlocked:
-        with pytest.raises(EndpointBlocked):
-            plan_path(g, req, radius)
-        return "blocked"
-    got = plan_path(g, req, radius)
+    """plan_path answers the request (start, goal, ellipses) exactly as the
+    reference planner does: the same waypoints, or None. Says which:
+    "path", "blocked" when an endpoint is blocked in the reference planning
+    mask, else "none"."""
+    start, goal, ellipses = req
+    want = oracles.plan_path(g, start, goal, radius, ellipses)
+    got = plan_path(g, start, goal, radius, ellipses)
     if want is None:
         assert got is None
-        return "none"
+        mask = oracles.planning_mask(g, start, ellipses, radius)
+        blocked = any(mask[g.cell_index(*p)] for p in (start, goal))
+        return "blocked" if blocked else "none"
     assert got is not None and np.array_equal(got.positions, want.positions)
     return "path"
 
@@ -268,8 +246,7 @@ def _random_requests(g, rng, n, ellipses=()):
     cells = [(iy, ix) for iy in range(g.height_cells) for ix in range(g.width_cells)]
     for _ in range(n):
         a, b = rng.choice(len(cells), size=2, replace=False)
-        yield PlanRequest(GridPosition(*g.cell_center(*cells[a])),
-                          GridPosition(*g.cell_center(*cells[b])), ellipses)
+        yield g.cell_center(*cells[a]), g.cell_center(*cells[b]), ellipses
 
 
 @pytest.mark.parametrize("density", [0.1, 0.2])
@@ -313,9 +290,8 @@ def test_plan_matches_reference_from_inside_ellipse():
         e = Ellipse(rng.uniform(2.0, 4.0), rng.uniform(2.0, 4.0),
                     rng.uniform(0.5, 1.2), rng.uniform(0.5, 1.2),
                     rng.uniform(-math.pi, math.pi))
-        start = GridPosition(e.cx + rng.uniform(-0.3, 0.3),
-                             e.cy + rng.uniform(-0.3, 0.3))
-        req = PlanRequest(start, GridPosition(5.55, 5.55), (e,))
+        start = (e.cx + rng.uniform(-0.3, 0.3), e.cy + rng.uniform(-0.3, 0.3))
+        req = (start, (5.55, 5.55), (e,))
         assert _assert_same_plan(g, req, 0.2) == "path"
 
 
@@ -323,11 +299,11 @@ def test_plan_matches_reference_when_unreachable_or_blocked():
     cells = np.zeros((30, 40), np.uint8)
     cells[15, :] = STATIC
     g = OccupancyGrid(0.1, cells)
-    below, above = GridPosition(2.0, 0.8), GridPosition(2.0, 2.5)
-    assert _assert_same_plan(g, PlanRequest(below, above), 0.1) == "none"
-    wall = GridPosition(2.0, 1.55)
-    assert _assert_same_plan(g, PlanRequest(below, wall), 0.1) == "blocked"
-    assert _assert_same_plan(g, PlanRequest(wall, below), 0.1) == "blocked"
+    below, above = (2.0, 0.8), (2.0, 2.5)
+    assert _assert_same_plan(g, (below, above, ()), 0.1) == "none"
+    wall = (2.0, 1.55)
+    assert _assert_same_plan(g, (below, wall, ()), 0.1) == "blocked"
+    assert _assert_same_plan(g, (wall, below, ()), 0.1) == "blocked"
 
 
 def test_blocked_mask_matches_per_cell_rasterization():
@@ -405,36 +381,35 @@ def test_cached_plans_match_reference_cold_and_warm(searches):
                           rng.uniform(-math.pi, math.pi)) for _ in range(2))
             for _ in range(3)]
         # The same start and goal recur under every set of ellipses.
-        pairs = [(r.start, r.goal) for r in _random_requests(g, rng, 5)]
-        requests = [PlanRequest(a, b, e) for e in ellipse_sets for a, b in pairs]
+        pairs = [(a, b) for a, b, _ in _random_requests(g, rng, 5)]
+        requests = [(a, b, e) for e in ellipse_sets for a, b in pairs]
         cold = [_assert_same_plan(g, r, 0.1) for r in requests]
         n_cold = len(searches)
         warm = [_assert_same_plan(g, r, 0.1) for r in requests]
         assert warm == cold and len(searches) == n_cold
-        n_requests += len(requests) - cold.count("blocked")
+        n_requests += len(requests)
     # Each mask got its own entry and search for a recurring start and
-    # goal, and each request that did not raise an entry of its own.
+    # goal, and each request an entry of its own.
     assert len(set(searches)) < len(searches) == len(_mask_keys())
     assert len(planner._PLAN_CACHE) == len(searches) + n_requests
 
 
 def test_cache_stays_within_capacity(searches, masks_built):
     g = empty_grid(30, 30, 0.1)
-    goal = GridPosition(2.55, 2.55)
-    starts = [GridPosition(*g.cell_center(iy, ix))
-              for iy in range(2, 27) for ix in range(2, 9)]
+    goal = (2.55, 2.55)
+    starts = [g.cell_center(iy, ix) for iy in range(2, 27) for ix in range(2, 9)]
     # Each new start adds a request entry and a mask entry.
     assert 2 * len(starts) > planner._PLAN_CACHE.size
-    first = plan_path(g, PlanRequest(starts[0], goal), 0.1)
+    first = plan_path(g, starts[0], goal, 0.1)
     for start in starts[1:]:
-        plan_path(g, PlanRequest(start, goal), 0.1)
+        plan_path(g, start, goal, 0.1)
         assert len(planner._PLAN_CACHE) <= planner._PLAN_CACHE.size
         # A hit refreshes the first request, so it outlives its
         # neighbours, and builds no mask.
-        assert plan_path(g, PlanRequest(starts[0], goal), 0.1) is first
+        assert plan_path(g, starts[0], goal, 0.1) is first
     assert len(planner._PLAN_CACHE) == planner._PLAN_CACHE.size
     assert len(masks_built) == len(searches) == len(starts)
-    plan_path(g, PlanRequest(starts[1], goal), 0.1)  # evicted, searched again
+    plan_path(g, starts[1], goal, 0.1)  # evicted, searched again
     assert len(masks_built) == len(searches) == len(starts) + 1
 
 
@@ -444,57 +419,73 @@ def test_cache_keeps_maps_of_one_shape_apart(searches):
     cells[5:30, 20] = STATIC
     walled = OccupancyGrid(0.1, cells)
     coarse = empty_grid(40, 30, 0.2)
-    req = PlanRequest(GridPosition(0.55, 1.55), GridPosition(3.55, 1.55))
-    got_open = plan_path(open_grid, req, 0.1)
-    got_walled = plan_path(walled, req, 0.1)
+    start, goal = (0.55, 1.55), (3.55, 1.55)
+    got_open = plan_path(open_grid, start, goal, 0.1)
+    got_walled = plan_path(walled, start, goal, 0.1)
     assert len(searches) == 2
     for g, got in ((open_grid, got_open), (walled, got_walled)):
-        assert np.array_equal(got.positions, oracles.plan_path(g, req, 0.1).positions)
+        assert np.array_equal(got.positions,
+                              oracles.plan_path(g, start, goal, 0.1).positions)
     assert not np.array_equal(got_walled.positions, got_open.positions)
     # The same mask and cells at twice the resolution and radius: a new
     # search, and waypoints twice as far apart.
-    coarse_req = PlanRequest(GridPosition(1.1, 3.1), GridPosition(7.1, 3.1))
-    wide = plan_path(coarse, coarse_req, 0.2)
-    assert np.array_equal(planner.planning_mask(coarse, coarse_req, 0.2),
-                          planner.planning_mask(open_grid, req, 0.1))
+    wide = plan_path(coarse, (1.1, 3.1), (7.1, 3.1), 0.2)
+    assert np.array_equal(planner.planning_mask(coarse, (1.1, 3.1), (), 0.2),
+                          planner.planning_mask(open_grid, start, (), 0.1))
     assert len(searches) == 3
     assert np.array_equal(wide.positions, 2.0 * got_open.positions)
 
 
 def test_cached_trajectory_is_read_only(searches):
     g = empty_grid(30, 20, 0.1)
-    req = PlanRequest(GridPosition(0.55, 0.55), GridPosition(2.55, 1.55))
-    traj = plan_path(g, req, 0.1)
+    traj = plan_path(g, (0.55, 0.55), (2.55, 1.55), 0.1)
     want = traj.positions.copy()
     with pytest.raises(ValueError):
         traj.positions[0, 0] = 9.0
     with pytest.raises(ValueError):
         traj.headings[0] = 9.0
-    again = plan_path(g, req, 0.1)
+    again = plan_path(g, (0.55, 0.55), (2.55, 1.55), 0.1)
     assert again is traj and np.array_equal(again.positions, want)
     assert len(searches) == 1
 
 
-def test_endpoint_errors_are_never_cached(searches):
+def _walled_grid():
+    """2 m x 2 m, a wall across row 10 (y in [1.0, 1.1))."""
     cells = np.zeros((20, 20), np.uint8)
     cells[10, :] = STATIC
-    g = OccupancyGrid(0.1, cells)
-    wall, free = GridPosition(1.05, 1.05), GridPosition(0.55, 0.55)
-    for _ in range(2):
-        with pytest.raises(EndpointBlocked):
-            plan_path(g, PlanRequest(free, wall), 0.1)
-        with pytest.raises(ValueError, match="start equals goal"):
-            plan_path(g, PlanRequest(free, GridPosition(0.52, 0.58)), 0.1)
-    assert searches == [] and not planner._PLAN_CACHE
+    return OccupancyGrid(0.1, cells)
+
+
+_FREE = (0.55, 0.55)
+
+
+@pytest.mark.parametrize("start, goal, ellipses", [
+    ((-1.0, 0.55), _FREE, ()),
+    (_FREE, (0.55, 2.5), ()),
+    # In the border inflation and in the ellipse, which carves no escape.
+    ((0.05, 0.55), (1.55, 0.55), (Ellipse(0.3, 0.55, 0.4, 0.4, 0.0),)),
+    (_FREE, (1.05, 1.05), ()),
+    (_FREE, (0.52, 0.58), ()),
+    (_FREE, (0.55, 1.55), ()),
+], ids=["start-off-map", "goal-off-map", "start-in-inflation", "goal-blocked",
+        "same-cell", "walled-off"])
+def test_no_path_answers_none_once(searches, masks_built, start, goal,
+                                   ellipses):
+    """Whatever the reason there is no path, the answer is None, the
+    reference's too, and a second identical call builds no mask."""
+    g = _walled_grid()
+    assert oracles.plan_path(g, start, goal, 0.1, ellipses) is None
+    assert plan_path(g, start, goal, 0.1, ellipses) is None
+    assert plan_path(g, start, goal, 0.1, ellipses) is None
+    assert len(masks_built) == 1
+    # Only a goal walled off from free endpoints is searched.
+    assert len(searches) == (goal == (0.55, 1.55))
 
 
 def test_unreachable_goal_is_cached(searches):
-    cells = np.zeros((20, 20), np.uint8)
-    cells[10, :] = STATIC
-    g = OccupancyGrid(0.1, cells)
-    req = PlanRequest(GridPosition(0.55, 0.55), GridPosition(0.55, 1.55))
-    assert plan_path(g, req, 0.05) is None
-    assert plan_path(g, req, 0.05) is None
+    g = _walled_grid()
+    assert plan_path(g, (0.55, 0.55), (0.55, 1.55), 0.05) is None
+    assert plan_path(g, (0.55, 0.55), (0.55, 1.55), 0.05) is None
     # The request's entry and its mask's entry both hold the None.
     assert len(searches) == 1
     assert list(planner._PLAN_CACHE.values()) == [None, None]
@@ -504,18 +495,18 @@ def test_cache_keeps_masks_one_cell_or_one_shape_apart(searches):
     """7 x 9 cells pack into 8 bytes with one bit to spare: the last cell
     still tells two masks apart, and so does the shape, though 9 x 7 and
     8 x 8 masks can pack to the same bytes."""
-    req = PlanRequest(GridPosition(0.05, 0.05), GridPosition(0.35, 0.35))
+    start, goal = (0.05, 0.05), (0.35, 0.35)
     open_grid = empty_grid(9, 7, 0.1)
     cells = np.zeros((7, 9), np.uint8)
     cells[6, 8] = STATIC
     last = OccupancyGrid(0.1, cells)
-    masks = [planner.planning_mask(g, req, 0.01) for g in (open_grid, last)]
+    masks = [planner.planning_mask(g, start, (), 0.01) for g in (open_grid, last)]
     assert np.count_nonzero(masks[0] != masks[1]) == 1
     for g in (open_grid, last, empty_grid(7, 9, 0.1),
               empty_grid(8, 8, 0.1)):
-        plan_path(g, req, 0.01)
+        plan_path(g, start, goal, 0.01)
     assert np.array_equal(np.packbits(planner.planning_mask(
-        empty_grid(8, 8, 0.1), req, 0.01)), np.packbits(masks[0]))
+        empty_grid(8, 8, 0.1), start, (), 0.01)), np.packbits(masks[0]))
     assert len(searches) == len(_mask_keys()) == 4
 
 
@@ -524,9 +515,9 @@ def test_cache_keeps_masks_one_cell_or_one_shape_apart(searches):
 
 def _elsewhere_in_cell(g, pos, rng):
     """Another point of the cell that holds `pos`."""
-    iy, ix = g.cell_index(pos.x, pos.y)
-    return GridPosition((ix + rng.uniform(0.01, 0.99)) * g.resolution,
-                        (iy + rng.uniform(0.01, 0.99)) * g.resolution)
+    iy, ix = g.cell_index(*pos)
+    return ((ix + rng.uniform(0.01, 0.99)) * g.resolution,
+            (iy + rng.uniform(0.01, 0.99)) * g.resolution)
 
 
 def test_indexed_plans_match_reference_cold_and_warm(searches, masks_built):
@@ -536,44 +527,42 @@ def test_indexed_plans_match_reference_cold_and_warm(searches, masks_built):
         # An ellipse moving along a row, then back at its first places.
         moving = [(Ellipse(0.6 + 0.4 * i, 1.5, 0.4, 0.25, 0.3),)
                   for i in range(7)]
-        pairs = [(r.start, r.goal) for r in _random_requests(g, rng, 5)]
-        requests = [PlanRequest(a, b, e) for e in [(), *moving, *moving[:3]]
+        pairs = [(a, b) for a, b, _ in _random_requests(g, rng, 5)]
+        requests = [(a, b, e) for e in [(), *moving, *moving[:3]]
                     for a, b in pairs]
         cold = [_assert_same_plan(g, r, radius)
                 for radius in (0.1, 0.15) for r in requests]
         n_built, n_searched = len(masks_built), len(searches)
         # The same cells through other points, ellipses as a list.
         warm = [_assert_same_plan(
-                    g, PlanRequest(_elsewhere_in_cell(g, r.start, rng),
-                                   _elsewhere_in_cell(g, r.goal, rng),
-                                   list(r.temporary_obstacles)), radius)
-                for radius in (0.1, 0.15) for r in requests]
+                    g, (_elsewhere_in_cell(g, a, rng),
+                        _elsewhere_in_cell(g, b, rng), list(e)), radius)
+                for radius in (0.1, 0.15) for a, b, e in requests]
         assert warm == cold and len(searches) == n_searched
-        # Only the requests that raise build their mask again.
-        assert len(masks_built) - n_built == cold.count("blocked")
+        # No request builds its mask again, a blocked one neither.
+        assert len(masks_built) == n_built
         assert {"path", "blocked"} <= set(cold)
 
 
 def test_ellipses_that_rasterize_alike_share_one_search(searches, masks_built):
     g = empty_grid(40, 30, 0.1)
-    start, goal = GridPosition(0.55, 1.55), GridPosition(3.55, 1.55)
-    reqs = [PlanRequest(start, goal, (Ellipse(cx, 1.5, 0.4, 0.3, 0.0),))
-            for cx in (2.0, 2.0 + 1e-6)]
-    assert np.array_equal(planner.planning_mask(g, reqs[0], 0.1),
-                          planner.planning_mask(g, reqs[1], 0.1))
-    plans = [plan_path(g, r, 0.1) for r in reqs]
+    start, goal = (0.55, 1.55), (3.55, 1.55)
+    ellipse_sets = [(Ellipse(cx, 1.5, 0.4, 0.3, 0.0),) for cx in (2.0, 2.0 + 1e-6)]
+    assert np.array_equal(planner.planning_mask(g, start, ellipse_sets[0], 0.1),
+                          planner.planning_mask(g, start, ellipse_sets[1], 0.1))
+    plans = [plan_path(g, start, goal, 0.1, e) for e in ellipse_sets]
     assert plans[0] is plans[1] and len(searches) == 1
     # Two request entries and the one mask entry they share.
     assert len(planner._PLAN_CACHE) == 3 and len(_mask_keys()) == 1
-    assert np.array_equal(plans[1].positions,
-                          oracles.plan_path(g, reqs[1], 0.1).positions)
+    assert np.array_equal(plans[1].positions, oracles.plan_path(
+        g, start, goal, 0.1, ellipse_sets[1]).positions)
     # The second request refreshed the mask entry, so the least recently
     # used entry is the first request's. Dropped, as by the bound, that
     # request builds its mask again and finds the search.
     dropped, _ = planner._PLAN_CACHE.popitem(last=False)
-    assert dropped[2] == reqs[0].temporary_obstacles
+    assert dropped[2] == ellipse_sets[0]
     n_built = len(masks_built)
-    assert plan_path(g, reqs[0], 0.1) is plans[0]
+    assert plan_path(g, start, goal, 0.1, ellipse_sets[0]) is plans[0]
     assert len(masks_built) == n_built + 1 and len(searches) == 1
 
 
@@ -581,66 +570,62 @@ def test_request_whose_entries_were_evicted_searches_again(
         searches, monkeypatch):
     monkeypatch.setattr(planner._PLAN_CACHE, "size", 2)
     g = empty_grid(30, 20, 0.1)
-    goal = GridPosition(2.55, 1.55)
-    reqs = [PlanRequest(GridPosition(0.55, 0.55 + 0.5 * i), goal)
-            for i in range(3)]
-    first = plan_path(g, reqs[0], 0.1)
-    for r in reqs[1:]:
-        plan_path(g, r, 0.1)
+    goal = (2.55, 1.55)
+    starts = [(0.55, 0.55 + 0.5 * i) for i in range(3)]
+    first = plan_path(g, starts[0], goal, 0.1)
+    for start in starts[1:]:
+        plan_path(g, start, goal, 0.1)
     # The memo holds the last request's entry and its mask's entry only.
     assert len(searches) == 3 and len(planner._PLAN_CACHE) == 2
-    again = plan_path(g, reqs[0], 0.1)
+    again = plan_path(g, starts[0], goal, 0.1)
     assert len(searches) == 4 and again is not first
     assert np.array_equal(again.positions,
-                          oracles.plan_path(g, reqs[0], 0.1).positions)
+                          oracles.plan_path(g, starts[0], goal, 0.1).positions)
     # The request now names the new entry.
-    assert plan_path(g, reqs[0], 0.1) is again and len(searches) == 4
+    assert plan_path(g, starts[0], goal, 0.1) is again and len(searches) == 4
 
 
-def test_raising_requests_stay_out_of_the_index(searches):
-    """A request that raises stores no request key, and moves and drops
-    no entry of the plan memo."""
-    cells = np.zeros((20, 20), np.uint8)
-    cells[10, :] = STATIC
-    g = OccupancyGrid(0.1, cells)
-    wall, free = GridPosition(1.05, 1.05), GridPosition(0.55, 0.55)
-    req = PlanRequest(free, GridPosition(1.55, 0.55))
-    got = plan_path(g, req, 0.1)
+def test_no_path_requests_join_the_index(searches):
+    """A request with a blocked endpoint or one cell for both stores its
+    request key, holding None, and no mask key."""
+    g = _walled_grid()
+    got = plan_path(g, _FREE, (1.55, 0.55), 0.1)
     held = list(planner._PLAN_CACHE)
+    assert len(held) == 2
     for _ in range(2):
-        with pytest.raises(EndpointBlocked):
-            plan_path(g, PlanRequest(free, wall), 0.1)
-        with pytest.raises(ValueError, match="start equals goal"):
-            plan_path(g, PlanRequest(free, GridPosition(0.52, 0.58)), 0.1)
-    assert list(planner._PLAN_CACHE) == held and len(held) == 2
+        assert plan_path(g, _FREE, (1.05, 1.05), 0.1) is None
+        assert plan_path(g, _FREE, (0.52, 0.58), 0.1) is None
+    request_keys = list(planner._PLAN_CACHE)[2:]
+    assert [key[3:] for key in request_keys] == [((5, 5), (10, 10)),
+                                                 ((5, 5), (5, 5))]
+    assert [planner._PLAN_CACHE[key] for key in request_keys] == [None, None]
     # A grid of the same cells built apart has the same key: it shares the
     # request's entry and its search.
-    assert plan_path(OccupancyGrid(0.1, cells), req, 0.1) is got
-    assert len(searches) == 1 and list(planner._PLAN_CACHE) == held
+    assert plan_path(OccupancyGrid(0.1, g.cells), _FREE, (1.55, 0.55), 0.1) is got
+    assert len(searches) == 1 and len(_mask_keys()) == 1
 
 
 def test_index_stays_within_its_bound(searches, masks_built, monkeypatch):
     monkeypatch.setattr(planner._PLAN_CACHE, "size", 8)
     g = empty_grid(30, 30, 0.1)
-    goal = GridPosition(2.55, 2.55)
-    reqs = [PlanRequest(GridPosition(*g.cell_center(2, ix)), goal)
-            for ix in range(2, 12)]
-    for i, r in enumerate(reqs):
-        plan_path(g, r, 0.1)
+    goal = (2.55, 2.55)
+    starts = [g.cell_center(2, ix) for ix in range(2, 12)]
+    for i, start in enumerate(starts):
+        plan_path(g, start, goal, 0.1)
         # Each new request adds its request key and its mask key.
         assert len(planner._PLAN_CACHE) == min(2 * (i + 1), 8)
         # A hit refreshes the first request, so it outlives the others.
-        plan_path(g, reqs[0], 0.1)
-    assert len(masks_built) == len(searches) == len(reqs)
+        plan_path(g, starts[0], goal, 0.1)
+    assert len(masks_built) == len(searches) == len(starts)
     request_keys = [key for key in planner._PLAN_CACHE
                     if isinstance(key[0], tuple)]
     assert [key[3] for key in request_keys] == [
-        g.cell_index(r.start.x, r.start.y) for r in (*reqs[-4:], reqs[0])]
+        g.cell_index(*start) for start in (*starts[-4:], starts[0])]
     # A request dropped while its mask key stays builds its mask again and
     # finds its search.
     del planner._PLAN_CACHE[request_keys[-2]]
-    plan_path(g, reqs[-1], 0.1)
-    assert len(masks_built) == len(reqs) + 1 and len(searches) == len(reqs)
+    plan_path(g, starts[-1], goal, 0.1)
+    assert len(masks_built) == len(starts) + 1 and len(searches) == len(starts)
 
 
 # -- the compiled kernel, pinned to the per-cell reference search ---------
@@ -687,8 +672,8 @@ def kernel_cases():
     cases = []
     for mask, start, goal in _kernel_cases():
         g = OccupancyGrid(0.1, np.zeros(mask.shape, np.uint8))
-        want = oracles.astar_on_mask(g, mask, GridPosition(*g.cell_center(*start)),
-                                     GridPosition(*g.cell_center(*goal)))
+        want = oracles.astar_on_mask(g, mask, g.cell_center(*start),
+                                     g.cell_center(*goal))
         cases.append((g, mask, start, goal,
                       None if want is None else want.positions))
     return cases

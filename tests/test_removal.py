@@ -1,6 +1,7 @@
 """Success-rate beliefs, expected removal cost, and stock placement."""
 
 import math
+from dataclasses import FrozenInstanceError
 from itertools import islice
 
 import numpy as np
@@ -9,8 +10,8 @@ from scipy import stats
 
 import oracles
 from conftest import empty_grid, grid_from_ascii, kernel_from
-from namoplan import planner, removal
-from namoplan.gridmap import STATIC, OccupancyGrid
+from namoplan import planner, removal, scenario_path
+from namoplan.gridmap import STATIC, OccupancyGrid, clear_memos
 from namoplan.planner import Trajectory
 from namoplan.removal import (BetaBelief, _stock_candidates,
                               beta_ppf, estimate_removal_time, expected_removal_cost,
@@ -172,8 +173,7 @@ def test_stock_found_next_to_doorway():
     assert est is not None
     assert est.t_mo > 0
     # placed clear of the blocked path by obstacle + robot radius
-    stock = est.stock_position
-    d = min(np.linalg.norm(blocked.positions - [stock.x, stock.y], axis=1))
+    d = min(np.linalg.norm(blocked.positions - est.stock, axis=1))
     assert d >= 0.45
 
 
@@ -197,9 +197,37 @@ def test_removal_time_stable_across_runs():
                                   robot_radius=0.2, **STOCK)
     second = estimate_removal_time(grid, *mo, np.array([1.5, 2.0]), blocked,
                                    robot_radius=0.2, **STOCK)
-    assert first.t_mo == second.t_mo
-    assert (first.stock_position.x, first.stock_position.y) == \
-        (second.stock_position.x, second.stock_position.y)
+    assert first == second
+
+
+def test_removal_estimate_is_frozen():
+    grid, mo, blocked = _doorway_world()
+    est = estimate_removal_time(grid, *mo, np.array([1.5, 2.0]), blocked,
+                                robot_radius=0.2, **STOCK)
+    assert isinstance(est.stock, tuple)
+    for name in ("t_mo", "stock", "carry_length"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(est, name, getattr(est, name))
+
+
+@pytest.mark.parametrize("answer, error", [(-2, ValueError), (-1, MemoryError)])
+def test_planner_faults_propagate_from_the_stock_search(monkeypatch, answer,
+                                                        error):
+    """A carry plan the A* kernel fails on is a fault, not a stock cell
+    without a path."""
+    clear_memos()
+    monkeypatch.setattr(planner, "_ASTAR", lambda *args: answer)
+    cfg = ScenarioConfig.from_yaml(scenario_path("room.yaml"))
+    (door,) = cfg.obstacles
+    xs = np.linspace(2.0, 8.0, 61)
+    blocked = Trajectory(np.column_stack([xs, np.full_like(xs, 3.0)]))
+    with pytest.raises(error):
+        estimate_removal_time(cfg.load_grid(), np.array(door.position),
+                              door.radius, np.array(cfg.robot.start), blocked,
+                              cfg.robot.radius, cfg.robot.v_lin,
+                              cfg.robot.v_rot, cfg.removal.load_overhead,
+                              cfg.removal.unload_overhead,
+                              cfg.removal.search_radius)
 
 
 def _wall_world(rng) -> tuple[OccupancyGrid, int]:
@@ -260,7 +288,7 @@ def test_stock_search_matches_per_cell_scan():
                 if est is not None:
                     found += 1
                     nearest = grid.cell_center(*want[0][1:])
-                    passed_nearest += (est.stock_position.x, est.stock_position.y) != nearest
+                    passed_nearest += est.stock != nearest
     assert found > 0 and passed_nearest > 0
 
 
@@ -307,8 +335,7 @@ def test_stock_search_first_fit_across_chunks(seed):
         if est is not None:
             cells = [c[1:] for c in _stock_candidates(grid, mx, my, 0.15, 3.0,
                                                       NO_PATH, 0.25)]
-            depths.append(cells.index(grid.cell_index(est.stock_position.x,
-                                                      est.stock_position.y)))
+            depths.append(cells.index(grid.cell_index(*est.stock)))
     assert depths and min(depths) > 50
 
 
@@ -536,7 +563,7 @@ def test_stock_clearance_test_is_strict():
     args = (grid, np.array([mx, my]), 0.25, np.array([1.0, 1.0]), blocked, 0.25)
     est = estimate_removal_time(*args, **STOCK)
     assert est == oracles.estimate_removal_time(*args, **STOCK)
-    assert (est.stock_position.x, est.stock_position.y) == (mx, my - 0.5)
+    assert est.stock == (mx, my - 0.5)
 
 
 def test_stock_search_resumes_past_cells_the_robot_cannot_reach(

@@ -457,11 +457,8 @@ def test_empty_map_direct_path(tmp_path):
     record = run_episode(cfg, "uncertainty", seed=0)
     assert record.outcome == "success"
     # no obstacles: elapsed equals the motion time of the planned path
-    from namoplan.gridmap import GridPosition
-    from namoplan.planner import PlanRequest, plan_path
-    traj = plan_path(cfg.load_grid(),
-                     PlanRequest(GridPosition(*cfg.robot.start),
-                                 GridPosition(*cfg.goal)),
+    from namoplan.planner import plan_path
+    traj = plan_path(cfg.load_grid(), cfg.robot.start, cfg.goal,
                      cfg.robot.radius)
     expected = motion_time(traj, cfg.robot.v_lin, cfg.robot.v_rot)
     # the first heading alignment from start_heading is also charged
@@ -644,6 +641,37 @@ def test_looping_episode_record_pinned(tmp_path, monkeypatch):
     assert 0 < len(searches) < record.diagnostics["n_replans"]
 
 
+# sha256 of the record lines, in run order, of the episodes that end on a
+# missing route: room with every load failing and with most failing, under
+# every policy at seeds 0-3, where a sensed DOOR seals the only doorway and
+# the known-blocker fallback runs; then room walled off across column 60,
+# where no route exists and no obstacle is known from the start.
+NO_PATH_RECORDS_SHA256 = (
+    "02f72158a041e6c68ed15206e264d8d761b9548bcad5a4779e577f99961ce6e9")
+
+
+def test_no_path_branches_records_pinned(tmp_path):
+    room = ScenarioConfig.from_yaml(scenario_path("room.yaml"))
+    records = []
+    for true_sr in (0.0, 0.3):
+        cfg = replace(room, obstacles=tuple(replace(o, true_sr=true_sr)
+                                            for o in room.obstacles))
+        records += [run_episode(cfg, policy, seed=seed)
+                    for policy in POLICIES for seed in range(4)]
+    cells = np.array(room.load_grid().cells)
+    cells[:, 60] = STATIC
+    walled = replace(room, map_path=_write_map(tmp_path, cells))
+    for policy in POLICIES:
+        record = run_episode(walled, policy, seed=0)
+        assert (record.outcome, record.elapsed) == ("no_strategy", 0.0)
+        assert record.diagnostics["n_replans"] == 1
+        records.append(record)
+    digest = hashlib.sha256()
+    for record in records:
+        digest.update(record.to_json_line().encode() + b"\n")
+    assert digest.hexdigest() == NO_PATH_RECORDS_SHA256
+
+
 def _memo_episode(tmp_path):
     cfg = _unreliable_config(tmp_path, 0.9, 0.9)
     return _Episode(cfg, seed=0)
@@ -682,20 +710,15 @@ def test_blockage_memo_follows_explored_growth(tmp_path, monkeypatch):
 def test_plan_memo_keeps_masks_apart(tmp_path):
     import oracles
     from namoplan import planner
-    from namoplan.gridmap import GridPosition
     from namoplan.observation import PoseBelief
-    from namoplan.planner import PlanRequest
 
     clear_memos()
     ep = _memo_episode(tmp_path)
     goal = ep.cfg.goal
     r = ep.cfg.robot.radius
 
-    def request(ellipses):
-        return PlanRequest(GridPosition(ep.x, ep.y), GridPosition(*goal), ellipses)
-
     def fresh(ellipses):
-        return oracles.plan_path(ep.grid, request(ellipses), r)
+        return oracles.plan_path(ep.grid, (ep.x, ep.y), goal, r, ellipses)
 
     plans = []
     for b in ((6.0, 9.0), (10.5, 16.9)):
@@ -703,7 +726,7 @@ def test_plan_memo_keeps_masks_apart(tmp_path):
         # off it, its ellipse rasterizes elsewhere for the same start and goal.
         ep.set_belief("B", PoseBelief(np.array(b), np.eye(2) * 0.01))
         plans.append((ep.plan_to(*goal), fresh(ep.ellipses())))
-    plans.append((planner.plan_path(ep.grid, request(()), r), fresh(())))
+    plans.append((planner.plan_path(ep.grid, (ep.x, ep.y), goal, r), fresh(())))
     plans.append((ep.plan_to(*goal, exclude="B"), fresh(())))
     # The plan memo's searches: the entries whose keys start with the mask
     # digest's bytes, not with `grid.key`.
