@@ -131,7 +131,7 @@ def trajectory_blockage_detail(pop: ObstaclePopulation, trajectory: Trajectory,
     spacing = max(pop.mu, grid.resolution)
     # Arc length summed left to right, as a walk over the steps would.
     travelled = list(accumulate(trajectory.step_lengths, initial=0.0))
-    unexplored = _unexplored_indices(grid, explored, trajectory)
+    unexplored = np.flatnonzero(_unexplored(grid, explored, trajectory)).tolist()
     next_at = 0.0
     k = 0
     while True:
@@ -156,33 +156,15 @@ def trajectory_blockage_detail(pop: ObstaclePopulation, trajectory: Trajectory,
                                   width, p_given, p_here))
 
 
-def _on_map_cells(grid: OccupancyGrid,
-                  positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the positions on the map and the flat index of each one's
-    cell, with `cell_index`'s arithmetic."""
-    xs, ys = positions[:, 0], positions[:, 1]
-    inside = np.flatnonzero((0.0 <= xs) & (xs < grid.width_m)
-                            & (0.0 <= ys) & (ys < grid.height_m))
-    res = grid.resolution
-    cells = ((ys[inside] / res).astype(int) * grid.width_cells
-             + (xs[inside] / res).astype(int))
-    return inside, cells
-
-
-def _route_cells(grid: OccupancyGrid,
-                 trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """`_on_map_cells` of the waypoints, which depend only on the map's
-    shape and resolution, kept on the trajectory."""
-    return trajectory.memoized(("cells", grid.key), _on_map_cells, grid,
-                               trajectory.positions)
-
-
-def _unexplored_indices(grid: OccupancyGrid, explored: np.ndarray,
-                        trajectory: Trajectory) -> list[int]:
-    """Indices of the waypoints whose cell `explored` leaves unexplored:
-    off the map counts as explored."""
-    inside, cells = _route_cells(grid, trajectory)
-    return inside[~explored.ravel()[cells]].tolist()
+def _unexplored(grid: OccupancyGrid, explored: np.ndarray,
+                trajectory: Trajectory) -> np.ndarray:
+    """Which waypoints lie in a cell `explored` leaves unexplored: off the
+    map counts as explored. The waypoints' cells depend only on the map's
+    shape and resolution, so they are kept on the trajectory."""
+    cells = trajectory.memoized(("cells", grid.key), grid.flat_cells,
+                                *trajectory.positions.T)
+    # An index of -1 reads the last cell; `cells >= 0` masks it out.
+    return (cells >= 0) & ~explored.ravel()[cells]
 
 
 # Blockage probabilities by everything a score reads: the trajectory, the
@@ -197,9 +179,10 @@ def trajectory_blockage(pop: ObstaclePopulation, trajectory: Trajectory,
                         r: float) -> float:
     """Probability that at least one unseen obstacle blocks the trajectory,
     given the explored mask `explored`. Memoized on its inputs; of the mask
-    it reads only the trajectory's cells, so the key holds just those."""
-    seen = explored.ravel()[_route_cells(grid, trajectory)[1]].tobytes()
-    return _BLOCKAGE_MEMO.lookup((trajectory, grid.key, pop, r, seen),
+    it reads only which waypoints are unexplored, so the key holds just
+    that."""
+    unseen = _unexplored(grid, explored, trajectory).tobytes()
+    return _BLOCKAGE_MEMO.lookup((trajectory, grid.key, pop, r, unseen),
                                  _blockage, pop, trajectory, grid, explored, r)
 
 

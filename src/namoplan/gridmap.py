@@ -20,8 +20,11 @@ _CHAR_CELLS = {v: k for k, v in _CELL_CHARS.items()}
 
 @dataclass(eq=False)
 class OccupancyGrid:
-    """Row-major cell grid. cells[iy, ix] covers
-    [ix*res, (ix+1)*res) x [iy*res, (iy+1)*res).
+    """Row-major cell grid at `resolution` metres per cell. The point (x, y)
+    lies in cell (iy, ix) = (floor(y / res), floor(x / res)), each quotient
+    a float division, and is on the map exactly when both indices are in
+    range. `cell_index` applies this rule to a point, `flat_cells` to an
+    array of them; every other module maps points to cells through them.
 
     An immutable value: the cells are a read-only copy of those given, named
     by a `key` on which the queries below are memoized. Two grids are told
@@ -73,21 +76,33 @@ class OccupancyGrid:
     def height_m(self) -> float:
         return self.height_cells * self.resolution
 
-    def cell_index(self, x: float, y: float) -> tuple[int, int]:
-        return int(y / self.resolution), int(x / self.resolution)
+    def cell_index(self, x: float, y: float) -> tuple[int, int] | None:
+        """The cell (iy, ix) of the point (x, y), or None off the map."""
+        h, w = self.cells.shape
+        qy, qx = y / self.resolution, x / self.resolution
+        # floor(q) is in [0, n) exactly when q is, so the test can come
+        # first and spare floor the NaNs and infinities it rejects.
+        if 0.0 <= qy < h and 0.0 <= qx < w:
+            return math.floor(qy), math.floor(qx)
+        return None
+
+    def flat_cells(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """`cell_index` of each point (xs[i], ys[i]) as the flat index
+        iy * width + ix, or -1 off the map."""
+        h, w = self.cells.shape
+        ix, iy = np.floor(xs / self.resolution), np.floor(ys / self.resolution)
+        on = (0.0 <= ix) & (ix < w) & (0.0 <= iy) & (iy < h)
+        flat = np.full(on.shape, -1, np.int64)
+        flat[on] = iy[on] * w + ix[on]
+        return flat
 
     def cell_center(self, iy: int, ix: int) -> tuple[float, float]:
         return (ix + 0.5) * self.resolution, (iy + 0.5) * self.resolution
 
-    def in_bounds(self, x: float, y: float) -> bool:
-        return 0.0 <= x < self.width_m and 0.0 <= y < self.height_m
-
     def state_at(self, x: float, y: float) -> int:
-        # Everything outside the map counts as static, like the border.
-        if not self.in_bounds(x, y):
-            return STATIC
-        iy, ix = self.cell_index(x, y)
-        return int(self.cells[iy, ix])
+        # Everything off the map counts as static, like the border.
+        cell = self.cell_index(x, y)
+        return STATIC if cell is None else int(self.cells[cell])
 
     def is_free(self, x: float, y: float) -> bool:
         return self.state_at(x, y) == FREE
@@ -189,19 +204,21 @@ def _raycast(grid: OccupancyGrid, x: float, y: float, angle: float,
              max_range: float | None) -> float:
     res = grid.resolution
     step = res * 0.5
-    width_m, height_m = grid.width_m, grid.height_m
-    limit = max_range if max_range is not None else width_m + height_m
+    h, w = grid.cells.shape
+    limit = max_range if max_range is not None else grid.width_m + grid.height_m
     dx, dy = math.cos(angle), math.sin(angle)
     # `state_at` inlined: a half-cell walk reading cells through a
-    # memoryview, with the same arithmetic, so every distance is unchanged.
+    # memoryview. Each point's cell is `cell_index`'s, by the same steps:
+    # the quotients are tested first, and on the range they pass int is
+    # floor.
     cells = memoryview(grid.cells)
     d = step
     while d <= limit:
-        px = x + d * dx
-        py = y + d * dy
-        if not (0.0 <= px < width_m and 0.0 <= py < height_m):
+        qx = (x + d * dx) / res
+        qy = (y + d * dy) / res
+        if not (0.0 <= qx < w and 0.0 <= qy < h):
             return d
-        if cells[int(py / res), int(px / res)] == STATIC:
+        if cells[int(qy), int(qx)] == STATIC:
             return d
         d += step
     return limit
@@ -236,7 +253,7 @@ def mark_explored(grid: OccupancyGrid, explored: np.ndarray, x: float, y: float,
     Rays are cast over the field of view; cells behind the first static hit
     stay unexplored. Mutates `explored` in place.
     """
-    if not grid.in_bounds(x, y):
+    if grid.cell_index(x, y) is None:
         raise ValueError("robot pose outside map")
     np.put(explored, _memoized(_VISIBILITY_MEMO, _visible_cells, grid,
                                x, y, heading, sensor_range, fov), True)
@@ -250,17 +267,16 @@ def _visible_cells(grid: OccupancyGrid, x: float, y: float, heading: float,
     n_rays = max(8, int(math.ceil(fov * sensor_range / (0.5 * res))))
     angles = heading + np.linspace(-fov / 2.0, fov / 2.0, n_rays)
     steps = np.arange(0.0, sensor_range + res, 0.5 * res)
-    h, w = grid.cells.shape
+    w = grid.width_cells
     # One row per ray. The per-ray cos and sin come from math, and each
-    # sample point is x + step * cos as in a ray-by-ray walk, so the cell
-    # indices (truncated toward zero) are exactly those of that walk.
+    # sample point is x + step * cos as in a ray-by-ray walk, so the cells
+    # are exactly those of that walk.
     cos = np.array([math.cos(a) for a in angles.tolist()])[:, None]
     sin = np.array([math.sin(a) for a in angles.tolist()])[:, None]
-    ixs = ((x + steps * cos) / res).astype(int)
-    iys = ((y + steps * sin) / res).astype(int)
-    inside = (ixs >= 0) & (ixs < w) & (iys >= 0) & (iys < h)
-    static = np.zeros_like(inside)
-    static[inside] = grid.cells[iys[inside], ixs[inside]] == STATIC
+    flat = grid.flat_cells(x + steps * cos, y + steps * sin)
+    inside = flat >= 0
+    # An index of -1 reads the last cell; `inside` masks it out.
+    static = inside & (grid.cells.ravel()[flat] == STATIC)
     # A ray sees its cells up to the first one off the map (exclusive) or
     # the first static one (inclusive), whichever comes first.
     n = steps.size
@@ -268,7 +284,7 @@ def _visible_cells(grid: OccupancyGrid, x: float, y: float, heading: float,
     past_static = np.where(static.any(axis=1), np.argmax(static, axis=1) + 1, n)
     seen = np.arange(n) < np.minimum(first_out, past_static)[:, None]
     iy0, ix0 = grid.cell_index(x, y)
-    iys, ixs = np.append(iys[seen], iy0), np.append(ixs[seen], ix0)
+    iys, ixs = np.divmod(np.append(flat[seen], iy0 * w + ix0), w)
     # Deduplicate in the bounding box of the seen cells, so the cost follows
     # the sensor's reach and not the size of the map.
     top, left = iys.min(), ixs.min()

@@ -157,13 +157,11 @@ def planning_mask(grid: OccupancyGrid, start: tuple[float, float],
     obstacle, not in collision, so the shortest route out is carved free.
     """
     mask = blocked_mask(grid, robot_radius, ellipses)
-    if ellipses:
-        sy, sx = grid.cell_index(*start)
-        h, w = mask.shape
-        if 0 <= sy < h and 0 <= sx < w and mask[sy, sx]:
-            static = inflated_blocked_mask(grid, robot_radius)
-            if not static[sy, sx]:
-                _carve_escape(mask, static, sy, sx)
+    cell = grid.cell_index(*start)
+    if ellipses and cell is not None and mask[cell]:
+        static = inflated_blocked_mask(grid, robot_radius)
+        if not static[cell]:
+            _carve_escape(mask, static, *cell)
     return mask
 
 
@@ -215,10 +213,8 @@ def _plan_on_mask(grid: OccupancyGrid, start: tuple[float, float],
     planning mask and cells; None unless they are distinct free cells of
     the mask."""
     mask = planning_mask(grid, start, ellipses, robot_radius)
-    h, w = mask.shape
-    if cells[0] == cells[1] or not all(0 <= iy < h and 0 <= ix < w
-                                       and not mask[iy, ix]
-                                       for iy, ix in cells):
+    if (None in cells or cells[0] == cells[1] or mask[cells[0]]
+            or mask[cells[1]]):
         return None
     key = (hashlib.blake2b(np.packbits(mask), digest_size=16).digest(),
            mask.shape, grid.resolution, *cells)

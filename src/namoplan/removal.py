@@ -104,14 +104,15 @@ def _fitting_bands(grid: OccupancyGrid, mx: float, my: float,
     cell of an earlier one; it tests the cells one by one only until a band
     has any that fit. See `_kernel.c`.
     """
+    center = grid.cell_index(mx, my)
+    if center is None:
+        return
+    ciy, cix = center
     res = grid.resolution
     r_cells = int(math.ceil(search_radius / res))
-    ciy, cix = grid.cell_index(mx, my)
     h, w = grid.cells.shape
     iy0, ix0 = max(0, ciy - r_cells), max(0, cix - r_cells)
     iy1, ix1 = min(h, ciy + r_cells + 1), min(w, cix + r_cells + 1)
-    if iy0 >= iy1 or ix0 >= ix1:
-        return
     # The kernel reads its arrays by address, as C-contiguous arrays of the
     # dtypes of `_kernel.c`; grids and inflations are such arrays. One
     # buffer holds the search's state {next position, candidate count},

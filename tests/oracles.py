@@ -103,13 +103,11 @@ def planning_mask(grid: OccupancyGrid, start: tuple[float, float],
                   ellipses: tuple, robot_radius: float) -> np.ndarray:
     """`planner.planning_mask` built from the reference masks."""
     mask = blocked_mask(grid, robot_radius, tuple(ellipses))
-    if ellipses:
-        sy, sx = grid.cell_index(*start)
-        h, w = mask.shape
-        if 0 <= sy < h and 0 <= sx < w and mask[sy, sx]:
-            static = inflated_blocked_mask(grid, robot_radius)
-            if not static[sy, sx]:
-                _carve_escape(mask, static, sy, sx)
+    cell = grid.cell_index(*start)
+    if ellipses and cell is not None and mask[cell]:
+        static = inflated_blocked_mask(grid, robot_radius)
+        if not static[cell]:
+            _carve_escape(mask, static, *cell)
     return mask
 
 
@@ -119,14 +117,11 @@ def astar_on_mask(grid: OccupancyGrid, mask: np.ndarray,
     """8-connected A* over numpy arrays, with the turn-count tie-break;
     None unless the points lie in distinct free cells of `mask`."""
     res = grid.resolution
-    sy, sx = grid.cell_index(*start)
-    gy, gx = grid.cell_index(*goal)
-    h, w = mask.shape
-    for (iy, ix) in ((sy, sx), (gy, gx)):
-        if not (0 <= iy < h and 0 <= ix < w) or mask[iy, ix]:
-            return None
-    if (sy, sx) == (gy, gx):
+    cells = grid.cell_index(*start), grid.cell_index(*goal)
+    if None in cells or any(mask[c] for c in cells) or cells[0] == cells[1]:
         return None
+    (sy, sx), (gy, gx) = cells
+    h, w = mask.shape
 
     g = np.full((h, w), np.inf)
     turns = np.full((h, w), np.inf)
@@ -203,26 +198,23 @@ def mark_explored(grid: OccupancyGrid, explored: np.ndarray, x: float, y: float,
                   heading: float, sensor_range: float, fov: float) -> None:
     """Per-ray visibility walk: mark cells until the first static hit or the
     first step off the map."""
-    if not grid.in_bounds(x, y):
+    start = grid.cell_index(x, y)
+    if start is None:
         raise ValueError("robot pose outside map")
     res = grid.resolution
     n_rays = max(8, int(math.ceil(fov * sensor_range / (0.5 * res))))
     angles = heading + np.linspace(-fov / 2.0, fov / 2.0, n_rays)
     steps = np.arange(0.0, sensor_range + res, 0.5 * res)
-    iy0, ix0 = grid.cell_index(x, y)
-    explored[iy0, ix0] = True
-    h, w = grid.cells.shape
+    explored[start] = True
     for ang in angles:
         xs = x + steps * math.cos(ang)
         ys = y + steps * math.sin(ang)
-        ixs = (xs / res).astype(int)
-        iys = (ys / res).astype(int)
-        inside = (ixs >= 0) & (ixs < w) & (iys >= 0) & (iys < h)
-        for ix, iy, ok in zip(ixs, iys, inside):
-            if not ok:
+        for px, py in zip(xs.tolist(), ys.tolist()):
+            cell = grid.cell_index(px, py)
+            if cell is None:
                 break
-            explored[iy, ix] = True
-            if grid.cells[iy, ix] == STATIC:
+            explored[cell] = True
+            if grid.cells[cell] == STATIC:
                 break
 
 
@@ -248,7 +240,10 @@ def stock_candidates(grid: OccupancyGrid, mx: float, my: float,
     res = grid.resolution
     candidates: list[tuple[float, int, int]] = []
     r_cells = int(math.ceil(search_radius / res))
-    ciy, cix = grid.cell_index(mx, my)
+    center = grid.cell_index(mx, my)
+    if center is None:
+        return candidates
+    ciy, cix = center
     for iy in range(max(0, ciy - r_cells), min(grid.height_cells, ciy + r_cells + 1)):
         for ix in range(max(0, cix - r_cells), min(grid.width_cells, cix + r_cells + 1)):
             if grid.cells[iy, ix] != FREE:
@@ -283,7 +278,10 @@ def stock_bands(grid: OccupancyGrid, mx: float, my: float, mo_radius: float,
     res = grid.resolution
     h, w = grid.cells.shape
     r_cells = int(math.ceil(search_radius / res))
-    ciy, cix = grid.cell_index(mx, my)
+    center = grid.cell_index(mx, my)
+    if center is None:
+        return []
+    ciy, cix = center
     static_clear = ~inflated_blocked_mask(grid, mo_radius)
     low = inner * inner * (1.0 - 1e-9)
     high = search_radius * search_radius * (1.0 + 1e-9)
@@ -335,10 +333,8 @@ def is_explored(grid: OccupancyGrid, explored: np.ndarray, x: float,
                 y: float) -> bool:
     """Whether `explored` marks the cell at (x, y); off the map counts as
     explored."""
-    if not grid.in_bounds(x, y):
-        return True
-    iy, ix = grid.cell_index(x, y)
-    return bool(explored[iy, ix])
+    cell = grid.cell_index(x, y)
+    return cell is None or bool(explored[cell])
 
 
 def trajectory_blockage_detail(pop, trajectory, grid, explored, r):

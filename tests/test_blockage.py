@@ -294,7 +294,7 @@ def test_blockage_walk_matches_reference_off_map_and_in_static_cells():
         assert got == oracles.trajectory_blockage_detail(pop, traj, grid,
                                                          explored, 0.2)
         kept += len(got)
-        inside = [grid.in_bounds(*p) for p in positions]
+        inside = [grid.cell_index(*p) is not None for p in positions]
         seen["off"] += inside.count(False)
         seen["static"] += sum(ok and grid.state_at(*p) == STATIC
                               for ok, p in zip(inside, positions))

@@ -233,6 +233,22 @@ def test_run_position_or_map_error_exit_two(tmp_path, capsys, monkeypatch,
     assert message in capsys.readouterr().err
 
 
+def test_goal_on_the_high_edge_of_a_borderless_map_exit_two(tmp_path, capsys,
+                                                          monkeypatch):
+    # 17 cells of 0.1 m make a map 1.7000000000000002 m wide, but
+    # 1.7 / 0.1 is 17.0: the goal's column lies one past the last.
+    monkeypatch.setattr("namoplan.cli.run_episode", _no_episode)
+    empty_grid(17, 17, 0.1).save(tmp_path / "open.map")
+    (tmp_path / "edge.yaml").write_text("""
+map: open.map
+goal: [1.7, 0.55]
+robot:
+  start: [0.55, 0.55]
+""")
+    assert main(["run", "--config", str(tmp_path / "edge.yaml")]) == 2
+    assert "goal not in a free cell" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["run", "benchmark"])
 @pytest.mark.parametrize("resolution", ["nan", "inf", "1e154", "1e200"])
 def test_unusable_map_resolution_exit_two(tmp_path, capsys, monkeypatch,

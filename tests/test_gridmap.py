@@ -16,9 +16,11 @@ import oracles
 from conftest import empty_grid, grid_from_ascii
 import namoplan
 from namoplan import gridmap, scenario_path
+from namoplan.blockage import _unexplored
 from namoplan.gridmap import (FREE, STATIC, OccupancyGrid, clear_memos,
                               free_area, inflated_blocked_mask, mark_explored,
                               raycast_distance, raycast_width)
+from namoplan.planner import Trajectory, plan_path
 from namoplan.simulator import RobotConfig
 from oracles import is_explored
 
@@ -79,6 +81,90 @@ def test_out_of_bounds_is_static():
     assert g.state_at(0.5, 99.0) == STATIC
     seen = np.zeros(g.cells.shape, bool)
     assert is_explored(g, seen, -1.0, -1.0)  # outside counts as known
+
+
+# -- the point-to-cell rule -------------------------------------------
+
+
+def test_point_on_the_high_edge_is_off_the_map():
+    # 17 cells of 0.1 m make a map 1.7000000000000002 m wide, so 1.7 lies
+    # inside it in metres, but 1.7 / 0.1 is 17.0: one column past the last.
+    g = empty_grid(17, 17, 0.1)
+    assert g.cell_index(1.7, 0.55) is None
+    assert g.state_at(1.7, 0.55) == STATIC and not g.is_free(1.7, 0.55)
+    # The ray's first half-cell step lands there, off the map.
+    assert raycast_distance(g, 1.65, 0.55, 0.0, 0.05) == 0.05
+
+
+def _coordinate(n: int, res: float):
+    """A coordinate along an axis of n cells: a cell edge, 0 and the map's
+    far side included, one a ULP to either side of one, or any point up
+    to a cell off either side."""
+    edges = st.integers(-1, n + 1).map(lambda k: k * res)
+    near = st.tuples(edges, st.sampled_from([-math.inf, None, math.inf])).map(
+        lambda e: e[0] if e[1] is None else math.nextafter(e[0], e[1]))
+    return st.one_of(near, st.floats(-res, (n + 1) * res))
+
+
+@st.composite
+def _maps_and_points(draw):
+    h, w = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    res = draw(st.sampled_from([0.1, 0.05, 0.07, 0.3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = OccupancyGrid(res, (rng.random((h, w)) < 0.3).astype(np.uint8))
+    points = draw(st.lists(st.tuples(_coordinate(w, res), _coordinate(h, res)),
+                           min_size=2, max_size=8))
+    return grid, points, rng.random((h, w)) < 0.5
+
+
+@given(_maps_and_points())
+def test_every_layer_maps_a_point_to_the_same_cell(case):
+    """On borderless maps, where points reach the edges, every consumer of
+    a point's cell agrees with `cell_index`: the same cell, or off the
+    map. Nothing raises IndexError, and no flat index wraps into another
+    row."""
+    grid, points, explored = case
+    h, w = grid.cells.shape
+    res = grid.resolution
+    for iy in range(h):
+        for ix in range(w):
+            assert grid.cell_index(*grid.cell_center(iy, ix)) == (iy, ix)
+    cells = [grid.cell_index(x, y) for x, y in points]
+    for (x, y), cell in zip(points, cells):
+        if cell is not None:
+            assert cell == (math.floor(y / res), math.floor(x / res))
+        assert grid.state_at(x, y) == (STATIC if cell is None
+                                       else grid.cells[cell])
+    xs, ys = np.array(points).T
+    assert grid.flat_cells(xs, ys).tolist() == [
+        -1 if c is None else c[0] * w + c[1] for c in cells]
+    # A trajectory's waypoint is unexplored when its cell is.
+    route = Trajectory(points)
+    assert _unexplored(grid, explored, route).tolist() == [
+        c is not None and not explored[c] for c in cells]
+    open_grid = empty_grid(w, h, res)
+    for (x, y), cell in zip(points, cells):
+        assert raycast_distance(grid, x, y, 0.3) == \
+            oracles.raycast_distance(grid, x, y, 0.3)
+        seen, want = np.zeros((2, h, w), bool)
+        if cell is None:
+            with pytest.raises(ValueError):
+                mark_explored(grid, seen, x, y, 0.0, 2 * res, 2 * math.pi)
+        else:
+            mark_explored(grid, seen, x, y, 0.0, 2 * res, 2 * math.pi)
+            oracles.mark_explored(grid, want, x, y, 0.0, 2 * res, 2 * math.pi)
+            assert seen[cell] and np.array_equal(seen, want)
+        # Planned from or to a point, a route ends at its cell's center.
+        far = (0, 0) if cell != (0, 0) else (h - 1, w - 1)
+        other = open_grid.cell_center(*far)
+        there = plan_path(open_grid, (x, y), other, 0.0)
+        back = plan_path(open_grid, other, (x, y), 0.0)
+        if cell is None or cell == far:
+            assert there is None and back is None
+        else:
+            center = open_grid.cell_center(*cell)
+            assert tuple(there.positions[0]) == center
+            assert tuple(back.positions[-1]) == center
 
 
 # -- ray casting and widths --------------------------------------------
@@ -228,7 +314,7 @@ def test_mark_explored_matches_per_ray_walk():
         g = OccupancyGrid(0.1, cells)
         if trial % 4 == 0:
             # Hug the border and look outward: rays leave the map, some at
-            # small negative coordinates that int() truncates to cell 0.
+            # small negative coordinates, which lie in cell -1, off it.
             x = rng.choice([rng.uniform(0.0, 0.2), rng.uniform(4.8, 5.0)])
             y = rng.choice([rng.uniform(0.0, 0.2), rng.uniform(3.8, 4.0)])
         else:

@@ -482,6 +482,16 @@ def test_no_path_answers_none_once(searches, masks_built, start, goal,
     assert len(searches) == (goal == (0.55, 1.55))
 
 
+@pytest.mark.parametrize("start, goal", [
+    ((-0.05, 1.05), (1.05, 1.05)), ((1.05, 1.05), (1.05, -0.05))])
+def test_endpoint_just_below_a_borderless_map_has_no_path(start, goal):
+    # -0.05 lies in cell -1, off the map, where int() would truncate it
+    # to cell 0.
+    g = empty_grid(20, 20, 0.1)
+    assert plan_path(g, start, goal, 0.0) is None
+    assert oracles.plan_path(g, start, goal, 0.0) is None
+
+
 def test_unreachable_goal_is_cached(searches):
     g = _walled_grid()
     assert plan_path(g, (0.55, 0.55), (0.55, 1.55), 0.05) is None

@@ -191,6 +191,18 @@ def test_no_stock_in_tight_corridor():
     assert est is None
 
 
+def test_no_stock_for_a_belief_mean_off_the_map():
+    # -0.05 lies in column -1, off the map: no window to search, and no
+    # route to carry along; int() would truncate it to column 0.
+    grid = empty_grid(20, 20, 0.1)
+    xs = np.arange(0.05, 2.0, 0.1)
+    blocked = Trajectory(np.column_stack([xs, np.full_like(xs, 1.55)]))
+    args = (grid, np.array([-0.05, 1.05]), 0.05, np.array([1.05, 1.05]),
+            blocked, 0.05)
+    assert estimate_removal_time(*args, **STOCK) is None
+    assert oracles.estimate_removal_time(*args, **STOCK) is None
+
+
 def test_removal_time_stable_across_runs():
     grid, mo, blocked = _doorway_world()
     first = estimate_removal_time(grid, *mo, np.array([1.5, 2.0]), blocked,
