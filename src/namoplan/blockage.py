@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
-from scipy.special import ndtr
 
 from .gridmap import Memo, OccupancyGrid, raycast_width
 from .planner import Trajectory
@@ -25,6 +24,11 @@ log = logging.getLogger(__name__)
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 # Diameters beyond mu +/- _TAIL sigma carry less than 1.3e-15 of the mass.
 _TAIL = 8.0
+
+
+def _ndtr(x: float) -> float:
+    """Standard normal CDF; erfc keeps the lower tail's relative accuracy."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -93,7 +97,7 @@ def blockage_at_width(pop: ObstaclePopulation, width: float, r: float) -> float:
     p = 0.0
     a, b = max(width - 2.0 * r, lo), min(width, hi)
     if a < b:
-        p += float(ndtr((b - mu) / sigma) - ndtr((a - mu) / sigma))
+        p += _ndtr((b - mu) / sigma) - _ndtr((a - mu) / sigma)
     a, b = max(width - 4.0 * r, lo), min(width - 2.0 * r, hi)
     if a < b:
         half = 0.5 * (b - a)
@@ -101,7 +105,7 @@ def blockage_at_width(pop: ObstaclePopulation, width: float, r: float) -> float:
         pdf = (np.exp(-0.5 * ((l_mo - mu) / sigma) ** 2)
                / (sigma * math.sqrt(2.0 * math.pi)))
         p += half * float(_GL_WEIGHTS @ ((4.0 * r / (width - l_mo) - 1.0) * pdf))
-    return min(max(p / float(ndtr(mu / sigma)), 0.0), 1.0)
+    return min(max(p / _ndtr(mu / sigma), 0.0), 1.0)
 
 
 def waypoint_presence_probability(pop: ObstaclePopulation, width: float) -> float:

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import csv
 import math
+import statistics
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtri
 
 from .intervals import CostInterval
 from .observation import turn_angles
@@ -167,6 +167,9 @@ def fit(dataset: TimingDataset) -> GlrModel:
     return GlrModel(w_mean, w_cov, noise_var, feat_mean, feat_std)
 
 
+_STANDARD_NORMAL = statistics.NormalDist()
+
+
 def predict_interval(model: GlrModel, features: TrajectoryFeatures,
                      confidence: float) -> CostInterval:
     """Central normal interval at `confidence`, mean +/- z sigma with z the
@@ -174,7 +177,7 @@ def predict_interval(model: GlrModel, features: TrajectoryFeatures,
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
     mean, sigma = model.predict(features)
-    half = float(ndtri((1.0 + confidence) / 2.0)) * sigma
+    half = _STANDARD_NORMAL.inv_cdf((1.0 + confidence) / 2.0) * sigma
     return CostInterval(max(0.0, mean - half), max(0.0, mean + half))
 
 

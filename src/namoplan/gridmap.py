@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 FREE = 0
 STATIC = 1
@@ -124,15 +123,21 @@ class OccupancyGrid:
             width, height, resolution = int(w), int(h), float(res)
         except (IndexError, ValueError) as exc:
             raise ValueError("malformed map header") from exc
-        if len(lines) - 1 != height:
-            raise ValueError(f"expected {height} rows, got {len(lines) - 1}")
-        for iy, line in enumerate(lines[1:]):
-            if len(line) != width:
-                raise ValueError(f"row {iy} has {len(line)} cells, expected {width}")
-            if not _CHAR_CELLS.keys() >= set(line):
-                bad = next(ch for ch in line if ch not in _CHAR_CELLS)
-                raise ValueError(f"unknown cell character {bad!r}")
-        chars = np.frombuffer("".join(lines[1:]).encode("ascii"), np.uint8)
+        rows = lines[1:]
+        if len(rows) != height:
+            raise ValueError(f"expected {height} rows, got {len(rows)}")
+        body = "".join(rows)
+        # All rows at once; the row loop runs only to name the first fault.
+        if not (set(map(len, rows)) <= {width} and
+                sum(map(body.count, _CHAR_CELLS)) == len(body)):
+            for iy, line in enumerate(rows):
+                if len(line) != width:
+                    raise ValueError(f"row {iy} has {len(line)} cells, "
+                                     f"expected {width}")
+                if not _CHAR_CELLS.keys() >= set(line):
+                    bad = next(ch for ch in line if ch not in _CHAR_CELLS)
+                    raise ValueError(f"unknown cell character {bad!r}")
+        chars = np.frombuffer(body.encode("ascii"), np.uint8)
         cells = np.where(chars == ord(_CELL_CHARS[STATIC]), STATIC, FREE)
         cells = cells.astype(np.uint8).reshape(height, width)
         return OccupancyGrid(resolution, cells)
@@ -317,9 +322,50 @@ def static_inflation(grid: OccupancyGrid, radius: float) -> np.ndarray:
 
 
 def _inflate(grid: OccupancyGrid, radius: float) -> np.ndarray:
+    """Cells whose distance to the nearest static cell, sqrt(d2) * res for
+    the integer squared offset d2, is at most `radius`: the float test of a
+    Euclidean distance transform. sqrt and the scale are monotone, so the
+    test holds exactly for d2 up to one threshold, and a cell passes when
+    some row dy away has a static cell within isqrt(threshold - dy**2)
+    columns."""
     # Pad with a static border so the map edge inflates inward.
-    padded = np.pad(grid.cells == STATIC, 1, constant_values=True)
-    dist = ndimage.distance_transform_edt(~padded) * grid.resolution
-    mask = dist[1:-1, 1:-1] <= radius
+    static = np.pad(grid.cells == STATIC, 1, constant_values=True)
+    hp, wp = static.shape
+    # Each cell's column distance to the nearest static cell of its row;
+    # the padded ends are static, so every row has one.
+    cols = np.arange(wp)
+    left = np.maximum.accumulate(np.where(static, cols, -wp), axis=1)
+    right = np.minimum.accumulate(np.where(static, cols, 2 * wp)[:, ::-1],
+                                  axis=1)[:, ::-1]
+    row_dist = np.minimum(cols - left, right - cols)[:, 1:-1]
+    d2_max = _largest_square_within(grid.resolution, radius, hp * hp + wp * wp)
+    h = hp - 2
+    mask = np.zeros((h, wp - 2), dtype=bool)
+    dy_max = min(math.isqrt(d2_max), h) if d2_max >= 0 else -1
+    for dy in range(-dy_max, dy_max + 1):
+        # Map row y reads padded row y + 1 + dy, which must be in [0, hp).
+        y0, y1 = max(0, -1 - dy), min(h, h + 1 - dy)
+        reach = math.isqrt(d2_max - dy * dy)
+        mask[y0:y1] |= row_dist[y0 + 1 + dy:y1 + 1 + dy] <= reach
     mask.flags.writeable = False
     return mask
+
+
+def _largest_square_within(res: float, radius: float, cap: int) -> int:
+    """The largest integer d2 in [0, cap] with sqrt(d2) * res <= radius, in
+    float arithmetic, or -1 if there is none."""
+    def within(d2: int) -> bool:
+        return math.sqrt(d2) * res <= radius
+
+    if not within(0):
+        return -1
+    if within(cap):
+        return cap
+    # radius < sqrt(cap) * res here, so the estimate is finite and small;
+    # rounding leaves it at most a step or two off.
+    d2 = min(int((radius / res) ** 2), cap)
+    while d2 < cap and within(d2 + 1):
+        d2 += 1
+    while not within(d2):
+        d2 -= 1
+    return d2

@@ -8,9 +8,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv
 
-from .gridmap import OccupancyGrid, static_inflation
+from .gridmap import Memo, OccupancyGrid, static_inflation
 from .intervals import CostInterval
 from .planner import _STOCK, Trajectory, plan_path
 
@@ -32,12 +31,97 @@ class BetaBelief:
         return BetaBelief(max(float(successes), 1.0), max(float(failures), 1.0))
 
 
+# Quantiles keyed on (q, alpha, beta): an episode asks for the same few
+# again at every decision, and one inversion costs tens of microseconds.
+_BETA_PPF_MEMO = Memo(256)
+
+
 def beta_ppf(q: float, alpha: float, beta: float) -> float:
     """Quantile of Beta(alpha, beta): the inverse regularized incomplete
     beta function."""
     if not 0.0 <= q <= 1.0:
         raise ValueError("quantile must be in [0, 1]")
-    return float(betaincinv(alpha, beta, q))
+    return _BETA_PPF_MEMO.lookup((q, alpha, beta), _beta_ppf, q, alpha, beta)
+
+
+# Inversion steps (bisection alone reaches any float in [0, 1] in under
+# 1100), and the continued fraction's tolerance and floor.
+_MAX_STEPS = 2000
+_EPS = 2.0 ** -52
+_TINY = 1e-300
+
+
+def _beta_ppf(q: float, a: float, b: float) -> float:
+    """The x in [0, 1] with I_x(a, b) = q, by Newton steps kept inside a
+    bracket that every step shrinks, bisecting where a step would leave it.
+    Above the median it solves 1 - I_x(a, b) = 1 - q instead, since 1 - q
+    is exact there and the upper tail keeps its relative accuracy."""
+    if q in (0.0, 1.0):
+        return q
+    if a + b < 171.0:  # no overflow; the ratio avoids lgamma's cancellation
+        log_beta = math.log(math.gamma(a) * math.gamma(b) / math.gamma(a + b))
+    else:
+        log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    upper = q > 0.5
+    target = 1.0 - q if upper else q
+    lo, hi = 0.0, 1.0
+    x = a / (a + b)
+    for _ in range(_MAX_STEPS):
+        p, c, front = _betainc(x, a, b, log_beta)
+        f = target - c if upper else p - target  # increasing in x
+        if f == 0.0:
+            return x
+        if f < 0.0:
+            lo = x
+        else:
+            hi = x
+        if front == 0.0:  # the density underflows
+            x_new = 0.5 * (lo + hi)
+        else:  # a Newton step on the density front / (x (1 - x))
+            x_new = x - f * (x * (1.0 - x)) / front
+            if x_new == x:  # converged to within half an ulp
+                return x
+            if not lo < x_new < hi:
+                x_new = 0.5 * (lo + hi)
+        if not lo < x_new < hi:  # lo and hi are adjacent floats
+            return x
+        x = x_new
+    raise ArithmeticError(f"Beta({a}, {b}) quantile {q} did not converge")
+
+
+def _betainc(x: float, a: float, b: float,
+             log_beta: float) -> tuple[float, float, float]:
+    """(I_x(a, b), 1 - I_x(a, b), x^a (1 - x)^b / B(a, b)) for x in (0, 1).
+    The continued fraction converges fast below the mean, so above it the
+    upper tail is computed through I_x(a, b) = 1 - I_{1-x}(b, a)."""
+    front = math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta)
+    if x < (a + 1.0) / (a + b + 2.0):
+        p = front * _continued_fraction(x, a, b) / a
+        return p, 1.0 - p, front
+    q = front * _continued_fraction(1.0 - x, b, a) / b
+    return 1.0 - q, q, front
+
+
+def _continued_fraction(x: float, a: float, b: float) -> float:
+    """The continued fraction of I_x(a, b), by the modified Lentz method
+    (Numerical Recipes, 3rd ed., 6.4)."""
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _TINY else _TINY)
+    h = d
+    for m in range(1, 10_000):
+        # The even term, then the odd one.
+        for num in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x
+                    / ((a + 2 * m) * (a + 2 * m + 1.0))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > _TINY else _TINY)
+            c = 1.0 + num / c
+            c = c if abs(c) > _TINY else _TINY
+            delta = c * d
+            h *= delta
+        if abs(delta - 1.0) <= _EPS:
+            return h
+    raise ArithmeticError(f"I_{x}({a}, {b}) did not converge")
 
 
 def success_rate_interval(belief: BetaBelief,

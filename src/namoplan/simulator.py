@@ -11,7 +11,7 @@ import json
 import math
 import operator
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cache, cached_property, partial
 from pathlib import Path
 from typing import NamedTuple
@@ -113,7 +113,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         """Every construction, from YAML, in code or by `replace`, is checked."""
-        plain = asdict(self)
+        plain = {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
         plain["map"] = plain.pop("map_path")
         _check(plain, _config_schema(), "", tuple)
         # An episode keys its obstacles by label.
@@ -193,6 +193,17 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _SECTIONS = {"robot": RobotConfig, "population": PopulationConfig,
              "removal": RemovalConfig, "noise": NoiseConfig,
              "bypass_model": BypassModelConfig}
+
+
+def _plain(value):
+    """A config field as `_check` reads it, like `asdict` but without its
+    deep copy: a section or obstacle spec as the dict of its fields, and
+    a list or tuple, kept as such, with its items so converted."""
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_plain, value))
+    return value
 
 
 def _tuples(raw: dict) -> dict:

@@ -39,6 +39,28 @@ def inflated_blocked_mask(grid: OccupancyGrid, radius: float) -> np.ndarray:
     return dist[1:-1, 1:-1] <= radius
 
 
+def grid_from_text(text: str) -> OccupancyGrid:
+    """The map parser that checks the rows one at a time."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    try:
+        w, h, res = lines[0].split()
+        width, height, resolution = int(w), int(h), float(res)
+    except (IndexError, ValueError) as exc:
+        raise ValueError("malformed map header") from exc
+    if len(lines) - 1 != height:
+        raise ValueError(f"expected {height} rows, got {len(lines) - 1}")
+    for iy, line in enumerate(lines[1:]):
+        if len(line) != width:
+            raise ValueError(f"row {iy} has {len(line)} cells, expected {width}")
+        if not {".", "#"} >= set(line):
+            bad = next(ch for ch in line if ch not in ".#")
+            raise ValueError(f"unknown cell character {bad!r}")
+    chars = np.frombuffer("".join(lines[1:]).encode("ascii"), np.uint8)
+    cells = np.where(chars == ord("#"), STATIC, FREE)
+    cells = cells.astype(np.uint8).reshape(height, width)
+    return OccupancyGrid(resolution, cells)
+
+
 def blocked_mask(grid: OccupancyGrid, robot_radius: float,
                  ellipses=()) -> np.ndarray:
     """Static inflation plus ellipses rasterized one cell at a time."""

@@ -17,7 +17,8 @@ import yaml
 
 from conftest import empty_grid
 import namoplan
-from namoplan import blockage, gridmap, planner, scenario_path, simulator
+from namoplan import (blockage, gridmap, planner, removal, scenario_path,
+                      simulator)
 from namoplan.bypass import TimingDataset
 from namoplan.experiments import (RAW_COLUMNS, SUMMARY_COLUMNS, ExperimentSpec,
                                   evaluate_bypass_predictors,
@@ -429,7 +430,7 @@ def _count_searches(monkeypatch) -> list:
 # sha256 of the sorted record lines of the episode benchmark's suite
 # battery: the 7 bundled scenarios x 4 policies at seed 0.
 SUITE_RECORDS_SHA256 = (
-    "6b8bb7e6a49a51c3ecab02c9228fd257b42e8950387640c1ca98e617037efcdd")
+    "22f45f79259444d68fa152b162ec938775914d82f196866bb2d632c52e9f818b")
 
 
 def test_suite_battery_records_pinned(tmp_path, monkeypatch):
@@ -465,7 +466,8 @@ def test_clear_memos_empties_every_memo_and_keeps_the_records(tmp_path):
                           output_dir=str(tmp_path))
     memos = [gridmap._VISIBILITY_MEMO, gridmap._RAY_MEMO,
              gridmap._INFLATION_CACHE, blockage._BLOCKAGE_MEMO,
-             planner._PLAN_CACHE, simulator._MODEL_CACHE, simulator._TREE]
+             planner._PLAN_CACHE, removal._BETA_PPF_MEMO,
+             simulator._MODEL_CACHE, simulator._TREE]
     assert len(memos) == len(gridmap._MEMOS)
     run_benchmark(spec)
     warm, _ = run_benchmark(spec)

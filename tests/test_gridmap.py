@@ -75,6 +75,45 @@ def test_malformed_maps_rejected(bad):
         OccupancyGrid.from_text(bad)
 
 
+def _parsed(parse, text):
+    """The grid `parse` makes of `text`, or its error message."""
+    try:
+        grid = parse(text)
+    except ValueError as exc:
+        return str(exc)
+    return grid.resolution, grid.cells.tobytes(), grid.cells.shape
+
+
+@st.composite
+def _map_texts(draw):
+    """Map files, valid or with one row cut short, grown or given a bad
+    character, a header a row or column off, blank lines anywhere and
+    either line ending."""
+    width, height = draw(st.integers(1, 6)), draw(st.integers(0, 5))
+    cells = st.text(st.sampled_from(".#"), min_size=width, max_size=width)
+    rows = [draw(cells) for _ in range(height)]
+    fault = draw(st.sampled_from([None, "short", "long", "bad"]))
+    if rows and fault:
+        i, at = draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))
+        rows[i] = {"short": rows[i][:at], "long": rows[i] + ".",
+                   "bad": rows[i][:at] + draw(st.sampled_from("o \té"))
+                   + rows[i][at + 1:]}[fault]
+    offset = st.sampled_from([0, 0, 0, -1, 1])
+    lines = [f"{width + draw(offset)} {height + draw(offset)} 0.1", *rows]
+    for at in draw(st.lists(st.integers(0, len(lines)), max_size=3)):
+        lines.insert(at, draw(st.sampled_from(["", " ", "\t"])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + newline
+
+
+@given(_map_texts())
+def test_map_parse_matches_the_row_by_row_oracle(text):
+    """The same grid, or the same error, as the parser that checks the
+    rows one by one."""
+    assert _parsed(OccupancyGrid.from_text, text) == \
+        _parsed(oracles.grid_from_text, text)
+
+
 def test_out_of_bounds_is_static():
     g = empty_grid(10, 10, 0.1)
     assert g.state_at(-0.05, 0.5) == STATIC
@@ -392,6 +431,51 @@ def test_loaded_grid_inflation_is_keyed_on_the_map(monkeypatch):
         assert set(gridmap._INFLATION_CACHE) <= {(h.key, r) for h, r in queries}
 
 
+def _inflation_cases():
+    """Seeded random maps, none with a border wall, 1 x N and N x 1 maps
+    among them, and radii on cell distances and one float to either
+    side of them."""
+    rng = np.random.default_rng(2024)
+    for i in range(120):
+        h, w = rng.integers(1, 30, size=2)
+        if i % 5 == 0:
+            h, w = (1, w) if i % 10 == 0 else (h, 1)
+        cells = (rng.random((h, w)) < rng.uniform(0.0, 0.3)).astype(np.uint8)
+        res = float(rng.choice([0.05, 0.1, 0.3, rng.uniform(0.01, 1.0)]))
+        on_cell = res * math.sqrt(int(rng.integers(0, 100)))
+        for radius in (on_cell, math.nextafter(on_cell, 0.0),
+                       math.nextafter(on_cell, math.inf), rng.uniform(0, 2)):
+            yield OccupancyGrid(res, cells), radius
+
+
+def test_static_inflation_matches_the_ndimage_oracle():
+    clear_memos()
+    for grid, radius in _inflation_cases():
+        mask = gridmap.static_inflation(grid, radius)
+        assert mask.dtype == bool and mask.flags.c_contiguous
+        assert not mask.flags.writeable
+        assert np.array_equal(mask, oracles.inflated_blocked_mask(grid, radius))
+
+
+def test_inflation_threshold_is_the_largest_passing_square():
+    cap = 300
+    for res in (0.05, 0.07, 0.1, 0.3):
+        for n in range(cap + 2):
+            on_cell = res * math.sqrt(n)
+            for radius in (on_cell, math.nextafter(on_cell, 0.0),
+                           math.nextafter(on_cell, math.inf)):
+                want = max((d2 for d2 in range(cap + 1)
+                            if math.sqrt(d2) * res <= radius), default=-1)
+                assert gridmap._largest_square_within(res, radius, cap) == want
+
+
+@pytest.mark.parametrize("radius", [-0.1, 0.0, 1e300, math.inf, math.nan])
+def test_static_inflation_at_extreme_radii(radius):
+    grid = grid_from_ascii("....\n.#..\n....")
+    assert np.array_equal(gridmap.static_inflation(grid, radius),
+                          oracles.inflated_blocked_mask(grid, radius))
+
+
 # -- the process-wide memos ---------------------------------------------
 
 
@@ -405,7 +489,8 @@ def test_every_module_level_ordered_dict_is_a_registered_memo():
     assert set(memos) == {
         "gridmap._VISIBILITY_MEMO", "gridmap._RAY_MEMO",
         "gridmap._INFLATION_CACHE", "blockage._BLOCKAGE_MEMO",
-        "planner._PLAN_CACHE", "simulator._MODEL_CACHE", "simulator._TREE"}
+        "planner._PLAN_CACHE", "removal._BETA_PPF_MEMO",
+        "simulator._MODEL_CACHE", "simulator._TREE"}
     for name, memo in memos.items():
         assert isinstance(memo, gridmap.Memo), name
         assert any(memo is m for m in gridmap._MEMOS), name

@@ -1,6 +1,10 @@
-"""Every module of the package imports at its top, and uses what it imports."""
+"""Every module of the package imports at its top, and uses what it
+imports; and a run of the package loads no scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +48,14 @@ def test_module_uses_every_name_it_imports(path):
                 for alias in node.names}
     unused = sorted(imported - _used_names(tree))
     assert not unused, f"unused imports in {path.name}: {unused}"
+
+
+def test_package_import_loads_no_scipy():
+    # scipy is a test dependency only: the tests use it as an oracle.
+    code = ("import sys, namoplan.simulator, namoplan.experiments, namoplan.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(namoplan.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

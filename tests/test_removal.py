@@ -64,11 +64,27 @@ def test_ppf_rejects_quantile_outside_unit_interval(q):
         beta_ppf(q, 3, 4)
 
 
+_PPF_SHAPES = [(1, 1), (9, 1), (2, 8), (50, 50), (0.5, 0.5), (1, 200),
+               (200, 1), (0.1, 3), (300, 700), (10.0, 1.0)]
+# The confidence-0.95 tails, values near 0 and 1, and a grid between.
+_PPF_QUANTILES = [1e-300, 1e-12, 1e-6, 1e-3, 0.025000000000000022,
+                  *np.linspace(0.01, 0.99, 50).tolist(), 0.975, 1 - 1e-6,
+                  1 - 1e-12, 1 - 2**-53]
+
+
 def test_ppf_against_scipy():
-    for a, b in [(1, 1), (9, 1), (2, 8), (50, 50), (0.5, 0.5)]:
-        for q in (0.025, 0.25, 0.5, 0.9, 0.975):
-            assert beta_ppf(q, a, b) == pytest.approx(
-                stats.beta.ppf(q, a, b), abs=1e-7)
+    for a, b in _PPF_SHAPES:
+        for q in _PPF_QUANTILES:
+            assert abs(beta_ppf(q, a, b) - stats.beta.ppf(q, a, b)) <= 1e-12
+
+
+def test_ppf_is_monotone_in_q():
+    # Steps of q well above the function's rounding: neighbouring floats
+    # may invert by an ulp, as scipy's may.
+    qs = [0.0, 1e-12, *np.linspace(0.001, 0.999, 400).tolist(), 1 - 1e-12, 1.0]
+    for a, b in _PPF_SHAPES:
+        x = [beta_ppf(q, a, b) for q in qs]
+        assert x == sorted(x) and 0.0 == x[0] < x[1] and x[-2] < x[-1] == 1.0
 
 
 def test_interval_symmetric_for_symmetric_belief():

@@ -647,7 +647,7 @@ def test_looping_episode_record_pinned(tmp_path, monkeypatch):
 # the known-blocker fallback runs; then room walled off across column 60,
 # where no route exists and no obstacle is known from the start.
 NO_PATH_RECORDS_SHA256 = (
-    "02f72158a041e6c68ed15206e264d8d761b9548bcad5a4779e577f99961ce6e9")
+    "e8e0a39a46784a8ccae74535ea60ae02432bf3c1e243b5b9b542c47164292888")
 
 
 def test_no_path_branches_records_pinned(tmp_path):
