@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 from collections import OrderedDict
@@ -144,7 +145,11 @@ class OccupancyGrid:
 
     @staticmethod
     def load(path: str | Path) -> "OccupancyGrid":
-        return OccupancyGrid.from_text(Path(path).read_text())
+        """The map in the file, read on every call. Each distinct text is
+        parsed once per process; every call gets a grid of its own that
+        shares the parsed, read-only cells and their key."""
+        text = Path(path).read_text()
+        return copy.copy(_MAP_MEMO.lookup(text, OccupancyGrid.from_text, text))
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_text())
@@ -192,6 +197,10 @@ def clear_memos() -> None:
 # exactly what the call would compute.
 _VISIBILITY_MEMO = Memo(256)
 _RAY_MEMO = Memo(2048)
+
+# Parsed maps, keyed on the file's text: a config built again, by
+# `dataclasses.replace` among others, re-reads its map but parses nothing.
+_MAP_MEMO = Memo(8)
 
 
 def _memoized(memo: Memo, compute, grid: OccupancyGrid, *query):

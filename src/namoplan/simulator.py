@@ -409,33 +409,59 @@ def generate_timing_dataset(grid: OccupancyGrid, robot_radius: float,
     if not paths:
         raise ScenarioError("could not generate any training paths")
 
-    # Each path's step lengths and turns, once. A row reads views of them
-    # and gets bit for bit what a trajectory of waypoints a..b would: the
-    # norms are those of `planner._total_length`, and its headings are the
-    # path's over [a, b) with the last one repeated, so its turns are the
-    # path's over [a, b - 1) and a 0.0. The 0.0 stays: `np.mean` and
-    # `np.var` divide by the count, and pairwise summation splits by the
-    # length.
+    # A slice of waypoints a..b has b - a >= 2 steps only on a path of at
+    # least 3 waypoints; without one, no row could ever be drawn.
+    if max(map(len, paths)) < 3:
+        raise ScenarioError("every training path has fewer than 3 "
+                            "waypoints, so no row can be cut from one")
+
+    # Rows are drawn first, in the oracle's rng order: the path, the slice
+    # a..b, and a normal for each accepted row only. The acceptance test
+    # reads the slice's length as `np.sum` computes it, a pairwise sum of
+    # the norms `planner._total_length` takes (so not a difference of
+    # prefix sums), since it decides the draws that follow.
     steps = [np.linalg.norm(np.diff(p.positions, axis=0), axis=1) for p in paths]
-    turns = [turn_angles(p.headings) for p in paths]
-    feats, durs = [], []
-    while len(durs) < n_rows:
+    n_way = [len(p) for p in paths]
+    ks, starts, spans, lengths, normals = [], [], [], [], []
+    while len(ks) < n_rows:
         k = int(rng.integers(0, len(paths)))
-        a, b = sorted(rng.integers(0, len(paths[k]), size=2))
+        a, b = sorted(rng.integers(0, n_way[k], size=2).tolist())
         if b - a < 2:
             continue
-        length = float(np.sum(steps[k][a:b]))
+        length = float(np.add.reduce(steps[k][a:b]))
         if length < 1.0:
             continue
-        deltas = np.append(turns[k][a:b - 1], 0.0)
-        # The motion model: length at v_lin plus the turns, added left to
-        # right, at v_rot.
-        t_true = (length / v_lin
-                  + float(np.add.accumulate(deltas)[-1]) / v_rot)
-        t_obs = t_true * max(1.0 + noise_sigma * rng.standard_normal(), 0.1)
-        feats.append([length, float(np.mean(deltas)), float(np.var(deltas))])
-        durs.append(t_obs)
-    return byp.TimingDataset(np.array(feats), np.array(durs))
+        ks.append(k)
+        starts.append(a)
+        spans.append(b - a)
+        lengths.append(length)
+        normals.append(rng.standard_normal())
+
+    # Then the turn features, one slice length at a time. A row gets bit for
+    # bit what a trajectory of waypoints a..b would: its turns are the
+    # path's over [a, b - 1) and a 0.0, since its last heading repeats. The
+    # 0.0 stays: `np.mean` and `np.var` divide by the count, and pairwise
+    # summation splits by the length, so each row is reduced over a
+    # C-contiguous row of exactly its own length, never a padded one.
+    turns = [turn_angles(p.headings) for p in paths]
+    flat = np.concatenate(turns)
+    first = np.cumsum([0] + [len(t) for t in turns])[ks] + starts
+    spans = np.array(spans)
+    means, variances, turn_sums = np.empty((3, n_rows))
+    order = np.argsort(spans, kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(spans[order])) + 1):
+        span = int(spans[rows[0]])
+        deltas = np.zeros((len(rows), span))
+        deltas[:, :-1] = flat[first[rows, None] + np.arange(span - 1)]
+        means[rows] = np.mean(deltas, axis=1)
+        variances[rows] = np.var(deltas, axis=1)
+        turn_sums[rows] = np.add.accumulate(deltas, axis=1)[:, -1]
+    # The motion model: length at v_lin plus the turns, added left to
+    # right, at v_rot, with multiplicative noise.
+    lengths = np.array(lengths)
+    t_true = lengths / v_lin + turn_sums / v_rot
+    t_obs = t_true * np.maximum(1.0 + noise_sigma * np.array(normals), 0.1)
+    return byp.TimingDataset(np.column_stack([lengths, means, variances]), t_obs)
 
 
 # Fitted models, keyed on `grid.key` and the fit's other inputs.

@@ -464,7 +464,7 @@ def test_clear_memos_empties_every_memo_and_keeps_the_records(tmp_path):
                            for n in ("room", "warehouse_abc")],
                           list(POLICIES), repetitions=2, seed_base=0,
                           output_dir=str(tmp_path))
-    memos = [gridmap._VISIBILITY_MEMO, gridmap._RAY_MEMO,
+    memos = [gridmap._VISIBILITY_MEMO, gridmap._RAY_MEMO, gridmap._MAP_MEMO,
              gridmap._INFLATION_CACHE, blockage._BLOCKAGE_MEMO,
              planner._PLAN_CACHE, removal._BETA_PPF_MEMO,
              simulator._MODEL_CACHE, simulator._TREE]

@@ -487,7 +487,7 @@ def test_every_module_level_ordered_dict_is_a_registered_memo():
             if isinstance(value, OrderedDict):
                 memos[f"{info.name}.{name}"] = value
     assert set(memos) == {
-        "gridmap._VISIBILITY_MEMO", "gridmap._RAY_MEMO",
+        "gridmap._VISIBILITY_MEMO", "gridmap._RAY_MEMO", "gridmap._MAP_MEMO",
         "gridmap._INFLATION_CACHE", "blockage._BLOCKAGE_MEMO",
         "planner._PLAN_CACHE", "removal._BETA_PPF_MEMO",
         "simulator._MODEL_CACHE", "simulator._TREE"}
@@ -495,6 +495,26 @@ def test_every_module_level_ordered_dict_is_a_registered_memo():
         assert isinstance(memo, gridmap.Memo), name
         assert any(memo is m for m in gridmap._MEMOS), name
     assert len(gridmap._MEMOS) == len(memos)
+
+
+def test_each_map_text_is_parsed_once(tmp_path, monkeypatch):
+    clear_memos()
+    parses = []
+    real = OccupancyGrid.from_text
+    monkeypatch.setattr(OccupancyGrid, "from_text", staticmethod(
+        lambda text: parses.append(text) or real(text)))
+    path = tmp_path / "m.map"
+    empty_grid(6, 4, 0.1).save(path)
+    first, again = OccupancyGrid.load(path), OccupancyGrid.load(path)
+    assert len(parses) == 1
+    # Each load gets a grid of its own on the one parse's read-only cells.
+    assert again is not first and again.key == first.key
+    assert again.cells is first.cells and not again.cells.flags.writeable
+    # The file is read on every load, so an edit is parsed.
+    walled = grid_from_ascii("......\n.#....\n......\n......")
+    walled.save(path)
+    edited = OccupancyGrid.load(path)
+    assert len(parses) == 2 and edited.key == walled.key != first.key
 
 
 # -- memoized ray casts --------------------------------------------------

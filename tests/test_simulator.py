@@ -3,15 +3,22 @@
 import hashlib
 import json
 import math
+import os
 import pickle
 import re
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
+import namoplan
 import oracles
 from conftest import empty_grid
 from namoplan import scenario_path
@@ -291,6 +298,18 @@ def test_config_keeps_one_read_only_grid_across_episodes(tmp_path, monkeypatch):
     assert not grid.cells.flags.writeable
 
 
+def test_replaced_config_parses_no_map(monkeypatch):
+    cfg = ScenarioConfig.from_yaml(scenario_path("warehouse_abc.yaml"))
+    parses = []
+    real = OccupancyGrid.from_text
+    monkeypatch.setattr(OccupancyGrid, "from_text", staticmethod(
+        lambda text: parses.append(text) or real(text)))
+    other = replace(cfg, seed=1)
+    assert not parses
+    assert other.load_grid() is not cfg.load_grid()
+    assert other.load_grid().key == cfg.load_grid().key
+
+
 def test_pickled_config_keeps_its_read_only_grid():
     cfg = ScenarioConfig.from_yaml(scenario_path("room.yaml"))
     back = pickle.loads(pickle.dumps(cfg))
@@ -400,6 +419,91 @@ def test_timing_dataset_matches_per_segment_rows(n_rows, noise_sigma):
                 seed, noise_sigma)
         _assert_same_dataset(generate_timing_dataset(*args),
                              oracles.generate_timing_dataset(*args))
+
+
+@st.composite
+def _timing_maps(draw) -> OccupancyGrid:
+    """Small seeded random maps, coarse resolutions among them, at least
+    2.5 m wide, so that most hold the 2 m a base path needs."""
+    res = draw(st.sampled_from([0.1, 0.2, 0.35, 0.5, 1.0]))
+    width = math.ceil(2.5 / res) + draw(st.integers(0, 40))
+    height = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return OccupancyGrid(res, rng.random((height, width)) < draw(st.floats(0.0, 0.3)))
+
+
+@settings(max_examples=40)
+@given(grid=_timing_maps(), radius_cells=st.floats(0.0, 1.5),
+       v_lin=st.floats(0.1, 2.0), v_rot=st.floats(0.1, 3.0),
+       n_rows=st.integers(5, 300), seed=st.integers(0, 2**32 - 1),
+       noise_sigma=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+# Three cells in a row at 1 m: every base path runs from one end to the
+# other in 3 waypoints, so every row slices waypoints 0..2, and all rows
+# fall into one slice-length group.
+@example(grid=OccupancyGrid(1.0, np.zeros((1, 3))), radius_cells=0.0,
+         v_lin=0.5, v_rot=1.0, n_rows=40, seed=0, noise_sigma=0.05)
+def test_timing_dataset_equals_the_oracle(grid, radius_cells, v_lin, v_rot,
+                                          n_rows, seed, noise_sigma):
+    """Rows drawn first and their features computed per slice length give
+    the per-segment oracle's dataset byte for byte."""
+    args = (grid, radius_cells * grid.resolution, v_lin, v_rot, n_rows, seed,
+            noise_sigma)
+    try:
+        got = generate_timing_dataset(*args)
+    except ScenarioError:
+        reject()  # no base path to cut rows from: the oracle never ends
+    _assert_same_dataset(got, oracles.generate_timing_dataset(*args))
+
+
+# Two 2 m cells: the only base path joins their centres in 2 waypoints, and
+# a row needs a slice of at least 2 steps.
+_TWO_CELL_YAML = """\
+map: two.map
+goal: [3.0, 1.0]
+robot:
+  start: [1.0, 1.0]
+obstacles: []
+"""
+
+_TWO_CELL_FIT = """
+import sys
+from namoplan.simulator import ScenarioConfig, ScenarioError, bypass_model_for
+cfg = ScenarioConfig.from_yaml(sys.argv[1])
+try:
+    bypass_model_for(cfg.load_grid(), cfg.robot, cfg.bypass_model)
+except ScenarioError as exc:
+    print(exc)
+"""
+
+
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """`python *args` in a fresh process, killed after 60 s."""
+    env = dict(os.environ, PYTHONPATH=str(Path(namoplan.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.fixture
+def two_cell_yaml(tmp_path) -> str:
+    (tmp_path / "two.map").write_text("2 1 2.0\n..\n")
+    (tmp_path / "two.yaml").write_text(_TWO_CELL_YAML)
+    return str(tmp_path / "two.yaml")
+
+
+def test_fit_without_a_three_waypoint_path_raises(two_cell_yaml):
+    done = _fresh_python("-c", _TWO_CELL_FIT, two_cell_yaml)
+    assert done.stdout.startswith("every training path has fewer than 3 "
+                                  "waypoints")
+
+
+def test_train_bypass_without_a_three_waypoint_path_exits_2(two_cell_yaml,
+                                                             tmp_path):
+    done = _fresh_python("-m", "namoplan.cli", "train-bypass", "--generate",
+                         "--config", two_cell_yaml, "--seed", "0",
+                         "--out", str(tmp_path / "model.txt"))
+    assert done.returncode == 2
+    assert done.stderr.startswith("config error: every training path")
+    assert not (tmp_path / "model.txt").exists()
 
 
 # -- sensing ------------------------------------------------------------
@@ -881,13 +985,7 @@ for policy, seed in {cells!r}:
 
 
 def test_paired_battery_same_in_fresh_and_warm_process():
-    import os
     import random
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import namoplan
 
     cells = [(policy, seed)
              for policy in ("uncertainty", "uncertainty-no-action", "priority-removal")
