@@ -421,11 +421,10 @@ def generate_timing_dataset(grid: OccupancyGrid, robot_radius: float,
     # the norms `planner._total_length` takes (so not a difference of
     # prefix sums), since it decides the draws that follow.
     steps = [np.linalg.norm(np.diff(p.positions, axis=0), axis=1) for p in paths]
-    n_way = [len(p) for p in paths]
     ks, starts, spans, lengths, normals = [], [], [], [], []
     while len(ks) < n_rows:
         k = int(rng.integers(0, len(paths)))
-        a, b = sorted(rng.integers(0, n_way[k], size=2).tolist())
+        a, b = sorted(rng.integers(0, len(paths[k]), size=2).tolist())
         if b - a < 2:
             continue
         length = float(np.add.reduce(steps[k][a:b]))
