@@ -19,32 +19,18 @@ from .observation import turn_angles
 from .planner import Trajectory
 
 
-@dataclass(frozen=True)
-class TrajectoryFeatures:
-    """length (m), mean |heading change| (rad), population variance of it."""
-
-    f_l: float
-    f_s: float
-    f_v: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.f_l, self.f_s, self.f_v])
-
-
-def extract_features(trajectory: Trajectory) -> TrajectoryFeatures:
-    """Features of the trajectory, kept on it."""
+def extract_features(trajectory: Trajectory) -> np.ndarray:
+    """The trajectory's dataset row [F_l, F_s, F_v]: length (m), mean
+    |heading change| (rad) and its population variance. Kept on the
+    trajectory, so the row is read-only."""
     return trajectory.memoized("features", _features, trajectory)
 
 
-def _features(trajectory: Trajectory) -> TrajectoryFeatures:
-    if len(trajectory) < 2:
-        raise ValueError("degenerate trajectory")
+def _features(trajectory: Trajectory) -> np.ndarray:
     deltas = turn_angles(trajectory.headings)
-    return TrajectoryFeatures(
-        f_l=trajectory.total_length,
-        f_s=float(np.mean(deltas)),
-        f_v=float(np.var(deltas)),
-    )
+    row = np.array([trajectory.total_length, np.mean(deltas), np.var(deltas)])
+    row.flags.writeable = False
+    return row
 
 
 # The columns of a timing CSV, in the order a dataset holds them.
@@ -58,15 +44,16 @@ class TimingDataset:
 
     def __post_init__(self):
         """ValueError naming the first bad data row (counted from 1) unless
-        every feature is finite and every duration finite and positive."""
+        every feature is finite and non-negative and every duration finite
+        and positive."""
         self.features = np.atleast_2d(np.asarray(self.features, dtype=float))
         self.durations = np.asarray(self.durations, dtype=float)
         if self.features.shape[0] != self.durations.shape[0]:
             raise ValueError("row count mismatch")
-        bad = ~np.isfinite(self.features).all(axis=1)
+        bad = ~(np.isfinite(self.features) & (self.features >= 0)).all(axis=1)
         if bad.any():
             raise ValueError(f"data row {int(np.argmax(bad)) + 1}: "
-                             "features must be finite")
+                             "features must be finite and non-negative")
         bad = ~(np.isfinite(self.durations) & (self.durations > 0))
         if bad.any():
             raise ValueError(f"data row {int(np.argmax(bad)) + 1}: "
@@ -113,13 +100,9 @@ class GlrModel:
     feat_mean: np.ndarray  # (3,) standardization statistics
     feat_std: np.ndarray  # (3,)
 
-    def _design(self, features: TrajectoryFeatures) -> np.ndarray:
-        z = (features.as_array() - self.feat_mean) / self.feat_std
-        return np.concatenate([[1.0], z])
-
-    def predict(self, features: TrajectoryFeatures) -> tuple[float, float]:
-        """Predictive mean and standard deviation."""
-        x = self._design(features)
+    def predict(self, features: np.ndarray) -> tuple[float, float]:
+        """Predictive mean and standard deviation at the row [F_l, F_s, F_v]."""
+        x = np.concatenate([[1.0], (features - self.feat_mean) / self.feat_std])
         mean = float(x @ self.w_mean)
         var = float(x @ self.w_cov @ x + self.noise_var)
         return mean, math.sqrt(var)
@@ -149,9 +132,9 @@ def fit(dataset: TimingDataset) -> GlrModel:
         raise ValueError("need at least 5 rows")
     feat_mean = dataset.features.mean(axis=0)
     feat_std = dataset.features.std(axis=0)
-    feat_std = np.where(feat_std < 1e-12, 1.0, feat_std)
-    if np.all(dataset.features.std(axis=0) < 1e-12):
+    if np.all(feat_std < 1e-12):
         raise ValueError("features are all identical")
+    feat_std = np.where(feat_std < 1e-12, 1.0, feat_std)
     z = (dataset.features - feat_mean) / feat_std
     x = np.hstack([np.ones((len(dataset), 1)), z])
     y = dataset.durations
@@ -170,7 +153,7 @@ def fit(dataset: TimingDataset) -> GlrModel:
 _STANDARD_NORMAL = statistics.NormalDist()
 
 
-def predict_interval(model: GlrModel, features: TrajectoryFeatures,
+def predict_interval(model: GlrModel, features: np.ndarray,
                      confidence: float) -> CostInterval:
     """Central normal interval at `confidence`, mean +/- z sigma with z the
     (1 + confidence) / 2 quantile, floored at zero."""
@@ -181,21 +164,11 @@ def predict_interval(model: GlrModel, features: TrajectoryFeatures,
     return CostInterval(max(0.0, mean - half), max(0.0, mean + half))
 
 
-@dataclass
-class AverageSpeedPredictor:
-    """Predicts F_l / v_bar with v_bar the mean training speed."""
-
-    v_bar: float
-
-    def predict(self, features: TrajectoryFeatures) -> float:
-        return features.f_l / self.v_bar
-
-
-def baseline_average_speed(dataset: TimingDataset) -> AverageSpeedPredictor:
+def average_speed(dataset: TimingDataset) -> float:
+    """v_bar, the mean training speed; the baseline predicts F_l / v_bar."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    speeds = dataset.features[:, 0] / dataset.durations
-    return AverageSpeedPredictor(float(speeds.mean()))
+    return float((dataset.features[:, 0] / dataset.durations).mean())
 
 
 @dataclass
@@ -209,9 +182,9 @@ class TrapezoidPredictor:
         if self.v_max <= 0 or self.accel <= 0:
             raise ValueError("v_max and accel must be positive")
 
-    def predict(self, features: TrajectoryFeatures) -> float:
-        d = features.f_l
+    def predict(self, lengths: np.ndarray) -> np.ndarray:
+        """Time over each path length (m)."""
+        d = np.asarray(lengths, dtype=float)
         d_ramp = self.v_max ** 2 / self.accel  # accelerate + decelerate distance
-        if d >= d_ramp:
-            return d / self.v_max + self.v_max / self.accel
-        return 2.0 * math.sqrt(d / self.accel)
+        return np.where(d >= d_ramp, d / self.v_max + self.v_max / self.accel,
+                        2.0 * np.sqrt(d / self.accel))

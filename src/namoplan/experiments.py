@@ -92,8 +92,9 @@ def run_benchmark(spec: ExperimentSpec,
     configs = [ScenarioConfig.from_yaml(path) for path in index]
     files: dict[str, Path] = {}
     for path, config in zip(index, configs):
-        first = files.setdefault(config.scenario_id, Path(path).resolve())
-        if first != Path(path).resolve():
+        resolved = Path(path).resolve()
+        first = files.setdefault(config.scenario_id, resolved)
+        if first != resolved:
             raise ValueError(f"scenario_id {config.scenario_id!r} is in both "
                              f"{first} and {path}")
     reps = spec.repetitions
@@ -163,16 +164,11 @@ def run_benchmark(spec: ExperimentSpec,
 def summarize(rows: list[dict]) -> list[dict]:
     """Per (scenario, policy) statistics: mean/std and median/IQR."""
     cells: dict[tuple[str, str], list[dict]] = {}
-    order: list[tuple[str, str]] = []
     for row in rows:
-        key = (row["scenario_id"], row["policy"])
-        if key not in cells:
-            cells[key] = []
-            order.append(key)
-        cells[key].append(row)
+        cells.setdefault((row["scenario_id"], row["policy"]), []).append(row)
     summary = []
-    for key in order:
-        elapsed = np.array([r["elapsed"] for r in cells[key]])
+    for key, members in cells.items():
+        elapsed = np.array([r["elapsed"] for r in members])
         q1, med, q3 = np.percentile(elapsed, [25, 50, 75])
         summary.append({
             "scenario_id": key[0],
@@ -185,7 +181,7 @@ def summarize(rows: list[dict]) -> list[dict]:
             "q3": float(q3),
             "iqr": float(q3 - q1),
             "success_rate": float(np.mean(
-                [r["outcome"] == "success" for r in cells[key]])),
+                [r["outcome"] == "success" for r in members])),
         })
     return summary
 
@@ -226,14 +222,14 @@ def evaluate_bypass_predictors(train: byp.TimingDataset, test: byp.TimingDataset
     """Fit the regressor and both baselines on train, score absolute error
     on test."""
     model = byp.fit(train)
-    avg = byp.baseline_average_speed(train)
     trap = byp.TrapezoidPredictor(v_max, _TRAPEZOID_ACCEL)
+    lengths = test.features[:, 0]
 
     report = BypassReport(n_train=len(train), n_test=len(test))
     preds = {
-        "glr": np.array([model.predict(_feat(row))[0] for row in test.features]),
-        "average-speed": np.array([avg.predict(_feat(row)) for row in test.features]),
-        "trapezoid": np.array([trap.predict(_feat(row)) for row in test.features]),
+        "glr": np.array([model.predict(row)[0] for row in test.features]),
+        "average-speed": lengths / byp.average_speed(train),
+        "trapezoid": trap.predict(lengths),
     }
     for name, pred in preds.items():
         ae = np.abs(pred - test.durations)
@@ -241,10 +237,6 @@ def evaluate_bypass_predictors(train: byp.TimingDataset, test: byp.TimingDataset
         report.median_ae[name] = float(med)
         report.iqr_ae[name] = float(q3 - q1)
     return model, report
-
-
-def _feat(row: np.ndarray) -> byp.TrajectoryFeatures:
-    return byp.TrajectoryFeatures(float(row[0]), float(row[1]), float(row[2]))
 
 
 def generate_bypass_benchmark(config: ScenarioConfig, seed: int,

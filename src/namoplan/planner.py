@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .gridmap import _MISS, Memo, OccupancyGrid, inflated_blocked_mask
+from .gridmap import (_MISS, Memo, OccupancyGrid, inflated_blocked_mask,
+                      static_inflation)
 
 
 @dataclass(frozen=True)
@@ -159,7 +160,7 @@ def planning_mask(grid: OccupancyGrid, start: tuple[float, float],
     mask = blocked_mask(grid, robot_radius, ellipses)
     cell = grid.cell_index(*start)
     if ellipses and cell is not None and mask[cell]:
-        static = inflated_blocked_mask(grid, robot_radius)
+        static = static_inflation(grid, robot_radius)
         if not static[cell]:
             _carve_escape(mask, static, *cell)
     return mask

@@ -331,42 +331,37 @@ def _random_choice(ep, blocker, detour, est, route) -> tuple[str, dict]:
     return "bypass", {}
 
 
-@dataclass(frozen=True)
-class Policy:
-    """A named choice rule. At a blockage, `choose(episode, blocker, detour,
-    est, route)` sees the detour to the goal, the stock-search estimate and
-    the route after removal (planned only when the estimate exists; None
-    when absent) and returns the action ("bypass", "remove", "wait" or
-    "none") with the details its decision trace entry records.
-
-    A rule reads the episode (its obstacle records among the rest) and may
-    draw from `episode.rng`, and changes nothing else: it may fill pure
-    memos (the episode's `model` and the process-wide memos behind
-    `blockage_interval` and `model`), which change no answer. Only a rule
-    may read the config's decision-only fields (those not in
-    `WORLD_FIELDS`: `estimated_sr`, `calibration_trials` and `sr_shared`
-    through `beta_for`, `bypass_model` through `model`); the world the
-    episode walks between choices must not. `run_episode` relies on this to
-    resume one policy, of any config of the same world, from the state
-    another reached with the same choices."""
-
-    name: str
-    choose: Callable[..., tuple[str, dict]]
-
-
-POLICIES: dict[str, Policy] = {p.name: p for p in (
-    Policy("uncertainty", _compare_intervals),
-    Policy("uncertainty-no-action",
-           partial(_compare_intervals, action_uncertainty=False)),
-    Policy("uncertainty-no-blockage",
-           partial(_compare_intervals, blockage_uncertainty=False)),
-    Policy("priority-bypass", _priority_bypass),
-    Policy("priority-removal", _priority_removal),
-    Policy("random-choice", _random_choice),
-)}
+# The choice rules by policy name. At a blockage, a rule `(episode,
+# blocker, detour, est, route)` sees the detour to the goal, the
+# stock-search estimate and the route after removal (planned only when the
+# estimate exists; None when absent) and returns the action ("bypass",
+# "remove", "wait" or "none") with the details its decision trace entry
+# records.
+#
+# A rule reads the episode (its obstacle records among the rest) and may
+# draw from `episode.rng`, and changes nothing else: it may fill pure memos
+# (the episode's `model` and the process-wide memos behind
+# `blockage_interval` and `model`), which change no answer. Only a rule may
+# read the config's decision-only fields (those not in `WORLD_FIELDS`:
+# `estimated_sr`, `calibration_trials` and `sr_shared` through `beta_for`,
+# `bypass_model` through `model`); the world the episode walks between
+# choices must not. `run_episode` relies on this to resume one policy, of
+# any config of the same world, from the state another reached with the
+# same choices.
+POLICIES: dict[str, Callable[..., tuple[str, dict]]] = {
+    "uncertainty": _compare_intervals,
+    "uncertainty-no-action":
+        partial(_compare_intervals, action_uncertainty=False),
+    "uncertainty-no-blockage":
+        partial(_compare_intervals, blockage_uncertainty=False),
+    "priority-bypass": _priority_bypass,
+    "priority-removal": _priority_removal,
+    "random-choice": _random_choice,
+}
 
 
-def get_policy(name: str) -> Policy:
+def get_policy(name: str) -> Callable[..., tuple[str, dict]]:
+    """The rule of the policy `name`; ValueError naming the known ones."""
     try:
         return POLICIES[name]
     except KeyError:
@@ -910,7 +905,7 @@ def _rng_key(rng: np.random.Generator) -> tuple:
 _TREE = Memo(1)
 
 
-def run_episode(config: ScenarioConfig, policy: Policy | str,
+def run_episode(config: ScenarioConfig, policy: str,
                 seed: int | None = None) -> TrialRecord:
     """Execute one seeded episode under the given policy. The map's
     bypass-time model is fitted (or taken from the cache) when the policy
@@ -932,8 +927,7 @@ def run_episode(config: ScenarioConfig, policy: Policy | str,
     world and needs no bound: run a world's configs and policies seed by
     seed to share it.
     """
-    if isinstance(policy, str):
-        policy = get_policy(policy)
+    choose = get_policy(policy)
     seed = config.seed if seed is None else seed
     ep = _Episode(config, seed)
     step = _TREE.lookup((config._world, seed), ep._start)
@@ -946,7 +940,7 @@ def run_episode(config: ScenarioConfig, policy: Policy | str,
             step.restore(ep)
         blocker, _, detour, est, route = step.decision
         try:
-            choice, details = policy.choose(ep, blocker, detour, est, route)
+            choice, details = choose(ep, blocker, detour, est, route)
         except BaseException:
             _TREE.clear()
             raise
@@ -957,5 +951,5 @@ def run_episode(config: ScenarioConfig, policy: Policy | str,
         if key not in step.children:
             step.children[key] = ep._after(step, choice)
         step = step.children[key]
-    return TrialRecord(config.scenario_id, seed, policy.name, step.outcome,
+    return TrialRecord(config.scenario_id, seed, policy, step.outcome,
                        step.elapsed, trace, dict(step.diag))

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import ndimage
 
 from namoplan import blockage, observation, planner
-from namoplan.bypass import GlrModel, TimingDataset, extract_features
+from namoplan.bypass import GlrModel, TimingDataset
 from namoplan.gridmap import FREE, STATIC, OccupancyGrid, raycast_width
 from namoplan.observation import InvalidCovariance, confidence_ellipse, wrap_angle
 from namoplan.planner import _MOVES, Trajectory, _carve_escape
@@ -460,6 +460,15 @@ def segment(trajectory: Trajectory, i: int, j: int) -> Trajectory:
     return Trajectory(trajectory.positions[i:j + 1].copy())
 
 
+def feature_row(trajectory: Trajectory) -> np.ndarray:
+    """[F_l, F_s, F_v] computed afresh: the sum of the step norms, and the
+    mean and population variance of the turns taken one at a time; oracle
+    for `bypass.extract_features`."""
+    deltas = turn_angles(trajectory.headings)
+    length = np.sum(np.linalg.norm(np.diff(trajectory.positions, axis=0), axis=1))
+    return np.array([length, np.mean(deltas), np.var(deltas)])
+
+
 def motion_time(trajectory: Trajectory, v_lin: float, v_rot: float) -> float:
     """Traversal time: length at v_lin plus accumulated turning at v_rot,
     the turns added left to right (the builtin sum of floats is compensated
@@ -473,9 +482,10 @@ def motion_time(trajectory: Trajectory, v_lin: float, v_rot: float) -> float:
 def generate_timing_dataset(grid: OccupancyGrid, robot_radius: float,
                             v_lin: float, v_rot: float, n_rows: int,
                             seed: int, noise_sigma: float) -> TimingDataset:
-    """Each row from a trajectory of its own, built with `segment` and timed
-    by `motion_time`; oracle for `simulator.generate_timing_dataset`, which
-    draws from the rng in the same order."""
+    """Each row from a trajectory of its own, built with `segment`, read by
+    `feature_row` and timed by `motion_time`; oracle for
+    `simulator.generate_timing_dataset`, which draws from the rng in the
+    same order."""
     rng = np.random.default_rng(seed)
     mask = planner.blocked_mask(grid, robot_radius)
     free_iy, free_ix = np.nonzero(~mask)
@@ -501,9 +511,8 @@ def generate_timing_dataset(grid: OccupancyGrid, robot_radius: float,
         seg = segment(traj, int(a), int(b))
         if seg.total_length < 1.0:
             continue
-        f = extract_features(seg)
         t_true = motion_time(seg, v_lin, v_rot)
         t_obs = t_true * max(1.0 + noise_sigma * rng.standard_normal(), 0.1)
-        feats.append([f.f_l, f.f_s, f.f_v])
+        feats.append(feature_row(seg))
         durs.append(t_obs)
     return TimingDataset(np.array(feats), np.array(durs))

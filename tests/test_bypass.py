@@ -8,10 +8,8 @@ import pytest
 
 import oracles
 from namoplan import bypass
-from namoplan.bypass import (AverageSpeedPredictor, TimingDataset,
-                             TrajectoryFeatures, TrapezoidPredictor,
-                             baseline_average_speed, extract_features, fit,
-                             predict_interval)
+from namoplan.bypass import (TimingDataset, TrapezoidPredictor, average_speed,
+                             extract_features, fit, predict_interval)
 from namoplan.planner import Trajectory
 from namoplan.simulator import ScenarioConfig
 
@@ -22,10 +20,10 @@ CONFIDENCE = ScenarioConfig.confidence
 
 def test_straight_path_features():
     t = Trajectory(np.array([[0.0, 0.0], [4.0, 0.0], [10.0, 0.0]]))
-    f = extract_features(t)
-    assert f.f_l == pytest.approx(10.0)
-    assert f.f_s == 0.0
-    assert f.f_v == 0.0
+    f_l, f_s, f_v = extract_features(t)
+    assert f_l == pytest.approx(10.0)
+    assert f_s == 0.0
+    assert f_v == 0.0
 
 
 def test_square_wave_constant_deltas():
@@ -33,17 +31,17 @@ def test_square_wave_constant_deltas():
     # three turns, then 0 into the last waypoint
     t = Trajectory(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [2.0, 1.0],
                              [2.0, 2.0]]))
-    f = extract_features(t)
-    assert f.f_s == pytest.approx(3 * math.pi / 8)
-    assert f.f_v == pytest.approx(3 * math.pi ** 2 / 64)
+    _, f_s, f_v = extract_features(t)
+    assert f_s == pytest.approx(3 * math.pi / 8)
+    assert f_v == pytest.approx(3 * math.pi ** 2 / 64)
 
 
 def test_mixed_deltas_mean_and_variance():
     # headings 0, pi/2, pi/2 -> deltas {pi/2, 0}
     t = Trajectory(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]))
-    f = extract_features(t)
-    assert f.f_s == pytest.approx(math.pi / 4)
-    assert f.f_v == pytest.approx((math.pi / 4) ** 2)
+    _, f_s, f_v = extract_features(t)
+    assert f_s == pytest.approx(math.pi / 4)
+    assert f_v == pytest.approx((math.pi / 4) ** 2)
 
 
 def test_degenerate_trajectory_rejected():
@@ -60,19 +58,11 @@ def test_features_invariant_under_rigid_motion():
                     [math.sin(ang), math.cos(ang)]])
     moved = pts @ rot.T + np.array([17.0, -4.0])
     f1 = extract_features(Trajectory(moved))
-    assert f1.f_l == pytest.approx(f0.f_l, rel=1e-9)
-    assert f1.f_s == pytest.approx(f0.f_s, rel=1e-9)
-    assert f1.f_v == pytest.approx(f0.f_v, abs=1e-9)
+    assert f1[:2] == pytest.approx(f0[:2], rel=1e-9)
+    assert f1[2] == pytest.approx(f0[2], abs=1e-9)
 
 
 # -- features kept on trajectories ----------------------------------------
-
-
-def _uncached_features(traj):
-    deltas = oracles.turn_angles(traj.headings)
-    length = np.sum(np.linalg.norm(np.diff(traj.positions, axis=0), axis=1))
-    return TrajectoryFeatures(float(length), float(np.mean(deltas)),
-                              float(np.var(deltas)))
 
 
 def test_features_match_uncached_and_are_computed_once(monkeypatch):
@@ -84,11 +74,21 @@ def test_features_match_uncached_and_are_computed_once(monkeypatch):
     trajectories = []
     for _ in range(30):
         pts = np.cumsum(rng.normal(size=(int(rng.integers(2, 60)), 2)), axis=0)
-        trajectories.append(Trajectory(pts))
-        for _ in range(2):
-            want = _uncached_features(trajectories[-1])
-            assert extract_features(trajectories[-1]) == want
-            assert trajectories[-1].total_length == want.f_l
+        # The trajectory, then a slice of it as the timing-dataset oracle
+        # cuts one: its row is the oracle's row for that slice.
+        a = int(rng.integers(0, len(pts) - 1))
+        b = int(rng.integers(a + 1, len(pts)))
+        for traj in (Trajectory(pts), oracles.segment(Trajectory(pts), a, b)):
+            trajectories.append(traj)
+            for _ in range(2):
+                want = oracles.feature_row(traj)
+                row = extract_features(traj)
+                assert row.dtype == np.float64
+                assert row.tobytes() == want.tobytes()
+                assert traj.total_length == want[0]
+            # The row is shared by every reader of the trajectory.
+            with pytest.raises(ValueError):
+                row[0] = 0.0
     assert computed == trajectories
 
 
@@ -113,6 +113,9 @@ def test_dataset_validation():
         TimingDataset(np.ones((2, 3)), np.array([1.0, np.nan]))
     with pytest.raises(ValueError, match="data row 1: features"):
         TimingDataset(np.array([[1.0, -np.inf, 0.0], [1.0, 0.0, 0.0]]),
+                      np.ones(2))
+    with pytest.raises(ValueError, match="data row 2: features"):
+        TimingDataset(np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
                       np.ones(2))
 
 
@@ -164,7 +167,7 @@ def test_fit_with_one_constant_column():
     ds = _synthetic_dataset(100, rng)
     ds.features[:, 2] = 0.25  # constant third feature
     model = fit(TimingDataset(ds.features, ds.durations))
-    mean, sigma = model.predict(TrajectoryFeatures(10.0, 0.5, 0.25))
+    mean, sigma = model.predict(np.array([10.0, 0.5, 0.25]))
     assert math.isfinite(mean) and sigma > 0
 
 
@@ -173,7 +176,7 @@ def test_doubling_durations_doubles_prediction():
     ds = _synthetic_dataset(300, rng)
     m1 = fit(ds)
     m2 = fit(TimingDataset(ds.features, 2.0 * ds.durations))
-    q = TrajectoryFeatures(12.0, 0.4, 0.1)
+    q = np.array([12.0, 0.4, 0.1])
     # the fixed weight prior breaks exact linearity; data dominates here
     assert m2.predict(q)[0] == pytest.approx(2.0 * m1.predict(q)[0], rel=1e-4)
 
@@ -182,8 +185,7 @@ def test_predictive_variance_floor_at_centroid():
     rng = np.random.default_rng(5)
     ds = _synthetic_dataset(400, rng)
     model = fit(ds)
-    centroid = TrajectoryFeatures(*ds.features.mean(axis=0))
-    _, sigma = model.predict(centroid)
+    _, sigma = model.predict(ds.features.mean(axis=0))
     assert sigma ** 2 >= model.noise_var
 
 
@@ -193,7 +195,7 @@ def test_predictive_variance_grows_from_centroid():
     model = fit(ds)
     center = ds.features.mean(axis=0)
     direction = np.array([1.0, 0.05, 0.02])
-    sigmas = [model.predict(TrajectoryFeatures(*(center + t * direction)))[1]
+    sigmas = [model.predict(center + t * direction)[1]
               for t in (0.0, 5.0, 15.0, 40.0)]
     assert sigmas == sorted(sigmas)
 
@@ -202,7 +204,7 @@ def test_interval_centered_and_clamped():
     rng = np.random.default_rng(7)
     ds = _synthetic_dataset(200, rng)
     model = fit(ds)
-    q = TrajectoryFeatures(10.0, 0.3, 0.05)
+    q = np.array([10.0, 0.3, 0.05])
     mean, sigma = model.predict(q)
     # z is the (1 + confidence) / 2 standard-normal quantile
     for confidence, z in [(0.5, 0.6744897501960817), (0.95, 1.959963984540054),
@@ -210,7 +212,7 @@ def test_interval_centered_and_clamped():
         iv = predict_interval(model, q, confidence)
         assert iv.lo == pytest.approx(max(0.0, mean - z * sigma))
         assert iv.hi == pytest.approx(mean + z * sigma)
-    tiny = predict_interval(model, TrajectoryFeatures(0.0, 0.0, 0.0), CONFIDENCE)
+    tiny = predict_interval(model, np.zeros(3), CONFIDENCE)
     assert tiny.lo >= 0.0
 
 
@@ -218,8 +220,7 @@ def test_intervals_nest_across_confidences():
     rng = np.random.default_rng(9)
     model = fit(_synthetic_dataset(200, rng))
     for row in rng.uniform([0.0, 0.0, 0.0], [30.0, 3.0, 0.5], size=(50, 3)):
-        q = TrajectoryFeatures(*row)
-        ivs = [predict_interval(model, q, c) for c in (0.5, 0.95, 0.99)]
+        ivs = [predict_interval(model, row, c) for c in (0.5, 0.95, 0.99)]
         for inner, outer in zip(ivs, ivs[1:]):
             assert outer.lo <= inner.lo and inner.hi < outer.hi
 
@@ -231,7 +232,7 @@ def test_interval_coverage_on_synthetic_data():
     model = fit(train)
     hits = 0
     for row, dur in zip(test.features, test.durations):
-        iv = predict_interval(model, TrajectoryFeatures(*row), CONFIDENCE)
+        iv = predict_interval(model, row, CONFIDENCE)
         hits += iv.lo <= dur <= iv.hi
     coverage = hits / len(test)
     assert 0.92 <= coverage <= 0.98
@@ -243,7 +244,7 @@ def test_model_save_load_roundtrip(tmp_path):
     path = tmp_path / "model.txt"
     model.save(path)
     loaded = oracles.load_glr_model(path)
-    q = TrajectoryFeatures(7.0, 0.2, 0.04)
+    q = np.array([7.0, 0.2, 0.04])
     assert loaded.predict(q) == model.predict(q)
 
 
@@ -261,19 +262,19 @@ def test_average_speed_exact_on_constant_speed():
     f_l = np.array([2.0, 6.0, 10.0])
     ds = TimingDataset(np.column_stack([f_l, np.zeros(3), np.zeros(3)]),
                        f_l / 0.5)
-    pred = baseline_average_speed(ds)
-    assert pred.v_bar == pytest.approx(0.5)
-    assert pred.predict(TrajectoryFeatures(8.0, 0.0, 0.0)) == pytest.approx(16.0)
+    assert average_speed(ds) == pytest.approx(0.5)
+    assert 8.0 / average_speed(ds) == pytest.approx(16.0)
 
 
 def test_trapezoid_cruise_and_triangular():
     trap = TrapezoidPredictor(v_max=1.0, accel=0.5)
     # long: reaches cruise; d_ramp = v^2/a = 2
-    assert trap.predict(TrajectoryFeatures(10.0, 0, 0)) == pytest.approx(
-        10.0 / 1.0 + 1.0 / 0.5)
+    assert trap.predict(10.0) == pytest.approx(10.0 / 1.0 + 1.0 / 0.5)
     # short: triangular profile
-    assert trap.predict(TrajectoryFeatures(1.0, 0, 0)) == pytest.approx(
-        2.0 * math.sqrt(1.0 / 0.5))
+    assert trap.predict(1.0) == pytest.approx(2.0 * math.sqrt(1.0 / 0.5))
+    # elementwise, each element as its own call computes it
+    both = trap.predict(np.array([1.0, 10.0]))
+    assert both.tolist() == [trap.predict(1.0), trap.predict(10.0)]
 
 
 def test_trapezoid_validation():

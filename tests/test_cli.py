@@ -568,7 +568,9 @@ def _timing_csv(path, header="F_l,F_s,F_v,duration", bad_row=None):
     ("F_l,F_s,F_v,duration", "3.0,0.1,0.01", "data row 6"),
     ("F_l,F_s,F_v,duration", "3.0,0.1,0.01,nan", "data row 6"),
     ("F_l,F_s,F_v,duration", "3.0,inf,0.01,6.0", "data row 6"),
-], ids=["missing-column", "short-row", "nan-duration", "infinite-feature"])
+    ("F_l,F_s,F_v,duration", "-3.0,0.1,0.01,6.0", "data row 6"),
+], ids=["missing-column", "short-row", "nan-duration", "infinite-feature",
+        "negative-length"])
 def test_train_bypass_bad_dataset_exit_two(tmp_path, capsys, header, bad_row,
                                            names):
     out = tmp_path / "model.txt"

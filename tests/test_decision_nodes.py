@@ -17,8 +17,8 @@ import oracles
 from namoplan import scenario_path, simulator
 from namoplan.gridmap import FREE, STATIC, OccupancyGrid, clear_memos
 from namoplan.removal import BetaBelief
-from namoplan.simulator import (POLICIES, BypassModelConfig, Policy,
-                                ScenarioConfig, run_episode)
+from namoplan.simulator import (POLICIES, BypassModelConfig, ScenarioConfig,
+                                run_episode)
 
 SCENARIOS = sorted(p.name for p in scenario_path("room.yaml").parent.glob("*.yaml"))
 SEEDS = (0, 1, 2)
@@ -235,7 +235,7 @@ def test_changed_success_rates_give_fresh_records():
                            _alone(want, "uncertainty-no-action", 1)) != before
 
 
-def test_choice_that_raises_stores_no_node():
+def test_choice_that_raises_stores_no_node(monkeypatch):
     def flaky():
         calls = []
 
@@ -244,9 +244,9 @@ def test_choice_that_raises_stores_no_node():
             if len(calls) == 1:
                 ep.rng.random()  # a draw, then a failure
                 raise RuntimeError("choice failed")
-            return POLICIES["priority-removal"].choose(ep, *args)
+            return POLICIES["priority-removal"](ep, *args)
 
-        return Policy("flaky", choose)
+        return choose
 
     config = _fresh("warehouse_abc.yaml")
     want = run_episode(_fresh("warehouse_abc.yaml"), "priority-removal", seed=0)
@@ -255,11 +255,11 @@ def test_choice_that_raises_stores_no_node():
     # at a node the episode before it stored.
     for stored in (False, True):
         assert (_tree(config) is not None) == stored
-        policy = flaky()
+        monkeypatch.setitem(POLICIES, "flaky", flaky())
         with pytest.raises(RuntimeError, match="choice failed"):
-            run_episode(config, policy, seed=0)
+            run_episode(config, "flaky", seed=0)
         assert _tree(config) is None
-        record = run_episode(config, policy, seed=0)
+        record = run_episode(config, "flaky", seed=0)
         assert _tree(config) is not None
         assert (record.outcome, record.elapsed, record.decisions,
                 record.diagnostics) == (want.outcome, want.elapsed,

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import yaml
-from hypothesis import example, given, reject, settings
+from hypothesis import Phase, example, given, reject, settings
 from hypothesis import strategies as st
 
 import namoplan
@@ -336,8 +336,11 @@ def test_baseline_episodes_never_fit_the_bypass_model(tmp_path, monkeypatch):
 
 
 def test_unknown_policy_rejected():
-    with pytest.raises(ValueError):
-        get_policy("does-not-exist")
+    cfg = ScenarioConfig.from_yaml(scenario_path("room.yaml"))
+    known = re.escape(f"known: {sorted(POLICIES)}")
+    for lookup in (get_policy, lambda name: run_episode(cfg, name, seed=0)):
+        with pytest.raises(ValueError, match=known):
+            lookup("does-not-exist")
     assert set(POLICIES) == {
         "uncertainty", "uncertainty-no-action", "uncertainty-no-blockage",
         "priority-bypass", "priority-removal", "random-choice"}
@@ -432,7 +435,11 @@ def _timing_maps(draw) -> OccupancyGrid:
     return OccupancyGrid(res, rng.random((height, width)) < draw(st.floats(0.0, 0.3)))
 
 
-@settings(max_examples=40)
+# No shrinking: every shrink step re-plans the 40 base paths and re-runs the
+# per-row oracle, so a failure took about 5 minutes to report with it. The
+# first failing example is reported as found.
+@settings(max_examples=40,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(grid=_timing_maps(), radius_cells=st.floats(0.0, 1.5),
        v_lin=st.floats(0.1, 2.0), v_rot=st.floats(0.1, 3.0),
        n_rows=st.integers(5, 300), seed=st.integers(0, 2**32 - 1),
@@ -671,8 +678,8 @@ def test_baseline_rules_pin_their_choices(present):
 
     def choose(name, draw=0.0):
         coin = _Coin(draw)
-        choice, details = POLICIES[name].choose(SimpleNamespace(rng=coin), "B",
-                                                detour, est, route)
+        choice, details = POLICIES[name](SimpleNamespace(rng=coin), "B",
+                                         detour, est, route)
         assert details == {}  # baselines trace no interval
         return choice, coin.draws
 
